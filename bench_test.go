@@ -150,8 +150,8 @@ func BenchmarkAblationDeclaredDispatch(b *testing.B) {
 	benchAblation(b, core.Options{DeclaredDispatchOnly: true})
 }
 
-func BenchmarkAblationContext1(b *testing.B) {
-	benchAblation(b, core.Options{Context1: true})
+func BenchmarkAblationCtx1CFA(b *testing.B) {
+	benchAblation(b, core.Options{ContextSensitivity: core.Ctx1CFA})
 }
 
 // BenchmarkBatch measures AnalyzeBatch over the full 20-app corpus at one
@@ -182,9 +182,8 @@ func BenchmarkBatch(b *testing.B) {
 // Solver-engine benchmarks on the 501-unit chain-shaped modular app, whose
 // ~26-iteration fixpoint is deep enough that the engine choice matters.
 // BenchmarkSolveReference is the original schedule; BenchmarkSolveOptimized
-// is the default CSR + delta-worklist engine; BenchmarkSolveSharded adds
-// parallel flow propagation. gatorbench -solvejson records the same
-// comparison (solve phase only) into BENCH_6.json.
+// is the default CSR + delta-worklist engine. gatorbench -solvejson records
+// the same comparison (solve phase only) into BENCH_6.json.
 func benchSolveEngine(b *testing.B, opts core.Options) {
 	sources, layouts := corpus.ModularChainApp(250, 24)
 	app, err := Load(sources, layouts)
@@ -206,10 +205,6 @@ func BenchmarkSolveReference(b *testing.B) {
 
 func BenchmarkSolveOptimized(b *testing.B) {
 	benchSolveEngine(b, core.Options{})
-}
-
-func BenchmarkSolveSharded(b *testing.B) {
-	benchSolveEngine(b, core.Options{SolverShards: 4})
 }
 
 // BenchmarkInterpreter measures the exploration oracle itself.

@@ -34,7 +34,7 @@ func (c *Cache) ParseStats() (hits, misses int64) {
 // cached outputs. Provenance and tracing are excluded — they do not change
 // the solution.
 func (o Options) CacheTag() string {
-	return fmt.Sprintf("casts=%t shared=%t nofv3=%t declared=%t ctx1=%t ctx=%s",
+	return fmt.Sprintf("casts=%t shared=%t nofv3=%t declared=%t ctx=%s",
 		o.FilterCasts, o.SharedInflation, o.NoFindView3Refinement,
-		o.DeclaredDispatchOnly, o.Context1, o.ContextSensitivity)
+		o.DeclaredDispatchOnly, o.ContextSensitivity)
 }

@@ -1,38 +1,35 @@
 // Command benchdiff compares a freshly regenerated benchmark record against
-// the checked-in baseline and exits non-zero on regression. It understands
-// both record shapes the repo tracks:
+// the checked-in baseline and exits non-zero on regression. It detects the
+// record's shape from which fields are populated and dispatches to one of
+// seven checks:
 //
 //   - corpus records (BENCH_2.json, gatorbench -benchjson): per-app findings
 //     and warnings must match the baseline exactly (a drift there is a
 //     behavior change, not noise), and total analysis work may not grow by
-//     more than the threshold;
+//     more than the threshold.
 //   - incremental records (BENCH_4.json, gatorbench -incjson): the warm/cold
 //     speedup may not drop by more than the threshold, and never below the
 //     5x floor the incremental re-solver is built to clear. The speedup is a
 //     same-machine ratio, so it is stable across runner hardware in a way
-//     absolute milliseconds are not;
+//     absolute milliseconds are not.
 //   - server records (BENCH_5.json, gatorbench -servejson): the warm-session
 //     vs stateless-resubmission speedup over HTTP, guarded the same way with
 //     a 3x floor (lower than the library floor: both sides carry transport
-//     overhead). The latency percentiles in the record are informational;
-//   - solver records (BENCH_6.json, gatorbench -solvejson): the optimized
-//     engine (CSR + delta worklist) must beat the reference schedule by the
-//     2x floor on the deep-fixpoint chain app, the sharded engine must never
-//     fall below the reference schedule, and the >64-unit incremental
-//     speedup carries the same 5x floor as BENCH_4. All three are
-//     same-machine ratios, so they hold on single-core runners too (the
-//     sharded engine's win there comes from the shared CSR hot path, not
-//     parallelism; the record's "cores" field says what produced it).
-//     Solver ratios are floor-gated only — each divides two independently
-//     measured solve times, so the relative threshold would trip on runner
-//     noise alone; the baseline is printed for trend reading.
+//     overhead). The latency percentiles in the record are informational.
+//   - solver records (BENCH_6.json, gatorbench -solvejson): two floors. The
+//     optimized engine (CSR + delta worklist) must beat the reference
+//     schedule by at least 2x on the deep-fixpoint chain app, and the
+//     >64-unit incremental warm/cold speedup must stay at or above 5x. Both
+//     are same-machine ratios, floor-gated only: each divides two
+//     independently measured times, so a relative threshold would trip on
+//     runner noise alone. The baseline is printed for trend reading.
 //   - precision records (BENCH_7.json, gatorbench -precjson): per
 //     context-sensitivity mode, the solution/oracle ratio may not grow by
 //     more than 5% over the baseline (a deterministic count-of-facts ratio,
 //     so the tight bound holds on any runner), any soundness violation is a
 //     hard failure, and the polymorphic-helper stressor must stay strict
 //     (context-sensitive solutions strictly smaller than the insensitive
-//     one);
+//     one).
 //   - observability records (BENCH_8.json, gatorbench -obsjson): the
 //     telemetry layer's request-latency overhead may not exceed the 5%
 //     ceiling. The overhead is a same-machine on/off ratio of min-of-N
@@ -45,15 +42,6 @@
 //     findings. Both gates are deterministic counts over generated apps, so
 //     they are absolute, not baseline-relative; the baseline recall is
 //     printed for trend reading.
-//   - cluster records (BENCH_9.json, gatorbench -clusterjson): aggregate
-//     throughput at 4 replicas must beat 1 replica by the 1.5x floor
-//     (the benchmark models a fixed per-replica service time, so the
-//     ratio measures the router's spread and holds on any core count),
-//     a mid-run replica kill must end with zero unrecovered requests and
-//     at least one session re-create, and the failover-window p99 must
-//     stay under an absolute ceiling. All gates are floors/ceilings, not
-//     baseline-relative: the scaling ratio divides two independently
-//     measured walls, so a relative threshold would trip on noise.
 //
 // Usage:
 //
@@ -82,28 +70,12 @@ const serveSpeedupFloor = 3.0
 // chain-shaped deep-fixpoint app (see DESIGN.md, "Solver internals").
 const optSpeedupFloor = 2.0
 
-// shardSpeedupFloor: the sharded engine may never be slower than the
-// reference schedule, whatever the core count.
-const shardSpeedupFloor = 1.0
-
 // obsOverheadCeiling is the maximum acceptable telemetry overhead, in
 // percent, for observability records — the cost of the full request
 // telemetry layer (trace propagation, per-request metrics and logs,
 // head-sampled trace capture) relative to a telemetry-off daemon (see
 // DESIGN.md, "Observability").
 const obsOverheadCeiling = 5.0
-
-// clusterScalingFloor is the minimum acceptable 4-replica/1-replica
-// throughput ratio for cluster records: consistent hashing must spread
-// independent apps well enough that four service units beat one by at
-// least this much (see DESIGN.md, "Cluster").
-const clusterScalingFloor = 1.5
-
-// failoverP99CeilingMs bounds the failover-window patch p99 for cluster
-// records: a replica kill may cost the affected sessions a re-create (one
-// cold solve), never a stall. The ceiling is absolute wall-clock, sized
-// for a loopback cluster with the benchmark's fixed service delay.
-const failoverP99CeilingMs = 2000.0
 
 // ratioSlack is the maximum tolerated growth of a precision record's
 // solution/oracle ratio over the baseline. The ratio counts canonical facts,
@@ -148,8 +120,8 @@ type checkerRec struct {
 // record is the superset of the benchmark file shapes; shape is detected
 // by which fields are populated (precision records carry modes, corpus
 // records carry apps, incremental records carry warmMs, server records
-// carry coldP50Ms, observability records carry telemetryOnMs, and
-// lifecycle-recall records carry checkers).
+// carry coldP50Ms, solver records carry optSpeedup, observability records
+// carry telemetryOnMs, and lifecycle-recall records carry checkers).
 type record struct {
 	TotalWorkMs    float64      `json:"totalWorkMs"`
 	Speedup        float64      `json:"speedup"`
@@ -158,17 +130,10 @@ type record struct {
 	ColdP50Ms      float64      `json:"coldP50Ms"`
 	ColdP99Ms      float64      `json:"coldP99Ms"`
 	OptSpeedup     float64      `json:"optSpeedup"`
-	ShardSpeedup   float64      `json:"shardSpeedup"`
 	IncSpeedup     float64      `json:"incSpeedup"`
 	TelemetryOffMs float64      `json:"telemetryOffMs"`
 	TelemetryOnMs  float64      `json:"telemetryOnMs"`
 	OverheadPct    float64      `json:"overheadPct"`
-	Scaling2x      float64      `json:"scaling2x"`
-	Scaling4x      float64      `json:"scaling4x"`
-	SteadyP99Ms    float64      `json:"steadyP99Ms"`
-	FailoverP99Ms  float64      `json:"failoverP99Ms"`
-	Recreates      int          `json:"recreates"`
-	FailedRequests int          `json:"failedRequests"`
 	Apps           []appRec     `json:"apps"`
 	Modes          []modeRec    `json:"modes"`
 	Checkers       []checkerRec `json:"checkers"`
@@ -245,26 +210,6 @@ func main() {
 			fail("checker count %d, baseline %d", len(cur.Checkers), len(old.Checkers))
 		}
 
-	case old.Scaling4x > 0:
-		// Cluster record: floor-gated scaling plus the failover contract.
-		// Zero unrecovered requests is absolute; at least one re-create
-		// proves the kill actually hit warm sessions.
-		fmt.Printf("%s: scaling 2x=%.2f 4x=%.2f (floor %.1fx) vs baseline 4x=%.2f; failover p99 %.1fms (ceiling %.0fms, steady %.1fms), recreates %d, failed %d\n",
-			flag.Arg(1), cur.Scaling2x, cur.Scaling4x, clusterScalingFloor, old.Scaling4x,
-			cur.FailoverP99Ms, failoverP99CeilingMs, cur.SteadyP99Ms, cur.Recreates, cur.FailedRequests)
-		if cur.Scaling4x < clusterScalingFloor {
-			fail("4-replica throughput scaling %.2fx below the %.1fx floor", cur.Scaling4x, clusterScalingFloor)
-		}
-		if cur.FailedRequests != 0 {
-			fail("%d request(s) never recovered after the replica kill (want 0)", cur.FailedRequests)
-		}
-		if cur.Recreates < 1 {
-			fail("replica kill triggered no session re-creates; the failover path went unexercised")
-		}
-		if cur.FailoverP99Ms > failoverP99CeilingMs {
-			fail("failover-window p99 %.1fms exceeds the %.0fms ceiling", cur.FailoverP99Ms, failoverP99CeilingMs)
-		}
-
 	case len(old.Modes) > 0:
 		// Precision record: deterministic fact-count ratios per
 		// context-sensitivity mode. Soundness violations and a non-strict
@@ -329,20 +274,17 @@ func main() {
 		}
 
 	case old.OptSpeedup > 0:
-		// Solver record: three same-machine ratios, each gated by its own
+		// Solver record: two same-machine ratios, each gated by its own
 		// hard floor. Unlike the single-ratio records below, no relative
 		// threshold applies: each ratio divides two separately-measured
-		// solve times, so its run-to-run noise is the *sum* of both sides'
-		// and routinely exceeds 15% on busy single-core runners without any
-		// code change. The baseline comparison is printed for trend reading.
-		fmt.Printf("%s: opt speedup %.2fx vs baseline %.2fx (floor %.1fx); shard %.2fx (floor %.1fx); incremental %.2fx (floor %.1fx)\n",
+		// times, so its run-to-run noise is the *sum* of both sides' and
+		// routinely exceeds 15% on busy runners without any code change.
+		// The baseline comparison is printed for trend reading.
+		fmt.Printf("%s: opt speedup %.2fx vs baseline %.2fx (floor %.1fx); incremental %.2fx (floor %.1fx)\n",
 			flag.Arg(1), cur.OptSpeedup, old.OptSpeedup, optSpeedupFloor,
-			cur.ShardSpeedup, shardSpeedupFloor, cur.IncSpeedup, speedupFloor)
+			cur.IncSpeedup, speedupFloor)
 		if cur.OptSpeedup < optSpeedupFloor {
 			fail("optimized-engine speedup %.2fx below the %.1fx floor", cur.OptSpeedup, optSpeedupFloor)
-		}
-		if cur.ShardSpeedup < shardSpeedupFloor {
-			fail("sharded engine is slower than the reference schedule (%.2fx)", cur.ShardSpeedup)
 		}
 		if cur.IncSpeedup < speedupFloor {
 			fail("large-app incremental speedup %.2fx below the %.1fx floor", cur.IncSpeedup, speedupFloor)

@@ -398,7 +398,6 @@ func (rc remoteConfig) options() server.OptionsJSON {
 		SharedInflation:       rc.opts.SharedInflation,
 		NoFindView3Refinement: rc.opts.NoFindView3Refinement,
 		DeclaredDispatchOnly:  rc.opts.DeclaredDispatchOnly,
-		Context1:              rc.opts.Context1,
 		ContextSensitivity:    ctx,
 		Provenance:            rc.opts.Provenance,
 	}

@@ -11,7 +11,7 @@
 //	           [-filter-casts] [-shared-inflation] [-no-findview3] [-declared-dispatch]
 //	           [-ctx off|1cfa|1obj] [-trace FILE] [-metrics FILE] [-pprof ADDR]
 //	           [-benchjson FILE] [-incjson FILE] [-solvejson FILE] [-precjson FILE]
-//	           [-servejson FILE] [-obsjson FILE] [-clusterjson FILE]
+//	           [-servejson FILE] [-obsjson FILE] [-lifejson FILE]
 package main
 
 import (
@@ -40,17 +40,15 @@ func main() {
 	sharedInfl := flag.Bool("shared-inflation", false, "ablation: shared inflation nodes per layout")
 	noFV3 := flag.Bool("no-findview3", false, "ablation: disable child-only FindView3 refinement")
 	declared := flag.Bool("declared-dispatch", false, "ablation: declared-type-only dispatch")
-	ctx1 := flag.Bool("context1", false, "refinement: bounded call-site context sensitivity")
 	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	benchJSON := flag.String("benchjson", "", "write machine-readable benchmark results to `file`")
 	incJSON := flag.String("incjson", "", "write the incremental re-analysis benchmark (single-file edit, warm vs cold) to `file`")
-	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta vs sharded, plus >64-unit incremental) to `file`")
+	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta, plus >64-unit incremental) to `file`")
 	precJSON := flag.String("precjson", "", "write the precision benchmark (solution/oracle ratio per context-sensitivity mode, plus the polymorphic-helper stressor) to `file`")
 	serveJSON := flag.String("servejson", "", "write the server benchmark (request latency percentiles, warm session speedup) to `file`")
 	obsJSON := flag.String("obsjson", "", "write the telemetry overhead benchmark (request latency with the telemetry layer on vs off) to `file`")
-	clusterJSON := flag.String("clusterjson", "", "write the cluster benchmark (throughput scaling at 1/2/4 replicas, failover tail latency under a mid-run replica kill) to `file`")
 	lifeJSON := flag.String("lifejson", "", "write the lifecycle-checker recall benchmark (per-checker recall over synthesized ordering-bug scenarios plus clean-twin false positives) to `file`")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the corpus run to `file`")
 	metricsOut := flag.String("metrics", "", "write the aggregated counter/histogram registry as JSON to `file` (\"-\" for stderr; implies tracing)")
@@ -78,7 +76,6 @@ func main() {
 		SharedInflation:       *sharedInfl,
 		NoFindView3Refinement: *noFV3,
 		DeclaredDispatchOnly:  *declared,
-		Context1:              *ctx1,
 		ContextSensitivity:    ctx,
 	}
 
@@ -212,12 +209,6 @@ func main() {
 	}
 	if *obsJSON != "" {
 		if err := writeObsJSON(*obsJSON, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *clusterJSON != "" {
-		if err := writeClusterJSON(*clusterJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "gatorbench:", err)
 			os.Exit(1)
 		}

@@ -38,7 +38,7 @@ func TestGatorbenchSingleApp(t *testing.T) {
 	}
 
 	// The ablation flags parse and run.
-	out, err = exec.Command(bin, "-app", "APV", "-table", "2", "-context1", "-filter-casts").CombinedOutput()
+	out, err = exec.Command(bin, "-app", "APV", "-table", "2", "-ctx", "1cfa", "-filter-casts").CombinedOutput()
 	if err != nil {
 		t.Fatalf("ablation run: %v\n%s", err, out)
 	}

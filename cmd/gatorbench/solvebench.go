@@ -4,9 +4,9 @@ package main
 // recorded numbers. Part one solves a 501-unit chain-shaped application —
 // one outer fixpoint iteration per findViewById chain stage, ~26 in all, so
 // the delta operation worklist and the CSR propagation arrays actually pay
-// off — under three engines: the
-// reference schedule (Options.ReferenceSolver), the default optimized
-// engine, and the sharded parallel engine. Part two measures incremental
+// off — under both engines: the
+// reference schedule (Options.ReferenceSolver) and the default CSR+delta
+// engine. Part two measures incremental
 // re-analysis (warm vs cold) on a 502-unit modular application, far past
 // the former 64-unit dependency-tracking budget. Only the solve phase is
 // timed for the engine comparison (extracted from trace phase events);
@@ -39,16 +39,11 @@ type solveBenchOutput struct {
 	App        string  `json:"app"`
 	Units      int     `json:"units"`
 	Iterations int     `json:"iterations"`
-	Shards     int     `json:"shards"`
 	RefMs      float64 `json:"refMs"`
 	OptMs      float64 `json:"optMs"`
-	ShardMs    float64 `json:"shardMs"`
 	// OptSpeedup is the campaign headline: reference schedule vs the
-	// CSR+delta engine, same machine, same solution. ShardSpeedup is
-	// reference vs the sharded engine; on a single-core runner it records
-	// that sharding at least does not regress.
-	OptSpeedup   float64 `json:"optSpeedup"`
-	ShardSpeedup float64 `json:"shardSpeedup"`
+	// CSR+delta engine, same machine, same solution.
+	OptSpeedup float64 `json:"optSpeedup"`
 
 	// Incremental warm-vs-cold on a >64-unit app.
 	IncApp     string  `json:"incApp"`
@@ -105,7 +100,6 @@ func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64,
 
 func writeSolveJSON(path string) error {
 	const nAct, depth = 250, 24
-	const shards = 4
 	sources, layouts := corpus.ModularChainApp(nAct, depth)
 
 	out := solveBenchOutput{
@@ -113,7 +107,6 @@ func writeSolveJSON(path string) error {
 		Cores:       runtime.NumCPU(),
 		App:         fmt.Sprintf("modular-chain-%dx%d", nAct, depth),
 		Units:       len(sources) + len(layouts),
-		Shards:      shards,
 	}
 
 	var err error
@@ -123,11 +116,7 @@ func writeSolveJSON(path string) error {
 	if out.OptMs, _, err = timeSolve(sources, layouts, gator.Options{}); err != nil {
 		return err
 	}
-	if out.ShardMs, _, err = timeSolve(sources, layouts, gator.Options{SolverShards: shards}); err != nil {
-		return err
-	}
 	out.OptSpeedup = out.RefMs / out.OptMs
-	out.ShardSpeedup = out.RefMs / out.ShardMs
 
 	if err := solveBenchIncremental(&out); err != nil {
 		return err

@@ -94,32 +94,22 @@ type Options struct {
 	// DeclaredDispatchOnly disables class-hierarchy call resolution
 	// (an ablation; unsound for interface-dispatched handlers).
 	DeclaredDispatchOnly bool
-	// Context1 enables bounded call-site context sensitivity for small
-	// helper methods — the refinement the paper's case study identifies
-	// for the XBMC receiver imprecision.
-	Context1 bool
-	// ContextSensitivity selects the labeled context-sensitive solving
-	// mode: CtxOff (the paper's insensitive analysis), Ctx1CFA (one
-	// context per call site), or Ctx1Obj (one context per receiver
-	// class). Contexts carry human-readable labels that Explain queries
-	// and derivation trees render; solutions are projected back to
-	// source identities, so every query keeps working. Supersedes
-	// Context1 when set.
+	// ContextSensitivity selects bounded context sensitivity for small
+	// helper methods: CtxOff (the paper's insensitive analysis), Ctx1CFA
+	// (one context per call site — the refinement the paper's case study
+	// identifies for the XBMC receiver imprecision), or Ctx1Obj (one
+	// context per receiver class). Contexts carry human-readable labels
+	// that Explain queries and derivation trees render; solutions are
+	// projected back to source identities, so every query keeps working.
 	ContextSensitivity CtxMode
 	// Provenance records the solver's derivation DAG, enabling the
 	// ExplainDerivation/ExplainViewID queries. Costs memory proportional to
 	// the number of derived facts; off by default.
 	Provenance bool
-	// SolverShards, when at least 2, runs flow propagation across that many
-	// parallel shards with deterministic boundary exchange. The solution is
-	// identical to the sequential solver's; runs that need the exact
-	// sequential schedule (Provenance, incremental dependency tracking)
-	// ignore the setting.
-	SolverShards int
 	// ReferenceSolver selects the original map-walking, apply-everything
 	// fixpoint schedule instead of the packed CSR engine with the delta
 	// operation worklist. It is the baseline the differential harness and
-	// the solver benchmarks compare the optimized engines against; the
+	// the solver benchmarks compare the optimized engine against; the
 	// solution is identical either way.
 	ReferenceSolver bool
 	// Trace receives solver instrumentation events (phase boundaries,
@@ -134,10 +124,8 @@ func (o Options) internal() core.Options {
 		SharedInflation:       o.SharedInflation,
 		NoFindView3Refinement: o.NoFindView3Refinement,
 		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
 		ContextSensitivity:    o.ContextSensitivity,
 		Provenance:            o.Provenance,
-		SolverShards:          o.SolverShards,
 		ReferenceSolver:       o.ReferenceSolver,
 		Trace:                 o.Trace,
 	}

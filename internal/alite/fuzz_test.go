@@ -2,7 +2,9 @@ package alite_test
 
 // FuzzParse: the ALite parser must never panic — malformed input yields an
 // error, nothing else. Seeded with the real on-disk demo app, the paper's
-// Figure 1 fragment (via the generated corpus), and grammar corner cases.
+// Figure 1 fragment (via the generated corpus), grammar corner cases, and
+// (checked in under testdata/fuzz/FuzzParse) input nested one level past
+// MaxNesting.
 
 import (
 	"os"

@@ -30,22 +30,43 @@ package alite
 //	Primary    = "this" | IDENT | "(" ... ")" .
 //	Type       = "int" | IDENT .
 
+// MaxNesting bounds how deeply a source file may nest. Each block, if,
+// else-if and while statement, parenthesized expression or cast, call
+// argument list, and each link of a selector chain counts one level.
+// Deeper input is a positioned parse error: without the bound, a large
+// enough input would exhaust the goroutine stack here or in the recursive
+// passes downstream (lowering, printing), a fatal error no recover can
+// catch.
+const MaxNesting = 1000
+
 // Parser parses a token stream into a *File.
 type Parser struct {
-	toks []Token
-	pos  int
-	errs ErrorList
-	file string
+	toks  []Token
+	pos   int
+	errs  ErrorList
+	file  string
+	depth int
 }
 
+// bailout unwinds the parser once input nests deeper than MaxNesting.
+type bailout struct{}
+
 // Parse tokenizes and parses one ALite source file.
-func Parse(file, src string) (*File, error) {
+func Parse(file, src string) (f *File, err error) {
 	toks, err := Tokenize(file, src)
 	if err != nil {
 		return nil, err
 	}
 	p := &Parser{toks: toks, file: file}
-	f := p.parseFile()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(bailout); !ok {
+				panic(r)
+			}
+			f, err = &File{Name: file}, p.errs.Err()
+		}
+	}()
+	f = p.parseFile()
 	return f, p.errs.Err()
 }
 
@@ -57,6 +78,23 @@ func MustParse(file, src string) *File {
 	}
 	return f
 }
+
+// enter opens one nesting level; past MaxNesting it records a positioned
+// error and abandons the parse (so a level needs no leave on that path).
+func (p *Parser) enter() {
+	p.depth++
+	if p.depth > MaxNesting {
+		p.tooDeep()
+	}
+}
+
+// tooDeep is enter's slow path, kept out of line so enter inlines.
+func (p *Parser) tooDeep() {
+	p.errs.Add(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
+	panic(bailout{})
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) cur() Token     { return p.toks[p.pos] }
 func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
@@ -245,6 +283,7 @@ func (p *Parser) parseType(allowVoid bool) Type {
 }
 
 func (p *Parser) parseBlock() *Block {
+	p.enter()
 	b := &Block{Pos: p.cur().Pos}
 	p.expect(LBrace)
 	for !p.at(RBrace) && !p.at(EOF) {
@@ -253,6 +292,7 @@ func (p *Parser) parseBlock() *Block {
 		}
 	}
 	p.expect(RBrace)
+	p.leave()
 	return b
 }
 
@@ -269,11 +309,14 @@ func (p *Parser) parseStmt() Stmt {
 	case KwIf:
 		return p.parseIf()
 	case KwWhile:
+		p.enter()
 		pos := p.next().Pos
 		p.expect(LParen)
 		cond := p.parseCond()
 		p.expect(RParen)
-		return &WhileStmt{Pos: pos, Cond: cond, Body: p.parseBlock()}
+		s := &WhileStmt{Pos: pos, Cond: cond, Body: p.parseBlock()}
+		p.leave()
+		return s
 	case KwInt:
 		return p.parseLocalDecl(p.parseType(false))
 	case IDENT:
@@ -299,6 +342,7 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 func (p *Parser) parseIf() Stmt {
+	p.enter()
 	pos := p.expect(KwIf).Pos
 	p.expect(LParen)
 	cond := p.parseCond()
@@ -313,6 +357,7 @@ func (p *Parser) parseIf() Stmt {
 			s.Else = p.parseBlock()
 		}
 	}
+	p.leave()
 	return s
 }
 
@@ -373,6 +418,7 @@ func (p *Parser) parseCond() Cond {
 }
 
 func (p *Parser) parseArgs() []Expr {
+	p.enter()
 	p.expect(LParen)
 	var args []Expr
 	if !p.at(RParen) {
@@ -383,6 +429,7 @@ func (p *Parser) parseArgs() []Expr {
 		}
 	}
 	p.expect(RParen)
+	p.leave()
 	return args
 }
 
@@ -413,6 +460,14 @@ func (p *Parser) parseExpr() Expr {
 // A cast is recognized when the parenthesized content is a single type name
 // followed by an expression start.
 func (p *Parser) parseParenExpr() Expr {
+	p.enter()
+	x := p.parseParenBody()
+	p.leave()
+	return x
+}
+
+// parseParenBody is parseParenExpr inside its nesting level.
+func (p *Parser) parseParenBody() Expr {
 	pos := p.expect(LParen).Pos
 	if p.at(KwInt) && p.peekKind(1) == RParen {
 		p.next()
@@ -455,8 +510,13 @@ func (p *Parser) parsePostfix() Expr {
 	return p.parseSelectors(x)
 }
 
+// parseSelectors parses a selector chain onto x. Each link nests the
+// chain one level deeper (it becomes the base of the next), so each counts
+// toward MaxNesting until the chain ends.
 func (p *Parser) parseSelectors(x Expr) Expr {
+	base := p.depth
 	for p.at(Dot) {
+		p.enter()
 		p.next()
 		// Class literal: Ident.class.
 		if p.at(KwClass) {
@@ -476,6 +536,7 @@ func (p *Parser) parseSelectors(x Expr) Expr {
 			x = &FieldExpr{Pos: name.Pos, Base: x, Name: name.Lit}
 		}
 	}
+	p.depth = base
 	return x
 }
 

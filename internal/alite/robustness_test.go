@@ -1,7 +1,9 @@
 package alite
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -75,5 +77,68 @@ func TestPrintParseFixpointOnFigure1(t *testing.T) {
 	p2 := Print(f2)
 	if p1 != p2 {
 		t.Error("Print∘Parse is not a fixed point")
+	}
+}
+
+// nestedSource builds a file whose deepest point nests exactly n levels,
+// through repetitions of one construct the parser counts toward MaxNesting.
+// The method body is one level, each repetition adds cost levels (extra
+// more once), and parentheses around the innermost expression make up the
+// remainder. Expression shapes nest inside the assignment's right-hand
+// side; statement shapes nest around the assignment.
+func nestedSource(shape string, n int) string {
+	type form struct {
+		cost, extra int
+		open, close string
+		stmt        bool
+	}
+	forms := map[string]form{
+		"paren":     {cost: 1, open: "(", close: ")"},
+		"cast":      {cost: 1, open: "(View) "},
+		"new-args":  {cost: 1, open: "new A(", close: ")"},
+		"call-args": {cost: 2, open: "this.f(", close: ")"},
+		"selector":  {cost: 1, close: ".f"},
+		"if":        {cost: 2, open: "if (*) { ", close: " }", stmt: true},
+		"while":     {cost: 2, open: "while (*) { ", close: " }", stmt: true},
+		"else-if":   {cost: 1, extra: 2, open: "if (*) { } else ", stmt: true},
+	}
+	f := forms[shape]
+	levels := n - 1 - f.extra
+	k, pad := levels/f.cost, levels%f.cost
+	wrap := func(inner string) string {
+		return strings.Repeat(f.open, k) + inner + strings.Repeat(f.close, k)
+	}
+	expr := "y"
+	if !f.stmt {
+		expr = wrap(expr)
+	}
+	stmt := "x = " + strings.Repeat("(", pad) + expr + strings.Repeat(")", pad) + ";"
+	if shape == "else-if" {
+		stmt = "if (*) { " + stmt + " }"
+	}
+	if f.stmt {
+		stmt = wrap(stmt)
+	}
+	return "class A {\n\tvoid m() {\n\t\t" + stmt + "\n\t}\n}\n"
+}
+
+// TestNestingLimit: every construct that nests counts one level per
+// nesting, so input exactly MaxNesting deep parses and one level more is a
+// positioned error — before any recursion deep enough to exhaust the stack.
+func TestNestingLimit(t *testing.T) {
+	for _, shape := range []string{"paren", "cast", "new-args", "call-args", "selector", "if", "while", "else-if"} {
+		t.Run(shape, func(t *testing.T) {
+			if _, err := Parse("at.alite", nestedSource(shape, MaxNesting)); err != nil {
+				t.Fatalf("%d levels: %v", MaxNesting, err)
+			}
+			_, err := Parse("over.alite", nestedSource(shape, MaxNesting+1))
+			var errs ErrorList
+			if !errors.As(err, &errs) || len(errs) != 1 {
+				t.Fatalf("%d levels: want one nesting error, got %v", MaxNesting+1, err)
+			}
+			if !errs[0].Pos.IsValid() || !strings.Contains(errs[0].Msg, "nesting deeper than 1000 levels") {
+				t.Errorf("%d levels: error %q, want a positioned nesting error", MaxNesting+1, errs[0])
+			}
+		})
 	}
 }

@@ -80,18 +80,13 @@ type Options struct {
 	// only, instead of class-hierarchy analysis over all subtypes.
 	DeclaredDispatchOnly bool
 
-	// Context1 enables bounded (depth-1) call-site context sensitivity:
-	// small non-recursive application methods get per-call-site clones of
-	// their variables, operations, and allocation sites. This is the
-	// refinement the paper's case study identifies as the fix for the
-	// XBMC receiver imprecision.
-	Context1 bool
-
-	// ContextSensitivity selects the labeled context-sensitive solving
-	// mode. Unlike Context1's anonymous numeric contexts, these contexts
-	// carry interned human-readable labels (call-site position for 1-CFA,
-	// receiver class for 1-object) that renderers and derivation trees
-	// show. When set to anything but CtxOff it supersedes Context1.
+	// ContextSensitivity selects bounded (depth-1) context sensitivity:
+	// small non-recursive application methods get per-context clones of
+	// their variables, operations, and allocation sites, one context per
+	// call site (Ctx1CFA) or per receiver class (Ctx1Obj). Contexts carry
+	// interned human-readable labels that renderers and derivation trees
+	// show. Ctx1CFA is the refinement the paper's case study identifies as
+	// the fix for the XBMC receiver imprecision.
 	ContextSensitivity CtxMode
 
 	// Incremental records per-fact unit-dependency bitmasks (which source
@@ -112,22 +107,6 @@ type Options struct {
 	// harness (differential_test.go) holds every optimized configuration
 	// byte-identical to it — and exists as that baseline, not for use.
 	ReferenceSolver bool
-
-	// NoDelta disables the delta operation worklist, re-applying every
-	// operation every round like the reference schedule, while keeping CSR
-	// propagation. An ablation knob for benchmarks and the differential
-	// harness; results are identical either way.
-	NoDelta bool
-
-	// SolverShards, when at least 2, partitions flow propagation across
-	// that many parallel shards with deterministic boundary exchange (see
-	// shard.go). Points-to and relation sets are identical to the
-	// sequential engines; only schedule-sensitive introspection (points-to
-	// insertion order, Explain chains) may observe a different — still
-	// deterministic — arrival order. Runs needing the exact sequential
-	// schedule (Provenance, Incremental dependency tracking) ignore the
-	// setting and propagate sequentially.
-	SolverShards int
 
 	// Trace receives solver events: build/solve phase boundaries,
 	// per-iteration worklist sizes, and per-rule firing counts. A nil

@@ -52,9 +52,8 @@ type analysis struct {
 	descGen  int
 
 	// curSub, when non-nil, redirects variable-node lookups for the method
-	// currently being cloned (Context1 or ContextSensitivity). Context ids
-	// are allocated by the graph (NewContext/InternContext), so labeled and
-	// anonymous contexts share one numbering.
+	// currently being cloned (ContextSensitivity). Context ids are
+	// interned by the graph (InternContext) from their labels.
 	curSub *cloneSub
 	// cloneableCache memoizes the cloneability decision.
 	cloneableCache map[*ir.Method]bool
@@ -93,17 +92,15 @@ type analysis struct {
 	classUnits  map[*ir.Class]unitBits
 	curUnits    *unitBits
 
-	// Per-solve engine state (see csr.go and shard.go). csr is the packed
-	// flow-graph snapshot; watchers/opDirty/opAlways/opLastGen drive the
-	// delta operation worklist; shards is the parallel propagation engine.
-	// All nil under Options.ReferenceSolver (and watchers under NoDelta),
-	// which falls back to the original schedule.
+	// Per-solve engine state (see csr.go). csr is the packed flow-graph
+	// snapshot; watchers/opDirty/opAlways/opLastGen drive the delta
+	// operation worklist. All nil under Options.ReferenceSolver, which
+	// falls back to the original schedule.
 	csr       *flowCSR
 	watchers  [][]int32
 	opDirty   []bool
 	opAlways  []bool
 	opLastGen []int
-	shards    *shardRun
 
 	iterations int
 }
@@ -413,7 +410,7 @@ func (a *analysis) buildInvoke(m *ir.Method, s *ir.Invoke) {
 	// return edges also depend on the callee's file — methodReturnVars reads
 	// its body.
 	mu := a.unitOf(m)
-	cloning := a.opts.Context1 || a.opts.ContextSensitivity != CtxOff
+	cloning := a.opts.ContextSensitivity != CtxOff
 	for _, callee := range a.callTargets(s.Recv.TypeClass, s.Key, s.Target) {
 		cu := a.mention(callee)
 		if cloning && a.curSub == nil && a.cloneable(callee) {
@@ -439,17 +436,7 @@ func (a *analysis) buildInvoke(m *ir.Method, s *ir.Invoke) {
 // reports whether the call was handled context-sensitively (false sends
 // the site down the shared, context-insensitive path).
 func (a *analysis) cloneCall(s *ir.Invoke, callee *ir.Method, units unitBits) bool {
-	switch a.opts.ContextSensitivity {
-	case Ctx1CFA:
-		// 1-CFA: one context per call-site position, interned so the
-		// label renders in derivation trees. Multiple CHA callees at one
-		// site share the context id; their variable nodes stay distinct.
-		if !s.Pos().IsValid() {
-			return false
-		}
-		a.buildClonedCall(s, callee, units, a.g.InternContext("cs:"+s.Pos().String()), nil)
-		return true
-	case Ctx1Obj:
+	if a.opts.ContextSensitivity == Ctx1Obj {
 		// 1-object: one context per possible receiver class, shared
 		// across every call site dispatching to the callee on that class.
 		classes := a.receiverClasses(s.Recv.TypeClass, s.Key, callee)
@@ -460,10 +447,15 @@ func (a *analysis) cloneCall(s *ir.Invoke, callee *ir.Method, units unitBits) bo
 			a.buildClonedCall(s, callee, units, a.g.InternContext("obj:"+cls.Name), cls)
 		}
 		return true
-	default: // legacy Context1: anonymous per-call-site contexts
-		a.buildClonedCall(s, callee, units, a.g.NewContext(""), nil)
-		return true
 	}
+	// 1-CFA: one context per call-site position, interned so the label
+	// renders in derivation trees. Multiple CHA callees at one site share
+	// the context id; their variable nodes stay distinct.
+	if !s.Pos().IsValid() {
+		return false
+	}
+	a.buildClonedCall(s, callee, units, a.g.InternContext("cs:"+s.Pos().String()), nil)
+	return true
 }
 
 // receiverClasses enumerates the concrete application classes whose objects

@@ -166,7 +166,7 @@ func (a *analysis) initDelta() {
 
 // markWatchers flags every operation watching node id for re-application.
 // Called by seedChecked whenever a points-to set grows; a no-op when delta
-// scheduling is inactive (reference engine, NoDelta, or during build).
+// scheduling is inactive (reference engine, or during build).
 func (a *analysis) markWatchers(id int) {
 	if a.watchers == nil || id >= len(a.watchers) {
 		return

@@ -31,8 +31,8 @@ import (
 // bits live inline so applications with at most 64 units (the common case)
 // never allocate; larger applications spill into overflow words. Values are
 // immutable after creation — or returns a fresh value and may share overflow
-// storage with an operand — so masks can be stored, copied, and read from
-// concurrent shards without cloning.
+// storage with an operand — so masks can be stored and copied without
+// cloning.
 type unitBits struct {
 	lo uint64
 	hi []uint64 // bits 64 and up; nil when the app fits in 64 units

@@ -1,23 +1,18 @@
 package core
 
 // The differential solver harness: the standing invariant of the optimized
-// engines is that every configuration — CSR propagation, the delta
-// operation worklist, and the sharded parallel fixpoint — computes exactly
-// the solution of the reference schedule (Options.ReferenceSolver). This
-// file checks that invariant on every registered corpus application, the
-// paper's Figure 1 app, a multi-unit modular app (past the 64-unit bitset
-// page boundary), and a swarm of seeded-random applications.
+// engine (CSR propagation plus the delta operation worklist) is that it
+// computes exactly the solution of the reference schedule
+// (Options.ReferenceSolver). This file checks that invariant on every
+// registered corpus application, the paper's Figure 1 app, a multi-unit
+// modular app (past the 64-unit bitset page boundary), and a swarm of
+// seeded-random applications.
 //
-// Identity is checked at two strengths, matching the contract in shard.go:
-//
-//   - All variants, including shards: canonical (content-sorted) solution
-//     strings are byte-identical, and Iterations match.
-//   - Sequential variants (CSR, CSR+delta): additionally, points-to
-//     insertion order matches the reference engine, and with Provenance
-//     enabled the recorded derivation DAG — the source of Result.Why
-//     trees — is deeply equal. Sharded runs with Provenance fall back to
-//     the sequential schedule (tracking disables sharding), so their Why
-//     trees are held to the same exact-equality bar.
+// Identity is checked at full strength: canonical (content-sorted)
+// solution strings are byte-identical, Iterations match, points-to
+// insertion order matches the reference engine, and with Provenance
+// enabled the recorded derivation DAG — the source of Result.Why trees —
+// is deeply equal.
 
 import (
 	"fmt"
@@ -34,9 +29,8 @@ import (
 )
 
 // mapBuilder adapts a (sources, layouts) string-map pair to diffApp's
-// fresh-program contract. Each variant gets its own ir.Program: analysis
-// options like Context1 extend the program in place, so sharing one across
-// runs would let variants observe each other.
+// fresh-program contract. Each run gets its own ir.Program, so runs cannot
+// observe each other through shared program state.
 func mapBuilder(t *testing.T, sources, layouts map[string]string) func() *ir.Program {
 	return func() *ir.Program { return buildMaps(t, sources, layouts) }
 }
@@ -70,8 +64,8 @@ func buildMaps(t testing.TB, sources, layouts map[string]string) *ir.Program {
 // solutionString renders the full solution — every non-empty points-to set
 // plus every derived relation — as one string. Relation pairs are always
 // sorted (the underlying relation maps iterate in map order); points-to
-// values keep insertion order when ordered is true, which only the
-// sequential engines promise to reproduce, and are sorted otherwise.
+// values keep insertion order when ordered is true and are sorted
+// otherwise.
 func solutionString(r *Result, ordered bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iterations %d\n", r.Iterations)
@@ -127,22 +121,7 @@ func valueNamesTB(vals []graph.Value) []string {
 	return out
 }
 
-// solverVariants enumerates the engine configurations under test. ordered
-// marks configurations whose schedule must match the reference engine
-// step-for-step, not just set-for-set.
-var solverVariants = []struct {
-	name    string
-	ordered bool
-	opts    func(Options) Options
-}{
-	{"csr-nodelta", true, func(o Options) Options { o.NoDelta = true; return o }},
-	{"csr-delta", true, func(o Options) Options { return o }},
-	{"shards1", true, func(o Options) Options { o.SolverShards = 1; return o }},
-	{"shards2", false, func(o Options) Options { o.SolverShards = 2; return o }},
-	{"shards8", false, func(o Options) Options { o.SolverShards = 8; return o }},
-}
-
-// diffApp runs every solver variant against the reference engine on one
+// diffApp runs the optimized engine against the reference engine on one
 // application and fails on any divergence. build must return a fresh
 // program on every call.
 func diffApp(t *testing.T, label string, build func() *ir.Program, base Options) {
@@ -150,39 +129,24 @@ func diffApp(t *testing.T, label string, build func() *ir.Program, base Options)
 	refOpts := base
 	refOpts.ReferenceSolver = true
 	ref := Analyze(build(), refOpts)
-	refSorted := solutionString(ref, false)
-	refOrdered := solutionString(ref, true)
-
-	for _, v := range solverVariants {
-		r := Analyze(build(), v.opts(base))
-		if got := solutionString(r, false); got != refSorted {
-			t.Errorf("%s: %s solution diverges from reference:\n%s",
-				label, v.name, firstDiff(refSorted, got))
-			continue
-		}
-		if v.ordered {
-			if got := solutionString(r, true); got != refOrdered {
-				t.Errorf("%s: %s points-to insertion order diverges from reference:\n%s",
-					label, v.name, firstDiff(refOrdered, got))
-			}
-		}
+	r := Analyze(build(), base)
+	if want, got := solutionString(ref, false), solutionString(r, false); got != want {
+		t.Errorf("%s: solution diverges from reference:\n%s", label, firstDiff(want, got))
+	} else if want, got := solutionString(ref, true), solutionString(r, true); got != want {
+		t.Errorf("%s: points-to insertion order diverges from reference:\n%s", label, firstDiff(want, got))
 	}
 
 	// Provenance runs record first-derivation-wins Why trees keyed by
 	// stable node ids; any schedule drift shows up as a different DAG.
-	// Sharding is suppressed under tracking, so even the shard variants
-	// must reproduce the reference derivations exactly.
-	provBase := base
-	provBase.Provenance = true
-	provRefOpts := provBase
+	provOpts := base
+	provOpts.Provenance = true
+	provRefOpts := provOpts
 	provRefOpts.ReferenceSolver = true
 	provRef := Analyze(build(), provRefOpts)
-	for _, v := range solverVariants {
-		r := Analyze(build(), v.opts(provBase))
-		if !reflect.DeepEqual(r.rec.deriv, provRef.rec.deriv) {
-			t.Errorf("%s: %s derivation DAG diverges from reference (%d vs %d facts)",
-				label, v.name, len(r.rec.deriv), len(provRef.rec.deriv))
-		}
+	prov := Analyze(build(), provOpts)
+	if !reflect.DeepEqual(prov.rec.deriv, provRef.rec.deriv) {
+		t.Errorf("%s: derivation DAG diverges from reference (%d vs %d facts)",
+			label, len(prov.rec.deriv), len(provRef.rec.deriv))
 	}
 }
 
@@ -198,7 +162,7 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("line counts differ: reference %d, variant %d", len(w), len(g))
 }
 
-// TestDifferentialCorpus holds every solver variant byte-identical to the
+// TestDifferentialCorpus holds the optimized engine byte-identical to the
 // reference engine on the registered corpus applications and Figure 1,
 // under both the default options and the cast-filtering refinement (the
 // one option that changes propagation itself).
@@ -225,7 +189,7 @@ func TestDifferentialCorpus(t *testing.T) {
 		}
 		diffApp(t, "figure1", build, Options{})
 		diffApp(t, "figure1-casts", build, Options{FilterCasts: true})
-		diffApp(t, "figure1-ctx1", build, Options{Context1: true})
+		diffApp(t, "figure1-ctx1", build, Options{ContextSensitivity: Ctx1CFA})
 	})
 	t.Run("modular80", func(t *testing.T) {
 		t.Parallel()
@@ -245,8 +209,8 @@ func TestDifferentialCorpus(t *testing.T) {
 	})
 }
 
-// TestDifferentialRandom sweeps seeded-random applications through every
-// solver variant. The generator is deterministic per seed, so failures
+// TestDifferentialRandom sweeps seeded-random applications through both
+// engines. The generator is deterministic per seed, so failures
 // reproduce by seed number.
 func TestDifferentialRandom(t *testing.T) {
 	seeds := 200

@@ -82,7 +82,7 @@ func (a *analysis) warmState() *warmState {
 // every query that crosses runs reports in content order.
 //
 // When reuse is not possible — no previous tracking state, provenance or
-// Context1 requested (both are schedule-sensitive), shared inflation (one
+// context sensitivity requested, shared inflation (one
 // view tree serves many sites, defeating per-site retraction), options
 // changed, or the unit set changed — the analysis runs from scratch (with
 // tracking on, so the next edit can be incremental) and Result.Incr.Reason
@@ -159,8 +159,6 @@ func warmBlocker(opts Options, prev *Result) string {
 		return "previous result lacks reusable solver state"
 	case opts.Provenance:
 		return "provenance recording requires the full derivation schedule"
-	case opts.Context1 || prev.Opts.Context1:
-		return "context-sensitive cloning is not incrementalized"
 	case opts.SharedInflation:
 		return "shared inflation ties one view tree to many sites"
 	case opts.FilterCasts != prev.Opts.FilterCasts,

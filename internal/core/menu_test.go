@@ -114,8 +114,8 @@ class B extends Activity {
 		}
 	}
 
-	// Under Context1, each activity gets its own cloned add site.
-	rc := analyzeSrc(t, src, nil, Options{Context1: true})
+	// Under 1-CFA, each activity gets its own cloned add site.
+	rc := analyzeSrc(t, src, nil, Options{ContextSensitivity: Ctx1CFA})
 	items := 0
 	for _, n := range rc.Graph.Nodes() {
 		if _, ok := n.(*graph.MenuItemNode); ok {
@@ -123,6 +123,6 @@ class B extends Activity {
 		}
 	}
 	if items < 2 {
-		t.Errorf("Context1 menu items = %d, want >= 2 (per-site clones)", items)
+		t.Errorf("1-CFA menu items = %d, want >= 2 (per-site clones)", items)
 	}
 }

@@ -39,9 +39,7 @@ func (t *ptsTable) ensure(n graph.Node) *ValueSet {
 	return s
 }
 
-// grow pre-sizes the table for at least n node ids. The sharded solver
-// calls this before its parallel phase so concurrent shards never trigger
-// a reallocation of the shared backing array.
+// grow sizes the table for at least n node ids, doubling to amortize.
 func (t *ptsTable) grow(n int) {
 	if n <= len(t.sets) {
 		return

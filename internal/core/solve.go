@@ -20,21 +20,15 @@ import (
 // relations grow monotonically.
 //
 // The default engine packs the flow edges into CSR arrays and schedules
-// operations through a delta worklist; Options.SolverShards adds parallel
-// flow propagation. Options.ReferenceSolver keeps the original map-walking,
-// apply-everything schedule — the baseline the differential harness holds
-// every optimized configuration to. All engines derive the same facts in
-// the same order (see csr.go for the argument), so the choice is invisible
-// in results, provenance, and iteration counts.
+// operations through a delta worklist. Options.ReferenceSolver keeps the
+// original map-walking, apply-everything schedule — the baseline the
+// differential harness holds the optimized engine to. Both engines derive
+// the same facts in the same order (see csr.go for the argument), so the
+// choice is invisible in results, provenance, and iteration counts.
 func (a *analysis) solve() {
 	if !a.opts.ReferenceSolver {
 		a.csr = a.buildCSR()
-		if !a.opts.NoDelta {
-			a.initDelta()
-		}
-		if a.opts.SolverShards > 1 && !a.tracking {
-			a.shards = a.newShardRun(a.opts.SolverShards)
-		}
+		a.initDelta()
 	}
 	for {
 		a.iterations++
@@ -61,12 +55,9 @@ func (a *analysis) solve() {
 // propagate drains the worklist, pushing values across flow edges through
 // whichever propagation engine the options selected.
 func (a *analysis) propagate() {
-	switch {
-	case a.shards != nil:
-		a.shards.propagate()
-	case a.csr != nil:
+	if a.csr != nil {
 		a.propagateCSR()
-	default:
+	} else {
 		a.propagateReference()
 	}
 }
@@ -74,7 +65,7 @@ func (a *analysis) propagate() {
 // propagateReference is the original propagation loop: per-node successor
 // lookups through the graph's flow map and per-edge filter lookups through
 // the (src, dst)-keyed maps. It is preserved verbatim as the reference
-// schedule the CSR and sharded engines are differentially tested against.
+// schedule the CSR engine is differentially tested against.
 func (a *analysis) propagateReference() {
 	for head := 0; head < len(a.worklist); head++ {
 		it := a.worklist[head]

@@ -174,7 +174,7 @@ class A extends Activity {
 	}
 }
 
-func TestContext1FixesSharedHelper(t *testing.T) {
+func TestCtx1CFAFixesSharedHelper(t *testing.T) {
 	src := `
 class Finder {
 	View byId(View root, int id) {
@@ -211,9 +211,9 @@ class B extends Activity {
 		t.Errorf("insensitive pts(x) = %v, want 2 (merged)", valueNames(xVals))
 	}
 
-	// Context1: each call site gets its own clone; the spurious result is
+	// 1-CFA: each call site gets its own clone; the spurious result is
 	// gone.
-	ctx := analyzeSrc(t, src, layouts, Options{Context1: true})
+	ctx := analyzeSrc(t, src, layouts, Options{ContextSensitivity: Ctx1CFA})
 	xVals = ctx.VarPointsTo(localVar(t, ctx, "A", "onCreate()", "x"))
 	if len(xVals) != 1 {
 		t.Fatalf("context-sensitive pts(x) = %v, want 1", valueNames(xVals))

@@ -32,12 +32,10 @@ type base struct{ id int }
 func (b base) ID() int { return b.id }
 
 // VarNode represents one local variable, parameter, or receiver. Under
-// context-sensitive cloning (core.Options.Context1 or ContextSensitivity),
-// one variable may have several nodes distinguished by Ctx; the
-// context-insensitive node has Ctx 0. CtxLabel is the interned label of
-// the context when one was registered (call-site position for 1-CFA,
-// receiver class for 1-object); anonymous Context1 contexts leave it
-// empty and render as #N.
+// context-sensitive cloning (core.Options.ContextSensitivity), one variable
+// may have several nodes distinguished by Ctx; the context-insensitive node
+// has Ctx 0. CtxLabel is the interned label of the context (call-site
+// position for 1-CFA, receiver class for 1-object).
 type VarNode struct {
 	base
 	Var      *ir.Var
@@ -48,9 +46,6 @@ type VarNode struct {
 func (n *VarNode) String() string {
 	if n.CtxLabel != "" {
 		return fmt.Sprintf("Var[%s @ %s]", n.Var, n.CtxLabel)
-	}
-	if n.Ctx != 0 {
-		return fmt.Sprintf("Var[%s#%d]", n.Var, n.Ctx)
 	}
 	return "Var[" + n.Var.String() + "]"
 }
@@ -238,7 +233,7 @@ type Graph struct {
 	ops    []*OpNode
 
 	// Cloning contexts: ctxSeq numbers them densely (0 = insensitive),
-	// ctxLabels/ctxIDs intern the optional human-readable labels, and
+	// ctxLabels/ctxIDs intern their human-readable labels, and
 	// ctxVars indexes each variable's non-zero-context clones so queries
 	// can project contexts away without scanning every node.
 	ctxSeq    int
@@ -337,34 +332,19 @@ func (g *Graph) VarNodeCtx(v *ir.Var, ctx int) *VarNode {
 	return n
 }
 
-// NewContext allocates a fresh cloning context id. A non-empty label is
-// interned (future VarNodeCtx nodes under this context render it) and can
-// be looked up again with InternContext.
-func (g *Graph) NewContext(label string) int {
-	g.ctxSeq++
-	if label != "" {
-		g.ctxLabels[g.ctxSeq] = label
-		g.ctxIDs[label] = g.ctxSeq
-	}
-	return g.ctxSeq
-}
-
-// InternContext returns the context id for a label, allocating one on
-// first use. The same label always maps to the same id, so cloning keyed
-// by label (per receiver class, say) reuses one context across call sites.
+// InternContext returns the cloning context id for a label, allocating one
+// on first use. The same label always maps to the same id, so cloning keyed
+// by label (per receiver class, say) reuses one context across call sites,
+// and VarNodeCtx nodes under the context render the label.
 func (g *Graph) InternContext(label string) int {
 	if id, ok := g.ctxIDs[label]; ok {
 		return id
 	}
-	return g.NewContext(label)
+	g.ctxSeq++
+	g.ctxLabels[g.ctxSeq] = label
+	g.ctxIDs[label] = g.ctxSeq
+	return g.ctxSeq
 }
-
-// ContextLabel returns the interned label of a context ("" when the
-// context is anonymous or unknown).
-func (g *Graph) ContextLabel(ctx int) string { return g.ctxLabels[ctx] }
-
-// NumContexts returns how many cloning contexts have been allocated.
-func (g *Graph) NumContexts() int { return g.ctxSeq }
 
 // VarContextClones returns v's non-zero-context clone nodes, nil when v was
 // never cloned (always, under context-insensitive solving). Unlike

@@ -313,12 +313,12 @@ func TestVarNodeContexts(t *testing.T) {
 	m := p.Class("A").Methods["onCreate()"]
 	v := m.Locals[1]
 	base := g.VarNode(v)
-	c1 := g.VarNodeCtx(v, 1)
-	c2 := g.VarNodeCtx(v, 2)
+	c1 := g.VarNodeCtx(v, g.InternContext("cs:1"))
+	c2 := g.VarNodeCtx(v, g.InternContext("cs:2"))
 	if base == c1 || c1 == c2 {
 		t.Error("contexts not distinguished")
 	}
-	if g.VarNodeCtx(v, 1) != c1 {
+	if g.VarNodeCtx(v, g.InternContext("cs:1")) != c1 {
 		t.Error("VarNodeCtx not idempotent")
 	}
 	if base.String() == c1.String() {

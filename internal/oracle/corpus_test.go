@@ -42,9 +42,9 @@ func TestCorpusSoundnessAndPrecision(t *testing.T) {
 	}
 }
 
-// TestCorpusSoundnessContext1 repeats the study under the context-sensitive
-// refinement; it must stay sound.
-func TestCorpusSoundnessContext1(t *testing.T) {
+// TestCorpusSoundnessCtx1CFA repeats the study under the 1-CFA
+// context-sensitive refinement; it must stay sound.
+func TestCorpusSoundnessCtx1CFA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus study skipped in -short mode")
 	}
@@ -55,7 +55,7 @@ func TestCorpusSoundnessContext1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.Analyze(prog, core.Options{Context1: true})
+		res := core.Analyze(prog, core.Options{ContextSensitivity: core.Ctx1CFA})
 		obs := interp.New(prog, interp.Config{Seed: 2}).Run()
 		if rep := Compare(res, obs); !rep.Sound() {
 			t.Errorf("%s: %d violations; first: %s", name, len(rep.Violations), rep.Violations[0])

@@ -138,9 +138,10 @@ func Compare(res *core.Result, obs *interp.Observations) *Report {
 }
 
 // mapper resolves interpreter tags to graph values. Under context-sensitive
-// cloning (core.Options.Context1) one allocation site or operation site may
-// have several graph nodes; tags then resolve to candidate sets, and
-// coverage means some candidate is in the static solution.
+// cloning (core.Options.ContextSensitivity) one allocation site or
+// operation site may have several graph nodes; tags then resolve to
+// candidate sets, and coverage means some candidate is in the static
+// solution.
 type mapper struct {
 	res       *core.Result
 	allocs    map[*ir.New][]*graph.AllocNode

@@ -70,22 +70,17 @@ func TestPropertySoundness(t *testing.T) {
 }
 
 // TestPropertySoundnessWithRefinements re-checks soundness under every
-// sound analysis variant, including the alternate solver engines — the
-// reference schedule, the no-delta ablation, and the sharded parallel
-// fixpoint — whose solutions must all cover every concrete execution.
+// sound analysis variant, including the reference solver schedule, whose
+// solutions must all cover every concrete execution.
 func TestPropertySoundnessWithRefinements(t *testing.T) {
 	variants := []core.Options{
 		{FilterCasts: true},
 		{SharedInflation: true},
 		{NoFindView3Refinement: true},
-		{Context1: true},
+		{ContextSensitivity: core.Ctx1CFA},
 		{FilterCasts: true, SharedInflation: true},
-		{Context1: true, FilterCasts: true},
+		{ContextSensitivity: core.Ctx1CFA, FilterCasts: true},
 		{ReferenceSolver: true},
-		{NoDelta: true},
-		{SolverShards: 2},
-		{SolverShards: 8},
-		{SolverShards: 8, FilterCasts: true},
 	}
 	prop := func(seed int64) bool {
 		p := buildRandom(t, seed)

@@ -73,22 +73,6 @@ type Config struct {
 	// no span propagation, no per-request metrics or logs. The overhead
 	// benchmark (gatorbench -obsjson) serves this as its baseline.
 	NoTelemetry bool
-	// ReplicaID, when set, names this daemon as one replica of a cluster:
-	// every response carries it in an X-Gator-Replica header so clients
-	// and the routing proxy can see which node actually served them.
-	ReplicaID string
-	// Shared, when set, is a cluster-shared content-addressed result tier
-	// (gatorproxy's /v1/cache) consulted after the memory and disk tiers
-	// miss and written through on every cacheable solve — one replica's
-	// solve becomes every replica's replay. Implementations fail open.
-	Shared cache.SharedStore
-	// ServiceDelay, when positive, sleeps each analysis job for this long
-	// before solving. It is a benchmark-only knob: the cluster throughput
-	// benchmark (gatorbench -clusterjson) uses it to model a fixed remote
-	// service time so replica scaling is measurable — and reproducible —
-	// on any core count, including single-core CI runners. Production
-	// configs leave it zero.
-	ServiceDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -180,15 +164,6 @@ func New(cfg Config) (*Server, error) {
 	if obs {
 		s.handler = s.withTelemetry(s.mux)
 	}
-	if cfg.ReplicaID != "" {
-		// Outermost layer so even telemetry-rejected responses carry the
-		// replica identity.
-		inner := s.handler
-		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(ReplicaHeader, cfg.ReplicaID)
-			inner.ServeHTTP(w, r)
-		})
-	}
 	s.ready.Store(true)
 	return s, nil
 }
@@ -245,7 +220,6 @@ type OptionsJSON struct {
 	SharedInflation       bool `json:"sharedInflation,omitempty"`
 	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
 	DeclaredDispatchOnly  bool `json:"declaredDispatchOnly,omitempty"`
-	Context1              bool `json:"context1,omitempty"`
 	// ContextSensitivity selects the cloning-based context mode:
 	// "off" (or empty), "1cfa", or "1obj".
 	ContextSensitivity string `json:"contextSensitivity,omitempty"`
@@ -259,7 +233,6 @@ func (o OptionsJSON) toOptions() gator.Options {
 		SharedInflation:       o.SharedInflation,
 		NoFindView3Refinement: o.NoFindView3Refinement,
 		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
 		ContextSensitivity:    ctx,
 		Provenance:            o.Provenance,
 	}
@@ -543,15 +516,6 @@ func (s *Server) cacheGet(key string) (rendered, bool) {
 			s.reg.Add("server.cache.disk_hits", 1)
 		}
 	}
-	if !hit && s.cfg.Shared != nil {
-		// Cluster tier: a hit means some replica already solved these exact
-		// bytes. Promote locally so the next replay skips the network.
-		if d, ok := s.cfg.Shared.Get(key); ok && len(d) > 0 {
-			data, hit = d, true
-			s.results.Put(key, data)
-			s.reg.Add("server.cache.shared_hits", 1)
-		}
-	}
 	if !hit || len(data) == 0 {
 		s.reg.Add("server.cache.misses", 1)
 		return rendered{}, false
@@ -569,17 +533,6 @@ func (s *Server) cachePut(key string, rd rendered) {
 	s.results.Put(key, entry)
 	if s.disk != nil {
 		s.disk.Put(key, entry)
-	}
-	if s.cfg.Shared != nil {
-		s.cfg.Shared.Put(key, entry)
-	}
-}
-
-// serviceDelay models a fixed per-job service time; see
-// Config.ServiceDelay. A no-op outside the cluster benchmark.
-func (s *Server) serviceDelay() {
-	if s.cfg.ServiceDelay > 0 {
-		time.Sleep(s.cfg.ServiceDelay)
 	}
 }
 
@@ -624,7 +577,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var rd rendered
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		loadStart := time.Now()
 		app, err := gator.LoadCached(req.Sources, req.Layouts, s.appCache)
 		if err != nil {
@@ -696,7 +648,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var rd rendered
 	var incr gator.IncrementalStats
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		solveOpts := sess.opts
 		solveOpts.Trace = scope
 		solveStart := time.Now()
@@ -791,7 +742,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	var patchErr error
 	start := time.Now()
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		// The per-session lock serializes concurrent patches: the second
 		// waits for the first instead of tripping over a consumed result.
 		sess.mu.Lock()
@@ -1006,7 +956,6 @@ func optionsJSON(o gator.Options) OptionsJSON {
 		SharedInflation:       o.SharedInflation,
 		NoFindView3Refinement: o.NoFindView3Refinement,
 		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
 		ContextSensitivity:    ctx,
 		Provenance:            o.Provenance,
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"gator"
+	"gator/internal/alite"
 	"gator/internal/corpus"
 	"gator/internal/report"
 	"gator/internal/watch"
@@ -517,6 +519,20 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 		t.Fatalf("empty request: %v, want 400", err)
 	}
 
+	// The removed "context1" wire option is an unknown field → 400, never
+	// a silent context-insensitive run ("contextSensitivity":"1cfa"
+	// replaces it).
+	resp, err := http.Post(c.base+"/v1/analyze", "application/json",
+		strings.NewReader(`{"sources":{"a.alite":"class A {}"},"options":{"context1":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"context1\"`) {
+		t.Fatalf("removed context1 option: %d %s, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+
 	// Unparsable source → 422.
 	_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"bad.alite": "class {{{"}})
 	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
@@ -540,6 +556,42 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 	_ = layouts
 	if err := c.Healthz(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTooDeepSourceIs422: source nested past the parser's limit is a 422
+// with a positioned error, and the daemon and its warm sessions live on —
+// unbounded nesting would overflow the goroutine stack, a fatal error that
+// kills the whole process.
+func TestTooDeepSourceIs422(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	sources, layouts := corpus.ModularApp(2)
+	open, err := c.OpenSession(AnalyzeRequest{Name: "modular", Sources: sources, Layouts: layouts})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	n := 2 * alite.MaxNesting
+	deep := "class A extends Activity {\n\tvoid onCreate() {\n\t\tView x = " +
+		strings.Repeat("(", n) + "this" + strings.Repeat(")", n) + ";\n\t}\n}\n"
+	_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"deep.alite": deep}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity ||
+		!strings.Contains(se.Msg, "deep.alite:3:") || !strings.Contains(se.Msg, "nesting deeper than") {
+		t.Fatalf("too-deep source: %v, want 422 with a positioned nesting error", err)
+	}
+
+	if _, err := c.Analyze(AnalyzeRequest{Name: "m", Sources: sources, Layouts: layouts}); err != nil {
+		t.Fatalf("analyze after the too-deep request: %v", err)
+	}
+	resp, err := c.PatchSession(open.SessionID, PatchRequest{
+		Sources: map[string]string{"act1.alite": sources["act1.alite"] + "\n// edit\n"},
+	})
+	if err != nil {
+		t.Fatalf("patch after the too-deep request: %v", err)
+	}
+	if resp.Incremental == nil || resp.Incremental.Mode != "warm" {
+		t.Fatalf("patch mode = %+v, want warm", resp.Incremental)
 	}
 }
 
@@ -734,122 +786,5 @@ func writeAppDir(t *testing.T, dir string, sources, layouts map[string]string) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// ---- cluster-facing config knobs (PR 9) ----
-
-// memShared is an in-memory cache.SharedStore for tests.
-type memShared struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func newMemShared() *memShared { return &memShared{m: map[string][]byte{}} }
-
-func (s *memShared) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.m[key]
-	return d, ok
-}
-
-func (s *memShared) Put(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = append([]byte(nil), data...)
-}
-
-// A replica-configured daemon must name itself on every response, and the
-// client must be able to read that name back.
-func TestReplicaHeader(t *testing.T) {
-	srv, err := New(Config{ReplicaID: "r7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		srv.Drain()
-		ts.Close()
-	}()
-	c := NewClient(ts.URL)
-	replica, err := c.Replica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica != "r7" {
-		t.Fatalf("Replica() = %q, want r7", replica)
-	}
-	// Analysis responses carry it too.
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
-		strings.NewReader(`{"sources":{"a.alite":"class A {}"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(ReplicaHeader); got != "r7" {
-		t.Fatalf("analyze response replica header = %q, want r7", got)
-	}
-
-	// A plain daemon sends none, and Replica() reports that as "".
-	_, plain := newTestServer(t, Config{})
-	if replica, err := plain.Replica(); err != nil || replica != "" {
-		t.Fatalf("plain daemon Replica() = %q, %v; want \"\"", replica, err)
-	}
-}
-
-// The shared tier sits behind memory and disk: a daemon whose local
-// caches are cold must replay an entry some other daemon put there, and
-// write its own solves through.
-func TestSharedStoreTier(t *testing.T) {
-	shared := newMemShared()
-	srvA, cA := newTestServer(t, Config{Shared: shared})
-	sources, layouts := figure1Maps()
-	req := AnalyzeRequest{Name: "fig1", Sources: sources, Layouts: layouts,
-		ReportSpec: ReportSpec{Report: "views"}}
-
-	first, err := cA.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("cold analyze claims cached")
-	}
-	if len(shared.m) == 0 {
-		t.Fatal("solve was not written through to the shared store")
-	}
-	_ = srvA
-
-	// A second daemon with the same shared store but cold local tiers.
-	srvB, cB := newTestServer(t, Config{Shared: shared})
-	second, err := cB.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("cold daemon missed the shared tier")
-	}
-	if second.Output != first.Output || second.ExitCode != first.ExitCode {
-		t.Fatal("shared-tier replay differs from the original solve")
-	}
-	snap := srvB.Registry().Snapshot()
-	if snap.Counters["server.cache.shared_hits"] != 1 {
-		t.Fatalf("shared_hits = %d, want 1", snap.Counters["server.cache.shared_hits"])
-	}
-}
-
-// ServiceDelay must stretch a job by at least the configured time — the
-// cluster benchmark's scaling floor depends on it being a real floor.
-func TestServiceDelay(t *testing.T) {
-	_, c := newTestServer(t, Config{ServiceDelay: 30 * time.Millisecond})
-	start := time.Now()
-	if _, err := c.Analyze(AnalyzeRequest{
-		Sources: map[string]string{"a.alite": "class A {}"},
-		NoCache: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("analyze with 30ms ServiceDelay finished in %v", elapsed)
 	}
 }

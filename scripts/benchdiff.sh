@@ -5,24 +5,17 @@
 # cmd/benchdiff, failing on >15% regression — or, for the incremental
 # record, on a warm/cold speedup below 5x, for the server record, on a
 # warm-session speedup below 3x, and for the solver record, on an
-# optimized-vs-reference speedup below 2x, a sharded engine slower than the
-# reference schedule, or a >64-unit incremental speedup below 5x. The
-# precision record (BENCH_7.json, gatorbench -precjson) is gated tighter:
-# any soundness violation fails, a per-mode solution/oracle ratio may not
-# grow more than 5%, and the polymorphic-helper stressor must stay strictly
-# smaller under context sensitivity. The observability record (BENCH_8.json,
-# gatorbench -obsjson) fails when the telemetry layer's request-latency
-# overhead exceeds its 5% ceiling. The cluster record (BENCH_9.json,
-# gatorbench -clusterjson) is floor/ceiling-gated only (its ratios compare
-# runs on the same box, so a baseline-relative threshold would trip on
-# runner noise): 4-replica throughput scaling must stay at or above 1.5x a
-# single replica, the mid-run replica-kill experiment must recover every
-# request (zero failures, at least one session re-create), and the failover
-# p99 must stay under its 2s ceiling. The lifecycle-recall record
-# (BENCH_10.json, gatorbench -lifejson) is also floor-gated: every ordering
-# checker must keep recall >= 0.9 over the synthesized scenario pack and
-# produce zero findings on the clean twins (any clean-twin finding is a
-# false positive by construction).
+# optimized-vs-reference speedup below 2x or a >64-unit incremental speedup
+# below 5x. The precision record (BENCH_7.json, gatorbench -precjson) is
+# gated tighter: any soundness violation fails, a per-mode solution/oracle
+# ratio may not grow more than 5%, and the polymorphic-helper stressor must
+# stay strictly smaller under context sensitivity. The observability
+# record (BENCH_8.json, gatorbench -obsjson) fails when the telemetry
+# layer's request-latency overhead exceeds its 5% ceiling. The
+# lifecycle-recall record (BENCH_10.json, gatorbench -lifejson) is also
+# floor-gated: every ordering checker must keep recall >= 0.9 over the
+# synthesized scenario pack and produce zero findings on the clean twins
+# (any clean-twin finding is a false positive by construction).
 #
 # Usage: scripts/benchdiff.sh [OUTDIR]
 #   Pass an OUTDIR to keep the regenerated records around (CI uploads them
@@ -43,7 +36,7 @@ echo "== regenerating benchmark records into $OUT"
 go run ./cmd/gatorbench -table 2 -benchjson "$OUT/BENCH_2.json" -incjson "$OUT/BENCH_4.json" \
     -servejson "$OUT/BENCH_5.json" -solvejson "$OUT/BENCH_6.json" \
     -precjson "$OUT/BENCH_7.json" -obsjson "$OUT/BENCH_8.json" \
-    -clusterjson "$OUT/BENCH_9.json" -lifejson "$OUT/BENCH_10.json" > /dev/null
+    -lifejson "$OUT/BENCH_10.json" > /dev/null
 
 echo "== diff vs checked-in records (threshold 15%; precision ratio 5%; telemetry overhead 5%)"
 go run ./cmd/benchdiff BENCH_2.json "$OUT/BENCH_2.json"
@@ -52,7 +45,6 @@ go run ./cmd/benchdiff BENCH_5.json "$OUT/BENCH_5.json"
 go run ./cmd/benchdiff BENCH_6.json "$OUT/BENCH_6.json"
 go run ./cmd/benchdiff BENCH_7.json "$OUT/BENCH_7.json"
 go run ./cmd/benchdiff BENCH_8.json "$OUT/BENCH_8.json"
-go run ./cmd/benchdiff BENCH_9.json "$OUT/BENCH_9.json"
 go run ./cmd/benchdiff BENCH_10.json "$OUT/BENCH_10.json"
 
 echo "== benchdiff gate green"

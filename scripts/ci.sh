@@ -5,22 +5,22 @@
 #   1. go vet        — static checks
 #   2. go build      — everything compiles
 #   3. go test       — the full suite, including the differential solver
-#                      harness (every optimized engine byte-identical to the
+#                      harness (the optimized engine byte-identical to the
 #                      reference schedule; internal/core/differential_test.go),
 #                      the differential batch-determinism tests, example smoke
 #                      tests, and checked-in fuzz regression seeds
 #   4. go test -race — the race detector, which is what makes the parallel
-#                      batch engine's and the sharded solver's "identical to
-#                      sequential" guarantees verified properties. The full
-#                      run covers every package; -short covers only the
-#                      packages whose tests actually exercise concurrency
-#                      (the root package's batch engine and watch loop,
-#                      internal/core's sharded fixpoint, the
-#                      content-addressed cache, the metrics/trace registries,
-#                      the debounced watcher, and the gatord serving layer) —
-#                      re-running the purely sequential packages under the
-#                      race detector would duplicate step 3 at ~10x the cost
-#                      for no signal. CI runs the full sweep as its own job
+#                      batch engine's "identical to sequential" guarantee a
+#                      verified property. The full run covers every package;
+#                      -short covers only the packages whose tests actually
+#                      exercise concurrency (the root package's batch engine
+#                      and watch loop, internal/core's parallel differential
+#                      tests, the content-addressed cache, the metrics/trace
+#                      registries, the debounced watcher, and the gatord
+#                      serving layer) — re-running the purely sequential
+#                      packages under the race detector would duplicate step
+#                      3 at ~10x the cost for no signal. CI runs the full
+#                      sweep as its own job
 #                      (see .github/workflows/ci.yml).
 #   5. gofmt -l      — all sources formatted
 #   6. self-check    — `gator -checks` over examples/buggyapp must exit 1
@@ -30,15 +30,14 @@
 #                      glob also keeps driver pattern selection wired)
 #   7. trace smoke   — `gator -trace -explain` over examples/buggyapp must
 #                      exit 0: tracing and provenance stay wired end-to-end
-#   8. server smoke  — `gatord -smoke -replica smoke-r0` boots the daemon on
-#                      a loopback port, runs one cold and one incremental
+#   8. server smoke  — `gatord -smoke` boots the daemon on a loopback
+#                      port, runs one cold and one incremental
 #                      session request (both byte-compared against local
 #                      analysis), then exercises the telemetry surface —
 #                      scrapes /metrics, validates it as Prometheus text
 #                      with the in-repo parser, runs a ?trace=1 request, and
 #                      fetches the captured solver trace by its trace id —
-#                      verifies the daemon reports its replica identity, then
-#                      drains and shuts down cleanly
+#                      then drains and shuts down cleanly
 #   9. no-alloc      — BenchmarkSolveTracingDisabled asserts that disabled
 #                      tracing adds zero allocations to the solver
 #  10. ctx smoke     — `gatorbench -table precision -ctx 1cfa` over one small
@@ -46,25 +45,18 @@
 #                      against the oracle (the command exits nonzero on any
 #                      soundness violation) and stays wired into the CLI
 #  11. gatorbench    — regenerate BENCH_2.json, BENCH_4.json, BENCH_5.json,
-#                      BENCH_6.json, BENCH_7.json, BENCH_8.json,
-#                      BENCH_9.json, and BENCH_10.json (skipped with -short);
+#                      BENCH_6.json, BENCH_7.json, BENCH_8.json, and
+#                      BENCH_10.json (skipped with -short);
 #                      scripts/benchdiff.sh diffs regenerated records against
 #                      the checked-in ones without overwriting them.
 #                      BENCH_10.json is the lifecycle-checker recall record:
 #                      per-checker recall over synthesized ordering-bug
 #                      scenarios plus clean-twin false-positive counts
-#  12. cluster smoke — `gatorproxy -smoke` boots a real 2-replica cluster on
-#                      loopback (two in-process gatord replicas behind the
-#                      routing proxy), byte-compares cold and warm-session
-#                      reports against local analysis, proves a non-owning
-#                      replica replays the owner's solve through the shared
-#                      content-addressed tier, kills the session's replica
-#                      and recovers through the client's 404 → re-create
-#                      path, and validates the rolled-up /metrics (parsed
-#                      with the in-repo Prometheus parser; every replica
-#                      series labeled). Each replica's request log lands in
-#                      cluster-smoke-logs/, which CI uploads as a failure
-#                      artifact.
+#  12. bench module  — `go vet` and `go test` inside bench/, the repository
+#                      benchmark's own Go module (see bench/README.md); the
+#                      root module's ./... patterns never reach it, so an
+#                      internal API change that breaks the benchmark fails
+#                      here instead of at the next benchmark run
 #
 # Usage: scripts/ci.sh [-short]
 #   -short trims the corpus-wide tests for a quick local signal.
@@ -89,7 +81,7 @@ go test $SHORT ./...
 RACE_PKGS="./..."
 if [ -n "$SHORT" ]; then
     # The packages with concurrent tests; see the step 4 note above.
-    RACE_PKGS=". ./internal/core ./internal/cache ./internal/metrics ./internal/trace ./internal/watch ./internal/server ./internal/cluster ./internal/lifecycle ./internal/corpus"
+    RACE_PKGS=". ./internal/core ./internal/cache ./internal/metrics ./internal/trace ./internal/watch ./internal/server ./internal/lifecycle ./internal/corpus"
 fi
 echo "== go test -race $SHORT $RACE_PKGS"
 go test -race $SHORT $RACE_PKGS
@@ -125,7 +117,7 @@ echo "== trace + explain smoke (examples/buggyapp)"
 go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp > /dev/null
 
 echo "== gatord server smoke (examples/buggyapp)"
-go run ./cmd/gatord -smoke -replica smoke-r0 examples/buggyapp
+go run ./cmd/gatord -smoke examples/buggyapp
 
 echo "== zero-allocation guard (tracing disabled)"
 go test -run TestTracingDisabledZeroAlloc -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
@@ -134,14 +126,13 @@ echo "== context-sensitivity precision smoke (TippyTipper, 1cfa)"
 go run ./cmd/gatorbench -table precision -app TippyTipper -ctx 1cfa > /dev/null
 
 if [ -z "$SHORT" ]; then
-    echo "== gatorbench BENCH_2.json + BENCH_4.json + BENCH_5.json + BENCH_6.json + BENCH_7.json + BENCH_8.json + BENCH_9.json + BENCH_10.json"
+    echo "== gatorbench BENCH_2.json + BENCH_4.json + BENCH_5.json + BENCH_6.json + BENCH_7.json + BENCH_8.json + BENCH_10.json"
     go run ./cmd/gatorbench -benchjson BENCH_2.json -incjson BENCH_4.json -servejson BENCH_5.json \
         -solvejson BENCH_6.json -precjson BENCH_7.json -obsjson BENCH_8.json \
-        -clusterjson BENCH_9.json -lifejson BENCH_10.json > /dev/null
+        -lifejson BENCH_10.json > /dev/null
 fi
 
-echo "== gatorproxy cluster smoke (examples/buggyapp, 2 replicas)"
-rm -rf cluster-smoke-logs
-go run ./cmd/gatorproxy -smoke -smoke-logs cluster-smoke-logs examples/buggyapp
+echo "== bench module (vet + test)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== CI gate green"
