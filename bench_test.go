@@ -182,8 +182,8 @@ func BenchmarkBatch(b *testing.B) {
 // Solver-engine benchmarks on the 501-unit chain-shaped modular app, whose
 // ~26-iteration fixpoint is deep enough that the engine choice matters.
 // BenchmarkSolveReference is the original schedule; BenchmarkSolveOptimized
-// is the default CSR + delta-worklist engine. gatorbench -solvejson records
-// the same comparison (solve phase only) into BENCH_6.json.
+// is the default CSR + delta-worklist engine. The BENCH_6.json record holds
+// the same comparison (solve phase only).
 func benchSolveEngine(b *testing.B, opts core.Options) {
 	sources, layouts := corpus.ModularChainApp(250, 24)
 	app, err := Load(sources, layouts)

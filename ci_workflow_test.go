@@ -13,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"gator/internal/metrics"
 )
 
 // readWorkflow loads one workflow file and applies the YAML subset lint
@@ -137,10 +139,10 @@ func TestNightlyWorkflow(t *testing.T) {
 	}
 	requireAll(t, "nightly.yml", text, []string{
 		"schedule:", "cron:", "workflow_dispatch",
-		// Benchmark regression gate over the checked-in records, including
-		// the precision record added with context sensitivity and the
-		// lifecycle-recall record added with the ordering checkers.
-		"scripts/benchdiff.sh", "BENCH_7.json", "BENCH_10.json",
+		// Benchmark regression gate over every checked-in record: the script
+		// regenerates the whole set gatorbench's record table names
+		// (TestBenchRecordWiringInSync) and checks it in one benchdiff run.
+		"scripts/benchdiff.sh bench-new",
 		"BenchmarkIncrementalEdit",
 		// Fuzz budget: 30 seconds per target, all targets present.
 		"-fuzztime 30s", "FuzzParse", "FuzzLayout", "FuzzOrderingScenario",
@@ -168,12 +170,13 @@ func TestCIScriptsExist(t *testing.T) {
 }
 
 // TestCIScriptsCoverPrecision pins the precision gate into both scripts:
-// ci.sh must run the context-sensitivity smoke step and regenerate
-// BENCH_7.json, and benchdiff.sh must regenerate and diff it nightly.
+// ci.sh must run the context-sensitivity smoke step and regenerate the
+// records (BENCH_7.json among them), and benchdiff.sh must regenerate and
+// check them nightly.
 func TestCIScriptsCoverPrecision(t *testing.T) {
 	for path, markers := range map[string][]string{
-		"scripts/ci.sh":        {"-ctx 1cfa", "-table precision", "-precjson BENCH_7.json"},
-		"scripts/benchdiff.sh": {"-precjson", "BENCH_7.json"},
+		"scripts/ci.sh":        {"-ctx 1cfa", "-table precision", "./cmd/gatorbench -records"},
+		"scripts/benchdiff.sh": {`./cmd/gatorbench -table 2 -records "$OUT"`, `./cmd/benchdiff . "$OUT"`},
 	} {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -181,6 +184,40 @@ func TestCIScriptsCoverPrecision(t *testing.T) {
 			continue
 		}
 		requireAll(t, path, string(data), markers)
+	}
+}
+
+// TestCIScriptKeepsRecords: a full ci.sh run regenerates the benchmark
+// records into a temporary directory, never over the checked-in ones, so
+// committing after a CI run cannot silently re-baseline a gate.
+// Re-baselining is an explicit copy in a reviewed change.
+func TestCIScriptKeepsRecords(t *testing.T) {
+	data, err := os.ReadFile("scripts/ci.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := strings.ReplaceAll(string(data), "\\\n", " ") // join continued lines
+	recordFile := regexp.MustCompile(`BENCH_[0-9]+\.json`)
+	recordsDir := regexp.MustCompile(`-records\s+"\$(\w+)"`)
+	runs := 0
+	for _, line := range strings.Split(script, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") || !strings.Contains(line, "gatorbench") {
+			continue
+		}
+		if name := recordFile.FindString(line); name != "" {
+			t.Errorf("scripts/ci.sh: gatorbench writes %s into the repository root: %s", name, line)
+		}
+		if !strings.Contains(line, "-records") {
+			continue
+		}
+		runs++
+		m := recordsDir.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(script, m[1]+"=$(mktemp -d)") {
+			t.Errorf("scripts/ci.sh: -records must name a mktemp -d directory: %s", line)
+		}
+	}
+	if runs == 0 {
+		t.Error("scripts/ci.sh never regenerates the benchmark records")
 	}
 }
 
@@ -199,11 +236,13 @@ func TestCIScriptCoversBenchModule(t *testing.T) {
 }
 
 // TestBenchRecordWiringInSync derives the authoritative benchmark-record
-// list from the checked-in BENCH_*.json files themselves and asserts every
-// consumer knows about every record: ci.sh must regenerate it, benchdiff.sh
-// must regenerate and diff it, and nightly.yml must document it. Adding a
-// BENCH_N.json without wiring it everywhere — or wiring a record that was
-// never checked in — fails here instead of silently ungated drift.
+// list from the checked-in BENCH_*.json files themselves. gatorbench's
+// record table, which -records regenerates and benchdiff.sh checks in
+// full, must name exactly those files; and no CI consumer may mention a
+// record that is not checked in (a stale line would fail every CI or
+// nightly run, and a stale comment documents a gate that is gone). Adding
+// a BENCH_N.json without a measurement, or a measurement without a
+// checked-in baseline, fails here instead of silently drifting ungated.
 func TestBenchRecordWiringInSync(t *testing.T) {
 	records, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -216,6 +255,24 @@ func TestBenchRecordWiringInSync(t *testing.T) {
 	for _, r := range records {
 		checked[r] = true
 	}
+
+	table := gatorbenchRecordTable(t)
+	seen := map[string]bool{}
+	for _, name := range table {
+		if seen[name] {
+			t.Errorf("gatorbench record table lists %s twice", name)
+		}
+		seen[name] = true
+		if !checked[name] {
+			t.Errorf("gatorbench record table lists %s, which is not checked in", name)
+		}
+	}
+	for _, r := range records {
+		if !seen[r] {
+			t.Errorf("%s is checked in but gatorbench's record table does not regenerate it", r)
+		}
+	}
+
 	recordName := regexp.MustCompile(`BENCH_[0-9]+\.json`)
 	for _, consumer := range []string{
 		"scripts/ci.sh",
@@ -227,15 +284,64 @@ func TestBenchRecordWiringInSync(t *testing.T) {
 			t.Errorf("%s: %v", consumer, err)
 			continue
 		}
-		requireAll(t, consumer, string(data), records)
-		// The reverse direction: no consumer may mention a record that is
-		// not checked in (a stale regenerate or diff line would fail every
-		// CI or nightly run, and a stale comment documents a gate that is
-		// gone).
 		for _, name := range recordName.FindAllString(string(data), -1) {
 			if !checked[name] {
 				t.Errorf("%s references %s, which is not checked in", consumer, name)
 			}
+		}
+	}
+}
+
+// gatorbenchRecordTable returns the file names in cmd/gatorbench's records
+// table, in order.
+func gatorbenchRecordTable(t *testing.T) []string {
+	t.Helper()
+	const path = "cmd/gatorbench/records.go"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`\{"(BENCH_[0-9]+\.json)", measure`).FindAllStringSubmatch(string(data), -1) {
+		names = append(names, m[1])
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s: no records table entries found", path)
+	}
+	return names
+}
+
+// TestBenchRecordsCheckAgainstThemselves: every checked-in record reads in
+// the one record format, names itself after its file, uses only the four
+// gate kinds, gives every relative gate a direction, and passes benchdiff's
+// check against itself.
+func TestBenchRecordsCheckAgainstThemselves(t *testing.T) {
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{"floor": true, "ceiling": true, "exact": true, "relative": true}
+	for _, p := range paths {
+		rec, err := metrics.ReadRecord(p)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if rec.Record+".json" != p || rec.GeneratedAt == "" || len(rec.Metrics) == 0 {
+			t.Errorf("%s: record %q, generatedAt %q, %d metrics", p, rec.Record, rec.GeneratedAt, len(rec.Metrics))
+		}
+		for _, m := range rec.Metrics {
+			for _, g := range m.Gates {
+				if !kinds[g.Kind] {
+					t.Errorf("%s: %s: unknown gate kind %q", p, m.Name, g.Kind)
+				}
+				if g.Kind == "relative" && m.Better != "lower" && m.Better != "higher" {
+					t.Errorf("%s: %s: relative gate with better %q", p, m.Name, m.Better)
+				}
+			}
+		}
+		if _, failures := metrics.CheckRecord(rec, rec); len(failures) > 0 {
+			t.Errorf("%s fails against itself: %q", p, failures)
 		}
 	}
 }

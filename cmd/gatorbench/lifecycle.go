@@ -1,15 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"gator/internal/analysis"
 	"gator/internal/core"
 	"gator/internal/corpus"
 	"gator/internal/ir"
+	"gator/internal/metrics"
 )
 
 // lifeScenario is one synthesized ordering scenario's outcome: whether the
@@ -22,29 +20,6 @@ type lifeScenario struct {
 	Branch        bool   `json:"branch"`
 	Detected      bool   `json:"detected"`
 	CleanFindings int    `json:"cleanFindings"`
-}
-
-// lifeChecker aggregates one ordering checker over its scenarios.
-type lifeChecker struct {
-	Checker  string `json:"checker"`
-	Seeded   int    `json:"seeded"`
-	Detected int    `json:"detected"`
-	// Recall is Detected/Seeded over synthesized bugs of this checker's kind.
-	Recall float64 `json:"recall"`
-	// CleanFindings counts lifecycle findings on the clean twins — any
-	// nonzero value is a false positive by construction.
-	CleanFindings int `json:"cleanFindings"`
-}
-
-// lifeOutput is the -lifejson file shape (BENCH_10.json): measured recall
-// of the ordering checkers over the synthesized scenario pack. The nightly
-// benchdiff gate fails when any checker's recall drops below 0.9 or any
-// clean twin produces a finding.
-type lifeOutput struct {
-	GeneratedAt string         `json:"generatedAt"`
-	Scenarios   int            `json:"scenarios"`
-	Checkers    []lifeChecker  `json:"checkers"`
-	Detail      []lifeScenario `json:"detail"`
 }
 
 // lifecycleFindings analyzes one scenario app and counts its lifecycle-*
@@ -66,42 +41,44 @@ func lifecycleFindings(app *corpus.App) (map[string]int, error) {
 	return counts, nil
 }
 
-// writeLifecycleJSON runs the ordering-bug scenario pack — n seeded-bug
-// apps plus their clean twins — through the lifecycle checkers and records
-// per-checker recall and clean-twin false positives.
-func writeLifecycleJSON(path string, n int) error {
-	specs := corpus.ScenarioPack(n)
-	byChecker := map[string]*lifeChecker{}
-	out := lifeOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scenarios:   len(specs),
-	}
-	for _, spec := range specs {
+// measureLifecycle is BENCH_10: the ordering-bug scenario pack (24 seeded
+// bugs plus their clean twins, same helper/branch shape with legal callback
+// placement) through the lifecycle checkers. Each checker's recall must stay
+// at or above 0.9, and its clean twins must produce no finding (any is a
+// false positive by construction). Both are deterministic counts over
+// generated apps, so the gates are absolute, not relative to the baseline.
+func measureLifecycle(int) (*metrics.Record, error) {
+	type counts struct{ seeded, detected, clean int }
+	byChecker := map[string]*counts{}
+	var checkers []string // in first-seen (pack) order
+	var scenarios []lifeScenario
+	for _, spec := range corpus.ScenarioPack(24) {
 		id := spec.Bug.CheckerID()
 		agg := byChecker[id]
 		if agg == nil {
-			agg = &lifeChecker{Checker: id}
+			agg = &counts{}
 			byChecker[id] = agg
+			checkers = append(checkers, id)
 		}
 		buggy, err := lifecycleFindings(corpus.GenerateScenario(spec))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		clean, err := lifecycleFindings(corpus.GenerateScenario(spec.CleanTwin()))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cleanTotal := 0
 		for _, c := range clean {
 			cleanTotal += c
 		}
-		agg.Seeded++
 		detected := buggy[id] > 0
+		agg.seeded++
 		if detected {
-			agg.Detected++
+			agg.detected++
 		}
-		agg.CleanFindings += cleanTotal
-		out.Detail = append(out.Detail, lifeScenario{
+		agg.clean += cleanTotal
+		scenarios = append(scenarios, lifeScenario{
 			Name:          spec.Name(),
 			Bug:           spec.Bug.String(),
 			Depth:         spec.Depth,
@@ -110,20 +87,14 @@ func writeLifecycleJSON(path string, n int) error {
 			CleanFindings: cleanTotal,
 		})
 	}
-	// Render checkers in first-seen (pack) order with recall computed.
-	for _, spec := range specs {
-		id := spec.Bug.CheckerID()
-		agg, ok := byChecker[id]
-		if !ok {
-			continue
-		}
-		delete(byChecker, id)
-		agg.Recall = float64(agg.Detected) / float64(agg.Seeded)
-		out.Checkers = append(out.Checkers, *agg)
+	rec := &metrics.Record{Detail: map[string]any{"scenarios": scenarios}}
+	for _, id := range checkers {
+		agg := byChecker[id]
+		rec.Metrics = append(rec.Metrics,
+			metric(id+".recall", "ratio", "higher", float64(agg.detected)/float64(agg.seeded), metrics.Floor(0.9)),
+			metric(id+".clean_findings", "count", "lower", float64(agg.clean), metrics.Ceiling(0)),
+			metric(id+".seeded", "count", "higher", float64(agg.seeded), metrics.Floor(1)),
+			metric(id+".detected", "count", "higher", float64(agg.detected)))
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return rec, nil
 }

@@ -3,19 +3,19 @@
 // graph nodes), Table 2 (analysis cost and precision averages), and the
 // case-study comparison against the concrete-interpreter oracle. The corpus
 // is analyzed as one parallel batch (-j workers); per-app results are
-// reported in corpus order regardless of completion order.
+// reported in corpus order regardless of completion order. -records DIR
+// also regenerates every checked-in benchmark record (BENCH_*.json) into
+// DIR; records.go lists them.
 //
 // Usage:
 //
 //	gatorbench [-table 1|2|precision|all] [-app NAME] [-seed N] [-j N] [-stats]
 //	           [-filter-casts] [-shared-inflation] [-no-findview3] [-declared-dispatch]
 //	           [-ctx off|1cfa|1obj] [-trace FILE] [-metrics FILE] [-pprof ADDR]
-//	           [-benchjson FILE] [-incjson FILE] [-solvejson FILE] [-precjson FILE]
-//	           [-servejson FILE] [-obsjson FILE] [-lifejson FILE]
+//	           [-records DIR]
 package main
 
 import (
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -23,8 +23,6 @@ import (
 	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
 	"runtime"
-	"strings"
-	"time"
 
 	"gator"
 	"gator/internal/corpus"
@@ -43,13 +41,7 @@ func main() {
 	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
-	benchJSON := flag.String("benchjson", "", "write machine-readable benchmark results to `file`")
-	incJSON := flag.String("incjson", "", "write the incremental re-analysis benchmark (single-file edit, warm vs cold) to `file`")
-	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta, plus >64-unit incremental) to `file`")
-	precJSON := flag.String("precjson", "", "write the precision benchmark (solution/oracle ratio per context-sensitivity mode, plus the polymorphic-helper stressor) to `file`")
-	serveJSON := flag.String("servejson", "", "write the server benchmark (request latency percentiles, warm session speedup) to `file`")
-	obsJSON := flag.String("obsjson", "", "write the telemetry overhead benchmark (request latency with the telemetry layer on vs off) to `file`")
-	lifeJSON := flag.String("lifejson", "", "write the lifecycle-checker recall benchmark (per-checker recall over synthesized ordering-bug scenarios plus clean-twin false positives) to `file`")
+	recordsDir := flag.String("records", "", "regenerate every checked-in benchmark record (BENCH_*.json) into `dir`, each under its own fixed configuration")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the corpus run to `file`")
 	metricsOut := flag.String("metrics", "", "write the aggregated counter/histogram registry as JSON to `file` (\"-\" for stderr; implies tracing)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on `addr` (e.g. localhost:6060) for the duration of the run")
@@ -79,18 +71,6 @@ func main() {
 		ContextSensitivity:    ctx,
 	}
 
-	var inputs []gator.BatchInput
-	for _, app := range corpus.GenerateAll() {
-		if *appFilter != "" && app.Name != *appFilter {
-			continue
-		}
-		inputs = append(inputs, gator.BatchInput{
-			Name:    app.Name,
-			Sources: app.BatchSources(),
-			Layouts: app.LayoutXML(),
-		})
-	}
-
 	bopts := gator.BatchOptions{Workers: *jobs, Options: opts}
 	var sink *trace.Collect
 	var reg *metrics.Registry
@@ -102,7 +82,7 @@ func main() {
 		expvar.Publish("gator", expvar.Func(func() any { return reg.Snapshot() }))
 	}
 
-	batch := gator.AnalyzeBatch(inputs, bopts)
+	batch := gator.AnalyzeBatch(corpusInputs(*appFilter), bopts)
 	if *stats {
 		fmt.Fprint(os.Stderr, metrics.FormatBatch(batch.Stats))
 	}
@@ -183,44 +163,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, batch, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *incJSON != "" {
-		if err := writeIncrementalJSON(*incJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *solveJSON != "" {
-		if err := writeSolveJSON(*solveJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *serveJSON != "" {
-		if err := writeServeJSON(*serveJSON, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *obsJSON != "" {
-		if err := writeObsJSON(*obsJSON, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *precJSON != "" {
-		if err := writePrecisionJSON(*precJSON, *seed, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *lifeJSON != "" {
-		if err := writeLifecycleJSON(*lifeJSON, 24); err != nil {
+	if *recordsDir != "" {
+		if err := writeRecords(*recordsDir, *jobs); err != nil {
 			fmt.Fprintln(os.Stderr, "gatorbench:", err)
 			os.Exit(1)
 		}
@@ -229,168 +173,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gatorbench: %d soundness violation(s) against the oracle\n", violations)
 		os.Exit(1)
 	}
-}
-
-// benchApp is one application's record in the -benchjson output.
-type benchApp struct {
-	App        string  `json:"app"`
-	AnalysisMs float64 `json:"analysisMs"`
-	Iterations int     `json:"iterations"`
-	ChecksMs   float64 `json:"checksMs"`
-	Findings   int     `json:"findings"`
-	Warnings   int     `json:"warnings"`
-}
-
-// benchOutput is the -benchjson file shape: corpus-wide per-app analysis
-// and diagnostics cost, plus batch parallelism numbers — the repo's
-// recorded performance trajectory across PRs.
-type benchOutput struct {
-	GeneratedAt string     `json:"generatedAt"`
-	Workers     int        `json:"workers"`
-	BatchWallMs float64    `json:"batchWallMs"`
-	TotalWorkMs float64    `json:"totalWorkMs"`
-	Speedup     float64    `json:"speedup"`
-	Apps        []benchApp `json:"apps"`
-}
-
-func writeBenchJSON(path string, batch *gator.BatchResult, workers int) error {
-	out := benchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Workers:     workers,
-		BatchWallMs: ms(batch.Stats.Wall),
-		TotalWorkMs: ms(batch.Stats.TotalWork()),
-		Speedup:     batch.Stats.Speedup(),
-	}
-	for _, rep := range batch.Apps {
-		if rep.Err != nil {
-			continue
-		}
-		start := time.Now()
-		cr, err := rep.Result.CheckReport()
-		if err != nil {
-			return err
-		}
-		out.Apps = append(out.Apps, benchApp{
-			App:        rep.Name,
-			AnalysisMs: ms(rep.Result.Elapsed()),
-			Iterations: rep.Result.Iterations(),
-			ChecksMs:   ms(time.Since(start)),
-			Findings:   len(cr.Findings),
-			Warnings:   cr.Warnings(),
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// incBenchOutput is the -incjson file shape (BENCH_4.json): the cost of
-// re-analyzing after a single-file body edit, warm (AnalyzeIncremental
-// resuming the retained fact base) vs cold (Load + Analyze from scratch),
-// on a mid-sized modular app. (The paged unit bitsets no longer cap how
-// many units dependency tracking covers; the -solvejson benchmark records
-// the same measurement on a 502-unit app.)
-// Speedup is the recorded incremental-solving win; the nightly
-// benchdiff gate fails when it regresses below 5x or by more than the
-// threshold against the checked-in record.
-type incBenchOutput struct {
-	GeneratedAt string  `json:"generatedAt"`
-	App         string  `json:"app"`
-	Units       int     `json:"units"`
-	Edits       int     `json:"edits"`
-	ColdMs      float64 `json:"coldMs"`
-	WarmMs      float64 `json:"warmMs"`
-	Speedup     float64 `json:"speedup"`
-	Retained    int     `json:"retained"`
-	Retracted   int     `json:"retracted"`
-}
-
-// writeIncrementalJSON measures the incremental-edit benchmark: the same
-// alternating body-only edit the BenchmarkIncrementalEdit/BenchmarkScratchEdit
-// pair in incremental_bench_test.go runs, timed here over a fixed number of
-// edits with the minimum per-edit time reported (minimum, not mean, to shed
-// scheduler noise on shared CI runners).
-func writeIncrementalJSON(path string) error {
-	const nActs = 30 // keep in sync with benchEditSize (incremental_bench_test.go)
-	const edits = 10
-	sources, layouts := corpus.ModularApp(nActs)
-	base := sources["act1.alite"]
-	va := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = btn;\n", 1)
-	vb := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = p;\n", 1)
-	if va == base || vb == base {
-		return fmt.Errorf("incjson: edit variants did not apply to act1.alite")
-	}
-	edit := func(i int) {
-		if i%2 == 0 {
-			sources["act1.alite"] = va
-		} else {
-			sources["act1.alite"] = vb
-		}
-	}
-
-	// Cold baseline: each edit handled the way a non-incremental pipeline
-	// must — re-load everything and solve from scratch.
-	cold := time.Duration(1<<63 - 1)
-	for i := 0; i < edits; i++ {
-		edit(i)
-		start := time.Now()
-		app, err := gator.Load(sources, layouts)
-		if err != nil {
-			return err
-		}
-		app.Analyze(gator.Options{})
-		if d := time.Since(start); d < cold {
-			cold = d
-		}
-	}
-
-	// Warm path: chained AnalyzeIncremental with a shared parse cache.
-	sources["act1.alite"] = base
-	c := gator.NewCache()
-	prev, err := gator.AnalyzeIncremental(nil, sources, layouts, gator.Options{}, c)
-	if err != nil {
-		return err
-	}
-	warm := time.Duration(1<<63 - 1)
-	var last gator.IncrementalStats
-	for i := 0; i < edits; i++ {
-		edit(i)
-		start := time.Now()
-		res, err := gator.AnalyzeIncremental(prev, sources, layouts, gator.Options{}, c)
-		if err != nil {
-			return err
-		}
-		d := time.Since(start)
-		last = res.Incremental()
-		if last.Mode != "warm" {
-			return fmt.Errorf("incjson: edit %d fell back to %q (%s)", i, last.Mode, last.Reason)
-		}
-		if d < warm {
-			warm = d
-		}
-		prev = res
-	}
-
-	out := incBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		App:         fmt.Sprintf("modular-%d", nActs),
-		Units:       len(sources) + len(layouts),
-		Edits:       edits,
-		ColdMs:      ms(cold),
-		WarmMs:      ms(warm),
-		Speedup:     float64(cold) / float64(warm),
-		Retained:    last.Retained,
-		Retracted:   last.Retracted,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeTrace writes the collected events in Chrome trace_event format.

@@ -4,20 +4,30 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"gator/internal/metrics"
 )
 
-func TestGatorbenchSingleApp(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI exec test skipped in -short mode")
-	}
+// buildGatorbench builds the command into a temporary directory.
+func buildGatorbench(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "gatorbench")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	build.Env = os.Environ()
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+func TestGatorbenchSingleApp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI exec test skipped in -short mode")
+	}
+	bin := buildGatorbench(t)
 
 	out, err := exec.Command(bin, "-app", "ConnectBot", "-table", "all").CombinedOutput()
 	if err != nil {
@@ -60,12 +70,7 @@ func TestGatorbenchParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "gatorbench")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildGatorbench(t)
 
 	for _, table := range []string{"1", "precision"} {
 		var outputs []string
@@ -103,12 +108,7 @@ func TestGatorbenchTraceAndMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "gatorbench")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildGatorbench(t)
 
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
 	metricsFile := filepath.Join(t.TempDir(), "metrics.json")
@@ -135,6 +135,63 @@ func TestGatorbenchTraceAndMetrics(t *testing.T) {
 	for _, want := range []string{`"counters"`, `"rule/FindView2"`, `"solver/iterations"`, `"histograms"`, `"solver/worklist"`} {
 		if !strings.Contains(string(metricsData), want) {
 			t.Errorf("metrics missing %s\n%s", want, metricsData)
+		}
+	}
+}
+
+// TestRecordsIgnoreAnalysisFlags: -records measures every record under its
+// own fixed configuration, so -app, -ctx, -seed and the ablation flags,
+// which select what the tables show, change nothing in it. Each
+// regenerated record has exactly its checked-in baseline's metrics, units,
+// directions and gates, and every count and ratio — BENCH_2's per-app
+// findings and warnings among them — reproduces the baseline exactly; only
+// timings may differ.
+func TestRecordsIgnoreAnalysisFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerating every record skipped in -short mode")
+	}
+	bin := buildGatorbench(t)
+	dir := t.TempDir()
+	out, err := exec.Command(bin, "-app", "APV", "-ctx", "1cfa", "-seed", "7", "-filter-casts",
+		"-table", "1", "-records", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	written, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != len(records) {
+		t.Errorf("-records wrote %d files, want %d", len(written), len(records))
+	}
+	for _, r := range records {
+		base, err := metrics.ReadRecord(filepath.Join("..", "..", r.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := metrics.ReadRecord(filepath.Join(dir, r.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Record != base.Record || cur.Cores == 0 || len(cur.Metrics) != len(base.Metrics) {
+			t.Errorf("%s: record %q, cores %d, %d metrics; want %q, cores > 0, %d metrics",
+				r.file, cur.Record, cur.Cores, len(cur.Metrics), base.Record, len(base.Metrics))
+		}
+		want := map[string]metrics.Metric{}
+		for _, m := range base.Metrics {
+			want[m.Name] = m
+		}
+		for _, m := range cur.Metrics {
+			w, ok := want[m.Name]
+			switch {
+			case !ok:
+				t.Errorf("%s: metric %s not in the checked-in record", r.file, m.Name)
+			case m.Unit != w.Unit || m.Better != w.Better || !slices.Equal(m.Gates, w.Gates):
+				t.Errorf("%s: %s is %s/%s/%v, checked in as %s/%s/%v", r.file, m.Name,
+					m.Unit, m.Better, m.Gates, w.Unit, w.Better, w.Gates)
+			case (m.Unit == "count" || m.Unit == "ratio") && m.Value != w.Value:
+				t.Errorf("%s: %s = %v, checked-in baseline %v", r.file, m.Name, m.Value, w.Value)
+			}
 		}
 	}
 }

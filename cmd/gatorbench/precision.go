@@ -1,16 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"gator"
 	"gator/internal/corpus"
+	"gator/internal/metrics"
 )
 
-// precApp is one application's record inside a -precjson mode entry.
+// precApp is one application's entry in a BENCH_7 mode.
 type precApp struct {
 	App           string  `json:"app"`
 	StaticFacts   int     `json:"staticFacts"`
@@ -19,7 +17,7 @@ type precApp struct {
 	Violations    int     `json:"violations"`
 }
 
-// precMode is one context-sensitivity mode's corpus-wide precision record.
+// precMode is one context-sensitivity mode's corpus-wide precision.
 type precMode struct {
 	Mode       string    `json:"mode"`
 	Ratio      float64   `json:"ratio"`
@@ -30,8 +28,7 @@ type precMode struct {
 
 // precStressor is the polymorphic-helper acceptance measurement: on the
 // n-activity shared-helper app the context-sensitive solutions must be
-// strictly smaller than the insensitive one (Strict), fact counts recorded
-// for trend reading.
+// strictly smaller than the insensitive one (Strict).
 type precStressor struct {
 	App              string `json:"app"`
 	InsensitiveFacts int    `json:"insensitiveFacts"`
@@ -40,62 +37,50 @@ type precStressor struct {
 	Strict           bool   `json:"strict"`
 }
 
-// precOutput is the -precjson file shape (BENCH_7.json): the measured
-// precision frontier. Ratio is total static solution size over total
-// oracle-observed facts (1.0 would be an exact analysis); the nightly
-// benchdiff gate fails when a mode's ratio regresses by more than 5%, when
-// any soundness violation appears, or when the stressor stops being strict.
-type precOutput struct {
-	GeneratedAt string       `json:"generatedAt"`
-	Seed        int64        `json:"seed"`
-	Modes       []precMode   `json:"modes"`
-	Stressor    precStressor `json:"stressor"`
-}
-
-// writePrecisionJSON runs the full corpus under each context-sensitivity
-// mode, scores every solution against the interpreter oracle, and adds the
-// polymorphic-helper stressor comparison.
-func writePrecisionJSON(path string, seed int64, jobs int) error {
-	var inputs []gator.BatchInput
-	for _, app := range corpus.GenerateAll() {
-		inputs = append(inputs, gator.BatchInput{
-			Name:    app.Name,
-			Sources: app.BatchSources(),
-			Layouts: app.LayoutXML(),
-		})
-	}
-
-	out := precOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Seed:        seed,
-	}
-	for _, mode := range []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj} {
+// measurePrecision is BENCH_7, the measured precision frontier: the corpus
+// under each context-sensitivity mode, every solution scored against the
+// interpreter oracle, plus the polymorphic-helper stressor. A mode's ratio
+// is total static solution size over total oracle-observed facts (1.0
+// would be an exact analysis). It counts facts, not time, so it reproduces
+// exactly and gets a bound far tighter than the timing gates; any
+// soundness violation fails, and so does a stressor that stops being
+// strict.
+func measurePrecision(workers int) (*metrics.Record, error) {
+	const seed = 1
+	modes := []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj}
+	inputs := corpusInputs("")
+	rec := &metrics.Record{}
+	var detail []precMode
+	for _, mode := range modes {
 		batch := gator.AnalyzeBatch(inputs, gator.BatchOptions{
-			Workers: jobs,
+			Workers: workers,
 			Options: gator.Options{ContextSensitivity: mode},
 		})
-		rec := precMode{Mode: mode.String(), AnalysisMs: ms(batch.Stats.TotalWork())}
+		pm := precMode{Mode: mode.String(), AnalysisMs: ms(batch.Stats.TotalWork())}
 		staticSum, observedSum := 0, 0
 		for _, rep := range batch.Apps {
 			if rep.Err != nil {
-				return fmt.Errorf("precjson: %s under %s: %v", rep.Name, mode, rep.Err)
+				return nil, fmt.Errorf("%s under %s: %w", rep.Name, mode, rep.Err)
 			}
 			er := rep.Result.Explore(seed)
-			rec.Apps = append(rec.Apps, precApp{
+			pm.Apps = append(pm.Apps, precApp{
 				App:           rep.Name,
 				StaticFacts:   er.StaticFacts,
 				ObservedFacts: er.ObservedFacts,
 				Ratio:         er.PrecisionRatio,
 				Violations:    len(er.Violations),
 			})
-			rec.Violations += len(er.Violations)
+			pm.Violations += len(er.Violations)
 			staticSum += er.StaticFacts
 			observedSum += er.ObservedFacts
 		}
 		if observedSum > 0 {
-			rec.Ratio = float64(staticSum) / float64(observedSum)
+			pm.Ratio = float64(staticSum) / float64(observedSum)
 		}
-		out.Modes = append(out.Modes, rec)
+		detail = append(detail, pm)
+		rec.Metrics = append(rec.Metrics,
+			metric(pm.Mode+".ratio", "ratio", "lower", pm.Ratio, metrics.Relative(0.05)),
+			metric(pm.Mode+".violations", "count", "lower", float64(pm.Violations), metrics.Ceiling(0)))
 	}
 
 	// Stressor: the acceptance shape from DESIGN.md — every context-sensitive
@@ -103,15 +88,14 @@ func writePrecisionJSON(path string, seed int64, jobs int) error {
 	const stressN = 8
 	sources, layouts := corpus.PolymorphicHelperApp(stressN)
 	facts := map[gator.CtxMode]int{}
-	for _, mode := range []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj} {
+	for _, mode := range modes {
 		app, err := gator.Load(sources, layouts)
 		if err != nil {
-			return fmt.Errorf("precjson: stressor: %v", err)
+			return nil, fmt.Errorf("stressor: %w", err)
 		}
-		res := app.Analyze(gator.Options{ContextSensitivity: mode})
-		facts[mode] = len(res.ProjectedFacts())
+		facts[mode] = len(app.Analyze(gator.Options{ContextSensitivity: mode}).ProjectedFacts())
 	}
-	out.Stressor = precStressor{
+	st := precStressor{
 		App:              fmt.Sprintf("polyhelper-%d", stressN),
 		InsensitiveFacts: facts[gator.CtxOff],
 		CfaFacts:         facts[gator.Ctx1CFA],
@@ -119,10 +103,9 @@ func writePrecisionJSON(path string, seed int64, jobs int) error {
 		Strict: facts[gator.Ctx1CFA] < facts[gator.CtxOff] &&
 			facts[gator.Ctx1Obj] < facts[gator.CtxOff],
 	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	rec.Metrics = append(rec.Metrics,
+		metric(st.App+".off_minus_1cfa_facts", "count", "higher", float64(st.InsensitiveFacts-st.CfaFacts), metrics.Floor(1)),
+		metric(st.App+".off_minus_1obj_facts", "count", "higher", float64(st.InsensitiveFacts-st.ObjFacts), metrics.Floor(1)))
+	rec.Detail = map[string]any{"seed": seed, "modes": detail, "stressor": st}
+	return rec, nil
 }

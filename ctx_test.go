@@ -145,19 +145,20 @@ func TestCtxIncrementalFallback(t *testing.T) {
 // checked-in BENCH_7.json record: regenerate the block between the markers
 // from the record (same rendering as below), or this fails. The gated
 // quantities are deterministic fact-count ratios, so a fresh
-// `gatorbench -precjson` run reproduces them bit-for-bit.
+// `gatorbench -records` run reproduces them bit-for-bit.
 func TestReadmePrecisionTable(t *testing.T) {
 	var rec struct {
-		Modes []struct {
-			Mode       string  `json:"mode"`
-			Ratio      float64 `json:"ratio"`
-			Violations int     `json:"violations"`
-		} `json:"modes"`
-		Stressor struct {
-			InsensitiveFacts int `json:"insensitiveFacts"`
-			CfaFacts         int `json:"cfaFacts"`
-			ObjFacts         int `json:"objFacts"`
-		} `json:"stressor"`
+		Metrics []struct {
+			Name  string  `json:"name"`
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+		Detail struct {
+			Stressor struct {
+				InsensitiveFacts int `json:"insensitiveFacts"`
+				CfaFacts         int `json:"cfaFacts"`
+				ObjFacts         int `json:"objFacts"`
+			} `json:"stressor"`
+		} `json:"detail"`
 	}
 	data, err := os.ReadFile("BENCH_7.json")
 	if err != nil {
@@ -166,16 +167,23 @@ func TestReadmePrecisionTable(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
+	stressor := rec.Detail.Stressor
 	stressFacts := map[string]int{
-		"off":  rec.Stressor.InsensitiveFacts,
-		"1cfa": rec.Stressor.CfaFacts,
-		"1obj": rec.Stressor.ObjFacts,
+		"off":  stressor.InsensitiveFacts,
+		"1cfa": stressor.CfaFacts,
+		"1obj": stressor.ObjFacts,
+	}
+	value := map[string]float64{}
+	for _, m := range rec.Metrics {
+		value[m.Name] = m.Value
 	}
 	var b strings.Builder
 	b.WriteString("| Mode | Corpus ratio (static/observed) | Violations | `polyhelper-8` facts |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, m := range rec.Modes {
-		fmt.Fprintf(&b, "| `%s` | %.3f | %d | %d |\n", m.Mode, m.Ratio, m.Violations, stressFacts[m.Mode])
+	for _, m := range rec.Metrics {
+		if mode, ok := strings.CutSuffix(m.Name, ".ratio"); ok {
+			fmt.Fprintf(&b, "| `%s` | %.3f | %d | %d |\n", mode, m.Value, int(value[mode+".violations"]), stressFacts[mode])
+		}
 	}
 
 	readme, err := os.ReadFile("README.md")

@@ -5,7 +5,7 @@ package corpus
 // deeply the buggy operation hides behind helper methods and nondet
 // branches. Every buggy scenario has a clean twin — the same shape with the
 // operation relocated to (or compensated in) a legal callback — so the
-// measured-recall benchmark (gatorbench -lifejson) can report both recall
+// measured-recall benchmark (BENCH_10.json) can report both recall
 // on seeded bugs and false positives on twins that differ only in ordering.
 
 import (

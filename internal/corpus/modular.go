@@ -5,14 +5,6 @@ import (
 	"strings"
 )
 
-// ModularApp generates a deterministic application split into one
-// compilation unit per activity plus a shared helpers unit — the multi-file
-// shape the incremental re-analysis tests and benchmarks edit one file at a
-// time. Cross-unit dataflow is deliberate: every activity parks a view in
-// the shared Repo and reads it back, so view objects flow through a field
-// written by every unit, and a body edit in one unit retracts facts whose
-// derivations reach all the others. The same nAct always yields the same
-// bytes.
 // ModularChainApp scales the modular shape up for solver benchmarking: the
 // same one-unit-per-activity layout as ModularApp, but each activity walks
 // its layout tree through a findViewById chain of the given depth, with a
@@ -103,6 +95,14 @@ func ModularChainApp(nAct, depth int) (sources, layouts map[string]string) {
 	return sources, layouts
 }
 
+// ModularApp generates a deterministic application split into one
+// compilation unit per activity plus a shared helpers unit — the multi-file
+// shape the incremental re-analysis tests and benchmarks edit one file at a
+// time. Cross-unit dataflow is deliberate: every activity parks a view in
+// the shared Repo and reads it back, so view objects flow through a field
+// written by every unit, and a body edit in one unit retracts facts whose
+// derivations reach all the others. The same nAct always yields the same
+// bytes.
 func ModularApp(nAct int) (sources, layouts map[string]string) {
 	if nAct < 1 {
 		nAct = 1
@@ -179,4 +179,22 @@ func ModularApp(nAct int) (sources, layouts map[string]string) {
 		sources[name+".alite"] = b.String()
 	}
 	return sources, layouts
+}
+
+// ModularEdits returns two body-only edits of ModularApp's act1.alite,
+// taken from sources: its stash assignment retargeted from back to btn, and
+// to p. Alternating them gives every re-analysis a real change (identical
+// input would short-circuit as unchanged) that stays on the warm
+// incremental path. It panics if sources is not a ModularApp with at least
+// two activities.
+func ModularEdits(sources map[string]string) [2]string {
+	const stash = "\t\tthis.stash = back;\n"
+	base := sources["act1.alite"]
+	if !strings.Contains(base, stash) {
+		panic("corpus: act1.alite is not a ModularApp activity")
+	}
+	return [2]string{
+		strings.Replace(base, stash, "\t\tthis.stash = btn;\n", 1),
+		strings.Replace(base, stash, "\t\tthis.stash = p;\n", 1),
+	}
 }

@@ -71,7 +71,7 @@ type Config struct {
 	TraceRingBytes   int64
 	// NoTelemetry turns the request telemetry layer off — no middleware,
 	// no span propagation, no per-request metrics or logs. The overhead
-	// benchmark (gatorbench -obsjson) serves this as its baseline.
+	// benchmark (BENCH_8.json) serves this as its baseline.
 	NoTelemetry bool
 }
 

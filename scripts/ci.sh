@@ -44,14 +44,12 @@
 #                      corpus app: the context-sensitive solver stays sound
 #                      against the oracle (the command exits nonzero on any
 #                      soundness violation) and stays wired into the CLI
-#  11. gatorbench    — regenerate BENCH_2.json, BENCH_4.json, BENCH_5.json,
-#                      BENCH_6.json, BENCH_7.json, BENCH_8.json, and
-#                      BENCH_10.json (skipped with -short);
-#                      scripts/benchdiff.sh diffs regenerated records against
-#                      the checked-in ones without overwriting them.
-#                      BENCH_10.json is the lifecycle-checker recall record:
-#                      per-checker recall over synthesized ordering-bug
-#                      scenarios plus clean-twin false-positive counts
+#  11. gatorbench    — regenerate every benchmark record into a temporary
+#                      directory (skipped with -short): a smoke run of each
+#                      measurement that never overwrites the checked-in
+#                      BENCH_*.json, so committing after a CI run cannot
+#                      silently re-baseline a gate; scripts/benchdiff.sh
+#                      checks the regenerated records nightly
 #  12. bench module  — `go vet` and `go test` inside bench/, the repository
 #                      benchmark's own Go module (see bench/README.md); the
 #                      root module's ./... patterns never reach it, so an
@@ -96,7 +94,8 @@ fi
 
 echo "== gator -checks self-check (examples/buggyapp)"
 CHECKS_OUT=$(mktemp)
-trap 'rm -f "$CHECKS_OUT"' EXIT
+RECORDS=""
+trap 'rm -rf "$CHECKS_OUT" $RECORDS' EXIT
 if go run ./cmd/gator -checks examples/buggyapp > "$CHECKS_OUT"; then
     echo "self-check: expected exit 1 on the buggy app, got 0" >&2
     exit 1
@@ -126,10 +125,9 @@ echo "== context-sensitivity precision smoke (TippyTipper, 1cfa)"
 go run ./cmd/gatorbench -table precision -app TippyTipper -ctx 1cfa > /dev/null
 
 if [ -z "$SHORT" ]; then
-    echo "== gatorbench BENCH_2.json + BENCH_4.json + BENCH_5.json + BENCH_6.json + BENCH_7.json + BENCH_8.json + BENCH_10.json"
-    go run ./cmd/gatorbench -benchjson BENCH_2.json -incjson BENCH_4.json -servejson BENCH_5.json \
-        -solvejson BENCH_6.json -precjson BENCH_7.json -obsjson BENCH_8.json \
-        -lifejson BENCH_10.json > /dev/null
+    RECORDS=$(mktemp -d)
+    echo "== regenerating the benchmark records into $RECORDS"
+    go run ./cmd/gatorbench -records "$RECORDS" > /dev/null
 fi
 
 echo "== bench module (vet + test)"
