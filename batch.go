@@ -44,9 +44,10 @@ type BatchOptions struct {
 	// Options are the per-application analysis options.
 	Options Options
 	// Tracer, when non-nil, instruments the whole batch: every app gets a
-	// per-(app, worker) scope carrying load/analyze phase spans and the
-	// solver's iteration and rule events, so a Chrome trace export renders
-	// one lane per worker. Overrides Options.Trace per app.
+	// per-(app, worker) scope carrying its stage spans (parse, lower, build,
+	// solve), parse-cache probes, and the solver's iteration and rule
+	// events, so a Chrome trace export renders one lane per worker.
+	// Overrides Options.Trace per app.
 	Tracer *trace.Tracer
 	// Progress, when non-nil, is called once per completed application, in
 	// completion order. Calls are serialized; the callback needs no locking.
@@ -79,7 +80,7 @@ type AppReport struct {
 	// Err is the application's failure: a load/build error, or a recovered
 	// panic from any stage. One failing app never affects the others.
 	Err error
-	// Stats carries the per-stage wall-clock accounting.
+	// Stats carries the per-stage accounting: the result's stage log.
 	Stats metrics.AppStats
 }
 
@@ -194,14 +195,12 @@ func batchLabel(in BatchInput, index int) string {
 	return fmt.Sprintf("app%d", index)
 }
 
-// analyzeOne runs one application through the load and analyze stages,
-// converting any panic into the app's error. When the batch is traced, the
-// stages run under a per-(app, worker) scope so exported traces show one
-// lane per worker.
+// analyzeOne loads and analyzes one application, converting any panic into
+// the app's error. When the batch is traced, the stages run under a
+// per-(app, worker) scope so exported traces show one lane per worker.
 func analyzeOne(in BatchInput, index, worker int, batchOpts BatchOptions) (rep AppReport) {
 	opts := batchOpts.Options
-	scope := batchOpts.Tracer.Scope(batchLabel(in, index), worker)
-	if scope.Enabled() {
+	if scope := batchOpts.Tracer.Scope(batchLabel(in, index), worker); scope.Enabled() {
 		opts.Trace = scope
 	}
 	rep.Name = in.Name
@@ -214,20 +213,16 @@ func analyzeOne(in BatchInput, index, worker int, batchOpts BatchOptions) (rep A
 		}
 	}()
 
-	t0 := time.Now()
-	scope.Begin("load")
 	var app *App
 	var err error
 	switch {
 	case in.Load != nil:
 		app, err = in.Load()
 	case in.Dir != "":
-		app, err = LoadDirCached(in.Dir, batchOpts.Cache)
+		app, err = loadDir(in.Dir, batchOpts.Cache, opts.Trace)
 	default:
-		app, err = LoadCached(in.Sources, in.Layouts, batchOpts.Cache)
+		app, err = loadApp(in.Sources, in.Layouts, batchOpts.Cache, opts.Trace)
 	}
-	scope.End("load")
-	rep.Stats.Add("load", time.Since(t0))
 	if err != nil {
 		rep.Err = err
 		rep.Stats.Err = err.Error()
@@ -240,9 +235,8 @@ func analyzeOne(in BatchInput, index, worker int, batchOpts BatchOptions) (rep A
 		rep.Stats.App = app.Name
 	}
 
-	t0 = time.Now()
 	res := app.Analyze(opts)
-	rep.Stats.Add("analyze", time.Since(t0))
+	rep.Stats.Stages = res.Stages()
 	rep.Stats.Iterations = res.Iterations()
 	rep.Result = res
 	return rep

@@ -170,8 +170,13 @@ func TestBatchStats(t *testing.T) {
 		t.Errorf("stats = %+v", br.Stats)
 	}
 	for _, a := range br.Stats.Apps {
-		if a.StageWall("load") <= 0 || a.StageWall("analyze") <= 0 {
-			t.Errorf("%s: missing stage stats: %+v", a.App, a.Stages)
+		if len(a.Stages) != 4 {
+			t.Errorf("%s: stages = %+v, want parse, lower, build, solve", a.App, a.Stages)
+		}
+		for _, st := range []string{trace.StageParse, trace.StageLower, trace.StageBuild, trace.StageSolve} {
+			if a.Stages.Wall(st) <= 0 {
+				t.Errorf("%s: missing %s stage: %+v", a.App, st, a.Stages)
+			}
 		}
 	}
 

@@ -157,7 +157,7 @@ func TestCLITraceAndStatsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []string{`"traceEvents"`, `notepad:load`, `notepad:solve`, `"ph": "B"`, `"ph": "C"`} {
+	for _, w := range []string{`"traceEvents"`, `notepad:parse`, `notepad:lower`, `notepad:build`, `notepad:solve`, `"ph": "B"`, `"ph": "C"`} {
 		if !strings.Contains(string(data), w) {
 			t.Errorf("trace file missing %s\n%s", w, data)
 		}

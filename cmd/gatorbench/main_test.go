@@ -122,7 +122,7 @@ func TestGatorbenchTraceAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"traceEvents"`, "ConnectBot:load", "ConnectBot:solve", `"ph": "C"`} {
+	for _, want := range []string{`"traceEvents"`, "ConnectBot:parse", "ConnectBot:lower", "ConnectBot:build", "ConnectBot:solve", `"ph": "C"`} {
 		if !strings.Contains(string(traceData), want) {
 			t.Errorf("trace missing %s", want)
 		}

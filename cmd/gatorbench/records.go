@@ -18,6 +18,7 @@ import (
 	"gator"
 	"gator/internal/corpus"
 	"gator/internal/metrics"
+	"gator/internal/trace"
 )
 
 // records lists every checked-in record and the measurement that
@@ -100,13 +101,12 @@ func measureCorpus(workers int) (*metrics.Record, error) {
 		if rep.Err != nil {
 			return nil, fmt.Errorf("%s: %w", rep.Name, rep.Err)
 		}
-		start := time.Now()
 		cr, err := rep.Result.CheckReport()
 		if err != nil {
 			return nil, err
 		}
 		a := benchApp{App: rep.Name, AnalysisMs: ms(rep.Result.Elapsed()), Iterations: rep.Result.Iterations(),
-			ChecksMs: ms(time.Since(start)), Findings: len(cr.Findings), Warnings: cr.Warnings()}
+			ChecksMs: ms(trace.Log(cr.Passes).Total()), Findings: len(cr.Findings), Warnings: cr.Warnings()}
 		apps = append(apps, a)
 		rec.Metrics = append(rec.Metrics,
 			metric(a.App+".findings", "count", "", float64(a.Findings), metrics.Exact()),

@@ -7,16 +7,16 @@ package main
 // (Options.ReferenceSolver) and the default CSR+delta engine. Part two
 // measures incremental re-analysis (warm vs cold) on a 502-unit modular
 // application, far past the former 64-unit dependency-tracking budget.
-// Only the solve phase is timed for the engine comparison (extracted from
-// trace phase events); parsing, IR construction, and graph building are
-// identical across engines and would only dilute the ratio. Both speedups
-// are floor-gated only: each divides two independently measured times, so
-// its run-to-run noise is the sum of both sides' and a bound relative to
-// the baseline would trip on runner noise alone.
+// Only the solve stage is timed for the engine comparison (read from the
+// result's stage log, with tracing off); parsing, IR construction, and
+// graph building are identical across engines and would only dilute the
+// ratio. Both speedups are floor-gated only: each divides two
+// independently measured times, so its run-to-run noise is the sum of both
+// sides' and a bound relative to the baseline would trip on runner noise
+// alone.
 
 import (
 	"fmt"
-	"time"
 
 	"gator"
 	"gator/internal/corpus"
@@ -28,27 +28,7 @@ import (
 // reported (minimum, not mean, to shed scheduler noise on shared runners).
 const solveBenchRuns = 3
 
-// solvePhaseMs extracts the "solve" phase duration from collected events.
-func solvePhaseMs(events []trace.Event) (float64, error) {
-	var begin time.Duration
-	haveBegin := false
-	for _, ev := range events {
-		if ev.Name != "solve" {
-			continue
-		}
-		switch ev.Kind {
-		case trace.KindPhaseBegin:
-			begin, haveBegin = ev.TS, true
-		case trace.KindPhaseEnd:
-			if haveBegin {
-				return ms(ev.TS - begin), nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("no solve phase in trace")
-}
-
-// timeSolve loads the app fresh and returns the solve-phase time and
+// timeSolve loads the app fresh and returns the solve-stage time and
 // iteration count under opts, minimized over solveBenchRuns runs.
 func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64, int, error) {
 	best := 0.0
@@ -58,13 +38,8 @@ func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64,
 		if err != nil {
 			return 0, 0, err
 		}
-		sink := &trace.Collect{}
-		opts.Trace = trace.New(sink).Scope("solvebench", 0)
 		res := app.Analyze(opts)
-		d, err := solvePhaseMs(sink.Events())
-		if err != nil {
-			return 0, 0, err
-		}
+		d := ms(res.Stages().Wall(trace.StageSolve))
 		if run == 0 || d < best {
 			best = d
 		}

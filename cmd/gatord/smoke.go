@@ -20,6 +20,7 @@ import (
 	"gator/internal/metrics"
 	"gator/internal/report"
 	"gator/internal/server"
+	"gator/internal/trace"
 )
 
 // localReport renders the same report the server is asked for, through the
@@ -133,8 +134,10 @@ func runSmoke(cfg server.Config, dir string) error {
 	}
 
 	// Telemetry: the Prometheus exposition must parse and carry the
-	// request counters, and an on-demand traced request must yield a
-	// retrievable solver trace whose events carry the trace id.
+	// request counters and, after the cold request, the session create and
+	// the warm patch, a stage_duration_us series for every stage; an
+	// on-demand traced request must yield a retrievable solver trace whose
+	// events carry the trace id.
 	prom, err := c.MetricsProm()
 	if err != nil {
 		return fmt.Errorf("scrape /metrics: %w", err)
@@ -145,6 +148,17 @@ func runSmoke(cfg server.Config, dir string) error {
 	}
 	if _, ok := fams["gatord_http_requests_total"]; !ok {
 		return errors.New("/metrics lacks gatord_http_requests_total")
+	}
+	observed := map[string]bool{}
+	if fam := fams["gatord_stage_duration_us"]; fam != nil {
+		for _, s := range fam.Samples {
+			observed[s.Labels["stage"]] = true
+		}
+	}
+	for _, st := range trace.Stages {
+		if !observed[st] {
+			return fmt.Errorf("/metrics lacks a gatord_stage_duration_us series for stage %q", st)
+		}
 	}
 	traced, err := c.AnalyzeTraced(server.AnalyzeRequest{
 		Name:       "smoke",

@@ -24,15 +24,16 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"gator/internal/alite"
 	"gator/internal/analysis"
-	"gator/internal/cache"
 	"gator/internal/core"
 	"gator/internal/dot"
 	"gator/internal/graph"
@@ -63,6 +64,9 @@ type App struct {
 	// (ir.ShapeSignature); an edit whose shape is unchanged touches method
 	// bodies only and is eligible for in-place re-lowering.
 	shapes map[string]string
+	// stages is the load's stage log: parse and lower (of the edited files
+	// only, for an app a warm incremental run patched).
+	stages trace.Log
 }
 
 // CtxMode selects the context-sensitive solving mode (see DESIGN.md,
@@ -139,12 +143,15 @@ func LoadDir(dir string) (*App, error) {
 }
 
 // LoadDirCached is LoadDir with a shared parse cache (see LoadCached).
-func LoadDirCached(dir string, c *Cache) (*App, error) {
+func LoadDirCached(dir string, c *Cache) (*App, error) { return loadDir(dir, c, nil) }
+
+// loadDir is LoadDirCached with the load's stages traced on tr.
+func loadDir(dir string, c *Cache, tr *trace.Scope) (*App, error) {
 	sources, layouts, err := ReadAppDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	app, err := LoadCached(sources, layouts, c)
+	app, err := loadApp(sources, layouts, c, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +216,7 @@ func ReadAppDir(dir string) (sources, layouts map[string]string, err error) {
 // Load builds an application from in-memory sources: file name → ALite
 // source, and layout name → layout XML.
 func Load(sources map[string]string, layoutXML map[string]string) (*App, error) {
-	return loadApp(sources, layoutXML, nil)
+	return loadApp(sources, layoutXML, nil, nil)
 }
 
 // LoadCached is Load with a shared parse cache: source files whose content
@@ -217,82 +224,103 @@ func Load(sources map[string]string, layoutXML map[string]string) (*App, error) 
 // definitions are always re-parsed — linking resolves them in place, so
 // their parsed form is per-build.
 func LoadCached(sources, layoutXML map[string]string, c *Cache) (*App, error) {
-	var pc *cache.ParseCache
-	if c != nil {
-		pc = c.parse
-	}
-	return loadApp(sources, layoutXML, pc)
+	return loadApp(sources, layoutXML, c, nil)
 }
 
-func loadApp(sources map[string]string, layoutXML map[string]string, pc *cache.ParseCache) (*App, error) {
-	var names []string
+// loadApp parses and lowers an application, timing the parse and lower
+// stages into the app's stage log and, when tr is set, its trace.
+func loadApp(sources, layoutXML map[string]string, c *Cache, tr *trace.Scope) (*App, error) {
+	names := make([]string, 0, len(sources))
 	for n := range sources {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	app := &App{Name: "app", shapes: make(map[string]string, len(names))}
 	var files []*alite.File
-	shapes := make(map[string]string, len(names))
-	for _, n := range names {
-		var f *alite.File
-		var err error
-		if pc != nil {
-			f, _, err = pc.Parse(n, sources[n])
-		} else {
-			f, err = alite.Parse(n, sources[n])
+	layouts := make(map[string]*layout.Layout, len(layoutXML))
+	var err error
+	tr.Stage(&app.stages, trace.StageParse, func() {
+		if files, err = parseFiles(names, sources, c, tr); err != nil {
+			return
 		}
-		if err != nil {
-			return nil, err
+		for name, xml := range layoutXML {
+			if layouts[name], err = layout.Parse(name, xml); err != nil {
+				return
+			}
 		}
-		files = append(files, f)
-		shapes[n] = ir.ShapeSignature(f)
-	}
-	layouts := map[string]*layout.Layout{}
-	for name, xml := range layoutXML {
-		l, err := layout.Parse(name, xml)
-		if err != nil {
-			return nil, err
-		}
-		layouts[name] = l
-	}
-	prog, err := ir.Build(files, layouts)
+	})
 	if err != nil {
 		return nil, err
 	}
+	tr.Stage(&app.stages, trace.StageLower, func() { app.prog, err = ir.Build(files, layouts) })
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range files {
+		app.shapes[names[i]] = ir.ShapeSignature(f)
+	}
 	// Copy so later caller mutations of the maps cannot skew suppression
 	// scanning or incremental diffing.
-	kept := make(map[string]string, len(sources))
-	for n, src := range sources {
-		kept[n] = src
+	app.sources, app.layouts = maps.Clone(sources), maps.Clone(layoutXML)
+	return app, nil
+}
+
+// parseFiles parses the named sources in order, through c's parse cache
+// when c is set, emitting one cache-probe trace event per lookup.
+func parseFiles(names []string, sources map[string]string, c *Cache, tr *trace.Scope) ([]*alite.File, error) {
+	files := make([]*alite.File, len(names))
+	for i, n := range names {
+		var err error
+		if c == nil {
+			files[i], err = alite.Parse(n, sources[n])
+		} else {
+			var hit bool
+			if files[i], hit, err = c.parse.Parse(n, sources[n]); err == nil {
+				tr.CacheProbe("parse", hit)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	keptLayouts := make(map[string]string, len(layoutXML))
-	for n, xml := range layoutXML {
-		keptLayouts[n] = xml
-	}
-	return &App{Name: "app", prog: prog, sources: kept, layouts: keptLayouts, shapes: shapes}, nil
+	return files, nil
 }
 
 // Analyze runs the reference analysis.
 func (a *App) Analyze(opts Options) *Result {
-	start := time.Now()
-	res := core.Analyze(a.prog, opts.internal())
-	return &Result{app: a, res: res, elapsed: time.Since(start), tr: opts.Trace}
+	return a.result(core.Analyze(a.prog, opts.internal()), opts.Trace, IncrementalStats{})
+}
+
+// result wraps one solve of a's program. Its stage log is a's load stages
+// followed by the solve's.
+func (a *App) result(res *core.Result, tr *trace.Scope, incr IncrementalStats) *Result {
+	return &Result{app: a, res: res, stages: slices.Concat(a.stages, res.Stages), tr: tr, incr: incr}
 }
 
 // Result is a computed analysis solution with user-facing query methods.
 type Result struct {
-	app     *App
-	res     *core.Result
-	elapsed time.Duration
-	tr      *trace.Scope
-	incr    IncrementalStats
+	app    *App
+	res    *core.Result
+	stages trace.Log
+	tr     *trace.Scope
+	incr   IncrementalStats
 	// invalid marks a result whose underlying program has since been
 	// patched in place by AnalyzeIncremental; queries on it would mix old
 	// facts with new IR. See the staleness contract in DESIGN.md.
 	invalid bool
 }
 
-// Elapsed returns the analysis running time.
-func (r *Result) Elapsed() time.Duration { return r.elapsed }
+// Stages returns the result's stage log in execution order: parse, lower,
+// build and solve for a cold run; the edited files' parse and lower, then
+// retract, rebuild and solve for a warm incremental one; none for an
+// unchanged one.
+func (r *Result) Stages() trace.Log { return slices.Clip(r.stages) }
+
+// Elapsed returns the analysis time: the summed wall time of the result's
+// stages after lower (build and solve on a cold run).
+func (r *Result) Elapsed() time.Duration {
+	return r.stages.Total() - r.stages.Wall(trace.StageParse) - r.stages.Wall(trace.StageLower)
+}
 
 // SetAppName relabels the application in subsequently rendered reports
 // (Table rows, check reports, the JSON model). Server sessions use it to
@@ -582,7 +610,7 @@ func (r *Result) Table1() metrics.Table1Row { return metrics.Table1(r.app.Name, 
 
 // Table2 computes the application's Table 2 row.
 func (r *Result) Table2() metrics.Table2Row {
-	return metrics.Table2(r.app.Name, r.res, r.elapsed)
+	return metrics.Table2(r.app.Name, r.res, r.Elapsed())
 }
 
 // DumpIR renders the application's lowered three-address representation,
@@ -603,12 +631,9 @@ type CheckFinding struct {
 	SuggestedFix string
 }
 
-// PassTiming is one checker pass's wall-clock and yield in a CheckReport.
-type PassTiming struct {
-	Check    string
-	Wall     time.Duration
-	Findings int
-}
+// PassTiming is one checker pass's timing in a CheckReport: its stage
+// ("check:" plus the check id) and wall time.
+type PassTiming = trace.Timing
 
 // CheckReport is the outcome of running the diagnostics engine over one
 // solution: the findings in deterministic (position, check, message) order
@@ -620,7 +645,7 @@ type CheckReport struct {
 	Findings []CheckFinding
 	// Suppressed counts findings dropped by `// gator:disable` comments.
 	Suppressed int
-	// Passes records per-pass timing in execution order.
+	// Passes is the checker passes' stage log, in execution order.
 	Passes []PassTiming
 
 	rep *analysis.Report
@@ -637,7 +662,13 @@ func (c *CheckReport) SARIF() ([]byte, error) { return analysis.SARIF(c.rep) }
 func (c *CheckReport) Text() string { return analysis.Text(c.rep) }
 
 // PassTimings renders the per-pass accounting as aligned text.
-func (c *CheckReport) PassTimings() string { return metrics.FormatPasses(c.rep.Passes) }
+func (c *CheckReport) PassTimings() string {
+	findings := map[string]int{}
+	for _, f := range c.Findings {
+		findings[f.Check]++
+	}
+	return metrics.FormatPasses(c.rep.Passes, findings)
+}
 
 // CheckReport runs the analysis-backed GUI diagnostics engine (the static
 // error checking application of Section 6, extended with flow-sensitive
@@ -653,7 +684,7 @@ func (r *Result) CheckReport(checkIDs ...string) (*CheckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &CheckReport{App: rep.App, Suppressed: rep.Suppressed, rep: rep}
+	out := &CheckReport{App: rep.App, Suppressed: rep.Suppressed, Passes: rep.Passes, rep: rep}
 	for _, f := range rep.Findings {
 		cf := CheckFinding{
 			Check:        f.Check,
@@ -665,9 +696,6 @@ func (r *Result) CheckReport(checkIDs ...string) (*CheckReport, error) {
 			cf.Pos = f.Pos.String()
 		}
 		out.Findings = append(out.Findings, cf)
-	}
-	for _, p := range rep.Passes {
-		out.Passes = append(out.Passes, PassTiming{Check: p.Pass, Wall: p.Wall, Findings: p.Findings})
 	}
 	return out, nil
 }

@@ -2,8 +2,8 @@ package gator
 
 import (
 	"errors"
+	"maps"
 	"sort"
-	"time"
 
 	"gator/internal/alite"
 	"gator/internal/core"
@@ -85,7 +85,9 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 		return analyzeFull(prev, sources, layouts, opts, c, "file set changed")
 	}
 	if len(dirty) == 0 {
+		// Nothing ran, so the re-reported result records no stages.
 		prev.incr = IncrementalStats{Mode: "unchanged"}
+		prev.stages = nil
 		return prev, nil
 	}
 	sort.Strings(dirty)
@@ -93,105 +95,58 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 	// Parse the edited files; a declaration-shape change (new method, renamed
 	// field, changed hierarchy) invalidates clean-file IR pointers, so only
 	// body-confined edits may patch in place.
-	files := make([]*alite.File, 0, len(dirty))
-	for _, name := range dirty {
-		f, err := parseCached(name, sources[name], opts.Trace, c)
-		if err != nil {
-			return nil, err
+	var stages trace.Log
+	var files []*alite.File
+	var err error
+	opts.Trace.Stage(&stages, trace.StageParse, func() { files, err = parseFiles(dirty, sources, c, opts.Trace) })
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range files {
+		if ir.ShapeSignature(f) != app.shapes[dirty[i]] {
+			return analyzeFull(prev, sources, layouts, opts, c, "declaration shape changed: "+dirty[i])
 		}
-		if ir.ShapeSignature(f) != app.shapes[name] {
-			return analyzeFull(prev, sources, layouts, opts, c, "declaration shape changed: "+name)
-		}
-		files = append(files, f)
 	}
 
 	// Body-only edit: re-lower the dirty files inside prev's program. This
 	// mutates the program prev's facts refer to, so prev is consumed either
 	// way — even if patching fails and we fall back to a fresh build.
-	start := time.Now()
 	prog := app.prog
 	prev.invalid = true
-	for _, f := range files {
-		if err := ir.PatchFile(prog, f); err != nil {
-			return analyzeFull(prev, sources, layouts, opts, c, "patch failed: "+err.Error())
+	opts.Trace.Stage(&stages, trace.StageLower, func() {
+		for _, f := range files {
+			if err = ir.PatchFile(prog, f); err != nil {
+				return
+			}
 		}
+	})
+	if err != nil {
+		return analyzeFull(prev, sources, layouts, opts, c, "patch failed: "+err.Error())
 	}
 	res := core.AnalyzeIncremental(prog, opts.internal(), prev.res, dirty)
 
-	newSources := make(map[string]string, len(sources))
-	for n, s := range sources {
-		newSources[n] = s
-	}
-	newShapes := make(map[string]string, len(app.shapes))
-	for n, s := range app.shapes {
-		newShapes[n] = s
-	}
+	newShapes := maps.Clone(app.shapes)
 	for i, name := range dirty {
 		newShapes[name] = ir.ShapeSignature(files[i])
 	}
-	newApp := &App{Name: app.Name, prog: prog, sources: newSources, layouts: app.layouts, shapes: newShapes}
-	return &Result{
-		app:     newApp,
-		res:     res,
-		elapsed: time.Since(start),
-		tr:      opts.Trace,
-		incr:    IncrementalStats(res.Incr),
-	}, nil
+	newApp := &App{Name: app.Name, prog: prog, sources: maps.Clone(sources), layouts: app.layouts, shapes: newShapes, stages: stages}
+	return newApp.result(res, opts.Trace, IncrementalStats(res.Incr)), nil
 }
 
 // analyzeFull is the scratch path: a complete load and solve, still tracking
 // unit dependencies so the next edit can go warm, and still sharing c's
 // parse cache.
 func analyzeFull(prev *Result, sources, layouts map[string]string, opts Options, c *Cache, reason string) (*Result, error) {
-	h0, m0 := c.ParseStats()
-	app, err := LoadCached(sources, layouts, c)
+	app, err := loadApp(sources, layouts, c, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
 	if prev != nil {
 		app.Name = prev.app.Name
 	}
-	emitParseProbes(opts.Trace, c, h0, m0)
 	iopts := opts.internal()
 	iopts.Incremental = true
-	start := time.Now()
-	res := core.Analyze(app.prog, iopts)
-	return &Result{
-		app:     app,
-		res:     res,
-		elapsed: time.Since(start),
-		tr:      opts.Trace,
-		incr:    IncrementalStats{Mode: "scratch", Reason: reason},
-	}, nil
-}
-
-// parseCached parses one source file through the shared cache when present,
-// emitting a cache-probe trace event per lookup.
-func parseCached(name, src string, tr *trace.Scope, c *Cache) (*alite.File, error) {
-	if c == nil {
-		return alite.Parse(name, src)
-	}
-	f, hit, err := c.parse.Parse(name, src)
-	if err != nil {
-		return nil, err
-	}
-	tr.CacheProbe("parse", hit)
-	return f, nil
-}
-
-// emitParseProbes replays the cache's hit/miss delta from a bulk load as
-// individual probe events on the trace.
-func emitParseProbes(tr *trace.Scope, c *Cache, h0, m0 int64) {
-	if c == nil || !tr.Enabled() {
-		return
-	}
-	h1, m1 := c.ParseStats()
-	for i := h0; i < h1; i++ {
-		tr.CacheProbe("parse", true)
-	}
-	for i := m0; i < m1; i++ {
-		tr.CacheProbe("parse", false)
-	}
+	return app.result(core.Analyze(app.prog, iopts), opts.Trace, IncrementalStats{Mode: "scratch", Reason: reason}), nil
 }
 
 func mapsEqual(a, b map[string]string) bool {

@@ -1,8 +1,9 @@
 // Package analysis is the diagnostics driver: it runs the registered
 // checker passes (package checks) over one solved reference analysis,
-// applies inline suppressions, times every pass, and renders the findings
-// as plain text or SARIF. The pass registry itself lives in package checks;
-// this package owns selection, ordering, and output policy.
+// applies inline suppressions, times every pass as a check:<id> stage, and
+// renders the findings as plain text or SARIF. The pass registry itself
+// lives in package checks; this package owns selection, ordering, and
+// output policy.
 package analysis
 
 import (
@@ -10,11 +11,9 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"time"
 
 	"gator/internal/checks"
 	"gator/internal/core"
-	"gator/internal/metrics"
 	"gator/internal/trace"
 )
 
@@ -27,8 +26,8 @@ type Options struct {
 	// program. It is scanned for `// gator:disable` suppression comments;
 	// nil disables suppression handling.
 	Sources map[string]string
-	// Trace, when non-nil, brackets every pass in a "check:<id>" phase and
-	// forwards the checkers' dataflow-solver events.
+	// Trace, when non-nil, brackets every pass in its check:<id> stage's
+	// phase events and forwards the checkers' dataflow-solver events.
 	Trace *trace.Scope
 }
 
@@ -39,8 +38,9 @@ type Report struct {
 	// Findings are the kept findings in deterministic (Pos, Check, Msg)
 	// order.
 	Findings []checks.Finding
-	// Passes records per-pass wall-clock and yield, in execution order.
-	Passes []metrics.PassStats
+	// Passes is the checker passes' stage log: one check:<id> timing per
+	// pass, in execution order.
+	Passes trace.Log
 	// Suppressed counts findings dropped by `// gator:disable` comments.
 	Suppressed int
 }
@@ -67,12 +67,10 @@ func Run(app string, res *core.Result, opts Options) (*Report, error) {
 	sup := ParseSuppressions(opts.Sources)
 	ctx := checks.NewContext(res)
 	ctx.Trace = opts.Trace
-	rep := &Report{App: app}
+	rep := &Report{App: app, Passes: make(trace.Log, 0, len(passes))}
 	for _, p := range passes {
-		start := time.Now()
-		opts.Trace.Begin("check:" + p.ID)
-		found := p.Run(ctx)
-		opts.Trace.End("check:" + p.ID)
+		var found []checks.Finding
+		opts.Trace.Stage(&rep.Passes, trace.CheckPrefix+p.ID, func() { found = p.Run(ctx) })
 		kept := found[:0]
 		for _, f := range found {
 			if sup.Matches(f) {
@@ -81,11 +79,6 @@ func Run(app string, res *core.Result, opts Options) (*Report, error) {
 			}
 			kept = append(kept, f)
 		}
-		rep.Passes = append(rep.Passes, metrics.PassStats{
-			Pass:     p.ID,
-			Wall:     time.Since(start),
-			Findings: len(kept),
-		})
 		rep.Findings = append(rep.Findings, kept...)
 	}
 	checks.SortFindings(rep.Findings)

@@ -72,7 +72,7 @@ func TestRunSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Passes) != 1 || rep.Passes[0].Pass != "null-view-deref" {
+	if len(rep.Passes) != 1 || rep.Passes[0].Stage != "check:null-view-deref" {
 		t.Errorf("passes = %+v", rep.Passes)
 	}
 	for _, f := range rep.Findings {
@@ -142,7 +142,7 @@ func TestRunSelectionPreservesRegistryOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Passes) != 2 || rep.Passes[0].Pass != "dangling-findview" || rep.Passes[1].Pass != "null-view-deref" {
+	if len(rep.Passes) != 2 || rep.Passes[0].Stage != "check:dangling-findview" || rep.Passes[1].Stage != "check:null-view-deref" {
 		t.Errorf("passes = %+v", rep.Passes)
 	}
 }

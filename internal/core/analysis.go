@@ -108,7 +108,7 @@ type Options struct {
 	// byte-identical to it — and exists as that baseline, not for use.
 	ReferenceSolver bool
 
-	// Trace receives solver events: build/solve phase boundaries,
+	// Trace receives solver events: build/solve stage boundaries,
 	// per-iteration worklist sizes, and per-rule firing counts. A nil
 	// scope disables tracing with no overhead (see internal/trace).
 	Trace *trace.Scope
@@ -134,6 +134,10 @@ type Result struct {
 	// Iterations counts outer fixpoint rounds (flow propagation followed by
 	// operation processing) until quiescence.
 	Iterations int
+
+	// Stages is the stage log of this solve: build and solve, or retract,
+	// rebuild and solve on the warm incremental path.
+	Stages trace.Log
 
 	// Incr describes how this result was computed when it came from
 	// AnalyzeIncremental; zero for plain Analyze runs.
@@ -297,12 +301,9 @@ func (r *Result) Transitions() []Transition {
 // Analyze runs the full analysis on a resolved program.
 func Analyze(p *ir.Program, opts Options) *Result {
 	a := newAnalysis(p, opts)
-	a.tr.Begin("build")
-	a.buildGraph()
-	a.tr.End("build")
-	a.tr.Begin("solve")
-	a.solve()
-	a.tr.End("solve")
+	stages := make(trace.Log, 0, 2)
+	a.tr.Stage(&stages, trace.StageBuild, a.buildGraph)
+	a.tr.Stage(&stages, trace.StageSolve, a.solve)
 	return &Result{
 		Prog:       p,
 		Graph:      a.g,
@@ -313,5 +314,6 @@ func Analyze(p *ir.Program, opts Options) *Result {
 		units:      a.units,
 		warm:       a.warmState(),
 		Iterations: a.iterations,
+		Stages:     stages,
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"gator/internal/graph"
 	"gator/internal/ir"
+	"gator/internal/trace"
 )
 
 // IncrementalStats describes how an AnalyzeIncremental run was computed.
@@ -108,21 +109,19 @@ func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []st
 	}
 
 	a := adoptAnalysis(prog, opts, prev)
+	stages := make(trace.Log, 0, 3)
 
-	a.tr.Begin("retract")
-	retained, retracted, damaged := a.retract(dirtyBits)
-	a.tr.End("retract")
+	var retained, retracted int
+	var damaged map[int]bool
+	a.tr.Stage(&stages, trace.StageRetract, func() { retained, retracted, damaged = a.retract(dirtyBits) })
 	a.tr.Count("incremental/retained", int64(retained))
 	a.tr.Count("incremental/retracted", int64(retracted))
 
-	a.tr.Begin("rebuild")
-	a.rebuild(dirtyBits)
-	a.repair(damaged)
-	a.tr.End("rebuild")
-
-	a.tr.Begin("solve")
-	a.solve()
-	a.tr.End("solve")
+	a.tr.Stage(&stages, trace.StageRebuild, func() {
+		a.rebuild(dirtyBits)
+		a.repair(damaged)
+	})
+	a.tr.Stage(&stages, trace.StageSolve, a.solve)
 
 	return &Result{
 		Prog:       prog,
@@ -133,6 +132,7 @@ func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []st
 		units:      a.units,
 		warm:       a.warmState(),
 		Iterations: a.iterations,
+		Stages:     stages,
 		Incr: IncrementalStats{
 			Mode:       "warm",
 			Retained:   retained,

@@ -274,21 +274,26 @@ func knownRuleName(name string) bool {
 // TestTracingDisabledZeroAlloc is the overhead contract of the
 // instrumentation layer: with tracing and provenance disabled (nil scope,
 // nil recorder), every emission path the solver executes is an
-// allocation-free no-op.
+// allocation-free no-op, and the stage hook only appends to its pre-sized
+// log.
 func TestTracingDisabledZeroAlloc(t *testing.T) {
 	var s *trace.Scope
+	stages := make(trace.Log, 0, 2)
 	allocs := testing.AllocsPerRun(1000, func() {
 		// Exactly the calls solve() and Analyze() make per round / firing.
-		s.Begin("build")
-		s.End("build")
-		s.Begin("solve")
-		s.Iteration(3, 128)
-		s.Rule("FindView2", 1)
-		s.Rule("Inflate2", 1)
-		s.End("solve")
+		stages = stages[:0]
+		s.Stage(&stages, trace.StageBuild, func() {})
+		s.Stage(&stages, trace.StageSolve, func() {
+			s.Iteration(3, 128)
+			s.Rule("FindView2", 1)
+			s.Rule("Inflate2", 1)
+		})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %v allocs/op, want 0", allocs)
+	}
+	if len(stages) != 2 || stages[1].Stage != trace.StageSolve {
+		t.Errorf("stage log = %+v, want build then solve", stages)
 	}
 }
 
@@ -298,11 +303,13 @@ func TestTracingDisabledZeroAlloc(t *testing.T) {
 // the benchmark rather than silently skewing it.
 func BenchmarkSolveTracingDisabled(b *testing.B) {
 	var s *trace.Scope
+	stages := make(trace.Log, 0, 1)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		s.Begin("solve")
-		s.Iteration(1, 1)
-		s.Rule("FindView2", 1)
-		s.End("solve")
+		stages = stages[:0]
+		s.Stage(&stages, trace.StageSolve, func() {
+			s.Iteration(1, 1)
+			s.Rule("FindView2", 1)
+		})
 	}); allocs != 0 {
 		b.Fatalf("disabled tracing allocates %v allocs/op, want 0", allocs)
 	}

@@ -1,83 +1,47 @@
 package metrics
 
-// Batch-analysis instrumentation: per-application, per-stage wall-clock
-// accounting and batch-level throughput summaries. The batch engine in the
-// root package fills these in; the CLIs render them next to the paper's
-// tables so the cost of scaling beyond the paper's one-app-at-a-time
-// evaluation is measured, not guessed.
+// Batch-analysis instrumentation: per-application stage accounting and
+// batch-level throughput summaries, rendered from the stage logs the
+// pipeline records (trace.Log; the stage names are internal/trace's). The
+// batch engine in the root package fills these in; the CLIs render them
+// next to the paper's tables so the cost of scaling beyond the paper's
+// one-app-at-a-time evaluation is measured, not guessed.
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
-)
 
-// Stage is one timed pipeline stage of a single application's analysis
-// (e.g. "load" = parse + resolve + lower, "analyze" = graph construction +
-// fixpoint).
-type Stage struct {
-	Name string
-	Wall time.Duration
-}
+	"gator/internal/trace"
+)
 
 // AppStats is the per-stage accounting for one application in a batch.
 type AppStats struct {
-	App    string
-	Stages []Stage
+	App string
+	// Stages is the application's stage log: parse, lower, build and
+	// solve, in execution order. A failed app has none.
+	Stages trace.Log
 	// Iterations is the solver's fixpoint round count (0 when the app never
-	// reached the analyze stage).
+	// reached the solve stage).
 	Iterations int
-	// Err is the application's failure, "" on success. A failed app still
-	// carries the stages that completed before the failure.
+	// Err is the application's failure, "" on success.
 	Err string
 }
 
-// Add appends one timed stage.
-func (a *AppStats) Add(name string, wall time.Duration) {
-	a.Stages = append(a.Stages, Stage{Name: name, Wall: wall})
-}
-
-// StageWall returns the wall-clock of a named stage (0 when absent).
-func (a AppStats) StageWall(name string) time.Duration {
-	for _, s := range a.Stages {
-		if s.Name == name {
-			return s.Wall
-		}
-	}
-	return 0
-}
-
-// Total is the summed wall-clock across the application's stages.
-func (a AppStats) Total() time.Duration {
-	var t time.Duration
-	for _, s := range a.Stages {
-		t += s.Wall
-	}
-	return t
-}
-
-// PassStats is the wall-clock and yield of one diagnostics pass over one
-// application. The analysis driver fills these in; `gator -checks -stats`
-// renders them.
-type PassStats struct {
-	Pass     string
-	Wall     time.Duration
-	Findings int
-}
-
-// FormatPasses renders per-pass timings, one line per pass plus a total.
-func FormatPasses(ps []PassStats) string {
+// FormatPasses renders a check report's pass log, one line per pass (its
+// wall time and kept findings, from findings keyed by pass id) plus a
+// total.
+func FormatPasses(passes trace.Log, findings map[string]int) string {
 	var out strings.Builder
 	fmt.Fprintf(&out, "%-32s %10s %9s\n", "Pass", "wall", "findings")
-	var wall time.Duration
 	total := 0
-	for _, p := range ps {
-		fmt.Fprintf(&out, "%-32s %10s %9d\n", p.Pass, round(p.Wall), p.Findings)
-		wall += p.Wall
-		total += p.Findings
+	for _, p := range passes {
+		id := strings.TrimPrefix(p.Stage, trace.CheckPrefix)
+		fmt.Fprintf(&out, "%-32s %10s %9d\n", id, round(p.Wall), findings[id])
+		total += findings[id]
 	}
-	fmt.Fprintf(&out, "%-32s %10s %9d\n", "total", round(wall), total)
+	fmt.Fprintf(&out, "%-32s %10s %9d\n", "total", round(passes.Total()), total)
 	return out.String()
 }
 
@@ -103,7 +67,7 @@ type BatchStats struct {
 func (b BatchStats) TotalWork() time.Duration {
 	var t time.Duration
 	for _, a := range b.Apps {
-		t += a.Total()
+		t += a.Stages.Total()
 	}
 	return t
 }
@@ -130,15 +94,17 @@ func (b BatchStats) Failed() int {
 // FormatBatch renders a batch summary: one line per application with its
 // stage breakdown, then the totals line.
 func FormatBatch(b BatchStats) string {
+	const row = "%-16s %10s %10s %10s %10s %10s  %s\n"
 	var out strings.Builder
-	fmt.Fprintf(&out, "%-16s %10s %10s %10s  %s\n", "App", "load", "analyze", "total", "status")
+	fmt.Fprintf(&out, row, "App", trace.StageParse, trace.StageLower, trace.StageBuild, trace.StageSolve, "total", "status")
 	for _, a := range b.Apps {
 		status := "ok"
 		if a.Err != "" {
 			status = "ERROR: " + firstLine(a.Err)
 		}
-		fmt.Fprintf(&out, "%-16s %10s %10s %10s  %s\n",
-			a.App, round(a.StageWall("load")), round(a.StageWall("analyze")), round(a.Total()), status)
+		wall := func(stage string) time.Duration { return round(a.Stages.Wall(stage)) }
+		fmt.Fprintf(&out, row, a.App, wall(trace.StageParse), wall(trace.StageLower),
+			wall(trace.StageBuild), wall(trace.StageSolve), round(a.Stages.Total()), status)
 	}
 	fmt.Fprintf(&out, "batch: %d apps, %d workers, wall %s, work %s, speedup %.2fx, %s allocated\n",
 		len(b.Apps), b.Workers, round(b.Wall), round(b.TotalWork()), b.Speedup(), fmtBytes(b.AllocBytes))
@@ -171,7 +137,7 @@ func (b BatchStats) StableJSON() ([]byte, error) {
 	for _, a := range b.Apps {
 		sa := stableApp{App: a.App, Stages: []string{}, Iterations: a.Iterations, Status: "ok"}
 		for _, s := range a.Stages {
-			sa.Stages = append(sa.Stages, s.Name)
+			sa.Stages = append(sa.Stages, s.Stage)
 		}
 		if a.Err != "" {
 			sa.Status = "error"

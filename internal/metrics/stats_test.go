@@ -4,21 +4,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gator/internal/trace"
 )
 
 func TestAppStats(t *testing.T) {
-	var a AppStats
-	a.App = "X"
-	a.Add("load", 10*time.Millisecond)
-	a.Add("analyze", 30*time.Millisecond)
-	if got := a.StageWall("load"); got != 10*time.Millisecond {
-		t.Errorf("StageWall(load) = %v", got)
+	a := AppStats{App: "X", Stages: trace.Log{
+		{Stage: trace.StageParse, Wall: 10 * time.Millisecond},
+		{Stage: trace.StageLower, Wall: 5 * time.Millisecond},
+		{Stage: trace.StageBuild, Wall: 5 * time.Millisecond},
+		{Stage: trace.StageSolve, Wall: 20 * time.Millisecond},
+	}}
+	if got := a.Stages.Wall(trace.StageParse); got != 10*time.Millisecond {
+		t.Errorf("Wall(parse) = %v", got)
 	}
-	if got := a.StageWall("missing"); got != 0 {
-		t.Errorf("StageWall(missing) = %v", got)
+	if got := a.Stages.Wall("missing"); got != 0 {
+		t.Errorf("Wall(missing) = %v", got)
 	}
-	if got := a.Total(); got != 40*time.Millisecond {
+	if got := a.Stages.Total(); got != 40*time.Millisecond {
 		t.Errorf("Total = %v", got)
+	}
+	s := FormatBatch(BatchStats{Workers: 1, Apps: []AppStats{a}})
+	for _, want := range []string{"parse", "lower", "build", "solve", "10ms", "20ms", "40ms"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("summary missing %q:\n%s", want, s)
+		}
 	}
 }
 
@@ -27,8 +37,8 @@ func TestBatchStatsSummary(t *testing.T) {
 		Workers: 4,
 		Wall:    25 * time.Millisecond,
 		Apps: []AppStats{
-			{App: "A", Stages: []Stage{{"load", 10 * time.Millisecond}, {"analyze", 40 * time.Millisecond}}},
-			{App: "B", Stages: []Stage{{"load", 20 * time.Millisecond}}, Err: "boom\nstack..."},
+			{App: "A", Stages: trace.Log{{Stage: trace.StageParse, Wall: 10 * time.Millisecond}, {Stage: trace.StageSolve, Wall: 40 * time.Millisecond}}},
+			{App: "B", Stages: trace.Log{{Stage: trace.StageParse, Wall: 20 * time.Millisecond}}, Err: "boom\nstack..."},
 		},
 	}
 	if got := b.TotalWork(); got != 70*time.Millisecond {
@@ -73,11 +83,14 @@ func TestFmtBytes(t *testing.T) {
 }
 
 func TestFormatPasses(t *testing.T) {
-	out := FormatPasses([]PassStats{
-		{Pass: "dangling-findview", Wall: 2 * time.Millisecond, Findings: 3},
-		{Pass: "null-view-deref", Wall: 1 * time.Millisecond, Findings: 1},
-	})
-	for _, w := range []string{"dangling-findview", "null-view-deref", "total", "4"} {
+	out := FormatPasses(trace.Log{
+		{Stage: trace.CheckPrefix + "dangling-findview", Wall: 2 * time.Millisecond},
+		{Stage: trace.CheckPrefix + "null-view-deref", Wall: 1 * time.Millisecond},
+	}, map[string]int{"dangling-findview": 3, "null-view-deref": 1})
+	if strings.Contains(out, trace.CheckPrefix) {
+		t.Errorf("FormatPasses shows stage names, want pass ids:\n%s", out)
+	}
+	for _, w := range []string{"dangling-findview", "null-view-deref", "total", "4", "3ms"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("FormatPasses missing %q:\n%s", w, out)
 		}
@@ -97,8 +110,8 @@ func TestStableJSON(t *testing.T) {
 			Wall:       wall,
 			AllocBytes: alloc,
 			Apps: []AppStats{
-				{App: "A", Stages: []Stage{{"load", wall}, {"analyze", wall * 2}}, Iterations: 3},
-				{App: "B", Stages: []Stage{{"load", wall / 2}}, Err: "boom\ngoroutine 7 [running]: 0xc000123456"},
+				{App: "A", Stages: trace.Log{{Stage: trace.StageParse, Wall: wall}, {Stage: trace.StageSolve, Wall: wall * 2}}, Iterations: 3},
+				{App: "B", Stages: trace.Log{{Stage: trace.StageParse, Wall: wall / 2}}, Err: "boom\ngoroutine 7 [running]: 0xc000123456"},
 			},
 		}
 	}

@@ -29,6 +29,7 @@ import (
 	"gator/internal/metrics"
 	"gator/internal/report"
 	"gator/internal/telemetry"
+	"gator/internal/trace"
 )
 
 // Config tunes the daemon; the zero value serves with sane defaults.
@@ -53,10 +54,6 @@ type Config struct {
 	CacheDir string
 	// CacheMaxBytes bounds the disk cache (LRU eviction; <= 0 unbounded).
 	CacheMaxBytes int64
-	// ResultCacheBytes bounds the in-memory result cache (default 64 MiB).
-	ResultCacheBytes int64
-	// RetryAfter is the Retry-After hint on 429 responses (default 1s).
-	RetryAfter time.Duration
 	// Logger receives one structured line per request (plus rejection and
 	// panic diagnostics). nil disables request logging; metrics and trace
 	// propagation are unaffected.
@@ -65,10 +62,10 @@ type Config struct {
 	// analysis-bearing request records its solver trace into the debug
 	// ring (0 disables sampling; ?trace=1 always captures).
 	TraceSample int
-	// TraceRingEntries / TraceRingBytes bound the ring of captured solver
-	// traces behind /v1/debug/traces (defaults 64 entries, 16 MiB).
+	// TraceRingEntries bounds the ring of captured solver traces behind
+	// /v1/debug/traces (default 64 entries; the ring also holds at most
+	// 16 MiB).
 	TraceRingEntries int
-	TraceRingBytes   int64
 	// NoTelemetry turns the request telemetry layer off — no middleware,
 	// no span propagation, no per-request metrics or logs. The overhead
 	// benchmark (BENCH_8.json) serves this as its baseline.
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -132,18 +126,18 @@ func New(cfg Config) (*Server, error) {
 	if obs {
 		// nil histogram = allocation-free no-op in the runner when
 		// telemetry is off.
-		queueHist = reg.Histogram(stageQueueName)
+		queueHist = reg.Histogram(stageMetric(trace.StageQueue))
 	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
 		jobs:     newJobRunner(cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, reg, queueHist),
 		sessions: newSessionStore(cfg.MaxSessions, cfg.SessionTTL, reg),
-		results:  cache.NewResultCache(cfg.ResultCacheBytes),
+		results:  cache.NewResultCache(0), // the default 64 MiB
 		appCache: gator.NewCache(),
 		obs:      obs,
 		log:      cfg.Logger,
-		traces:   telemetry.NewTraceRing(cfg.TraceRingEntries, cfg.TraceRingBytes),
+		traces:   telemetry.NewTraceRing(cfg.TraceRingEntries, 0),
 	}
 	if cfg.CacheDir != "" {
 		store, err := cache.OpenDiskStore(cfg.CacheDir, cfg.CacheMaxBytes)
@@ -363,7 +357,7 @@ func (s *Server) writeJobError(w http.ResponseWriter, r *http.Request, err error
 	switch {
 	case errors.Is(err, errBusy):
 		s.rejectRequest(r, "busy")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", "1") // seconds
 		writeError(w, http.StatusTooManyRequests, "analysis queue is full; retry later")
 	case errors.Is(err, errDraining):
 		s.rejectRequest(r, "draining")
@@ -427,10 +421,15 @@ type rendered struct {
 	loadErr error
 }
 
-// render runs one report over a solved result.
-func renderResult(name string, res *gator.Result, req report.Request) rendered {
+// render runs one report over a solved result as the render stage (a phase
+// on scope), then observes the result's stages and render in
+// stage_duration_us.
+func (s *Server) render(name string, res *gator.Result, req report.Request, scope *trace.Scope) rendered {
 	var out, errBuf bytes.Buffer
-	code := report.Render(&out, &errBuf, name, res, req)
+	var code int
+	stages := res.Stages()
+	scope.Stage(&stages, trace.StageRender, func() { code = report.Render(&out, &errBuf, name, res, req) })
+	s.observeStages(stages)
 	return rendered{code: code, out: out.Bytes(), errText: errBuf.String(), elapsed: res.Elapsed()}
 }
 
@@ -574,23 +573,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	sink, scope, traceID := s.captureScope(r, name)
 	opts.Trace = scope
-	start := time.Now()
 	var rd rendered
 	err := s.jobs.do(r.Context(), func() {
-		loadStart := time.Now()
 		app, err := gator.LoadCached(req.Sources, req.Layouts, s.appCache)
 		if err != nil {
 			rd.loadErr = err
 			return
 		}
-		s.observeStage(stageParseName, time.Since(loadStart))
 		app.Name = name
-		solveStart := time.Now()
-		res := app.Analyze(opts)
-		s.observeStage(stageSolveName, time.Since(solveStart))
-		renderStart := time.Now()
-		rd = renderResult(name, res, req.request())
-		s.observeStage(stageRenderName, time.Since(renderStart))
+		rd = s.render(name, app.Analyze(opts), req.request(), scope)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
@@ -600,7 +591,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", rd.loadErr)
 		return
 	}
-	s.reg.Observe("server.analyze.latency_us", time.Since(start).Microseconds())
 	s.cachePut(key, rd)
 	resp := rd.response(name, req.ReportSpec)
 	if sink != nil {
@@ -650,19 +640,15 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	err := s.jobs.do(r.Context(), func() {
 		solveOpts := sess.opts
 		solveOpts.Trace = scope
-		solveStart := time.Now()
 		res, err := gator.AnalyzeIncremental(nil, sess.sources, sess.layouts, solveOpts, s.appCache)
 		if err != nil {
 			rd.loadErr = err
 			return
 		}
-		s.observeStage(stageSolveName, time.Since(solveStart))
 		res.SetAppName(name)
 		sess.prev = res
 		incr = res.Incremental()
-		renderStart := time.Now()
-		rd = renderResult(name, res, req.request())
-		s.observeStage(stageRenderName, time.Since(renderStart))
+		rd = s.render(name, res, req.request(), scope)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
@@ -740,7 +726,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	var rd rendered
 	var incr gator.IncrementalStats
 	var patchErr error
-	start := time.Now()
 	err := s.jobs.do(r.Context(), func() {
 		// The per-session lock serializes concurrent patches: the second
 		// waits for the first instead of tripping over a consumed result.
@@ -750,7 +735,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		// Trace on a copy: the session's stored options stay scope-free.
 		solveOpts := sess.opts
 		solveOpts.Trace = scope
-		solveStart := time.Now()
 		res, err := gator.AnalyzeIncremental(sess.prev, sources, layouts, solveOpts, s.appCache)
 		if err != nil {
 			// A consumed previous result cannot be analyzed again; drop it
@@ -761,7 +745,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 			patchErr = err
 			return
 		}
-		s.observeStage(stageSolveName, time.Since(solveStart))
 		res.SetAppName(sess.name)
 		sess.prev = res
 		sess.sources = sources
@@ -774,9 +757,7 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		case "scratch":
 			s.reg.Add("server.sessions.scratch", 1)
 		}
-		renderStart := time.Now()
-		rd = renderResult(sess.name, res, req.request())
-		s.observeStage(stageRenderName, time.Since(renderStart))
+		rd = s.render(sess.name, res, req.request(), scope)
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
@@ -792,7 +773,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", patchErr)
 		return
 	}
-	s.reg.Observe("server.sessions.patch_latency_us", time.Since(start).Microseconds())
 	resp := rd.response(sess.name, req.ReportSpec)
 	resp.SessionID = sess.id
 	resp.Incremental = incrInfo(incr)
@@ -904,7 +884,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				sse("error", ErrorResponse{Error: rep.Err.Error()})
 				continue
 			}
-			rd := renderResult(rep.Name, rep.Result, req.request())
+			rd := s.render(rep.Name, rep.Result, req.request(), nil)
 			sse("result", rd.response(rep.Name, req.ReportSpec))
 		}
 		sse("done", BatchProgress{Total: len(inputs), Done: len(inputs)})

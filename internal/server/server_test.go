@@ -416,9 +416,9 @@ func TestDrainSemantics(t *testing.T) {
 }
 
 // TestBackpressure429 fills the worker and the queue, then checks the HTTP
-// mapping: 429 with a Retry-After hint.
+// mapping: 429 with a one-second Retry-After hint.
 func TestBackpressure429(t *testing.T) {
-	srv, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	srv, c := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	sources, layouts := figure1Maps()
 
 	gate := make(chan struct{})
@@ -439,8 +439,8 @@ func TestBackpressure429(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("analyze with full queue: %v, want 429", err)
 	}
-	if se.RetryAfter != 2*time.Second {
-		t.Fatalf("Retry-After = %v, want 2s", se.RetryAfter)
+	if se.RetryAfter != time.Second {
+		t.Fatalf("Retry-After = %v, want 1s", se.RetryAfter)
 	}
 }
 

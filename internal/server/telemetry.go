@@ -29,16 +29,6 @@ import (
 // echoes.
 const TraceparentHeader = "traceparent"
 
-// Pre-built labeled stage-histogram names: one histogram family,
-// stage_duration_us, with a bounded stage label set. Built once so the hot
-// path does no label formatting.
-var (
-	stageQueueName  = metrics.LabelName("stage_duration_us", "stage", "queue")
-	stageParseName  = metrics.LabelName("stage_duration_us", "stage", "parse")
-	stageSolveName  = metrics.LabelName("stage_duration_us", "stage", "solve")
-	stageRenderName = metrics.LabelName("stage_duration_us", "stage", "render")
-)
-
 // routeLabel maps a request path onto the bounded route label set (the
 // Go 1.22 mux does not expose the matched pattern, so the normalization is
 // by hand) and extracts the session id for paths that carry one. Unknown
@@ -191,14 +181,20 @@ func (s *Server) rejectRequest(r *http.Request, reason string) {
 	}
 }
 
-// observeStage records one pipeline-stage duration into the labeled
-// stage_duration_us histogram; no-op when telemetry is off.
-func (s *Server) observeStage(name string, d time.Duration) {
+// observeStages records a stage log in the stage_duration_us histogram
+// family, one series per stage label (the names are internal/trace's, so
+// the set stays bounded); no-op when telemetry is off.
+func (s *Server) observeStages(stages trace.Log) {
 	if !s.obs {
 		return
 	}
-	s.reg.Observe(name, d.Microseconds())
+	for _, t := range stages {
+		s.reg.Observe(stageMetric(t.Stage), t.Wall.Microseconds())
+	}
 }
+
+// stageMetric names one stage's stage_duration_us series.
+func stageMetric(stage string) string { return metrics.LabelName("stage_duration_us", "stage", stage) }
 
 // ---- solver trace capture ----
 

@@ -14,24 +14,29 @@ var update = flag.Bool("update", false, "rewrite the golden chrome trace file")
 
 // goldenEvents builds a deterministic event stream through the public API
 // with a synthetic monotonic clock: a two-worker batch, each app running
-// load then solve with an iteration and a rule firing.
+// parse then solve with an iteration and a rule firing. Two workers'
+// phases interleave without nesting, so the phase events go through
+// Tracer.Emit the way two concurrent Scope.Stage calls would deliver them.
 func goldenEvents() []Event {
 	sink := &Collect{}
 	tr := New(sink, WithClock(StepClock(10*time.Microsecond)))
 	a := tr.Scope("alpha", 0)
 	b := tr.Scope("beta", 1)
-	a.Begin("load")
-	a.End("load")
-	b.Begin("load")
-	a.Begin("solve")
+	phase := func(kind Kind, app string, worker int, name string) {
+		tr.Emit(Event{Kind: kind, App: app, Worker: worker, Name: name})
+	}
+	phase(KindPhaseBegin, "alpha", 0, StageParse)
+	phase(KindPhaseEnd, "alpha", 0, StageParse)
+	phase(KindPhaseBegin, "beta", 1, StageParse)
+	phase(KindPhaseBegin, "alpha", 0, StageSolve)
 	a.Iteration(1, 17)
 	a.Rule("FindView2", 4)
-	b.End("load")
-	b.Begin("solve")
+	phase(KindPhaseEnd, "beta", 1, StageParse)
+	phase(KindPhaseBegin, "beta", 1, StageSolve)
 	a.Dataflow("Alpha.onCreate()", 6)
-	a.End("solve")
+	phase(KindPhaseEnd, "alpha", 0, StageSolve)
 	b.Iteration(1, 3)
-	b.End("solve")
+	phase(KindPhaseEnd, "beta", 1, StageSolve)
 	return sink.Events()
 }
 

@@ -1,13 +1,15 @@
-// Package trace is the pipeline's instrumentation layer: typed events
-// (phase boundaries, solver rule firings, per-iteration worklist sizes,
+// Package trace is the pipeline's instrumentation layer: the stage
+// vocabulary and its timing hook (stage.go), typed events (phase
+// boundaries, solver rule firings, per-iteration worklist sizes,
 // dataflow-solver convergence) emitted through a Sink, with optional
 // aggregation into a metrics.Registry, and exporters for JSON lines and the
 // Chrome trace_event format (chrome.go).
 //
 // Overhead contract (see DESIGN.md, "Observability"): tracing disabled
-// means a nil *Tracer or nil *Scope, and every method on them is a no-op
-// that performs no allocation. Instrumented code therefore calls
-// scope.Begin(...)/scope.Rule(...) unconditionally; the disabled path is a
+// means a nil *Tracer or nil *Scope, and every method on them performs no
+// allocation and emits nothing; Stage still times its stage into the
+// caller's log. Instrumented code therefore calls
+// scope.Stage(...)/scope.Rule(...) unconditionally; the disabled path is a
 // nil check. The no-allocation guard in internal/core
 // (TestTracingDisabledZeroAlloc, BenchmarkSolveTracingDisabled) keeps this
 // contract honest.
@@ -34,8 +36,10 @@ type Registry interface {
 type Kind string
 
 const (
-	// KindPhaseBegin/KindPhaseEnd bracket one named pipeline phase
-	// ("load", "build", "solve", "check:<id>", "app") of one app.
+	// KindPhaseBegin/KindPhaseEnd bracket one pipeline stage of one app;
+	// Name is the stage (StageParse, StageLower, StageBuild,
+	// StageRetract, StageRebuild, StageSolve, StageRender, or CheckPrefix
+	// plus a pass id). Scope.Stage emits both.
 	KindPhaseBegin Kind = "phase-begin"
 	KindPhaseEnd   Kind = "phase-end"
 	// KindIteration reports one outer fixpoint round; N is the worklist
@@ -199,22 +203,6 @@ func (s *Scope) TraceID() string {
 func (s *Scope) emit(ev Event) {
 	ev.Trace = s.trace
 	s.t.Emit(ev)
-}
-
-// Begin marks the start of a named phase.
-func (s *Scope) Begin(phase string) {
-	if s == nil {
-		return
-	}
-	s.emit(Event{Kind: KindPhaseBegin, App: s.app, Worker: s.worker, Name: phase})
-}
-
-// End marks the end of a named phase.
-func (s *Scope) End(phase string) {
-	if s == nil {
-		return
-	}
-	s.emit(Event{Kind: KindPhaseEnd, App: s.app, Worker: s.worker, Name: phase})
 }
 
 // Iteration reports one outer fixpoint round with its entry worklist size.

@@ -30,13 +30,17 @@ func TestTracerEmitsScopedEvents(t *testing.T) {
 	tr := New(sink, WithClock(StepClock(time.Millisecond)), WithRegistry(reg))
 
 	s := tr.Scope("notepad", 2)
-	s.Begin("solve")
-	s.Iteration(1, 42)
-	s.Rule("FindView2", 3)
-	s.Rule("Inflate1", 0) // zero firings are dropped
-	s.Dataflow("Main.onCreate()", 7)
-	s.Count("custom", 5)
-	s.End("solve")
+	var log Log
+	s.Stage(&log, StageSolve, func() {
+		s.Iteration(1, 42)
+		s.Rule("FindView2", 3)
+		s.Rule("Inflate1", 0) // zero firings are dropped
+		s.Dataflow("Main.onCreate()", 7)
+		s.Count("custom", 5)
+	})
+	if len(log) != 1 || log[0].Stage != StageSolve || log[0].Wall <= 0 || log.Total() != log.Wall(StageSolve) {
+		t.Errorf("stage log = %+v, want one timed solve", log)
+	}
 
 	evs := sink.Events()
 	wantKinds := []Kind{KindPhaseBegin, KindIteration, KindRule, KindDataflow, KindCounter, KindPhaseEnd}
@@ -73,21 +77,24 @@ func TestTracerEmitsScopedEvents(t *testing.T) {
 }
 
 // TestDisabledTracingNoAlloc: every emission path on a nil tracer/scope is
-// an allocation-free no-op — the package's overhead contract.
+// an allocation-free no-op, and the stage hook only appends to its
+// pre-sized log — the package's overhead contract.
 func TestDisabledTracingNoAlloc(t *testing.T) {
 	var tr *Tracer
 	s := tr.Scope("app", 0)
 	if tr.Enabled() || s.Enabled() {
 		t.Fatal("nil tracer/scope reports enabled")
 	}
+	log := make(Log, 0, 1)
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Emit(Event{Kind: KindCounter})
-		s.Begin("solve")
-		s.Iteration(3, 100)
-		s.Rule("FindView2", 5)
-		s.Dataflow("m", 9)
-		s.Count("x", 1)
-		s.End("solve")
+		log = log[:0]
+		s.Stage(&log, StageSolve, func() {
+			s.Iteration(3, 100)
+			s.Rule("FindView2", 5)
+			s.Dataflow("m", 9)
+			s.Count("x", 1)
+		})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %v allocs/op, want 0", allocs)
@@ -118,8 +125,8 @@ func TestWriteJSON(t *testing.T) {
 	sink := &Collect{}
 	tr := New(sink, WithClock(StepClock(time.Microsecond)))
 	s := tr.Scope("a", 1)
-	s.Begin("load")
-	s.End("load")
+	var log Log
+	s.Stage(&log, StageParse, func() {})
 	var b strings.Builder
 	if err := WriteJSON(&b, sink.Events()); err != nil {
 		t.Fatal(err)
@@ -128,7 +135,7 @@ func TestWriteJSON(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("lines = %d:\n%s", len(lines), b.String())
 	}
-	want := `{"kind":"phase-begin","app":"a","worker":1,"name":"load","tsNs":1000}`
+	want := `{"kind":"phase-begin","app":"a","worker":1,"name":"parse","tsNs":1000}`
 	if lines[0] != want {
 		t.Errorf("line 0 = %s\nwant     %s", lines[0], want)
 	}
@@ -141,11 +148,12 @@ func TestRequestScopeStampsTraceID(t *testing.T) {
 	if sc.TraceID() != "0af7651916cd43dd8448eb211c80319c" {
 		t.Fatalf("TraceID = %q", sc.TraceID())
 	}
-	sc.Begin("solve")
-	sc.Iteration(1, 4)
-	sc.Rule("FindView2", 2)
-	sc.CacheProbe("parse", true)
-	sc.End("solve")
+	var log Log
+	sc.Stage(&log, StageSolve, func() {
+		sc.Iteration(1, 4)
+		sc.Rule("FindView2", 2)
+		sc.CacheProbe("parse", true)
+	})
 	events := sink.Events()
 	if len(events) != 5 {
 		t.Fatalf("%d events", len(events))
@@ -178,7 +186,7 @@ func TestRequestScopeStampsTraceID(t *testing.T) {
 	if plain.TraceID() != "" {
 		t.Fatal("plain scope has a trace id")
 	}
-	plain.Begin("solve")
+	plain.Stage(&log, StageSolve, func() {})
 	evs := sink.Events()
 	if last := evs[len(evs)-1]; last.Trace != "" {
 		t.Fatalf("plain scope stamped %q", last.Trace)

@@ -35,9 +35,12 @@
 #                      session request (both byte-compared against local
 #                      analysis), then exercises the telemetry surface —
 #                      scrapes /metrics, validates it as Prometheus text
-#                      with the in-repo parser, runs a ?trace=1 request, and
-#                      fetches the captured solver trace by its trace id —
-#                      then drains and shuts down cleanly
+#                      with the in-repo parser, requires a
+#                      gatord_stage_duration_us series for every stage of
+#                      the one vocabulary (queue, parse, lower, build,
+#                      retract, rebuild, solve, render), runs a ?trace=1
+#                      request, and fetches the captured solver trace by its
+#                      trace id — then drains and shuts down cleanly
 #   9. no-alloc      — BenchmarkSolveTracingDisabled asserts that disabled
 #                      tracing adds zero allocations to the solver
 #  10. ctx smoke     — `gatorbench -table precision -ctx 1cfa` over one small
