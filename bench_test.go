@@ -12,6 +12,7 @@ package gator
 //   - BenchmarkCaseStudy/<app> — the Section 5 case study: dynamic
 //     exploration plus oracle comparison.
 //   - BenchmarkAblation* — the design-choice ablations listed in DESIGN.md.
+//   - BenchmarkChecks — the checks layer alone (Section 6's error checks).
 //
 // Regenerate the actual tables with: go run ./cmd/gatorbench -table all
 
@@ -20,6 +21,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gator/internal/analysis"
 	"gator/internal/core"
 	"gator/internal/corpus"
 	"gator/internal/interp"
@@ -205,6 +207,41 @@ func BenchmarkSolveReference(b *testing.B) {
 
 func BenchmarkSolveOptimized(b *testing.B) {
 	benchSolveEngine(b, core.Options{})
+}
+
+// BenchmarkChecks measures the checks layer alone: every registered pass
+// (analysis.Run) over the 9 chain apps the repository benchmark's chain
+// workload draws from and over Astrid, the largest corpus app, each solved
+// once before the timer starts. It is the quick local loop for checker
+// work; scripts/ci.sh runs one iteration so that it keeps compiling.
+func BenchmarkChecks(b *testing.B) {
+	type solved struct {
+		name string
+		res  *core.Result
+	}
+	apps := []solved{{"Astrid", core.Analyze(builtApps["Astrid"], core.Options{})}}
+	for i := 0; i < 9; i++ {
+		nAct, depth := 40+5*i, 12+3*i/2
+		app, err := Load(corpus.ModularChainApp(nAct, depth))
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps = append(apps, solved{fmt.Sprintf("chain-%d-%d", nAct, depth), core.Analyze(app.prog, core.Options{})})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	findings := 0
+	for i := 0; i < b.N; i++ {
+		findings = 0
+		for _, a := range apps {
+			rep, err := analysis.Run(a.name, a.res, analysis.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			findings += len(rep.Findings)
+		}
+	}
+	b.ReportMetric(float64(findings), "findings")
 }
 
 // BenchmarkInterpreter measures the exploration oracle itself.

@@ -1,13 +1,15 @@
 package alite_test
 
 // FuzzParse: the ALite parser must never panic — malformed input yields an
-// error, nothing else. Seeded with the real on-disk demo app, the paper's
-// Figure 1 fragment (via the generated corpus), grammar corner cases, and
-// (checked in under testdata/fuzz/FuzzParse) input nested one level past
-// MaxNesting.
+// error, nothing else — and a lexical error anywhere in the input is the
+// whole result. Seeded with the real on-disk demo app, the paper's Figure 1
+// fragment (via the generated corpus), grammar corner cases, and (checked
+// in under testdata/fuzz/FuzzParse) input nested one level past MaxNesting,
+// with and without a lexical error after the point where parsing stops.
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"gator/internal/alite"
@@ -45,6 +47,9 @@ func FuzzParse(f *testing.F) {
 		file, err := alite.Parse("fuzz.alite", src)
 		if err == nil && file == nil {
 			t.Errorf("Parse returned neither file nor error")
+		}
+		if _, lexErr := alite.Tokenize("fuzz.alite", src); lexErr != nil && (file != nil || !reflect.DeepEqual(err, lexErr)) {
+			t.Errorf("Parse = (%v, %v), want only the lexical errors %v", file, err, lexErr)
 		}
 	})
 }

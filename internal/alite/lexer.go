@@ -174,7 +174,8 @@ func isHexDigit(r rune) bool {
 }
 
 // Tokenize scans the entire input and returns the token stream including the
-// trailing EOF token.
+// trailing EOF token. Parse does not use it: the parser reads the lexer
+// on demand, without holding every token.
 func Tokenize(file, src string) ([]Token, error) {
 	lx := NewLexer(file, src)
 	var toks []Token

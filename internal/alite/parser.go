@@ -39,10 +39,14 @@ package alite
 // catch.
 const MaxNesting = 1000
 
-// Parser parses a token stream into a *File.
+// Parser parses one Lexer's token stream into a *File. It reads tokens on
+// demand through a three-token lookahead window (the grammar peeks at most
+// two tokens past the current one), so parsing allocates the AST but no
+// token slice.
 type Parser struct {
-	toks  []Token
-	pos   int
+	lx    *Lexer
+	la    [3]Token // la[0] is the current token, la[1:n] the peeked ones
+	n     int      // filled tokens in la, at least 1
 	errs  ErrorList
 	file  string
 	depth int
@@ -51,23 +55,35 @@ type Parser struct {
 // bailout unwinds the parser once input nests deeper than MaxNesting.
 type bailout struct{}
 
-// Parse tokenizes and parses one ALite source file.
-func Parse(file, src string) (f *File, err error) {
-	toks, err := Tokenize(file, src)
-	if err != nil {
+// Parse parses one ALite source file. Lexical errors take precedence: when
+// the lexer reports any, Parse returns them alone and no file, even if a
+// parse error or the nesting bailout came first.
+func Parse(file, src string) (*File, error) {
+	p := &Parser{lx: NewLexer(file, src), file: file}
+	p.la[0], p.n = p.lx.Next(), 1
+	f := p.parseFileBounded()
+	// Finish lexing whatever the parser left unread: a lexical error past
+	// the point where parsing stopped still decides the result.
+	for p.lx.Next().Kind != EOF {
+	}
+	if err := p.lx.Errors().Err(); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, file: file}
+	return f, p.errs.Err()
+}
+
+// parseFileBounded is parseFile, returning an empty file once the parse
+// bails out on nesting deeper than MaxNesting.
+func (p *Parser) parseFileBounded() (f *File) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(bailout); !ok {
 				panic(r)
 			}
-			f, err = &File{Name: file}, p.errs.Err()
+			f = &File{Name: p.file}
 		}
 	}()
-	f = p.parseFile()
-	return f, p.errs.Err()
+	return p.parseFile()
 }
 
 // MustParse is Parse that panics on error; for tests and embedded corpora.
@@ -96,22 +112,30 @@ func (p *Parser) tooDeep() {
 
 func (p *Parser) leave() { p.depth-- }
 
-func (p *Parser) cur() Token     { return p.toks[p.pos] }
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
+func (p *Parser) cur() Token     { return p.la[0] }
+func (p *Parser) at(k Kind) bool { return p.la[0].Kind == k }
 
+// peekKind returns the kind of the token n places past the current one,
+// for n ≤ 2. Past the end it is EOF: the lexer keeps returning EOF.
 func (p *Parser) peekKind(n int) Kind {
-	i := p.pos + n
-	if i >= len(p.toks) {
-		return EOF
+	for p.n <= n {
+		p.la[p.n] = p.lx.Next()
+		p.n++
 	}
-	return p.toks[i].Kind
+	return p.la[n].Kind
 }
 
 func (p *Parser) next() Token {
-	t := p.cur()
-	if t.Kind != EOF {
-		p.pos++
+	t := p.la[0]
+	if t.Kind == EOF {
+		return t
 	}
+	if p.n == 1 {
+		p.la[0] = p.lx.Next()
+		return t
+	}
+	p.n--
+	copy(p.la[:p.n], p.la[1:p.n+1])
 	return t
 }
 

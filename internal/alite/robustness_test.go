@@ -3,6 +3,7 @@ package alite
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,30 @@ func TestNestingLimit(t *testing.T) {
 			}
 			if !errs[0].Pos.IsValid() || !strings.Contains(errs[0].Msg, "nesting deeper than 1000 levels") {
 				t.Errorf("%d levels: error %q, want a positioned nesting error", MaxNesting+1, errs[0])
+			}
+		})
+	}
+}
+
+// TestLexicalErrorPrecedence: the parser reads tokens on demand, yet a
+// lexical error anywhere in the file still decides the result, exactly as
+// if the whole input had been tokenized first: Parse returns no file and
+// the lexer's errors alone, even when the parse failed or bailed out on
+// nesting before reaching the bad character.
+func TestLexicalErrorPrecedence(t *testing.T) {
+	for name, src := range map[string]string{
+		"after-nesting-bailout": "class A {\n\tvoid m() {\n\t\tx = " + strings.Repeat("(", MaxNesting+1) + "@",
+		"after-parse-error":     "class A { void m() { x = ; } }\n@",
+		"unterminated-comment":  "class A { void m() { x = ; } } /* open",
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, want := Tokenize("p.alite", src)
+			if want == nil {
+				t.Fatal("input has no lexical error")
+			}
+			f, err := Parse("p.alite", src)
+			if f != nil || !reflect.DeepEqual(err, want) {
+				t.Errorf("Parse = (%v, %v), want (nil, %v)", f, err, want)
 			}
 		})
 	}

@@ -614,11 +614,19 @@ func handlerKeyOf(h platform.HandlerSig) string {
 	return h.Name + "(" + string(kinds) + ")"
 }
 
+// dedup drops repeated findings: the same check, position and message.
+// Context-sensitive clones of one site share its position and collapse;
+// two sites with the same message stay two findings.
 func dedup(fs []Finding) []Finding {
-	seen := map[string]bool{}
+	type key struct {
+		check string
+		pos   alite.Pos
+		msg   string
+	}
+	seen := map[key]bool{}
 	var out []Finding
 	for _, f := range fs {
-		k := f.Check + "|" + f.Msg
+		k := key{f.Check, f.Pos, f.Msg}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, f)

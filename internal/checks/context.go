@@ -33,6 +33,13 @@ type Context struct {
 	nullSeed map[*ir.Invoke]dataflow.NullVal
 	indexed  bool
 
+	// Memos of viewHelperCall and returnsModeled, which the seeding in
+	// buildIndexes asks once per call site: within one Context the first
+	// is a pure function of (declared receiver class, method key), the
+	// second of the callee.
+	helperCalls map[helperKey]bool
+	modeledRets map[*ir.Method]bool
+
 	// Program-point flowsTo machinery (flowsto.go).
 	reach         map[*ir.Method]*dataflow.ReachingDefs
 	allocsAt      map[*ir.New][]graph.Value
@@ -49,10 +56,19 @@ type Context struct {
 // NewContext prepares a pass context over one solved analysis.
 func NewContext(res *core.Result) *Context {
 	return &Context{
-		Res:     res,
-		cfgs:    map[*ir.Method]*cfg.Graph{},
-		nullRes: map[*ir.Method]*dataflow.Result[dataflow.NullFact]{},
+		Res:         res,
+		cfgs:        map[*ir.Method]*cfg.Graph{},
+		nullRes:     map[*ir.Method]*dataflow.Result[dataflow.NullFact]{},
+		helperCalls: map[helperKey]bool{},
+		modeledRets: map[*ir.Method]bool{},
 	}
+}
+
+// helperKey identifies a call's dispatch targets: its declared receiver
+// class and method key.
+type helperKey struct {
+	decl *ir.Class
+	key  string
 }
 
 // AppMethods returns every application method with a body, in deterministic
@@ -152,12 +168,24 @@ func (c *Context) viewHelperCall(s *ir.Invoke) bool {
 	if decl == nil {
 		return false
 	}
+	k := helperKey{decl, s.Key}
+	is, ok := c.helperCalls[k]
+	if !ok {
+		is = c.dispatchesToViewHelper(decl, s.Key)
+		c.helperCalls[k] = is
+	}
+	return is
+}
+
+// dispatchesToViewHelper is viewHelperCall's answer for a call of key on a
+// receiver declared as decl.
+func (c *Context) dispatchesToViewHelper(decl *ir.Class, key string) bool {
 	anyCallee, anyFind := false, false
 	for _, cls := range c.Res.Prog.AppClasses() {
 		if cls.IsInterface || !cls.SubtypeOf(decl) {
 			continue
 		}
-		callee := cls.Dispatch(s.Key)
+		callee := cls.Dispatch(key)
 		if callee == nil {
 			continue
 		}
@@ -183,6 +211,9 @@ func (c *Context) viewHelperCall(s *ir.Invoke) bool {
 // the body (see varModeled). Emptiness of the method's solved result is
 // provable only then.
 func (c *Context) returnsModeled(m *ir.Method) bool {
+	if ok, seen := c.modeledRets[m]; seen {
+		return ok
+	}
 	ok := true
 	visited := map[*ir.Var]bool{}
 	ir.WalkStmts(m.Body, func(s ir.Stmt) {
@@ -194,6 +225,7 @@ func (c *Context) returnsModeled(m *ir.Method) bool {
 			ok = false
 		}
 	})
+	c.modeledRets[m] = ok
 	return ok
 }
 

@@ -7,6 +7,8 @@ package checks
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -184,6 +186,8 @@ func (a contentAnalysis) Equal(x, y contentFact) bool {
 	return true
 }
 
+func (a contentAnalysis) Copy(x contentFact) contentFact { return maps.Clone(x) }
+
 func (a contentAnalysis) Transfer(s ir.Stmt, in contentFact) contentFact {
 	inv, ok := s.(*ir.Invoke)
 	if !ok {
@@ -193,14 +197,10 @@ func (a contentAnalysis) Transfer(s ir.Stmt, in contentFact) contentFact {
 	if !isSet || in == nil {
 		return in
 	}
-	out := make(contentFact, len(in)+len(ids))
-	for id := range in {
-		out[id] = true
-	}
 	for _, id := range ids {
-		out[id] = true
+		in[id] = true
 	}
-	return out
+	return in
 }
 
 func (a contentAnalysis) Branch(c ir.Cond, taken bool, out contentFact) contentFact { return out }
@@ -367,11 +367,12 @@ func (a listenerAnalysis) Entry(g *cfg.Graph) dataflow.Bits { return nil }
 func (a listenerAnalysis) Join(x, y dataflow.Bits) dataflow.Bits {
 	return x.Union(y)
 }
-func (a listenerAnalysis) Equal(x, y dataflow.Bits) bool { return x.Equal(y) }
+func (a listenerAnalysis) Equal(x, y dataflow.Bits) bool      { return x.Equal(y) }
+func (a listenerAnalysis) Copy(x dataflow.Bits) dataflow.Bits { return slices.Clone(x) }
 func (a listenerAnalysis) Transfer(s ir.Stmt, in dataflow.Bits) dataflow.Bits {
 	if inv, ok := s.(*ir.Invoke); ok {
 		if i, isSet := a.index[inv]; isSet {
-			return in.With(i)
+			in.Add(i)
 		}
 	}
 	return in

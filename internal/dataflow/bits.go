@@ -1,8 +1,12 @@
 package dataflow
 
-// Bits is a persistent-style bitset fact: operations return fresh sets and
-// never mutate their receivers, as the solver requires of facts. The nil
-// Bits is the empty set (and the Bottom of set-union instances).
+import "slices"
+
+// Bits is a bitset fact. Get, With, Union, Equal and Ones never mutate their
+// receiver, so Join can build on them (Join stays pure: it reads the
+// solver's stored facts); Add and Remove update a set in place, for
+// Transfer on the copy the solver hands it. The nil Bits is the empty set
+// (and the Bottom of set-union instances).
 type Bits []uint64
 
 // Get reports whether bit i is set.
@@ -13,14 +17,8 @@ func (b Bits) Get(i int) bool {
 
 // With returns a copy of b with bit i set.
 func (b Bits) With(i int) Bits {
-	w := i / 64
-	n := len(b)
-	if w >= n {
-		n = w + 1
-	}
-	out := make(Bits, n)
-	copy(out, b)
-	out[w] |= 1 << (uint(i) % 64)
+	out := slices.Clone(b)
+	out.Add(i)
 	return out
 }
 
@@ -45,19 +43,22 @@ func (b Bits) Union(o Bits) Bits {
 	return out
 }
 
-// AndNot returns b − o.
-func (b Bits) AndNot(o Bits) Bits {
-	if len(b) == 0 {
-		return nil
+// Add sets bit i in place, growing b when i lies past its last word.
+func (b *Bits) Add(i int) {
+	w := i / 64
+	if w >= len(*b) {
+		*b = append(*b, make(Bits, w+1-len(*b))...)
 	}
-	out := make(Bits, len(b))
-	copy(out, b)
-	for i := range out {
+	(*b)[w] |= 1 << (uint(i) % 64)
+}
+
+// Remove clears every member of o from b in place.
+func (b Bits) Remove(o Bits) {
+	for i := range b {
 		if i < len(o) {
-			out[i] &^= o[i]
+			b[i] &^= o[i]
 		}
 	}
-	return out
 }
 
 // Equal reports set equality (trailing zero words are insignificant).

@@ -24,9 +24,14 @@ import (
 // Analysis defines one forward dataflow problem over fact type F.
 //
 // The solver treats Bottom as the identity of Join and the fact of
-// unreachable code. Transfer must be pure: it must not mutate its input
-// fact. Branch refines a block-exit fact along one conditional edge; an
-// instance with no branch sensitivity returns out unchanged.
+// unreachable code. Facts are updated in place: the solver copies a
+// block's entry fact once, with Copy, and threads that copy through the
+// block's statements, so Transfer may update its input and return it.
+// Join and Branch must stay pure — they read the stored block-boundary
+// facts (Result.In and Out), which nothing may mutate — but may return one
+// of their inputs unchanged. Branch refines a block-exit fact along one
+// conditional edge; an instance with no branch sensitivity returns out
+// unchanged.
 type Analysis[F any] interface {
 	// Bottom is the identity fact: joined with anything it disappears, and
 	// unreachable blocks keep it.
@@ -37,7 +42,11 @@ type Analysis[F any] interface {
 	Join(a, b F) F
 	// Equal decides fixpoint convergence.
 	Equal(a, b F) bool
-	// Transfer computes the fact after one atomic statement.
+	// Copy returns a fact equal to f that Transfer may update without
+	// changing f.
+	Copy(f F) F
+	// Transfer computes the fact after one atomic statement. It may update
+	// in and return it.
 	Transfer(s ir.Stmt, in F) F
 	// Branch refines out along a conditional edge: taken is true for the
 	// condition-true successor.
@@ -97,8 +106,11 @@ func Forward[F any](g *cfg.Graph, an Analysis[F]) *Result[F] {
 		res.In[idx] = in
 
 		out := in
-		for _, s := range blk.Stmts {
-			out = an.Transfer(s, out)
+		if len(blk.Stmts) > 0 {
+			out = an.Copy(in)
+			for _, s := range blk.Stmts {
+				out = an.Transfer(s, out)
+			}
 		}
 		if an.Equal(out, res.Out[idx]) {
 			continue
@@ -117,10 +129,15 @@ func Forward[F any](g *cfg.Graph, an Analysis[F]) *Result[F] {
 // VisitStmts replays the transfer function through every block in index
 // order, calling f with the fact holding immediately *before* each
 // statement. This is how checkers read per-statement facts without the
-// solver having to store them.
+// solver having to store them. The fact passed to f is valid only during
+// that call: the replay updates it in place for the next statement, so a
+// callback that keeps it must Copy it.
 func (r *Result[F]) VisitStmts(f func(b *cfg.Block, s ir.Stmt, before F)) {
 	for _, b := range r.Graph.Blocks {
-		fact := r.In[b.Index]
+		if len(b.Stmts) == 0 {
+			continue
+		}
+		fact := r.An.Copy(r.In[b.Index])
 		for _, s := range b.Stmts {
 			f(b, s, fact)
 			fact = r.An.Transfer(s, fact)
@@ -130,18 +147,22 @@ func (r *Result[F]) VisitStmts(f func(b *cfg.Block, s ir.Stmt, before F)) {
 
 // At replays the transfer function through the containing block and returns
 // the fact holding immediately *before* one statement — the per-program-point
-// reading of a block-boundary solution. The second result is false when the
-// statement is not part of the solved graph. Cost is one scan of the blocks
-// plus one replay of the containing block's prefix; clients querying many
-// points of one method should prefer VisitStmts.
+// reading of a block-boundary solution. The caller owns the returned fact.
+// The second result is false when the statement is not part of the solved
+// graph. Cost is one scan of the blocks plus one replay of the containing
+// block's prefix; clients querying many points of one method should prefer
+// VisitStmts.
 func (r *Result[F]) At(target ir.Stmt) (F, bool) {
 	for _, b := range r.Graph.Blocks {
-		fact := r.In[b.Index]
-		for _, s := range b.Stmts {
-			if s == target {
-				return fact, true
+		for i, s := range b.Stmts {
+			if s != target {
+				continue
 			}
-			fact = r.An.Transfer(s, fact)
+			fact := r.An.Copy(r.In[b.Index])
+			for _, p := range b.Stmts[:i] {
+				fact = r.An.Transfer(p, fact)
+			}
+			return fact, true
 		}
 	}
 	var zero F

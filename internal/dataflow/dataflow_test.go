@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"testing"
 
 	"gator/internal/alite"
@@ -42,13 +43,14 @@ func localVar(g *cfg.Graph, name string) *ir.Var {
 }
 
 // factAt returns the fact immediately before the first statement matching
-// pred, replayed through the solved result.
+// pred, replayed through the solved result. It copies the fact: the replay
+// updates the one it passes in place once the callback returns.
 func factAt[F any](res *Result[F], pred func(ir.Stmt) bool) (F, bool) {
 	var out F
 	found := false
 	res.VisitStmts(func(b *cfg.Block, s ir.Stmt, before F) {
 		if !found && pred(s) {
-			out = before
+			out = res.An.Copy(before)
 			found = true
 		}
 	})
@@ -64,9 +66,19 @@ func TestBits(t *testing.T) {
 	if !b.Get(3) || !b.Get(70) || b.Get(4) {
 		t.Errorf("membership wrong: %v", b.Ones())
 	}
-	c := b.AndNot(Bits{}.With(3))
+	c := slices.Clone(b)
+	c.Remove(Bits{}.With(3))
 	if c.Get(3) || !c.Get(70) {
-		t.Errorf("andnot wrong: %v", c.Ones())
+		t.Errorf("remove wrong: %v", c.Ones())
+	}
+	if !b.Get(3) {
+		t.Error("remove changed the set it was copied from")
+	}
+	var d Bits
+	d.Add(130)
+	d.Add(2)
+	if got := d.Ones(); len(got) != 2 || got[0] != 2 || got[1] != 130 {
+		t.Errorf("add wrong: %v", got)
 	}
 	u := c.Union(Bits{}.With(1))
 	if got := u.Ones(); len(got) != 2 || got[0] != 1 || got[1] != 70 {

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"maps"
+
 	"gator/internal/cfg"
 	"gator/internal/ir"
 )
@@ -102,6 +104,9 @@ func (nl *Nullness) Join(a, b NullFact) NullFact {
 	return out
 }
 
+// Copy clones f; bottom (nil) stays nil.
+func (nl *Nullness) Copy(f NullFact) NullFact { return maps.Clone(f) }
+
 func (nl *Nullness) Equal(a, b NullFact) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
@@ -114,48 +119,44 @@ func (nl *Nullness) Equal(a, b NullFact) bool {
 	return true
 }
 
-// set returns a copy of f with v set (or cleared, for NullUnknown).
-func (f NullFact) set(v *ir.Var, val NullVal) NullFact {
-	out := make(NullFact, len(f)+1)
-	for k, x := range f {
-		out[k] = x
-	}
+// set updates f in place: v takes val, or is cleared for NullUnknown.
+func (f NullFact) set(v *ir.Var, val NullVal) {
 	if val.K == NullUnknown {
-		delete(out, v)
+		delete(f, v)
 	} else {
-		out[v] = val
+		f[v] = val
 	}
-	return out
 }
 
+// Transfer updates in in place and returns it.
 func (nl *Nullness) Transfer(s ir.Stmt, in NullFact) NullFact {
 	if in == nil {
 		return nil // unreachable stays unreachable
 	}
 	switch s := s.(type) {
 	case *ir.ConstNull:
-		return in.set(s.Dst, NullVal{K: Null, Why: "null assigned at " + s.At.String()})
+		in.set(s.Dst, NullVal{K: Null, Why: "null assigned at " + s.At.String()})
 	case *ir.New:
-		return in.set(s.Dst, NullVal{K: NonNull})
+		in.set(s.Dst, NullVal{K: NonNull})
 	case *ir.ConstInt:
-		return in.set(s.Dst, NullVal{K: NonNull})
+		in.set(s.Dst, NullVal{K: NonNull})
 	case *ir.ConstRes:
-		return in.set(s.Dst, NullVal{K: NonNull})
+		in.set(s.Dst, NullVal{K: NonNull})
 	case *ir.ConstClass:
-		return in.set(s.Dst, NullVal{K: NonNull})
+		in.set(s.Dst, NullVal{K: NonNull})
 	case *ir.Copy:
-		return in.set(s.Dst, in.Get(s.Src))
+		in.set(s.Dst, in.Get(s.Src))
 	case *ir.Load:
 		// Field contents are unknown; a completed load proves the base
 		// was non-null.
-		out := in.set(s.Dst, NullVal{})
-		return out.set(s.Base, NullVal{K: NonNull})
+		in.set(s.Dst, NullVal{})
+		in.set(s.Base, NullVal{K: NonNull})
 	case *ir.Store:
-		return in.set(s.Base, NullVal{K: NonNull})
+		in.set(s.Base, NullVal{K: NonNull})
 	case *ir.Invoke:
 		// A completed call proves the receiver non-null; the result takes
 		// its seed from the reference analysis when one exists.
-		out := in.set(s.Recv, NullVal{K: NonNull})
+		in.set(s.Recv, NullVal{K: NonNull})
 		if s.Dst != nil {
 			val := NullVal{}
 			if nl.Seed != nil {
@@ -163,16 +164,16 @@ func (nl *Nullness) Transfer(s ir.Stmt, in NullFact) NullFact {
 					val = sv
 				}
 			}
-			out = out.set(s.Dst, val)
+			in.set(s.Dst, val)
 		}
-		return out
 	}
 	return in
 }
 
 // Branch refines the fact along a null-test edge. An edge contradicting a
 // definite fact is infeasible and yields bottom, which keeps downstream
-// diagnostics quiet on paths that cannot execute.
+// diagnostics quiet on paths that cannot execute. Unlike Transfer, it
+// never updates out.
 func (nl *Nullness) Branch(c ir.Cond, taken bool, out NullFact) NullFact {
 	if out == nil || c.Nondet || c.X == nil {
 		return out
@@ -187,10 +188,17 @@ func (nl *Nullness) Branch(c ir.Cond, taken bool, out NullFact) NullFact {
 		if cur.K == Null {
 			return out
 		}
-		return out.set(c.X, NullVal{K: Null, Why: "tested == null"})
+		return out.with(c.X, NullVal{K: Null, Why: "tested == null"})
 	}
 	if cur.K == Null {
 		return nil // infeasible edge
 	}
-	return out.set(c.X, NullVal{K: NonNull})
+	return out.with(c.X, NullVal{K: NonNull})
+}
+
+// with returns a copy of f with v set: Branch's pure counterpart of set.
+func (f NullFact) with(v *ir.Var, val NullVal) NullFact {
+	out := maps.Clone(f)
+	out.set(v, val)
+	return out
 }

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"gator/internal/cfg"
 	"gator/internal/ir"
 )
@@ -112,6 +114,7 @@ func (a rdAnalysis) Bottom() Bits                                { return nil }
 func (a rdAnalysis) Entry(g *cfg.Graph) Bits                     { return a.rd.entryAll }
 func (a rdAnalysis) Join(x, y Bits) Bits                         { return x.Union(y) }
 func (a rdAnalysis) Equal(x, y Bits) bool                        { return x.Equal(y) }
+func (a rdAnalysis) Copy(x Bits) Bits                            { return slices.Clone(x) }
 func (a rdAnalysis) Branch(c ir.Cond, taken bool, out Bits) Bits { return out }
 
 func (a rdAnalysis) Transfer(s ir.Stmt, in Bits) Bits {
@@ -119,5 +122,7 @@ func (a rdAnalysis) Transfer(s ir.Stmt, in Bits) Bits {
 	if v == nil {
 		return in
 	}
-	return in.AndNot(a.rd.kills[v]).With(a.rd.index[s])
+	in.Remove(a.rd.kills[v])
+	in.Add(a.rd.index[s])
+	return in
 }

@@ -41,8 +41,12 @@
 #                      retract, rebuild, solve, render), runs a ?trace=1
 #                      request, and fetches the captured solver trace by its
 #                      trace id — then drains and shuts down cleanly
-#   9. no-alloc      — BenchmarkSolveTracingDisabled asserts that disabled
-#                      tracing adds zero allocations to the solver
+#   9. benchmarks    — BenchmarkSolveTracingDisabled asserts that disabled
+#                      tracing adds zero allocations to the solver; one
+#                      iteration of BenchmarkChecks (every checker over the
+#                      9 chain apps and Astrid, with allocations reported)
+#                      keeps the checks layer's quick local benchmark
+#                      compiling and running
 #  10. ctx smoke     — `gatorbench -table precision -ctx 1cfa` over one small
 #                      corpus app: the context-sensitive solver stays sound
 #                      against the oracle (the command exits nonzero on any
@@ -123,6 +127,8 @@ go run ./cmd/gatord -smoke examples/buggyapp
 
 echo "== zero-allocation guard (tracing disabled)"
 go test -run TestTracingDisabledZeroAlloc -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== checks-layer benchmark (one iteration)"
+go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
 
 echo "== context-sensitivity precision smoke (TippyTipper, 1cfa)"
 go run ./cmd/gatorbench -table precision -app TippyTipper -ctx 1cfa > /dev/null
