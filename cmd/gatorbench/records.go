@@ -131,8 +131,8 @@ func measureIncremental(int) (*metrics.Record, error) {
 			metric("speedup", "x", "higher", float64(c.cold)/float64(c.warm), metrics.Relative(0.15), metrics.Floor(5)),
 			metric("cold_ms", "ms", "lower", ms(c.cold)),
 			metric("warm_ms", "ms", "lower", ms(c.warm)),
-			metric("retained", "count", "", float64(c.last.Retained)),
-			metric("retracted", "count", "", float64(c.last.Retracted)),
+			metric("retained", "count", "", float64(c.last.Retained), metrics.Exact()),
+			metric("retracted", "count", "", float64(c.last.Retracted), metrics.Exact()),
 		},
 		Detail: map[string]any{"app": fmt.Sprintf("modular-%d", nActs), "units": c.units, "edits": edits},
 	}, nil

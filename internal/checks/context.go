@@ -3,7 +3,6 @@ package checks
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gator/internal/cfg"
 	"gator/internal/core"
@@ -22,23 +21,29 @@ import (
 type Context struct {
 	Res *core.Result
 
-	// Trace, when non-nil, receives one dataflow event per nullness solve
-	// with the method name and its block-visit count.
+	// Trace, when non-nil, receives one dataflow event per dataflow solve
+	// (see traceSolve) with the method name and its block-visit count.
 	Trace *trace.Scope
 
-	cfgs     map[*ir.Method]*cfg.Graph
-	nullRes  map[*ir.Method]*dataflow.Result[dataflow.NullFact]
-	siteOps  map[*ir.Invoke][]*graph.OpNode
-	methOps  map[*ir.Method][]*graph.OpNode
-	nullSeed map[*ir.Invoke]dataflow.NullVal
+	appMethods []*ir.Method
+	cfgs       map[*ir.Method]*cfg.Graph
+	nullRes    map[*ir.Method]*dataflow.Result[dataflow.NullFact]
+	siteOps    map[*ir.Invoke][]*graph.OpNode
+	methOps    map[*ir.Method][]*graph.OpNode
+	nullSeed   map[*ir.Invoke]dataflow.NullVal
+	// nullable holds the application methods where Null can enter, per
+	// dataflow.Nullness.Introduces.
+	nullable map[*ir.Method]bool
 	indexed  bool
 
 	// Memos of viewHelperCall and returnsModeled, which the seeding in
 	// buildIndexes asks once per call site: within one Context the first
 	// is a pure function of (declared receiver class, method key), the
-	// second of the callee.
+	// second of the callee. defs indexes a method's definitions by
+	// variable for varModeled.
 	helperCalls map[helperKey]bool
 	modeledRets map[*ir.Method]bool
+	defs        map[*ir.Method]map[*ir.Var][]ir.Stmt
 
 	// Program-point flowsTo machinery (flowsto.go).
 	reach         map[*ir.Method]*dataflow.ReachingDefs
@@ -61,6 +66,7 @@ func NewContext(res *core.Result) *Context {
 		nullRes:     map[*ir.Method]*dataflow.Result[dataflow.NullFact]{},
 		helperCalls: map[helperKey]bool{},
 		modeledRets: map[*ir.Method]bool{},
+		defs:        map[*ir.Method]map[*ir.Var][]ir.Stmt{},
 	}
 }
 
@@ -72,17 +78,19 @@ type helperKey struct {
 }
 
 // AppMethods returns every application method with a body, in deterministic
-// (class, signature) order.
+// (class, signature) order. The slice is memoized: callers must not modify
+// it.
 func (c *Context) AppMethods() []*ir.Method {
-	var out []*ir.Method
-	for _, cl := range c.Res.Prog.AppClasses() {
-		for _, m := range cl.MethodsSorted() {
-			if m.Body != nil {
-				out = append(out, m)
+	if c.appMethods == nil {
+		for _, cl := range c.Res.Prog.AppClasses() {
+			for _, m := range cl.MethodsSorted() {
+				if m.Body != nil {
+					c.appMethods = append(c.appMethods, m)
+				}
 			}
 		}
 	}
-	return out
+	return c.appMethods
 }
 
 // CFG returns the memoized control-flow graph of a method.
@@ -134,24 +142,37 @@ func (c *Context) buildIndexes() {
 	// per-caller clone split can empty exactly one caller's result, and
 	// these seeds are where that sharper precision frontier reaches the
 	// nullness checker.
+	//
+	// The same walk marks the methods where Null can enter. It asks
+	// Introduces about a call only after deciding the call's seed.
+	nl := dataflow.Nullness{Seed: c.seed}
+	c.nullable = map[*ir.Method]bool{}
 	for _, m := range c.AppMethods() {
 		ir.WalkStmts(m.Body, func(s ir.Stmt) {
-			inv, ok := s.(*ir.Invoke)
-			if !ok || inv.Dst == nil || inv.Recv == nil || len(c.siteOps[inv]) > 0 {
-				return
+			if inv, ok := s.(*ir.Invoke); ok && c.emptyHelperCall(inv) {
+				c.nullSeed[inv] = dataflow.NullVal{
+					K:   dataflow.Null,
+					Why: fmt.Sprintf("%s at %s can never return a view", callName(inv), inv.At),
+				}
 			}
-			if len(c.Res.VarPointsTo(inv.Dst)) != 0 || len(c.Res.VarPointsTo(inv.Recv)) == 0 {
-				return
-			}
-			if !c.viewHelperCall(inv) {
-				return
-			}
-			c.nullSeed[inv] = dataflow.NullVal{
-				K:   dataflow.Null,
-				Why: fmt.Sprintf("%s at %s can never return a view", callName(inv), inv.At),
+			if nl.Introduces(s) {
+				c.nullable[m] = true
 			}
 		})
 	}
+}
+
+// emptyHelperCall reports whether a call that no operation node models
+// returns a helper's empty result: a live receiver, an empty solved
+// destination, and a view-helper callee (see viewHelperCall).
+func (c *Context) emptyHelperCall(inv *ir.Invoke) bool {
+	if inv.Dst == nil || inv.Recv == nil || len(c.siteOps[inv]) > 0 {
+		return false
+	}
+	if len(c.Res.VarPointsTo(inv.Dst)) != 0 || len(c.Res.VarPointsTo(inv.Recv)) == 0 {
+		return false
+	}
+	return c.viewHelperCall(inv)
 }
 
 // viewHelperCall reports whether every dispatch target of a call is a
@@ -240,30 +261,42 @@ func (c *Context) varModeled(m *ir.Method, v *ir.Var, visited map[*ir.Var]bool) 
 		return true
 	}
 	visited[v] = true
-	modeled := true
-	ir.WalkStmts(m.Body, func(s ir.Stmt) {
-		if !modeled || ir.Def(s) != v {
-			return
-		}
+	for _, s := range c.defsOf(m)[v] {
 		if cp, isCopy := s.(*ir.Copy); isCopy {
 			if !c.varModeled(m, cp.Src, visited) {
-				modeled = false
+				return false
 			}
-			return
+			continue
 		}
 		if _, ok := c.defValues(s); !ok {
-			modeled = false
+			return false
+		}
+	}
+	return true
+}
+
+// defsOf returns m's definitions indexed by the variable they define, each
+// list in body order, from one walk of the body per method.
+func (c *Context) defsOf(m *ir.Method) map[*ir.Var][]ir.Stmt {
+	if d, ok := c.defs[m]; ok {
+		return d
+	}
+	d := map[*ir.Var][]ir.Stmt{}
+	ir.WalkStmts(m.Body, func(s ir.Stmt) {
+		if v := ir.Def(s); v != nil {
+			d[v] = append(d[v], s)
 		}
 	})
-	return modeled
+	c.defs[m] = d
+	return d
 }
 
 func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.NullVal, bool) {
 	if site.Dst == nil {
 		return dataflow.NullVal{}, false
 	}
-	seen := false
-	var why string
+	var last *graph.OpNode
+	var ids []string
 	for _, op := range ops {
 		switch op.Kind {
 		case platform.OpFindView1, platform.OpFindView2, platform.OpFindView3:
@@ -275,25 +308,25 @@ func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.Nu
 			return dataflow.NullVal{}, false
 		}
 		if op.Kind != platform.OpFindView3 {
-			ids := idNames(c.Res.OpArg(op, 0))
-			if len(ids) == 0 {
+			if ids = idNames(c.Res.OpArg(op, 0)); len(ids) == 0 {
 				return dataflow.NullVal{}, false
 			}
-			why = fmt.Sprintf("findViewById(%s) at %s can never find a view", joinNames(ids), opPos(op))
-		} else {
-			name := site.Key
-			if i := strings.IndexByte(name, '('); i >= 0 {
-				name = name[:i]
-			}
-			why = fmt.Sprintf("%s at %s can never retrieve a view", name, opPos(op))
 		}
 		if len(c.Res.OpResults(op)) != 0 {
 			return dataflow.NullVal{}, false
 		}
-		seen = true
+		last = op
 	}
-	if !seen {
+	if last == nil {
 		return dataflow.NullVal{}, false
+	}
+	// The reason names the last operation. It is formatted only for a
+	// seeded site: most find-view sites find a view.
+	var why string
+	if last.Kind != platform.OpFindView3 {
+		why = fmt.Sprintf("findViewById(%s) at %s can never find a view", joinNames(ids), opPos(last))
+	} else {
+		why = fmt.Sprintf("%s at %s can never retrieve a view", callName(site), opPos(last))
 	}
 	return dataflow.NullVal{K: dataflow.Null, Why: why}, true
 }
@@ -305,15 +338,35 @@ func (c *Context) Nullness(m *ir.Method) *dataflow.Result[dataflow.NullFact] {
 		return r
 	}
 	c.buildIndexes()
-	r := dataflow.SolveNullness(c.CFG(m), func(s *ir.Invoke) (dataflow.NullVal, bool) {
-		v, ok := c.nullSeed[s]
-		return v, ok
-	})
+	r := traceSolve(c, m, dataflow.SolveNullness(c.CFG(m), c.seed))
 	c.nullRes[m] = r
-	if c.Trace.Enabled() {
-		c.Trace.Dataflow(m.String(), int64(r.Visits))
-	}
 	return r
+}
+
+// seed is the nullness Seed: the Null that buildIndexes derived from the
+// reference analysis for a call result, if any.
+func (c *Context) seed(s *ir.Invoke) (dataflow.NullVal, bool) {
+	v, ok := c.nullSeed[s]
+	return v, ok
+}
+
+// mayHoldNull reports whether Null can enter application method m (see
+// dataflow.Nullness.Introduces). Only then can its nullness solution hold
+// a Null fact, so only then can null-view-deref report in m.
+func (c *Context) mayHoldNull(m *ir.Method) bool {
+	c.buildIndexes()
+	return c.nullable[m]
+}
+
+// traceSolve reports one dataflow solve over m to the trace, with its
+// block visits to fixpoint, and returns res. Every solve of the checks
+// layer goes through it: nullness, reaching definitions, and the content
+// and listener analyses of the CFG passes.
+func traceSolve[F any](c *Context, m *ir.Method, res *dataflow.Result[F]) *dataflow.Result[F] {
+	if c.Trace.Enabled() {
+		c.Trace.Dataflow(m.String(), int64(res.Visits))
+	}
+	return res
 }
 
 // OpsAt returns the operation nodes materialized for one call site.

@@ -15,6 +15,7 @@ import (
 	"gator/internal/alite"
 	"gator/internal/cfg"
 	"gator/internal/dataflow"
+	"gator/internal/graph"
 	"gator/internal/ir"
 	"gator/internal/platform"
 )
@@ -44,30 +45,29 @@ func checkFindViewBeforeSetContent(ctx *Context) []Finding {
 	for _, m := range ctx.AppMethods() {
 		// Group this method's content-install and find-view operations by
 		// call site (context-sensitive clones union their solutions).
-		setBySite := map[*ir.Invoke][]int{}
-		findBySite := map[*ir.Invoke][]int{}
+		var setBySite, findBySite map[*ir.Invoke][]int
 		var allSet []int
 		for _, op := range ctx.OpsIn(m) {
-			if op.Site == nil {
+			isSet := op.Kind == platform.OpInflate2 || op.Kind == platform.OpAddView1
+			if op.Site == nil || !isSet && op.Kind != platform.OpFindView2 {
 				continue
 			}
 			recvs := ctx.receiverIDs(op)
 			if len(recvs) == 0 {
 				continue // dead op
 			}
-			switch op.Kind {
-			case platform.OpInflate2, platform.OpAddView1:
-				setBySite[op.Site] = mergeIDs(setBySite[op.Site], recvs)
+			if isSet {
+				setBySite = addIDs(setBySite, op.Site, recvs)
 				allSet = mergeIDs(allSet, recvs)
-			case platform.OpFindView2:
-				findBySite[op.Site] = mergeIDs(findBySite[op.Site], recvs)
+			} else {
+				findBySite = addIDs(findBySite, op.Site, recvs)
 			}
 		}
 		if len(setBySite) == 0 || len(findBySite) == 0 {
 			continue
 		}
 
-		res := dataflow.Forward[contentFact](ctx.CFG(m), contentAnalysis{setBySite: setBySite})
+		res := traceSolve(ctx, m, dataflow.Forward[contentFact](ctx.CFG(m), contentAnalysis{setBySite: setBySite}))
 		type hit struct {
 			pos  alite.Pos
 			site *ir.Invoke
@@ -129,20 +129,33 @@ func (c *Context) findViewIDNames(site *ir.Invoke) []string {
 	return out
 }
 
+// mergeIDs returns the sorted union of two sorted ID slices.
 func mergeIDs(a, b []int) []int {
-	seen := map[int]bool{}
-	for _, x := range a {
-		seen[x] = true
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var x int
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			x, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			x, b = b[0], b[1:]
+		default:
+			x, a, b = a[0], a[1:], b[1:]
+		}
+		if len(out) == 0 || out[len(out)-1] != x {
+			out = append(out, x)
+		}
 	}
-	for _, x := range b {
-		seen[x] = true
-	}
-	out := make([]int, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// addIDs merges ids into bySite[site], allocating bySite on first use.
+func addIDs(bySite map[*ir.Invoke][]int, site *ir.Invoke, ids []int) map[*ir.Invoke][]int {
+	if bySite == nil {
+		bySite = map[*ir.Invoke][]int{}
+	}
+	bySite[site] = mergeIDs(bySite[site], ids)
+	return bySite
 }
 
 // contentFact is the must-analysis fact of checkFindViewBeforeSetContent:
@@ -209,46 +222,55 @@ func (a contentAnalysis) Branch(c ir.Cond, taken bool, out contentFact) contentF
 // null: results of find-view calls whose static solution is empty (seeded
 // by the reference analysis), null constants, and null-tested branches.
 // This is the dereference-site refinement of dangling-findview: the defect
-// is reported where the program would actually throw.
+// is reported where the program would actually throw. A method Null cannot
+// enter (see Context.mayHoldNull) gets no CFG and no solve.
 func checkNullViewDeref(ctx *Context) []Finding {
 	var out []Finding
 	for _, m := range ctx.AppMethods() {
-		res := ctx.Nullness(m)
-		res.VisitStmts(func(b *cfg.Block, s ir.Stmt, before dataflow.NullFact) {
-			if before == nil {
-				return // unreachable
-			}
-			var base *ir.Var
-			var action string
-			switch s := s.(type) {
-			case *ir.Invoke:
-				base, action = s.Recv, "calling "+callName(s)+" on it"
-			case *ir.Load:
-				base, action = s.Base, "reading field "+s.Field.Name
-			case *ir.Store:
-				base, action = s.Base, "writing field "+s.Field.Name
-			}
-			if base == nil || base == m.This {
-				return
-			}
-			v := before.Get(base)
-			if v.K != dataflow.Null {
-				return
-			}
-			why := v.Why
-			if why == "" {
-				why = "assigned null"
-			}
-			out = append(out, Finding{
-				Check:    "null-view-deref",
-				Severity: Warning,
-				Pos:      s.Pos(),
-				Msg: fmt.Sprintf("%s is always null here (%s); %s throws a NullPointerException",
-					base.Name, why, action),
-				SuggestedFix: "guard the dereference with a null check, or fix the id/layout so the lookup succeeds",
-			})
-		})
+		if ctx.mayHoldNull(m) {
+			out = append(out, nullViewDerefs(ctx, m)...)
+		}
 	}
+	return out
+}
+
+// nullViewDerefs solves nullness over m and reports its null dereferences.
+func nullViewDerefs(ctx *Context, m *ir.Method) []Finding {
+	var out []Finding
+	ctx.Nullness(m).VisitStmts(func(b *cfg.Block, s ir.Stmt, before dataflow.NullFact) {
+		if before == nil {
+			return // unreachable
+		}
+		var base *ir.Var
+		var action string
+		switch s := s.(type) {
+		case *ir.Invoke:
+			base, action = s.Recv, "calling "+callName(s)+" on it"
+		case *ir.Load:
+			base, action = s.Base, "reading field "+s.Field.Name
+		case *ir.Store:
+			base, action = s.Base, "writing field "+s.Field.Name
+		}
+		if base == nil || base == m.This {
+			return
+		}
+		v := before.Get(base)
+		if v.K != dataflow.Null {
+			return
+		}
+		why := v.Why
+		if why == "" {
+			why = "assigned null"
+		}
+		out = append(out, Finding{
+			Check:    "null-view-deref",
+			Severity: Warning,
+			Pos:      s.Pos(),
+			Msg: fmt.Sprintf("%s is always null here (%s); %s throws a NullPointerException",
+				base.Name, why, action),
+			SuggestedFix: "guard the dereference with a null check, or fix the id/layout so the lookup succeeds",
+		})
+	})
 	return out
 }
 
@@ -261,90 +283,119 @@ func checkNullViewDeref(ctx *Context) []Finding {
 // set-listener sites that may already have executed. At each site, any
 // reaching site with the same event and an overlapping receiver-view
 // solution is a handler this statement silently discards.
+//
+// Receivers are program-point receivers (flowsTo at the registration site,
+// see flowsto.go), which need reaching definitions. They are subsets of the
+// flow-insensitive receivers, so a method without a conflict among the
+// latter has none among the former and gets no CFG and no solve.
 func checkListenerReset(ctx *Context) []Finding {
 	var out []Finding
 	for _, m := range ctx.AppMethods() {
-		// Collect this method's live set-listener sites in source order.
-		type lsite struct {
-			site  *ir.Invoke
-			event string
-			recvs []int
+		if _, conflict := listenerConflicts(listenerSites(ctx, m, ctx.receiverIDs)); conflict {
+			out = append(out, listenerResets(ctx, m)...)
 		}
-		bySite := map[*ir.Invoke]*lsite{}
-		var sites []*lsite
-		for _, op := range ctx.OpsIn(m) {
-			if op.Kind != platform.OpSetListener || op.Site == nil || op.Event == "" {
-				continue
-			}
-			// Program-point receivers: flowsTo at the registration site, not
-			// the whole-method merge (see flowsto.go).
-			recvs := ctx.pointRecvIDs(m, op)
-			if len(recvs) == 0 {
-				continue // dead op
-			}
-			if ls, ok := bySite[op.Site]; ok {
-				ls.recvs = mergeIDs(ls.recvs, recvs)
-				continue
-			}
-			ls := &lsite{site: op.Site, event: op.Event, recvs: recvs}
-			bySite[op.Site] = ls
-			sites = append(sites, ls)
-		}
-		if len(sites) < 2 {
-			continue
-		}
-		sort.Slice(sites, func(i, j int) bool { return posLess(sites[i].site.At, sites[j].site.At) })
-		index := map[*ir.Invoke]int{}
-		for i, ls := range sites {
-			index[ls.site] = i
-		}
-		// conflicts[i]: the sites whose handler site i would replace.
-		conflicts := make([]dataflow.Bits, len(sites))
-		any := false
-		for i, a := range sites {
-			for j, b := range sites {
-				if i != j && a.event == b.event && intersects(a.recvs, b.recvs) {
-					conflicts[i] = conflicts[i].With(j)
-					any = true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-
-		res := dataflow.Forward[dataflow.Bits](ctx.CFG(m), listenerAnalysis{index: index})
-		reported := map[*ir.Invoke]bool{}
-		res.VisitStmts(func(b *cfg.Block, s ir.Stmt, before dataflow.Bits) {
-			inv, ok := s.(*ir.Invoke)
-			if !ok || reported[inv] {
-				return
-			}
-			i, isSet := index[inv]
-			if !isSet {
-				return
-			}
-			var replacedAt []string
-			for _, j := range before.Ones() {
-				if conflicts[i].Get(j) {
-					replacedAt = append(replacedAt, sites[j].site.At.String())
-				}
-			}
-			if len(replacedAt) == 0 {
-				return
-			}
-			reported[inv] = true
-			out = append(out, Finding{
-				Check:    "listener-reset",
-				Severity: Warning,
-				Pos:      inv.At,
-				Msg: fmt.Sprintf("%s replaces the %s listener installed at %s on the same view; the earlier handler never fires",
-					callName(inv), sites[i].event, strings.Join(replacedAt, ", ")),
-				SuggestedFix: "register the handlers on distinct views, or drop the earlier registration",
-			})
-		})
 	}
 	return out
+}
+
+// listenerResets reports m's set-listener sites that replace a handler
+// registered earlier on the same path, under program-point receivers.
+func listenerResets(ctx *Context, m *ir.Method) []Finding {
+	sites := listenerSites(ctx, m, func(op *graph.OpNode) []int { return ctx.pointRecvIDs(m, op) })
+	conflicts, conflict := listenerConflicts(sites)
+	if !conflict {
+		return nil
+	}
+	index := map[*ir.Invoke]int{}
+	for i, ls := range sites {
+		index[ls.site] = i
+	}
+	res := traceSolve(ctx, m, dataflow.Forward[dataflow.Bits](ctx.CFG(m), listenerAnalysis{index: index}))
+	var out []Finding
+	reported := map[*ir.Invoke]bool{}
+	res.VisitStmts(func(b *cfg.Block, s ir.Stmt, before dataflow.Bits) {
+		inv, ok := s.(*ir.Invoke)
+		if !ok || reported[inv] {
+			return
+		}
+		i, isSet := index[inv]
+		if !isSet {
+			return
+		}
+		var replacedAt []string
+		for _, j := range before.Ones() {
+			if conflicts[i].Get(j) {
+				replacedAt = append(replacedAt, sites[j].site.At.String())
+			}
+		}
+		if len(replacedAt) == 0 {
+			return
+		}
+		reported[inv] = true
+		out = append(out, Finding{
+			Check:    "listener-reset",
+			Severity: Warning,
+			Pos:      inv.At,
+			Msg: fmt.Sprintf("%s replaces the %s listener installed at %s on the same view; the earlier handler never fires",
+				callName(inv), sites[i].event, strings.Join(replacedAt, ", ")),
+			SuggestedFix: "register the handlers on distinct views, or drop the earlier registration",
+		})
+	})
+	return out
+}
+
+// listenerSite is one live set-listener call site of a method.
+type listenerSite struct {
+	site  *ir.Invoke
+	event string
+	recvs []int
+}
+
+// listenerSites collects m's live set-listener sites in source order, each
+// with the union of its operations' receivers under recvIDs.
+func listenerSites(ctx *Context, m *ir.Method, recvIDs func(*graph.OpNode) []int) []*listenerSite {
+	var bySite map[*ir.Invoke]*listenerSite
+	var sites []*listenerSite
+	for _, op := range ctx.OpsIn(m) {
+		if op.Kind != platform.OpSetListener || op.Site == nil || op.Event == "" {
+			continue
+		}
+		recvs := recvIDs(op)
+		if len(recvs) == 0 {
+			continue // dead op
+		}
+		if ls, ok := bySite[op.Site]; ok {
+			ls.recvs = mergeIDs(ls.recvs, recvs)
+			continue
+		}
+		if bySite == nil {
+			bySite = map[*ir.Invoke]*listenerSite{}
+		}
+		ls := &listenerSite{site: op.Site, event: op.Event, recvs: recvs}
+		bySite[op.Site] = ls
+		sites = append(sites, ls)
+	}
+	sort.Slice(sites, func(i, j int) bool { return posLess(sites[i].site.At, sites[j].site.At) })
+	return sites
+}
+
+// listenerConflicts returns, for each site i, the sites whose handler site i
+// would replace — same event, overlapping receivers — and whether there is
+// any such pair.
+func listenerConflicts(sites []*listenerSite) (conflicts []dataflow.Bits, conflict bool) {
+	if len(sites) < 2 {
+		return nil, false
+	}
+	conflicts = make([]dataflow.Bits, len(sites))
+	for i, a := range sites {
+		for j, b := range sites {
+			if i != j && a.event == b.event && intersects(a.recvs, b.recvs) {
+				conflicts[i] = conflicts[i].With(j)
+				conflict = true
+			}
+		}
+	}
+	return conflicts, conflict
 }
 
 func posLess(a, b alite.Pos) bool {

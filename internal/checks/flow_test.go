@@ -153,6 +153,30 @@ class A extends Activity {
 	}
 }
 
+// TestNullViewDerefTestedNull: a null test is the method's only source of
+// Null — the lookup succeeds and nothing assigns null — so the dereference
+// inside the tested-null branch or loop body reports only if the method is
+// solved at all.
+func TestNullViewDerefTestedNull(t *testing.T) {
+	for _, stmt := range []string{"if", "while"} {
+		src := `
+class A extends Activity {
+	void onCreate() {
+		this.setContentView(R.layout.main);
+		View b = this.findViewById(R.id.go);
+		` + stmt + ` (b == null) {
+			b.setId(R.id.go);
+		}
+	}
+}`
+		layouts := map[string]string{"main": `<LinearLayout><Button android:id="@+id/go"/></LinearLayout>`}
+		fs := findingsOf(Run(analyze(t, src, layouts)), "null-view-deref")
+		if len(fs) != 1 || !strings.Contains(fs[0].Msg, "tested == null") || fs[0].Pos.Line != 7 {
+			t.Errorf("%s: findings = %v, want one tested-null dereference on line 7", stmt, fs)
+		}
+	}
+}
+
 func TestListenerReset(t *testing.T) {
 	src := `
 class H1 implements OnClickListener {

@@ -25,6 +25,7 @@ func (c *Context) Reaching(m *ir.Method) *dataflow.ReachingDefs {
 		return rd
 	}
 	rd := dataflow.NewReachingDefs(c.CFG(m))
+	traceSolve(c, m, rd.Result())
 	c.reach[m] = rd
 	return rd
 }

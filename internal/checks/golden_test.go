@@ -10,7 +10,6 @@ import (
 
 	"gator/internal/alite"
 	"gator/internal/core"
-	"gator/internal/ir"
 	"gator/internal/layout"
 )
 
@@ -76,6 +75,14 @@ func TestGolden(t *testing.T) {
 // analyzeDir loads and analyzes the app in one testdata directory.
 func analyzeDir(t *testing.T, dir string) *core.Result {
 	t.Helper()
+	files, layouts := loadDir(t, dir)
+	return solveApp(t, dir, files, layouts, core.Options{}).res
+}
+
+// loadDir parses the app in one testdata directory: *.alite sources and
+// *.xml layouts.
+func loadDir(t *testing.T, dir string) ([]*alite.File, map[string]*layout.Layout) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +118,5 @@ func analyzeDir(t *testing.T, dir string) *core.Result {
 			layouts[name] = l
 		}
 	}
-	p, err := ir.Build(files, layouts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.Analyze(p, core.Options{})
+	return files, layouts
 }

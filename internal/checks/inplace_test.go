@@ -111,18 +111,17 @@ type inPlaceApp struct {
 // under the paper's configuration.
 func inPlaceApps(t *testing.T) []inPlaceApp {
 	t.Helper()
-	solve := func(name string, files []*alite.File, layouts map[string]*layout.Layout) inPlaceApp {
-		p, err := ir.Build(files, layouts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return inPlaceApp{name, core.Analyze(p, core.Options{})}
-	}
+	return inPlaceAppsUnder(t, core.Options{})
+}
+
+// inPlaceAppsUnder solves the apps of inPlaceApps under opts.
+func inPlaceAppsUnder(t *testing.T, opts core.Options) []inPlaceApp {
+	t.Helper()
 	var apps []inPlaceApp
 	for _, a := range corpus.GenerateAll() {
-		apps = append(apps, solve(a.Name, a.FreshFiles(), a.FreshLayouts()))
+		apps = append(apps, solveApp(t, a.Name, a.FreshFiles(), a.FreshLayouts(), opts))
 	}
-	apps = append(apps, solve("Figure1", corpus.Figure1ClosedFiles(), corpus.Figure1Layouts()))
+	apps = append(apps, solveApp(t, "Figure1", corpus.Figure1ClosedFiles(), corpus.Figure1Layouts(), opts))
 	for i := 0; i < 9; i++ {
 		nAct, depth := 40+5*i, 12+3*i/2
 		name := fmt.Sprintf("chain-%d-%d", nAct, depth)
@@ -135,7 +134,7 @@ func inPlaceApps(t *testing.T) []inPlaceApp {
 		for ln, xml := range layoutXML {
 			layouts[ln] = layout.MustParse(ln, xml)
 		}
-		apps = append(apps, solve(name, files, layouts))
+		apps = append(apps, solveApp(t, name, files, layouts, opts))
 	}
 	dirs, err := filepath.Glob(filepath.Join("testdata", "*"))
 	if err != nil {
@@ -143,10 +142,21 @@ func inPlaceApps(t *testing.T) []inPlaceApp {
 	}
 	for _, dir := range dirs {
 		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-			apps = append(apps, inPlaceApp{dir, analyzeDir(t, dir)})
+			files, layouts := loadDir(t, dir)
+			apps = append(apps, solveApp(t, dir, files, layouts, opts))
 		}
 	}
 	return apps
+}
+
+// solveApp lowers and solves one app under opts.
+func solveApp(t *testing.T, name string, files []*alite.File, layouts map[string]*layout.Layout, opts core.Options) inPlaceApp {
+	t.Helper()
+	p, err := ir.Build(files, layouts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return inPlaceApp{name, core.Analyze(p, opts)}
 }
 
 func sortedNames(m map[string]string) []string {

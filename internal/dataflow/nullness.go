@@ -175,7 +175,7 @@ func (nl *Nullness) Transfer(s ir.Stmt, in NullFact) NullFact {
 // diagnostics quiet on paths that cannot execute. Unlike Transfer, it
 // never updates out.
 func (nl *Nullness) Branch(c ir.Cond, taken bool, out NullFact) NullFact {
-	if out == nil || c.Nondet || c.X == nil {
+	if out == nil || !nullTest(c) {
 		return out
 	}
 	// "x == null" taken, or "x != null" not taken, means x is null here.
@@ -194,6 +194,36 @@ func (nl *Nullness) Branch(c ir.Cond, taken bool, out NullFact) NullFact {
 		return nil // infeasible edge
 	}
 	return out.with(c.X, NullVal{K: NonNull})
+}
+
+// nullTest reports whether c is a deterministic null test, the only
+// condition Branch refines along.
+func nullTest(c ir.Cond) bool { return !c.Nondet && c.X != nil }
+
+// Introduces reports whether statement s, as ir.WalkStmts visits it, is
+// one of the three places Null enters a method: Transfer assigns it at a
+// ConstNull and at a call whose Seed is Null, and Branch at the edge of a
+// deterministic null test where the tested variable is null, which an If
+// or While carries. Entry, Join and every other case of Transfer and
+// Branch only keep, copy or drop Null facts already present, so a method
+// none of whose statements introduces Null holds no Null fact in any
+// solved or replayed fact.
+func (nl *Nullness) Introduces(s ir.Stmt) bool {
+	switch s := s.(type) {
+	case *ir.ConstNull:
+		return true
+	case *ir.If:
+		return nullTest(s.Cond)
+	case *ir.While:
+		return nullTest(s.Cond)
+	case *ir.Invoke:
+		if s.Dst == nil || nl.Seed == nil {
+			return false
+		}
+		v, ok := nl.Seed(s)
+		return ok && v.K == Null
+	}
+	return false
 }
 
 // with returns a copy of f with v set: Branch's pure counterpart of set.
