@@ -170,12 +170,13 @@ func TestCIScriptsExist(t *testing.T) {
 }
 
 // TestCIScriptsCoverPrecision pins the precision gate into both scripts:
-// ci.sh must run the context-sensitivity smoke step and regenerate the
-// records (BENCH_7.json among them), and benchdiff.sh must regenerate and
-// check them nightly.
+// ci.sh must run the context-sensitivity smoke step (every table,
+// including the oracle case study) and regenerate the records
+// (BENCH_7.json among them), and benchdiff.sh must regenerate and check
+// them nightly.
 func TestCIScriptsCoverPrecision(t *testing.T) {
 	for path, markers := range map[string][]string{
-		"scripts/ci.sh":        {"-ctx 1cfa", "-table precision", "./cmd/gatorbench -records"},
+		"scripts/ci.sh":        {"-table all -app TippyTipper -ctx 1cfa", "./cmd/gatorbench -records"},
 		"scripts/benchdiff.sh": {`./cmd/gatorbench -table 2 -records "$OUT"`, `./cmd/benchdiff . "$OUT"`},
 	} {
 		data, err := os.ReadFile(path)

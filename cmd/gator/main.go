@@ -47,7 +47,7 @@ func main() {
 	filterCasts := flag.Bool("filter-casts", false, "enable cast filtering")
 	sharedInfl := flag.Bool("shared-inflation", false, "share inflation nodes per layout")
 	noFV3 := flag.Bool("no-findview3", false, "disable the FindView3 child-only refinement")
-	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
+	ctxMode := flag.String("ctx", "off", "context sensitivity: off or 1cfa (call-site cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers for multi-directory batches")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	checksMode := flag.Bool("checks", false, "run the diagnostics engine and print its findings (exit 1 on warnings)")
@@ -70,9 +70,9 @@ func main() {
 		*checksMode = true
 	}
 
-	ctx, ok := gator.ParseCtxMode(*ctxMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gator: -ctx %q: want off, 1cfa, or 1obj\n", *ctxMode)
+	ctx, err := gator.ParseCtxMode(*ctxMode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gator: -ctx: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -60,6 +60,7 @@ func TestCLIReports(t *testing.T) {
 		{[]string{"-explain", "SaveListener.onClick.body", appDir}, []string{"flowsTo(", "[Seed]"}, 0},
 		{[]string{"-figure1"}, []string{"6 inflated"}, 0},
 		{[]string{"-report", "bogus", appDir}, []string{"unknown report"}, 2},
+		{[]string{"-ctx", "1obj", appDir}, []string{`unknown context mode "1obj" (known: off, 1cfa)`}, 2},
 		{[]string{}, []string{"usage"}, 2},
 		{[]string{"/nonexistent-dir-xyz"}, []string{"gator:"}, 1},
 	}

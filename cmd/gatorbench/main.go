@@ -11,7 +11,7 @@
 //
 //	gatorbench [-table 1|2|precision|all] [-app NAME] [-seed N] [-j N] [-stats]
 //	           [-filter-casts] [-shared-inflation] [-no-findview3] [-declared-dispatch]
-//	           [-ctx off|1cfa|1obj] [-trace FILE] [-metrics FILE] [-pprof ADDR]
+//	           [-ctx off|1cfa] [-trace FILE] [-metrics FILE] [-pprof ADDR]
 //	           [-records DIR]
 package main
 
@@ -38,7 +38,7 @@ func main() {
 	sharedInfl := flag.Bool("shared-inflation", false, "ablation: shared inflation nodes per layout")
 	noFV3 := flag.Bool("no-findview3", false, "ablation: disable child-only FindView3 refinement")
 	declared := flag.Bool("declared-dispatch", false, "ablation: declared-type-only dispatch")
-	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
+	ctxMode := flag.String("ctx", "off", "context sensitivity: off or 1cfa (call-site cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	recordsDir := flag.String("records", "", "regenerate every checked-in benchmark record (BENCH_*.json) into `dir`, each under its own fixed configuration")
@@ -57,9 +57,9 @@ func main() {
 		}()
 	}
 
-	ctx, ok := gator.ParseCtxMode(*ctxMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gatorbench: -ctx %q: want off, 1cfa, or 1obj\n", *ctxMode)
+	ctx, err := gator.ParseCtxMode(*ctxMode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gatorbench: -ctx: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -61,6 +61,13 @@ func TestGatorbenchSingleApp(t *testing.T) {
 	if err := cmd.Run(); err == nil {
 		t.Error("unknown table did not fail")
 	}
+
+	// An unknown context mode is a usage error that names the known modes.
+	out, err = exec.Command(bin, "-app", "APV", "-ctx", "1obj").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
+		!strings.Contains(string(out), "known: off, 1cfa") {
+		t.Errorf("-ctx 1obj: %v\n%s", err, out)
+	}
 }
 
 // TestGatorbenchParallelDeterminism: the rendered tables must be

@@ -27,13 +27,12 @@ type precMode struct {
 }
 
 // precStressor is the polymorphic-helper acceptance measurement: on the
-// n-activity shared-helper app the context-sensitive solutions must be
-// strictly smaller than the insensitive one (Strict).
+// n-activity shared-helper app the 1-CFA solution must be strictly smaller
+// than the insensitive one (Strict).
 type precStressor struct {
 	App              string `json:"app"`
 	InsensitiveFacts int    `json:"insensitiveFacts"`
 	CfaFacts         int    `json:"cfaFacts"`
-	ObjFacts         int    `json:"objFacts"`
 	Strict           bool   `json:"strict"`
 }
 
@@ -47,7 +46,7 @@ type precStressor struct {
 // strict.
 func measurePrecision(workers int) (*metrics.Record, error) {
 	const seed = 1
-	modes := []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj}
+	modes := []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA}
 	inputs := corpusInputs("")
 	rec := &metrics.Record{}
 	var detail []precMode
@@ -83,8 +82,8 @@ func measurePrecision(workers int) (*metrics.Record, error) {
 			metric(pm.Mode+".violations", "count", "lower", float64(pm.Violations), metrics.Ceiling(0)))
 	}
 
-	// Stressor: the acceptance shape from DESIGN.md — every context-sensitive
-	// mode must collapse the shared helper's merged solution.
+	// Stressor: the acceptance shape from DESIGN.md — 1-CFA must collapse
+	// the shared helper's merged solution.
 	const stressN = 8
 	sources, layouts := corpus.PolymorphicHelperApp(stressN)
 	facts := map[gator.CtxMode]int{}
@@ -99,13 +98,10 @@ func measurePrecision(workers int) (*metrics.Record, error) {
 		App:              fmt.Sprintf("polyhelper-%d", stressN),
 		InsensitiveFacts: facts[gator.CtxOff],
 		CfaFacts:         facts[gator.Ctx1CFA],
-		ObjFacts:         facts[gator.Ctx1Obj],
-		Strict: facts[gator.Ctx1CFA] < facts[gator.CtxOff] &&
-			facts[gator.Ctx1Obj] < facts[gator.CtxOff],
+		Strict:           facts[gator.Ctx1CFA] < facts[gator.CtxOff],
 	}
 	rec.Metrics = append(rec.Metrics,
-		metric(st.App+".off_minus_1cfa_facts", "count", "higher", float64(st.InsensitiveFacts-st.CfaFacts), metrics.Floor(1)),
-		metric(st.App+".off_minus_1obj_facts", "count", "higher", float64(st.InsensitiveFacts-st.ObjFacts), metrics.Floor(1)))
+		metric(st.App+".off_minus_1cfa_facts", "count", "higher", float64(st.InsensitiveFacts-st.CfaFacts), metrics.Floor(1)))
 	rec.Detail = map[string]any{"seed": seed, "modes": detail, "stressor": st}
 	return rec, nil
 }

@@ -1,12 +1,12 @@
 package gator
 
 // Oracle soundness and rendering tests for the context-sensitive solving
-// modes (Options.ContextSensitivity). The precision-monotonicity half of
-// the tentpole contract lives next to the solver
-// (internal/core/ctx_test.go); this file holds the halves that need the
-// public API: the concrete-interpreter soundness oracle, the acceptance
-// criterion on PolymorphicHelperApp(8), the incremental-guard regression,
-// and the -explain transcript with its j1≡j8 byte-equality contract.
+// mode (Options.ContextSensitivity). The precision-monotonicity half of
+// the contract lives next to the solver (internal/core/ctx_test.go); this
+// file holds the halves that need the public API: the concrete-interpreter
+// soundness oracle, the acceptance criterion on PolymorphicHelperApp(8),
+// Table 2 over source operations, the incremental-guard regression, and
+// the -explain transcript with its j1≡j8 byte-equality contract.
 
 import (
 	"bytes"
@@ -17,9 +17,8 @@ import (
 	"testing"
 
 	"gator/internal/corpus"
+	"gator/internal/metrics"
 )
-
-var ctxModes = []CtxMode{Ctx1CFA, Ctx1Obj}
 
 func analyzePoly(t *testing.T, n int, opts Options) *Result {
 	t.Helper()
@@ -27,9 +26,9 @@ func analyzePoly(t *testing.T, n int, opts Options) *Result {
 	return mustAnalyze(t, sources, layouts, opts)
 }
 
-// TestCtxSoundnessCorpus runs the concrete interpreter against the
-// context-sensitive solutions of every corpus app: the observed set must
-// stay inside the (smaller) solution in both modes.
+// TestCtxSoundnessCorpus runs the concrete interpreter against the 1-CFA
+// solution of every corpus app: the observed set must stay inside the
+// (smaller) solution.
 func TestCtxSoundnessCorpus(t *testing.T) {
 	apps := corpus.GenerateAll()
 	if testing.Short() {
@@ -39,13 +38,10 @@ func TestCtxSoundnessCorpus(t *testing.T) {
 		app := app
 		t.Run(app.Spec.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, mode := range ctxModes {
-				res := mustAnalyze(t, app.BatchSources(), app.LayoutXML(),
-					Options{ContextSensitivity: mode})
-				er := res.Explore(1)
-				if !er.Sound {
-					t.Errorf("%s/%s: soundness violations: %v", app.Spec.Name, mode, er.Violations)
-				}
+			res := mustAnalyze(t, app.BatchSources(), app.LayoutXML(),
+				Options{ContextSensitivity: Ctx1CFA})
+			if er := res.Explore(1); !er.Sound {
+				t.Errorf("%s: soundness violations: %v", app.Spec.Name, er.Violations)
 			}
 		})
 	}
@@ -62,31 +58,93 @@ func TestCtxAcceptance(t *testing.T) {
 	if !insensER.Sound {
 		t.Fatalf("insensitive: soundness violations: %v", insensER.Violations)
 	}
-	for _, mode := range ctxModes {
-		res := analyzePoly(t, 8, Options{ContextSensitivity: mode})
-		facts := res.ProjectedFacts()
-		if len(facts) >= len(insensFacts) {
-			t.Errorf("%s: solution not strictly smaller: %d facts vs %d", mode, len(facts), len(insensFacts))
+	res := analyzePoly(t, 8, Options{ContextSensitivity: Ctx1CFA})
+	facts := res.ProjectedFacts()
+	if len(facts) >= len(insensFacts) {
+		t.Errorf("solution not strictly smaller: %d facts vs %d", len(facts), len(insensFacts))
+	}
+	inSuper := make(map[string]bool, len(insensFacts))
+	for _, f := range insensFacts {
+		inSuper[f] = true
+	}
+	for _, f := range facts {
+		if !inSuper[f] {
+			t.Errorf("fact outside the insensitive solution: %s", f)
 		}
-		inSuper := make(map[string]bool, len(insensFacts))
-		for _, f := range insensFacts {
-			inSuper[f] = true
+	}
+	er := res.Explore(1)
+	if !er.Sound {
+		t.Errorf("soundness violations: %v", er.Violations)
+	}
+	if er.PrecisionRatio >= insensER.PrecisionRatio {
+		t.Errorf("precision ratio %.3f did not improve on insensitive %.3f",
+			er.PrecisionRatio, insensER.PrecisionRatio)
+	}
+	t.Logf("%d facts (insensitive %d), ratio %.3f (insensitive %.3f)",
+		len(facts), len(insensFacts), er.PrecisionRatio, insensER.PrecisionRatio)
+}
+
+// table2Golden is Table 2 of the 20 corpus apps with contexts off and the
+// time column zeroed. With contexts off every call has one op node, so
+// these are also the per-op-node averages of the paper configuration.
+const table2Golden = `App                Time(s)  receivers  parameters  results  listeners
+APV                   0.00       1.00           -     1.00       1.00
+Astrid                0.00       3.09        1.00     1.00       1.00
+BarcodeScanner        0.00       1.00        1.00     1.00       1.00
+Beem                  0.00       1.03        1.00     1.00       1.00
+ConnectBot            0.00       1.00        1.00     1.00       1.00
+FBReader              0.00       1.54        1.00     1.00       1.00
+K9                    0.00       1.15        1.00     1.00       1.00
+KeePassDroid          0.00       1.80        1.00     1.00       1.00
+Mileage               0.00       2.55        1.00     1.00       1.00
+MyTracks              0.00       1.12        1.00     1.00       1.00
+NPR                   0.00       1.89        1.00     1.00       1.00
+NotePad               0.00       1.00           -     1.00       1.00
+OpenManager           0.00       1.31        1.00     1.00       1.00
+OpenSudoku            0.00       1.39        1.00     1.00       1.00
+SipDroid              0.00       1.00        1.00     1.00       1.00
+SuperGenPass          0.00       2.05           -     1.00       1.00
+TippyTipper           0.00       1.14        1.00     1.00       1.00
+VLC                   0.00       1.13        1.00     1.00       1.00
+VuDroid               0.00       1.00           -     1.00       1.00
+XBMC                  0.00       8.34        1.00     4.67       1.00
+`
+
+// TestTable2SourceOps pins Table 2's averages over source operations. With
+// contexts off every call has one op node, so the corpus rows match the
+// golden. Under 1-CFA a cloned call's op nodes count once, with their
+// solutions unioned, so every corpus row equals its off row, and only the
+// stressor's receivers tighten, from 8.00 to 1.00.
+func TestTable2SourceOps(t *testing.T) {
+	var inputs []BatchInput
+	for _, app := range corpus.GenerateAll() {
+		inputs = append(inputs, BatchInput{Name: app.Spec.Name, Sources: app.BatchSources(), Layouts: app.LayoutXML()})
+	}
+	table := map[CtxMode]string{}
+	for _, mode := range []CtxMode{CtxOff, Ctx1CFA} {
+		br := AnalyzeBatch(inputs, BatchOptions{Workers: 2, Options: Options{ContextSensitivity: mode}})
+		if failed := br.Failed(); len(failed) > 0 {
+			t.Fatalf("%s: %s: %v", mode, failed[0].Name, failed[0].Err)
 		}
-		for _, f := range facts {
-			if !inSuper[f] {
-				t.Errorf("%s: fact outside the insensitive solution: %s", mode, f)
-			}
+		var rows []metrics.Table2Row
+		for _, rep := range br.Apps {
+			row := rep.Result.Table2()
+			row.Time = 0
+			rows = append(rows, row)
 		}
-		er := res.Explore(1)
-		if !er.Sound {
-			t.Errorf("%s: soundness violations: %v", mode, er.Violations)
+		table[mode] = metrics.FormatTable2(rows)
+	}
+	if table[CtxOff] != table2Golden {
+		t.Errorf("off: Table 2 moved:\n%s--- want ---\n%s", table[CtxOff], table2Golden)
+	}
+	if table[Ctx1CFA] != table[CtxOff] {
+		t.Errorf("1cfa rows differ from off:\n%s--- off ---\n%s", table[Ctx1CFA], table[CtxOff])
+	}
+
+	for mode, want := range map[CtxMode]float64{CtxOff: 8, Ctx1CFA: 1} {
+		if got := analyzePoly(t, 8, Options{ContextSensitivity: mode}).Table2().AvgReceivers; got != want {
+			t.Errorf("polyhelper-8 %s: receivers %.2f, want %.2f", mode, got, want)
 		}
-		if er.PrecisionRatio >= insensER.PrecisionRatio {
-			t.Errorf("%s: precision ratio %.3f did not improve on insensitive %.3f",
-				mode, er.PrecisionRatio, insensER.PrecisionRatio)
-		}
-		t.Logf("%s: %d facts (insensitive %d), ratio %.3f (insensitive %.3f)",
-			mode, len(facts), len(insensFacts), er.PrecisionRatio, insensER.PrecisionRatio)
 	}
 }
 
@@ -95,50 +153,47 @@ func TestCtxAcceptance(t *testing.T) {
 // Incremental().Reason = "context-sensitive", fall back to scratch, and
 // return fresh facts — never stale merged ones.
 func TestCtxIncrementalFallback(t *testing.T) {
-	for _, mode := range ctxModes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			sources, layouts := corpus.PolymorphicHelperApp(3)
-			opts := Options{ContextSensitivity: mode}
-			prev, err := AnalyzeIncremental(nil, sources, layouts, opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run(Ctx1CFA.String(), func(t *testing.T) {
+		sources, layouts := corpus.PolymorphicHelperApp(3)
+		opts := Options{ContextSensitivity: Ctx1CFA}
+		prev, err := AnalyzeIncremental(nil, sources, layouts, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Body-only edit: activity 1 now looks up its text view instead
-			// of its button. A silently-stale result would still report the
-			// button.
-			edited := map[string]string{}
-			for k, v := range sources {
-				edited[k] = v
-			}
-			edited["ph1.alite"] = strings.Replace(edited["ph1.alite"],
-				"this.findAndCast(R.id.ph1_btn)", "this.findAndCast(R.id.ph1_txt)", 1)
-			if edited["ph1.alite"] == sources["ph1.alite"] {
-				t.Fatal("edit did not apply")
-			}
+		// Body-only edit: activity 1 now looks up its text view instead
+		// of its button. A silently-stale result would still report the
+		// button.
+		edited := map[string]string{}
+		for k, v := range sources {
+			edited[k] = v
+		}
+		edited["ph1.alite"] = strings.Replace(edited["ph1.alite"],
+			"this.findAndCast(R.id.ph1_btn)", "this.findAndCast(R.id.ph1_txt)", 1)
+		if edited["ph1.alite"] == sources["ph1.alite"] {
+			t.Fatal("edit did not apply")
+		}
 
-			res, err := AnalyzeIncremental(prev, edited, layouts, opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := res.Incremental()
-			if st.Mode != "scratch" || st.Reason != "context-sensitive" {
-				t.Fatalf("mode=%q reason=%q, want scratch/context-sensitive", st.Mode, st.Reason)
-			}
-			views, err := res.VarViews("PhAct1", "onCreate", "w")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ids []string
-			for _, v := range views {
-				ids = append(ids, v.ID)
-			}
-			if len(ids) != 1 || ids[0] != "ph1_txt" {
-				t.Fatalf("post-edit w = %v, want exactly [ph1_txt] (stale facts?)", ids)
-			}
-		})
-	}
+		res, err := AnalyzeIncremental(prev, edited, layouts, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Incremental()
+		if st.Mode != "scratch" || st.Reason != "context-sensitive" {
+			t.Fatalf("mode=%q reason=%q, want scratch/context-sensitive", st.Mode, st.Reason)
+		}
+		views, err := res.VarViews("PhAct1", "onCreate", "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, v := range views {
+			ids = append(ids, v.ID)
+		}
+		if len(ids) != 1 || ids[0] != "ph1_txt" {
+			t.Fatalf("post-edit w = %v, want exactly [ph1_txt] (stale facts?)", ids)
+		}
+	})
 }
 
 // TestReadmePrecisionTable pins the README's precision table to the
@@ -156,7 +211,6 @@ func TestReadmePrecisionTable(t *testing.T) {
 			Stressor struct {
 				InsensitiveFacts int `json:"insensitiveFacts"`
 				CfaFacts         int `json:"cfaFacts"`
-				ObjFacts         int `json:"objFacts"`
 			} `json:"stressor"`
 		} `json:"detail"`
 	}
@@ -171,7 +225,6 @@ func TestReadmePrecisionTable(t *testing.T) {
 	stressFacts := map[string]int{
 		"off":  stressor.InsensitiveFacts,
 		"1cfa": stressor.CfaFacts,
-		"1obj": stressor.ObjFacts,
 	}
 	value := map[string]float64{}
 	for _, m := range rec.Metrics {

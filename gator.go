@@ -77,11 +77,11 @@ type CtxMode = core.CtxMode
 const (
 	CtxOff  = core.CtxOff
 	Ctx1CFA = core.Ctx1CFA
-	Ctx1Obj = core.Ctx1Obj
 )
 
-// ParseCtxMode parses a -ctx flag value ("", "off", "1cfa", "1obj").
-func ParseCtxMode(s string) (CtxMode, bool) { return core.ParseCtxMode(s) }
+// ParseCtxMode parses a -ctx flag value ("", "off" or "1cfa"); the error
+// names the known modes.
+func ParseCtxMode(s string) (CtxMode, error) { return core.ParseCtxMode(s) }
 
 // Options configure analysis variants; the zero value is the configuration
 // evaluated in the paper.
@@ -99,12 +99,12 @@ type Options struct {
 	// (an ablation; unsound for interface-dispatched handlers).
 	DeclaredDispatchOnly bool
 	// ContextSensitivity selects bounded context sensitivity for small
-	// helper methods: CtxOff (the paper's insensitive analysis), Ctx1CFA
+	// helper methods: CtxOff (the paper's insensitive analysis) or Ctx1CFA
 	// (one context per call site — the refinement the paper's case study
-	// identifies for the XBMC receiver imprecision), or Ctx1Obj (one
-	// context per receiver class). Contexts carry human-readable labels
-	// that Explain queries and derivation trees render; solutions are
-	// projected back to source identities, so every query keeps working.
+	// identifies for the XBMC receiver imprecision). Contexts carry
+	// human-readable labels that Explain queries and derivation trees
+	// render; solutions are projected back to source identities, so every
+	// query keeps working.
 	ContextSensitivity CtxMode
 	// Provenance records the solver's derivation DAG, enabling the
 	// ExplainDerivation/ExplainViewID queries. Costs memory proportional to
@@ -453,7 +453,7 @@ func (r *Result) EventTuples() []EventTuple {
 		default:
 			return
 		}
-		for _, w := range descendantsIncl(g, root) {
+		for _, w := range g.Descendants(root) {
 			viewOwners[w] = append(viewOwners[w], ownerName)
 		}
 	})
@@ -747,7 +747,7 @@ func (r *Result) ExplainVar(class, method, varName string) ([]string, error) {
 			}
 			// One chain per (context variant, value): cloned variable
 			// nodes render their context label, so context-sensitive
-			// runs show which caller or receiver class a view belongs to.
+			// runs show which caller a view belongs to.
 			var out []string
 			for _, node := range r.res.VarNodesOf(v) {
 				for _, val := range r.res.PointsTo(node) {
@@ -980,23 +980,6 @@ func classOf(v graph.Value) *ir.Class {
 		return v.Class
 	}
 	return nil
-}
-
-func descendantsIncl(g *graph.Graph, root graph.Value) []graph.Value {
-	seen := map[int]bool{}
-	queue := []graph.Value{root}
-	var out []graph.Value
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.ID()] {
-			continue
-		}
-		seen[v.ID()] = true
-		out = append(out, v)
-		queue = append(queue, g.Children(v)...)
-	}
-	return out
 }
 
 // listenerSpec returns the handler signature keys for an event.

@@ -409,7 +409,7 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 	// Collect everything reachable from some owner's content roots.
 	visible := map[int]bool{}
 	res.Graph.RootPairs(func(owner, root graph.Value) {
-		for _, w := range descendants(res.Graph, root) {
+		for _, w := range res.Graph.Descendants(root) {
 			visible[w.ID()] = true
 		}
 	})
@@ -435,7 +435,7 @@ func checkDuplicateID(res *core.Result) []Finding {
 	var out []Finding
 	res.Graph.RootPairs(func(owner, root graph.Value) {
 		byID := map[int][]graph.Value{}
-		for _, w := range descendants(res.Graph, root) {
+		for _, w := range res.Graph.Descendants(root) {
 			for _, id := range res.Graph.ViewIDsOf(w) {
 				byID[id.ID()] = append(byID[id.ID()], w)
 			}
@@ -583,23 +583,6 @@ func ownerName(owner graph.Value) string {
 		return "dialog " + o.Class.Name
 	}
 	return owner.String()
-}
-
-func descendants(g *graph.Graph, root graph.Value) []graph.Value {
-	seen := map[int]bool{}
-	queue := []graph.Value{root}
-	var out []graph.Value
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.ID()] {
-			continue
-		}
-		seen[v.ID()] = true
-		out = append(out, v)
-		queue = append(queue, g.Children(v)...)
-	}
-	return out
 }
 
 func handlerKeyOf(h platform.HandlerSig) string {

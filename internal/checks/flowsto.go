@@ -173,11 +173,11 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 	// (activity/dialog lookups) — a superset of what either solver rule
 	// searches for this op.
 	for _, r := range c.Res.OpReceivers(op) {
-		for _, w := range descendants(g, r) {
+		for _, w := range g.Descendants(r) {
 			consider(w)
 		}
 		for _, root := range g.Roots(r) {
-			for _, w := range descendants(g, root) {
+			for _, w := range g.Descendants(root) {
 				consider(w)
 			}
 		}

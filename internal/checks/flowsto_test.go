@@ -250,25 +250,23 @@ var helperLayouts = map[string]string{
 
 // TestNullViewDerefHelperNeedsCtx is the precision-frontier regression:
 // the same defect is invisible to the insensitive analysis and reported
-// under both context-sensitive modes, at the dereference.
+// under 1-CFA, at the dereference.
 func TestNullViewDerefHelperNeedsCtx(t *testing.T) {
 	if fs := findingsOf(Run(analyzeOpts(t, helperSrc, helperLayouts, core.Options{})), "null-view-deref"); len(fs) != 0 {
 		t.Fatalf("insensitive analysis flagged the helper call: %v", fs)
 	}
-	for _, mode := range []core.CtxMode{core.Ctx1CFA, core.Ctx1Obj} {
-		res := analyzeOpts(t, helperSrc, helperLayouts, core.Options{ContextSensitivity: mode})
-		fs := findingsOf(Run(res), "null-view-deref")
-		if len(fs) != 1 {
-			t.Fatalf("%s: findings = %v", mode, fs)
-		}
-		f := fs[0]
-		if !strings.Contains(f.Msg, "find at") || !strings.Contains(f.Msg, "can never return a view") {
-			t.Errorf("%s: msg = %q", mode, f.Msg)
-		}
-		// At A1's dereference (w.setId), not the call or the helper body.
-		if f.Pos.Line != 12 {
-			t.Errorf("%s: pos = %v, want A1's dereference line", mode, f.Pos)
-		}
+	res := analyzeOpts(t, helperSrc, helperLayouts, core.Options{ContextSensitivity: core.Ctx1CFA})
+	fs := findingsOf(Run(res), "null-view-deref")
+	if len(fs) != 1 {
+		t.Fatalf("findings = %v", fs)
+	}
+	f := fs[0]
+	if !strings.Contains(f.Msg, "find at") || !strings.Contains(f.Msg, "can never return a view") {
+		t.Errorf("msg = %q", f.Msg)
+	}
+	// At A1's dereference (w.setId), not the call or the helper body.
+	if f.Pos.Line != 12 {
+		t.Errorf("pos = %v, want A1's dereference line", f.Pos)
 	}
 }
 
@@ -296,7 +294,7 @@ func TestNullViewDerefHelperOpaqueReturnNotFlagged(t *testing.T) {
 	layouts := map[string]string{
 		"l1": `<LinearLayout><Button android:id="@+id/one"/></LinearLayout>`,
 	}
-	for _, mode := range []core.CtxMode{core.CtxOff, core.Ctx1CFA, core.Ctx1Obj} {
+	for _, mode := range []core.CtxMode{core.CtxOff, core.Ctx1CFA} {
 		res := analyzeOpts(t, helperOpaqueSrc, layouts, core.Options{ContextSensitivity: mode})
 		if fs := findingsOf(Run(res), "null-view-deref"); len(fs) != 0 {
 			t.Errorf("%s: opaque-return helper flagged: %v", mode, fs)

@@ -7,6 +7,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"gator/internal/graph"
 	"gator/internal/ir"
 	"gator/internal/platform"
@@ -24,37 +27,30 @@ const (
 	// Ctx1CFA clones small callees per call site; contexts are labeled
 	// with the call-site source position.
 	Ctx1CFA
-	// Ctx1Obj clones small callees per receiver class; contexts are
-	// labeled with the class name. Activity classes have exactly one
-	// abstract object each, so for GUI helpers this is 1-object
-	// sensitivity on the FindView/Inflate operation nodes inside them.
-	Ctx1Obj
 )
 
 // String renders the mode the way the -ctx CLI flag spells it.
 func (m CtxMode) String() string {
-	switch m {
-	case Ctx1CFA:
+	if m == Ctx1CFA {
 		return "1cfa"
-	case Ctx1Obj:
-		return "1obj"
-	default:
-		return "off"
 	}
+	return "off"
 }
 
-// ParseCtxMode parses a -ctx flag value ("", "off", "1cfa", "1obj").
-func ParseCtxMode(s string) (CtxMode, bool) {
-	switch s {
-	case "", "off":
-		return CtxOff, true
-	case "1cfa":
-		return Ctx1CFA, true
-	case "1obj":
-		return Ctx1Obj, true
-	default:
-		return CtxOff, false
+// ParseCtxMode parses a -ctx flag value: "" or a mode's String. The error
+// names every mode, so the CLIs and the server report it as is.
+func ParseCtxMode(s string) (CtxMode, error) {
+	if s == "" {
+		return CtxOff, nil
 	}
+	var names []string
+	for _, m := range []CtxMode{CtxOff, Ctx1CFA} {
+		if s == m.String() {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	return CtxOff, fmt.Errorf("unknown context mode %q (known: %s)", s, strings.Join(names, ", "))
 }
 
 // Options configure analysis variants. The zero value is the configuration
@@ -83,10 +79,10 @@ type Options struct {
 	// ContextSensitivity selects bounded (depth-1) context sensitivity:
 	// small non-recursive application methods get per-context clones of
 	// their variables, operations, and allocation sites, one context per
-	// call site (Ctx1CFA) or per receiver class (Ctx1Obj). Contexts carry
-	// interned human-readable labels that renderers and derivation trees
-	// show. Ctx1CFA is the refinement the paper's case study identifies as
-	// the fix for the XBMC receiver imprecision.
+	// call site (Ctx1CFA). Contexts carry interned human-readable labels
+	// that renderers and derivation trees show. Ctx1CFA is the refinement
+	// the paper's case study identifies as the fix for the XBMC receiver
+	// imprecision.
 	ContextSensitivity CtxMode
 
 	// Incremental records per-fact unit-dependency bitmasks (which source

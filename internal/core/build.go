@@ -57,9 +57,8 @@ type analysis struct {
 	curSub *cloneSub
 	// cloneableCache memoizes the cloneability decision.
 	cloneableCache map[*ir.Method]bool
-	// builtClones marks (callee, ctx) bodies already materialized, so
-	// interned contexts (1-object clones shared across call sites) walk
-	// each body exactly once.
+	// builtClones marks (callee, ctx) bodies already materialized, so an
+	// interned context walks each body exactly once.
 	builtClones map[cloneKey]bool
 
 	// provSource is set while an operation rule is running, so facts it
@@ -137,10 +136,6 @@ type chaKey struct {
 type dispatchReq struct {
 	key    string
 	callee *ir.Method
-	// class, when non-nil, restricts the edge to receivers of exactly this
-	// dynamic class — the guard that keeps each 1-object clone populated by
-	// one class's objects only.
-	class *ir.Class
 }
 
 type inflation struct {
@@ -413,10 +408,12 @@ func (a *analysis) buildInvoke(m *ir.Method, s *ir.Invoke) {
 	cloning := a.opts.ContextSensitivity != CtxOff
 	for _, callee := range a.callTargets(s.Recv.TypeClass, s.Key, s.Target) {
 		cu := a.mention(callee)
-		if cloning && a.curSub == nil && a.cloneable(callee) {
-			if a.cloneCall(s, callee, mu.or(cu)) {
-				continue
-			}
+		if cloning && a.curSub == nil && a.cloneable(callee) && s.Pos().IsValid() {
+			// 1-CFA: one context per call-site position, interned so the
+			// label renders in derivation trees. Multiple CHA callees at one
+			// site share the context id; their variable nodes stay distinct.
+			a.buildClonedCall(s, callee, mu.or(cu), a.g.InternContext("cs:"+s.Pos().String()))
+			continue
 		}
 		a.addDispatchFlow(a.varNode(s.Recv), callee, s.Key, mu)
 		for i, arg := range s.Args {
@@ -430,51 +427,6 @@ func (a *analysis) buildInvoke(m *ir.Method, s *ir.Invoke) {
 			}
 		}
 	}
-}
-
-// cloneCall dispatches one call site to the active cloning mode and
-// reports whether the call was handled context-sensitively (false sends
-// the site down the shared, context-insensitive path).
-func (a *analysis) cloneCall(s *ir.Invoke, callee *ir.Method, units unitBits) bool {
-	if a.opts.ContextSensitivity == Ctx1Obj {
-		// 1-object: one context per possible receiver class, shared
-		// across every call site dispatching to the callee on that class.
-		classes := a.receiverClasses(s.Recv.TypeClass, s.Key, callee)
-		if len(classes) == 0 {
-			return false
-		}
-		for _, cls := range classes {
-			a.buildClonedCall(s, callee, units, a.g.InternContext("obj:"+cls.Name), cls)
-		}
-		return true
-	}
-	// 1-CFA: one context per call-site position, interned so the label
-	// renders in derivation trees. Multiple CHA callees at one site share
-	// the context id; their variable nodes stay distinct.
-	if !s.Pos().IsValid() {
-		return false
-	}
-	a.buildClonedCall(s, callee, units, a.g.InternContext("cs:"+s.Pos().String()), nil)
-	return true
-}
-
-// receiverClasses enumerates the concrete application classes whose objects
-// could be the receiver of this call and dispatch it to callee — the
-// context population of a 1-object clone.
-func (a *analysis) receiverClasses(decl *ir.Class, key string, callee *ir.Method) []*ir.Class {
-	if decl == nil {
-		return nil
-	}
-	var out []*ir.Class
-	for _, c := range a.prog.AppClasses() {
-		if c.IsInterface || !c.SubtypeOf(decl) {
-			continue
-		}
-		if c.Dispatch(key) == callee {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // cloneable reports whether the active cloning mode clones the callee: a
@@ -501,11 +453,9 @@ func (a *analysis) cloneable(callee *ir.Method) bool {
 // allocation nodes under the given cloning context — bounded (depth-1)
 // context sensitivity. This is the refinement the paper's case study points
 // to for the XBMC outlier ("applying existing techniques for context
-// sensitivity would lead to an even more precise solution"). cls, when
-// non-nil, class-guards the receiver edge (1-object clones). The callee
-// body is materialized once per context; interned contexts reached from
-// several call sites only re-wire the call edges.
-func (a *analysis) buildClonedCall(s *ir.Invoke, callee *ir.Method, units unitBits, ctx int, cls *ir.Class) {
+// sensitivity would lead to an even more precise solution"). The callee
+// body is materialized once per (callee, context).
+func (a *analysis) buildClonedCall(s *ir.Invoke, callee *ir.Method, units unitBits, ctx int) {
 	// Caller-side nodes resolve under the caller's (nil) substitution.
 	recv := a.varNode(s.Recv)
 	args := make([]*graph.VarNode, len(s.Args))
@@ -532,9 +482,7 @@ func (a *analysis) buildClonedCall(s *ir.Invoke, callee *ir.Method, units unitBi
 	}
 
 	// Parameter, receiver, and return plumbing into the cloned nodes.
-	this := a.varNode(callee.This)
-	a.dispatchFilter[[2]int{recv.ID(), this.ID()}] = dispatchReq{key: s.Key, callee: callee, class: cls}
-	a.addFlow(recv, this, units)
+	a.addDispatchFlow(recv, callee, s.Key, units)
 	for i := range args {
 		if i < len(callee.Params) {
 			a.addFlow(args[i], a.varNode(callee.Params[i]), units)

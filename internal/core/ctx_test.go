@@ -1,14 +1,14 @@
 package core
 
-// Context-sensitivity tests: the labeled cloning modes (Options.
+// Context-sensitivity tests: labeled 1-CFA cloning (Options.
 // ContextSensitivity) against the paper's context-insensitive baseline.
 // Two properties are held over the whole corpus plus the polymorphic-helper
 // stressor, in the differential_test.go style:
 //
 //   - Soundness is delegated to the oracle harness at the repo root
-//     (ctx_test.go there runs the concrete interpreter under both modes);
-//     here the differential harness holds every solver engine byte-identical
-//     under the new modes.
+//     (ctx_test.go there runs the concrete interpreter under 1-CFA); here
+//     the differential harness holds every solver engine byte-identical
+//     under 1-CFA.
 //   - Monotone precision: the context-sensitive solution, projected back to
 //     source identities (ProjectedSolution), is a subset of the insensitive
 //     solution on every corpus app and 100 seeded-random programs, and a
@@ -50,9 +50,6 @@ func findVar(t testing.TB, p *ir.Program, class, method, name string) *ir.Var {
 	return nil
 }
 
-// ctxModes enumerates the context-sensitive configurations under test.
-var ctxModes = []CtxMode{Ctx1CFA, Ctx1Obj}
-
 // assertSubset fails unless every line of sub appears in super.
 func assertSubset(t *testing.T, label string, sub, super []string) {
 	t.Helper()
@@ -68,12 +65,12 @@ func assertSubset(t *testing.T, label string, sub, super []string) {
 }
 
 // TestPolymorphicHelperGolden pins the expected solution of the canonical
-// polymorphic-helper shape in all three modes: insensitive, every caller's
-// w merges all n buttons; context-sensitive, each caller gets exactly its
-// own button, in both cloning modes.
+// polymorphic-helper shape in both modes: insensitive, every caller's w
+// merges all n buttons; under 1-CFA, each caller gets exactly its own
+// button.
 func TestPolymorphicHelperGolden(t *testing.T) {
 	const n = 4
-	for _, mode := range append([]CtxMode{CtxOff}, ctxModes...) {
+	for _, mode := range []CtxMode{CtxOff, Ctx1CFA} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
@@ -111,19 +108,16 @@ func TestPolymorphicHelperGolden(t *testing.T) {
 // checked at the repo root against the concrete interpreter).
 func TestPolymorphicHelperStrictness(t *testing.T) {
 	insens := Analyze(polyProg(t, 8), Options{}).ProjectedSolution()
-	for _, mode := range ctxModes {
-		ctx := Analyze(polyProg(t, 8), Options{ContextSensitivity: mode}).ProjectedSolution()
-		assertSubset(t, mode.String(), ctx, insens)
-		if len(ctx) >= len(insens) {
-			t.Errorf("%s: solution not strictly smaller: %d facts vs %d insensitive",
-				mode, len(ctx), len(insens))
-		}
-		t.Logf("%s: %d facts vs %d insensitive", mode, len(ctx), len(insens))
+	ctx := Analyze(polyProg(t, 8), Options{ContextSensitivity: Ctx1CFA}).ProjectedSolution()
+	assertSubset(t, "1cfa", ctx, insens)
+	if len(ctx) >= len(insens) {
+		t.Errorf("solution not strictly smaller: %d facts vs %d insensitive", len(ctx), len(insens))
 	}
+	t.Logf("%d facts vs %d insensitive", len(ctx), len(insens))
 }
 
 // TestCtxMonotonicityCorpus holds projected refinement on every registered
-// corpus app, Figure 1, and the polymorphic stressor, for both modes.
+// corpus app, Figure 1, and the polymorphic stressor.
 func TestCtxMonotonicityCorpus(t *testing.T) {
 	type app struct {
 		name  string
@@ -154,16 +148,14 @@ func TestCtxMonotonicityCorpus(t *testing.T) {
 		t.Run(a.name, func(t *testing.T) {
 			t.Parallel()
 			insens := Analyze(a.build(), Options{}).ProjectedSolution()
-			for _, mode := range ctxModes {
-				ctx := Analyze(a.build(), Options{ContextSensitivity: mode}).ProjectedSolution()
-				assertSubset(t, a.name+"/"+mode.String(), ctx, insens)
-			}
+			ctx := Analyze(a.build(), Options{ContextSensitivity: Ctx1CFA}).ProjectedSolution()
+			assertSubset(t, a.name, ctx, insens)
 		})
 	}
 }
 
-// TestCtxMonotonicityRandom sweeps 100 seeded-random programs through both
-// modes; the generator is deterministic per seed, so failures reproduce.
+// TestCtxMonotonicityRandom sweeps 100 seeded-random programs through
+// 1-CFA; the generator is deterministic per seed, so failures reproduce.
 func TestCtxMonotonicityRandom(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -176,69 +168,54 @@ func TestCtxMonotonicityRandom(t *testing.T) {
 			for seed := block; seed < seeds; seed += 4 {
 				sources, layouts := corpus.RandomApp(int64(seed))
 				insens := Analyze(buildMaps(t, sources, layouts), Options{}).ProjectedSolution()
-				for _, mode := range ctxModes {
-					ctx := Analyze(buildMaps(t, sources, layouts),
-						Options{ContextSensitivity: mode}).ProjectedSolution()
-					assertSubset(t, fmt.Sprintf("seed%d/%s", seed, mode), ctx, insens)
-				}
+				ctx := Analyze(buildMaps(t, sources, layouts),
+					Options{ContextSensitivity: Ctx1CFA}).ProjectedSolution()
+				assertSubset(t, fmt.Sprintf("seed%d", seed), ctx, insens)
 			}
 		})
 	}
 }
 
 // TestCtxDifferentialVariants holds every solver engine byte-identical to
-// the reference schedule under both context-sensitive modes — the same
-// invariant differential_test.go holds for the insensitive configurations.
+// the reference schedule under 1-CFA — the same invariant
+// differential_test.go holds for the insensitive configurations.
 func TestCtxDifferentialVariants(t *testing.T) {
 	sources, layouts := corpus.PolymorphicHelperApp(6)
-	for _, mode := range ctxModes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			t.Parallel()
-			diffApp(t, "polyhelper6-"+mode.String(), mapBuilder(t, sources, layouts),
-				Options{ContextSensitivity: mode})
-			diffApp(t, "figure1-"+mode.String(), func() *ir.Program {
-				p, err := ir.Build(corpus.Figure1Files(), corpus.Figure1Layouts())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}, Options{ContextSensitivity: mode})
-		})
-	}
+	opts := Options{ContextSensitivity: Ctx1CFA}
+	t.Run(Ctx1CFA.String(), func(t *testing.T) {
+		diffApp(t, "polyhelper6-1cfa", mapBuilder(t, sources, layouts), opts)
+		diffApp(t, "figure1-1cfa", func() *ir.Program {
+			p, err := ir.Build(corpus.Figure1Files(), corpus.Figure1Layouts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, opts)
+	})
 }
 
 // TestCtxLabelsRendered pins the context component renderers and derivation
-// trees show: cloned variable nodes carry the interned label — the call
-// site for 1-CFA, the receiver class for 1-object.
+// trees show: cloned variable nodes carry the interned call-site label.
 func TestCtxLabelsRendered(t *testing.T) {
-	for _, tc := range []struct {
-		mode CtxMode
-		want string
-	}{
-		{Ctx1CFA, "cs:ph2.alite:"},
-		{Ctx1Obj, "obj:PhAct2"},
-	} {
-		p := polyProg(t, 4)
-		r := Analyze(p, Options{ContextSensitivity: tc.mode})
-		v := findVar(t, p, "BaseAct", "findAndCast", "v")
-		variants := r.VarNodesOf(v)
-		if len(variants) != 5 { // ctx-0 node + one clone per caller
-			t.Fatalf("%s: %d variants of helper v, want 5", tc.mode, len(variants))
+	const want = "cs:ph2.alite:"
+	p := polyProg(t, 4)
+	r := Analyze(p, Options{ContextSensitivity: Ctx1CFA})
+	v := findVar(t, p, "BaseAct", "findAndCast", "v")
+	variants := r.VarNodesOf(v)
+	if len(variants) != 5 { // ctx-0 node + one clone per caller
+		t.Fatalf("%d variants of helper v, want 5", len(variants))
+	}
+	found := false
+	for _, n := range variants[1:] {
+		if n.CtxLabel == "" {
+			t.Errorf("clone %s has no context label", n)
 		}
-		found := false
-		for _, n := range variants[1:] {
-			if n.CtxLabel == "" {
-				t.Errorf("%s: clone %s has no context label", tc.mode, n)
-			}
-			if len(n.String()) > 0 && containsStr(n.String(), tc.want) {
-				found = true
-			}
+		if containsStr(n.String(), want) {
+			found = true
 		}
-		if !found {
-			t.Errorf("%s: no clone of helper v renders label %q; variants: %v",
-				tc.mode, tc.want, variants)
-		}
+	}
+	if !found {
+		t.Errorf("no clone of helper v renders label %q; variants: %v", want, variants)
 	}
 }
 

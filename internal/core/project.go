@@ -8,23 +8,21 @@ package core
 // class plus source position — so clones of one site collapse to one name
 // and "mode A refines mode B" becomes plain set inclusion over rendered
 // fact lines. The precision-monotonicity harness (ctx_test.go) and the
-// BENCH_7 strictness probe are built on this rendering.
+// BENCH_7 strictness probe are built on this rendering. SourceOps and
+// CanonCount project operations the same way, so Table 2 and the oracle
+// average over the paper's operation set, one entry per source call.
 
 import (
 	"fmt"
 	"sort"
 
 	"gator/internal/graph"
+	"gator/internal/ir"
 )
 
 // CanonValue names an abstract value by source identity, independent of
-// which cloning context materialized its node. The oracle's precision
-// counters use it so solution sizes are comparable across context modes.
-func CanonValue(v graph.Value) string { return canonValue(v) }
-
-// canonValue names an abstract value by source identity, independent of
 // which cloning context materialized its node.
-func canonValue(v graph.Value) string {
+func CanonValue(v graph.Value) string {
 	switch v := v.(type) {
 	case *graph.AllocNode:
 		return "new " + v.Class.Name + "@" + allocSite(v)
@@ -63,13 +61,72 @@ func opSite(op *graph.OpNode) string {
 	if op == nil {
 		return "?"
 	}
-	if op.Site != nil && op.Site.Pos().IsValid() {
-		return fmt.Sprintf("%s@%s", op.Kind, op.Site.Pos())
+	return op.String()
+}
+
+// SourceOp is one source operation, a call site, with the solutions of its
+// op nodes unioned. Under Ctx1CFA a call inside a cloned callee has one op
+// node per context; with contexts off every call has exactly one.
+type SourceOp struct {
+	Ops                      []*graph.OpNode
+	Receivers, Arg0, Results []graph.Value
+}
+
+// SourceOps projects the operation nodes onto source operations: the op
+// nodes of one call (op.Site) form one SourceOp, in the order of the call's
+// first op node. An op node without a call site stands alone.
+func (r *Result) SourceOps() []SourceOp {
+	var out []SourceOp
+	index := map[*ir.Invoke]int{}
+	for _, op := range r.Graph.Ops() {
+		if i, ok := index[op.Site]; ok && op.Site != nil {
+			out[i].Ops = append(out[i].Ops, op)
+			continue
+		}
+		index[op.Site] = len(out)
+		out = append(out, SourceOp{Ops: []*graph.OpNode{op}})
 	}
-	if op.Method != nil {
-		return fmt.Sprintf("%s@%s", op.Kind, op.Method.QualifiedName())
+	arg0 := func(op *graph.OpNode) []graph.Value { return r.OpArg(op, 0) }
+	for i := range out {
+		so := &out[i]
+		so.Receivers = unionOver(so.Ops, r.OpReceivers)
+		so.Arg0 = unionOver(so.Ops, arg0)
+		so.Results = unionOver(so.Ops, r.OpResults)
 	}
-	return op.Kind.String()
+	return out
+}
+
+// unionOver unions one solution set over op nodes in first-encounter
+// order. A single node's set is returned as is, so callers must not
+// modify the result.
+func unionOver(ops []*graph.OpNode, get func(*graph.OpNode) []graph.Value) []graph.Value {
+	if len(ops) == 1 {
+		return get(ops[0])
+	}
+	var out []graph.Value
+	seen := map[graph.Value]bool{}
+	for _, op := range ops {
+		for _, v := range get(op) {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// CanonCount counts the distinct source identities (CanonValue) among the
+// values keep admits, so context clones of one allocation or inflation
+// site count once. A nil keep admits every value.
+func CanonCount(vals []graph.Value, keep func(graph.Value) bool) int {
+	seen := map[string]bool{}
+	for _, v := range vals {
+		if keep == nil || keep(v) {
+			seen[CanonValue(v)] = true
+		}
+	}
+	return len(seen)
 }
 
 // ProjectedSolution renders the full solution as sorted, deduplicated
@@ -96,12 +153,12 @@ func (r *Result) ProjectedSolution() []string {
 			continue
 		}
 		for _, v := range vals {
-			set["pts "+ent+" = "+canonValue(v)] = true
+			set["pts "+ent+" = "+CanonValue(v)] = true
 		}
 	}
 	pair := func(kind string) func(a, b graph.Value) {
 		return func(a, b graph.Value) {
-			set[kind+" "+canonValue(a)+" -> "+canonValue(b)] = true
+			set[kind+" "+CanonValue(a)+" -> "+CanonValue(b)] = true
 		}
 	}
 	r.Graph.ChildPairs(pair("child"))
@@ -114,13 +171,13 @@ func (r *Result) ProjectedSolution() []string {
 			continue
 		}
 		for _, id := range r.Graph.ViewIDsOf(v) {
-			set["viewid "+canonValue(v)+" -> "+canonValue(id)] = true
+			set["viewid "+CanonValue(v)+" -> "+CanonValue(id)] = true
 		}
 		for _, tgt := range r.Graph.IntentTargets(v) {
-			set["intent "+canonValue(v)+" -> "+canonValue(tgt)] = true
+			set["intent "+CanonValue(v)+" -> "+CanonValue(tgt)] = true
 		}
 		for _, l := range r.Graph.LayoutOf(v) {
-			set["layoutof "+canonValue(v)+" -> "+canonValue(l)] = true
+			set["layoutof "+CanonValue(v)+" -> "+CanonValue(l)] = true
 		}
 	}
 	out := make([]string, 0, len(set))

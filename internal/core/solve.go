@@ -105,10 +105,6 @@ func dispatchAdmits(v graph.Value, req dispatchReq) bool {
 	default:
 		return false
 	}
-	if req.class != nil && vc != req.class {
-		// 1-object clone: the edge belongs to exactly one receiver class.
-		return false
-	}
 	return vc.Dispatch(req.key) == req.callee
 }
 
@@ -745,30 +741,17 @@ func (a *analysis) hasViewID(view graph.Value, id *graph.ViewIDNode) bool {
 	return false
 }
 
-// descendantsIncl returns view plus its transitive children (the ancestorOf
-// relation of the paper, read downward, reflexively). Memoized; the memo is
-// invalidated whenever a relationship edge is added.
+// descendantsIncl memoizes Graph.Descendants; the memo is invalidated
+// whenever a relationship edge is added.
 func (a *analysis) descendantsIncl(view graph.Value) []graph.Value {
 	if a.descGen != a.g.Gen() {
 		a.descMemo = map[graph.Value][]graph.Value{}
 		a.descGen = a.g.Gen()
 	}
-	if d, ok := a.descMemo[view]; ok {
-		return d
+	d, ok := a.descMemo[view]
+	if !ok {
+		d = a.g.Descendants(view)
+		a.descMemo[view] = d
 	}
-	var out []graph.Value
-	seen := map[int]bool{}
-	queue := []graph.Value{view}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.ID()] {
-			continue
-		}
-		seen[v.ID()] = true
-		out = append(out, v)
-		queue = append(queue, a.g.Children(v)...)
-	}
-	a.descMemo[view] = out
-	return out
+	return d
 }

@@ -12,9 +12,8 @@ import (
 // merges every activity's button, so each caller sees all n buttons and
 // each listener attaches to all n of them — the paper's XBMC-shaped
 // receiver imprecision in miniature. Under 1-CFA (one context per call
-// site) or 1-object sensitivity (one context per receiver class) the
-// helper's operation nodes split per caller and every activity gets exactly
-// its own button back. The same n always yields the same bytes.
+// site) the helper's operation nodes split per caller and every activity
+// gets exactly its own button back. The same n always yields the same bytes.
 //
 // n activities produce 2*n+1 compilation units (source + layout per
 // activity, plus the shared base-class unit).

@@ -34,8 +34,8 @@ func (b base) ID() int { return b.id }
 // VarNode represents one local variable, parameter, or receiver. Under
 // context-sensitive cloning (core.Options.ContextSensitivity), one variable
 // may have several nodes distinguished by Ctx; the context-insensitive node
-// has Ctx 0. CtxLabel is the interned label of the context (call-site
-// position for 1-CFA, receiver class for 1-object).
+// has Ctx 0. CtxLabel is the interned label of the context (the call-site
+// position under 1-CFA).
 type VarNode struct {
 	base
 	Var      *ir.Var
@@ -333,9 +333,9 @@ func (g *Graph) VarNodeCtx(v *ir.Var, ctx int) *VarNode {
 }
 
 // InternContext returns the cloning context id for a label, allocating one
-// on first use. The same label always maps to the same id, so cloning keyed
-// by label (per receiver class, say) reuses one context across call sites,
-// and VarNodeCtx nodes under the context render the label.
+// on first use. The same label always maps to the same id, so every CHA
+// callee cloned at one call site shares its context, and VarNodeCtx nodes
+// under the context render the label.
 func (g *Graph) InternContext(label string) int {
 	if id, ok := g.ctxIDs[label]; ok {
 		return id
@@ -740,6 +740,26 @@ func (g *Graph) Parents(child Value) []Value { return g.parents.get(child) }
 
 // Children returns the recorded child views of parent.
 func (g *Graph) Children(parent Value) []Value { return g.children.get(parent) }
+
+// Descendants returns root and its transitive children (the paper's
+// ancestorOf relation read downward, reflexively), breadth-first with root
+// first; each value appears once.
+func (g *Graph) Descendants(root Value) []Value {
+	var out []Value
+	seen := map[int]bool{}
+	queue := []Value{root}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		if seen[v.ID()] {
+			continue
+		}
+		seen[v.ID()] = true
+		out = append(out, v)
+		queue = append(queue, g.Children(v)...)
+	}
+	return out
+}
 
 // AddViewID records a view ⇒ view-id association.
 func (g *Graph) AddViewID(view Value, id *ViewIDNode) bool {

@@ -92,8 +92,11 @@ type Table2Row struct {
 	AvgListeners float64
 }
 
-// Table2 measures the solution sizes of a solved result. The analysis time
-// is supplied by the caller (measure around core.Analyze).
+// Table2 measures the solution sizes of a solved result, averaged over
+// source operations (core.Result.SourceOps): under context cloning, one
+// call's op nodes count once, with their solutions unioned and values
+// counted by source identity. The analysis time is supplied by the caller
+// (measure around core.Analyze).
 func Table2(app string, res *core.Result, elapsed time.Duration) Table2Row {
 	row := Table2Row{App: app, Time: elapsed}
 
@@ -102,49 +105,31 @@ func Table2(app string, res *core.Result, elapsed time.Duration) Table2Row {
 	resSum, resN := 0, 0
 	lstSum, lstN := 0, 0
 
-	countViews := func(vals []graph.Value) int {
-		n := 0
-		for _, v := range vals {
-			if graph.IsViewValue(v) {
-				n++
-			}
-		}
-		return n
-	}
-	countListeners := func(vals []graph.Value) int {
-		n := 0
-		for _, v := range vals {
-			if graph.IsListenerValue(v) {
-				n++
-			}
-		}
-		return n
-	}
-
-	for _, op := range res.Graph.Ops() {
-		switch op.Kind {
+	for _, so := range res.SourceOps() {
+		kind := so.Ops[0].Kind
+		switch kind {
 		case platform.OpFindView1, platform.OpFindView3, platform.OpAddView2,
 			platform.OpSetId, platform.OpSetListener:
-			if n := countViews(res.OpReceivers(op)); n > 0 {
+			if n := core.CanonCount(so.Receivers, graph.IsViewValue); n > 0 {
 				recvSum += n
 				recvN++
 			}
 		}
-		switch op.Kind {
+		switch kind {
 		case platform.OpAddView1, platform.OpAddView2:
-			if n := countViews(res.OpArg(op, 0)); n > 0 {
+			if n := core.CanonCount(so.Arg0, graph.IsViewValue); n > 0 {
 				parmSum += n
 				parmN++
 			}
 		case platform.OpSetListener:
-			if n := countListeners(res.OpArg(op, 0)); n > 0 {
+			if n := core.CanonCount(so.Arg0, graph.IsListenerValue); n > 0 {
 				lstSum += n
 				lstN++
 			}
 		}
-		switch op.Kind {
+		switch kind {
 		case platform.OpFindView1, platform.OpFindView2, platform.OpFindView3:
-			if n := countViews(res.OpResults(op)); n > 0 {
+			if n := core.CanonCount(so.Results, graph.IsViewValue); n > 0 {
 				resSum += n
 				resN++
 			}

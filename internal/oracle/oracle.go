@@ -79,8 +79,10 @@ func Compare(res *core.Result, obs *interp.Observations) *Report {
 		return posLess(sites[i].site.Pos().String(), sites[j].site.Pos().String())
 	})
 	for _, e := range sites {
-		ops := m.opsFor(e.site)
-		if len(ops) == 0 {
+		// Under context-sensitive cloning one site has several op nodes;
+		// the site's static solution is the union over the clones.
+		op, ok := m.ops[e.site]
+		if !ok {
 			rep.Violations = append(rep.Violations, Violation{
 				Where: "op@" + e.site.Pos().String(),
 				What:  "entire operation (no op node)",
@@ -88,24 +90,16 @@ func Compare(res *core.Result, obs *interp.Observations) *Report {
 			continue
 		}
 		rep.ObservedSites++
-		// Under context-sensitive cloning one site has several op nodes;
-		// the site's static solution is the union over the clones.
-		var recvU, argU, resU []graph.Value
-		for _, op := range ops {
-			recvU = unionVals(recvU, res.OpReceivers(op))
-			argU = unionVals(argU, res.OpArg(op, 0))
-			resU = unionVals(resU, res.OpResults(op))
-		}
-		rep.StaticFacts += canonCount(recvU) + canonCount(argU) + canonCount(resU)
+		rep.StaticFacts += core.CanonCount(op.Receivers, nil) + core.CanonCount(op.Arg0, nil) + core.CanonCount(op.Results, nil)
 		rep.ObservedFacts += m.scopedCount(e.so.Receivers) + m.scopedCount(e.so.Args) + m.scopedCount(e.so.Results)
-		where := ops[0].String()
+		where := op.Ops[0].String()
 		perfect := true
-		perfect = m.checkSet(rep, where+" receivers", e.so.Receivers, recvU) && perfect
-		perfect = m.checkSet(rep, where+" args", e.so.Args, argU) && perfect
-		perfect = m.checkSet(rep, where+" results", e.so.Results, resU) && perfect
+		perfect = m.checkSet(rep, where+" receivers", e.so.Receivers, op.Receivers) && perfect
+		perfect = m.checkSet(rep, where+" args", e.so.Args, op.Arg0) && perfect
+		perfect = m.checkSet(rep, where+" results", e.so.Results, op.Results) && perfect
 		if perfect &&
-			exactMatch(e.so.Receivers, m, recvU) &&
-			exactMatch(e.so.Results, m, resU) {
+			exactMatch(e.so.Receivers, m, op.Receivers) &&
+			exactMatch(e.so.Results, m, op.Results) {
 			rep.PerfectSites++
 		}
 	}
@@ -147,7 +141,7 @@ type mapper struct {
 	allocs    map[*ir.New][]*graph.AllocNode
 	infls     map[inflKey][]*graph.InflNode
 	acts      map[*ir.Class]*graph.ActivityNode
-	ops       map[*ir.Invoke][]*graph.OpNode
+	ops       map[*ir.Invoke]core.SourceOp
 	menus     map[*ir.Class]*graph.MenuNode
 	menuItems map[*ir.Invoke][]*graph.MenuItemNode
 }
@@ -164,16 +158,16 @@ func newMapper(res *core.Result) *mapper {
 		allocs:    map[*ir.New][]*graph.AllocNode{},
 		infls:     map[inflKey][]*graph.InflNode{},
 		acts:      map[*ir.Class]*graph.ActivityNode{},
-		ops:       map[*ir.Invoke][]*graph.OpNode{},
+		ops:       map[*ir.Invoke]core.SourceOp{},
 		menus:     map[*ir.Class]*graph.MenuNode{},
 		menuItems: map[*ir.Invoke][]*graph.MenuItemNode{},
 	}
 	for _, a := range res.Graph.Allocs() {
 		m.allocs[a.Site] = append(m.allocs[a.Site], a)
 	}
-	for _, op := range res.Graph.Ops() {
-		if op.Site != nil {
-			m.ops[op.Site] = append(m.ops[op.Site], op)
+	for _, op := range res.SourceOps() {
+		if site := op.Ops[0].Site; site != nil {
+			m.ops[site] = op
 		}
 	}
 	for _, n := range res.Graph.Infls() {
@@ -193,8 +187,6 @@ func newMapper(res *core.Result) *mapper {
 	}
 	return m
 }
-
-func (m *mapper) opsFor(s *ir.Invoke) []*graph.OpNode { return m.ops[s] }
 
 // valuesFor maps a tag to its candidate graph values; empty means the
 // analysis has no corresponding abstraction (an automatic violation), and
@@ -281,16 +273,6 @@ func (m *mapper) checkSet(rep *Report, where string, observed map[interp.Tag]boo
 	return ok
 }
 
-// canonCount counts the distinct source identities in a static value set:
-// context clones of one allocation/inflation site count once.
-func canonCount(vals []graph.Value) int {
-	seen := map[string]bool{}
-	for _, v := range vals {
-		seen[core.CanonValue(v)] = true
-	}
-	return len(seen)
-}
-
 // scopedCount counts the in-scope observed tags (opaque platform objects
 // are outside the analysis's domain and are skipped by checkSet too).
 func (m *mapper) scopedCount(observed map[interp.Tag]bool) int {
@@ -301,16 +283,6 @@ func (m *mapper) scopedCount(observed map[interp.Tag]bool) int {
 		}
 	}
 	return n
-}
-
-// unionVals merges value slices without duplicates.
-func unionVals(a, b []graph.Value) []graph.Value {
-	for _, v := range b {
-		if !containsVal(a, v) {
-			a = append(a, v)
-		}
-	}
-	return a
 }
 
 func (m *mapper) checkPairs(rep *Report, what string, pairs map[[2]interp.Tag]bool, has func(a, b graph.Value) bool) {

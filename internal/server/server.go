@@ -215,7 +215,7 @@ type OptionsJSON struct {
 	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
 	DeclaredDispatchOnly  bool `json:"declaredDispatchOnly,omitempty"`
 	// ContextSensitivity selects the cloning-based context mode:
-	// "off" (or empty), "1cfa", or "1obj".
+	// "off" (or empty) or "1cfa".
 	ContextSensitivity string `json:"contextSensitivity,omitempty"`
 	Provenance         bool   `json:"provenance,omitempty"`
 }
@@ -404,9 +404,8 @@ func validateSpec(w http.ResponseWriter, spec ReportSpec) bool {
 // validateOptions rejects unknown option enum values up front — a typo'd
 // context mode must fail the request, not silently analyze insensitively.
 func validateOptions(w http.ResponseWriter, o OptionsJSON) bool {
-	if _, ok := gator.ParseCtxMode(o.ContextSensitivity); !ok {
-		writeError(w, http.StatusBadRequest, "unknown contextSensitivity %q (known: off, 1cfa, 1obj)",
-			o.ContextSensitivity)
+	if _, err := gator.ParseCtxMode(o.ContextSensitivity); err != nil {
+		writeError(w, http.StatusBadRequest, "contextSensitivity: %v", err)
 		return false
 	}
 	return true

@@ -506,11 +506,14 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 		t.Fatalf("unknown report: %v, want 400", err)
 	}
 
-	// Unknown context-sensitivity mode → 400 (never silently insensitive).
-	_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"a.alite": ""},
-		Options: OptionsJSON{ContextSensitivity: "2cfa"}})
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("unknown context mode: %v, want 400", err)
+	// Unknown context-sensitivity mode, including the removed "1obj" → 400
+	// naming the known modes (never silently insensitive).
+	for _, mode := range []string{"2cfa", "1obj"} {
+		_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"a.alite": ""},
+			Options: OptionsJSON{ContextSensitivity: mode}})
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Msg, "known: off, 1cfa") {
+			t.Fatalf("context mode %q: %v, want 400 naming off and 1cfa", mode, err)
+		}
 	}
 
 	// Empty request → 400.

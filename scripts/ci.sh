@@ -47,10 +47,12 @@
 #                      9 chain apps and Astrid, with allocations reported)
 #                      keeps the checks layer's quick local benchmark
 #                      compiling and running
-#  10. ctx smoke     — `gatorbench -table precision -ctx 1cfa` over one small
-#                      corpus app: the context-sensitive solver stays sound
-#                      against the oracle (the command exits nonzero on any
-#                      soundness violation) and stays wired into the CLI
+#  10. ctx smoke     — `gatorbench -table all -ctx 1cfa` over one small
+#                      corpus app: Tables 1 and 2 (averaged over source
+#                      operations) and the oracle case study render under
+#                      the context-sensitive solver, which stays sound (the
+#                      command exits nonzero on any soundness violation)
+#                      and stays wired into the CLI
 #  11. gatorbench    — regenerate every benchmark record into a temporary
 #                      directory (skipped with -short): a smoke run of each
 #                      measurement that never overwrites the checked-in
@@ -130,8 +132,8 @@ go test -run TestTracingDisabledZeroAlloc -bench BenchmarkSolveTracingDisabled -
 echo "== checks-layer benchmark (one iteration)"
 go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
 
-echo "== context-sensitivity precision smoke (TippyTipper, 1cfa)"
-go run ./cmd/gatorbench -table precision -app TippyTipper -ctx 1cfa > /dev/null
+echo "== context-sensitivity smoke: every table (TippyTipper, 1cfa)"
+go run ./cmd/gatorbench -table all -app TippyTipper -ctx 1cfa > /dev/null
 
 if [ -z "$SHORT" ]; then
     RECORDS=$(mktemp -d)
