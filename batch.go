@@ -49,26 +49,11 @@ type BatchOptions struct {
 	// events, so a Chrome trace export renders one lane per worker.
 	// Overrides Options.Trace per app.
 	Tracer *trace.Tracer
-	// Progress, when non-nil, is called once per completed application, in
-	// completion order. Calls are serialized; the callback needs no locking.
-	Progress func(ProgressEvent)
 	// Cache, when non-nil, is shared across all workers: source files with
 	// identical content parse once for the whole batch (corpus apps share
 	// helper files heavily). It applies to Dir and Sources inputs; custom
 	// Load functions manage their own caching.
 	Cache *Cache
-}
-
-// ProgressEvent reports one application's completion during AnalyzeBatch.
-type ProgressEvent struct {
-	// Index is the input position; Done counts completed apps so far
-	// (including this one) and Total the batch size.
-	Index, Done, Total int
-	// Name labels the app; Worker is the worker that ran it.
-	Name   string
-	Worker int
-	// Err is the application's failure, nil on success.
-	Err error
 }
 
 // AppReport is one application's outcome within a batch, in input order.
@@ -138,8 +123,6 @@ func AnalyzeBatch(inputs []BatchInput, opts BatchOptions) *BatchResult {
 	out := &BatchResult{Apps: make([]AppReport, len(inputs))}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	done := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -148,19 +131,6 @@ func AnalyzeBatch(inputs []BatchInput, opts BatchOptions) *BatchResult {
 				// Writing to a distinct index needs no lock and pins each
 				// report to its input position.
 				out.Apps[i] = analyzeOne(inputs[i], i, worker, opts)
-				if opts.Progress != nil {
-					progressMu.Lock()
-					done++
-					opts.Progress(ProgressEvent{
-						Index:  i,
-						Done:   done,
-						Total:  len(inputs),
-						Name:   out.Apps[i].Name,
-						Worker: worker,
-						Err:    out.Apps[i].Err,
-					})
-					progressMu.Unlock()
-				}
 			}
 		}(w)
 	}

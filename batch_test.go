@@ -201,41 +201,6 @@ func TestBatchNameDefaulting(t *testing.T) {
 	}
 }
 
-// TestBatchProgress: the callback fires once per app with a monotonically
-// increasing done count, serialized, and covers every input exactly once.
-func TestBatchProgress(t *testing.T) {
-	inputs := corpusInputs(corpus.GenerateAll()[:6])
-	inputs = append(inputs, BatchInput{Name: "Bomb",
-		Load: func() (*App, error) { panic("injected") }})
-
-	var events []ProgressEvent
-	br := AnalyzeBatch(inputs, BatchOptions{
-		Workers: 4,
-		// The contract says calls are serialized; appending without a lock
-		// under -race proves it.
-		Progress: func(ev ProgressEvent) { events = append(events, ev) },
-	})
-	if len(br.Apps) != len(inputs) {
-		t.Fatalf("%d reports", len(br.Apps))
-	}
-	if len(events) != len(inputs) {
-		t.Fatalf("%d progress events for %d inputs", len(events), len(inputs))
-	}
-	seen := map[int]bool{}
-	for i, ev := range events {
-		if ev.Done != i+1 || ev.Total != len(inputs) {
-			t.Errorf("event %d: done=%d total=%d", i, ev.Done, ev.Total)
-		}
-		if seen[ev.Index] {
-			t.Errorf("index %d reported twice", ev.Index)
-		}
-		seen[ev.Index] = true
-		if (ev.Name == "Bomb") != (ev.Err != nil) {
-			t.Errorf("event %+v: only the bomb should carry an error", ev)
-		}
-	}
-}
-
 // TestBatchTracing: a traced batch tags every event with its app label and a
 // valid worker lane, brackets each app's load phase, and streams the
 // solver's phase/iteration events — while leaving the solutions identical to

@@ -51,7 +51,7 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers for multi-directory batches")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	checksMode := flag.Bool("checks", false, "run the diagnostics engine and print its findings (exit 1 on warnings)")
-	only := flag.String("only", "", "comma-separated check IDs or glob patterns, e.g. lifecycle-* (with -checks; default all)")
+	only := flag.String("only", "", "comma-separated check IDs or glob patterns, e.g. lifecycle-* (with -checks or -report checks|sarif; default all)")
 	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to `file` (implies -checks)")
 	listChecks := flag.Bool("listchecks", false, "print the checker registry and exit")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the whole run to `file` (open in chrome://tracing or Perfetto)")
@@ -76,6 +76,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	// One request and one option set drive every path: the local render,
+	// the -cache-dir key and -remote. -checks is the "checks" report.
+	req := report.Request{Report: *reportKind, Explain: *explain, Seed: *seed, Checks: splitChecks(*only)}
+	if *checksMode {
+		req.Report = "checks"
+	}
 	opts := gator.Options{
 		FilterCasts:           *filterCasts,
 		SharedInflation:       *sharedInfl,
@@ -83,31 +89,21 @@ func main() {
 		ContextSensitivity:    ctx,
 		// -explain renders derivation trees, which need the recorded DAG —
 		// except order: queries, answered from the lifecycle table alone.
-		Provenance: report.Request{Explain: *explain}.NeedsProvenance(),
-	}
-
-	if *remote != "" {
-		os.Exit(runRemote(remoteConfig{
-			addr:    *remote,
-			report:  *reportKind,
-			explain: *explain,
-			seed:    *seed,
-			checks:  *checksMode,
-			only:    splitChecks(*only),
-			sarif:   *sarifOut,
-			watch:   *watchMode,
-			figure1: *figure1,
-			opts:    opts,
-			dirs:    flag.Args(),
-		}))
+		Provenance: req.NeedsProvenance(),
 	}
 
 	if *watchMode {
-		if *figure1 || flag.NArg() != 1 || *checksMode {
+		switch {
+		case *remote != "" && (*figure1 || flag.NArg() != 1):
+			fmt.Fprintln(os.Stderr, "gator: -remote -watch wants exactly one app directory")
+			os.Exit(2)
+		case *remote != "":
+			os.Exit(runRemoteWatch(*remote, flag.Arg(0), opts, req))
+		case *figure1 || flag.NArg() != 1 || *checksMode:
 			fmt.Fprintln(os.Stderr, "gator: -watch wants exactly one app directory (and no -checks/-sarif)")
 			os.Exit(2)
 		}
-		runWatch(flag.Arg(0), opts, *reportKind, *explain, *seed)
+		runWatch(flag.Arg(0), opts, req)
 	}
 
 	var inputs []gator.BatchInput
@@ -122,6 +118,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: gator [flags] <app-dir> [<app-dir>...]  (or -figure1)")
 		os.Exit(2)
 	}
+	if *remote != "" {
+		os.Exit(runRemote(*remote, inputs, opts, req, *sarifOut))
+	}
 
 	bopts := gator.BatchOptions{Workers: *jobs, Options: opts, Cache: gator.NewCache()}
 	var sink *trace.Collect
@@ -130,23 +129,27 @@ func main() {
 		bopts.Tracer = trace.New(sink)
 	}
 
-	// With -cache-dir, apps whose fingerprint (options, report, sources,
-	// layouts) matches a stored entry skip analysis entirely and replay the
-	// stored report. Reports with unstable output (wall-clock timing) or
-	// side outputs (-checks/-sarif aggregation, derivation trees) always
-	// run.
+	// With -cache-dir, apps whose report.Request.CacheKey (options, report,
+	// seed, checks, sources, layouts) matches a stored entry skip analysis
+	// entirely and replay the stored report. Reports with unstable output
+	// (wall-clock timing), derivation trees and -checks/-sarif aggregation
+	// always run.
 	var store *cache.DiskStore
 	total := len(inputs)
-	keys := make([]string, total)
-	replay := make([][]byte, total)
-	names := make([]string, total)
-	if *cacheDir != "" && !*checksMode && *explain == "" && report.Stable(*reportKind) {
+	// cached[i] is app i's result-cache slot: its key and label, and on a
+	// hit the stored rendering.
+	type slot struct {
+		key, name, out string
+		code           int
+		hit            bool
+	}
+	cached := make([]slot, total)
+	if *cacheDir != "" && !*checksMode && req.Replayable() {
 		var err error
 		if store, err = cache.OpenDiskStore(*cacheDir, *cacheMax); err != nil {
 			fmt.Fprintln(os.Stderr, "gator:", err)
 			os.Exit(1)
 		}
-		tag := fmt.Sprintf("%s|report=%s|seed=%d", opts.CacheTag(), *reportKind, *seed)
 		var run []gator.BatchInput
 		for i, in := range inputs {
 			sources, layouts := in.Sources, in.Layouts
@@ -159,13 +162,13 @@ func main() {
 				}
 				sources, layouts = s, l
 			}
-			keys[i] = cache.AppFingerprint(tag, sources, layouts)
-			names[i] = batchLabelOf(in, i)
-			data, hit := store.Get(keys[i])
-			bopts.Tracer.Scope(names[i], 0).CacheProbe("result", hit)
-			if hit && len(data) > 0 {
-				replay[i] = data
-			} else {
+			c := &cached[i]
+			c.key, c.name = req.CacheKey(opts, sources, layouts), batchLabelOf(in, i)
+			if data, ok := store.Get(c.key); ok {
+				c.code, c.out, c.hit = report.DecodeEntry(data)
+			}
+			bopts.Tracer.Scope(c.name, 0).CacheProbe("result", c.hit)
+			if !c.hit {
 				run = append(run, in)
 			}
 		}
@@ -201,19 +204,10 @@ func main() {
 	var checkReports []*gator.CheckReport
 	next := 0 // next unconsumed entry of batch.Apps
 	for i := 0; i < total; i++ {
-		if replay[i] != nil {
-			if total > 1 {
-				if i > 0 {
-					fmt.Println()
-				}
-				fmt.Printf("== %s ==\n", names[i])
-			}
-			// Entries store one exit-code digit followed by the rendered
-			// report (see the Put below).
-			os.Stdout.Write(replay[i][1:])
-			if code := int(replay[i][0] - '0'); code > exit {
-				exit = code
-			}
+		if c := cached[i]; c.hit {
+			printHeader(total, i, c.name)
+			os.Stdout.WriteString(c.out)
+			exit = max(exit, c.code)
 			continue
 		}
 		rep := batch.Apps[next]
@@ -223,14 +217,9 @@ func main() {
 			exit = 1
 			continue
 		}
-		if total > 1 {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Printf("== %s ==\n", rep.Name)
-		}
+		printHeader(total, i, rep.Name)
 		if *checksMode {
-			cr, err := rep.Result.CheckReport(splitChecks(*only)...)
+			cr, err := rep.Result.CheckReport(req.Checks...)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "gator:", err)
 				os.Exit(2)
@@ -246,18 +235,14 @@ func main() {
 			continue
 		}
 		var buf bytes.Buffer
-		code := report.Render(&buf, os.Stderr, rep.Name, rep.Result,
-			report.Request{Report: *reportKind, Explain: *explain, Seed: *seed})
+		code := report.Render(&buf, os.Stderr, rep.Name, rep.Result, req)
 		os.Stdout.Write(buf.Bytes())
-		if store != nil && keys[i] != "" && code <= 1 {
-			entry := append([]byte{byte('0' + code)}, buf.Bytes()...)
-			if err := store.Put(keys[i], entry); err != nil {
+		if store != nil && cached[i].key != "" && code <= 1 {
+			if err := store.Put(cached[i].key, report.EncodeEntry(code, buf.String())); err != nil {
 				fmt.Fprintln(os.Stderr, "gator:", err)
 			}
 		}
-		if code > exit {
-			exit = code
-		}
+		exit = max(exit, code)
 	}
 	if *sarifOut != "" && len(checkReports) > 0 {
 		data, err := gator.SARIFAll(checkReports...)
@@ -270,6 +255,16 @@ func main() {
 		}
 	}
 	os.Exit(exit)
+}
+
+// printHeader starts app i's section of a multi-app run.
+func printHeader(total, i int, name string) {
+	if total > 1 {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("== %s ==\n", name)
+	}
 }
 
 // figure1Input is the paper's embedded running example as a batch input.
@@ -325,7 +320,7 @@ func batchLabelOf(in gator.BatchInput, index int) string {
 // successive edits (save bursts, multi-file refactors) coalesce into one
 // re-analysis via the settle-window debounce in internal/watch. It never
 // returns; interrupt the process to stop.
-func runWatch(dir string, opts gator.Options, reportKind, explain string, seed int64) {
+func runWatch(dir string, opts gator.Options, req report.Request) {
 	c := gator.NewCache()
 	var prev *gator.Result
 	stop := make(chan struct{}) // never closed: ^C ends the process
@@ -357,128 +352,62 @@ func runWatch(dir string, opts gator.Options, reportKind, explain string, seed i
 			fmt.Fprintf(os.Stderr, ": %s", st.Reason)
 		}
 		fmt.Fprintln(os.Stderr, ")")
-		report.Render(os.Stdout, os.Stderr, filepath.Base(dir), res,
-			report.Request{Report: reportKind, Explain: explain, Seed: seed})
+		report.Render(os.Stdout, os.Stderr, filepath.Base(dir), res, req)
 	})
 	select {} // unreachable: Watch only returns when stop closes
 }
 
-// remoteConfig is the -remote frontend's effective flag set.
-type remoteConfig struct {
-	addr    string
-	report  string
-	explain string
-	seed    int64
-	checks  bool
-	only    []string
-	sarif   string
-	watch   bool
-	figure1 bool
-	opts    gator.Options
-	dirs    []string
-}
-
-// spec maps the CLI flags onto the wire report selection: -checks becomes
-// the "checks" report (same text, same exit-1-on-warnings semantics).
-func (rc remoteConfig) spec() server.ReportSpec {
-	kind := rc.report
-	if rc.checks {
-		kind = "checks"
-	}
-	return server.ReportSpec{Report: kind, Explain: rc.explain, Seed: rc.seed, Checks: rc.only}
-}
-
-func (rc remoteConfig) options() server.OptionsJSON {
-	ctx := ""
-	if rc.opts.ContextSensitivity != gator.CtxOff {
-		ctx = rc.opts.ContextSensitivity.String()
-	}
-	return server.OptionsJSON{
-		FilterCasts:           rc.opts.FilterCasts,
-		SharedInflation:       rc.opts.SharedInflation,
-		NoFindView3Refinement: rc.opts.NoFindView3Refinement,
-		DeclaredDispatchOnly:  rc.opts.DeclaredDispatchOnly,
-		ContextSensitivity:    ctx,
-		Provenance:            rc.opts.Provenance,
-	}
-}
-
-// runRemote drives a gatord daemon instead of the local pipeline and
-// returns the process exit code. Reports arrive byte-identical to local
-// rendering, so the frontend only moves bytes.
-func runRemote(rc remoteConfig) int {
-	c := server.NewClient(rc.addr)
-
-	if rc.watch {
-		if rc.figure1 || len(rc.dirs) != 1 {
-			fmt.Fprintln(os.Stderr, "gator: -remote -watch wants exactly one app directory")
-			return 2
-		}
-		stop := make(chan struct{}) // never closed: ^C ends the process
-		err := c.WatchSession(stop, rc.dirs[0], watch.Config{}, server.AnalyzeRequest{
-			Name:       filepath.Base(rc.dirs[0]),
-			Options:    rc.options(),
-			ReportSpec: rc.spec(),
-		}, gator.ReadAppDir, func(resp *server.AnalyzeResponse, err error) {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gator:", err)
-				return
-			}
-			if inc := resp.Incremental; inc != nil && inc.Mode == "unchanged" {
-				return
-			}
-			if inc := resp.Incremental; inc != nil {
-				fmt.Fprintf(os.Stderr, "gator: %s analyzed remotely in %.1fms (%s)\n",
-					rc.dirs[0], resp.ElapsedMs, inc.Mode)
-			}
-			os.Stdout.WriteString(resp.Output)
-			if resp.Stderr != "" {
-				fmt.Fprint(os.Stderr, resp.Stderr)
-			}
-		})
+// runRemoteWatch is -watch against a gatord session: the directory is
+// uploaded once and every coalesced edit is patched into the session. It
+// returns only on error; interrupt the process to stop.
+func runRemoteWatch(addr, dir string, opts gator.Options, req report.Request) int {
+	stop := make(chan struct{}) // never closed: ^C ends the process
+	err := server.NewClient(addr).WatchSession(stop, dir, watch.Config{}, server.AnalyzeRequest{
+		Name:       filepath.Base(dir),
+		Options:    opts,
+		ReportSpec: req,
+	}, gator.ReadAppDir, func(resp *server.AnalyzeResponse, err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gator:", err)
-			return 1
+			return
 		}
-		return 0
+		if inc := resp.Incremental; inc != nil && inc.Mode == "unchanged" {
+			return
+		}
+		if inc := resp.Incremental; inc != nil {
+			fmt.Fprintf(os.Stderr, "gator: %s analyzed remotely in %.1fms (%s)\n", dir, resp.ElapsedMs, inc.Mode)
+		}
+		os.Stdout.WriteString(resp.Output)
+		fmt.Fprint(os.Stderr, resp.Stderr)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gator:", err)
+		return 1
 	}
+	return 0
+}
 
-	type input struct {
-		name             string
-		sources, layouts map[string]string
-	}
-	var inputs []input
-	switch {
-	case rc.figure1:
-		in := figure1Input()
-		inputs = []input{{name: in.Name, sources: in.Sources, layouts: in.Layouts}}
-	case len(rc.dirs) >= 1:
-		for _, dir := range rc.dirs {
-			sources, layouts, err := gator.ReadAppDir(dir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gator:", err)
-				return 1
-			}
-			inputs = append(inputs, input{name: filepath.Base(dir), sources: sources, layouts: layouts})
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: gator -remote ADDR [flags] <app-dir> [<app-dir>...]  (or -figure1)")
-		return 2
-	}
-	if rc.sarif != "" && len(inputs) != 1 {
+// runRemote sends each input to the gatord daemon at addr as one
+// /v1/analyze request and returns the process exit code. Reports arrive
+// byte-identical to local rendering, so the frontend only moves bytes.
+func runRemote(addr string, inputs []gator.BatchInput, opts gator.Options, req report.Request, sarif string) int {
+	if sarif != "" && len(inputs) != 1 {
 		fmt.Fprintln(os.Stderr, "gator: -remote -sarif wants exactly one application")
 		return 2
 	}
-
+	c := server.NewClient(addr)
 	exit := 0
 	for i, in := range inputs {
-		resp, err := c.Analyze(server.AnalyzeRequest{
-			Name:       in.name,
-			Sources:    in.sources,
-			Layouts:    in.layouts,
-			Options:    rc.options(),
-			ReportSpec: rc.spec(),
-		})
+		ar := server.AnalyzeRequest{Name: batchLabelOf(in, i), Sources: in.Sources, Layouts: in.Layouts, Options: opts, ReportSpec: req}
+		if in.Dir != "" {
+			var err error
+			if ar.Sources, ar.Layouts, err = gator.ReadAppDir(in.Dir); err != nil {
+				fmt.Fprintln(os.Stderr, "gator:", err)
+				exit = 1
+				continue
+			}
+		}
+		resp, err := c.Analyze(ar)
 		if err != nil {
 			var se *server.StatusError
 			if errors.As(err, &se) && se.RetryAfter > 0 {
@@ -489,30 +418,16 @@ func runRemote(rc remoteConfig) int {
 			exit = 1
 			continue
 		}
-		if len(inputs) > 1 {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Printf("== %s ==\n", in.name)
-		}
+		printHeader(len(inputs), i, ar.Name)
 		os.Stdout.WriteString(resp.Output)
-		if resp.Stderr != "" {
-			fmt.Fprint(os.Stderr, resp.Stderr)
-		}
-		if resp.ExitCode > exit {
-			exit = resp.ExitCode
-		}
+		fmt.Fprint(os.Stderr, resp.Stderr)
+		exit = max(exit, resp.ExitCode)
 
-		if rc.sarif != "" {
-			sr, err := c.Analyze(server.AnalyzeRequest{
-				Name:       in.name,
-				Sources:    in.sources,
-				Layouts:    in.layouts,
-				Options:    rc.options(),
-				ReportSpec: server.ReportSpec{Report: "sarif", Checks: rc.only},
-			})
+		if sarif != "" {
+			ar.ReportSpec = report.Request{Report: "sarif", Checks: req.Checks}
+			sr, err := c.Analyze(ar)
 			if err == nil {
-				err = os.WriteFile(rc.sarif, []byte(sr.Output), 0o644)
+				err = os.WriteFile(sarif, []byte(sr.Output), 0o644)
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "gator:", err)

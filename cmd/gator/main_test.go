@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gator/internal/server"
 )
 
 // buildCLI compiles the command once per test binary.
@@ -31,6 +35,91 @@ func runCLI(t *testing.T, bin string, args ...string) (string, int) {
 		t.Fatalf("run %v: %v\n%s", args, err, out)
 	}
 	return string(out), code
+}
+
+// runCLIStdout is runCLI with stdout alone, stderr dropped.
+func runCLIStdout(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	var stdout bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = &stdout
+	err := cmd.Run()
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return stdout.String(), code
+}
+
+// TestCLIRemoteMatchesLocal: the CLI builds one report request and one
+// option set from its flags and hands the same pair to the local render
+// and to gatord, so -remote prints the local bytes and exits alike —
+// check selections and order: explains included.
+func TestCLIRemoteMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI exec test skipped in -short mode")
+	}
+	bin := buildCLI(t)
+	srv, err := server.New(server.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Drain()
+		ts.Close()
+	})
+	buggy := filepath.Join("..", "..", "examples", "buggyapp")
+
+	for _, args := range [][]string{
+		{"-report", "views"},
+		{"-report", "tuples"},
+		{"-report", "checks"},
+		{"-report", "sarif"},
+		{"-report", "checks", "-only", "unused-view-id"},
+		{"-report", "sarif", "-only", "dangling-findview"},
+		{"-explain", "order:Main.onDestroy.onResume"},
+	} {
+		local, localCode := runCLIStdout(t, bin, append(args[:len(args):len(args)], buggy)...)
+		remote, remoteCode := runCLIStdout(t, bin, append(append([]string{"-remote", ts.URL}, args...), buggy)...)
+		if local == "" {
+			t.Errorf("%v: no local output", args)
+		}
+		if remote != local || remoteCode != localCode {
+			t.Errorf("%v: -remote differs from local\n--- remote (exit %d) ---\n%s--- local (exit %d) ---\n%s",
+				args, remoteCode, remote, localCode, local)
+		}
+	}
+}
+
+// TestCLICacheKeyedByChecks: -only changes what a checks report prints,
+// so it is part of the -cache-dir key — a run selecting other checks never
+// replays an earlier selection's report, and a repeated selection (served
+// from the cache) prints its own findings.
+func TestCLICacheKeyedByChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI exec test skipped in -short mode")
+	}
+	bin := buildCLI(t)
+	buggy := filepath.Join("..", "..", "examples", "buggyapp")
+	dir := t.TempDir()
+
+	for _, c := range []struct{ only, other string }{
+		{"unused-view-id", "dangling-findview"},
+		{"dangling-findview", "unused-view-id"},
+		{"unused-view-id", "dangling-findview"}, // replayed
+	} {
+		want, wantCode := runCLIStdout(t, bin, "-report", "checks", "-only", c.only, buggy)
+		got, code := runCLIStdout(t, bin, "-cache-dir", dir, "-report", "checks", "-only", c.only, buggy)
+		if got != want || code != wantCode {
+			t.Errorf("-cache-dir -only %s: exit %d, want %d\n--- got ---\n%s--- want ---\n%s", c.only, code, wantCode, got, want)
+		}
+		if !strings.Contains(got, "["+c.only+"]") || strings.Contains(got, "["+c.other+"]") {
+			t.Errorf("-cache-dir -only %s prints another selection's findings:\n%s", c.only, got)
+		}
+	}
 }
 
 func TestCLIReports(t *testing.T) {

@@ -1,8 +1,9 @@
 // Command gatord is the analysis-as-a-service daemon: a long-running HTTP
 // server exposing the full gator pipeline — cold submissions, cached
-// replays, warm incremental sessions, and streaming batch analysis — to
-// request/response clients (`gator -remote`, the Go client in
-// internal/server, or plain curl).
+// replays and warm incremental sessions — to request/response clients
+// (`gator -remote`, the Go client in internal/server, or plain curl).
+// Request bodies carry the library's own types: gator.Options as
+// "options" and report.Request's fields flat.
 //
 // Usage:
 //
@@ -15,7 +16,6 @@
 // Endpoints (see README.md, "Server mode"):
 //
 //	POST   /v1/analyze        one-shot analysis (content-addressed replay)
-//	POST   /v1/batch          parallel batch, SSE progress stream
 //	POST   /v1/sessions       upload once, then …
 //	PATCH  /v1/sessions/{id}  … patch files, warm incremental re-analysis
 //	GET    /v1/sessions/{id}  session metadata
@@ -34,8 +34,8 @@
 // jobs are rejected, in-flight jobs finish, then the listener closes.
 //
 // With -smoke the daemon exercises itself once end-to-end (cold request,
-// session patch, drain) against the app directory argument and exits —
-// the CI gate's server smoke test.
+// session patches including an order: explain, drain) against the app
+// directory argument and exits — the CI gate's server smoke test.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 	logFormat := flag.String("log-format", "json", "request log format: json or text")
 	traceSample := flag.Int("trace-sample", 0, "capture the solver trace of every Nth analysis request (0 = only ?trace=1 requests)")
 	traceRing := flag.Int("trace-ring", 64, "max captured solver traces kept in memory")
-	smoke := flag.Bool("smoke", false, "self-test: serve on a free port, run one cold and one incremental request against the app directory argument, drain, exit")
+	smoke := flag.Bool("smoke", false, "self-test: serve on a free port, run a cold request and session patches against the app directory argument, drain, exit")
 	flag.Parse()
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)

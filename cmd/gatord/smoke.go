@@ -1,10 +1,11 @@
 package main
 
 // The -smoke self-test: boot the daemon on a loopback port, drive it
-// through one cold submission and one incremental session patch with the
-// Go client, check both against locally computed reports (the remote ≡
-// local byte-identity contract), then drain and verify the shutdown
-// semantics. scripts/ci.sh runs this as the server smoke gate.
+// through one cold submission and a session's patches with the Go client
+// — a body edit, an order: explain and a second body edit that must stay
+// warm — check each against a locally computed report (the remote ≡ local
+// byte-identity contract), then drain and verify the shutdown semantics.
+// scripts/ci.sh runs this as the server smoke gate.
 
 import (
 	"bytes"
@@ -24,19 +25,20 @@ import (
 )
 
 // localReport renders the same report the server is asked for, through the
-// same library path a local CLI run takes.
-func localReport(name string, sources, layouts map[string]string, kind string) (string, error) {
+// same library path a local CLI run takes, and returns the result it
+// rendered from.
+func localReport(name string, sources, layouts map[string]string, req report.Request) (string, *gator.Result, error) {
 	app, err := gator.Load(sources, layouts)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	app.Name = name
 	res := app.Analyze(gator.Options{})
 	var out, errBuf bytes.Buffer
-	if code := report.Render(&out, &errBuf, name, res, report.Request{Report: kind, Seed: 1}); code != 0 {
-		return "", fmt.Errorf("local render exited %d: %s", code, errBuf.String())
+	if code := report.Render(&out, &errBuf, name, res, req); code != 0 {
+		return "", nil, fmt.Errorf("local render exited %d: %s", code, errBuf.String())
 	}
-	return out.String(), nil
+	return out.String(), res, nil
 }
 
 func runSmoke(cfg server.Config, dir string) error {
@@ -63,7 +65,7 @@ func runSmoke(cfg server.Config, dir string) error {
 	if err != nil {
 		return err
 	}
-	const kind = "views"
+	spec := server.ReportSpec{Report: "views"}
 
 	// Cold submission: the rendered report must be byte-identical to the
 	// local pipeline's.
@@ -71,12 +73,12 @@ func runSmoke(cfg server.Config, dir string) error {
 		Name:       "smoke",
 		Sources:    sources,
 		Layouts:    layouts,
-		ReportSpec: server.ReportSpec{Report: kind},
+		ReportSpec: spec,
 	})
 	if err != nil {
 		return fmt.Errorf("cold analyze: %w", err)
 	}
-	want, err := localReport("smoke", sources, layouts, kind)
+	want, res, err := localReport("smoke", sources, layouts, spec)
 	if err != nil {
 		return err
 	}
@@ -93,7 +95,7 @@ func runSmoke(cfg server.Config, dir string) error {
 		Name:       "smoke",
 		Sources:    sources,
 		Layouts:    layouts,
-		ReportSpec: server.ReportSpec{Report: kind},
+		ReportSpec: spec,
 	})
 	if err != nil {
 		return fmt.Errorf("open session: %w", err)
@@ -107,7 +109,7 @@ func runSmoke(cfg server.Config, dir string) error {
 	newSrc := sources[edited] + "\n// gatord smoke edit\n"
 	patch, err := c.PatchSession(open.SessionID, server.PatchRequest{
 		Sources:    map[string]string{edited: newSrc},
-		ReportSpec: server.ReportSpec{Report: kind},
+		ReportSpec: spec,
 	})
 	if err != nil {
 		return fmt.Errorf("patch session: %w", err)
@@ -117,7 +119,7 @@ func runSmoke(cfg server.Config, dir string) error {
 		editedSources[n] = s
 	}
 	editedSources[edited] = newSrc
-	want, err = localReport("smoke", editedSources, layouts, kind)
+	want, _, err = localReport("smoke", editedSources, layouts, spec)
 	if err != nil {
 		return err
 	}
@@ -129,6 +131,43 @@ func runSmoke(cfg server.Config, dir string) error {
 	}
 	fmt.Printf("gatord: smoke: incremental request ok (mode=%s, %d bytes)\n",
 		patch.Incremental.Mode, len(patch.Output))
+
+	// An order: explain is answered from the lifecycle table, so the
+	// session needs no provenance for it and its next body edit still
+	// re-solves warm.
+	acts := res.Activities()
+	if len(acts) == 0 {
+		return errors.New("smoke app has no activity to explain an ordering of")
+	}
+	order := server.ReportSpec{Explain: "order:" + acts[0].Activity + ".onDestroy.onResume"}
+	explained, err := c.PatchSession(open.SessionID, server.PatchRequest{ReportSpec: order})
+	if err != nil {
+		return fmt.Errorf("patch with %s: %w", order.Explain, err)
+	}
+	if want, _, err = localReport("smoke", editedSources, layouts, order); err != nil {
+		return err
+	}
+	if explained.Output != want {
+		return fmt.Errorf("%s differs from local output\nremote:\n%s\nlocal:\n%s", order.Explain, explained.Output, want)
+	}
+	editedSources[edited] += "// gatord smoke edit 2\n"
+	again, err := c.PatchSession(open.SessionID, server.PatchRequest{
+		Sources:    map[string]string{edited: editedSources[edited]},
+		ReportSpec: spec,
+	})
+	if err != nil {
+		return fmt.Errorf("patch after %s: %w", order.Explain, err)
+	}
+	if again.Incremental == nil || again.Incremental.Mode != "warm" {
+		return fmt.Errorf("body edit after %s was not warm: %+v", order.Explain, again.Incremental)
+	}
+	if want, _, err = localReport("smoke", editedSources, layouts, spec); err != nil {
+		return err
+	}
+	if again.Output != want {
+		return fmt.Errorf("warm report after %s differs from local output\nremote:\n%s\nlocal:\n%s", order.Explain, again.Output, want)
+	}
+	fmt.Printf("gatord: smoke: %s ok (%d bytes), next body edit warm\n", order.Explain, len(explained.Output))
 	if err := c.CloseSession(open.SessionID); err != nil {
 		return fmt.Errorf("close session: %w", err)
 	}
@@ -164,7 +203,7 @@ func runSmoke(cfg server.Config, dir string) error {
 		Name:       "smoke",
 		Sources:    sources,
 		Layouts:    layouts,
-		ReportSpec: server.ReportSpec{Report: kind},
+		ReportSpec: spec,
 	})
 	if err != nil {
 		return fmt.Errorf("traced analyze: %w", err)

@@ -84,42 +84,44 @@ const (
 func ParseCtxMode(s string) (CtxMode, error) { return core.ParseCtxMode(s) }
 
 // Options configure analysis variants; the zero value is the configuration
-// evaluated in the paper.
+// evaluated in the paper. The JSON tags are gatord's wire names (a
+// request's "options" object); the engine choice and the trace scope stay
+// off the wire.
 type Options struct {
 	// FilterCasts enables cast-based filtering of flowing values
 	// (a precision refinement beyond the paper).
-	FilterCasts bool
+	FilterCasts bool `json:"filterCasts,omitempty"`
 	// SharedInflation shares inflated view nodes per layout instead of per
 	// inflation site (an ablation; the paper materializes per site).
-	SharedInflation bool
+	SharedInflation bool `json:"sharedInflation,omitempty"`
 	// NoFindView3Refinement disables the child-only refinement of
 	// operations such as getCurrentView (an ablation).
-	NoFindView3Refinement bool
+	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
 	// DeclaredDispatchOnly disables class-hierarchy call resolution
 	// (an ablation; unsound for interface-dispatched handlers).
-	DeclaredDispatchOnly bool
+	DeclaredDispatchOnly bool `json:"declaredDispatchOnly,omitempty"`
 	// ContextSensitivity selects bounded context sensitivity for small
 	// helper methods: CtxOff (the paper's insensitive analysis) or Ctx1CFA
 	// (one context per call site — the refinement the paper's case study
 	// identifies for the XBMC receiver imprecision). Contexts carry
 	// human-readable labels that Explain queries and derivation trees
 	// render; solutions are projected back to source identities, so every
-	// query keeps working.
-	ContextSensitivity CtxMode
+	// query keeps working. In JSON it is the mode's name, "off" or "1cfa".
+	ContextSensitivity CtxMode `json:"contextSensitivity,omitempty"`
 	// Provenance records the solver's derivation DAG, enabling the
 	// ExplainDerivation/ExplainViewID queries. Costs memory proportional to
 	// the number of derived facts; off by default.
-	Provenance bool
+	Provenance bool `json:"provenance,omitempty"`
 	// ReferenceSolver selects the original map-walking, apply-everything
 	// fixpoint schedule instead of the packed CSR engine with the delta
 	// operation worklist. It is the baseline the differential harness and
 	// the solver benchmarks compare the optimized engine against; the
 	// solution is identical either way.
-	ReferenceSolver bool
+	ReferenceSolver bool `json:"-"`
 	// Trace receives solver instrumentation events (phase boundaries,
 	// fixpoint iterations, rule firings, dataflow solves). nil disables
 	// tracing with no overhead.
-	Trace *trace.Scope
+	Trace *trace.Scope `json:"-"`
 }
 
 func (o Options) internal() core.Options {
@@ -727,43 +729,6 @@ func ListChecks() string { return analysis.ListChecks() }
 // CheckTable renders the checker registry as a Markdown table (the README's
 // checker section is generated from it).
 func CheckTable() string { return analysis.MarkdownTable() }
-
-// ExplainVar reconstructs how each view reached a variable: one line per
-// value, showing the chain of graph nodes from the value's origin (an
-// allocation/inflation operation or seed) to the variable. Useful when
-// debugging why the analysis reports a surprising view at an operation.
-func (r *Result) ExplainVar(class, method, varName string) ([]string, error) {
-	c := r.app.prog.Class(class)
-	if c == nil {
-		return nil, fmt.Errorf("gator: unknown class %s", class)
-	}
-	for _, m := range c.MethodsSorted() {
-		if m.Name != method {
-			continue
-		}
-		for _, v := range m.Locals {
-			if v.Name != varName {
-				continue
-			}
-			// One chain per (context variant, value): cloned variable
-			// nodes render their context label, so context-sensitive
-			// runs show which caller a view belongs to.
-			var out []string
-			for _, node := range r.res.VarNodesOf(v) {
-				for _, val := range r.res.PointsTo(node) {
-					chain := r.res.Explain(node, val)
-					parts := make([]string, len(chain))
-					for i, n := range chain {
-						parts[i] = n.String()
-					}
-					out = append(out, val.String()+": "+strings.Join(parts, " -> "))
-				}
-			}
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("gator: no variable %s in %s.%s", varName, class, method)
-}
 
 // ExplainDerivation renders, for each value reaching Class.method.var, the
 // minimal derivation tree of the fact flowsTo(var, value): every node is one

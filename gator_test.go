@@ -308,23 +308,6 @@ class A extends Activity {
 	}
 }
 
-func TestExplainVarAPI(t *testing.T) {
-	res := figure1App(t).Analyze(Options{})
-	lines, err := res.ExplainVar("ConsoleActivity", "findCurrentView", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "FindView1") {
-		t.Errorf("explain = %v", lines)
-	}
-	if _, err := res.ExplainVar("Nope", "m", "x"); err == nil {
-		t.Error("want error for unknown class")
-	}
-	if _, err := res.ExplainVar("ConsoleActivity", "findCurrentView", "zzz"); err == nil {
-		t.Error("want error for unknown variable")
-	}
-}
-
 func TestExplainOrderingAPI(t *testing.T) {
 	res := figure1App(t).Analyze(Options{})
 	tree, err := res.ExplainOrdering("ConsoleActivity", "onPause", "onResume")

@@ -11,21 +11,10 @@ import (
 	"gator/internal/trace"
 )
 
-// IncrementalStats describes how an AnalyzeIncremental run was computed.
-type IncrementalStats struct {
-	// Mode is "warm" when the previous solution was delta-resolved,
-	// "scratch" when the analysis fell back to a full solve, or "unchanged"
-	// when the inputs were byte-identical to the previous run.
-	Mode string
-	// Reason explains a scratch fallback; empty otherwise.
-	Reason string
-	// Retained and Retracted count previous-solution facts that survived
-	// the edit and facts whose derivations reached a dirty unit.
-	Retained  int
-	Retracted int
-	// DirtyUnits are the edited compilation units.
-	DirtyUnits []string
-}
+// IncrementalStats describes how an AnalyzeIncremental run was computed:
+// Mode "warm", "scratch" or "unchanged", the Reason for a scratch fallback,
+// the Retained and Retracted fact counts, and the DirtyUnits edited.
+type IncrementalStats = core.IncrementalStats
 
 // Incremental reports how this result was computed. For results of Analyze
 // the stats are zero; AnalyzeIncremental always fills in Mode.
@@ -130,7 +119,7 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 		newShapes[name] = ir.ShapeSignature(files[i])
 	}
 	newApp := &App{Name: app.Name, prog: prog, sources: maps.Clone(sources), layouts: app.layouts, shapes: newShapes, stages: stages}
-	return newApp.result(res, opts.Trace, IncrementalStats(res.Incr)), nil
+	return newApp.result(res, opts.Trace, res.Incr), nil
 }
 
 // analyzeFull is the scratch path: a complete load and solve, still tracking

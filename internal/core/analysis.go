@@ -53,6 +53,20 @@ func ParseCtxMode(s string) (CtxMode, error) {
 	return CtxOff, fmt.Errorf("unknown context mode %q (known: %s)", s, strings.Join(names, ", "))
 }
 
+// MarshalText renders the mode as its String, so JSON carries "off" or
+// "1cfa" (gatord's options.contextSensitivity).
+func (m CtxMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses the mode with ParseCtxMode; an unknown mode is an
+// error naming the known ones.
+func (m *CtxMode) UnmarshalText(b []byte) error {
+	mode, err := ParseCtxMode(string(b))
+	if err == nil {
+		*m = mode
+	}
+	return err
+}
+
 // Options configure analysis variants. The zero value is the configuration
 // evaluated in the paper; the other settings exist for the ablation
 // benchmarks called out in DESIGN.md.
@@ -138,43 +152,6 @@ type Result struct {
 	// Incr describes how this result was computed when it came from
 	// AnalyzeIncremental; zero for plain Analyze runs.
 	Incr IncrementalStats
-}
-
-// Explain reconstructs how value v reached node n: the chain of nodes the
-// value flowed through, from its origin (an initial seed or the operation
-// node that produced it) to n. Returns nil when v does not reach n.
-func (r *Result) Explain(n graph.Node, v graph.Value) []graph.Node {
-	if s := r.pts.of(n); s == nil || !s.Contains(v) {
-		return nil
-	}
-	chain := []graph.Node{n}
-	seen := map[int]bool{n.ID(): true}
-	cur := n
-	for {
-		s := r.pts.of(cur)
-		if s == nil {
-			break
-		}
-		prev := s.Origin(v)
-		if prev == nil {
-			break
-		}
-		if _, isOp := prev.(*graph.OpNode); isOp {
-			chain = append(chain, prev)
-			break
-		}
-		if seen[prev.ID()] {
-			break
-		}
-		seen[prev.ID()] = true
-		chain = append(chain, prev)
-		cur = prev
-	}
-	// Reverse: origin first.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
 }
 
 // PointsTo returns the abstract values that may flow to a graph node

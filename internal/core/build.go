@@ -61,11 +61,6 @@ type analysis struct {
 	// interned context walks each body exactly once.
 	builtClones map[cloneKey]bool
 
-	// provSource is set while an operation rule is running, so facts it
-	// seeds are attributed to it (recorded as per-value origins inside each
-	// ValueSet; the predecessor node is recorded during flow propagation).
-	provSource graph.Node
-
 	// rec, when non-nil, accumulates the derivation DAG (Options.Provenance).
 	rec *recorder
 	// tr is the trace scope for solver events; nil-safe (Options.Trace).

@@ -111,7 +111,6 @@ func (a *analysis) propagateCSR() {
 		if src >= c.numNodes {
 			continue // materialized mid-solve; no flow edges
 		}
-		a.provSource = it.node
 		for e := c.row[src]; e < c.row[src+1]; e++ {
 			if di := c.dispatch[e]; di >= 0 && !dispatchAdmits(it.val, c.dispReqs[di]) {
 				continue
@@ -128,7 +127,6 @@ func (a *analysis) propagateCSR() {
 			}
 		}
 	}
-	a.provSource = nil
 	a.worklist = a.worklist[:0]
 }
 

@@ -10,18 +10,22 @@ import (
 )
 
 // IncrementalStats describes how an AnalyzeIncremental run was computed.
+// The JSON tags are gatord's wire names (a session response's
+// "incremental" object).
 type IncrementalStats struct {
-	// Mode is "warm" when the previous solution was delta-resolved, or
-	// "scratch" when the analysis fell back to a full solve.
-	Mode string
-	// Reason explains a scratch fallback; empty for warm runs.
-	Reason string
+	// Mode is "warm" when the previous solution was delta-resolved,
+	// "scratch" when the analysis fell back to a full solve, or (set by the
+	// root package) "unchanged" when the inputs were byte-identical to the
+	// previous run.
+	Mode string `json:"mode"`
+	// Reason explains a scratch fallback; empty otherwise.
+	Reason string `json:"reason,omitempty"`
 	// Retained and Retracted count previous-solution facts that survived
 	// the edit and facts whose derivations reached a dirty unit.
-	Retained  int
-	Retracted int
-	// DirtyUnits are the unit names the edit touched, as passed in.
-	DirtyUnits []string
+	Retained  int `json:"retained,omitempty"`
+	Retracted int `json:"retracted,omitempty"`
+	// DirtyUnits are the unit names the edit touched, sorted.
+	DirtyUnits []string `json:"dirtyUnits,omitempty"`
 }
 
 // warmState is the part of the solver's working state a Result carries so the
@@ -185,10 +189,10 @@ func sortedCopy(s []string) []string {
 }
 
 // adoptAnalysis resumes prev's solver state in place: the constraint graph,
-// points-to sets (with their origin links), dependency tracker, edge
-// filters, and build caches all carry over. Memos whose validity an edit can silently
-// break — declarative-onClick binding, descendant sets, return-variable
-// caches of re-lowered methods — are reset instead.
+// points-to sets, dependency tracker, edge filters, and build caches all
+// carry over. Memos whose validity an edit can silently break —
+// declarative-onClick binding, descendant sets, return-variable caches of
+// re-lowered methods — are reset instead.
 func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 	w := prev.warm
 	a := &analysis{

@@ -39,12 +39,10 @@ func (a *analysis) solve() {
 			if a.opDirty != nil && !a.opTake(i) {
 				continue
 			}
-			a.provSource = op
 			if a.applyOp(op) {
 				changed = true
 				a.tr.Rule(op.Kind.String(), 1)
 			}
-			a.provSource = nil
 		}
 		if !changed && len(a.worklist) == 0 {
 			return
@@ -69,7 +67,6 @@ func (a *analysis) propagate() {
 func (a *analysis) propagateReference() {
 	for head := 0; head < len(a.worklist); head++ {
 		it := a.worklist[head]
-		a.provSource = it.node
 		for _, succ := range a.g.FlowSucc(it.node) {
 			ek := [2]int{it.node.ID(), succ.ID()}
 			if req, ok := a.dispatchFilter[ek]; ok && !dispatchAdmits(it.val, req) {
@@ -86,7 +83,6 @@ func (a *analysis) propagateReference() {
 			}
 		}
 	}
-	a.provSource = nil
 	a.worklist = a.worklist[:0]
 }
 
@@ -127,7 +123,7 @@ func castAdmits(v graph.Value, cls *ir.Class) bool {
 
 // seedChecked is seed that reports whether the value was new.
 func (a *analysis) seedChecked(n graph.Node, v graph.Value) bool {
-	if a.pts.ensure(n).AddFrom(v, a.provSource) {
+	if a.pts.ensure(n).Add(v) {
 		a.worklist = append(a.worklist, propItem{n, v})
 		a.markWatchers(n.ID())
 		return true

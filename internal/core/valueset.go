@@ -5,17 +5,9 @@ import "gator/internal/graph"
 // ValueSet is an insertion-ordered set of abstract values. Insertion order
 // is deterministic given a deterministic construction order, which keeps
 // the whole analysis reproducible run to run.
-//
-// Each value carries an origin: the node the value arrived from (the flow
-// predecessor, or the operation node that produced it; nil for initial
-// seeds). Origins live in a slice aligned with the insertion order, so
-// recording one is an append instead of the global (node, value)-keyed map
-// insert it replaced — the single hottest allocation in the solver — and a
-// retraction that removes a value removes its origin with it.
 type ValueSet struct {
-	order   []graph.Value
-	origins []graph.Node
-	index   map[int]int32 // value ID -> position in order
+	order []graph.Value
+	index map[int]int32 // value ID -> position in order
 }
 
 // NewValueSet returns an empty set.
@@ -23,30 +15,14 @@ func NewValueSet() *ValueSet {
 	return &ValueSet{index: map[int]int32{}}
 }
 
-// Add inserts v with no origin, reporting whether it was new.
-func (s *ValueSet) Add(v graph.Value) bool { return s.AddFrom(v, nil) }
-
-// AddFrom inserts v, recording from as its origin, and reports whether the
-// value was new. The first insertion wins; a re-add never rewrites the
-// origin, matching the first-derivation-wins provenance contract.
-func (s *ValueSet) AddFrom(v graph.Value, from graph.Node) bool {
+// Add inserts v, reporting whether it was new.
+func (s *ValueSet) Add(v graph.Value) bool {
 	if _, ok := s.index[v.ID()]; ok {
 		return false
 	}
 	s.index[v.ID()] = int32(len(s.order))
 	s.order = append(s.order, v)
-	s.origins = append(s.origins, from)
 	return true
-}
-
-// Origin returns the recorded origin of v, or nil when v is absent or was
-// seeded without one.
-func (s *ValueSet) Origin(v graph.Value) graph.Node {
-	i, ok := s.index[v.ID()]
-	if !ok {
-		return nil
-	}
-	return s.origins[i]
 }
 
 // Remove deletes v, reporting whether it was present. Removal preserves the
@@ -61,9 +37,6 @@ func (s *ValueSet) Remove(v graph.Value) bool {
 	copy(s.order[i:], s.order[i+1:])
 	s.order[len(s.order)-1] = nil
 	s.order = s.order[:len(s.order)-1]
-	copy(s.origins[i:], s.origins[i+1:])
-	s.origins[len(s.origins)-1] = nil
-	s.origins = s.origins[:len(s.origins)-1]
 	for j := int(i); j < len(s.order); j++ {
 		s.index[s.order[j].ID()] = int32(j)
 	}

@@ -12,24 +12,28 @@ import (
 	"strings"
 
 	"gator"
+	"gator/internal/cache"
 )
 
-// Request selects one report surface.
+// Request selects one report surface. The JSON tags are gatord's wire
+// names: a request body carries these fields flat (server.ReportSpec is
+// this type).
 type Request struct {
 	// Report is the report kind (see Known); "" means "summary".
-	Report string
+	Report string `json:"report,omitempty"`
 	// Explain, when non-empty, renders derivation trees instead of Report:
 	// "Class.method.var" for a variable's solution, "id:name" for a view id,
 	// "order:Class.cb1.cb2" for a lifecycle-ordering justification.
 	// The flow forms require the result to have been computed with
 	// Options.Provenance; the order form is answered from the lifecycle
 	// transition table alone.
-	Explain string
-	// Seed seeds the concrete interpreter for the "explore" report.
-	Seed int64
+	Explain string `json:"explain,omitempty"`
+	// Seed seeds the concrete interpreter for the "explore" report; 0 (an
+	// omitted wire field) means 1.
+	Seed int64 `json:"seed,omitempty"`
 	// Checks restricts the "checks" and "sarif" reports to the named check
 	// IDs; empty runs all.
-	Checks []string
+	Checks []string `json:"checks,omitempty"`
 }
 
 // NeedsProvenance reports whether serving this request requires the
@@ -65,15 +69,52 @@ func Known(kind string) bool {
 	return false
 }
 
-// Stable reports whether the kind renders byte-identically across repeated
-// runs of the same input. Unstable reports carry wall-clock measurements
-// and must not be served from content-addressed result caches.
-func Stable(kind string) bool {
-	switch kind {
-	case "summary", "table2":
+// Replayable reports whether the request renders byte-identically across
+// repeated runs of the same input, so a result cache may replay it. Explain
+// queries are not (their target is not part of CacheKey), nor are reports
+// that carry wall-clock measurements.
+func (r Request) Replayable() bool {
+	switch r.Kind() {
+	case "summary", "table2", "json": // Model JSON embeds analysisTime
 		return false
 	}
-	return kind != "json" // Model JSON embeds analysisTime
+	return r.Explain == ""
+}
+
+// seed is the effective interpreter seed.
+func (r Request) seed() int64 {
+	if r.Seed == 0 {
+		return 1
+	}
+	return r.Seed
+}
+
+// CacheKey fingerprints one rendering of an application for the
+// content-addressed result caches (gator -cache-dir and gatord): the
+// options' CacheTag, the report kind, seed and check selection, and every
+// source and layout. It is "" when the request is not Replayable.
+func (r Request) CacheKey(opts gator.Options, sources, layouts map[string]string) string {
+	if !r.Replayable() {
+		return ""
+	}
+	tag := fmt.Sprintf("%s|report=%s|seed=%d|checks=%s",
+		opts.CacheTag(), r.Kind(), r.seed(), strings.Join(r.Checks, ","))
+	return cache.AppFingerprint(tag, sources, layouts)
+}
+
+// EncodeEntry is the stored form of one rendering under its CacheKey: the
+// exit code as one digit, then the report's bytes.
+func EncodeEntry(code int, out string) []byte {
+	return append([]byte{byte('0' + code)}, out...)
+}
+
+// DecodeEntry splits a stored entry back into exit code and report; ok is
+// false for an entry EncodeEntry did not write.
+func DecodeEntry(entry []byte) (code int, out string, ok bool) {
+	if len(entry) == 0 || entry[0] < '0' || entry[0] > '9' {
+		return 0, "", false
+	}
+	return int(entry[0] - '0'), string(entry[1:]), true
 }
 
 // Render writes one report for res to w, diagnostics to errw, and returns
@@ -228,7 +269,7 @@ func Render(w, errw io.Writer, name string, res *gator.Result, req Request) int 
 	case "dot":
 		fmt.Fprint(w, res.Dot())
 	case "explore":
-		rep := res.Explore(req.Seed)
+		rep := res.Explore(req.seed())
 		fmt.Fprintf(w, "sound=%v sites=%d perfect=%d steps=%d\n",
 			rep.Sound, rep.ObservedSites, rep.PerfectSites, rep.Steps)
 		for _, v := range rep.Violations {

@@ -1,8 +1,8 @@
 package server
 
 // The job subsystem: a bounded admission queue feeding a fixed worker
-// pool. Every analysis request — cold submission, session patch, streaming
-// batch — becomes a job, so the daemon's concurrency and memory are
+// pool. Every analysis request — cold submission, session create, session
+// patch — becomes a job, so the daemon's concurrency and memory are
 // bounded by configuration, not by how many sockets the OS accepts.
 // Admission is fail-fast: a full queue rejects immediately (the HTTP layer
 // maps that to 429 + Retry-After) instead of building an unbounded backlog
@@ -161,19 +161,6 @@ func (r *jobRunner) do(ctx context.Context, fn func()) error {
 		r.reg.Add("server.jobs.abandoned", 1)
 		return ctx.Err()
 	}
-}
-
-// doStream is do for jobs that write to a live response stream: it waits
-// for completion unconditionally (no abandonment — the job owns the
-// response writer while it runs). Admission control and panic isolation
-// still apply; the job should bound its own work instead.
-func (r *jobRunner) doStream(ctx context.Context, fn func()) error {
-	j := &job{ctx: ctx, fn: fn, done: make(chan struct{})}
-	if err := r.submit(j); err != nil {
-		return err
-	}
-	<-j.done
-	return j.err
 }
 
 // drain stops admission, rejects everything still queued, and waits for

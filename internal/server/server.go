@@ -1,11 +1,12 @@
 // Package server is the analysis-as-a-service layer: a long-running HTTP
 // daemon (cmd/gatord) serving the full gator pipeline — cold submissions,
-// content-addressed result replay, warm incremental sessions, streaming
-// batch analysis — with bounded admission, per-job deadlines, panic
-// isolation, and graceful drain. The serving layer adds no analysis
-// semantics of its own: every report is rendered by internal/report from a
-// *gator.Result, so remote output is byte-identical to the local CLI's
-// (the contract server tests verify; see DESIGN.md, "Serving").
+// content-addressed result replay, warm incremental sessions — with
+// bounded admission, per-job deadlines, panic isolation, and graceful
+// drain. The serving layer adds no analysis semantics of its own: requests
+// carry the library's own gator.Options and report.Request, and every
+// report is rendered by internal/report from a *gator.Result, so remote
+// output is byte-identical to the local CLI's (the contract server tests
+// verify; see DESIGN.md, "Serving").
 package server
 
 import (
@@ -19,6 +20,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,7 +171,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	s.mux.HandleFunc("GET /v1/debug/traces/{id}", s.handleDebugTrace)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
 	s.mux.HandleFunc("PATCH /v1/sessions/{id}", s.handleSessionPatch)
@@ -206,52 +207,9 @@ func (s *Server) SweepSessions() int { return s.sessions.sweep(time.Now()) }
 
 // ---- wire types ----
 
-// OptionsJSON mirrors gator.Options for the wire (solution-changing knobs
-// only; provenance is requested implicitly by explain queries or
-// explicitly for sessions that will be asked to explain).
-type OptionsJSON struct {
-	FilterCasts           bool `json:"filterCasts,omitempty"`
-	SharedInflation       bool `json:"sharedInflation,omitempty"`
-	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
-	DeclaredDispatchOnly  bool `json:"declaredDispatchOnly,omitempty"`
-	// ContextSensitivity selects the cloning-based context mode:
-	// "off" (or empty) or "1cfa".
-	ContextSensitivity string `json:"contextSensitivity,omitempty"`
-	Provenance         bool   `json:"provenance,omitempty"`
-}
-
-func (o OptionsJSON) toOptions() gator.Options {
-	ctx, _ := gator.ParseCtxMode(o.ContextSensitivity)
-	return gator.Options{
-		FilterCasts:           o.FilterCasts,
-		SharedInflation:       o.SharedInflation,
-		NoFindView3Refinement: o.NoFindView3Refinement,
-		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		ContextSensitivity:    ctx,
-		Provenance:            o.Provenance,
-	}
-}
-
-// ReportSpec selects a report surface (mirrors internal/report.Request).
-type ReportSpec struct {
-	// Report is the report kind (report.Kinds); "" means "summary".
-	Report string `json:"report,omitempty"`
-	// Explain renders derivation trees instead: "Class.method.var" or
-	// "id:name". Implies provenance.
-	Explain string `json:"explain,omitempty"`
-	// Seed seeds the "explore" report's interpreter (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Checks restricts the "checks"/"sarif" reports to the named IDs.
-	Checks []string `json:"checks,omitempty"`
-}
-
-func (rs ReportSpec) request() report.Request {
-	seed := rs.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return report.Request{Report: rs.Report, Explain: rs.Explain, Seed: seed, Checks: rs.Checks}
-}
+// ReportSpec selects a report surface: report, explain, seed and checks,
+// carried flat in a request body.
+type ReportSpec = report.Request
 
 // AnalyzeRequest is the body of POST /v1/analyze and POST /v1/sessions.
 type AnalyzeRequest struct {
@@ -261,8 +219,10 @@ type AnalyzeRequest struct {
 	// XML (the same maps gator.Load takes).
 	Sources map[string]string `json:"sources"`
 	Layouts map[string]string `json:"layouts,omitempty"`
-	// Options are the analysis options, fixed per session.
-	Options OptionsJSON `json:"options,omitempty"`
+	// Options are the analysis options, fixed per session. Provenance is
+	// also switched on by an explain query that needs it
+	// (ReportSpec.NeedsProvenance).
+	Options gator.Options `json:"options,omitempty"`
 	ReportSpec
 	// NoCache skips the content-addressed result caches (for benchmarking
 	// and for callers that want a guaranteed fresh solve).
@@ -282,15 +242,6 @@ type PatchRequest struct {
 	// input instead of a merge (what a directory-watching client sends).
 	Replace bool `json:"replace,omitempty"`
 	ReportSpec
-}
-
-// IncrementalInfo mirrors gator.IncrementalStats on the wire.
-type IncrementalInfo struct {
-	Mode       string   `json:"mode"`
-	Reason     string   `json:"reason,omitempty"`
-	Retained   int      `json:"retained,omitempty"`
-	Retracted  int      `json:"retracted,omitempty"`
-	DirtyUnits []string `json:"dirtyUnits,omitempty"`
 }
 
 // AnalyzeResponse is the result of any analysis-bearing endpoint.
@@ -317,17 +268,17 @@ type AnalyzeResponse struct {
 	TraceID string `json:"traceId,omitempty"`
 	// Incremental is set by session endpoints: how the solution was
 	// computed (warm/scratch/unchanged).
-	Incremental *IncrementalInfo `json:"incremental,omitempty"`
+	Incremental *gator.IncrementalStats `json:"incremental,omitempty"`
 }
 
 // SessionInfo is the body of GET /v1/sessions/{id}.
 type SessionInfo struct {
-	SessionID string      `json:"sessionId"`
-	Name      string      `json:"name"`
-	Sources   []string    `json:"sources"`
-	Layouts   []string    `json:"layouts,omitempty"`
-	Patches   int         `json:"patches"`
-	Options   OptionsJSON `json:"options"`
+	SessionID string        `json:"sessionId"`
+	Name      string        `json:"name"`
+	Sources   []string      `json:"sources"`
+	Layouts   []string      `json:"layouts,omitempty"`
+	Patches   int           `json:"patches"`
+	Options   gator.Options `json:"options"`
 }
 
 // ErrorResponse is every non-2xx body.
@@ -401,46 +352,87 @@ func validateSpec(w http.ResponseWriter, spec ReportSpec) bool {
 	return true
 }
 
-// validateOptions rejects unknown option enum values up front — a typo'd
-// context mode must fail the request, not silently analyze insensitively.
-func validateOptions(w http.ResponseWriter, o OptionsJSON) bool {
-	if _, err := gator.ParseCtxMode(o.ContextSensitivity); err != nil {
-		writeError(w, http.StatusBadRequest, "contextSensitivity: %v", err)
-		return false
+// decodeAnalyze reads the body of an upload route (POST /v1/analyze, POST
+// /v1/sessions), answering a malformed one. On success the name defaults
+// to "app", and the options carry provenance when the report needs it —
+// the CLI's rule, so the server runs the solve a local run would.
+func (s *Server) decodeAnalyze(w http.ResponseWriter, r *http.Request) (AnalyzeRequest, bool) {
+	var req AnalyzeRequest
+	if !s.decodeBody(w, r, &req) {
+		return req, false
 	}
-	return true
-}
-
-// rendered is one analysis outcome: the rendered report plus metadata.
-type rendered struct {
-	code    int
-	out     []byte
-	errText string
-	elapsed time.Duration
-	loadErr error
-}
-
-// render runs one report over a solved result as the render stage (a phase
-// on scope), then observes the result's stages and render in
-// stage_duration_us.
-func (s *Server) render(name string, res *gator.Result, req report.Request, scope *trace.Scope) rendered {
-	var out, errBuf bytes.Buffer
-	var code int
-	stages := res.Stages()
-	scope.Stage(&stages, trace.StageRender, func() { code = report.Render(&out, &errBuf, name, res, req) })
-	s.observeStages(stages)
-	return rendered{code: code, out: out.Bytes(), errText: errBuf.String(), elapsed: res.Elapsed()}
-}
-
-func (rd rendered) response(name string, spec ReportSpec) AnalyzeResponse {
-	return AnalyzeResponse{
-		Name:      name,
-		Report:    spec.request().Kind(),
-		ExitCode:  rd.code,
-		Output:    string(rd.out),
-		Stderr:    rd.errText,
-		ElapsedMs: float64(rd.elapsed) / float64(time.Millisecond),
+	if len(req.Sources) == 0 {
+		writeError(w, http.StatusBadRequest, "no sources in request")
+		return req, false
 	}
+	if !validateSpec(w, req.ReportSpec) {
+		return req, false
+	}
+	if req.Name == "" {
+		req.Name = "app"
+	}
+	req.Options.Provenance = req.Options.Provenance || req.NeedsProvenance()
+	return req, true
+}
+
+// run is the one run-and-respond path of the analysis routes: solve
+// computes the result on a job worker and the worker renders spec from it,
+// both under lock when it is non-nil (a session's next patch consumes the
+// result). Every failure is answered here — job errors by writeJobError, a
+// consumed session result with 409, other solve errors with 422 — and run
+// returns false; otherwise the route completes the response and sends it.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, name string, spec ReportSpec, lock *sync.Mutex,
+	solve func(*trace.Scope) (*gator.Result, error)) (AnalyzeResponse, bool) {
+	sink, scope, traceID := s.captureScope(r, name)
+	// resp and solveErr belong to the job until do returns nil: an
+	// abandoned job may still write them.
+	var resp AnalyzeResponse
+	var solveErr error
+	err := s.jobs.do(r.Context(), func() {
+		if lock != nil {
+			lock.Lock()
+			defer lock.Unlock()
+		}
+		res, err := solve(scope)
+		if err != nil {
+			solveErr = err
+			return
+		}
+		var out, errBuf bytes.Buffer
+		var code int
+		stages := res.Stages()
+		scope.Stage(&stages, trace.StageRender, func() { code = report.Render(&out, &errBuf, name, res, spec) })
+		s.observeStages(stages)
+		resp = AnalyzeResponse{
+			Name:      name,
+			Report:    spec.Kind(),
+			ExitCode:  code,
+			Output:    out.String(),
+			Stderr:    errBuf.String(),
+			ElapsedMs: float64(res.Elapsed()) / float64(time.Millisecond),
+		}
+		if incr := res.Incremental(); incr.Mode != "" {
+			resp.Incremental = &incr
+		}
+	})
+	switch {
+	case err != nil:
+		s.writeJobError(w, r, err)
+		return AnalyzeResponse{}, false
+	case errors.Is(solveErr, gator.ErrStaleResult):
+		// HTTP mapping of the ErrStaleResult contract: the session's
+		// previous solution was consumed by a concurrent writer.
+		writeError(w, http.StatusConflict, "%v", solveErr)
+		return AnalyzeResponse{}, false
+	case solveErr != nil:
+		writeError(w, http.StatusUnprocessableEntity, "%v", solveErr)
+		return AnalyzeResponse{}, false
+	}
+	if sink != nil {
+		s.storeTrace(traceID, sink)
+		resp.TraceID = traceID
+	}
+	return resp, true
 }
 
 // ---- operational endpoints ----
@@ -489,22 +481,11 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 
 // ---- one-shot analysis ----
 
-// cacheKey fingerprints a request for the content-addressed result caches;
-// "" when the request is not cacheable (unstable report, explicit opt-out).
-func (s *Server) cacheKey(req AnalyzeRequest) string {
-	spec := req.request()
-	if req.NoCache || spec.Explain != "" || !report.Stable(spec.Kind()) {
-		return ""
-	}
-	tag := fmt.Sprintf("%s|report=%s|seed=%d|checks=%s",
-		req.Options.toOptions().CacheTag(), spec.Kind(), spec.Seed, strings.Join(spec.Checks, ","))
-	return cache.AppFingerprint(tag, req.Sources, req.Layouts)
-}
-
-// cacheGet replays a stored entry (one exit-code digit + rendered bytes).
-func (s *Server) cacheGet(key string) (rendered, bool) {
+// cacheGet replays a stored rendering (report.EncodeEntry) from the memory
+// tier, or from disk, promoting a disk hit to memory.
+func (s *Server) cacheGet(key string) (code int, out string, ok bool) {
 	if key == "" {
-		return rendered{}, false
+		return 0, "", false
 	}
 	data, hit := s.results.Get(key)
 	if !hit && s.disk != nil {
@@ -514,20 +495,23 @@ func (s *Server) cacheGet(key string) (rendered, bool) {
 			s.reg.Add("server.cache.disk_hits", 1)
 		}
 	}
-	if !hit || len(data) == 0 {
+	if hit {
+		code, out, ok = report.DecodeEntry(data)
+	}
+	if !ok {
 		s.reg.Add("server.cache.misses", 1)
-		return rendered{}, false
+		return 0, "", false
 	}
 	s.reg.Add("server.cache.hits", 1)
-	return rendered{code: int(data[0] - '0'), out: data[1:]}, true
+	return code, out, true
 }
 
-func (s *Server) cachePut(key string, rd rendered) {
+func (s *Server) cachePut(key string, resp AnalyzeResponse) {
 	// Only clean outcomes are replayable: diagnostics would be lost.
-	if key == "" || rd.code > 1 || rd.errText != "" {
+	if key == "" || resp.ExitCode > 1 || resp.Stderr != "" {
 		return
 	}
-	entry := append([]byte{byte('0' + rd.code)}, rd.out...)
+	entry := report.EncodeEntry(resp.ExitCode, resp.Output)
 	s.results.Put(key, entry)
 	if s.disk != nil {
 		s.disk.Put(key, entry)
@@ -536,135 +520,67 @@ func (s *Server) cachePut(key string, rd rendered) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("server.analyze.requests", 1)
-	var req AnalyzeRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.decodeAnalyze(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Sources) == 0 {
-		writeError(w, http.StatusBadRequest, "no sources in request")
-		return
+	var key string
+	if !req.NoCache {
+		key = req.CacheKey(req.Options, req.Sources, req.Layouts)
 	}
-	if !validateSpec(w, req.ReportSpec) {
-		return
-	}
-	if !validateOptions(w, req.Options) {
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = "app"
-	}
-
-	key := s.cacheKey(req)
 	// An explicit ?trace=1 wants a solver trace, which a cache replay
 	// cannot produce — bypass the replay and run the solver.
-	if rd, ok := s.cacheGet(key); ok && !s.forceTrace(r) {
-		resp := rd.response(name, req.ReportSpec)
-		resp.Cached = true
-		resp.ElapsedMs = 0
-		writeJSON(w, http.StatusOK, resp)
+	if code, out, ok := s.cacheGet(key); ok && !s.forceTrace(r) {
+		writeJSON(w, http.StatusOK, AnalyzeResponse{Name: req.Name, Report: req.Kind(), ExitCode: code, Output: out, Cached: true})
 		return
 	}
-
-	opts := req.Options.toOptions()
-	if req.Explain != "" {
-		opts.Provenance = true
-	}
-	sink, scope, traceID := s.captureScope(r, name)
-	opts.Trace = scope
-	var rd rendered
-	err := s.jobs.do(r.Context(), func() {
+	resp, ok := s.run(w, r, req.Name, req.ReportSpec, nil, func(scope *trace.Scope) (*gator.Result, error) {
 		app, err := gator.LoadCached(req.Sources, req.Layouts, s.appCache)
 		if err != nil {
-			rd.loadErr = err
-			return
+			return nil, err
 		}
-		app.Name = name
-		rd = s.render(name, app.Analyze(opts), req.request(), scope)
+		app.Name = req.Name
+		opts := req.Options
+		opts.Trace = scope
+		return app.Analyze(opts), nil
 	})
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
+	if ok {
+		s.cachePut(key, resp)
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if rd.loadErr != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", rd.loadErr)
-		return
-	}
-	s.cachePut(key, rd)
-	resp := rd.response(name, req.ReportSpec)
-	if sink != nil {
-		s.storeTrace(traceID, sink)
-		resp.TraceID = traceID
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---- sessions ----
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("server.sessions.create_requests", 1)
-	var req AnalyzeRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.decodeAnalyze(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Sources) == 0 {
-		writeError(w, http.StatusBadRequest, "no sources in request")
-		return
-	}
-	if !validateSpec(w, req.ReportSpec) {
-		return
-	}
-	if !validateOptions(w, req.Options) {
-		return
-	}
-	name := req.Name
-	if name == "" {
-		name = "app"
-	}
-	opts := req.Options.toOptions()
-	if req.Explain != "" {
-		opts.Provenance = true
-	}
-
 	sess := &session{
 		id:      newSessionID(),
-		name:    name,
-		opts:    opts,
+		name:    req.Name,
+		opts:    req.Options,
 		sources: copyMap(req.Sources),
 		layouts: copyMap(req.Layouts),
 	}
-	sink, scope, traceID := s.captureScope(r, name)
-	var rd rendered
-	var incr gator.IncrementalStats
-	err := s.jobs.do(r.Context(), func() {
+	resp, ok := s.run(w, r, sess.name, req.ReportSpec, nil, func(scope *trace.Scope) (*gator.Result, error) {
 		solveOpts := sess.opts
 		solveOpts.Trace = scope
 		res, err := gator.AnalyzeIncremental(nil, sess.sources, sess.layouts, solveOpts, s.appCache)
 		if err != nil {
-			rd.loadErr = err
-			return
+			return nil, err
 		}
-		res.SetAppName(name)
+		res.SetAppName(sess.name)
 		sess.prev = res
-		incr = res.Incremental()
-		rd = s.render(name, res, req.request(), scope)
+		return res, nil
 	})
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	if rd.loadErr != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", rd.loadErr)
+	if !ok {
 		return
 	}
 	s.sessions.add(sess)
-	resp := rd.response(name, req.ReportSpec)
 	resp.SessionID = sess.id
-	resp.Incremental = incrInfo(incr)
-	if sink != nil {
-		s.storeTrace(traceID, sink)
-		resp.TraceID = traceID
-	}
 	writeJSON(w, http.StatusCreated, resp)
 }
 
@@ -679,7 +595,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		SessionID: sess.id,
 		Name:      sess.name,
 		Patches:   sess.patches,
-		Options:   optionsJSON(sess.opts),
+		Options:   sess.opts,
 	}
 	for n := range sess.sources {
 		info.Sources = append(info.Sources, n)
@@ -709,27 +625,18 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) || !validateSpec(w, req.ReportSpec) {
 		return
 	}
-	if !validateSpec(w, req.ReportSpec) {
-		return
-	}
-	if req.Explain != "" && !sess.opts.Provenance {
+	if req.NeedsProvenance() && !sess.opts.Provenance {
 		writeError(w, http.StatusUnprocessableEntity,
-			"session was created without provenance; recreate it with options.provenance or an explain query")
+			"session was created without provenance; recreate it with options.provenance or a derivation explain query")
 		return
 	}
 
-	sink, scope, traceID := s.captureScope(r, sess.name)
-	var rd rendered
-	var incr gator.IncrementalStats
-	var patchErr error
-	err := s.jobs.do(r.Context(), func() {
-		// The per-session lock serializes concurrent patches: the second
-		// waits for the first instead of tripping over a consumed result.
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
+	// The per-session lock serializes concurrent patches: the second waits
+	// for the first instead of tripping over a consumed result.
+	resp, ok := s.run(w, r, sess.name, req.ReportSpec, &sess.mu, func(scope *trace.Scope) (*gator.Result, error) {
 		sources, layouts := patchedInputs(sess, req)
 		// Trace on a copy: the session's stored options stay scope-free.
 		solveOpts := sess.opts
@@ -741,45 +648,25 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, gator.ErrStaleResult) || (sess.prev != nil && sess.prev.Stale()) {
 				sess.prev = nil
 			}
-			patchErr = err
-			return
+			return nil, err
 		}
 		res.SetAppName(sess.name)
 		sess.prev = res
 		sess.sources = sources
 		sess.layouts = layouts
 		sess.patches++
-		incr = res.Incremental()
-		switch incr.Mode {
+		switch res.Incremental().Mode {
 		case "warm":
 			s.reg.Add("server.sessions.warm", 1)
 		case "scratch":
 			s.reg.Add("server.sessions.scratch", 1)
 		}
-		rd = s.render(sess.name, res, req.request(), scope)
+		return res, nil
 	})
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
+	if ok {
+		resp.SessionID = sess.id
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if patchErr != nil {
-		if errors.Is(patchErr, gator.ErrStaleResult) {
-			// HTTP mapping of the ErrStaleResult contract: the session's
-			// previous solution was consumed by a concurrent writer.
-			writeError(w, http.StatusConflict, "%v", patchErr)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, "%v", patchErr)
-		return
-	}
-	resp := rd.response(sess.name, req.ReportSpec)
-	resp.SessionID = sess.id
-	resp.Incremental = incrInfo(incr)
-	if sink != nil {
-		s.storeTrace(traceID, sink)
-		resp.TraceID = traceID
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // patchedInputs applies one edit to a session's inputs (session lock held).
@@ -803,109 +690,7 @@ func patchedInputs(sess *session, req PatchRequest) (sources, layouts map[string
 	return sources, layouts
 }
 
-// ---- streaming batch ----
-
-// BatchRequest is the body of POST /v1/batch: several applications
-// analyzed as one parallel batch, progress streamed as server-sent events.
-type BatchRequest struct {
-	Apps    []AnalyzeRequest `json:"apps"`
-	Options OptionsJSON      `json:"options,omitempty"`
-	ReportSpec
-}
-
-// BatchProgress is one SSE "progress" event: a serialized
-// gator.ProgressEvent.
-type BatchProgress struct {
-	Index  int    `json:"index"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-	Name   string `json:"name"`
-	Worker int    `json:"worker"`
-	Err    string `json:"err,omitempty"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reg.Add("server.batch.requests", 1)
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Apps) == 0 {
-		writeError(w, http.StatusBadRequest, "no apps in request")
-		return
-	}
-	if !validateSpec(w, req.ReportSpec) {
-		return
-	}
-	if !validateOptions(w, req.Options) {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-
-	inputs := make([]gator.BatchInput, len(req.Apps))
-	for i, a := range req.Apps {
-		name := a.Name
-		if name == "" {
-			name = fmt.Sprintf("app%d", i)
-		}
-		inputs[i] = gator.BatchInput{Name: name, Sources: a.Sources, Layouts: a.Layouts}
-	}
-
-	// The job owns the response writer until it completes (doStream never
-	// abandons a running job), so streaming from inside the worker is safe.
-	err := s.jobs.doStream(r.Context(), func() {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-		sse := func(event string, v any) {
-			data, _ := json.Marshal(v)
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-			flusher.Flush()
-		}
-		batch := gator.AnalyzeBatch(inputs, gator.BatchOptions{
-			Workers: s.cfg.Workers,
-			Options: req.Options.toOptions(),
-			Cache:   s.appCache,
-			Progress: func(ev gator.ProgressEvent) {
-				p := BatchProgress{Index: ev.Index, Done: ev.Done, Total: ev.Total, Name: ev.Name, Worker: ev.Worker}
-				if ev.Err != nil {
-					p.Err = ev.Err.Error()
-				}
-				sse("progress", p)
-			},
-		})
-		for _, rep := range batch.Apps {
-			if rep.Err != nil {
-				sse("error", ErrorResponse{Error: rep.Err.Error()})
-				continue
-			}
-			rd := s.render(rep.Name, rep.Result, req.request(), nil)
-			sse("result", rd.response(rep.Name, req.ReportSpec))
-		}
-		sse("done", BatchProgress{Total: len(inputs), Done: len(inputs)})
-	})
-	if err != nil {
-		// Nothing has been written yet only on admission failures; panics
-		// mid-stream surface as a final error event attempt.
-		if errors.Is(err, errBusy) || errors.Is(err, errDraining) {
-			s.writeJobError(w, r, err)
-			return
-		}
-		fmt.Fprintf(w, "event: error\ndata: %s\n\n", mustJSON(ErrorResponse{Error: err.Error()}))
-		flusher.Flush()
-	}
-}
-
 // ---- small helpers ----
-
-func mustJSON(v any) []byte {
-	data, _ := json.Marshal(v)
-	return data
-}
 
 func copyMap(m map[string]string) map[string]string {
 	out := make(map[string]string, len(m))
@@ -913,29 +698,4 @@ func copyMap(m map[string]string) map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-func incrInfo(st gator.IncrementalStats) *IncrementalInfo {
-	return &IncrementalInfo{
-		Mode:       st.Mode,
-		Reason:     st.Reason,
-		Retained:   st.Retained,
-		Retracted:  st.Retracted,
-		DirtyUnits: st.DirtyUnits,
-	}
-}
-
-func optionsJSON(o gator.Options) OptionsJSON {
-	ctx := ""
-	if o.ContextSensitivity != gator.CtxOff {
-		ctx = o.ContextSensitivity.String()
-	}
-	return OptionsJSON{
-		FilterCasts:           o.FilterCasts,
-		SharedInflation:       o.SharedInflation,
-		NoFindView3Refinement: o.NoFindView3Refinement,
-		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		ContextSensitivity:    ctx,
-		Provenance:            o.Provenance,
-	}
 }

@@ -8,7 +8,6 @@ package server
 // this package in the race set).
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -19,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +252,56 @@ func TestSessionPatchWarm(t *testing.T) {
 	}
 	if info.Patches != 3 {
 		t.Fatalf("session patches = %d, want 3", info.Patches)
+	}
+}
+
+// TestSessionConcurrentPatches: patches racing on one session serialize
+// on its lock — each re-solves from the previous patch's result, none sees
+// a consumed one — and the session ends with every edit applied.
+func TestSessionConcurrentPatches(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	sources, layouts := corpus.ModularApp(6)
+	open, err := c.OpenSession(AnalyzeRequest{Name: "modular", Sources: sources, Layouts: layouts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for n := range sources {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	names = names[:4]
+	for _, n := range names {
+		sources[n] += "\n// concurrent edit\n"
+	}
+
+	var wg sync.WaitGroup
+	for _, n := range names {
+		wg.Add(1)
+		go func(n string) {
+			defer wg.Done()
+			resp, err := c.PatchSession(open.SessionID, PatchRequest{Sources: map[string]string{n: sources[n]}})
+			if err != nil {
+				t.Errorf("patch %s: %v", n, err)
+				return
+			}
+			if resp.Incremental == nil || resp.Incremental.Mode != "warm" {
+				t.Errorf("patch %s: %+v, want warm", n, resp.Incremental)
+			}
+		}(n)
+	}
+	wg.Wait()
+
+	resp, err := c.PatchSession(open.SessionID, PatchRequest{ReportSpec: ReportSpec{Report: "tuples"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _ := localRender(t, "modular", sources, layouts, gator.Options{}, report.Request{Report: "tuples"})
+	if resp.Incremental == nil || resp.Incremental.Mode != "unchanged" || resp.Output != want {
+		t.Fatalf("after concurrent patches: %+v, output differs from local: %v", resp.Incremental, resp.Output != want)
+	}
+	if info, err := c.SessionInfo(open.SessionID); err != nil || info.Patches != len(names)+1 {
+		t.Fatalf("session info %+v, %v; want %d patches", info, err, len(names)+1)
 	}
 }
 
@@ -509,8 +559,8 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 	// Unknown context-sensitivity mode, including the removed "1obj" → 400
 	// naming the known modes (never silently insensitive).
 	for _, mode := range []string{"2cfa", "1obj"} {
-		_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"a.alite": ""},
-			Options: OptionsJSON{ContextSensitivity: mode}})
+		err = c.do("POST", "/v1/analyze", json.RawMessage(
+			`{"sources":{"a.alite":""},"options":{"contextSensitivity":"`+mode+`"}}`), nil)
 		if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(se.Msg, "known: off, 1cfa") {
 			t.Fatalf("context mode %q: %v, want 400 naming off and 1cfa", mode, err)
 		}
@@ -626,87 +676,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("metrics JSON is not deterministic across idle fetches")
-	}
-}
-
-// TestBatchSSE drives the streaming batch endpoint with a raw HTTP request
-// and checks result events arrive in input order, byte-identical to local
-// rendering, with per-app errors isolated.
-func TestBatchSSE(t *testing.T) {
-	srv, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { srv.Drain(); ts.Close() })
-
-	fig1Src, fig1Lay := figure1Maps()
-	randSrc, randLay := corpus.RandomApp(7)
-	body, _ := json.Marshal(BatchRequest{
-		Apps: []AnalyzeRequest{
-			{Name: "figure1", Sources: fig1Src, Layouts: fig1Lay},
-			{Name: "broken", Sources: map[string]string{"x.alite": "class {{{"}},
-			{Name: "rand7", Sources: randSrc, Layouts: randLay},
-		},
-		ReportSpec: ReportSpec{Report: "views"},
-	})
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("batch content-type = %q", ct)
-	}
-
-	var results []AnalyzeResponse
-	var errEvents, doneEvents int
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	event := ""
-	for scanner.Scan() {
-		line := scanner.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "result":
-				var r AnalyzeResponse
-				if err := json.Unmarshal([]byte(data), &r); err != nil {
-					t.Fatal(err)
-				}
-				results = append(results, r)
-			case "error":
-				errEvents++
-			case "done":
-				doneEvents++
-			}
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(results) != 2 || errEvents != 1 || doneEvents != 1 {
-		t.Fatalf("got %d results, %d errors, %d done; want 2/1/1", len(results), errEvents, doneEvents)
-	}
-	if results[0].Name != "figure1" || results[1].Name != "rand7" {
-		t.Fatalf("results out of input order: %s, %s", results[0].Name, results[1].Name)
-	}
-	_, want, _ := localRender(t, "figure1", fig1Src, fig1Lay, gator.Options{},
-		report.Request{Report: "views", Seed: 1})
-	if results[0].Output != want {
-		t.Fatalf("batch result differs from local\nremote:\n%s\nlocal:\n%s", results[0].Output, want)
-	}
-	_, want, _ = localRender(t, "rand7", randSrc, randLay, gator.Options{},
-		report.Request{Report: "views", Seed: 1})
-	if results[1].Output != want {
-		t.Fatal("second batch result differs from local")
 	}
 }
 

@@ -6,11 +6,8 @@ package server
 // internal/trace defines.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -21,39 +18,9 @@ import (
 	"gator/internal/trace"
 )
 
-// postBatch runs one /v1/batch request to completion and returns its
-// event stream.
-func postBatch(t *testing.T, c *Client, req BatchRequest) string {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	stream, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d, %v", resp.StatusCode, err)
-	}
-	return string(stream)
-}
-
-// modularBatch is a two-app batch request over ModularApp inputs.
-func modularBatch() BatchRequest {
-	var req BatchRequest
-	for _, n := range []int{2, 3} {
-		sources, layouts := corpus.ModularApp(n)
-		req.Apps = append(req.Apps, AnalyzeRequest{Name: fmt.Sprintf("modular%d", n), Sources: sources, Layouts: layouts})
-	}
-	return req
-}
-
 // TestStageObservationsPerRoute: every analysis route observes the stages
 // its result recorded, plus queue and render — a session's loading under
-// parse and lower, not solve, and a batch's apps one observation each.
+// parse and lower, not solve.
 func TestStageObservationsPerRoute(t *testing.T) {
 	srv, c := newTestServer(t, Config{})
 	sources, layouts := corpus.ModularApp(3)
@@ -82,12 +49,6 @@ func TestStageObservationsPerRoute(t *testing.T) {
 		{"unchanged patch", func() (*AnalyzeResponse, error) {
 			return c.PatchSession(session, PatchRequest{Sources: edit})
 		}, "unchanged", map[string]int{"queue": 1, "render": 1}},
-		{"2-app batch", func() (*AnalyzeResponse, error) {
-			if stream := postBatch(t, c, modularBatch()); strings.Count(stream, "event: result") != 2 {
-				t.Fatalf("batch stream lacks two results:\n%s", stream)
-			}
-			return nil, nil
-		}, "", map[string]int{"queue": 1, "parse": 2, "lower": 2, "build": 2, "solve": 2, "render": 2}},
 	}
 	counts := func() map[string]int64 {
 		snap := srv.Registry().Snapshot()
@@ -240,7 +201,6 @@ func TestStageVocabulary(t *testing.T) {
 	open := traced("/v1/sessions", "POST", "/v1/sessions", req)
 	traced("/v1/sessions/{id}", "PATCH", "/v1/sessions/"+open.SessionID,
 		PatchRequest{Sources: map[string]string{"act1.alite": edited["act1.alite"]}})
-	postBatch(t, c, modularBatch())
 
 	prom, err := c.MetricsProm()
 	if err != nil {

@@ -37,7 +37,7 @@ const TraceparentHeader = "traceparent"
 func routeLabel(p string) (route, sessionID string) {
 	switch p {
 	case "/healthz", "/readyz", "/metrics", "/metrics.json",
-		"/v1/analyze", "/v1/batch", "/v1/sessions":
+		"/v1/analyze", "/v1/sessions":
 		return p, ""
 	}
 	switch {
@@ -52,8 +52,6 @@ func routeLabel(p string) (route, sessionID string) {
 }
 
 // statusWriter records the response status and size for metrics and logs.
-// It forwards Flush so the SSE batch stream keeps working through the
-// wrapper.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -74,12 +72,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // withTelemetry is the daemon's outermost middleware. Per request it:

@@ -31,9 +31,12 @@
 #   7. trace smoke   — `gator -trace -explain` over examples/buggyapp must
 #                      exit 0: tracing and provenance stay wired end-to-end
 #   8. server smoke  — `gatord -smoke` boots the daemon on a loopback
-#                      port, runs one cold and one incremental
-#                      session request (both byte-compared against local
-#                      analysis), then exercises the telemetry surface —
+#                      port, runs one cold request and a session's
+#                      patches — a body edit, an `order:` explain for an
+#                      activity of the app (needs no provenance) and a
+#                      second body edit that must stay warm — each
+#                      byte-compared against local analysis, then
+#                      exercises the telemetry surface —
 #                      scrapes /metrics, validates it as Prometheus text
 #                      with the in-repo parser, requires a
 #                      gatord_stage_duration_us series for every stage of
