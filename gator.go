@@ -445,6 +445,7 @@ func (r *Result) EventTuples() []EventTuple {
 
 	// Map each view to the activities whose content trees contain it.
 	viewOwners := map[graph.Value][]string{}
+	var walk graph.Walker
 	g.RootPairs(func(owner, root graph.Value) {
 		var ownerName string
 		switch o := owner.(type) {
@@ -455,7 +456,7 @@ func (r *Result) EventTuples() []EventTuple {
 		default:
 			return
 		}
-		for _, w := range g.Descendants(root) {
+		for _, w := range walk.Descendants(g, root) {
 			viewOwners[w] = append(viewOwners[w], ownerName)
 		}
 	})

@@ -408,8 +408,9 @@ func checkUnfiredHandler(res *core.Result) []Finding {
 func checkInvisibleListenerView(res *core.Result) []Finding {
 	// Collect everything reachable from some owner's content roots.
 	visible := map[int]bool{}
+	var walk graph.Walker
 	res.Graph.RootPairs(func(owner, root graph.Value) {
-		for _, w := range res.Graph.Descendants(root) {
+		for _, w := range walk.Descendants(res.Graph, root) {
 			visible[w.ID()] = true
 		}
 	})
@@ -433,10 +434,11 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 // checkDuplicateID flags id collisions within one owner's content.
 func checkDuplicateID(res *core.Result) []Finding {
 	var out []Finding
+	var walk graph.Walker
 	res.Graph.RootPairs(func(owner, root graph.Value) {
 		byID := map[int][]graph.Value{}
-		for _, w := range res.Graph.Descendants(root) {
-			for _, id := range res.Graph.ViewIDsOf(w) {
+		for _, w := range walk.Descendants(res.Graph, root) {
+			for _, id := range res.Graph.ViewIDValues(w) {
 				byID[id.ID()] = append(byID[id.ID()], w)
 			}
 		}

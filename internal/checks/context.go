@@ -53,6 +53,8 @@ type Context struct {
 	layoutIDByRes map[int]graph.Value
 	classNodes    map[*ir.Class]graph.Value
 	valIndexed    bool
+	// walk enumerates the view hierarchies opProduces searches.
+	walk graph.Walker
 
 	// Lifecycle schedule (lifecycle.go), built on first ordering query.
 	sched *lifecycle.Schedule
@@ -251,8 +253,8 @@ func (c *Context) returnsModeled(m *ir.Method) bool {
 }
 
 // varModeled reports whether every definition of v inside m is one the
-// graph models one-to-one (per defValues). Copies recurse into their
-// source: defValues answers ok for a copy regardless of how the source
+// graph models one-to-one (per defModeled). Copies recurse into their
+// source: defModeled answers true for a copy regardless of how the source
 // was produced, which is sound for FlowsToAt's shrink-only use but not
 // for proving emptiness. A variable with no definitions holds its entry
 // value — a parameter or receiver binding, which call edges model.
@@ -268,7 +270,7 @@ func (c *Context) varModeled(m *ir.Method, v *ir.Var, visited map[*ir.Var]bool) 
 			}
 			continue
 		}
-		if _, ok := c.defValues(s); !ok {
+		if !c.defModeled(s) {
 			return false
 		}
 	}

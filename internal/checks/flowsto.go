@@ -60,19 +60,35 @@ func (c *Context) valueIndex() {
 	}
 }
 
-// defValues returns the values one definition can write into its variable,
-// or ok=false when the constraint graph does not model the definition
-// one-to-one (an unmodeled call, an allocation of an untracked class):
-// callers must then fall back to the flow-insensitive solution to stay
-// sound.
-func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
+// defModeled reports whether the constraint graph models definition d
+// one-to-one: false for an unmodeled call or an allocation of an untracked
+// class. It is the ok half of defValues and computes no values.
+func (c *Context) defModeled(d ir.Stmt) bool {
 	c.valueIndex()
 	switch d := d.(type) {
-	case *ir.ConstNull, *ir.ConstInt:
-		return nil, true // no object flows
+	case *ir.ConstNull, *ir.ConstInt, *ir.ConstRes, *ir.ConstClass, *ir.Copy:
+		return true
 	case *ir.New:
-		vals := c.allocsAt[d]
-		return vals, len(vals) > 0
+		return len(c.allocsAt[d]) > 0
+	case *ir.Load:
+		return c.fieldNodes[d.Field] != nil // false: untracked field
+	case *ir.Invoke:
+		return len(c.OpsAt(d)) > 0 // false: unmodeled call result
+	}
+	return false
+}
+
+// defValues returns the values one definition can write into its variable,
+// or ok=false when the constraint graph does not model the definition
+// one-to-one (see defModeled): callers must then fall back to the
+// flow-insensitive solution to stay sound.
+func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
+	if !c.defModeled(d) {
+		return nil, false
+	}
+	switch d := d.(type) {
+	case *ir.New:
+		return c.allocsAt[d], true
 	case *ir.ConstRes:
 		byRes := c.viewIDByRes
 		if d.Layout {
@@ -90,19 +106,11 @@ func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
 	case *ir.Copy:
 		return c.Res.VarPointsTo(d.Src), true
 	case *ir.Load:
-		fn := c.fieldNodes[d.Field]
-		if fn == nil {
-			return nil, false // untracked field
-		}
-		return c.Res.PointsTo(fn), true
+		return c.Res.PointsTo(c.fieldNodes[d.Field]), true
 	case *ir.Invoke:
-		ops := c.OpsAt(d)
-		if len(ops) == 0 {
-			return nil, false // unmodeled call result
-		}
 		var out []graph.Value
 		seen := map[graph.Value]bool{}
-		for _, op := range ops {
+		for _, op := range c.OpsAt(d) {
 			for _, v := range c.opProduces(op) {
 				if !seen[v] {
 					seen[v] = true
@@ -112,7 +120,7 @@ func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
 		}
 		return out, true
 	}
-	return nil, false
+	return nil, true // ConstNull, ConstInt: no object flows
 }
 
 // opProduces over-approximates the values one operation writes to its
@@ -156,7 +164,7 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 		}
 		if ids != nil {
 			match := false
-			for _, id := range g.ViewIDsOf(w) {
+			for _, id := range g.ViewIDValues(w) {
 				if ids[id.ID()] {
 					match = true
 				}
@@ -173,11 +181,11 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 	// (activity/dialog lookups) — a superset of what either solver rule
 	// searches for this op.
 	for _, r := range c.Res.OpReceivers(op) {
-		for _, w := range g.Descendants(r) {
+		for _, w := range c.walk.Descendants(g, r) {
 			consider(w)
 		}
 		for _, root := range g.Roots(r) {
-			for _, w := range g.Descendants(root) {
+			for _, w := range c.walk.Descendants(g, root) {
 				consider(w)
 			}
 		}

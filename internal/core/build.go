@@ -37,7 +37,7 @@ type analysis struct {
 
 	// inflations records materialized layout instantiations, keyed by
 	// (op id, layout name) — or just layout name under SharedInflation.
-	inflations map[string]*inflation
+	inflations map[inflationKey]*inflation
 
 	// rootInflation locates the materialization a root InflNode came from,
 	// for declarative onClick binding when the root gets an owner.
@@ -46,10 +46,9 @@ type analysis struct {
 	// boundOnClick tracks already-bound (owner, inflation) pairs.
 	boundOnClick map[onClickKey]bool
 
-	// descMemo caches descendant sets; invalidated when the relationship
-	// generation changes.
-	descMemo map[graph.Value][]graph.Value
-	descGen  int
+	// walk enumerates the view hierarchies the FindView rules search; its
+	// buffer and marks are reused across every walk of the solve.
+	walk graph.Walker
 
 	// curSub, when non-nil, redirects variable-node lookups for the method
 	// currently being cloned (ContextSensitivity). Context ids are
@@ -133,6 +132,14 @@ type dispatchReq struct {
 	callee *ir.Method
 }
 
+// inflationKey identifies one materialized layout instantiation: the
+// inflating operation's id and the layout name. op stays 0 under
+// SharedInflation, where one instantiation serves every site.
+type inflationKey struct {
+	op     int
+	layout string
+}
+
 type inflation struct {
 	root *graph.InflNode
 	all  []*graph.InflNode
@@ -153,10 +160,9 @@ func newAnalysis(p *ir.Program, opts Options) *analysis {
 		dispatchFilter: map[[2]int]dispatchReq{},
 		returnVars:     map[*ir.Method][]*ir.Var{},
 		chaCache:       map[chaKey][]*ir.Method{},
-		inflations:     map[string]*inflation{},
+		inflations:     map[inflationKey]*inflation{},
 		rootInflation:  map[*graph.InflNode]*inflation{},
 		boundOnClick:   map[onClickKey]bool{},
-		descMemo:       map[graph.Value][]graph.Value{},
 		cloneableCache: map[*ir.Method]bool{},
 		builtClones:    map[cloneKey]bool{},
 		tr:             opts.Trace,

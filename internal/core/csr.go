@@ -102,10 +102,17 @@ func (a *analysis) buildCSR() *flowCSR {
 
 // propagateCSR drains the worklist over the packed edge arrays. The edge
 // visit order — and therefore every derived fact and its provenance — is
-// identical to propagateReference.
+// identical to propagateReference. Once the consumed prefix is at least
+// half the worklist, the pending tail moves to the front, so the slice
+// stays near the size of the live frontier instead of growing to a whole
+// round's pushes; the queue order is unchanged.
 func (a *analysis) propagateCSR() {
 	c := a.csr
 	for head := 0; head < len(a.worklist); head++ {
+		if 2*head >= len(a.worklist) {
+			a.worklist = a.worklist[:copy(a.worklist, a.worklist[head:])]
+			head = 0
+		}
 		it := a.worklist[head]
 		src := it.node.ID()
 		if src >= c.numNodes {

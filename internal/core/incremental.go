@@ -38,7 +38,7 @@ type warmState struct {
 	dispatchFilter map[[2]int]dispatchReq
 	returnVars     map[*ir.Method][]*ir.Var
 	chaCache       map[chaKey][]*ir.Method
-	inflations     map[string]*inflation
+	inflations     map[inflationKey]*inflation
 	rootInflation  map[*graph.InflNode]*inflation
 	edgeUnits      map[[2]int]unitBits
 	methodUnits    map[*ir.Method]unitBits
@@ -191,8 +191,8 @@ func sortedCopy(s []string) []string {
 // adoptAnalysis resumes prev's solver state in place: the constraint graph,
 // points-to sets, dependency tracker, edge filters, and build caches all
 // carry over. Memos whose validity an edit can silently break —
-// declarative-onClick binding, descendant sets, return-variable caches of
-// re-lowered methods — are reset instead.
+// declarative-onClick binding, return-variable caches of re-lowered
+// methods — are reset instead.
 func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 	w := prev.warm
 	a := &analysis{
@@ -207,8 +207,6 @@ func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 		inflations:     w.inflations,
 		rootInflation:  w.rootInflation,
 		boundOnClick:   map[onClickKey]bool{},
-		descMemo:       map[graph.Value][]graph.Value{},
-		descGen:        -1,
 		cloneableCache: map[*ir.Method]bool{},
 		tr:             opts.Trace,
 		units:          prev.units,

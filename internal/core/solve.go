@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"gator/internal/alite"
 	"gator/internal/graph"
 	"gator/internal/ir"
@@ -324,7 +322,7 @@ func (a *analysis) applyFindMenuItem(op *graph.OpNode) bool {
 		}
 		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
 			for _, item := range a.g.MenuItems(menu) {
-				if a.hasViewID(item, id) && a.seedChecked(op.Out, item) {
+				if a.g.HasViewID(item, id) && a.seedChecked(op.Out, item) {
 					changed = true
 					if a.tracking {
 						a.record(flowFact(op.Out, item), op.Kind.String(), u,
@@ -401,9 +399,9 @@ func (a *analysis) applySetIntentTarget(op *graph.OpNode) bool {
 // the layout XML — are derived by the inflation rule from the fact that the
 // layout id reached the operation.
 func (a *analysis) inflate(op *graph.OpNode, lid *graph.LayoutIDNode) (*inflation, bool) {
-	key := lid.Name
+	key := inflationKey{layout: lid.Name}
 	if !a.opts.SharedInflation {
-		key = fmt.Sprintf("%d/%s", op.ID(), lid.Name)
+		key.op = op.ID()
 	}
 	if inf, ok := a.inflations[key]; ok {
 		return inf, false
@@ -598,8 +596,8 @@ func (a *analysis) applyFindView1(op *graph.OpNode) bool {
 	u := a.unitOf(op.Method)
 	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
 		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
-			for _, w := range a.descendantsIncl(view) {
-				if a.hasViewID(w, id) && a.seedChecked(op.Out, w) {
+			for _, w := range a.walk.Descendants(a.g, view) {
+				if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
 					changed = true
 					if a.tracking {
 						prem := []Fact{flowFact(op.Recv, view), flowFact(op.Args[0], id)}
@@ -623,8 +621,8 @@ func (a *analysis) applyFindView2(op *graph.OpNode) bool {
 	for _, owner := range ownersOf(a.ptsOf(op.Recv)) {
 		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
 			for _, root := range a.g.Roots(owner) {
-				for _, w := range a.descendantsIncl(root) {
-					if a.hasViewID(w, id) && a.seedChecked(op.Out, w) {
+				for _, w := range a.walk.Descendants(a.g, root) {
+					if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
 						changed = true
 						if a.tracking {
 							prem := []Fact{flowFact(op.Recv, owner), flowFact(op.Args[0], id),
@@ -653,7 +651,7 @@ func (a *analysis) applyFindView3(op *graph.OpNode) bool {
 		if childOnly {
 			candidates = a.g.Children(view)
 		} else {
-			candidates = a.descendantsIncl(view)
+			candidates = a.walk.Descendants(a.g, view)
 		}
 		for _, w := range candidates {
 			if a.seedChecked(op.Out, w) {
@@ -725,29 +723,4 @@ func (a *analysis) bindOnClick(owner graph.Value, inf *inflation) bool {
 		}
 	}
 	return changed
-}
-
-// hasViewID reports whether view carries id.
-func (a *analysis) hasViewID(view graph.Value, id *graph.ViewIDNode) bool {
-	for _, x := range a.g.ViewIDsOf(view) {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// descendantsIncl memoizes Graph.Descendants; the memo is invalidated
-// whenever a relationship edge is added.
-func (a *analysis) descendantsIncl(view graph.Value) []graph.Value {
-	if a.descGen != a.g.Gen() {
-		a.descMemo = map[graph.Value][]graph.Value{}
-		a.descGen = a.g.Gen()
-	}
-	d, ok := a.descMemo[view]
-	if !ok {
-		d = a.g.Descendants(view)
-		a.descMemo[view] = d
-	}
-	return d
 }

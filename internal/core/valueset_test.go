@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -38,44 +39,66 @@ func TestValueSetBasics(t *testing.T) {
 	}
 }
 
-// TestValueSetQuickProperties: for any insertion sequence, (1) Len equals
-// the number of distinct elements, (2) Values preserves first-insertion
-// order, (3) Contains agrees with insertion, (4) re-adding changes nothing.
+// TestValueSetQuickProperties: for any seeded sequence of Add and Remove
+// over a universe larger than smallSet, the set agrees with a slice-plus-map
+// model: (1) Add and Remove report what the history says, (2) Values keeps
+// the model's order, (3) Len and Contains agree, and (4) the index exists
+// exactly while the set holds more than smallSet values. Each sequence
+// alternates add-heavy and remove-heavy phases, so sets cross smallSet in
+// both directions.
 func TestValueSetQuickProperties(t *testing.T) {
-	universe := mkValues(16)
-	prop := func(indices []uint8) bool {
+	universe := mkValues(3 * smallSet)
+	crossedDown := false
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		s := NewValueSet()
-		var firstOrder []graph.Value
-		seen := map[int]bool{}
-		for _, i := range indices {
-			v := universe[int(i)%len(universe)]
-			added := s.Add(v)
-			if added == seen[v.ID()] {
-				return false // Add result disagrees with history
+		var order []graph.Value
+		in := map[int]bool{}
+		for i := 0; i < 300; i++ {
+			v := universe[rng.Intn(len(universe))]
+			wasLarge := s.Len() > smallSet
+			if i/75%2 == 1 && rng.Intn(4) > 0 {
+				if s.Remove(v) != in[v.ID()] {
+					return false
+				}
+				for j, x := range order {
+					if x == v {
+						order = append(order[:j:j], order[j+1:]...)
+						break
+					}
+				}
+				delete(in, v.ID())
+			} else {
+				if s.Add(v) == in[v.ID()] {
+					return false
+				}
+				if !in[v.ID()] {
+					in[v.ID()] = true
+					order = append(order, v)
+				}
 			}
-			if added {
-				seen[v.ID()] = true
-				firstOrder = append(firstOrder, v)
-			}
-		}
-		if s.Len() != len(firstOrder) {
-			return false
-		}
-		got := s.Values()
-		for i := range firstOrder {
-			if got[i] != firstOrder[i] {
+			crossedDown = crossedDown || wasLarge && s.Len() <= smallSet
+			if s.Len() != len(order) || (s.index != nil) != (s.Len() > smallSet) {
 				return false
 			}
-		}
-		for _, v := range universe {
-			if s.Contains(v) != seen[v.ID()] {
-				return false
+			for j, x := range s.Values() {
+				if x != order[j] {
+					return false
+				}
+			}
+			for _, x := range universe {
+				if s.Contains(x) != in[x.ID()] {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+	if !crossedDown {
+		t.Fatal("no set shrank back to smallSet; the test lost its coverage")
 	}
 }
 

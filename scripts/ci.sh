@@ -44,12 +44,17 @@
 #                      retract, rebuild, solve, render), runs a ?trace=1
 #                      request, and fetches the captured solver trace by its
 #                      trace id — then drains and shuts down cleanly
-#   9. benchmarks    — BenchmarkSolveTracingDisabled asserts that disabled
-#                      tracing adds zero allocations to the solver; one
-#                      iteration of BenchmarkChecks (every checker over the
-#                      9 chain apps and Astrid, with allocations reported)
-#                      keeps the checks layer's quick local benchmark
-#                      compiling and running
+#   9. benchmarks    — the zero-allocation guards: disabled tracing adds
+#                      no allocations to the solver
+#                      (TestTracingDisabledZeroAlloc, and
+#                      BenchmarkSolveTracingDisabled re-asserts it), and the
+#                      FindView rules' walk of a solved app's view
+#                      hierarchies allocates nothing once warm
+#                      (TestFindViewWalkZeroAlloc); one iteration of
+#                      BenchmarkChecks (every checker over the 9 chain apps
+#                      and Astrid, with allocations reported) keeps the
+#                      checks layer's quick local benchmark compiling and
+#                      running
 #  10. ctx smoke     — `gatorbench -table all -ctx 1cfa` over one small
 #                      corpus app: Tables 1 and 2 (averaged over source
 #                      operations) and the oracle case study render under
@@ -130,8 +135,8 @@ go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp
 echo "== gatord server smoke (examples/buggyapp)"
 go run ./cmd/gatord -smoke examples/buggyapp
 
-echo "== zero-allocation guard (tracing disabled)"
-go test -run TestTracingDisabledZeroAlloc -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== zero-allocation guards (tracing disabled, FindView walk)"
+go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
 echo "== checks-layer benchmark (one iteration)"
 go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
 
