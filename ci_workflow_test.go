@@ -236,47 +236,56 @@ func TestCIScriptCoversBenchModule(t *testing.T) {
 	})
 }
 
-// TestCIScriptRunsZeroAllocGuards pins step 9's allocation guards: one
-// uncommented `go test` line over ./internal/core must select both
-// TestTracingDisabledZeroAlloc and TestFindViewWalkZeroAlloc, and both tests
-// must still exist, so neither guard can drop out of CI silently (a -run
-// pattern naming a missing test passes with nothing run).
+// TestCIScriptRunsZeroAllocGuards pins step 9's allocation guards: for each
+// package below, one uncommented `go test` line over it must select all of
+// its guards, and every guard must still exist in that package's tests, so
+// no guard can drop out of CI silently (a -run pattern naming a missing
+// test passes with nothing run).
 func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 	data, err := os.ReadFile("scripts/ci.sh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	guards := []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc"}
-	found := false
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "#") || !strings.HasPrefix(line, "go test ") || !strings.HasSuffix(line, " ./internal/core") {
-			continue
+	for _, pkg := range []struct {
+		path   string // the go test package argument
+		dir    string // its directory
+		guards []string
+	}{
+		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc"}},
+		{".", ".", []string{"TestLoadAllocationPerByte"}},
+		{"./internal/graph", "internal/graph", []string{"TestVarNodeAndFlowHitsZeroAlloc"}},
+	} {
+		found := false
+		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "#") || !strings.HasPrefix(line, "go test ") || !strings.HasSuffix(line, " "+pkg.path) {
+				continue
+			}
+			all := true
+			for _, g := range pkg.guards {
+				all = all && strings.Contains(line, g)
+			}
+			found = found || all
 		}
-		all := true
-		for _, g := range guards {
-			all = all && strings.Contains(line, g)
+		if !found {
+			t.Errorf("scripts/ci.sh: no go test line over %s runs %s", pkg.path, strings.Join(pkg.guards, " and "))
 		}
-		found = found || all
-	}
-	if !found {
-		t.Errorf("scripts/ci.sh: no go test line over ./internal/core runs %s", strings.Join(guards, " and "))
-	}
-	files, err := filepath.Glob("internal/core/*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src strings.Builder
-	for _, f := range files {
-		b, err := os.ReadFile(f)
+		files, err := filepath.Glob(filepath.Join(pkg.dir, "*_test.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.Write(b)
-	}
-	for _, g := range guards {
-		if !strings.Contains(src.String(), "func "+g+"(t *testing.T)") {
-			t.Errorf("internal/core: test %s is gone; scripts/ci.sh step 9 would run nothing", g)
+		var src strings.Builder
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Write(b)
+		}
+		for _, g := range pkg.guards {
+			if !strings.Contains(src.String(), "func "+g+"(t *testing.T)") {
+				t.Errorf("%s: test %s is gone; scripts/ci.sh step 9 would run nothing", pkg.dir, g)
+			}
 		}
 	}
 }

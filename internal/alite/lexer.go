@@ -28,35 +28,82 @@ func (lx *Lexer) Errors() ErrorList { return lx.errs }
 
 func (lx *Lexer) pos() Pos { return Pos{File: lx.file, Line: lx.line, Col: lx.col} }
 
+// peek returns the next rune without consuming it, or -1 at the end. A
+// byte below utf8.RuneSelf is its own rune; only a byte above that starts a
+// UTF-8 decode.
 func (lx *Lexer) peek() rune {
 	if lx.off >= len(lx.src) {
 		return -1
+	}
+	if c := lx.src[lx.off]; c < utf8.RuneSelf {
+		return rune(c)
 	}
 	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
 	return r
 }
 
+// advance consumes the next rune and returns it, or -1 at the end. Columns
+// count bytes, so a multi-byte rune (or an invalid byte, decoded as
+// utf8.RuneError of width 1) moves the column by its width.
 func (lx *Lexer) advance() rune {
 	if lx.off >= len(lx.src) {
 		return -1
 	}
+	if c := lx.src[lx.off]; c < utf8.RuneSelf {
+		lx.off++
+		if c == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
+		}
+		return rune(c)
+	}
 	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
 	lx.off += w
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col += w
-	}
+	lx.col += w
 	return r
 }
 
+// ASCII character classes, so identifiers and numbers in all-ASCII source
+// never reach package unicode. For every rune below utf8.RuneSelf the table
+// agrees with unicode.IsLetter and unicode.IsDigit.
+const (
+	classIdentStart = 1 << iota // a letter, '_' or '$'
+	classDigit                  // '0' through '9'
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = classIdentStart
+		t[c-'a'+'A'] = classIdentStart
+	}
+	t['_'], t['$'] = classIdentStart, classIdentStart
+	for c := '0'; c <= '9'; c++ {
+		t[c] = classDigit
+	}
+	return t
+}()
+
 func isIdentStart(r rune) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(r)
+	if 0 <= r && r < utf8.RuneSelf {
+		return asciiClass[r]&classIdentStart != 0
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return isIdentStart(r) || unicode.IsDigit(r)
+	if 0 <= r && r < utf8.RuneSelf {
+		return asciiClass[r] != 0
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func isDigit(r rune) bool {
+	if 0 <= r && r < utf8.RuneSelf {
+		return asciiClass[r]&classDigit != 0
+	}
+	return unicode.IsDigit(r)
 }
 
 // skipSpaceAndComments consumes whitespace, // line comments, and /* */
@@ -101,76 +148,79 @@ func (lx *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// Next returns the next token. After EOF it keeps returning EOF.
+// Next returns the next token. After EOF it keeps returning EOF. An
+// unexpected character records one error and is skipped; Next loops to the
+// token after it, so a run of them costs no stack.
 func (lx *Lexer) Next() Token {
-	lx.skipSpaceAndComments()
-	pos := lx.pos()
-	r := lx.peek()
-	switch {
-	case r == -1:
-		return Token{Kind: EOF, Pos: pos}
-	case isIdentStart(r):
-		start := lx.off
-		for isIdentPart(lx.peek()) {
-			lx.advance()
-		}
-		lit := lx.src[start:lx.off]
-		if kw, ok := keywords[lit]; ok {
-			return Token{Kind: kw, Pos: pos}
-		}
-		return Token{Kind: IDENT, Lit: lit, Pos: pos}
-	case unicode.IsDigit(r):
-		start := lx.off
-		for unicode.IsDigit(lx.peek()) {
-			lx.advance()
-		}
-		// Hex literals appear in generated R constants.
-		if lx.off == start+1 && lx.src[start] == '0' && (lx.peek() == 'x' || lx.peek() == 'X') {
-			lx.advance()
-			for isHexDigit(lx.peek()) {
+	for {
+		lx.skipSpaceAndComments()
+		pos := lx.pos()
+		r := lx.peek()
+		switch {
+		case r == -1:
+			return Token{Kind: EOF, Pos: pos}
+		case isIdentStart(r):
+			start := lx.off
+			for isIdentPart(lx.peek()) {
 				lx.advance()
 			}
+			lit := lx.src[start:lx.off]
+			if kw, ok := keywords[lit]; ok {
+				return Token{Kind: kw, Pos: pos}
+			}
+			return Token{Kind: IDENT, Lit: lit, Pos: pos}
+		case isDigit(r):
+			start := lx.off
+			for isDigit(lx.peek()) {
+				lx.advance()
+			}
+			// Hex literals appear in generated R constants.
+			if lx.off == start+1 && lx.src[start] == '0' && (lx.peek() == 'x' || lx.peek() == 'X') {
+				lx.advance()
+				for isHexDigit(lx.peek()) {
+					lx.advance()
+				}
+			}
+			return Token{Kind: INT, Lit: lx.src[start:lx.off], Pos: pos}
 		}
-		return Token{Kind: INT, Lit: lx.src[start:lx.off], Pos: pos}
+		lx.advance()
+		switch r {
+		case '{':
+			return Token{Kind: LBrace, Pos: pos}
+		case '}':
+			return Token{Kind: RBrace, Pos: pos}
+		case '(':
+			return Token{Kind: LParen, Pos: pos}
+		case ')':
+			return Token{Kind: RParen, Pos: pos}
+		case ';':
+			return Token{Kind: Semi, Pos: pos}
+		case ',':
+			return Token{Kind: Comma, Pos: pos}
+		case '.':
+			return Token{Kind: Dot, Pos: pos}
+		case '*':
+			return Token{Kind: Star, Pos: pos}
+		case '=':
+			if lx.peek() == '=' {
+				lx.advance()
+				return Token{Kind: EqEq, Pos: pos}
+			}
+			return Token{Kind: Assign, Pos: pos}
+		case '!':
+			if lx.peek() == '=' {
+				lx.advance()
+				return Token{Kind: BangEq, Pos: pos}
+			}
+			lx.errs.Add(pos, "unexpected character %q (expected '!=')", r)
+		default:
+			lx.errs.Add(pos, "unexpected character %q", r)
+		}
 	}
-	lx.advance()
-	switch r {
-	case '{':
-		return Token{Kind: LBrace, Pos: pos}
-	case '}':
-		return Token{Kind: RBrace, Pos: pos}
-	case '(':
-		return Token{Kind: LParen, Pos: pos}
-	case ')':
-		return Token{Kind: RParen, Pos: pos}
-	case ';':
-		return Token{Kind: Semi, Pos: pos}
-	case ',':
-		return Token{Kind: Comma, Pos: pos}
-	case '.':
-		return Token{Kind: Dot, Pos: pos}
-	case '*':
-		return Token{Kind: Star, Pos: pos}
-	case '=':
-		if lx.peek() == '=' {
-			lx.advance()
-			return Token{Kind: EqEq, Pos: pos}
-		}
-		return Token{Kind: Assign, Pos: pos}
-	case '!':
-		if lx.peek() == '=' {
-			lx.advance()
-			return Token{Kind: BangEq, Pos: pos}
-		}
-		lx.errs.Add(pos, "unexpected character %q (expected '!=')", r)
-		return lx.Next()
-	}
-	lx.errs.Add(pos, "unexpected character %q", r)
-	return lx.Next()
 }
 
 func isHexDigit(r rune) bool {
-	return unicode.IsDigit(r) || ('a' <= r && r <= 'f') || ('A' <= r && r <= 'F')
+	return isDigit(r) || ('a' <= r && r <= 'f') || ('A' <= r && r <= 'F')
 }
 
 // Tokenize scans the entire input and returns the token stream including the

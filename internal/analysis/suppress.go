@@ -24,24 +24,37 @@ type Suppressions map[string]map[int][]string
 const disableMarker = "// gator:disable"
 
 // ParseSuppressions scans source texts for disable directives. The map key
-// is the file name as it appears in finding positions.
+// is the file name as it appears in finding positions. Lines end at '\n'; a
+// '\r' before it (CRLF sources) separates names like a space. Only the first
+// directive on a line counts.
 func ParseSuppressions(sources map[string]string) Suppressions {
 	var out Suppressions
 	for file, src := range sources {
-		for i, line := range strings.Split(src, "\n") {
-			at := strings.Index(line, disableMarker)
+		// line is the line number of src[counted]; off is where the search
+		// for the next directive resumes, always at the start of a line.
+		line, counted := 1, 0
+		for off := 0; off < len(src); {
+			at := strings.Index(src[off:], disableMarker)
 			if at < 0 {
-				continue
+				break
 			}
-			rest := line[at+len(disableMarker):]
+			at += off
+			line += strings.Count(src[counted:at], "\n")
+			counted = at
+			end := len(src)
+			if i := strings.IndexByte(src[at:], '\n'); i >= 0 {
+				end = at + i
+			}
+			off = end + 1
+			rest := src[at+len(disableMarker) : end]
 			// Require a clean word boundary so e.g. "gator:disabled" does
 			// not count.
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+			if rest != "" && rest[0] != ' ' && rest[0] != '\t' && rest[0] != '\r' {
 				continue
 			}
 			var ids []string
 			for _, name := range strings.FieldsFunc(rest, func(r rune) bool {
-				return r == ',' || r == ' ' || r == '\t'
+				return r == ',' || r == ' ' || r == '\t' || r == '\r'
 			}) {
 				ids = append(ids, name)
 			}
@@ -51,7 +64,7 @@ func ParseSuppressions(sources map[string]string) Suppressions {
 			if out[file] == nil {
 				out[file] = map[int][]string{}
 			}
-			out[file][i+1] = ids // ids == nil means "all checks"
+			out[file][line] = ids // ids == nil means "all checks"
 		}
 	}
 	return out

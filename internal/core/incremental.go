@@ -461,8 +461,8 @@ func (a *analysis) rebuild(dirty unitBits) {
 // clean edges may still support it, but the previous fixpoint already
 // propagated those edges and the solver would never revisit them. Every live
 // predecessor of a damaged node re-pushes its values; propagation and the
-// rule rescan then restore exactly the still-derivable facts. Nodes are
-// visited in id order for determinism.
+// rule rescan then restore exactly the still-derivable facts. VisitFlow
+// visits sources in id order, so the re-pushes are deterministic.
 func (a *analysis) repair(damaged map[int]bool) {
 	if len(damaged) == 0 {
 		return
@@ -476,7 +476,6 @@ func (a *analysis) repair(damaged map[int]bool) {
 			}
 		}
 	})
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].ID() < srcs[j].ID() })
 	for _, n := range srcs {
 		if s := a.pts.of(n); s != nil {
 			for _, v := range s.Values() {

@@ -217,7 +217,11 @@ func (n *OpNode) String() string {
 type Graph struct {
 	nodes []Node
 
-	vars       map[varKey]*VarNode
+	// varNodes holds each variable's context-insensitive node, indexed by
+	// ir.Var.ID (nil until created); ctxNodes holds the cloned-context
+	// nodes. A graph holds the variables of one ir.Program.
+	varNodes   []*VarNode
+	ctxNodes   map[varKey]*VarNode
 	methodVars map[*ir.Method][]*VarNode
 	fields     map[*ir.Field]*FieldNode
 	activities map[*ir.Class]*ActivityNode
@@ -245,9 +249,12 @@ type Graph struct {
 	// never shrinks, so ordinals stay unique after Retire.
 	allocSeq int
 
-	// flow edges: ordered successor lists with a set for dedup.
-	flowSucc map[Node][]Node
-	flowSet  map[edgeKey]bool
+	// Flow edges. flow holds each source's successors in insertion order,
+	// indexed by source node id. A list deduplicates by scanning while it
+	// holds at most relScan successors; flowLong holds the edges of every
+	// longer list, and only those, as relation's long does.
+	flow     [][]Node
+	flowLong map[edgeKey]struct{}
 	numFlow  int
 
 	// Relationship edges, grown during solving.
@@ -276,7 +283,7 @@ type varKey struct {
 // New creates an empty constraint graph.
 func New() *Graph {
 	return &Graph{
-		vars:       map[varKey]*VarNode{},
+		ctxNodes:   map[varKey]*VarNode{},
 		methodVars: map[*ir.Method][]*VarNode{},
 		fields:     map[*ir.Field]*FieldNode{},
 		activities: map[*ir.Class]*ActivityNode{},
@@ -289,8 +296,7 @@ func New() *Graph {
 		ctxLabels:  map[int]string{},
 		ctxIDs:     map[string]int{},
 		ctxVars:    map[*ir.Var][]*VarNode{},
-		flowSucc:   map[Node][]Node{},
-		flowSet:    map[edgeKey]bool{},
+		flowLong:   map[edgeKey]struct{}{},
 		children:   newRelation(),
 		parents:    newRelation(),
 		viewIDRel:  newRelation(),
@@ -317,17 +323,26 @@ func (g *Graph) VarNode(v *ir.Var) *VarNode { return g.VarNodeCtx(v, 0) }
 // VarNodeCtx returns (creating on demand) the node for v under a cloning
 // context (0 = context-insensitive).
 func (g *Graph) VarNodeCtx(v *ir.Var, ctx int) *VarNode {
-	k := varKey{v, ctx}
-	if n, ok := g.vars[k]; ok {
+	if ctx == 0 {
+		if v.ID < len(g.varNodes) && g.varNodes[v.ID] != nil {
+			return g.varNodes[v.ID]
+		}
+	} else if n, ok := g.ctxNodes[varKey{v, ctx}]; ok {
 		return n
 	}
-	n := &VarNode{base: g.nextID(), Var: v, Ctx: ctx, CtxLabel: g.ctxLabels[ctx]}
-	g.vars[k] = n
+	n := &VarNode{base: g.nextID(), Var: v, Ctx: ctx}
+	if ctx == 0 {
+		if v.ID >= len(g.varNodes) {
+			g.varNodes = append(g.varNodes, make([]*VarNode, v.ID+1-len(g.varNodes))...)
+		}
+		g.varNodes[v.ID] = n
+	} else {
+		n.CtxLabel = g.ctxLabels[ctx]
+		g.ctxNodes[varKey{v, ctx}] = n
+		g.ctxVars[v] = append(g.ctxVars[v], n)
+	}
 	if v.Method != nil {
 		g.methodVars[v.Method] = append(g.methodVars[v.Method], n)
-	}
-	if ctx != 0 {
-		g.ctxVars[v] = append(g.ctxVars[v], n)
 	}
 	g.register(n)
 	return n
@@ -559,25 +574,35 @@ func (g *Graph) ViewIDs() []*ViewIDNode {
 
 // AddFlow adds a value-flow edge; reports whether it is new.
 func (g *Graph) AddFlow(src, dst Node) bool {
-	k := edgeKey{src.ID(), dst.ID()}
-	if g.flowSet[k] {
+	sid := src.ID()
+	if sid >= len(g.flow) {
+		g.flow = append(g.flow, make([][]Node, sid+1-len(g.flow))...)
+	}
+	succs := g.flow[sid]
+	if hasSucc(g.flowLong, sid, succs, dst) {
 		return false
 	}
-	g.flowSet[k] = true
-	g.flowSucc[src] = append(g.flowSucc[src], dst)
+	g.flow[sid] = appendSucc(g.flowLong, sid, succs, dst)
 	g.numFlow++
 	return true
 }
 
 // FlowSucc returns the flow successors of n in insertion order.
-func (g *Graph) FlowSucc(n Node) []Node { return g.flowSucc[n] }
+func (g *Graph) FlowSucc(n Node) []Node {
+	if id := n.ID(); id < len(g.flow) {
+		return g.flow[id]
+	}
+	return nil
+}
 
 // VisitFlow calls visit once per flow source with its successor list, in
-// unspecified order. The slice is the graph's backing store; callers must
+// source id order. The slice is the graph's backing store; callers must
 // not modify it or the flow edges during the visit.
 func (g *Graph) VisitFlow(visit func(src Node, dsts []Node)) {
-	for src, dsts := range g.flowSucc {
-		visit(src, dsts)
+	for id, dsts := range g.flow {
+		if len(dsts) > 0 {
+			visit(g.nodes[id], dsts)
+		}
 	}
 }
 
@@ -587,24 +612,33 @@ func (g *Graph) VisitFlow(visit func(src Node, dsts []Node)) {
 // whose construction read an edited compilation unit.
 func (g *Graph) FilterFlow(keep func(src, dst Node) bool) int {
 	removed := 0
-	for src, succs := range g.flowSucc {
+	for sid, succs := range g.flow {
+		if len(succs) == 0 {
+			continue
+		}
+		src := g.nodes[sid]
+		wasLong := len(succs) > relScan
 		kept := succs[:0]
 		for _, dst := range succs {
 			if keep(src, dst) {
 				kept = append(kept, dst)
-			} else {
-				delete(g.flowSet, edgeKey{src.ID(), dst.ID()})
-				removed++
+				continue
+			}
+			if wasLong {
+				delete(g.flowLong, edgeKey{sid, dst.ID()})
+			}
+			removed++
+		}
+		if wasLong && len(kept) <= relScan {
+			for _, d := range kept {
+				delete(g.flowLong, edgeKey{sid, d.ID()})
 			}
 		}
+		clear(succs[len(kept):])
 		if len(kept) == 0 {
-			delete(g.flowSucc, src)
-			continue
+			kept = nil
 		}
-		for i := len(kept); i < len(succs); i++ {
-			succs[i] = nil
-		}
-		g.flowSucc[src] = kept
+		g.flow[sid] = kept
 	}
 	g.numFlow -= removed
 	return removed
@@ -729,9 +763,14 @@ func (g *Graph) Retire(dead func(Node) bool) {
 			delete(g.menuItems, op)
 		}
 	}
-	for k, n := range g.vars {
+	for id, n := range g.varNodes {
+		if n != nil && dead(n) {
+			g.varNodes[id] = nil
+		}
+	}
+	for k, n := range g.ctxNodes {
 		if dead(n) {
-			delete(g.vars, k)
+			delete(g.ctxNodes, k)
 		}
 	}
 	g.layoutOf.dropSrcIf(func(v Value) bool { return dead(v) })
@@ -965,11 +1004,12 @@ func (g *Graph) AddLayoutOf(root Value, id *LayoutIDNode) bool {
 // LayoutOf returns the layout ids a root was inflated from.
 func (g *Graph) LayoutOf(root Value) []Value { return g.layoutOf.get(root) }
 
-// relScan is the successor-list length up to which a relation deduplicates
-// an edge by scanning the list. Nearly every list is that short: 57 of the
-// 6,092 non-empty lists over the 20 corpus apps' relations are longer, and
-// 540 of the 35,550 of the 9 chain apps, up to 81 listeners on one view.
-// A longer list also keeps its edges in the relation's edge map.
+// relScan is the successor-list length up to which a relation, or a node's
+// flow successors, deduplicates an edge by scanning the list. Nearly every
+// list is that short: 57 of the 6,092 non-empty lists over the 20 corpus
+// apps' relations are longer, and 540 of the 35,550 of the 9 chain apps,
+// up to 81 listeners on one view; of their flow lists, 32 of 35,836 and 9
+// of 13,875. A longer list also keeps its edges in an edge map.
 const relScan = 8
 
 // relation is an ordered, deduplicated binary relation over values. Values
@@ -992,13 +1032,35 @@ func newRelation() *relation {
 
 func (r *relation) contains(src, dst Value) bool {
 	sid := src.ID()
-	return r.has(sid, r.succ[sid], dst)
+	return hasSucc(r.long, sid, r.succ[sid], dst)
 }
 
-// has reports whether succs, the successor list of source sid, holds dst.
-func (r *relation) has(sid int, succs []Value, dst Value) bool {
+func (r *relation) add(src, dst Value) bool {
+	sid := src.ID()
+	succs, listed := r.succ[sid]
+	if hasSucc(r.long, sid, succs, dst) {
+		return false
+	}
+	if !listed {
+		r.srcs = append(r.srcs, src)
+	}
+	r.succ[sid] = appendSucc(r.long, sid, succs, dst)
+	return true
+}
+
+// succNode is the element type of a successor list: Node or Value.
+type succNode interface {
+	comparable
+	ID() int
+}
+
+// hasSucc reports whether succs, the successor list of source sid, holds
+// dst: by scan up to relScan successors, and past that by long, which holds
+// the edges of every list longer than relScan and only those. Relations and
+// the flow edges share this policy.
+func hasSucc[T succNode](long map[edgeKey]struct{}, sid int, succs []T, dst T) bool {
 	if len(succs) > relScan {
-		_, ok := r.long[edgeKey{sid, dst.ID()}]
+		_, ok := long[edgeKey{sid, dst.ID()}]
 		return ok
 	}
 	for _, d := range succs {
@@ -1009,26 +1071,20 @@ func (r *relation) has(sid int, succs []Value, dst Value) bool {
 	return false
 }
 
-func (r *relation) add(src, dst Value) bool {
-	sid := src.ID()
-	succs, listed := r.succ[sid]
-	if r.has(sid, succs, dst) {
-		return false
-	}
-	if !listed {
-		r.srcs = append(r.srcs, src)
-	}
+// appendSucc appends dst, which hasSucc reported absent, to succs, the
+// successor list of source sid, and keeps long: the list that grows past
+// relScan enters it whole, and a longer list adds its new edge.
+func appendSucc[T succNode](long map[edgeKey]struct{}, sid int, succs []T, dst T) []T {
 	succs = append(succs, dst)
-	r.succ[sid] = succs
 	switch {
 	case len(succs) == relScan+1:
 		for _, d := range succs {
-			r.long[edgeKey{sid, d.ID()}] = struct{}{}
+			long[edgeKey{sid, d.ID()}] = struct{}{}
 		}
 	case len(succs) > relScan+1:
-		r.long[edgeKey{sid, dst.ID()}] = struct{}{}
+		long[edgeKey{sid, dst.ID()}] = struct{}{}
 	}
-	return true
+	return succs
 }
 
 func (r *relation) remove(src, dst Value) bool {

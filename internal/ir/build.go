@@ -51,6 +51,9 @@ func Build(files []*alite.File, layouts map[string]*layout.Layout) (*Program, er
 	if err := b.errs.Err(); err != nil {
 		return nil, err
 	}
+	for _, c := range b.prog.Classes {
+		c.sortMethods()
+	}
 	return b.prog, nil
 }
 
@@ -154,7 +157,7 @@ func (b *builder) platformMethod(c *Class, name string, params []string, ret str
 		m.ReturnClass = b.prog.Classes[m.Return.Name]
 	}
 	for i, t := range ptypes {
-		v := &Var{Name: "p" + string(rune('0'+i)), Type: t, Method: m, Index: i}
+		v := b.prog.newVar(&Var{Name: "p" + string(rune('0'+i)), Type: t, Method: m, Index: i})
 		if t.IsRef() {
 			v.TypeClass = b.prog.Classes[t.Name]
 		}
@@ -371,7 +374,7 @@ func (b *builder) declareMethod(c *Class, md *alite.MethodDecl) {
 		Pos:         md.Pos,
 	}
 	if !c.IsInterface {
-		m.This = &Var{Name: "this", Type: alite.Type{Name: c.Name}, TypeClass: c, Method: m, Pos: md.Pos}
+		m.This = b.prog.newVar(&Var{Name: "this", Type: alite.Type{Name: c.Name}, TypeClass: c, Method: m, Pos: md.Pos})
 		m.Locals = append(m.Locals, m.This)
 		m.This.Index = 0
 	}
@@ -382,7 +385,7 @@ func (b *builder) declareMethod(c *Class, md *alite.MethodDecl) {
 		}
 		pseen[prm.Name] = true
 		t, tc := b.resolveType(ptypes[i], prm.Pos)
-		v := &Var{Name: prm.Name, Type: t, TypeClass: tc, Method: m, Pos: prm.Pos}
+		v := b.prog.newVar(&Var{Name: prm.Name, Type: t, TypeClass: tc, Method: m, Pos: prm.Pos})
 		v.Index = len(m.Locals)
 		m.Locals = append(m.Locals, v)
 		m.Params = append(m.Params, v)
@@ -408,12 +411,7 @@ func (b *builder) lowerBodies(files []*alite.File) {
 				if m == nil || md.Body == nil {
 					continue
 				}
-				lw := &lowerer{b: b, m: m}
-				lw.pushScope()
-				for _, p := range m.Params {
-					lw.scopes[0][p.Name] = p
-				}
-				m.Body = lw.block(md.Body)
+				m.Body = b.lowerBody(m, md.Body)
 			}
 		}
 	}

@@ -35,17 +35,29 @@ func ShapeSignature(f *alite.File) string {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *alite.ClassDecl:
-			fmt.Fprintf(&b, "class %s extends %s implements %s\n",
-				d.Name, d.Super, strings.Join(d.Implements, ","))
+			b.WriteString("class ")
+			b.WriteString(d.Name)
+			b.WriteString(" extends ")
+			b.WriteString(d.Super)
+			b.WriteString(" implements ")
+			writeJoined(&b, d.Implements)
+			b.WriteByte('\n')
 			for _, fd := range d.Fields {
-				fmt.Fprintf(&b, "  field %s %s\n", fd.Name, fd.Type)
+				b.WriteString("  field ")
+				b.WriteString(fd.Name)
+				b.WriteByte(' ')
+				b.WriteString(fd.Type.String())
+				b.WriteByte('\n')
 			}
 			for _, md := range d.Methods {
 				writeMethodShape(&b, md)
 			}
 		case *alite.InterfaceDecl:
-			fmt.Fprintf(&b, "interface %s extends %s\n",
-				d.Name, strings.Join(d.Extends, ","))
+			b.WriteString("interface ")
+			b.WriteString(d.Name)
+			b.WriteString(" extends ")
+			writeJoined(&b, d.Extends)
+			b.WriteByte('\n')
 			for _, md := range d.Methods {
 				writeMethodShape(&b, md)
 			}
@@ -54,17 +66,34 @@ func ShapeSignature(f *alite.File) string {
 	return b.String()
 }
 
-func writeMethodShape(b *strings.Builder, md *alite.MethodDecl) {
-	kind := "method"
-	if md.IsCtor {
-		kind = "ctor"
+// writeJoined writes names separated by commas, as strings.Join(names, ",")
+// would return them.
+func writeJoined(b *strings.Builder, names []string) {
+	for i, n := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(n)
 	}
-	fmt.Fprintf(b, "  %s %s %s(", kind, md.Return, md.Name)
+}
+
+func writeMethodShape(b *strings.Builder, md *alite.MethodDecl) {
+	if md.IsCtor {
+		b.WriteString("  ctor ")
+	} else {
+		b.WriteString("  method ")
+	}
+	b.WriteString(md.Return.String())
+	b.WriteByte(' ')
+	b.WriteString(md.Name)
+	b.WriteByte('(')
 	for i, p := range md.Params {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(b, "%s %s", p.Type, p.Name)
+		b.WriteString(p.Type.String())
+		b.WriteByte(' ')
+		b.WriteString(p.Name)
 	}
 	if md.Body != nil {
 		b.WriteString(") {}\n")
@@ -157,12 +186,7 @@ func (b *builder) patchClass(c *Class, cd *alite.ClassDecl) error {
 			m.Locals = append(m.Locals, m.This)
 		}
 		m.Locals = append(m.Locals, m.Params...)
-		lw := &lowerer{b: b, m: m}
-		lw.pushScope()
-		for _, p := range m.Params {
-			lw.scopes[0][p.Name] = p
-		}
-		m.Body = lw.block(md.Body)
+		m.Body = b.lowerBody(m, md.Body)
 	}
 	return nil
 }

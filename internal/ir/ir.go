@@ -11,8 +11,8 @@
 package ir
 
 import (
-	"fmt"
 	"sort"
+	"strings"
 
 	"gator/internal/alite"
 	"gator/internal/layout"
@@ -48,6 +48,23 @@ type Program struct {
 	// appClasses memoizes AppClasses: the class set is fixed once Build
 	// returns (incremental re-lowering replaces method bodies only).
 	appClasses []*Class
+
+	// numVars counts the variables created so far; the next one gets it
+	// as its ID.
+	numVars int
+}
+
+// NumVars returns the number of variables the program has created, in
+// Build and in every PatchFile since: each Var's ID is below it, and no
+// two share one. A re-lowered body's variables get fresh IDs; the IDs of
+// the variables it replaced are not reused.
+func (p *Program) NumVars() int { return p.numVars }
+
+// newVar assigns v the next variable ID and returns it.
+func (p *Program) newVar(v *Var) *Var {
+	v.ID = p.numVars
+	p.numVars++
+	return v
 }
 
 // Object returns the root class.
@@ -148,6 +165,11 @@ type Class struct {
 	Methods map[string]*Method
 	Pos     alite.Pos
 
+	// sorted holds Methods' values sorted by key, for MethodsSorted. Build
+	// fills it once the method set is final; PatchFile keeps every Method
+	// pointer, so it never goes stale.
+	sorted []*Method
+
 	// ancestors memoizes the transitive supertype closure (including c
 	// itself). The hierarchy is fixed once Build returns — incremental
 	// re-lowering replaces method bodies only — so the closure is computed
@@ -238,18 +260,17 @@ func (c *Class) Dispatch(key string) *Method {
 }
 
 // MethodsSorted returns this class's directly declared methods sorted by
-// signature key, for deterministic iteration.
-func (c *Class) MethodsSorted() []*Method {
-	keys := make([]string, 0, len(c.Methods))
-	for k := range c.Methods {
-		keys = append(keys, k)
+// signature key, for deterministic iteration. The slice is computed once,
+// when Build returns, and shared: callers must not modify it.
+func (c *Class) MethodsSorted() []*Method { return c.sorted }
+
+// sortMethods fills c.sorted from c.Methods.
+func (c *Class) sortMethods() {
+	c.sorted = make([]*Method, 0, len(c.Methods))
+	for _, m := range c.Methods {
+		c.sorted = append(c.sorted, m)
 	}
-	sort.Strings(keys)
-	out := make([]*Method, len(keys))
-	for i, k := range keys {
-		out[i] = c.Methods[k]
-	}
-	return out
+	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].Key < c.sorted[j].Key })
 }
 
 // Field is a resolved field declaration.
@@ -300,6 +321,9 @@ func (m *Method) IsAbstract() bool { return m.Body == nil && m.API == nil }
 
 // Var is a local variable, parameter, receiver, or lowering temporary.
 type Var struct {
+	// ID numbers the variables of one Program densely from 0, below
+	// Program.NumVars, so per-variable tables can be slices.
+	ID   int
 	Name string
 	Type alite.Type
 	// TypeClass is the resolved class for reference-typed variables.
@@ -322,18 +346,30 @@ func (v *Var) String() string {
 // KindSig encodes parameter kinds for signature keys: 'I' for int, 'R' for
 // any reference type. ALite overloading is resolved on these kinds.
 func KindSig(types []alite.Type) string {
-	b := make([]byte, len(types))
-	for i, t := range types {
-		if t.IsRef() {
-			b[i] = 'R'
-		} else {
-			b[i] = 'I'
-		}
-	}
-	return string(b)
+	var b strings.Builder
+	b.Grow(len(types))
+	writeKindSig(&b, types)
+	return b.String()
 }
 
-// MethodKey builds the signature key for a method name and parameter types.
+// MethodKey builds the signature key for a method name and parameter types:
+// name + "(" + KindSig(params) + ")", in one allocation.
 func MethodKey(name string, params []alite.Type) string {
-	return fmt.Sprintf("%s(%s)", name, KindSig(params))
+	var b strings.Builder
+	b.Grow(len(name) + len(params) + 2)
+	b.WriteString(name)
+	b.WriteByte('(')
+	writeKindSig(&b, params)
+	b.WriteByte(')')
+	return b.String()
+}
+
+func writeKindSig(b *strings.Builder, types []alite.Type) {
+	for _, t := range types {
+		if t.IsRef() {
+			b.WriteByte('R')
+		} else {
+			b.WriteByte('I')
+		}
+	}
 }

@@ -242,7 +242,8 @@ func Hierarchy() []ClassSpec {
 	return specs
 }
 
-// Listeners returns the modeled listener interfaces.
+// Listeners returns the modeled listener interfaces: a fresh table on each
+// call, which the caller may modify.
 func Listeners() []ListenerSpec {
 	return []ListenerSpec{
 		{
@@ -419,9 +420,14 @@ const MenuSelectCallback = "onOptionsItemSelected"
 // to create a managed dialog; its single parameter is the dialog id.
 const DialogCreateCallback = "onCreateDialog"
 
-// ListenerByInterface returns the ListenerSpec for an interface name.
+// listenerTable is the Listeners table the lookups below search, built once.
+var listenerTable = Listeners()
+
+// ListenerByInterface returns the ListenerSpec for an interface name. The
+// spec's slices are shared with every other caller's: callers must not
+// modify them.
 func ListenerByInterface(name string) (ListenerSpec, bool) {
-	for _, l := range Listeners() {
+	for _, l := range listenerTable {
 		if l.Interface == name {
 			return l, true
 		}
@@ -430,8 +436,10 @@ func ListenerByInterface(name string) (ListenerSpec, bool) {
 }
 
 // ListenerByEvent returns the ListenerSpec handling the given event name.
+// The spec's slices are shared with every other caller's: callers must not
+// modify them.
 func ListenerByEvent(event string) (ListenerSpec, bool) {
-	for _, l := range Listeners() {
+	for _, l := range listenerTable {
 		if l.Event == event {
 			return l, true
 		}

@@ -181,3 +181,27 @@ func TestHierarchyIsFresh(t *testing.T) {
 		t.Error("Hierarchy returns shared state")
 	}
 }
+
+// TestListenerLookupsShareOneTable: the lookups search one table built at
+// start-up, so they allocate nothing, and Listeners still hands each caller
+// a fresh table whose changes no lookup sees.
+func TestListenerLookupsShareOneTable(t *testing.T) {
+	mine := Listeners()
+	mine[0].Event = "changed"
+	mine[0].Handlers[0].Name = "changed"
+	spec, ok := ListenerByInterface("OnClickListener")
+	if !ok || spec.Event != "click" || spec.Handlers[0].Name != "onClick" {
+		t.Fatalf("ListenerByInterface after a caller edited its Listeners copy = %+v, %v", spec, ok)
+	}
+	if again := Listeners(); again[0].Event != "click" || again[0].Handlers[0].Name != "onClick" {
+		t.Fatalf("Listeners returned an edited table: %+v", again[0])
+	}
+	for name, f := range map[string]func(){
+		"ListenerByEvent":     func() { ListenerByEvent("itemselected") },
+		"ListenerByInterface": func() { ListenerByInterface("OnSeekBarChangeListener") },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+}

@@ -648,6 +648,25 @@ func TestTooDeepSourceIs422(t *testing.T) {
 	}
 }
 
+// TestInvalidCharacterRunIs4xx: a 3 MiB run of characters the lexer
+// rejects is a 4xx with a positioned error, and the daemon answers the next
+// request. A lexer that recursed once per such character overflowed the
+// goroutine stack on this body, a fatal error that killed the process.
+func TestInvalidCharacterRunIs4xx(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	body := strings.Repeat("#", 3<<20)
+	_, err := c.Analyze(AnalyzeRequest{Sources: map[string]string{"hash.alite": body}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code < 400 || se.Code >= 500 ||
+		!strings.Contains(se.Msg, "hash.alite:1:1: unexpected character '#'") {
+		t.Fatalf("invalid-character run: %v, want a 4xx with a positioned lexical error", err)
+	}
+	sources, layouts := figure1Maps()
+	if _, err := c.Analyze(AnalyzeRequest{Name: "fig1", Sources: sources, Layouts: layouts}); err != nil {
+		t.Fatalf("analyze after the invalid-character run: %v", err)
+	}
+}
+
 // TestMetricsEndpoint checks /metrics is deterministic, valid JSON with the
 // job counters present.
 func TestMetricsEndpoint(t *testing.T) {

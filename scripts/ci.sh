@@ -50,7 +50,12 @@
 #                      BenchmarkSolveTracingDisabled re-asserts it), and the
 #                      FindView rules' walk of a solved app's view
 #                      hierarchies allocates nothing once warm
-#                      (TestFindViewWalkZeroAlloc); one iteration of
+#                      (TestFindViewWalkZeroAlloc); the load path's
+#                      guards: the worst corpus app's gator.Load allocates
+#                      at most 44 B per source byte
+#                      (TestLoadAllocationPerByte), and a variable-node hit
+#                      or a duplicate flow edge allocates nothing
+#                      (TestVarNodeAndFlowHitsZeroAlloc); one iteration of
 #                      BenchmarkChecks (every checker over the 9 chain apps
 #                      and Astrid, with allocations reported) keeps the
 #                      checks layer's quick local benchmark compiling and
@@ -137,6 +142,9 @@ go run ./cmd/gatord -smoke examples/buggyapp
 
 echo "== zero-allocation guards (tracing disabled, FindView walk)"
 go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== load-path guards (allocation per source byte, graph lookups)"
+go test -run '^TestLoadAllocationPerByte$' .
+go test -run '^TestVarNodeAndFlowHitsZeroAlloc$' ./internal/graph
 echo "== checks-layer benchmark (one iteration)"
 go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
 
