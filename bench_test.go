@@ -181,11 +181,12 @@ func BenchmarkBatch(b *testing.B) {
 	}
 }
 
-// Solver-engine benchmarks on the 501-unit chain-shaped modular app, whose
-// ~26-iteration fixpoint is deep enough that the engine choice matters.
-// BenchmarkSolveReference is the original schedule; BenchmarkSolveOptimized
-// is the default CSR + delta-worklist engine. The BENCH_6.json record holds
-// the same comparison (solve phase only).
+// Solver-schedule benchmarks on the 501-unit chain-shaped modular app, whose
+// ~26-iteration fixpoint is deep enough that the schedule matters.
+// BenchmarkSolveReference applies every operation every round;
+// BenchmarkSolveOptimized is the default delta-worklist schedule. Both
+// propagate flow through the same loop. The BENCH_6.json record holds the
+// same comparison (solve phase only).
 func benchSolveEngine(b *testing.B, opts core.Options) {
 	sources, layouts := corpus.ModularChainApp(250, 24)
 	app, err := Load(sources, layouts)

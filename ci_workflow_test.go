@@ -251,7 +251,7 @@ func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 		dir    string // its directory
 		guards []string
 	}{
-		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc"}},
+		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc"}},
 		{".", ".", []string{"TestLoadAllocationPerByte"}},
 		{"./internal/graph", "internal/graph", []string{"TestVarNodeAndFlowHitsZeroAlloc"}},
 	} {

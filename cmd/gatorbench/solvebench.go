@@ -2,14 +2,15 @@ package main
 
 // BENCH_6, the solver record. Part one solves a 501-unit chain-shaped
 // application — one outer fixpoint iteration per findViewById chain stage,
-// ~26 in all, so the delta operation worklist and the CSR propagation
-// arrays actually pay off — under both engines: the reference schedule
-// (Options.ReferenceSolver) and the default CSR+delta engine. Part two
+// ~26 in all, so the delta operation worklist actually pays off — under
+// both schedules: apply-every-operation (Options.ReferenceSolver) and the
+// default delta schedule; opt_speedup is their ratio. Both drain the
+// worklist through the same flow propagation loop. Part two
 // measures incremental re-analysis (warm vs cold) on a 502-unit modular
 // application, far past the former 64-unit dependency-tracking budget.
-// Only the solve stage is timed for the engine comparison (read from the
+// Only the solve stage is timed for the schedule comparison (read from the
 // result's stage log, with tracing off); parsing, IR construction, and
-// graph building are identical across engines and would only dilute the
+// graph building are identical across schedules and would only dilute the
 // ratio. Both speedups are floor-gated only: each divides two
 // independently measured times, so its run-to-run noise is the sum of both
 // sides' and a bound relative to the baseline would trip on runner noise

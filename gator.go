@@ -112,11 +112,11 @@ type Options struct {
 	// ExplainDerivation/ExplainViewID queries. Costs memory proportional to
 	// the number of derived facts; off by default.
 	Provenance bool `json:"provenance,omitempty"`
-	// ReferenceSolver selects the original map-walking, apply-everything
-	// fixpoint schedule instead of the packed CSR engine with the delta
-	// operation worklist. It is the baseline the differential harness and
-	// the solver benchmarks compare the optimized engine against; the
-	// solution is identical either way.
+	// ReferenceSolver selects the apply-every-operation fixpoint schedule
+	// instead of the delta operation worklist: every round re-applies every
+	// operation rule. It is the baseline the differential harness and the
+	// solver benchmarks compare the delta schedule against; the solution is
+	// identical either way.
 	ReferenceSolver bool `json:"-"`
 	// Trace receives solver instrumentation events (phase boundaries,
 	// fixpoint iterations, rule firings, dataflow solves). nil disables

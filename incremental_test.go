@@ -167,6 +167,78 @@ func TestIncrementalWarmBodyEdit(t *testing.T) {
 	}
 }
 
+// castApp is a two-file app whose click listeners sit behind casts: in each
+// activity a variable holds a Button and an ImageView, and only what passes
+// the cast gets the listener, so Options.FilterCasts changes the event
+// tuples.
+func castApp() (sources, layouts map[string]string) {
+	sources, layouts = map[string]string{}, map[string]string{}
+	for _, name := range []string{"a", "b"} {
+		r := strings.NewReplacer("_N", strings.ToUpper(name), "_n", name)
+		sources[name+".alite"] = r.Replace(`class Act_N extends Activity implements OnClickListener {
+	void onCreate() {
+		this.setContentView(R.layout._n);
+		View v = this.findViewById(R.id._n_btn);
+		if (*) {
+			v = this.findViewById(R.id._n_img);
+		}
+		Button c = (Button) v;
+		c.setOnClickListener(this);
+	}
+	void onClick(View v) {
+	}
+}
+`)
+		layouts[name] = r.Replace(`<LinearLayout><Button android:id="@+id/_n_btn"/><ImageView android:id="@+id/_n_img"/></LinearLayout>`)
+	}
+	return sources, layouts
+}
+
+// TestIncrementalWarmCastEdit: under FilterCasts, a warm edit that
+// retargets the cast in one file drops that edge's cast label and records
+// the new one, while the clean file's cast edge keeps its label; the warm
+// solution renders byte-identically to a scratch analysis, and the filter
+// visibly matters (the unfiltered solution differs).
+func TestIncrementalWarmCastEdit(t *testing.T) {
+	opts := Options{FilterCasts: true}
+	sources, layouts := castApp()
+	c := NewCache()
+	prev, err := AnalyzeIncremental(nil, sources, layouts, opts, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, editedLayouts := copyInput(sources, layouts)
+	edited["a.alite"] = strings.Replace(edited["a.alite"],
+		"\t\tButton c = (Button) v;\n", "\t\tImageView c = (ImageView) v;\n", 1)
+	if edited["a.alite"] == sources["a.alite"] {
+		t.Fatal("the cast edit does not apply to a.alite")
+	}
+	warm, err := AnalyzeIncremental(prev, edited, editedLayouts, opts, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Incremental(); st.Mode != "warm" || st.Retracted == 0 {
+		t.Fatalf("mode %q (reason %q), retracted %d: want a warm edit that retracts", st.Mode, st.Reason, st.Retracted)
+	}
+	got, want := snapshot(t, warm), snapshot(t, mustAnalyze(t, edited, editedLayouts, opts))
+	if got != want {
+		t.Fatalf("warm cast edit differs from scratch:\n--- warm ---\n%s\n--- scratch ---\n%s", got, want)
+	}
+	for _, tuple := range []string{"tuple ActA ImageView(", "tuple ActB Button("} {
+		if !strings.Contains(got, tuple) {
+			t.Errorf("warm solution lacks %q:\n%s", tuple, got)
+		}
+	}
+	for _, tuple := range []string{"tuple ActA Button(", "tuple ActB ImageView("} {
+		if strings.Contains(got, tuple) {
+			t.Errorf("warm solution has %q, which the cast filters out:\n%s", tuple, got)
+		}
+	}
+	if unfiltered := snapshot(t, mustAnalyze(t, edited, editedLayouts, Options{})); unfiltered == got {
+		t.Fatal("FilterCasts changes nothing on the cast app; the test would not see a lost cast label")
+	}
+}
+
 // TestIncrementalUnchanged: byte-identical inputs short-circuit.
 func TestIncrementalUnchanged(t *testing.T) {
 	sources, layouts := corpus.ModularApp(2)

@@ -229,22 +229,26 @@ func TestTokenizeMatchesRuneReference(t *testing.T) {
 }
 
 // TestInvalidCharacterRunUsesNoStack: a long run of unexpected characters
-// lexes in constant stack, with one positioned error per character. A Next
-// that recursed once per character needed about 700 B of stack each (1.08
-// GB for 1.5 MB of '#'), so under a 1 MiB stack limit 100k of them is a
-// fatal stack overflow.
+// lexes in constant stack, with one positioned error per character up to
+// the list's cap and a "too many errors" entry after them. A Next that
+// recursed once per character needed about 700 B of stack each (1.08 GB
+// for 1.5 MB of '#'), so under a 1 MiB stack limit 100k of them is a fatal
+// stack overflow.
 func TestInvalidCharacterRunUsesNoStack(t *testing.T) {
 	const n = 100_000
 	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
 	toks, err := Tokenize("hash.alite", "class A {}\n"+strings.Repeat("#", n))
 	var errs ErrorList
-	if !errors.As(err, &errs) || len(errs) != n {
-		t.Fatalf("got %d errors (%v), want %d", len(errs), err, n)
+	if !errors.As(err, &errs) || len(errs) != MaxErrors+1 {
+		t.Fatalf("got %d errors (%v), want %d", len(errs), err, MaxErrors+1)
 	}
-	first, last := errs[0], errs[n-1]
-	if first.Pos.String() != "hash.alite:2:1" || last.Pos.String() != fmt.Sprintf("hash.alite:2:%d", n) ||
-		first.Msg != `unexpected character '#'` {
-		t.Fatalf("errors run from %v to %v, want hash.alite:2:1 to hash.alite:2:%d", first, last, n)
+	first, last, over := errs[0], errs[MaxErrors-1], errs[MaxErrors]
+	if first.Pos.String() != "hash.alite:2:1" || last.Pos.String() != fmt.Sprintf("hash.alite:2:%d", MaxErrors) ||
+		first.Msg != `unexpected character '#'` || last.Msg != first.Msg {
+		t.Fatalf("errors run from %v to %v, want hash.alite:2:1 to hash.alite:2:%d", first, last, MaxErrors)
+	}
+	if over.Pos.String() != fmt.Sprintf("hash.alite:2:%d", MaxErrors+1) || over.Msg != "too many errors" {
+		t.Fatalf("entry past the cap is %v, want hash.alite:2:%d: too many errors", over, MaxErrors+1)
 	}
 	if k := toks[len(toks)-1].Kind; k != EOF || len(toks) != 5 {
 		t.Fatalf("tokens %v, want class A { } EOF", toks)

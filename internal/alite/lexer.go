@@ -214,7 +214,9 @@ func (lx *Lexer) Next() Token {
 			}
 			lx.errs.Add(pos, "unexpected character %q (expected '!=')", r)
 		default:
-			lx.errs.Add(pos, "unexpected character %q", r)
+			if !lx.errs.full() {
+				lx.errs.Add(pos, "unexpected character %q", r)
+			}
 		}
 	}
 }

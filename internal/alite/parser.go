@@ -52,12 +52,13 @@ type Parser struct {
 	depth int
 }
 
-// bailout unwinds the parser once input nests deeper than MaxNesting.
+// bailout unwinds the parser once input nests deeper than MaxNesting or the
+// error list fills.
 type bailout struct{}
 
 // Parse parses one ALite source file. Lexical errors take precedence: when
 // the lexer reports any, Parse returns them alone and no file, even if a
-// parse error or the nesting bailout came first.
+// parse error or a bailout came first.
 func Parse(file, src string) (*File, error) {
 	p := &Parser{lx: NewLexer(file, src), file: file}
 	p.la[0], p.n = p.lx.Next(), 1
@@ -73,7 +74,7 @@ func Parse(file, src string) (*File, error) {
 }
 
 // parseFileBounded is parseFile, returning an empty file once the parse
-// bails out on nesting deeper than MaxNesting.
+// bails out: on nesting deeper than MaxNesting, or on a full error list.
 func (p *Parser) parseFileBounded() (f *File) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -106,7 +107,7 @@ func (p *Parser) enter() {
 
 // tooDeep is enter's slow path, kept out of line so enter inlines.
 func (p *Parser) tooDeep() {
-	p.errs.Add(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
+	p.errorf(p.cur().Pos, "nesting deeper than %d levels", MaxNesting)
 	panic(bailout{})
 }
 
@@ -143,8 +144,19 @@ func (p *Parser) expect(k Kind) Token {
 	if p.at(k) {
 		return p.next()
 	}
-	p.errs.Add(p.cur().Pos, "expected %s, found %s", k, p.cur())
+	p.errorf(p.cur().Pos, "expected %s, found %s", k, p.cur())
 	return Token{Kind: k, Pos: p.cur().Pos}
+}
+
+// errorf records a parse error. The error that fills the list, its "too many
+// errors" entry, ends the parse the way nesting past MaxNesting does: error
+// recovery would otherwise go on building made-up AST (16 MiB of stray ';'
+// in a class body makes 8M fields) for errors nobody sees.
+func (p *Parser) errorf(pos Pos, format string, args ...any) {
+	p.errs.Add(pos, format, args...)
+	if p.errs.full() {
+		panic(bailout{})
+	}
 }
 
 // sync skips tokens until one of the kinds (or EOF), for error recovery.
@@ -168,7 +180,7 @@ func (p *Parser) parseFile() *File {
 		case KwInterface:
 			f.Decls = append(f.Decls, p.parseInterface())
 		default:
-			p.errs.Add(p.cur().Pos, "expected 'class' or 'interface', found %s", p.cur())
+			p.errorf(p.cur().Pos, "expected 'class' or 'interface', found %s", p.cur())
 			p.sync(KwClass, KwInterface)
 		}
 	}
@@ -250,7 +262,7 @@ func (p *Parser) parseMember(d *ClassDecl) {
 	case Semi:
 		p.next()
 		if !typ.IsRef() && typ.Prim != TypeInt {
-			p.errs.Add(name.Pos, "field %s cannot have type %s", name.Lit, typ)
+			p.errorf(name.Pos, "field %s cannot have type %s", name.Lit, typ)
 		}
 		d.Fields = append(d.Fields, &FieldDecl{Pos: name.Pos, Type: typ, Name: name.Lit})
 	case LParen:
@@ -261,7 +273,7 @@ func (p *Parser) parseMember(d *ClassDecl) {
 		m.Body = p.parseBlock()
 		d.Methods = append(d.Methods, m)
 	default:
-		p.errs.Add(p.cur().Pos, "expected ';' or '(' after member name, found %s", p.cur())
+		p.errorf(p.cur().Pos, "expected ';' or '(' after member name, found %s", p.cur())
 		p.sync(Semi, RBrace)
 		if p.at(Semi) {
 			p.next()
@@ -293,14 +305,14 @@ func (p *Parser) parseType(allowVoid bool) Type {
 		return Type{Prim: TypeInt}
 	case KwVoid:
 		if !allowVoid {
-			p.errs.Add(p.cur().Pos, "'void' is not allowed here")
+			p.errorf(p.cur().Pos, "'void' is not allowed here")
 		}
 		p.next()
 		return Type{Prim: TypeVoid}
 	case IDENT:
 		return Type{Name: p.next().Lit}
 	default:
-		p.errs.Add(p.cur().Pos, "expected a type, found %s", p.cur())
+		p.errorf(p.cur().Pos, "expected a type, found %s", p.cur())
 		p.next()
 		return Type{Name: "Object"}
 	}
@@ -356,7 +368,7 @@ func (p *Parser) parseStmt() Stmt {
 		p.next() // empty statement
 		return nil
 	default:
-		p.errs.Add(p.cur().Pos, "expected a statement, found %s", p.cur())
+		p.errorf(p.cur().Pos, "expected a statement, found %s", p.cur())
 		p.sync(Semi, RBrace)
 		if p.at(Semi) {
 			p.next()
@@ -404,18 +416,18 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		switch t := lhs.(type) {
 		case *VarExpr:
 			if t.IsThis {
-				p.errs.Add(lhs.ExprPos(), "cannot assign to 'this'")
+				p.errorf(lhs.ExprPos(), "cannot assign to 'this'")
 			}
 		case *FieldExpr:
 		default:
-			p.errs.Add(lhs.ExprPos(), "invalid assignment target")
+			p.errorf(lhs.ExprPos(), "invalid assignment target")
 		}
 		s := &AssignStmt{Pos: pos, Target: lhs, Value: p.parseExpr()}
 		p.expect(Semi)
 		return s
 	}
 	if _, ok := lhs.(*CallExpr); !ok {
-		p.errs.Add(lhs.ExprPos(), "expression statement must be a call")
+		p.errorf(lhs.ExprPos(), "expression statement must be a call")
 	}
 	p.expect(Semi)
 	return &ExprStmt{Pos: lhs.ExprPos(), X: lhs}
@@ -434,7 +446,7 @@ func (p *Parser) parseCond() Cond {
 		p.next()
 		c.Negated = true
 	default:
-		p.errs.Add(p.cur().Pos, "expected '==' or '!=' in condition, found %s", p.cur())
+		p.errorf(p.cur().Pos, "expected '==' or '!=' in condition, found %s", p.cur())
 		return c
 	}
 	p.expect(KwNull)
@@ -470,7 +482,7 @@ func (p *Parser) parseExpr() Expr {
 		t := p.next()
 		v, err := ParseInt(t.Lit)
 		if err != nil {
-			p.errs.Add(t.Pos, "%v", err)
+			p.errorf(t.Pos, "%v", err)
 		}
 		return &IntExpr{Pos: t.Pos, Value: v}
 	case LParen:
@@ -527,7 +539,7 @@ func (p *Parser) parsePostfix() Expr {
 	case LParen:
 		return p.parseParenExpr()
 	default:
-		p.errs.Add(p.cur().Pos, "expected an expression, found %s", p.cur())
+		p.errorf(p.cur().Pos, "expected an expression, found %s", p.cur())
 		p.next()
 		return &NullExpr{Pos: p.cur().Pos}
 	}
@@ -547,7 +559,7 @@ func (p *Parser) parseSelectors(x Expr) Expr {
 			tok := p.next()
 			v, ok := x.(*VarExpr)
 			if !ok || v.IsThis {
-				p.errs.Add(tok.Pos, "'.class' requires a class name")
+				p.errorf(tok.Pos, "'.class' requires a class name")
 				continue
 			}
 			x = &ClassLitExpr{Pos: v.Pos, Name: v.Name}
@@ -568,7 +580,7 @@ func (p *Parser) parseRRef(pos Pos) Expr {
 	p.expect(Dot)
 	kind := p.expect(IDENT)
 	if kind.Lit != "layout" && kind.Lit != "id" && kind.Lit != "string" {
-		p.errs.Add(kind.Pos, "expected 'layout', 'id', or 'string' after 'R.', found %q", kind.Lit)
+		p.errorf(kind.Pos, "expected 'layout', 'id', or 'string' after 'R.', found %q", kind.Lit)
 	}
 	p.expect(Dot)
 	name := p.expect(IDENT)

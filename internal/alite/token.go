@@ -147,7 +147,14 @@ func (e *Error) Error() string {
 	return e.Msg
 }
 
-// ErrorList collects diagnostics; it implements error.
+// MaxErrors bounds the diagnostics one ErrorList keeps. Past it, Add records
+// one "too many errors" entry and then drops every further diagnostic
+// without formatting it, so an input made of errors (a run of invalid
+// characters, say) costs MaxErrors+1 of them, not one per error.
+const MaxErrors = 100
+
+// ErrorList collects diagnostics, at most MaxErrors of them plus one "too
+// many errors" entry; it implements error.
 type ErrorList []*Error
 
 func (l ErrorList) Error() string {
@@ -168,7 +175,19 @@ func (l ErrorList) Err() error {
 	return l
 }
 
-// Add appends a formatted diagnostic.
+// Add appends a formatted diagnostic. The list's MaxErrors+1st diagnostic
+// is "too many errors" at pos, and Add drops every one after it.
 func (l *ErrorList) Add(pos Pos, format string, args ...any) {
-	*l = append(*l, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	switch {
+	case l.full():
+	case len(*l) == MaxErrors:
+		*l = append(*l, &Error{Pos: pos, Msg: "too many errors"})
+	default:
+		*l = append(*l, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	}
 }
+
+// full reports whether Add drops everything from now on. The lexer checks
+// it before boxing a rune for Add, so a run of invalid non-ASCII characters
+// allocates nothing past the cap; the parser stops once it holds.
+func (l ErrorList) full() bool { return len(l) > MaxErrors }

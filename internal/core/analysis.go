@@ -111,11 +111,12 @@ type Options struct {
 	// proportional to the number of derived facts.
 	Provenance bool
 
-	// ReferenceSolver forces the original solver schedule: map-walking flow
-	// propagation and an apply-every-operation round structure. It computes
-	// exactly what the default CSR engine computes — the differential
-	// harness (differential_test.go) holds every optimized configuration
-	// byte-identical to it — and exists as that baseline, not for use.
+	// ReferenceSolver selects the apply-every-operation schedule: every
+	// round re-applies every operation rule instead of only those the delta
+	// worklist marks (delta.go). Flow propagation is the same. It computes
+	// exactly what the default schedule computes — the differential harness
+	// (differential_test.go) holds every configuration byte-identical to it
+	// — and exists as that baseline, not for use.
 	ReferenceSolver bool
 
 	// Trace receives solver events: build/solve stage boundaries,

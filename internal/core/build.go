@@ -21,13 +21,11 @@ type analysis struct {
 	// worklist holds (node, value) propagation frontier entries.
 	worklist []propItem
 
-	// castFilter records the cast target class of filtered flow edges,
-	// keyed by (src, dst) node ids. Only consulted when opts.FilterCasts.
-	castFilter map[[2]int]*ir.Class
-
-	// dispatchFilter restricts receiver-to-this edges: only values whose
-	// dynamic class actually dispatches to the callee flow into its 'this'.
-	dispatchFilter map[[2]int]dispatchReq
+	// edges labels the flow edges that carry more than their endpoints,
+	// keyed by (src, dst) node ids: a dispatch guard, a cast filter, or the
+	// rule-site units the edge depends on (see edgeLabel). Propagation reads
+	// it once per edge visit; an unlabeled edge has no entry.
+	edges map[[2]int]edgeLabel
 
 	// returnVars caches the reference-typed return variables per method.
 	returnVars map[*ir.Method][]*ir.Var
@@ -66,13 +64,11 @@ type analysis struct {
 	tr *trace.Scope
 
 	// units assigns each source file and layout a bit; dep tracks per-fact
-	// unit-dependency masks; edgeUnits holds the rule-site units of each flow
-	// edge, keyed like castFilter (Options.Incremental; see deps.go). tracking
-	// is true when either the dep tracker or the provenance recorder is live.
-	units     *unitTable
-	dep       *depTracker
-	edgeUnits map[[2]int]unitBits
-	tracking  bool
+	// unit-dependency masks (Options.Incremental; see deps.go). tracking is
+	// true when either the dep tracker or the provenance recorder is live.
+	units    *unitTable
+	dep      *depTracker
+	tracking bool
 
 	// methodUnits/classUnits record, per method body and per class's seed
 	// pass, the units of every foreign method the construction read (callee
@@ -85,11 +81,10 @@ type analysis struct {
 	classUnits  map[*ir.Class]unitBits
 	curUnits    *unitBits
 
-	// Per-solve engine state (see csr.go). csr is the packed flow-graph
-	// snapshot; watchers/opDirty/opAlways/opLastGen drive the delta
-	// operation worklist. All nil under Options.ReferenceSolver, which
-	// falls back to the original schedule.
-	csr       *flowCSR
+	// Per-solve delta worklist state (see delta.go): watchers, opDirty,
+	// opAlways and opLastGen decide which operations a round re-applies.
+	// All nil under Options.ReferenceSolver, which applies every operation
+	// every round.
 	watchers  [][]int32
 	opDirty   []bool
 	opAlways  []bool
@@ -127,9 +122,32 @@ type chaKey struct {
 	key   string
 }
 
-type dispatchReq struct {
-	key    string
+// edgeLabel is what propagation knows about one flow edge beyond its
+// endpoints. callee guards a receiver-to-this edge: only values whose
+// dynamic class dispatches callee.Key to callee pass. cast is a cast edge's
+// target class, recorded only under Options.FilterCasts. units are the
+// rule-site compilation units the edge depends on, recorded only under
+// Options.Incremental; facts propagated across the edge inherit them.
+type edgeLabel struct {
 	callee *ir.Method
+	cast   *ir.Class
+	units  unitBits
+}
+
+// isZero reports a label that carries nothing, which needs no entry.
+func (l edgeLabel) isZero() bool { return l.callee == nil && l.cast == nil && l.units.isZero() }
+
+// merge folds o into l field by field: a guard already set stays, and the
+// units are ORed, so re-adding an edge never loses what it carried.
+func (l edgeLabel) merge(o edgeLabel) edgeLabel {
+	if l.callee == nil {
+		l.callee = o.callee
+	}
+	if l.cast == nil {
+		l.cast = o.cast
+	}
+	l.units = l.units.or(o.units)
+	return l
 }
 
 // inflationKey identifies one materialized layout instantiation: the
@@ -156,8 +174,7 @@ func newAnalysis(p *ir.Program, opts Options) *analysis {
 		opts:           opts,
 		g:              graph.New(),
 		pts:            &ptsTable{},
-		castFilter:     map[[2]int]*ir.Class{},
-		dispatchFilter: map[[2]int]dispatchReq{},
+		edges:          map[[2]int]edgeLabel{},
 		returnVars:     map[*ir.Method][]*ir.Var{},
 		chaCache:       map[chaKey][]*ir.Method{},
 		inflations:     map[inflationKey]*inflation{},
@@ -173,7 +190,6 @@ func newAnalysis(p *ir.Program, opts Options) *analysis {
 	if opts.Incremental {
 		a.units = newUnitTable(p)
 		a.dep = newDepTracker()
-		a.edgeUnits = map[[2]int]unitBits{}
 		a.methodUnits = map[*ir.Method]unitBits{}
 		a.classUnits = map[*ir.Class]unitBits{}
 	}
@@ -206,9 +222,31 @@ func (a *analysis) seed(n graph.Node, v graph.Value, units unitBits) {
 // addFlow records a value-flow edge. units are the compilation units the
 // edge's existence depends on; facts propagated across it inherit them.
 func (a *analysis) addFlow(src, dst graph.Node, units unitBits) {
-	if a.edgeUnits != nil && !units.isZero() {
+	a.addEdge(src, dst, edgeLabel{units: units})
+}
+
+// addDispatchFlow records a receiver-to-this edge guarded by dynamic
+// dispatch: only values whose class resolves callee.Key to callee pass
+// through.
+func (a *analysis) addDispatchFlow(recv *graph.VarNode, callee *ir.Method, units unitBits) {
+	a.addEdge(recv, a.varNode(callee.This), edgeLabel{callee: callee, units: units})
+}
+
+// addCastFlow records a value-flow edge through a cast.
+func (a *analysis) addCastFlow(src, dst graph.Node, to *ir.Class, units unitBits) {
+	a.addEdge(src, dst, edgeLabel{cast: to, units: units})
+}
+
+// addEdge records a flow edge and merges l into its label. A cast target
+// is kept only under FilterCasts, the one option that reads it; units are
+// zero unless Options.Incremental assigned units.
+func (a *analysis) addEdge(src, dst graph.Node, l edgeLabel) {
+	if !a.opts.FilterCasts {
+		l.cast = nil
+	}
+	if !l.isZero() {
 		k := [2]int{src.ID(), dst.ID()}
-		a.edgeUnits[k] = a.edgeUnits[k].or(units)
+		a.edges[k] = a.edges[k].merge(l)
 	}
 	if a.g.AddFlow(src, dst) {
 		// Replay already-known values across the new edge.
@@ -218,22 +256,6 @@ func (a *analysis) addFlow(src, dst graph.Node, units unitBits) {
 			}
 		}
 	}
-}
-
-// addDispatchFlow records a receiver-to-this edge guarded by dynamic
-// dispatch: only values whose class resolves key to callee pass through.
-func (a *analysis) addDispatchFlow(recv *graph.VarNode, callee *ir.Method, key string, units unitBits) {
-	this := a.varNode(callee.This)
-	a.dispatchFilter[[2]int{recv.ID(), this.ID()}] = dispatchReq{key: key, callee: callee}
-	a.addFlow(recv, this, units)
-}
-
-// addCastFlow records a value-flow edge through a cast.
-func (a *analysis) addCastFlow(src, dst graph.Node, to *ir.Class, units unitBits) {
-	if to != nil {
-		a.castFilter[[2]int{src.ID(), dst.ID()}] = to
-	}
-	a.addFlow(src, dst, units)
 }
 
 // buildGraph creates the statement-derived part of the constraint graph:
@@ -416,7 +438,7 @@ func (a *analysis) buildInvoke(m *ir.Method, s *ir.Invoke) {
 			a.buildClonedCall(s, callee, mu.or(cu), a.g.InternContext("cs:"+s.Pos().String()))
 			continue
 		}
-		a.addDispatchFlow(a.varNode(s.Recv), callee, s.Key, mu)
+		a.addDispatchFlow(a.varNode(s.Recv), callee, mu)
 		for i, arg := range s.Args {
 			if i < len(callee.Params) {
 				a.addFlow(a.varNode(arg), a.varNode(callee.Params[i]), mu)
@@ -483,7 +505,7 @@ func (a *analysis) buildClonedCall(s *ir.Invoke, callee *ir.Method, units unitBi
 	}
 
 	// Parameter, receiver, and return plumbing into the cloned nodes.
-	a.addDispatchFlow(recv, callee, s.Key, units)
+	a.addDispatchFlow(recv, callee, units)
 	for i := range args {
 		if i < len(callee.Params) {
 			a.addFlow(args[i], a.varNode(callee.Params[i]), units)
@@ -521,7 +543,7 @@ func (a *analysis) buildOp(m *ir.Method, s *ir.Invoke, api *platform.ApiSpec) {
 		key := ir.MethodKey("getView", []alite.Type{{Prim: alite.TypeInt}})
 		static := s.Args[0].TypeClass.LookupMethod(key)
 		for _, target := range a.callTargets(s.Args[0].TypeClass, key, static) {
-			a.addDispatchFlow(a.varNode(s.Args[0]), target, key, mu)
+			a.addDispatchFlow(a.varNode(s.Args[0]), target, mu)
 		}
 		return
 	}
@@ -553,7 +575,7 @@ func (a *analysis) buildOp(m *ir.Method, s *ir.Invoke, api *platform.ApiSpec) {
 		key := ir.MethodKey(h.Name, types)
 		static := lstArg.TypeClass.LookupMethod(key)
 		for _, handler := range a.callTargets(lstArg.TypeClass, key, static) {
-			a.addDispatchFlow(a.varNode(lstArg), handler, key, mu)
+			a.addDispatchFlow(a.varNode(lstArg), handler, mu)
 			for _, vi := range h.ViewParams {
 				if vi < len(handler.Params) {
 					a.addFlow(a.varNode(s.Recv), a.varNode(handler.Params[vi]), mu)

@@ -1,8 +1,8 @@
 package core
 
-// The differential solver harness: the standing invariant of the optimized
-// engine (CSR propagation plus the delta operation worklist) is that it
-// computes exactly the solution of the reference schedule
+// The differential solver harness: the standing invariant of the default
+// schedule (the delta operation worklist) is that it computes exactly the
+// solution of the apply-every-operation schedule
 // (Options.ReferenceSolver). This file checks that invariant on every
 // registered corpus application, the paper's Figure 1 app, a multi-unit
 // modular app (past the 64-unit bitset page boundary), and a swarm of

@@ -30,19 +30,17 @@ type IncrementalStats struct {
 
 // warmState is the part of the solver's working state a Result carries so the
 // next AnalyzeIncremental call can resume in place instead of rebuilding and
-// re-deriving everything: per-edge filters and unit masks, the inflation
-// memos, call-resolution caches, and the per-method/per-class build read
-// sets. nil when dependency tracking was off.
+// re-deriving everything: the flow-edge labels, the inflation memos,
+// call-resolution caches, and the per-method/per-class build read sets. nil
+// when dependency tracking was off.
 type warmState struct {
-	castFilter     map[[2]int]*ir.Class
-	dispatchFilter map[[2]int]dispatchReq
-	returnVars     map[*ir.Method][]*ir.Var
-	chaCache       map[chaKey][]*ir.Method
-	inflations     map[inflationKey]*inflation
-	rootInflation  map[*graph.InflNode]*inflation
-	edgeUnits      map[[2]int]unitBits
-	methodUnits    map[*ir.Method]unitBits
-	classUnits     map[*ir.Class]unitBits
+	edges         map[[2]int]edgeLabel
+	returnVars    map[*ir.Method][]*ir.Var
+	chaCache      map[chaKey][]*ir.Method
+	inflations    map[inflationKey]*inflation
+	rootInflation map[*graph.InflNode]*inflation
+	methodUnits   map[*ir.Method]unitBits
+	classUnits    map[*ir.Class]unitBits
 }
 
 // warmState packages the solver state for reuse by a later incremental run.
@@ -51,15 +49,13 @@ func (a *analysis) warmState() *warmState {
 		return nil
 	}
 	return &warmState{
-		castFilter:     a.castFilter,
-		dispatchFilter: a.dispatchFilter,
-		returnVars:     a.returnVars,
-		chaCache:       a.chaCache,
-		inflations:     a.inflations,
-		rootInflation:  a.rootInflation,
-		edgeUnits:      a.edgeUnits,
-		methodUnits:    a.methodUnits,
-		classUnits:     a.classUnits,
+		edges:         a.edges,
+		returnVars:    a.returnVars,
+		chaCache:      a.chaCache,
+		inflations:    a.inflations,
+		rootInflation: a.rootInflation,
+		methodUnits:   a.methodUnits,
+		classUnits:    a.classUnits,
 	}
 }
 
@@ -189,7 +185,7 @@ func sortedCopy(s []string) []string {
 }
 
 // adoptAnalysis resumes prev's solver state in place: the constraint graph,
-// points-to sets, dependency tracker, edge filters, and build caches all
+// points-to sets, dependency tracker, edge labels, and build caches all
 // carry over. Memos whose validity an edit can silently break —
 // declarative-onClick binding, return-variable caches of re-lowered
 // methods — are reset instead.
@@ -200,8 +196,7 @@ func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 		opts:           opts,
 		g:              prev.Graph,
 		pts:            prev.pts,
-		castFilter:     w.castFilter,
-		dispatchFilter: w.dispatchFilter,
+		edges:          w.edges,
 		returnVars:     w.returnVars,
 		chaCache:       w.chaCache,
 		inflations:     w.inflations,
@@ -211,7 +206,6 @@ func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 		tr:             opts.Trace,
 		units:          prev.units,
 		dep:            prev.dep,
-		edgeUnits:      w.edgeUnits,
 		methodUnits:    w.methodUnits,
 		classUnits:     w.classUnits,
 		tracking:       true,
@@ -371,16 +365,14 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	retained = len(kept)
 
 	// Flow edges built from dirty units — and any edge touching a stale
-	// node — disappear along with their per-edge filter state. Note a single
-	// flow edge is only ever added by rule sites within one method (edge
-	// endpoints include a method-local variable), so a dirty mask bit means
-	// every site that contributed the edge re-runs during rebuild.
+	// node — disappear along with their labels. Note a single flow edge is
+	// only ever added by rule sites within one method (edge endpoints
+	// include a method-local variable), so a dirty mask bit means every site
+	// that contributed the edge re-runs during rebuild.
 	g.FilterFlow(func(src, dst graph.Node) bool {
 		k := [2]int{src.ID(), dst.ID()}
-		if a.edgeUnits[k].intersects(dirty) || stale[src.ID()] || stale[dst.ID()] {
-			delete(a.edgeUnits, k)
-			delete(a.castFilter, k)
-			delete(a.dispatchFilter, k)
+		if a.edges[k].units.intersects(dirty) || stale[src.ID()] || stale[dst.ID()] {
+			delete(a.edges, k)
 			return false
 		}
 		return true

@@ -17,15 +17,14 @@ import (
 // activities, resource ids, and per-site inflation nodes) and all sets and
 // relations grow monotonically.
 //
-// The default engine packs the flow edges into CSR arrays and schedules
-// operations through a delta worklist. Options.ReferenceSolver keeps the
-// original map-walking, apply-everything schedule — the baseline the
-// differential harness holds the optimized engine to. Both engines derive
-// the same facts in the same order (see csr.go for the argument), so the
-// choice is invisible in results, provenance, and iteration counts.
+// By default a round re-applies only the operations the delta worklist
+// marks (delta.go); Options.ReferenceSolver applies every operation every
+// round, the baseline the differential harness holds the delta schedule
+// to. Both schedules drain the same propagate loop and derive the same
+// facts in the same order, so the choice is invisible in results,
+// provenance, and iteration counts.
 func (a *analysis) solve() {
 	if !a.opts.ReferenceSolver {
-		a.csr = a.buildCSR()
 		a.initDelta()
 	}
 	for {
@@ -48,36 +47,32 @@ func (a *analysis) solve() {
 	}
 }
 
-// propagate drains the worklist, pushing values across flow edges through
-// whichever propagation engine the options selected.
+// propagate drains the worklist, pushing each value across its node's flow
+// edges in the graph's insertion order and through each edge's label: a
+// dispatch guard or cast filter may stop it, and the edge's units go into
+// the derived fact's record. Operation rules never add flow edges, so the
+// successor lists are stable for the whole solve. Once the consumed prefix
+// is at least half the worklist, the pending tail moves to the front, so
+// the slice stays near the size of the live frontier instead of growing to
+// a whole round's pushes; the queue order is unchanged.
 func (a *analysis) propagate() {
-	if a.csr != nil {
-		a.propagateCSR()
-	} else {
-		a.propagateReference()
-	}
-}
-
-// propagateReference is the original propagation loop: per-node successor
-// lookups through the graph's flow map and per-edge filter lookups through
-// the (src, dst)-keyed maps. It is preserved verbatim as the reference
-// schedule the CSR engine is differentially tested against.
-func (a *analysis) propagateReference() {
 	for head := 0; head < len(a.worklist); head++ {
+		if 2*head >= len(a.worklist) {
+			a.worklist = a.worklist[:copy(a.worklist, a.worklist[head:])]
+			head = 0
+		}
 		it := a.worklist[head]
+		src := it.node.ID()
 		for _, succ := range a.g.FlowSucc(it.node) {
-			ek := [2]int{it.node.ID(), succ.ID()}
-			if req, ok := a.dispatchFilter[ek]; ok && !dispatchAdmits(it.val, req) {
+			l := a.edges[[2]int{src, succ.ID()}]
+			if l.callee != nil && !dispatchAdmits(it.val, l.callee) {
 				continue
 			}
-			if a.opts.FilterCasts {
-				if cls := a.castFilter[ek]; cls != nil && !castAdmits(it.val, cls) {
-					continue
-				}
+			if l.cast != nil && !castAdmits(it.val, l.cast) {
+				continue
 			}
 			if a.seedChecked(succ, it.val) && a.tracking {
-				a.record(flowFact(succ, it.val), "Flow", a.edgeUnits[ek],
-					flowFact(it.node, it.val))
+				a.record(flowFact(succ, it.val), "Flow", l.units, flowFact(it.node, it.val))
 			}
 		}
 	}
@@ -87,7 +82,7 @@ func (a *analysis) propagateReference() {
 // dispatchAdmits reports whether a receiver value actually dispatches the
 // call to the callee guarding the edge. Values without a dynamic class
 // (resource ids) are never receivers.
-func dispatchAdmits(v graph.Value, req dispatchReq) bool {
+func dispatchAdmits(v graph.Value, callee *ir.Method) bool {
 	var vc *ir.Class
 	switch v := v.(type) {
 	case *graph.AllocNode:
@@ -99,7 +94,7 @@ func dispatchAdmits(v graph.Value, req dispatchReq) bool {
 	default:
 		return false
 	}
-	return vc.Dispatch(req.key) == req.callee
+	return vc.Dispatch(callee.Key) == callee
 }
 
 // castAdmits reports whether a value may pass a cast to cls. Values without

@@ -5,8 +5,8 @@
 #   1. go vet        — static checks
 #   2. go build      — everything compiles
 #   3. go test       — the full suite, including the differential solver
-#                      harness (the optimized engine byte-identical to the
-#                      reference schedule; internal/core/differential_test.go),
+#                      harness (the delta schedule byte-identical to
+#                      apply-every-operation; internal/core/differential_test.go),
 #                      the differential batch-determinism tests, example smoke
 #                      tests, and checked-in fuzz regression seeds
 #   4. go test -race — the race detector, which is what makes the parallel
@@ -50,9 +50,11 @@
 #                      BenchmarkSolveTracingDisabled re-asserts it), and the
 #                      FindView rules' walk of a solved app's view
 #                      hierarchies allocates nothing once warm
-#                      (TestFindViewWalkZeroAlloc); the load path's
-#                      guards: the worst corpus app's gator.Load allocates
-#                      at most 44 B per source byte
+#                      (TestFindViewWalkZeroAlloc), and re-propagating a
+#                      solved corpus app's values over its flow edges
+#                      allocates nothing (TestPropagateZeroAlloc); the
+#                      load path's guards: the worst corpus app's
+#                      gator.Load allocates at most 44 B per source byte
 #                      (TestLoadAllocationPerByte), and a variable-node hit
 #                      or a duplicate flow edge allocates nothing
 #                      (TestVarNodeAndFlowHitsZeroAlloc); one iteration of
@@ -140,8 +142,8 @@ go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp
 echo "== gatord server smoke (examples/buggyapp)"
 go run ./cmd/gatord -smoke examples/buggyapp
 
-echo "== zero-allocation guards (tracing disabled, FindView walk)"
-go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== zero-allocation guards (tracing disabled, FindView walk, propagation)"
+go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
 echo "== load-path guards (allocation per source byte, graph lookups)"
 go test -run '^TestLoadAllocationPerByte$' .
 go test -run '^TestVarNodeAndFlowHitsZeroAlloc$' ./internal/graph
