@@ -253,6 +253,7 @@ func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 	}{
 		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc"}},
 		{".", ".", []string{"TestLoadAllocationPerByte"}},
+		{"./internal/alite", "internal/alite", []string{"TestParseAllocationPerByte"}},
 		{"./internal/graph", "internal/graph", []string{"TestVarNodeAndFlowHitsZeroAlloc"}},
 	} {
 		found := false

@@ -10,12 +10,22 @@ import (
 	"gator/internal/corpus"
 )
 
-// TestParseAllocationPerByte bounds what parsing allocates per source byte
-// on every corpus app. The parser reads the lexer through a small lookahead
-// window, so the AST is all it allocates (about 12 B per source byte); a
-// parser that first materializes every token allocates 87–112 B.
+// TestParseAllocationPerByte bounds what parsing allocates on the corpus
+// apps: bytes per source byte on the worst app, and allocations per KB of
+// source on the worst app and pooled over all 20. The parser reads the
+// lexer through a small lookahead window, so the AST is all it allocates (a
+// parser that first materializes every token allocates 87–112 B per
+// byte). The AST comes from per-file slabs and its lists are copied out at
+// their exact length: 11.0 B per byte and 20 allocations per KB on the
+// worst app, 11 per KB pooled, against 12.5 B, 215 and 207 with a node per
+// allocation. The bounds sit between the two.
 func TestParseAllocationPerByte(t *testing.T) {
-	const maxPerByte = 24
+	const (
+		maxPerByte         = 12
+		maxMallocsPerKB    = 30
+		maxPooledMallocsKB = 16
+	)
+	var worst, worstMallocs, pooledMallocs, pooledBytes float64
 	for _, app := range corpus.GenerateAll() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -24,11 +34,25 @@ func TestParseAllocationPerByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(app.Source))
+		n := float64(len(app.Source))
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / n
+		mallocs := float64(after.Mallocs - before.Mallocs)
+		worst, worstMallocs = max(worst, perByte), max(worstMallocs, mallocs/n*1024)
+		pooledMallocs += mallocs
+		pooledBytes += n
 		if perByte > maxPerByte {
 			t.Errorf("%s: parsing %d bytes allocated %.1f B per byte, want at most %d",
 				app.Name, len(app.Source), perByte, maxPerByte)
 		}
+		if perKB := mallocs / n * 1024; perKB > maxMallocsPerKB {
+			t.Errorf("%s: parsing %d bytes made %.0f allocations per KB, want at most %d",
+				app.Name, len(app.Source), perKB, maxMallocsPerKB)
+		}
+	}
+	pooled := pooledMallocs / pooledBytes * 1024
+	t.Logf("worst %.1f B per source byte, %.0f allocations per KB; pooled %.0f per KB", worst, worstMallocs, pooled)
+	if pooled > maxPooledMallocsKB {
+		t.Errorf("parsing the corpus made %.0f allocations per KB, want at most %d", pooled, maxPooledMallocsKB)
 	}
 }
 

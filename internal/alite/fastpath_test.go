@@ -20,7 +20,7 @@ type refLexer struct {
 	src       string
 	file      string
 	off       int
-	line, col int
+	line, col int32
 	errs      ErrorList
 }
 
@@ -44,9 +44,28 @@ func (lx *refLexer) advance() rune {
 		lx.line++
 		lx.col = 1
 	} else {
-		lx.col += w
+		lx.col += int32(w)
 	}
 	return r
+}
+
+// keywords is the keyword table the lexer's switch (keyword) replaced; the
+// reference lexer looks identifiers up in it, and TestKeywordSwitch holds
+// the switch to it.
+var keywords = map[string]Kind{
+	"class":      KwClass,
+	"interface":  KwInterface,
+	"extends":    KwExtends,
+	"implements": KwImplements,
+	"new":        KwNew,
+	"return":     KwReturn,
+	"if":         KwIf,
+	"else":       KwElse,
+	"while":      KwWhile,
+	"null":       KwNull,
+	"this":       KwThis,
+	"void":       KwVoid,
+	"int":        KwInt,
 }
 
 func refIdentStart(r rune) bool { return r == '_' || r == '$' || unicode.IsLetter(r) }

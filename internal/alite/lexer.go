@@ -12,8 +12,8 @@ type Lexer struct {
 	file string
 
 	off  int // byte offset of the next rune
-	line int
-	col  int
+	line int32
+	col  int32
 
 	errs ErrorList
 }
@@ -61,7 +61,7 @@ func (lx *Lexer) advance() rune {
 	}
 	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
 	lx.off += w
-	lx.col += w
+	lx.col += int32(w)
 	return r
 }
 
@@ -165,7 +165,7 @@ func (lx *Lexer) Next() Token {
 				lx.advance()
 			}
 			lit := lx.src[start:lx.off]
-			if kw, ok := keywords[lit]; ok {
+			if kw := keyword(lit); kw != IDENT {
 				return Token{Kind: kw, Pos: pos}
 			}
 			return Token{Kind: IDENT, Lit: lit, Pos: pos}
@@ -219,6 +219,40 @@ func (lx *Lexer) Next() Token {
 			}
 		}
 	}
+}
+
+// keyword returns the keyword spelled by lit, or IDENT. A switch, not a
+// map probe: every identifier the lexer scans comes through here.
+func keyword(lit string) Kind {
+	switch lit {
+	case "class":
+		return KwClass
+	case "interface":
+		return KwInterface
+	case "extends":
+		return KwExtends
+	case "implements":
+		return KwImplements
+	case "new":
+		return KwNew
+	case "return":
+		return KwReturn
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "null":
+		return KwNull
+	case "this":
+		return KwThis
+	case "void":
+		return KwVoid
+	case "int":
+		return KwInt
+	}
+	return IDENT
 }
 
 func isHexDigit(r rune) bool {

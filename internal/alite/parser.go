@@ -1,5 +1,7 @@
 package alite
 
+import "gator/internal/slab"
+
 // Recursive-descent parser for ALite.
 //
 // Grammar (EBNF):
@@ -43,6 +45,12 @@ const MaxNesting = 1000
 // demand through a three-token lookahead window (the grammar peeks at most
 // two tokens past the current one), so parsing allocates the AST but no
 // token slice.
+//
+// The AST itself comes in bulk. The node kinds that make up most of a file
+// are carved from per-parser slabs, so their chunks live exactly as long as
+// the File. A list (a block's statements, a call's arguments, a method's
+// parameters, a class's members) collects on a reused stack and is copied
+// out once, at its exact length, into a slab of its own.
 type Parser struct {
 	lx    *Lexer
 	la    [3]Token // la[0] is the current token, la[1:n] the peeked ones
@@ -50,6 +58,71 @@ type Parser struct {
 	errs  ErrorList
 	file  string
 	depth int
+
+	methodDecls slab.Slab[MethodDecl]
+	fieldDecls  slab.Slab[FieldDecl]
+	paramDecls  slab.Slab[Param]
+	blocks      slab.Slab[Block]
+	returns     slab.Slab[ReturnStmt]
+	localDecls  slab.Slab[LocalDecl]
+	assigns     slab.Slab[AssignStmt]
+	exprStmts   slab.Slab[ExprStmt]
+	varExprs    slab.Slab[VarExpr]
+	fieldExprs  slab.Slab[FieldExpr]
+	calls       slab.Slab[CallExpr]
+
+	stmts   list[Stmt]
+	args    list[Expr]
+	params  list[*Param]
+	methods list[*MethodDecl]
+	fields  list[*FieldDecl]
+}
+
+// newParser returns a parser over src. Each slab's first chunk holds one
+// node per so many source bytes, roughly the sparsest that kind occurs in
+// the corpus and chain apps (a method per 640 bytes, a variable reference
+// per 32); later chunks are paced by the rest of the source (package slab).
+func newParser(file, src string) *Parser {
+	p := &Parser{lx: NewLexer(file, src), file: file}
+	read := func() (done, total int) { return p.lx.off, len(p.lx.src) }
+	n := len(src)
+	p.methodDecls = slab.Paced[MethodDecl](n/640, read)
+	p.fieldDecls = slab.Paced[FieldDecl](n/640, read)
+	p.paramDecls = slab.Paced[Param](n/1280, read)
+	p.blocks = slab.Paced[Block](n/640, read)
+	p.returns = slab.Paced[ReturnStmt](n/1280, read)
+	p.localDecls = slab.Paced[LocalDecl](n/128, read)
+	p.assigns = slab.Paced[AssignStmt](n/640, read)
+	p.exprStmts = slab.Paced[ExprStmt](n/720, read)
+	p.varExprs = slab.Paced[VarExpr](n/32, read)
+	p.fieldExprs = slab.Paced[FieldExpr](n/640, read)
+	p.calls = slab.Paced[CallExpr](n/480, read)
+	p.stmts.slab = slab.Paced[Stmt](n/64, read)
+	p.args.slab = slab.Paced[Expr](n/128, read)
+	p.params.slab = slab.Paced[*Param](n/1280, read)
+	p.methods.slab = slab.Paced[*MethodDecl](n/640, read)
+	p.fields.slab = slab.Paced[*FieldDecl](n/640, read)
+	return p
+}
+
+// list collects the elements of one kind of list on a stack, so lists of
+// that kind can nest (a call's arguments hold calls); a finished list moves
+// into the slab at its exact length.
+type list[T any] struct {
+	stack []T
+	slab  slab.Slab[T]
+}
+
+func (l *list[T]) push(v T) { l.stack = append(l.stack, v) }
+
+// open returns the mark of a list that starts now.
+func (l *list[T]) open() int { return len(l.stack) }
+
+// close returns the list pushed since mark, nil when empty, and pops it.
+func (l *list[T]) close(mark int) []T {
+	out := l.slab.Copy(l.stack[mark:])
+	l.stack = l.stack[:mark]
+	return out
 }
 
 // bailout unwinds the parser once input nests deeper than MaxNesting or the
@@ -60,7 +133,7 @@ type bailout struct{}
 // the lexer reports any, Parse returns them alone and no file, even if a
 // parse error or a bailout came first.
 func Parse(file, src string) (*File, error) {
-	p := &Parser{lx: NewLexer(file, src), file: file}
+	p := newParser(file, src)
 	p.la[0], p.n = p.lx.Next(), 1
 	f := p.parseFileBounded()
 	// Finish lexing whatever the parser left unread: a lexical error past
@@ -209,9 +282,11 @@ func (p *Parser) parseClass() *ClassDecl {
 		d.Implements = p.parseIdentList()
 	}
 	p.expect(LBrace)
+	methods, fields := p.methods.open(), p.fields.open()
 	for !p.at(RBrace) && !p.at(EOF) {
 		p.parseMember(d)
 	}
+	d.Methods, d.Fields = p.methods.close(methods), p.fields.close(fields)
 	p.expect(RBrace)
 	return d
 }
@@ -224,36 +299,39 @@ func (p *Parser) parseInterface() *InterfaceDecl {
 		d.Extends = p.parseIdentList()
 	}
 	p.expect(LBrace)
+	methods := p.methods.open()
 	for !p.at(RBrace) && !p.at(EOF) {
 		ret := p.parseType(true)
 		name := p.expect(IDENT)
-		m := &MethodDecl{Pos: name.Pos, Return: ret, Name: name.Lit}
+		m := p.methodDecls.Alloc(MethodDecl{Pos: name.Pos, Return: ret, Name: name.Lit})
 		p.expect(LParen)
 		m.Params = p.parseParams()
 		p.expect(RParen)
 		p.expect(Semi)
-		d.Methods = append(d.Methods, m)
+		p.methods.push(m)
 	}
+	d.Methods = p.methods.close(methods)
 	p.expect(RBrace)
 	return d
 }
 
-// parseMember parses a field, method, or constructor inside class d.
+// parseMember parses a field, method, or constructor inside class d onto
+// the parser's member stacks.
 func (p *Parser) parseMember(d *ClassDecl) {
 	// Constructor: IDENT '(' with IDENT == class name.
 	if p.at(IDENT) && p.cur().Lit == d.Name && p.peekKind(1) == LParen {
 		name := p.next()
-		m := &MethodDecl{
+		m := p.methodDecls.Alloc(MethodDecl{
 			Pos:    name.Pos,
 			Return: Type{Prim: TypeVoid},
 			Name:   name.Lit,
 			IsCtor: true,
-		}
+		})
 		p.expect(LParen)
 		m.Params = p.parseParams()
 		p.expect(RParen)
 		m.Body = p.parseBlock()
-		d.Methods = append(d.Methods, m)
+		p.methods.push(m)
 		return
 	}
 	typ := p.parseType(true)
@@ -264,14 +342,14 @@ func (p *Parser) parseMember(d *ClassDecl) {
 		if !typ.IsRef() && typ.Prim != TypeInt {
 			p.errorf(name.Pos, "field %s cannot have type %s", name.Lit, typ)
 		}
-		d.Fields = append(d.Fields, &FieldDecl{Pos: name.Pos, Type: typ, Name: name.Lit})
+		p.fields.push(p.fieldDecls.Alloc(FieldDecl{Pos: name.Pos, Type: typ, Name: name.Lit}))
 	case LParen:
-		m := &MethodDecl{Pos: name.Pos, Return: typ, Name: name.Lit}
+		m := p.methodDecls.Alloc(MethodDecl{Pos: name.Pos, Return: typ, Name: name.Lit})
 		p.next()
 		m.Params = p.parseParams()
 		p.expect(RParen)
 		m.Body = p.parseBlock()
-		d.Methods = append(d.Methods, m)
+		p.methods.push(m)
 	default:
 		p.errorf(p.cur().Pos, "expected ';' or '(' after member name, found %s", p.cur())
 		p.sync(Semi, RBrace)
@@ -282,16 +360,16 @@ func (p *Parser) parseMember(d *ClassDecl) {
 }
 
 func (p *Parser) parseParams() []*Param {
-	var params []*Param
 	if p.at(RParen) {
-		return params
+		return nil
 	}
+	params := p.params.open()
 	for {
 		typ := p.parseType(false)
 		name := p.expect(IDENT)
-		params = append(params, &Param{Pos: name.Pos, Type: typ, Name: name.Lit})
+		p.params.push(p.paramDecls.Alloc(Param{Pos: name.Pos, Type: typ, Name: name.Lit}))
 		if !p.at(Comma) {
-			return params
+			return p.params.close(params)
 		}
 		p.next()
 	}
@@ -320,13 +398,15 @@ func (p *Parser) parseType(allowVoid bool) Type {
 
 func (p *Parser) parseBlock() *Block {
 	p.enter()
-	b := &Block{Pos: p.cur().Pos}
+	b := p.blocks.Alloc(Block{Pos: p.cur().Pos})
 	p.expect(LBrace)
+	stmts := p.stmts.open()
 	for !p.at(RBrace) && !p.at(EOF) {
 		if s := p.parseStmt(); s != nil {
-			b.Stmts = append(b.Stmts, s)
+			p.stmts.push(s)
 		}
 	}
+	b.Stmts = p.stmts.close(stmts)
 	p.expect(RBrace)
 	p.leave()
 	return b
@@ -336,7 +416,7 @@ func (p *Parser) parseStmt() Stmt {
 	switch p.cur().Kind {
 	case KwReturn:
 		pos := p.next().Pos
-		s := &ReturnStmt{Pos: pos}
+		s := p.returns.Alloc(ReturnStmt{Pos: pos})
 		if !p.at(Semi) {
 			s.Value = p.parseExpr()
 		}
@@ -388,7 +468,7 @@ func (p *Parser) parseIf() Stmt {
 		p.next()
 		if p.at(KwIf) {
 			elif := p.parseIf()
-			s.Else = &Block{Pos: elif.StmtPos(), Stmts: []Stmt{elif}}
+			s.Else = p.blocks.Alloc(Block{Pos: elif.StmtPos(), Stmts: []Stmt{elif}})
 		} else {
 			s.Else = p.parseBlock()
 		}
@@ -399,7 +479,7 @@ func (p *Parser) parseIf() Stmt {
 
 func (p *Parser) parseLocalDecl(typ Type) Stmt {
 	name := p.expect(IDENT)
-	s := &LocalDecl{Pos: name.Pos, Type: typ, Name: name.Lit}
+	s := p.localDecls.Alloc(LocalDecl{Pos: name.Pos, Type: typ, Name: name.Lit})
 	if p.at(Assign) {
 		p.next()
 		s.Init = p.parseExpr()
@@ -422,7 +502,7 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		default:
 			p.errorf(lhs.ExprPos(), "invalid assignment target")
 		}
-		s := &AssignStmt{Pos: pos, Target: lhs, Value: p.parseExpr()}
+		s := p.assigns.Alloc(AssignStmt{Pos: pos, Target: lhs, Value: p.parseExpr()})
 		p.expect(Semi)
 		return s
 	}
@@ -430,7 +510,7 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		p.errorf(lhs.ExprPos(), "expression statement must be a call")
 	}
 	p.expect(Semi)
-	return &ExprStmt{Pos: lhs.ExprPos(), X: lhs}
+	return p.exprStmts.Alloc(ExprStmt{Pos: lhs.ExprPos(), X: lhs})
 }
 
 func (p *Parser) parseCond() Cond {
@@ -456,17 +536,18 @@ func (p *Parser) parseCond() Cond {
 func (p *Parser) parseArgs() []Expr {
 	p.enter()
 	p.expect(LParen)
-	var args []Expr
+	args := p.args.open()
 	if !p.at(RParen) {
-		args = append(args, p.parseExpr())
+		p.args.push(p.parseExpr())
 		for p.at(Comma) {
 			p.next()
-			args = append(args, p.parseExpr())
+			p.args.push(p.parseExpr())
 		}
 	}
+	list := p.args.close(args)
 	p.expect(RParen)
 	p.leave()
-	return args
+	return list
 }
 
 func (p *Parser) parseExpr() Expr {
@@ -528,14 +609,14 @@ func (p *Parser) parsePostfix() Expr {
 	var x Expr
 	switch p.cur().Kind {
 	case KwThis:
-		x = &VarExpr{Pos: p.next().Pos, Name: "this", IsThis: true}
+		x = p.varExprs.Alloc(VarExpr{Pos: p.next().Pos, Name: "this", IsThis: true})
 	case IDENT:
 		t := p.next()
 		// R.layout.name / R.id.name resource references.
 		if t.Lit == "R" && p.at(Dot) {
 			return p.parseRRef(t.Pos)
 		}
-		x = &VarExpr{Pos: t.Pos, Name: t.Lit}
+		x = p.varExprs.Alloc(VarExpr{Pos: t.Pos, Name: t.Lit})
 	case LParen:
 		return p.parseParenExpr()
 	default:
@@ -567,9 +648,9 @@ func (p *Parser) parseSelectors(x Expr) Expr {
 		}
 		name := p.expect(IDENT)
 		if p.at(LParen) {
-			x = &CallExpr{Pos: name.Pos, Base: x, Name: name.Lit, Args: p.parseArgs()}
+			x = p.calls.Alloc(CallExpr{Pos: name.Pos, Base: x, Name: name.Lit, Args: p.parseArgs()})
 		} else {
-			x = &FieldExpr{Pos: name.Pos, Base: x, Name: name.Lit}
+			x = p.fieldExprs.Alloc(FieldExpr{Pos: name.Pos, Base: x, Name: name.Lit})
 		}
 	}
 	p.depth = base

@@ -85,27 +85,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = map[string]Kind{
-	"class":      KwClass,
-	"interface":  KwInterface,
-	"extends":    KwExtends,
-	"implements": KwImplements,
-	"new":        KwNew,
-	"return":     KwReturn,
-	"if":         KwIf,
-	"else":       KwElse,
-	"while":      KwWhile,
-	"null":       KwNull,
-	"this":       KwThis,
-	"void":       KwVoid,
-	"int":        KwInt,
-}
-
-// Pos is a source position.
+// Pos is a source position. Line and Col are int32, so a Pos is 24 bytes:
+// every AST node, IR statement and variable carries one.
 type Pos struct {
 	File string
-	Line int // 1-based
-	Col  int // 1-based, in bytes
+	Line int32 // 1-based
+	Col  int32 // 1-based, in bytes
 }
 
 func (p Pos) String() string {

@@ -114,7 +114,7 @@ func sarifRunOf(r *Report) sarifRun {
 			res.Locations = []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
 					ArtifactLocation: sarifArtifact{URI: f.Pos.File},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Col},
+					Region:           sarifRegion{StartLine: int(f.Pos.Line), StartColumn: int(f.Pos.Col)},
 				},
 			}}
 		}

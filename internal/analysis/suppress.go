@@ -80,7 +80,7 @@ func (s Suppressions) Matches(f checks.Finding) bool {
 	if lines == nil {
 		return false
 	}
-	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
+	for _, line := range []int{int(f.Pos.Line), int(f.Pos.Line) - 1} {
 		ids, ok := lines[line]
 		if !ok {
 			continue

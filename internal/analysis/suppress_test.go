@@ -90,7 +90,7 @@ func TestSuppressionsLineEndings(t *testing.T) {
 	}
 	for _, c := range []struct {
 		check string
-		line  int
+		line  int32
 		want  bool
 	}{
 		{"unused-view-id", 1, true},

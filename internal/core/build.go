@@ -22,10 +22,10 @@ type analysis struct {
 	worklist []propItem
 
 	// edges labels the flow edges that carry more than their endpoints,
-	// keyed by (src, dst) node ids: a dispatch guard, a cast filter, or the
+	// keyed by edgeKey(src, dst): a dispatch guard, a cast filter, or the
 	// rule-site units the edge depends on (see edgeLabel). Propagation reads
 	// it once per edge visit; an unlabeled edge has no entry.
-	edges map[[2]int]edgeLabel
+	edges map[uint64]edgeLabel
 
 	// returnVars caches the reference-typed return variables per method.
 	returnVars map[*ir.Method][]*ir.Var
@@ -174,7 +174,7 @@ func newAnalysis(p *ir.Program, opts Options) *analysis {
 		opts:           opts,
 		g:              graph.New(),
 		pts:            &ptsTable{},
-		edges:          map[[2]int]edgeLabel{},
+		edges:          map[uint64]edgeLabel{},
 		returnVars:     map[*ir.Method][]*ir.Var{},
 		chaCache:       map[chaKey][]*ir.Method{},
 		inflations:     map[inflationKey]*inflation{},
@@ -237,6 +237,11 @@ func (a *analysis) addCastFlow(src, dst graph.Node, to *ir.Class, units unitBits
 	a.addEdge(src, dst, edgeLabel{cast: to, units: units})
 }
 
+// edgeKey packs a flow edge's node ids into one edges key. A uint64 key
+// takes the map's fast 64-bit path where a [2]int takes the generic hash;
+// node ids stay below 2^32.
+func edgeKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+
 // addEdge records a flow edge and merges l into its label. A cast target
 // is kept only under FilterCasts, the one option that reads it; units are
 // zero unless Options.Incremental assigned units.
@@ -245,7 +250,7 @@ func (a *analysis) addEdge(src, dst graph.Node, l edgeLabel) {
 		l.cast = nil
 	}
 	if !l.isZero() {
-		k := [2]int{src.ID(), dst.ID()}
+		k := edgeKey(src.ID(), dst.ID())
 		a.edges[k] = a.edges[k].merge(l)
 	}
 	if a.g.AddFlow(src, dst) {

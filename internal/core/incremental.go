@@ -34,7 +34,7 @@ type IncrementalStats struct {
 // call-resolution caches, and the per-method/per-class build read sets. nil
 // when dependency tracking was off.
 type warmState struct {
-	edges         map[[2]int]edgeLabel
+	edges         map[uint64]edgeLabel
 	returnVars    map[*ir.Method][]*ir.Var
 	chaCache      map[chaKey][]*ir.Method
 	inflations    map[inflationKey]*inflation
@@ -370,7 +370,7 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	// include a method-local variable), so a dirty mask bit means every site
 	// that contributed the edge re-runs during rebuild.
 	g.FilterFlow(func(src, dst graph.Node) bool {
-		k := [2]int{src.ID(), dst.ID()}
+		k := edgeKey(src.ID(), dst.ID())
 		if a.edges[k].units.intersects(dirty) || stale[src.ID()] || stale[dst.ID()] {
 			delete(a.edges, k)
 			return false

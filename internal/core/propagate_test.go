@@ -99,7 +99,7 @@ func TestEdgeLabelMerge(t *testing.T) {
 
 	a := newAnalysis(p, Options{Incremental: true, FilterCasts: true})
 	recv, this := a.g.VarNode(local), a.g.VarNode(callee.This)
-	key := [2]int{recv.ID(), this.ID()}
+	key := edgeKey(recv.ID(), this.ID())
 	a.addDispatchFlow(recv, callee, u1)
 	a.addFlow(recv, this, u2)
 	a.addEdge(recv, this, edgeLabel{callee: &ir.Method{}})
@@ -108,7 +108,7 @@ func TestEdgeLabelMerge(t *testing.T) {
 	}
 
 	src, dst := a.g.VarNode(callee.This), a.g.VarNode(local)
-	key = [2]int{src.ID(), dst.ID()}
+	key = edgeKey(src.ID(), dst.ID())
 	a.addCastFlow(src, dst, button, u1)
 	a.addCastFlow(src, dst, view, u2)
 	a.addFlow(src, dst, u2)
@@ -122,7 +122,7 @@ func TestEdgeLabelMerge(t *testing.T) {
 	plain := newAnalysis(p, Options{})
 	src, dst = plain.g.VarNode(callee.This), plain.g.VarNode(local)
 	plain.addCastFlow(src, dst, button, plain.unitOf(callee))
-	if l, ok := plain.edges[[2]int{src.ID(), dst.ID()}]; ok {
+	if l, ok := plain.edges[edgeKey(src.ID(), dst.ID())]; ok {
 		t.Errorf("cast edge without FilterCasts or Incremental: label %+v, want none", l)
 	}
 	if got := plain.g.FlowSucc(src); len(got) != 1 || got[0] != graph.Node(dst) {

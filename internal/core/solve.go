@@ -64,7 +64,7 @@ func (a *analysis) propagate() {
 		it := a.worklist[head]
 		src := it.node.ID()
 		for _, succ := range a.g.FlowSucc(it.node) {
-			l := a.edges[[2]int{src, succ.ID()}]
+			l := a.edges[edgeKey(src, succ.ID())]
 			if l.callee != nil && !dispatchAdmits(it.val, l.callee) {
 				continue
 			}

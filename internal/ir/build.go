@@ -1,11 +1,13 @@
 package ir
 
 import (
+	"slices"
 	"sort"
 
 	"gator/internal/alite"
 	"gator/internal/layout"
 	"gator/internal/platform"
+	"gator/internal/slab"
 )
 
 // Build resolves and lowers an application: ALite source files plus layout
@@ -17,15 +19,13 @@ func Build(files []*alite.File, layouts map[string]*layout.Layout) (*Program, er
 	if err := layout.Link(layouts); err != nil {
 		return nil, err
 	}
-	b := &builder{
-		prog: &Program{
-			Classes:        map[string]*Class{},
-			Layouts:        layouts,
-			R:              layout.NewRTable(layouts),
-			listenerIfaces: map[string]platform.ListenerSpec{},
-			opaqueByFile:   map[string][]*Invoke{},
-		},
-	}
+	b := newBuilder(&Program{
+		Classes:        map[string]*Class{},
+		Layouts:        layouts,
+		R:              layout.NewRTable(layouts),
+		listenerIfaces: map[string]platform.ListenerSpec{},
+		opaqueByFile:   map[string][]*Invoke{},
+	})
 	for _, f := range files {
 		b.prog.fileOrder = append(b.prog.fileOrder, f.Name)
 	}
@@ -42,7 +42,7 @@ func Build(files []*alite.File, layouts map[string]*layout.Layout) (*Program, er
 	if err := b.errs.Err(); err != nil {
 		return nil, err
 	}
-	b.lowerBodies(files)
+	b.lowerBodies()
 	if err := b.errs.Err(); err != nil {
 		return nil, err
 	}
@@ -71,6 +71,28 @@ type builder struct {
 	errs alite.ErrorList
 	// appDecls maps app class names back to their AST declarations.
 	appDecls map[string]alite.Decl
+	// bodies holds the body-bearing methods in declaration order, each
+	// with the block to lower into it; declareMembers records them and
+	// lowerBodies lowers them.
+	bodies []methodBody
+	// vars is the slab lowering takes locals and temporaries from. It
+	// lives with the builder, so the variables of two PatchFile calls never
+	// share a chunk: a replaced body frees its variables.
+	vars slab.Slab[Var]
+	// lw is the builder's one lowerer, reset for each body.
+	lw lowerer
+}
+
+func newBuilder(p *Program) *builder {
+	b := &builder{prog: p}
+	b.lw.b = b
+	return b
+}
+
+// methodBody pairs a declared method with the body lowering fills it from.
+type methodBody struct {
+	m    *Method
+	body *alite.Block
 }
 
 // installPlatform materializes the modeled Android hierarchy, listener
@@ -191,13 +213,15 @@ func (b *builder) declareAppClasses(files []*alite.File) {
 				}
 				continue
 			}
-			_, isIface := d.(*alite.InterfaceDecl)
-			b.prog.Classes[name] = &Class{
-				Name:        name,
-				IsInterface: isIface,
-				Methods:     map[string]*Method{},
-				Pos:         d.DeclPos(),
+			c := &Class{Name: name, Pos: d.DeclPos()}
+			switch d := d.(type) {
+			case *alite.ClassDecl:
+				c.Methods = make(map[string]*Method, len(d.Methods))
+			case *alite.InterfaceDecl:
+				c.IsInterface = true
+				c.Methods = make(map[string]*Method, len(d.Methods))
 			}
+			b.prog.Classes[name] = c
 			b.appDecls[name] = d
 		}
 	}
@@ -328,43 +352,71 @@ func (b *builder) declareMembers(files []*alite.File) {
 func (b *builder) declareClassMembers(d *alite.ClassDecl) {
 	c := b.prog.Classes[d.Name]
 	seen := map[string]bool{}
-	for _, fd := range d.Fields {
+	fields := make([]Field, len(d.Fields))
+	c.Fields = make([]*Field, 0, len(d.Fields))
+	for i, fd := range d.Fields {
 		if seen[fd.Name] {
 			b.errs.Add(fd.Pos, "duplicate field %s in class %s", fd.Name, d.Name)
 			continue
 		}
 		seen[fd.Name] = true
 		t, tc := b.resolveType(fd.Type, fd.Pos)
-		c.Fields = append(c.Fields, &Field{Class: c, Name: fd.Name, Type: t, TypeClass: tc})
+		fields[i] = Field{Class: c, Name: fd.Name, Type: t, TypeClass: tc}
+		c.Fields = append(c.Fields, &fields[i])
 	}
-	for _, md := range d.Methods {
-		b.declareMethod(c, md)
-	}
+	b.declareMethods(c, d.Methods)
 }
 
 func (b *builder) declareInterfaceMembers(d *alite.InterfaceDecl) {
-	c := b.prog.Classes[d.Name]
-	for _, md := range d.Methods {
-		b.declareMethod(c, md)
+	b.declareMethods(b.prog.Classes[d.Name], d.Methods)
+}
+
+// declareMethods declares a class's methods and records each body for
+// lowerBodies. The methods come from one []Method, and their receivers and
+// parameters from one []Var and one []*Var, so a class costs a few
+// allocations however many methods it declares.
+func (b *builder) declareMethods(c *Class, mds []*alite.MethodDecl) {
+	params := 0
+	for _, md := range mds {
+		params += len(md.Params)
+	}
+	receivers := 0
+	if !c.IsInterface {
+		receivers = len(mds)
+	}
+	methods := make([]Method, len(mds))
+	vars := make([]Var, receivers+params)
+	ptrs := make([]*Var, params)
+	for i, md := range mds {
+		k := len(md.Params)
+		n := k
+		if !c.IsInterface {
+			n++ // the receiver
+		}
+		if b.declareMethod(c, md, &methods[i], vars[:n:n], ptrs[:k:k]) && md.Body != nil {
+			b.bodies = append(b.bodies, methodBody{m: &methods[i], body: md.Body})
+		}
+		vars, ptrs = vars[n:], ptrs[k:]
 	}
 }
 
-func (b *builder) declareMethod(c *Class, md *alite.MethodDecl) {
-	ptypes := make([]alite.Type, len(md.Params))
-	for i, prm := range md.Params {
+// declareMethod declares md in c as m, reporting whether it did (a
+// duplicate is an error). vars holds the receiver, when c is a class, and
+// the parameters; params holds a pointer per parameter.
+func (b *builder) declareMethod(c *Class, md *alite.MethodDecl, m *Method, vars []Var, params []*Var) bool {
+	for _, prm := range md.Params {
 		t, _ := b.resolveType(prm.Type, prm.Pos)
 		if !t.IsRef() && t.Prim != alite.TypeInt {
 			b.errs.Add(prm.Pos, "parameter %s cannot have type %s", prm.Name, t)
 		}
-		ptypes[i] = t
 	}
-	key := MethodKey(md.Name, ptypes)
+	key := declKey(md)
 	if _, dup := c.Methods[key]; dup {
 		b.errs.Add(md.Pos, "duplicate method %s in class %s", key, c.Name)
-		return
+		return false
 	}
 	ret, retClass := b.resolveType(md.Return, md.Pos)
-	m := &Method{
+	*m = Method{
 		Class:       c,
 		Name:        md.Name,
 		Key:         key,
@@ -374,9 +426,11 @@ func (b *builder) declareMethod(c *Class, md *alite.MethodDecl) {
 		Pos:         md.Pos,
 	}
 	if !c.IsInterface {
-		m.This = b.prog.newVar(&Var{Name: "this", Type: alite.Type{Name: c.Name}, TypeClass: c, Method: m, Pos: md.Pos})
-		m.Locals = append(m.Locals, m.This)
-		m.This.Index = 0
+		vars[0] = Var{Name: "this", Type: alite.Type{Name: c.Name}, TypeClass: c, Method: m, Pos: md.Pos}
+		m.This = b.prog.newVar(&vars[0])
+	}
+	if len(params) > 0 {
+		m.Params = params
 	}
 	pseen := map[string]bool{}
 	for i, prm := range md.Params {
@@ -384,36 +438,33 @@ func (b *builder) declareMethod(c *Class, md *alite.MethodDecl) {
 			b.errs.Add(prm.Pos, "duplicate parameter %s", prm.Name)
 		}
 		pseen[prm.Name] = true
-		t, tc := b.resolveType(ptypes[i], prm.Pos)
-		v := b.prog.newVar(&Var{Name: prm.Name, Type: t, TypeClass: tc, Method: m, Pos: prm.Pos})
-		v.Index = len(m.Locals)
-		m.Locals = append(m.Locals, v)
-		m.Params = append(m.Params, v)
+		t, tc := b.resolveType(prm.Type, prm.Pos)
+		v := &vars[len(vars)-len(params)+i]
+		*v = Var{Name: prm.Name, Type: t, TypeClass: tc, Method: m, Index: len(vars) - len(params) + i, Pos: prm.Pos}
+		params[i] = b.prog.newVar(v)
+	}
+	// Lowering sets a body's Locals; a signature's are its parameters.
+	if md.Body == nil {
+		m.Locals = slices.Clone(m.Params)
 	}
 	c.Methods[key] = m
+	return true
 }
 
-func (b *builder) lowerBodies(files []*alite.File) {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			cd, ok := d.(*alite.ClassDecl)
-			if !ok || b.appDecls[d.DeclName()] != d {
-				continue
-			}
-			c := b.prog.Classes[cd.Name]
-			for _, md := range cd.Methods {
-				ptypes := make([]alite.Type, len(md.Params))
-				for i, prm := range md.Params {
-					t, _ := b.resolveType(prm.Type, prm.Pos)
-					ptypes[i] = t
-				}
-				m := c.Methods[MethodKey(md.Name, ptypes)]
-				if m == nil || md.Body == nil {
-					continue
-				}
-				m.Body = b.lowerBody(m, md.Body)
-			}
-		}
+// lowerBodies lowers the bodies declareMembers recorded, in declaration
+// order. The variable slab is paced by the top-level statements of the
+// bodies begun so far: lowering makes 0.5 to 1.2 locals and temporaries
+// per statement on the corpus and chain apps, so a first chunk of one per
+// two undershoots.
+func (b *builder) lowerBodies() {
+	done, total := 0, 0
+	for _, mb := range b.bodies {
+		total += len(mb.body.Stmts)
+	}
+	b.vars = slab.Paced[Var](total/2, func() (int, int) { return done, total })
+	for _, mb := range b.bodies {
+		done += len(mb.body.Stmts)
+		mb.m.Body = b.lowerBody(mb.m, mb.body)
 	}
 }
 

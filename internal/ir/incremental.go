@@ -126,10 +126,7 @@ func PatchFile(p *Program, f *alite.File) error {
 		return fmt.Errorf("ir: patch: file %s was not part of the original build", f.Name)
 	}
 
-	b := &builder{prog: p, appDecls: map[string]alite.Decl{}}
-	for _, d := range f.Decls {
-		b.appDecls[d.DeclName()] = d
-	}
+	b := newBuilder(p)
 	p.opaqueByFile[f.Name] = nil
 
 	for _, d := range f.Decls {
@@ -153,6 +150,10 @@ func PatchFile(p *Program, f *alite.File) error {
 			}
 		}
 	}
+	// Lower the new bodies exactly as lowerBodies does, from this patch's
+	// own variable slab. Each body's old locals and temporaries go with the
+	// Locals slice lowering replaces.
+	b.lowerBodies()
 	if err := b.errs.Err(); err != nil {
 		return err
 	}
@@ -160,8 +161,8 @@ func PatchFile(p *Program, f *alite.File) error {
 	return nil
 }
 
-// patchClass refreshes positions and re-lowers every body-bearing method of
-// one class declaration.
+// patchClass refreshes positions and records every body-bearing method of
+// one class declaration for re-lowering.
 func (b *builder) patchClass(c *Class, cd *alite.ClassDecl) error {
 	for _, md := range cd.Methods {
 		m, err := b.patchTarget(c, md)
@@ -175,18 +176,9 @@ func (b *builder) patchClass(c *Class, cd *alite.ClassDecl) error {
 		for i, prm := range md.Params {
 			m.Params[i].Pos = prm.Pos
 		}
-		if md.Body == nil {
-			continue
+		if md.Body != nil {
+			b.bodies = append(b.bodies, methodBody{m: m, body: md.Body})
 		}
-		// Reset the local table to receiver + parameters (dropping the old
-		// body's user locals and lowering temporaries), then lower the new
-		// body exactly as lowerBodies does.
-		m.Locals = m.Locals[:0]
-		if m.This != nil {
-			m.Locals = append(m.Locals, m.This)
-		}
-		m.Locals = append(m.Locals, m.Params...)
-		m.Body = b.lowerBody(m, md.Body)
 	}
 	return nil
 }
@@ -194,12 +186,7 @@ func (b *builder) patchClass(c *Class, cd *alite.ClassDecl) error {
 // patchTarget resolves the Method a declaration lines up with, verifying
 // the shape contract (same key, same parameter count and names).
 func (b *builder) patchTarget(c *Class, md *alite.MethodDecl) (*Method, error) {
-	ptypes := make([]alite.Type, len(md.Params))
-	for i, prm := range md.Params {
-		t, _ := b.resolveType(prm.Type, prm.Pos)
-		ptypes[i] = t
-	}
-	m := c.Methods[MethodKey(md.Name, ptypes)]
+	m := c.Methods[declKey(md)]
 	if m == nil || len(m.Params) != len(md.Params) {
 		return nil, fmt.Errorf("ir: patch: method %s.%s does not match the built program (shape changed?)", c.Name, md.Name)
 	}

@@ -11,6 +11,7 @@
 package ir
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -270,7 +271,7 @@ func (c *Class) sortMethods() {
 	for _, m := range c.Methods {
 		c.sorted = append(c.sorted, m)
 	}
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].Key < c.sorted[j].Key })
+	slices.SortFunc(c.sorted, func(a, b *Method) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // Field is a resolved field declaration.
@@ -348,28 +349,41 @@ func (v *Var) String() string {
 func KindSig(types []alite.Type) string {
 	var b strings.Builder
 	b.Grow(len(types))
-	writeKindSig(&b, types)
+	for _, t := range types {
+		b.WriteByte(kindOf(t))
+	}
 	return b.String()
 }
 
 // MethodKey builds the signature key for a method name and parameter types:
 // name + "(" + KindSig(params) + ")", in one allocation.
 func MethodKey(name string, params []alite.Type) string {
+	return methodKey(name, params, func(t alite.Type) alite.Type { return t })
+}
+
+// methodKey is MethodKey over any list whose elements have a type: a
+// declaration's parameters, a call's argument variables.
+func methodKey[E any](name string, params []E, typeOf func(E) alite.Type) string {
 	var b strings.Builder
 	b.Grow(len(name) + len(params) + 2)
 	b.WriteString(name)
 	b.WriteByte('(')
-	writeKindSig(&b, params)
+	for _, p := range params {
+		b.WriteByte(kindOf(typeOf(p)))
+	}
 	b.WriteByte(')')
 	return b.String()
 }
 
-func writeKindSig(b *strings.Builder, types []alite.Type) {
-	for _, t := range types {
-		if t.IsRef() {
-			b.WriteByte('R')
-		} else {
-			b.WriteByte('I')
-		}
+// declKey is a declaration's MethodKey: its parameters' declared types are
+// their resolved ones.
+func declKey(md *alite.MethodDecl) string {
+	return methodKey(md.Name, md.Params, func(p *alite.Param) alite.Type { return p.Type })
+}
+
+func kindOf(t alite.Type) byte {
+	if t.IsRef() {
+		return 'R'
 	}
+	return 'I'
 }

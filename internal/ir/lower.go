@@ -6,8 +6,10 @@ import (
 	"gator/internal/alite"
 )
 
-// lowerer lowers one method body from AST to three-address statements,
-// performing name resolution and type checking along the way.
+// lowerer lowers method bodies from AST to three-address statements,
+// performing name resolution and type checking along the way. A builder
+// has one, reset for each body, so its stacks grow once per build instead
+// of once per method.
 type lowerer struct {
 	b *builder
 	m *Method
@@ -23,6 +25,9 @@ type lowerer struct {
 	index  map[string]int
 	shadow []int
 	temps  int
+	// locals collects the body's Method.Locals, receiver and parameters
+	// first; lowerBody copies it out at its exact length.
+	locals []*Var
 }
 
 // scopeScan is the scope-stack depth up to which lookupVar scans. A method
@@ -35,13 +40,25 @@ func (lw *lowerer) errf(pos alite.Pos, format string, args ...any) {
 	lw.b.errs.Add(pos, format, args...)
 }
 
-// lowerBody lowers a method body with m's parameters in scope.
+// lowerBody lowers a method body with m's parameters in scope. It sets
+// m.Locals to the receiver, the parameters, and the body's locals and
+// temporaries; a re-lowered body's old locals are dropped with their slice.
 func (b *builder) lowerBody(m *Method, body *alite.Block) []Stmt {
-	lw := &lowerer{b: b, m: m}
+	lw := &b.lw
+	lw.m, lw.temps, lw.index = m, 0, nil
+	lw.vars, lw.marks, lw.shadow = lw.vars[:0], lw.marks[:0], lw.shadow[:0]
+	lw.locals = lw.locals[:0]
+	if m.This != nil {
+		lw.locals = append(lw.locals, m.This)
+	}
+	lw.locals = append(lw.locals, m.Params...)
 	for _, p := range m.Params {
 		lw.bind(p)
 	}
-	return lw.block(body)
+	stmts := lw.block(body)
+	m.Locals = make([]*Var, len(lw.locals))
+	copy(m.Locals, lw.locals)
+	return stmts
 }
 
 func (lw *lowerer) pushScope() { lw.marks = append(lw.marks, len(lw.vars)) }
@@ -109,26 +126,40 @@ func (lw *lowerer) declareVar(pos alite.Pos, name string, t alite.Type, tc *Clas
 	if lw.lookupVar(name) != nil {
 		lw.errf(pos, "variable %s is already declared", name)
 	}
-	v := lw.b.prog.newVar(&Var{Name: name, Type: t, TypeClass: tc, Method: lw.m, Pos: pos})
-	v.Index = len(lw.m.Locals)
-	lw.m.Locals = append(lw.m.Locals, v)
+	v := lw.newLocal(Var{Name: name, Type: t, TypeClass: tc, Method: lw.m, Pos: pos})
 	lw.bind(v)
 	return v
 }
 
 func (lw *lowerer) newTemp(pos alite.Pos, t alite.Type, tc *Class) *Var {
-	v := lw.b.prog.newVar(&Var{
-		Name:      "$t" + strconv.Itoa(lw.temps),
-		Type:      t,
-		TypeClass: tc,
-		Method:    lw.m,
-		Temp:      true,
-		Pos:       pos,
-	})
+	v := lw.newLocal(Var{Name: tempName(lw.temps), Type: t, TypeClass: tc, Method: lw.m, Temp: true, Pos: pos})
 	lw.temps++
-	v.Index = len(lw.m.Locals)
-	lw.m.Locals = append(lw.m.Locals, v)
 	return v
+}
+
+// newLocal adds v to the body's locals, carved from the builder's slab.
+func (lw *lowerer) newLocal(v Var) *Var {
+	v.Index = len(lw.locals)
+	p := lw.b.prog.newVar(lw.b.vars.Alloc(v))
+	lw.locals = append(lw.locals, p)
+	return p
+}
+
+// tempNames holds the first temporaries' names, so naming one allocates
+// nothing: the most any corpus method needs is 103.
+var tempNames = func() (names [128]string) {
+	for i := range names {
+		names[i] = "$t" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// tempName returns the name of a body's i-th temporary.
+func tempName(i int) string {
+	if i < len(tempNames) {
+		return tempNames[i]
+	}
+	return "$t" + strconv.Itoa(i)
 }
 
 // assignable reports whether a value of type (src, srcClass) can be assigned
@@ -152,8 +183,9 @@ func assignable(src alite.Type, srcClass *Class, dst alite.Type, dstClass *Class
 func (lw *lowerer) block(b *alite.Block) []Stmt {
 	lw.pushScope()
 	defer lw.popScope()
-	// Non-nil even when empty: a nil Body marks abstract methods.
-	out := []Stmt{}
+	// Non-nil even when empty: a nil Body marks abstract methods. Lowering
+	// makes about 1.3 statements per source statement.
+	out := make([]Stmt, 0, len(b.Stmts)+len(b.Stmts)/2+1)
 	for _, s := range b.Stmts {
 		out = lw.stmt(out, s)
 	}
@@ -483,19 +515,13 @@ func (lw *lowerer) newExpr(out []Stmt, x *alite.NewExpr, dst *Var) ([]Stmt, *Var
 		return out, nil
 	}
 	var args []*Var
-	var kinds []alite.Type
-	for _, a := range x.Args {
-		var v *Var
-		out, v = lw.expr(out, a)
-		if v == nil {
-			return out, nil
-		}
-		args = append(args, v)
-		kinds = append(kinds, v.Type)
+	out, args, ok = lw.args(out, x.Args)
+	if !ok {
+		return out, nil
 	}
 	var ctor *Method
 	if len(c.Methods) > 0 || !c.IsPlatform {
-		key := MethodKey(c.Name, kinds)
+		key := methodKey(c.Name, args, varType)
 		ctor = c.Methods[key]
 		if ctor == nil && len(args) > 0 {
 			lw.errf(x.Pos, "class %s has no constructor %s", c.Name, key)
@@ -531,6 +557,23 @@ func (lw *lowerer) newExpr(out []Stmt, x *alite.NewExpr, dst *Var) ([]Stmt, *Var
 	return append(out, &New{Dst: target, Class: c, Ctor: ctor, Args: args, At: x.Pos}), target
 }
 
+// args lowers a call's arguments into a slice of their exact length (nil
+// for none); ok is false once one fails to lower.
+func (lw *lowerer) args(out []Stmt, xs []alite.Expr) (_ []Stmt, args []*Var, ok bool) {
+	if len(xs) > 0 {
+		args = make([]*Var, len(xs))
+	}
+	for i, a := range xs {
+		out, args[i] = lw.expr(out, a)
+		if args[i] == nil {
+			return out, nil, false
+		}
+	}
+	return out, args, true
+}
+
+func varType(v *Var) alite.Type { return v.Type }
+
 // callForValue lowers a call whose result is needed.
 func (lw *lowerer) callForValue(out []Stmt, x *alite.CallExpr, dst *Var) ([]Stmt, *Var) {
 	out, inv := lw.call(out, x, dst)
@@ -562,18 +605,11 @@ func (lw *lowerer) call(out []Stmt, x *alite.CallExpr, dst *Var) ([]Stmt, *Invok
 		lw.errf(x.Pos, "method call on non-reference %s", recv.Name)
 		return out, nil
 	}
-	var args []*Var
-	var kinds []alite.Type
-	for _, a := range x.Args {
-		var v *Var
-		out, v = lw.expr(out, a)
-		if v == nil {
-			return out, nil
-		}
-		args = append(args, v)
-		kinds = append(kinds, v.Type)
+	out, args, ok := lw.args(out, x.Args)
+	if !ok {
+		return out, nil
 	}
-	key := MethodKey(x.Name, kinds)
+	key := methodKey(x.Name, args, varType)
 	target := recv.TypeClass.LookupMethod(key)
 	if target == nil {
 		// Unknown methods are permitted on platform types (the platform has

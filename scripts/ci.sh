@@ -53,9 +53,11 @@
 #                      (TestFindViewWalkZeroAlloc), and re-propagating a
 #                      solved corpus app's values over its flow edges
 #                      allocates nothing (TestPropagateZeroAlloc); the
-#                      load path's guards: the worst corpus app's
-#                      gator.Load allocates at most 44 B per source byte
-#                      (TestLoadAllocationPerByte), and a variable-node hit
+#                      load path's guards: on the corpus apps, alite.Parse
+#                      and gator.Load stay under their bytes per source
+#                      byte and their allocations per KB of source, on the
+#                      worst app and pooled (TestParseAllocationPerByte,
+#                      TestLoadAllocationPerByte), and a variable-node hit
 #                      or a duplicate flow edge allocates nothing
 #                      (TestVarNodeAndFlowHitsZeroAlloc); one iteration of
 #                      BenchmarkChecks (every checker over the 9 chain apps
@@ -146,6 +148,7 @@ echo "== zero-allocation guards (tracing disabled, FindView walk, propagation)"
 go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
 echo "== load-path guards (allocation per source byte, graph lookups)"
 go test -run '^TestLoadAllocationPerByte$' .
+go test -run '^TestParseAllocationPerByte$' ./internal/alite
 go test -run '^TestVarNodeAndFlowHitsZeroAlloc$' ./internal/graph
 echo "== checks-layer benchmark (one iteration)"
 go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
