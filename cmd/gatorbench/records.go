@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -119,13 +120,19 @@ func measureCorpus(workers int) (*metrics.Record, error) {
 // measureIncremental is BENCH_4: one body edit on a 62-unit modular app,
 // warm (AnalyzeIncremental resuming the retained fact base) vs cold (Load +
 // Analyze), minimum over 10 edits. The speedup is a same-machine ratio, so
-// it carries across runner hardware in a way milliseconds do not.
+// it carries across runner hardware in a way milliseconds do not. The
+// growth rows follow one chain of 2,000 such edits (measureGrowth).
 func measureIncremental(int) (*metrics.Record, error) {
 	const nActs, edits = 30, 10 // nActs: keep in sync with benchEditSize (incremental_bench_test.go)
 	c, err := measureEdits(nActs, edits)
 	if err != nil {
 		return nil, err
 	}
+	gr, err := measureGrowth(nActs)
+	if err != nil {
+		return nil, err
+	}
+	early, late := gr.at[0], gr.at[1]
 	return &metrics.Record{
 		Metrics: []metrics.Metric{
 			metric("speedup", "x", "higher", float64(c.cold)/float64(c.warm), metrics.Relative(0.15), metrics.Floor(5)),
@@ -133,9 +140,109 @@ func measureIncremental(int) (*metrics.Record, error) {
 			metric("warm_ms", "ms", "lower", ms(c.warm)),
 			metric("retained", "count", "", float64(c.last.Retained), metrics.Exact()),
 			metric("retracted", "count", "", float64(c.last.Retracted), metrics.Exact()),
+			metric(fmt.Sprintf("slots_edit%d", early.edit), "count", "lower", float64(early.slots), metrics.Exact()),
+			metric(fmt.Sprintf("var_ids_edit%d", early.edit), "count", "lower", float64(early.varIDs), metrics.Exact()),
+			metric(fmt.Sprintf("slots_edit%d", late.edit), "count", "lower", float64(late.slots), metrics.Exact()),
+			metric(fmt.Sprintf("var_ids_edit%d", late.edit), "count", "lower", float64(late.varIDs), metrics.Exact()),
+			metric("edit_alloc_growth", "x", "lower", late.allocB/early.allocB, metrics.Ceiling(1.25)),
+			metric("live_heap_b_per_edit", "B", "lower", (late.heapB-early.heapB)/float64(late.edit-early.edit), metrics.Ceiling(2048)),
+			metric("edit_time_growth", "x", "lower", float64(late.time)/float64(early.time)),
 		},
-		Detail: map[string]any{"app": fmt.Sprintf("modular-%d", nActs), "units": c.units, "edits": edits},
+		Detail: map[string]any{
+			"app": fmt.Sprintf("modular-%d", nActs), "units": c.units, "edits": edits,
+			"chain": map[string]any{
+				"edits": late.edit, "window": growthWindow, "cold_slots": gr.coldSlots, "cold_var_ids": gr.coldVarIDs,
+				"edit_ms":       []float64{ms(early.time), ms(late.time)},
+				"edit_alloc_kb": []float64{early.allocB / 1024, late.allocB / 1024},
+				"live_heap_mb":  []float64{early.heapB / (1 << 20), late.heapB / (1 << 20)},
+			},
+		},
 	}, nil
+}
+
+// growthWindow is the number of consecutive edits whose median per-edit
+// time and allocation stand for one measured edit: the edits within 10 of
+// it, or the first 21 for an edit closer to the chain's start.
+const growthWindow = 21
+
+// editPoint is the state of a chain of warm edits at one edit: the id
+// spaces after it, the live heap after a forced collection, and the median
+// per-edit time and allocation over its window.
+type editPoint struct {
+	edit          int
+	slots, varIDs int
+	heapB, allocB float64
+	time          time.Duration
+}
+
+// growth is measureGrowth's result: the cold analysis's id spaces and the
+// chain at edits 10 and 2,000.
+type growth struct {
+	coldSlots, coldVarIDs int
+	at                    [2]editPoint
+}
+
+// measureGrowth chains 2,010 warm edits of ModularApp(nActs), alternating
+// corpus.ModularEdits as a gatord session takes serve's patches, and
+// measures the chain at edit 10 and at edit 2,000, far past the point where
+// retraction has retired as many ids as are live. A session that reused no
+// ids grew 39 node slots, 15 variable ids and about 11 KB of live heap per
+// edit.
+func measureGrowth(nActs int) (growth, error) {
+	points := [2]int{10, 2000}
+	sources, layouts := corpus.ModularApp(nActs)
+	versions := corpus.ModularEdits(sources)
+	cache := gator.NewCache()
+	prev, err := gator.AnalyzeIncremental(nil, sources, layouts, gator.Options{}, cache)
+	if err != nil {
+		return growth{}, err
+	}
+	var gr growth
+	gr.coldSlots, gr.coldVarIDs = prev.IDSpace()
+	last := points[1] + growthWindow/2
+	times := make([]float64, last+1)
+	allocs := make([]float64, last+1)
+	var mem runtime.MemStats
+	for i := 1; i <= last; i++ {
+		sources["act1.alite"] = versions[(i-1)%2]
+		runtime.ReadMemStats(&mem)
+		before := mem.TotalAlloc
+		start := time.Now()
+		res, err := gator.AnalyzeIncremental(prev, sources, layouts, gator.Options{}, cache)
+		times[i] = float64(time.Since(start))
+		if err != nil {
+			return gr, err
+		}
+		runtime.ReadMemStats(&mem)
+		allocs[i] = float64(mem.TotalAlloc - before)
+		if st := res.Incremental(); st.Mode != "warm" {
+			return gr, fmt.Errorf("chained edit %d fell back to %q (%s)", i, st.Mode, st.Reason)
+		}
+		for k, at := range points {
+			if i == at {
+				runtime.GC()
+				runtime.ReadMemStats(&mem)
+				gr.at[k] = editPoint{edit: at, heapB: float64(mem.HeapAlloc)}
+				gr.at[k].slots, gr.at[k].varIDs = res.IDSpace()
+			}
+		}
+		prev = res
+	}
+	for k := range gr.at {
+		p := &gr.at[k]
+		lo := max(1, p.edit-growthWindow/2)
+		p.allocB = median(allocs[lo : lo+growthWindow])
+		p.time = time.Duration(median(times[lo : lo+growthWindow]))
+	}
+	return gr, nil
+}
+
+// median returns the middle one of an odd number of samples, which it
+// leaves unsorted.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // editCost is the cost of a body edit of ModularApp(nActs), the minimum

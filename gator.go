@@ -333,6 +333,15 @@ func (r *Result) SetAppName(name string) { r.app.Name = name }
 // Iterations returns the number of fixpoint rounds.
 func (r *Result) Iterations() int { return r.res.Iterations }
 
+// IDSpace returns the sizes of the two id spaces a warm session reuses:
+// the constraint graph's node slots, live and retired, and the program's
+// variable ids (live and retired). A cold result retires none; warm
+// re-solves keep each under twice its live count by compacting (see
+// DESIGN.md, "Incremental solving").
+func (r *Result) IDSpace() (nodeSlots, varIDs int) {
+	return len(r.res.Graph.Nodes()), r.app.prog.NumVars()
+}
+
 // View describes one abstract view object.
 type View struct {
 	// Class is the view class name.

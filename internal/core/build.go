@@ -81,14 +81,15 @@ type analysis struct {
 	classUnits  map[*ir.Class]unitBits
 	curUnits    *unitBits
 
-	// Per-solve delta worklist state (see delta.go): watchers, opDirty,
-	// opAlways and opLastGen decide which operations a round re-applies.
-	// All nil under Options.ReferenceSolver, which applies every operation
-	// every round.
-	watchers  [][]int32
-	opDirty   []bool
-	opAlways  []bool
-	opLastGen []int
+	// Per-solve delta worklist state (see delta.go): the watcher index
+	// (watchStart, watchOps), opDirty, opAlways and opLastGen decide which
+	// operations a round re-applies. All nil under Options.ReferenceSolver,
+	// which applies every operation every round.
+	watchStart []int32
+	watchOps   []int32
+	opDirty    []bool
+	opAlways   []bool
+	opLastGen  []int
 
 	iterations int
 }

@@ -25,16 +25,22 @@ import (
 	"gator/internal/platform"
 )
 
-// initDelta prepares the delta operation worklist: per-node watcher lists
+// initDelta prepares the delta operation worklist: the watcher index
 // (which operations read a node as receiver or argument) and per-op dirty
 // state. All operations start dirty — including after an incremental
 // rebuild, where retained facts may need re-matching against rebuilt ops.
+//
+// The watcher index is flat: watchOps lists op indices grouped by watched
+// node, and node id's group is watchOps[watchStart[id]:watchStart[id+1]].
+// Two passes over the operations fill it, one counting and one placing, so
+// a solve makes two allocations for it whatever the node count.
 func (a *analysis) initDelta() {
 	ops := a.g.Ops()
 	a.opDirty = make([]bool, len(ops))
 	a.opAlways = make([]bool, len(ops))
 	a.opLastGen = make([]int, len(ops))
-	a.watchers = make([][]int32, len(a.g.Nodes()))
+	numNodes := len(a.g.Nodes())
+	start := make([]int32, numNodes+1)
 	for i, op := range ops {
 		a.opDirty[i] = true
 		a.opLastGen[i] = -1
@@ -42,17 +48,33 @@ func (a *analysis) initDelta() {
 		// cannot anticipate (the adapter set grows during solving), so it
 		// is applied every round, as apply-every-operation does.
 		a.opAlways[i] = op.Kind == platform.OpSetAdapter
-		watch := func(n graph.Node) {
-			if n == nil {
-				return
-			}
-			if id := n.ID(); id < len(a.watchers) {
-				a.watchers[id] = append(a.watchers[id], int32(i))
-			}
-		}
-		watch(op.Recv)
-		for _, arg := range op.Args {
-			watch(arg)
+		forWatched(op, func(id int) { start[id+1]++ })
+	}
+	for id := 1; id <= numNodes; id++ {
+		start[id] += start[id-1]
+	}
+	// Placing advances each group's start to its end, which is the next
+	// group's start; shifting by one restores the starts.
+	watchOps := make([]int32, start[numNodes])
+	for i, op := range ops {
+		forWatched(op, func(id int) {
+			watchOps[start[id]] = int32(i)
+			start[id]++
+		})
+	}
+	copy(start[1:], start[:numNodes])
+	start[0] = 0
+	a.watchStart, a.watchOps = start, watchOps
+}
+
+// forWatched calls f with the id of op's receiver and of each argument.
+func forWatched(op *graph.OpNode, f func(id int)) {
+	if op.Recv != nil {
+		f(op.Recv.ID())
+	}
+	for _, arg := range op.Args {
+		if arg != nil {
+			f(arg.ID())
 		}
 	}
 }
@@ -60,12 +82,12 @@ func (a *analysis) initDelta() {
 // markWatchers flags every operation watching node id for re-application.
 // Called by seedChecked whenever a points-to set grows; a no-op when delta
 // scheduling is inactive (apply-every-operation, or during build). Nodes
-// materialized mid-solve have ids past the watcher lists and no watchers.
+// materialized mid-solve have ids past the watcher index and no watchers.
 func (a *analysis) markWatchers(id int) {
-	if a.watchers == nil || id >= len(a.watchers) {
+	if id+1 >= len(a.watchStart) {
 		return
 	}
-	for _, oi := range a.watchers[id] {
+	for _, oi := range a.watchOps[a.watchStart[id]:a.watchStart[id+1]] {
 		a.opDirty[oi] = true
 	}
 }

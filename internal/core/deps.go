@@ -215,6 +215,28 @@ func (d *depTracker) record(f Fact, units unitBits, premises []Fact) {
 	d.masks = append(d.masks, units)
 }
 
+// renumber rewrites every tracked fact's operands to their new ids after a
+// graph compaction (graph.Compact's remap), keeping derivation order and
+// masks. Retraction already removed every fact on a retired node; one that
+// named one anyway would be dropped rather than renamed.
+func (d *depTracker) renumber(remap []int32) {
+	bits := make(map[Fact]unitBits, len(d.order))
+	kept, keptMasks := d.order[:0], d.masks[:0]
+	for i, f := range d.order {
+		na, nb := remap[f.A], remap[f.B]
+		if na < 0 || nb < 0 {
+			continue
+		}
+		f.A, f.B = int(na), int(nb)
+		kept = append(kept, f)
+		keptMasks = append(keptMasks, d.masks[i])
+		bits[f] = d.masks[i]
+	}
+	clear(d.order[len(kept):])
+	clear(d.masks[len(keptMasks):])
+	d.order, d.masks, d.bits = kept, keptMasks, bits
+}
+
 // record registers one derived fact with both trackers: the unit-dependency
 // tracker (Options.Incremental) and the provenance DAG (Options.Provenance).
 // units are the rule-site units only; premise units are inherited through

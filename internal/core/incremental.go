@@ -24,6 +24,10 @@ type IncrementalStats struct {
 	// the edit and facts whose derivations reached a dirty unit.
 	Retained  int `json:"retained,omitempty"`
 	Retracted int `json:"retracted,omitempty"`
+	// Compacted reports that the warm re-solve renumbered the graph's
+	// nodes and the program's variables densely, because retraction left
+	// at least as many retired ids as live ones (see AnalyzeIncremental).
+	Compacted bool `json:"compacted,omitempty"`
 	// DirtyUnits are the unit names the edit touched, sorted.
 	DirtyUnits []string `json:"dirtyUnits,omitempty"`
 }
@@ -71,7 +75,10 @@ func (a *analysis) warmState() *warmState {
 //  1. retract: facts whose recorded unit mask intersects the dirty set, or
 //     that mention a node owned by a re-lowered method body, are deleted from
 //     the points-to sets and relations; flow edges built from dirty units are
-//     dropped.
+//     dropped. When the retired node slots, or the program's retired
+//     variable ids, then number at least the live ones, both id spaces are
+//     renumbered densely in their current order (compact), so a long
+//     session's ids stay under twice the live count.
 //  2. rebuild: the build passes whose recorded read sets intersect the dirty
 //     units re-run against the retained graph (they are idempotent), creating
 //     fresh nodes for the edited bodies.
@@ -113,9 +120,19 @@ func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []st
 
 	var retained, retracted int
 	var damaged map[int]bool
-	a.tr.Stage(&stages, trace.StageRetract, func() { retained, retracted, damaged = a.retract(dirtyBits) })
+	compacted := false
+	a.tr.Stage(&stages, trace.StageRetract, func() {
+		retained, retracted, damaged = a.retract(dirtyBits)
+		if a.sparse() {
+			damaged = a.compact(damaged)
+			compacted = true
+		}
+	})
 	a.tr.Count("incremental/retained", int64(retained))
 	a.tr.Count("incremental/retracted", int64(retracted))
+	if compacted {
+		a.tr.Count("incremental/compacted", 1)
+	}
 
 	a.tr.Stage(&stages, trace.StageRebuild, func() {
 		a.rebuild(dirtyBits)
@@ -137,6 +154,7 @@ func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []st
 			Mode:       "warm",
 			Retained:   retained,
 			Retracted:  retracted,
+			Compacted:  compacted,
 			DirtyUnits: sortedCopy(dirty),
 		},
 	}
@@ -257,12 +275,12 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	}
 
 	// Stale-node classification, over the graph's live indices only — the
-	// node array itself grows monotonically across chained edits and must not
-	// be scanned per edit. Variable nodes die with re-lowered bodies (except
-	// receivers and parameters, which PatchFile reuses); allocation and
-	// operation nodes die whenever their method's build pass re-runs, because
-	// the pass would otherwise duplicate them; inflation views and menu items
-	// follow their operation.
+	// node array also holds the slots retired since the last compaction, up
+	// to as many as there are live nodes. Variable nodes die with re-lowered
+	// bodies (except receivers and parameters, which PatchFile reuses);
+	// allocation and operation nodes die whenever their method's build pass
+	// re-runs, because the pass would otherwise duplicate them; inflation
+	// views and menu items follow their operation.
 	stale := make([]bool, len(nodes))
 	var staleNodes []graph.Node
 	mark := func(n graph.Node) {
@@ -425,6 +443,60 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 
 	g.Retire(func(n graph.Node) bool { return stale[n.ID()] })
 	return retained, retracted, damaged
+}
+
+// sparse reports whether retraction left at least as many retired node
+// slots as live nodes, or as many retired variable ids as live variables:
+// the point at which compact pays for itself. Retired ids accrue by the
+// nodes and variables of each re-lowered body, so checking once per edit
+// and compacting at half occupancy costs amortized O(1) per retired id.
+func (a *analysis) sparse() bool {
+	retired, vars := a.g.NumRetired(), a.prog.NumRetiredVars()
+	return retired >= len(a.g.Nodes())-retired || vars >= a.prog.NumVars()-vars
+}
+
+// compact renumbers the program's variables (ir.Program.CompactVars) and
+// then the graph's nodes (graph.Compact) densely, each in its current
+// relative order, and rewrites the solver state keyed by node id to
+// follow: the points-to sets, the fact records, the flow-edge labels, the
+// inflation memos and retract's damaged set, which it returns re-keyed.
+// The dead nodes, and the replaced bodies' IR they pin, become garbage.
+//
+// Order is what makes this invisible. Every id-ordered walk (VisitFlow in
+// repair, the points-to table, the fact scan) visits the live nodes in the
+// order it did before, and nodes the rebuild creates still come last, so
+// the warm solve derives the same facts in the same order and records the
+// same unit masks as it would have without compacting.
+func (a *analysis) compact(damaged map[int]bool) map[int]bool {
+	a.prog.CompactVars()
+	remap := a.g.Compact()
+	a.pts.renumber(remap, len(a.g.Nodes()))
+	a.dep.renumber(remap)
+	edges := make(map[uint64]edgeLabel, len(a.edges))
+	for k, l := range a.edges {
+		if src, dst := remap[k>>32], remap[uint32(k)]; src >= 0 && dst >= 0 {
+			edges[edgeKey(int(src), int(dst))] = l
+		}
+	}
+	a.edges = edges
+	inflations := make(map[inflationKey]*inflation, len(a.inflations))
+	for k, inf := range a.inflations {
+		if !a.opts.SharedInflation {
+			if remap[k.op] < 0 {
+				continue
+			}
+			k.op = int(remap[k.op])
+		}
+		inflations[k] = inf
+	}
+	a.inflations = inflations
+	moved := make(map[int]bool, len(damaged))
+	for id := range damaged {
+		if remap[id] >= 0 {
+			moved[int(remap[id])] = true
+		}
+	}
+	return moved
 }
 
 // rebuild re-runs exactly the build passes whose recorded read sets intersect

@@ -59,6 +59,20 @@ func (t *ptsTable) drop(n graph.Node) {
 	}
 }
 
+// renumber moves each live node's set to its new id after a graph
+// compaction (graph.Compact's remap; -1 for a retired node, whose set is
+// gone already) and re-keys the sets' indices by their values' new ids.
+func (t *ptsTable) renumber(remap []int32, numNodes int) {
+	sets := make([]*ValueSet, numNodes)
+	for old, s := range t.sets {
+		if s != nil && remap[old] >= 0 {
+			s.reindex()
+			sets[remap[old]] = s
+		}
+	}
+	t.sets = sets
+}
+
 // visit calls f for every node with a non-empty set, in node-id order.
 // nodes is the graph's node array, used to recover the node for an id.
 func (t *ptsTable) visit(nodes []graph.Node, f func(n graph.Node, s *ValueSet)) {

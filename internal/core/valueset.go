@@ -82,6 +82,18 @@ func (s *ValueSet) Remove(v graph.Value) bool {
 	return true
 }
 
+// reindex rebuilds the index after the values' ids changed (a graph
+// compaction); the order, and so every position, stays.
+func (s *ValueSet) reindex() {
+	if s.index == nil {
+		return
+	}
+	clear(s.index)
+	for i, x := range s.order {
+		s.index[x.ID()] = int32(i)
+	}
+}
+
 // Contains reports membership.
 func (s *ValueSet) Contains(v graph.Value) bool { return s.find(v) >= 0 }
 

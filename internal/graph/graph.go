@@ -31,6 +31,9 @@ type base struct{ id int }
 
 func (b base) ID() int { return b.id }
 
+// setID renumbers a node; only Compact calls it.
+func (b *base) setID(id int) { b.id = id }
+
 // VarNode represents one local variable, parameter, or receiver. Under
 // context-sensitive cloning (core.Options.ContextSensitivity), one variable
 // may have several nodes distinguished by Ctx; the context-insensitive node
@@ -248,6 +251,10 @@ type Graph struct {
 	// allocSeq numbers allocation nodes ever created; unlike len(allocs) it
 	// never shrinks, so ordinals stay unique after Retire.
 	allocSeq int
+
+	// retired counts the node slots Retire has emptied since the graph was
+	// built or last compacted: nodes no index holds any more.
+	retired int
 
 	// Flow edges. flow holds each source's successors in insertion order,
 	// indexed by source node id. A list deduplicates by scanning while it
@@ -719,62 +726,196 @@ func (g *Graph) RemoveMenuItem(menu, item Value) bool {
 	return false
 }
 
-// Retire removes dead nodes from the allocation, inflation, operation, and
-// menu-item indices and drops layout-provenance entries rooted at them. Node
-// ids stay allocated — facts recorded against retained nodes keep their ids —
-// but retired nodes no longer appear in any query iteration. Used by
+// Retire removes dead nodes from the allocation, inflation, operation,
+// menu-item and variable indices and drops layout-provenance entries rooted
+// at them. Retired nodes no longer appear in any query iteration, but their
+// slots stay in Nodes, and every node keeps its id, until Compact
+// renumbers the live nodes: facts recorded against retained nodes keep
+// their ids in between. NumRetired counts the emptied slots. Used by
 // incremental retraction for the nodes owned by re-lowered method bodies.
 func (g *Graph) Retire(dead func(Node) bool) {
-	keptAllocs := g.allocs[:0]
-	for _, n := range g.allocs {
-		if !dead(n) {
-			keptAllocs = append(keptAllocs, n)
-		}
-	}
-	for i := len(keptAllocs); i < len(g.allocs); i++ {
-		g.allocs[i] = nil
-	}
-	g.allocs = keptAllocs
-
-	keptInfls := g.infls[:0]
-	for _, n := range g.infls {
-		if !dead(n) {
-			keptInfls = append(keptInfls, n)
-		}
-	}
-	for i := len(keptInfls); i < len(g.infls); i++ {
-		g.infls[i] = nil
-	}
-	g.infls = keptInfls
-
-	keptOps := g.ops[:0]
-	for _, n := range g.ops {
-		if !dead(n) {
-			keptOps = append(keptOps, n)
-		}
-	}
-	for i := len(keptOps); i < len(g.ops); i++ {
-		g.ops[i] = nil
-	}
-	g.ops = keptOps
-
+	g.allocs = retireFrom(g, g.allocs, dead)
+	g.infls = retireFrom(g, g.infls, dead)
+	g.ops = retireFrom(g, g.ops, dead)
 	for op, item := range g.menuItems {
 		if dead(op) || dead(item) {
 			delete(g.menuItems, op)
+			g.retired++
 		}
 	}
 	for id, n := range g.varNodes {
 		if n != nil && dead(n) {
 			g.varNodes[id] = nil
+			g.retired++
 		}
 	}
 	for k, n := range g.ctxNodes {
 		if dead(n) {
 			delete(g.ctxNodes, k)
+			g.retired++
 		}
 	}
 	g.layoutOf.dropSrcIf(func(v Value) bool { return dead(v) })
 	g.gen++
+}
+
+// retireFrom removes the dead nodes of one creation-ordered index in place
+// and counts them as retired.
+func retireFrom[N Node](g *Graph, index []N, dead func(Node) bool) []N {
+	kept := index[:0]
+	for _, n := range index {
+		if !dead(n) {
+			kept = append(kept, n)
+		}
+	}
+	clear(index[len(kept):])
+	g.retired += len(index) - len(kept)
+	return kept
+}
+
+// NumRetired returns the number of node slots Retire has emptied since the
+// graph was built or last compacted; len(Nodes()) minus it is the number of
+// live nodes.
+func (g *Graph) NumRetired() int { return g.retired }
+
+// Compact renumbers the live nodes 0..n-1 in their current relative order
+// and drops the retired ones, so Nodes holds exactly the live nodes. Every
+// table the graph keys or indexes by node id follows: the flow successor
+// lists and their edge map, the relations (a retired source leaves its
+// visit order too), and the variable-node index, rebuilt from each
+// variable's current ir.Var.ID, so a caller that renumbers the program's
+// variables (ir.Program.CompactVars) must do so first. Keeping the relative
+// order keeps every id-ordered walk (VisitFlow, the solver's fact and set
+// scans) in the order it had, with nodes created afterwards last.
+//
+// Compact returns the old-to-new id map, -1 for a retired node, for the
+// owners of id-keyed state outside the graph. Retired nodes keep their old
+// ids and must not be looked up again. A Walker needs no reset: its marks
+// hold per-walk epochs, which no later walk reads as its own.
+func (g *Graph) Compact() []int32 {
+	remap := make([]int32, len(g.nodes))
+	for i := range remap {
+		remap[i] = -1
+	}
+	g.visitLive(func(n Node) { remap[n.ID()] = 0 })
+	nodes := make([]Node, 0, len(g.nodes)-g.retired)
+	for old, n := range g.nodes {
+		if remap[old] >= 0 {
+			remap[old] = int32(len(nodes))
+			nodes = append(nodes, n)
+		}
+	}
+
+	flow := make([][]Node, len(nodes))
+	clear(g.flowLong)
+	g.numFlow = 0
+	for sid, succs := range g.flow {
+		if len(succs) == 0 || remap[sid] < 0 {
+			continue
+		}
+		nsid := int(remap[sid])
+		flow[nsid] = renumberSuccs(g.flowLong, nsid, succs, remap)
+		g.numFlow += len(flow[nsid])
+	}
+	g.flow = flow
+	for _, r := range g.relations() {
+		r.renumber(remap)
+	}
+
+	var varNodes []*VarNode
+	for _, n := range g.varNodes {
+		if n == nil {
+			continue
+		}
+		id := n.Var.ID
+		if id >= len(varNodes) {
+			varNodes = append(varNodes, make([]*VarNode, id+1-len(varNodes))...)
+		}
+		if varNodes[id] != nil {
+			panic("graph: Compact: two variable nodes share ir.Var.ID " + fmt.Sprint(id))
+		}
+		varNodes[id] = n
+	}
+	g.varNodes = varNodes
+
+	for id, n := range nodes {
+		n.(interface{ setID(int) }).setID(id)
+	}
+	g.nodes = nodes
+	g.retired = 0
+	return remap
+}
+
+// visitLive calls f for every node some index holds: the live nodes. Every
+// node is created into exactly one index, and Retire removes it from that
+// index, so the nodes it does not visit are exactly the retired ones.
+func (g *Graph) visitLive(f func(Node)) {
+	for _, n := range g.varNodes {
+		if n != nil {
+			f(n)
+		}
+	}
+	for _, n := range g.ctxNodes {
+		f(n)
+	}
+	for _, n := range g.fields {
+		f(n)
+	}
+	for _, n := range g.activities {
+		f(n)
+	}
+	for _, n := range g.layoutIDs {
+		f(n)
+	}
+	for _, n := range g.viewIDs {
+		f(n)
+	}
+	for _, n := range g.stringIDs {
+		f(n)
+	}
+	for _, n := range g.classes {
+		f(n)
+	}
+	for _, n := range g.menus {
+		f(n)
+	}
+	for _, n := range g.menuItems {
+		f(n)
+	}
+	for _, n := range g.allocs {
+		f(n)
+	}
+	for _, n := range g.infls {
+		f(n)
+	}
+	for _, n := range g.ops {
+		f(n)
+	}
+}
+
+// renumberSuccs filters succs, the successor list of the source Compact
+// numbers sid, in place down to its live nodes, and enters the list's edges
+// into long under their new ids when it is longer than relScan. The nodes
+// still carry their old ids.
+func renumberSuccs[T succNode](long map[edgeKey]struct{}, sid int, succs []T, remap []int32) []T {
+	kept := succs[:0]
+	for _, d := range succs {
+		if remap[d.ID()] >= 0 {
+			kept = append(kept, d)
+		}
+	}
+	clear(succs[len(kept):])
+	if len(kept) > relScan {
+		for _, d := range kept {
+			long[edgeKey{sid, int(remap[d.ID()])}] = struct{}{}
+		}
+	}
+	return kept
+}
+
+// relations lists the graph's relationship indices.
+func (g *Graph) relations() []*relation {
+	return []*relation{g.children, g.parents, g.viewIDRel, g.listeners, g.roots, g.layoutOf, g.targets, g.menuRel}
 }
 
 // Parents returns the recorded parent views of child.
@@ -1135,6 +1276,28 @@ func (r *relation) dropSrcIf(dead func(Value) bool) {
 		r.srcs[i] = nil
 	}
 	r.srcs = kept
+}
+
+// renumber rekeys the relation by the new ids of remap (see
+// Graph.Compact) while the values still carry their old ones. Retired
+// sources leave the visit order, with the empty lists remove leaves
+// behind, and retired successors leave their lists.
+func (r *relation) renumber(remap []int32) {
+	succ := make(map[int][]Value, len(r.succ))
+	clear(r.long)
+	kept := r.srcs[:0]
+	for _, s := range r.srcs {
+		old := s.ID()
+		if remap[old] < 0 {
+			continue
+		}
+		kept = append(kept, s)
+		sid := int(remap[old])
+		succ[sid] = renumberSuccs(r.long, sid, r.succ[old], remap)
+	}
+	clear(r.srcs[len(kept):])
+	r.srcs = kept
+	r.succ = succ
 }
 
 func (r *relation) get(src Value) []Value { return r.succ[src.ID()] }

@@ -152,7 +152,14 @@ func PatchFile(p *Program, f *alite.File) error {
 	}
 	// Lower the new bodies exactly as lowerBodies does, from this patch's
 	// own variable slab. Each body's old locals and temporaries go with the
-	// Locals slice lowering replaces.
+	// Locals slice lowering replaces, and their IDs are retired; the
+	// receiver and parameters stay.
+	for _, mb := range b.bodies {
+		p.retiredVars += len(mb.m.Locals) - len(mb.m.Params)
+		if mb.m.This != nil {
+			p.retiredVars--
+		}
+	}
 	b.lowerBodies()
 	if err := b.errs.Err(); err != nil {
 		return err

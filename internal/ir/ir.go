@@ -50,16 +50,59 @@ type Program struct {
 	// returns (incremental re-lowering replaces method bodies only).
 	appClasses []*Class
 
-	// numVars counts the variables created so far; the next one gets it
-	// as its ID.
-	numVars int
+	// numVars counts the variable IDs handed out so far; the next variable
+	// gets it as its ID. retiredVars counts the IDs among them whose
+	// variables PatchFile dropped with a replaced body.
+	numVars     int
+	retiredVars int
 }
 
-// NumVars returns the number of variables the program has created, in
-// Build and in every PatchFile since: each Var's ID is below it, and no
-// two share one. A re-lowered body's variables get fresh IDs; the IDs of
-// the variables it replaced are not reused.
+// NumVars returns the size of the program's variable-ID space: each Var's
+// ID is below it, and no two share one. A re-lowered body's variables get
+// fresh IDs, and the IDs of the variables it replaced are retired, not
+// reused, until CompactVars renumbers the live variables; so NumVars counts
+// the live variables plus the retired IDs since the last Build or
+// CompactVars (NumRetiredVars).
 func (p *Program) NumVars() int { return p.numVars }
+
+// NumRetiredVars returns the number of variable IDs whose variables
+// PatchFile has dropped since the last Build or CompactVars.
+func (p *Program) NumRetiredVars() int { return p.retiredVars }
+
+// CompactVars renumbers the live variables 0..n-1 in their current ID
+// order and so drops the retired IDs: afterwards NumVars is the live count
+// and NumRetiredVars is 0. The live variables are the receivers,
+// parameters and locals of every method, platform methods included; a
+// body's statements name only its own method's variables. Tables indexed
+// by Var.ID must be rebuilt after a call (core's warm re-solve re-indexes
+// the constraint graph's variable nodes right after).
+func (p *Program) CompactVars() {
+	byID := make([]*Var, p.numVars)
+	keep := func(v *Var) {
+		if v != nil {
+			byID[v.ID] = v
+		}
+	}
+	for _, c := range p.Classes {
+		for _, m := range c.Methods {
+			keep(m.This)
+			for _, v := range m.Params {
+				keep(v)
+			}
+			for _, v := range m.Locals {
+				keep(v)
+			}
+		}
+	}
+	n := 0
+	for _, v := range byID {
+		if v != nil {
+			v.ID = n
+			n++
+		}
+	}
+	p.numVars, p.retiredVars = n, 0
+}
 
 // newVar assigns v the next variable ID and returns it.
 func (p *Program) newVar(v *Var) *Var {
@@ -322,8 +365,9 @@ func (m *Method) IsAbstract() bool { return m.Body == nil && m.API == nil }
 
 // Var is a local variable, parameter, receiver, or lowering temporary.
 type Var struct {
-	// ID numbers the variables of one Program densely from 0, below
-	// Program.NumVars, so per-variable tables can be slices.
+	// ID numbers the variables of one Program from 0, below
+	// Program.NumVars, so per-variable tables can be slices. IDs are dense
+	// after Build and after Program.CompactVars.
 	ID   int
 	Name string
 	Type alite.Type

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -246,6 +247,54 @@ func TestVarIDsUnique(t *testing.T) {
 	if p.NumVars() <= before {
 		t.Errorf("NumVars %d after two patches, %d before: re-lowered locals got no fresh IDs", p.NumVars(), before)
 	}
+}
+
+// TestCompactVars: after patches retire the replaced bodies' variable IDs,
+// CompactVars numbers the live variables densely in their old order, and
+// NumVars drops by exactly the retired count.
+func TestCompactVars(t *testing.T) {
+	sources, layouts := corpus.ModularApp(4)
+	p := app{"modular-4", sources, layouts}.build(t)
+	if p.NumRetiredVars() != 0 {
+		t.Fatalf("a built program has %d retired var IDs", p.NumRetiredVars())
+	}
+	for _, edit := range corpus.ModularEdits(sources) {
+		f, err := alite.Parse("act1.alite", edit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := PatchFile(p, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retired, before := p.NumRetiredVars(), p.NumVars()
+	if retired == 0 {
+		t.Fatal("two patches retired no var IDs")
+	}
+	var live []*Var
+	for _, c := range p.Classes {
+		for _, m := range c.Methods {
+			live = append(live, m.Locals...)
+			if m.This != nil && !slices.Contains(m.Locals, m.This) {
+				live = append(live, m.This)
+			}
+		}
+	}
+	slices.SortFunc(live, func(a, b *Var) int { return a.ID - b.ID })
+	live = slices.Compact(live)
+	if len(live) != before-retired {
+		t.Fatalf("%d live vars, want NumVars %d minus %d retired", len(live), before, retired)
+	}
+	p.CompactVars()
+	if p.NumVars() != len(live) || p.NumRetiredVars() != 0 {
+		t.Fatalf("after CompactVars: NumVars %d, NumRetiredVars %d, want %d and 0", p.NumVars(), p.NumRetiredVars(), len(live))
+	}
+	for i, v := range live {
+		if v.ID != i {
+			t.Fatalf("%s has ID %d, want %d (old order, dense)", v, v.ID, i)
+		}
+	}
+	checkVarIDs(t, "compacted modular-4", p)
 }
 
 // TestMethodsSortedOnce: MethodsSorted lists every class's methods sorted

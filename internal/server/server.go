@@ -658,6 +658,9 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		switch res.Incremental().Mode {
 		case "warm":
 			s.reg.Add("server.sessions.warm", 1)
+			if res.Incremental().Compacted {
+				s.reg.Add("server.sessions.compactions", 1)
+			}
 		case "scratch":
 			s.reg.Add("server.sessions.scratch", 1)
 		}

@@ -255,6 +255,49 @@ func TestSessionPatchWarm(t *testing.T) {
 	}
 }
 
+// TestSessionPatchCompacts: a session patched past the point where its
+// retired ids outnumber the live ones compacts on the warm path, counts it
+// in server.sessions.compactions, and still serves exactly what local
+// analysis of the edited input renders, before and after.
+func TestSessionPatchCompacts(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	sources, layouts := corpus.ModularApp(3)
+	edits := corpus.ModularEdits(sources)
+	spec := ReportSpec{Report: "tuples"}
+	open, err := c.OpenSession(AnalyzeRequest{Name: "modular", Sources: sources, Layouts: layouts, ReportSpec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactions := 0
+	for i := 0; compactions < 2; i++ {
+		if i == 20 {
+			t.Fatalf("no second compaction in %d patches", i)
+		}
+		sources["act1.alite"] = edits[i%2]
+		resp, err := c.PatchSession(open.SessionID, PatchRequest{
+			Sources:    map[string]string{"act1.alite": sources["act1.alite"]},
+			ReportSpec: spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Incremental == nil || resp.Incremental.Mode != "warm" {
+			t.Fatalf("patch %d: incremental = %+v, want warm", i, resp.Incremental)
+		}
+		if resp.Incremental.Compacted {
+			compactions++
+		}
+		_, want, _ := localRender(t, "modular", sources, layouts, gator.Options{}, report.Request{Report: "tuples", Seed: 1})
+		if resp.Output != want {
+			t.Fatalf("patch %d (compacted %v): output differs from local\nremote:\n%s\nlocal:\n%s",
+				i, resp.Incremental.Compacted, resp.Output, want)
+		}
+	}
+	if got := srv.reg.Counter("server.sessions.compactions").Value(); got != int64(compactions) {
+		t.Fatalf("server.sessions.compactions = %d, want %d", got, compactions)
+	}
+}
+
 // TestSessionConcurrentPatches: patches racing on one session serialize
 // on its lock — each re-solves from the previous patch's result, none sees
 // a consumed one — and the session ends with every edit applied.
