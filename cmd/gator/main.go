@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"gator"
-	"gator/internal/cache"
 	"gator/internal/corpus"
 	"gator/internal/metrics"
 	"gator/internal/report"
@@ -57,8 +56,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the whole run to `file` (open in chrome://tracing or Perfetto)")
 	statsJSON := flag.String("stats-json", "", "write byte-stable machine-readable batch stats JSON to `file` (\"-\" for stdout)")
 	watchMode := flag.Bool("watch", false, "watch one app directory and re-analyze incrementally on change (debounced: rapid edits coalesce)")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache `directory`: reprint cached reports for unchanged inputs without re-analyzing")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the -cache-dir store; least-recently-used entries are evicted (0 = unbounded)")
 	remote := flag.String("remote", "", "send work to the gatord daemon at `addr` instead of analyzing locally")
 	flag.Parse()
 
@@ -76,8 +73,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One request and one option set drive every path: the local render,
-	// the -cache-dir key and -remote. -checks is the "checks" report.
+	// One request and one option set drive every path: the local render
+	// and -remote. -checks is the "checks" report.
 	req := report.Request{Report: *reportKind, Explain: *explain, Seed: *seed, Checks: splitChecks(*only)}
 	if *checksMode {
 		req.Report = "checks"
@@ -129,52 +126,6 @@ func main() {
 		bopts.Tracer = trace.New(sink)
 	}
 
-	// With -cache-dir, apps whose report.Request.CacheKey (options, report,
-	// seed, checks, sources, layouts) matches a stored entry skip analysis
-	// entirely and replay the stored report. Reports with unstable output
-	// (wall-clock timing), derivation trees and -checks/-sarif aggregation
-	// always run.
-	var store *cache.DiskStore
-	total := len(inputs)
-	// cached[i] is app i's result-cache slot: its key and label, and on a
-	// hit the stored rendering.
-	type slot struct {
-		key, name, out string
-		code           int
-		hit            bool
-	}
-	cached := make([]slot, total)
-	if *cacheDir != "" && !*checksMode && req.Replayable() {
-		var err error
-		if store, err = cache.OpenDiskStore(*cacheDir, *cacheMax); err != nil {
-			fmt.Fprintln(os.Stderr, "gator:", err)
-			os.Exit(1)
-		}
-		var run []gator.BatchInput
-		for i, in := range inputs {
-			sources, layouts := in.Sources, in.Layouts
-			if in.Dir != "" {
-				s, l, err := gator.ReadAppDir(in.Dir)
-				if err != nil {
-					// Let the batch produce the proper per-app error.
-					run = append(run, in)
-					continue
-				}
-				sources, layouts = s, l
-			}
-			c := &cached[i]
-			c.key, c.name = req.CacheKey(opts, sources, layouts), batchLabelOf(in, i)
-			if data, ok := store.Get(c.key); ok {
-				c.code, c.out, c.hit = report.DecodeEntry(data)
-			}
-			bopts.Tracer.Scope(c.name, 0).CacheProbe("result", c.hit)
-			if !c.hit {
-				run = append(run, in)
-			}
-		}
-		inputs = run
-	}
-
 	batch := gator.AnalyzeBatch(inputs, bopts)
 	if *stats {
 		fmt.Fprint(os.Stderr, metrics.FormatBatch(batch.Stats))
@@ -202,22 +153,13 @@ func main() {
 
 	exit := 0
 	var checkReports []*gator.CheckReport
-	next := 0 // next unconsumed entry of batch.Apps
-	for i := 0; i < total; i++ {
-		if c := cached[i]; c.hit {
-			printHeader(total, i, c.name)
-			os.Stdout.WriteString(c.out)
-			exit = max(exit, c.code)
-			continue
-		}
-		rep := batch.Apps[next]
-		next++
+	for i, rep := range batch.Apps {
 		if rep.Err != nil {
 			fmt.Fprintln(os.Stderr, "gator:", rep.Err)
 			exit = 1
 			continue
 		}
-		printHeader(total, i, rep.Name)
+		printHeader(len(batch.Apps), i, rep.Name)
 		if *checksMode {
 			cr, err := rep.Result.CheckReport(req.Checks...)
 			if err != nil {
@@ -237,11 +179,6 @@ func main() {
 		var buf bytes.Buffer
 		code := report.Render(&buf, os.Stderr, rep.Name, rep.Result, req)
 		os.Stdout.Write(buf.Bytes())
-		if store != nil && cached[i].key != "" && code <= 1 {
-			if err := store.Put(cached[i].key, report.EncodeEntry(code, buf.String())); err != nil {
-				fmt.Fprintln(os.Stderr, "gator:", err)
-			}
-		}
 		exit = max(exit, code)
 	}
 	if *sarifOut != "" && len(checkReports) > 0 {
@@ -303,8 +240,8 @@ func splitChecks(s string) []string {
 	return out
 }
 
-// batchLabelOf names one input the way AnalyzeBatch will, for headers and
-// trace scopes of apps served from the result cache.
+// batchLabelOf names one input the way AnalyzeBatch does, for -remote's
+// request names and headers.
 func batchLabelOf(in gator.BatchInput, index int) string {
 	switch {
 	case in.Name != "":

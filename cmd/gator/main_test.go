@@ -6,9 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"gator/internal/flagdoc"
 	"gator/internal/server"
 )
 
@@ -94,31 +96,26 @@ func TestCLIRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCLICacheKeyedByChecks: -only changes what a checks report prints,
-// so it is part of the -cache-dir key — a run selecting other checks never
-// replays an earlier selection's report, and a repeated selection (served
-// from the cache) prints its own findings.
-func TestCLICacheKeyedByChecks(t *testing.T) {
+// TestFlagsMatchREADME: gator's flag set is exactly the rows of its README
+// table, each of which names what justifies the flag.
+func TestFlagsMatchREADME(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
 	}
-	bin := buildCLI(t)
-	buggy := filepath.Join("..", "..", "examples", "buggyapp")
-	dir := t.TempDir()
-
-	for _, c := range []struct{ only, other string }{
-		{"unused-view-id", "dangling-findview"},
-		{"dangling-findview", "unused-view-id"},
-		{"unused-view-id", "dangling-findview"}, // replayed
-	} {
-		want, wantCode := runCLIStdout(t, bin, "-report", "checks", "-only", c.only, buggy)
-		got, code := runCLIStdout(t, bin, "-cache-dir", dir, "-report", "checks", "-only", c.only, buggy)
-		if got != want || code != wantCode {
-			t.Errorf("-cache-dir -only %s: exit %d, want %d\n--- got ---\n%s--- want ---\n%s", c.only, code, wantCode, got, want)
-		}
-		if !strings.Contains(got, "["+c.only+"]") || strings.Contains(got, "["+c.other+"]") {
-			t.Errorf("-cache-dir -only %s prints another selection's findings:\n%s", c.only, got)
-		}
+	usage, code := runCLI(t, buildCLI(t), "-h")
+	if code != 0 {
+		t.Fatalf("-h: exit %d\n%s", code, usage)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flagdoc.Table(readme, "gator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flagdoc.Usage([]byte(usage)); !slices.Equal(got, want) {
+		t.Errorf("gator flags %v, README table %v", got, want)
 	}
 }
 

@@ -11,16 +11,12 @@
 //
 //	gatorbench [-table 1|2|precision|all] [-app NAME] [-seed N] [-j N] [-stats]
 //	           [-filter-casts] [-shared-inflation] [-no-findview3] [-declared-dispatch]
-//	           [-ctx off|1cfa] [-trace FILE] [-metrics FILE] [-pprof ADDR]
-//	           [-records DIR]
+//	           [-ctx off|1cfa] [-trace FILE] [-records DIR]
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
 	"runtime"
 
@@ -43,19 +39,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	recordsDir := flag.String("records", "", "regenerate every checked-in benchmark record (BENCH_*.json) into `dir`, each under its own fixed configuration")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the corpus run to `file`")
-	metricsOut := flag.String("metrics", "", "write the aggregated counter/histogram registry as JSON to `file` (\"-\" for stderr; implies tracing)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on `addr` (e.g. localhost:6060) for the duration of the run")
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		// The imports register /debug/pprof/* and /debug/vars on the default
-		// mux; the trace registry is published under "gator" below.
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "gatorbench: pprof:", err)
-			}
-		}()
-	}
 
 	ctx, err := gator.ParseCtxMode(*ctxMode)
 	if err != nil {
@@ -73,13 +57,9 @@ func main() {
 
 	bopts := gator.BatchOptions{Workers: *jobs, Options: opts}
 	var sink *trace.Collect
-	var reg *metrics.Registry
-	if *traceOut != "" || *metricsOut != "" || *pprofAddr != "" {
+	if *traceOut != "" {
 		sink = &trace.Collect{}
-		reg = metrics.NewRegistry()
-		bopts.Tracer = trace.New(sink, trace.WithRegistry(reg))
-		// Live aggregates for /debug/vars while the batch runs.
-		expvar.Publish("gator", expvar.Func(func() any { return reg.Snapshot() }))
+		bopts.Tracer = trace.New(sink)
 	}
 
 	batch := gator.AnalyzeBatch(corpusInputs(*appFilter), bopts)
@@ -88,20 +68,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, sink.Events()); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *metricsOut != "" {
-		data, err := reg.JSON()
-		if err == nil {
-			if *metricsOut == "-" {
-				_, err = os.Stderr.Write(data)
-			} else {
-				err = os.WriteFile(*metricsOut, data, 0o644)
-			}
-		}
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "gatorbench:", err)
 			os.Exit(1)
 		}

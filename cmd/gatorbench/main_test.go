@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gator/internal/flagdoc"
 	"gator/internal/metrics"
 )
 
@@ -109,18 +110,15 @@ func TestGatorbenchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGatorbenchTraceAndMetrics: -trace writes a Chrome trace of the corpus
-// run and -metrics the aggregated rule/worklist registry.
-func TestGatorbenchTraceAndMetrics(t *testing.T) {
+// TestGatorbenchTrace: -trace writes a Chrome trace of the corpus run.
+func TestGatorbenchTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
 	}
 	bin := buildGatorbench(t)
 
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
-	metricsFile := filepath.Join(t.TempDir(), "metrics.json")
-	out, err := exec.Command(bin, "-app", "ConnectBot", "-table", "1",
-		"-trace", traceFile, "-metrics", metricsFile).CombinedOutput()
+	out, err := exec.Command(bin, "-app", "ConnectBot", "-table", "1", "-trace", traceFile).CombinedOutput()
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out)
 	}
@@ -134,15 +132,28 @@ func TestGatorbenchTraceAndMetrics(t *testing.T) {
 			t.Errorf("trace missing %s", want)
 		}
 	}
+}
 
-	metricsData, err := os.ReadFile(metricsFile)
+// TestFlagsMatchREADME: gatorbench's flag set is exactly the rows of its
+// README table, each of which names what justifies the flag.
+func TestFlagsMatchREADME(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI exec test skipped in -short mode")
+	}
+	usage, err := exec.Command(buildGatorbench(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, usage)
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"counters"`, `"rule/FindView2"`, `"solver/iterations"`, `"histograms"`, `"solver/worklist"`} {
-		if !strings.Contains(string(metricsData), want) {
-			t.Errorf("metrics missing %s\n%s", want, metricsData)
-		}
+	want, err := flagdoc.Table(readme, "gatorbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flagdoc.Usage(usage); !slices.Equal(got, want) {
+		t.Errorf("gatorbench flags %v, README table %v", got, want)
 	}
 }
 

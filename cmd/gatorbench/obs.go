@@ -3,13 +3,12 @@ package main
 // BENCH_8, the observability record: what the request telemetry layer
 // costs. Two identical loopback daemons serve the same request mix — one
 // with telemetry off (Config.NoTelemetry: the benchmark baseline), one
-// with the full layer on (trace propagation, per-request metrics and
-// logs, head-sampled solver trace capture, structured logging to a
-// discarded writer so the measurement includes serialization but not disk
-// I/O). The recorded overhead_pct is the relative cost of the telemetry-on
-// side, gated by a 5% ceiling. It divides two independently measured
-// latencies, so a bound relative to the baseline would trip on runner
-// noise alone.
+// with the full layer on (per-request metrics, stage histograms and
+// structured JSON logging to a discarded writer, so the measurement
+// includes serialization but not disk I/O). The recorded overhead_pct is
+// the relative cost of the telemetry-on side, gated by a 5% ceiling. It
+// divides two independently measured latencies, so a bound relative to
+// the baseline would trip on runner noise alone.
 //
 // The measurement is built for a noisy shared runner, where GC pauses
 // are as long as the requests themselves and would otherwise dominate
@@ -37,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
@@ -47,7 +47,6 @@ import (
 	"gator/internal/corpus"
 	"gator/internal/metrics"
 	"gator/internal/server"
-	"gator/internal/telemetry"
 )
 
 // loopbackDaemon boots one daemon on a loopback port and returns its
@@ -156,14 +155,9 @@ func measureObs(workers int) (*metrics.Record, error) {
 	defer offStop()
 	// The telemetry-on side runs everything the production daemon would:
 	// JSON request logging (to a discarded writer — serialization cost
-	// stays in the measurement, disk latency does not) and head sampling
-	// on every 10th request.
-	logger, err := telemetry.NewLogger(io.Discard, "info", "json")
-	if err != nil {
-		return nil, err
-	}
+	// stays in the measurement, disk latency does not).
 	onClient, onStop, err := loopbackDaemon(server.Config{
-		Workers: workers, Logger: logger, TraceSample: 10,
+		Workers: workers, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		return nil, err

@@ -9,9 +9,7 @@
 //
 //	gatord [-addr :7465] [-workers N] [-queue N] [-job-timeout 60s]
 //	       [-session-ttl 30m] [-max-sessions N] [-max-request-bytes N]
-//	       [-cache-dir DIR] [-cache-max-bytes N]
-//	       [-log-level info] [-log-format json] [-trace-sample N]
-//	       [-trace-ring N]
+//	       [-drain-grace 30s] [-log-level info] [-log-format json]
 //
 // Endpoints (see README.md, "Server mode"):
 //
@@ -21,14 +19,10 @@
 //	GET    /v1/sessions/{id}  session metadata
 //	DELETE /v1/sessions/{id}  drop a session
 //	GET    /healthz /readyz /metrics /metrics.json /debug/pprof/
-//	GET    /v1/debug/traces/{id}  captured solver trace (NDJSON)
 //
-// Telemetry: every request carries a W3C trace context (incoming
-// traceparent headers are continued, others started fresh), /metrics
-// serves Prometheus text exposition (JSON at /metrics.json), request
-// logs are structured (-log-format json|text, -log-level), and solver
-// traces are captured for every Nth request (-trace-sample) or on demand
-// (?trace=1), retrievable at /v1/debug/traces/{traceId}.
+// Telemetry: /metrics serves Prometheus text exposition (JSON at
+// /metrics.json), and request logs are structured (-log-format
+// json|text, -log-level).
 //
 // SIGINT/SIGTERM starts a graceful drain: /readyz flips to 503, queued
 // jobs are rejected, in-flight jobs finish, then the listener closes.
@@ -43,16 +37,18 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"gator/internal/server"
-	"gator/internal/telemetry"
 )
 
 func main() {
@@ -63,34 +59,26 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this")
 	maxSessions := flag.Int("max-sessions", 256, "max live sessions (past it: LRU eviction)")
 	maxBytes := flag.Int64("max-request-bytes", 16<<20, "max request body bytes (past it: 413)")
-	cacheDir := flag.String("cache-dir", "", "persist rendered reports in this `directory` (content-addressed, survives restarts)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "bound the -cache-dir store; least-recently-used entries are evicted (0 = unbounded)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "max time to wait for in-flight work on shutdown")
 	logLevel := flag.String("log-level", "info", "request log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "json", "request log format: json or text")
-	traceSample := flag.Int("trace-sample", 0, "capture the solver trace of every Nth analysis request (0 = only ?trace=1 requests)")
-	traceRing := flag.Int("trace-ring", 64, "max captured solver traces kept in memory")
 	smoke := flag.Bool("smoke", false, "self-test: serve on a free port, run a cold request and session patches against the app directory argument, drain, exit")
 	flag.Parse()
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := newLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gatord:", err)
 		os.Exit(2)
 	}
 
 	cfg := server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		JobTimeout:       *jobTimeout,
-		SessionTTL:       *sessionTTL,
-		MaxSessions:      *maxSessions,
-		MaxRequestBytes:  *maxBytes,
-		CacheDir:         *cacheDir,
-		CacheMaxBytes:    *cacheMax,
-		Logger:           logger,
-		TraceSample:      *traceSample,
-		TraceRingEntries: *traceRing,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		JobTimeout:      *jobTimeout,
+		SessionTTL:      *sessionTTL,
+		MaxSessions:     *maxSessions,
+		MaxRequestBytes: *maxBytes,
+		Logger:          logger,
 	}
 
 	if *smoke {
@@ -161,4 +149,33 @@ func main() {
 	}
 	<-done
 	fmt.Fprintln(os.Stderr, "gatord: drained, bye")
+}
+
+// newLogger builds the request logger from -log-level and -log-format,
+// writing to w. level is one of "debug", "info", "warn", "error" (default
+// info); format is "json" or "text" (default json), so a request line is
+// one machine-parseable record by default.
+func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lvl slog.Level
+	switch strings.ToLower(level) {
+	case "", "info":
+		lvl = slog.LevelInfo
+	case "debug":
+		lvl = slog.LevelDebug
+	case "warn", "warning":
+		lvl = slog.LevelWarn
+	case "error":
+		lvl = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch strings.ToLower(format) {
+	case "", "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	default:
+		return nil, fmt.Errorf("unknown log format %q (want json or text)", format)
+	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gator/internal/corpus"
+	"gator/internal/flagdoc"
 )
 
 func figure1App(t *testing.T) *App {
@@ -661,5 +664,21 @@ func TestLoadDirDeterministicOrder(t *testing.T) {
 		if !bytes.Equal(data, first) {
 			t.Errorf("LoadDir order drifted between runs:\nrun 0:\n%s\nrun %d:\n%s", first, i, data)
 		}
+	}
+}
+
+// TestOptionsMatchREADME: Options' fields are exactly the rows of README's
+// gator.Options table, each of which names what justifies the field.
+func TestOptionsMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flagdoc.Table(readme, "gator.Options")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flagdoc.Fields(reflect.TypeOf(Options{})); !slices.Equal(got, want) {
+		t.Errorf("Options fields %v, README table %v", got, want)
 	}
 }

@@ -1,14 +1,13 @@
 // Package cache provides content-addressed caching for incremental
 // re-analysis: stable fingerprints of compilation units (source files,
 // layout files) and whole applications, an in-memory LRU parse cache shared
-// across batch workers, and an optional on-disk store for rendered analysis
-// outputs keyed by application fingerprint.
+// across batch workers, and gatord's in-memory LRU of rendered analysis
+// outputs keyed by application fingerprint (results.go).
 //
 // Everything is keyed by content hash, never by file path or modification
 // time, so a cache entry can never go stale: an edit changes the content,
 // the content changes the key, and the old entry simply stops being asked
-// for. The LRU bound (and, on disk, the caller-managed directory) controls
-// the space cost.
+// for. The LRU bound controls the space cost.
 package cache
 
 import (

@@ -112,28 +112,3 @@ func TestParseCacheConcurrent(t *testing.T) {
 		t.Fatalf("got %d entries, want 5", c.Len())
 	}
 }
-
-func TestDiskStoreRoundTrip(t *testing.T) {
-	s, err := OpenDiskStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Hash("source", "a", "content")
-	if _, ok := s.Get(key); ok {
-		t.Fatal("empty store must miss")
-	}
-	if err := s.Put(key, []byte("report")); err != nil {
-		t.Fatal(err)
-	}
-	data, ok := s.Get(key)
-	if !ok || string(data) != "report" {
-		t.Fatalf("got %q/%v, want report/true", data, ok)
-	}
-	// Invalid keys are rejected, not written somewhere surprising.
-	if err := s.Put("../escape", []byte("x")); err == nil {
-		t.Fatal("want error for traversal key")
-	}
-	if err := s.Put("short", []byte("x")); err == nil {
-		t.Fatal("want error for short key")
-	}
-}

@@ -11,7 +11,7 @@ import (
 const DefaultResultBytes = 64 << 20
 
 // ResultCache is a byte-bounded, content-addressed, in-memory LRU of
-// rendered analysis outputs. It is the server's first cache tier: identical
+// rendered analysis outputs. It is gatord's result cache: identical
 // submissions replay the stored report without touching the solver, and the
 // byte budget — not an entry count — bounds memory, because rendered
 // reports vary in size by orders of magnitude (a summary vs. a corpus-wide

@@ -1,9 +1,8 @@
 package metrics
 
-// Counter/histogram registries for the instrumentation layer (package
-// trace). The registry is the aggregation side of tracing: events stream to
-// a trace.Sink, while counters and histograms accumulate here and export as
-// deterministic JSON (sorted names, integer values).
+// Counter/histogram registries: gatord's counters and histograms
+// accumulate here and export as deterministic JSON (sorted names, integer
+// values) or Prometheus text (prom.go).
 //
 // Overhead contract: every method is safe on a nil receiver and does
 // nothing there, without allocating. Code under instrumentation calls

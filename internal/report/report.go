@@ -89,16 +89,17 @@ func (r Request) seed() int64 {
 	return r.Seed
 }
 
-// CacheKey fingerprints one rendering of an application for the
-// content-addressed result caches (gator -cache-dir and gatord): the
-// options' CacheTag, the report kind, seed and check selection, and every
-// source and layout. It is "" when the request is not Replayable.
-func (r Request) CacheKey(opts gator.Options, sources, layouts map[string]string) string {
+// CacheKey fingerprints one rendering of an application for gatord's
+// content-addressed result cache: the application's name (the checks,
+// check and table1 reports print it), the options' CacheTag, the report
+// kind, seed and check selection, and every source and layout. It is ""
+// when the request is not Replayable.
+func (r Request) CacheKey(name string, opts gator.Options, sources, layouts map[string]string) string {
 	if !r.Replayable() {
 		return ""
 	}
-	tag := fmt.Sprintf("%s|report=%s|seed=%d|checks=%s",
-		opts.CacheTag(), r.Kind(), r.seed(), strings.Join(r.Checks, ","))
+	tag := fmt.Sprintf("name=%q|%s|report=%s|seed=%d|checks=%s",
+		name, opts.CacheTag(), r.Kind(), r.seed(), strings.Join(r.Checks, ","))
 	return cache.AppFingerprint(tag, sources, layouts)
 }
 

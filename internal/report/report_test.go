@@ -13,13 +13,13 @@ import (
 func TestCacheKey(t *testing.T) {
 	sources := map[string]string{"a.alite": "class A {}"}
 	base := Request{Report: "checks", Checks: []string{"dangling-findview"}}
-	key := base.CacheKey(gator.Options{}, sources, nil)
+	key := base.CacheKey("app", gator.Options{}, sources, nil)
 	if key == "" {
 		t.Fatal("a checks report has no cache key")
 	}
 	seeded := base
 	seeded.Seed = 1
-	if seeded.CacheKey(gator.Options{}, sources, nil) != key {
+	if seeded.CacheKey("app", gator.Options{}, sources, nil) != key {
 		t.Error("seed 1 and an omitted seed have different keys")
 	}
 
@@ -29,19 +29,23 @@ func TestCacheKey(t *testing.T) {
 		"kind":   {Report: "sarif", Checks: base.Checks},
 		"seed":   {Report: "checks", Checks: base.Checks, Seed: 2},
 	} {
-		if r.CacheKey(gator.Options{}, sources, nil) == key {
+		if r.CacheKey("app", gator.Options{}, sources, nil) == key {
 			t.Errorf("%s: same key as %+v", name, base)
 		}
 	}
-	if base.CacheKey(gator.Options{FilterCasts: true}, sources, nil) == key {
+	// The checks report prints the application's name, so it keys too.
+	if base.CacheKey("other", gator.Options{}, sources, nil) == key {
+		t.Error("name: same key for another application name")
+	}
+	if base.CacheKey("app", gator.Options{FilterCasts: true}, sources, nil) == key {
 		t.Error("options do not change the key")
 	}
-	if base.CacheKey(gator.Options{Provenance: true}, sources, nil) != key {
+	if base.CacheKey("app", gator.Options{Provenance: true}, sources, nil) != key {
 		t.Error("provenance, which changes no report, changes the key")
 	}
 
 	for _, r := range []Request{{}, {Report: "table2"}, {Report: "json"}, {Report: "views", Explain: "id:x"}} {
-		if r.Replayable() || r.CacheKey(gator.Options{}, sources, nil) != "" {
+		if r.Replayable() || r.CacheKey("app", gator.Options{}, sources, nil) != "" {
 			t.Errorf("%+v is replayable", r)
 		}
 	}

@@ -149,23 +149,6 @@ func (c *Client) MetricsProm() ([]byte, error) {
 	return c.getRaw("/metrics", "")
 }
 
-// DebugTrace fetches one captured solver trace (newline-delimited JSON
-// events) by trace id; a *StatusError with Code 404 means the request was
-// not sampled or the capture aged out of the ring.
-func (c *Client) DebugTrace(traceID string) ([]byte, error) {
-	return c.getRaw("/v1/debug/traces/"+traceID, "")
-}
-
-// AnalyzeTraced is Analyze with solver trace capture forced on: the
-// response's TraceID keys a subsequent DebugTrace call.
-func (c *Client) AnalyzeTraced(req AnalyzeRequest) (*AnalyzeResponse, error) {
-	var out AnalyzeResponse
-	if err := c.do("POST", "/v1/analyze?trace=1", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // getRaw fetches one endpoint's raw body (optionally with an Accept
 // header), mapping non-200s to StatusError.
 func (c *Client) getRaw(path, accept string) ([]byte, error) {

@@ -30,7 +30,6 @@ import (
 	"gator/internal/cache"
 	"gator/internal/metrics"
 	"gator/internal/report"
-	"gator/internal/telemetry"
 	"gator/internal/trace"
 )
 
@@ -51,26 +50,13 @@ type Config struct {
 	// MaxSessions caps live sessions; creating past it evicts the least
 	// recently used (default 256).
 	MaxSessions int
-	// CacheDir, when set, persists rendered reports on disk so identical
-	// submissions replay across daemon restarts.
-	CacheDir string
-	// CacheMaxBytes bounds the disk cache (LRU eviction; <= 0 unbounded).
-	CacheMaxBytes int64
 	// Logger receives one structured line per request (plus rejection and
-	// panic diagnostics). nil disables request logging; metrics and trace
-	// propagation are unaffected.
+	// panic diagnostics). nil disables request logging; metrics are
+	// unaffected.
 	Logger *slog.Logger
-	// TraceSample enables head-based solver trace capture: every Nth
-	// analysis-bearing request records its solver trace into the debug
-	// ring (0 disables sampling; ?trace=1 always captures).
-	TraceSample int
-	// TraceRingEntries bounds the ring of captured solver traces behind
-	// /v1/debug/traces (default 64 entries; the ring also holds at most
-	// 16 MiB).
-	TraceRingEntries int
 	// NoTelemetry turns the request telemetry layer off — no middleware,
-	// no span propagation, no per-request metrics or logs. The overhead
-	// benchmark (BENCH_8.json) serves this as its baseline.
+	// no per-request metrics or logs. The overhead benchmark (BENCH_8.json)
+	// serves this as its baseline.
 	NoTelemetry bool
 }
 
@@ -104,22 +90,18 @@ type Server struct {
 	jobs     *jobRunner
 	sessions *sessionStore
 	results  *cache.ResultCache
-	disk     *cache.DiskStore
 	appCache *gator.Cache // shared parse cache across requests and sessions
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in telemetry middleware
 	ready    atomic.Bool
 
 	// Telemetry state: obs mirrors !cfg.NoTelemetry, log is the request
-	// logger, traces the captured-solver-trace ring, and sampleSeq the
-	// head-sampling request counter.
-	obs       bool
-	log       *slog.Logger
-	traces    *telemetry.TraceRing
-	sampleSeq atomic.Int64
+	// logger.
+	obs bool
+	log *slog.Logger
 }
 
-// New builds a server from cfg.
+// New builds a server from cfg. The error is always nil.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
@@ -139,14 +121,6 @@ func New(cfg Config) (*Server, error) {
 		appCache: gator.NewCache(),
 		obs:      obs,
 		log:      cfg.Logger,
-		traces:   telemetry.NewTraceRing(cfg.TraceRingEntries, 0),
-	}
-	if cfg.CacheDir != "" {
-		store, err := cache.OpenDiskStore(cfg.CacheDir, cfg.CacheMaxBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = store
 	}
 	if obs {
 		// Callback gauges: live values owned by other subsystems, sampled
@@ -169,7 +143,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /v1/debug/traces/{id}", s.handleDebugTrace)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionInfo)
@@ -262,10 +235,6 @@ type AnalyzeResponse struct {
 	ElapsedMs float64 `json:"elapsedMs"`
 	// SessionID is set by session endpoints.
 	SessionID string `json:"sessionId,omitempty"`
-	// TraceID is set when this request's solver trace was captured
-	// (?trace=1 or head sampling); fetch the events at
-	// GET /v1/debug/traces/{traceId}.
-	TraceID string `json:"traceId,omitempty"`
 	// Incremental is set by session endpoints: how the solution was
 	// computed (warm/scratch/unchanged).
 	Incremental *gator.IncrementalStats `json:"incremental,omitempty"`
@@ -301,9 +270,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // writeJobError maps job-subsystem failures to HTTP semantics. Rejections
-// count into requests_rejected_total{reason} and log with the request's
-// trace id, so a drained or saturated daemon is visible in both the scrape
-// and the log stream.
+// count into requests_rejected_total{reason} and log a warn line, so a
+// drained or saturated daemon is visible in both the scrape and the log
+// stream.
 func (s *Server) writeJobError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, errBusy):
@@ -382,8 +351,7 @@ func (s *Server) decodeAnalyze(w http.ResponseWriter, r *http.Request) (AnalyzeR
 // consumed session result with 409, other solve errors with 422 — and run
 // returns false; otherwise the route completes the response and sends it.
 func (s *Server) run(w http.ResponseWriter, r *http.Request, name string, spec ReportSpec, lock *sync.Mutex,
-	solve func(*trace.Scope) (*gator.Result, error)) (AnalyzeResponse, bool) {
-	sink, scope, traceID := s.captureScope(r, name)
+	solve func() (*gator.Result, error)) (AnalyzeResponse, bool) {
 	// resp and solveErr belong to the job until do returns nil: an
 	// abandoned job may still write them.
 	var resp AnalyzeResponse
@@ -393,7 +361,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, name string, spec R
 			lock.Lock()
 			defer lock.Unlock()
 		}
-		res, err := solve(scope)
+		res, err := solve()
 		if err != nil {
 			solveErr = err
 			return
@@ -401,7 +369,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, name string, spec R
 		var out, errBuf bytes.Buffer
 		var code int
 		stages := res.Stages()
-		scope.Stage(&stages, trace.StageRender, func() { code = report.Render(&out, &errBuf, name, res, spec) })
+		var untraced *trace.Scope // times the stage into the log, emits nothing
+		untraced.Stage(&stages, trace.StageRender, func() { code = report.Render(&out, &errBuf, name, res, spec) })
 		s.observeStages(stages)
 		resp = AnalyzeResponse{
 			Name:      name,
@@ -427,10 +396,6 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, name string, spec R
 	case solveErr != nil:
 		writeError(w, http.StatusUnprocessableEntity, "%v", solveErr)
 		return AnalyzeResponse{}, false
-	}
-	if sink != nil {
-		s.storeTrace(traceID, sink)
-		resp.TraceID = traceID
 	}
 	return resp, true
 }
@@ -481,21 +446,13 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 
 // ---- one-shot analysis ----
 
-// cacheGet replays a stored rendering (report.EncodeEntry) from the memory
-// tier, or from disk, promoting a disk hit to memory.
+// cacheGet replays a stored rendering (report.EncodeEntry) from the result
+// cache.
 func (s *Server) cacheGet(key string) (code int, out string, ok bool) {
 	if key == "" {
 		return 0, "", false
 	}
-	data, hit := s.results.Get(key)
-	if !hit && s.disk != nil {
-		if d, ok := s.disk.Get(key); ok {
-			data, hit = d, true
-			s.results.Put(key, data) // promote to the memory tier
-			s.reg.Add("server.cache.disk_hits", 1)
-		}
-	}
-	if hit {
+	if data, hit := s.results.Get(key); hit {
 		code, out, ok = report.DecodeEntry(data)
 	}
 	if !ok {
@@ -511,11 +468,7 @@ func (s *Server) cachePut(key string, resp AnalyzeResponse) {
 	if key == "" || resp.ExitCode > 1 || resp.Stderr != "" {
 		return
 	}
-	entry := report.EncodeEntry(resp.ExitCode, resp.Output)
-	s.results.Put(key, entry)
-	if s.disk != nil {
-		s.disk.Put(key, entry)
-	}
+	s.results.Put(key, report.EncodeEntry(resp.ExitCode, resp.Output))
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -526,23 +479,19 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	var key string
 	if !req.NoCache {
-		key = req.CacheKey(req.Options, req.Sources, req.Layouts)
+		key = req.CacheKey(req.Name, req.Options, req.Sources, req.Layouts)
 	}
-	// An explicit ?trace=1 wants a solver trace, which a cache replay
-	// cannot produce — bypass the replay and run the solver.
-	if code, out, ok := s.cacheGet(key); ok && !s.forceTrace(r) {
+	if code, out, ok := s.cacheGet(key); ok {
 		writeJSON(w, http.StatusOK, AnalyzeResponse{Name: req.Name, Report: req.Kind(), ExitCode: code, Output: out, Cached: true})
 		return
 	}
-	resp, ok := s.run(w, r, req.Name, req.ReportSpec, nil, func(scope *trace.Scope) (*gator.Result, error) {
+	resp, ok := s.run(w, r, req.Name, req.ReportSpec, nil, func() (*gator.Result, error) {
 		app, err := gator.LoadCached(req.Sources, req.Layouts, s.appCache)
 		if err != nil {
 			return nil, err
 		}
 		app.Name = req.Name
-		opts := req.Options
-		opts.Trace = scope
-		return app.Analyze(opts), nil
+		return app.Analyze(req.Options), nil
 	})
 	if ok {
 		s.cachePut(key, resp)
@@ -565,10 +514,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		sources: copyMap(req.Sources),
 		layouts: copyMap(req.Layouts),
 	}
-	resp, ok := s.run(w, r, sess.name, req.ReportSpec, nil, func(scope *trace.Scope) (*gator.Result, error) {
-		solveOpts := sess.opts
-		solveOpts.Trace = scope
-		res, err := gator.AnalyzeIncremental(nil, sess.sources, sess.layouts, solveOpts, s.appCache)
+	resp, ok := s.run(w, r, sess.name, req.ReportSpec, nil, func() (*gator.Result, error) {
+		res, err := gator.AnalyzeIncremental(nil, sess.sources, sess.layouts, sess.opts, s.appCache)
 		if err != nil {
 			return nil, err
 		}
@@ -636,12 +583,9 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 
 	// The per-session lock serializes concurrent patches: the second waits
 	// for the first instead of tripping over a consumed result.
-	resp, ok := s.run(w, r, sess.name, req.ReportSpec, &sess.mu, func(scope *trace.Scope) (*gator.Result, error) {
+	resp, ok := s.run(w, r, sess.name, req.ReportSpec, &sess.mu, func() (*gator.Result, error) {
 		sources, layouts := patchedInputs(sess, req)
-		// Trace on a copy: the session's stored options stay scope-free.
-		solveOpts := sess.opts
-		solveOpts.Trace = scope
-		res, err := gator.AnalyzeIncremental(sess.prev, sources, layouts, solveOpts, s.appCache)
+		res, err := gator.AnalyzeIncremental(sess.prev, sources, layouts, sess.opts, s.appCache)
 		if err != nil {
 			// A consumed previous result cannot be analyzed again; drop it
 			// so the next patch recovers with a scratch solve.

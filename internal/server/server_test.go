@@ -18,6 +18,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +29,7 @@ import (
 	"gator"
 	"gator/internal/alite"
 	"gator/internal/corpus"
+	"gator/internal/flagdoc"
 	"gator/internal/report"
 	"gator/internal/watch"
 )
@@ -404,11 +407,11 @@ func TestExplainRemote(t *testing.T) {
 	}
 }
 
-// TestCacheReplayMarksCached pins the Cached flag and that replays carry
-// the exit code of the original render.
+// TestCacheReplayMarksCached pins the Cached flag, that replays carry the
+// exit code of the original render, and that a replay never prints another
+// request's application name.
 func TestCacheReplayMarksCached(t *testing.T) {
-	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheDir: dir})
+	_, c := newTestServer(t, Config{})
 	sources, layouts := figure1Maps()
 	req := AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts,
 		ReportSpec: ReportSpec{Report: "views"}}
@@ -442,6 +445,25 @@ func TestCacheReplayMarksCached(t *testing.T) {
 	}
 	if third.Output != first.Output {
 		t.Fatal("fresh solve differs from original")
+	}
+
+	// The checks report prints the application's name, so the same body
+	// under another name is a different rendering, byte-identical to a
+	// local render under that name.
+	checks := AnalyzeRequest{Name: "alpha", Sources: sources, Layouts: layouts,
+		ReportSpec: ReportSpec{Report: "checks"}}
+	if _, err := c.Analyze(checks); err != nil {
+		t.Fatal(err)
+	}
+	checks.Name = "beta"
+	renamed, err := c.Analyze(checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode, want, _ := localRender(t, "beta", sources, layouts, gator.Options{}, checks.ReportSpec)
+	if renamed.Output != want || renamed.ExitCode != wantCode {
+		t.Fatalf("renamed request (cached %v) differs from local render:\n--- remote (exit %d) ---\n%s--- local (exit %d) ---\n%s",
+			renamed.Cached, renamed.ExitCode, renamed.Output, wantCode, want)
 	}
 }
 
@@ -820,5 +842,21 @@ func writeAppDir(t *testing.T, dir string, sources, layouts map[string]string) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestConfigMatchesREADME: Config's fields are exactly the rows of README's
+// server.Config table, each of which names what justifies the field.
+func TestConfigMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flagdoc.Table(readme, "server.Config")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := flagdoc.Fields(reflect.TypeOf(Config{})); !slices.Equal(got, want) {
+		t.Errorf("Config fields %v, README table %v", got, want)
 	}
 }

@@ -6,9 +6,7 @@ package server
 // internal/trace defines.
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 
 	"gator"
@@ -80,8 +78,9 @@ func TestStageObservationsPerRoute(t *testing.T) {
 // with check reports, a warm incremental run and one request on each
 // gatord analysis route: every phase a trace opens, every AppStats stage,
 // every check report pass and every stage_duration_us label is a name
-// from internal/trace or check: plus a registered pass id, and every
-// phase-begin has its matching end.
+// from internal/trace or check: plus a registered pass id, every
+// phase-begin has its matching end, and the routes together label every
+// stage.
 func TestStageVocabulary(t *testing.T) {
 	known := map[string]bool{}
 	for _, st := range trace.Stages {
@@ -98,10 +97,10 @@ func TestStageVocabulary(t *testing.T) {
 	}
 	checkTrace := func(where string, events []trace.Event) {
 		t.Helper()
-		open := map[string][]string{} // phase stack per (app, worker, trace)
+		open := map[string][]string{} // phase stack per (app, worker)
 		phases := 0
 		for _, ev := range events {
-			lane := fmt.Sprintf("%s/%d/%s", ev.App, ev.Worker, ev.Trace)
+			lane := fmt.Sprintf("%s/%d", ev.App, ev.Worker)
 			switch ev.Kind {
 			case trace.KindPhaseBegin:
 				phases++
@@ -172,35 +171,19 @@ func TestStageVocabulary(t *testing.T) {
 	}
 	checkTrace("incremental", sink.Events())
 
-	// One request on each gatord analysis route, each traced where the
-	// route captures traces.
+	// One request on each gatord analysis route.
 	_, c := newTestServer(t, Config{})
-	traced := func(route, method, path string, body any) *AnalyzeResponse {
-		t.Helper()
-		var resp AnalyzeResponse
-		if err := c.do(method, path+"?trace=1", body, &resp); err != nil {
-			t.Fatalf("%s: %v", route, err)
-		}
-		data, err := c.DebugTrace(resp.TraceID)
-		if err != nil {
-			t.Fatalf("%s: trace %q: %v", route, resp.TraceID, err)
-		}
-		var events []trace.Event
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			var ev trace.Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Fatalf("%s: trace line %q: %v", route, line, err)
-			}
-			events = append(events, ev)
-		}
-		checkTrace(route, events)
-		return &resp
-	}
 	req := AnalyzeRequest{Sources: sources, Layouts: layouts, ReportSpec: ReportSpec{Report: "checks"}}
-	traced("/v1/analyze", "POST", "/v1/analyze", req)
-	open := traced("/v1/sessions", "POST", "/v1/sessions", req)
-	traced("/v1/sessions/{id}", "PATCH", "/v1/sessions/"+open.SessionID,
-		PatchRequest{Sources: map[string]string{"act1.alite": edited["act1.alite"]}})
+	if _, err := c.Analyze(req); err != nil {
+		t.Fatalf("/v1/analyze: %v", err)
+	}
+	open, err := c.OpenSession(req)
+	if err != nil {
+		t.Fatalf("/v1/sessions: %v", err)
+	}
+	if _, err := c.PatchSession(open.SessionID, PatchRequest{Sources: map[string]string{"act1.alite": edited["act1.alite"]}}); err != nil {
+		t.Fatalf("/v1/sessions/{id}: %v", err)
+	}
 
 	prom, err := c.MetricsProm()
 	if err != nil {

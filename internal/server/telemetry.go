@@ -1,14 +1,8 @@
 package server
 
-// Request-scoped telemetry for the daemon: W3C trace-context propagation,
-// per-request structured logs, labeled request/duration metrics, and
-// sampled capture of solver traces into a bounded in-memory ring served at
-// /v1/debug/traces/{id}. The middleware owns the request's span: an
-// incoming traceparent yields a child span (same trace id, fresh span id),
-// anything else yields a new root span, and either way the span rides the
-// request context through admission, the job worker, and the solver — so
-// an HTTP access log line, a Prometheus series, and a solver trace event
-// can all be joined on one trace id. See DESIGN.md, "Observability".
+// Request telemetry for the daemon: per-request structured logs, labeled
+// request/duration metrics, and the per-stage histograms. See DESIGN.md,
+// "Observability".
 
 import (
 	"fmt"
@@ -21,13 +15,8 @@ import (
 	"log/slog"
 
 	"gator/internal/metrics"
-	"gator/internal/telemetry"
 	"gator/internal/trace"
 )
-
-// TraceparentHeader is the W3C trace-context header the daemon reads and
-// echoes.
-const TraceparentHeader = "traceparent"
 
 // routeLabel maps a request path onto the bounded route label set (the
 // Go 1.22 mux does not expose the matched pattern, so the normalization is
@@ -43,8 +32,6 @@ func routeLabel(p string) (route, sessionID string) {
 	switch {
 	case strings.HasPrefix(p, "/v1/sessions/"):
 		return "/v1/sessions/{id}", p[len("/v1/sessions/"):]
-	case strings.HasPrefix(p, "/v1/debug/traces/"):
-		return "/v1/debug/traces/{id}", ""
 	case strings.HasPrefix(p, "/debug/pprof/"):
 		return "/debug/pprof", ""
 	}
@@ -74,24 +61,14 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// withTelemetry is the daemon's outermost middleware. Per request it:
-// continues or starts a W3C trace (child span of an incoming traceparent,
-// fresh root otherwise), echoes the request's own span as the traceparent
-// response header, threads the span through the request context, counts
-// http_requests_total{route,status}, observes
+// withTelemetry is the daemon's outermost middleware. Per request it
+// counts http_requests_total{route,status}, observes
 // http_request_duration_us{route}, emits one structured log line, and
 // converts handler panics into logged 500s instead of lost connections
 // (panics inside analysis jobs are already isolated by the job runner;
 // this catches the serving layer itself).
 func (s *Server) withTelemetry(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		span := telemetry.NewSpan()
-		if parent, err := telemetry.ParseTraceparent(r.Header.Get(TraceparentHeader)); err == nil {
-			span = parent.ChildSpan()
-		}
-		r = r.WithContext(telemetry.WithSpan(r.Context(), span))
-		w.Header().Set(TraceparentHeader, span.Traceparent())
-
 		sw := &statusWriter{ResponseWriter: w}
 		route, sessionID := routeLabel(r.URL.Path)
 		start := time.Now()
@@ -103,8 +80,6 @@ func (s *Server) withTelemetry(h http.Handler) http.Handler {
 					s.log.Error("panic serving request",
 						slog.String("method", r.Method),
 						slog.String("route", route),
-						slog.String("traceId", span.TraceIDString()),
-						slog.String("spanId", span.SpanIDString()),
 						slog.String("panic", fmt.Sprint(p)),
 						slog.String("stack", string(debug.Stack())))
 				}
@@ -140,11 +115,6 @@ func (s *Server) withTelemetry(h http.Handler) http.Handler {
 					slog.Int("status", sw.status),
 					slog.Int64("bytes", sw.bytes),
 					slog.Float64("durMs", float64(elapsed)/float64(time.Millisecond)),
-					// The server span id doubles as the request id: it is
-					// fresh per request even when the client pins the trace.
-					slog.String("requestId", span.SpanIDString()),
-					slog.String("traceId", span.TraceIDString()),
-					slog.String("spanId", span.SpanIDString()),
 				}
 				if sessionID != "" {
 					attrs = append(attrs, slog.String("sessionId", sessionID))
@@ -157,7 +127,7 @@ func (s *Server) withTelemetry(h http.Handler) http.Handler {
 }
 
 // rejectRequest records one admission rejection: a labeled counter for the
-// scrape and a warn line carrying the trace id for the log stream.
+// scrape and a warn line for the log stream.
 func (s *Server) rejectRequest(r *http.Request, reason string) {
 	if !s.obs {
 		return
@@ -168,8 +138,7 @@ func (s *Server) rejectRequest(r *http.Request, reason string) {
 		s.log.Warn("request rejected",
 			slog.String("reason", reason),
 			slog.String("method", r.Method),
-			slog.String("route", route),
-			slog.String("traceId", telemetry.TraceIDFrom(r.Context())))
+			slog.String("route", route))
 	}
 }
 
@@ -187,65 +156,3 @@ func (s *Server) observeStages(stages trace.Log) {
 
 // stageMetric names one stage's stage_duration_us series.
 func stageMetric(stage string) string { return metrics.LabelName("stage_duration_us", "stage", stage) }
-
-// ---- solver trace capture ----
-
-// forceTrace reports whether the request explicitly asked for solver trace
-// capture (?trace=1).
-func (s *Server) forceTrace(r *http.Request) bool {
-	return s.obs && r.URL.Query().Get("trace") == "1"
-}
-
-// sampleHit implements head-based sampling: with -trace-sample=N, every
-// Nth analysis-bearing request captures its solver trace.
-func (s *Server) sampleHit() bool {
-	if !s.obs || s.cfg.TraceSample <= 0 {
-		return false
-	}
-	return s.sampleSeq.Add(1)%int64(s.cfg.TraceSample) == 0
-}
-
-// captureScope starts solver trace capture for one request when sampling
-// or ?trace=1 selects it: the returned scope goes into Options.Trace, and
-// the sink holds the events for storeTrace. A nil sink means "not
-// capturing".
-func (s *Server) captureScope(r *http.Request, app string) (*trace.Collect, *trace.Scope, string) {
-	if !(s.forceTrace(r) || s.sampleHit()) {
-		return nil, nil, ""
-	}
-	traceID := telemetry.TraceIDFrom(r.Context())
-	if traceID == "" {
-		// Telemetry middleware disabled: nothing to key the capture by.
-		return nil, nil, ""
-	}
-	sink := &trace.Collect{}
-	return sink, trace.New(sink).RequestScope(app, 0, traceID), traceID
-}
-
-// storeTrace renders captured events as JSON lines and retains them in the
-// bounded ring, keyed by trace id (a later capture under the same trace id
-// replaces the earlier one).
-func (s *Server) storeTrace(traceID string, sink *trace.Collect) {
-	if sink == nil || traceID == "" {
-		return
-	}
-	var buf strings.Builder
-	if err := trace.WriteJSON(&buf, sink.Events()); err != nil {
-		return
-	}
-	s.traces.Put(traceID, []byte(buf.String()))
-	s.reg.Add("server.traces.captured", 1)
-}
-
-// handleDebugTrace serves one captured solver trace as newline-delimited
-// JSON events (the same rendering `gator -trace` writes), 404 when the id
-// was never captured or already aged out of the ring.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.traces.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no captured trace for this id (not sampled, or evicted from the ring)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(data)
-}

@@ -1,20 +1,20 @@
 package server
 
-// End-to-end tests of the request telemetry layer over real HTTP: W3C
-// trace propagation from client header through access log and captured
-// solver trace, /metrics content negotiation and Prometheus validity, and
-// graceful-drain rejection accounting.
+// End-to-end tests of the request telemetry layer over real HTTP: the
+// structured request log, /metrics content negotiation and Prometheus
+// validity, and graceful-drain rejection accounting.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
 	"gator/internal/metrics"
-	"gator/internal/telemetry"
 )
 
 // syncBuffer is a goroutine-safe log sink for the test servers.
@@ -55,198 +55,37 @@ func (b *syncBuffer) logLines(t *testing.T) []map[string]any {
 func newTelemetryServer(t *testing.T, cfg Config) (*Server, *Client, *syncBuffer) {
 	t.Helper()
 	logBuf := &syncBuffer{}
-	log, err := telemetry.NewLogger(logBuf, "info", "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Logger = log
+	cfg.Logger = slog.New(slog.NewJSONHandler(logBuf, nil))
 	srv, c := newTestServer(t, cfg)
 	return srv, c, logBuf
 }
 
-// postAnalyze sends one analyze request with explicit query and headers —
-// the raw-HTTP path the typed client does not expose.
-func postAnalyze(t *testing.T, c *Client, path string, req AnalyzeRequest, hdr map[string]string) (*http.Response, AnalyzeResponse) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := http.NewRequest("POST", c.base+path, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		hr.Header.Set(k, v)
-	}
-	resp, err := c.http.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out AnalyzeResponse
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, out
-}
-
-// TestTracePropagationE2E drives one traced analyze request end to end: a
-// client-supplied traceparent must reappear (same trace id, fresh span id)
-// in the response header, in the structured request log line, and on every
-// captured solver trace event served by /v1/debug/traces/{id}.
-func TestTracePropagationE2E(t *testing.T) {
+// TestRequestLogLine: one analyze request leaves one structured log line
+// carrying its method, route, path, status, response size and duration.
+func TestRequestLogLine(t *testing.T) {
 	_, c, logBuf := newTelemetryServer(t, Config{})
 	sources, layouts := figure1Maps()
-
-	const parent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	const traceID = "0af7651916cd43dd8448eb211c80319c"
-	resp, out := postAnalyze(t, c, "/v1/analyze?trace=1",
-		AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts},
-		map[string]string{TraceparentHeader: parent})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze status %d", resp.StatusCode)
+	if _, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts}); err != nil {
+		t.Fatal(err)
 	}
-
-	// 1. Response header: same trace, child span.
-	echoed, err := telemetry.ParseTraceparent(resp.Header.Get(TraceparentHeader))
-	if err != nil {
-		t.Fatalf("response traceparent %q: %v", resp.Header.Get(TraceparentHeader), err)
-	}
-	if echoed.TraceIDString() != traceID {
-		t.Fatalf("response trace id %s, want %s", echoed.TraceIDString(), traceID)
-	}
-	if echoed.SpanIDString() == "b7ad6b7169203331" {
-		t.Fatal("server reused the client's span id instead of starting a child span")
-	}
-
-	// 2. Response body names the captured trace.
-	if out.TraceID != traceID {
-		t.Fatalf("response traceId %q, want %q", out.TraceID, traceID)
-	}
-
-	// 3. The access log line carries the same trace id.
 	var found bool
 	for _, rec := range logBuf.logLines(t) {
-		if rec["msg"] == "request" && rec["traceId"] == traceID && rec["route"] == "/v1/analyze" {
-			found = true
-			if rec["status"] != float64(200) {
-				t.Fatalf("log line status %v", rec["status"])
-			}
-			if rec["requestId"] == "" || rec["spanId"] == "" {
-				t.Fatalf("log line missing request/span id: %v", rec)
-			}
+		if rec["msg"] != "request" || rec["route"] != "/v1/analyze" {
+			continue
+		}
+		found = true
+		if rec["method"] != "POST" || rec["path"] != "/v1/analyze" || rec["status"] != float64(200) {
+			t.Fatalf("log line method %v, path %v, status %v", rec["method"], rec["path"], rec["status"])
+		}
+		if _, ok := rec["bytes"].(float64); !ok {
+			t.Fatalf("log line lacks bytes: %v", rec)
+		}
+		if _, ok := rec["durMs"].(float64); !ok {
+			t.Fatalf("log line lacks durMs: %v", rec)
 		}
 	}
 	if !found {
-		t.Fatalf("no request log line with trace id %s:\n%s", traceID, logBuf.String())
-	}
-
-	// 4. The captured solver trace is retrievable and every event carries
-	// the trace id.
-	events := fetchTraceEvents(t, c, traceID)
-	if len(events) == 0 {
-		t.Fatal("captured trace has no events")
-	}
-	kinds := map[string]bool{}
-	for _, ev := range events {
-		if ev["trace"] != traceID {
-			t.Fatalf("solver event lost the trace id: %v", ev)
-		}
-		kinds[ev["kind"].(string)] = true
-	}
-	if !kinds["phase-begin"] {
-		t.Fatalf("captured trace has no phase events: %v", kinds)
-	}
-
-	// An uncaptured id 404s.
-	if _, err := c.DebugTrace("ffffffffffffffffffffffffffffffff"); err == nil {
-		t.Fatal("DebugTrace of an unknown id succeeded")
-	}
-}
-
-func fetchTraceEvents(t *testing.T, c *Client, traceID string) []map[string]any {
-	t.Helper()
-	data, err := c.DebugTrace(traceID)
-	if err != nil {
-		t.Fatalf("DebugTrace(%s): %v", traceID, err)
-	}
-	var events []map[string]any
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line is not JSON: %v\n%s", err, line)
-		}
-		events = append(events, ev)
-	}
-	return events
-}
-
-// TestSessionPatchTraceCapture: ?trace=1 on a PATCH captures the warm
-// incremental solve under the request's trace id.
-func TestSessionPatchTraceCapture(t *testing.T) {
-	_, c, _ := newTelemetryServer(t, Config{})
-	sources, layouts := figure1Maps()
-	open, err := c.OpenSession(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	body, _ := json.Marshal(PatchRequest{Sources: map[string]string{"extra.alite": "class Extra { }"}})
-	hr, err := http.NewRequest("PATCH", c.base+"/v1/sessions/"+open.SessionID+"?trace=1", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("patch status %d", resp.StatusCode)
-	}
-	var out AnalyzeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.TraceID == "" {
-		t.Fatal("traced patch returned no traceId")
-	}
-	if events := fetchTraceEvents(t, c, out.TraceID); len(events) == 0 {
-		t.Fatal("patch trace has no events")
-	}
-}
-
-// TestHeadSampling: -trace-sample=N captures every Nth analysis request
-// without any per-request opt-in.
-func TestHeadSampling(t *testing.T) {
-	_, c, _ := newTelemetryServer(t, Config{TraceSample: 2})
-	sources, layouts := figure1Maps()
-	req := AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts, NoCache: true}
-
-	first, err := c.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.TraceID != "" {
-		t.Fatal("request 1 of 2 was sampled")
-	}
-	second, err := c.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.TraceID == "" {
-		t.Fatal("request 2 of 2 was not sampled")
-	}
-	if events := fetchTraceEvents(t, c, second.TraceID); len(events) == 0 {
-		t.Fatal("sampled trace has no events")
+		t.Fatalf("no request log line for /v1/analyze:\n%s", logBuf.String())
 	}
 }
 
@@ -348,19 +187,16 @@ func TestMetricsPrometheusE2E(t *testing.T) {
 }
 
 // TestDrainRejectionTelemetry: a draining daemon's 503s increment
-// requests_rejected_total{reason="draining"} and log the rejection with
-// the request's trace id.
+// requests_rejected_total{reason="draining"} and log the rejection.
 func TestDrainRejectionTelemetry(t *testing.T) {
 	srv, c, logBuf := newTelemetryServer(t, Config{})
 	srv.Drain()
 
 	sources, layouts := figure1Maps()
-	const parent = "00-deadbeefdeadbeefdeadbeefdeadbeef-b7ad6b7169203331-01"
-	resp, _ := postAnalyze(t, c, "/v1/analyze",
-		AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts},
-		map[string]string{TraceparentHeader: parent})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining analyze status %d, want 503", resp.StatusCode)
+	_, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("draining analyze: %v, want 503", err)
 	}
 
 	data, err := c.MetricsProm()
@@ -388,31 +224,23 @@ func TestDrainRejectionTelemetry(t *testing.T) {
 	var logged bool
 	for _, rec := range logBuf.logLines(t) {
 		if rec["msg"] == "request rejected" && rec["reason"] == "draining" &&
-			rec["traceId"] == "deadbeefdeadbeefdeadbeefdeadbeef" {
+			rec["method"] == "POST" && rec["route"] == "/v1/analyze" {
 			logged = true
 		}
 	}
 	if !logged {
-		t.Fatalf("no rejection log line with the trace id:\n%s", logBuf.String())
+		t.Fatalf("no rejection log line:\n%s", logBuf.String())
 	}
 }
 
 // TestNoTelemetryMode: the benchmark baseline serves without middleware —
-// no traceparent echo, no http_requests_total, JSON still at
+// no http_requests_total, no stage histograms, JSON still at
 // /metrics.json.
 func TestNoTelemetryMode(t *testing.T) {
 	_, c := newTestServer(t, Config{NoTelemetry: true})
 	sources, layouts := figure1Maps()
-	resp, out := postAnalyze(t, c, "/v1/analyze",
-		AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.Header.Get(TraceparentHeader) != "" {
-		t.Fatal("NoTelemetry server echoed a traceparent")
-	}
-	if out.TraceID != "" {
-		t.Fatal("NoTelemetry server captured a trace")
+	if _, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts}); err != nil {
+		t.Fatal(err)
 	}
 	data, err := c.Metrics()
 	if err != nil {
@@ -420,5 +248,8 @@ func TestNoTelemetryMode(t *testing.T) {
 	}
 	if strings.Contains(string(data), "http_requests_total") {
 		t.Fatal("NoTelemetry server counted requests")
+	}
+	if strings.Contains(string(data), "stage_duration_us") {
+		t.Fatal("NoTelemetry server observed stages")
 	}
 }

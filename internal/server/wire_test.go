@@ -77,10 +77,10 @@ func TestWireKeySets(t *testing.T) {
 			[]string{"checks", "explain", "layouts", "removeLayouts", "removeSources", "replace", "report", "seed", "sources"}},
 		{"AnalyzeResponse",
 			AnalyzeResponse{Name: "app", Report: "views", ExitCode: 1, Output: "o", Stderr: "e", Cached: true,
-				ElapsedMs: 1.5, SessionID: "s", TraceID: "t", Incremental: incr},
+				ElapsedMs: 1.5, SessionID: "s", Incremental: incr},
 			[]string{"cached", "elapsedMs", "exitCode", "incremental", "incremental.dirtyUnits", "incremental.mode",
 				"incremental.reason", "incremental.retained", "incremental.retracted", "name", "output", "report",
-				"sessionId", "stderr", "traceId"}},
+				"sessionId", "stderr"}},
 		{"SessionInfo",
 			SessionInfo{SessionID: "s", Name: "app", Sources: []string{"a.alite"}, Layouts: []string{"main"}, Patches: 3, Options: opts},
 			append([]string{"layouts", "name", "patches", "sessionId", "sources"}, options...)},

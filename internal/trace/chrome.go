@@ -1,31 +1,16 @@
 package trace
 
-// Exporters for a finished event stream: newline-delimited JSON (one event
-// per line, stable field order) and the Chrome trace_event format, loadable
-// in chrome://tracing and Perfetto. Both renderings are deterministic for a
-// deterministic event stream: fields marshal in struct order and no wall
-// clock is consulted — timestamps come from the events themselves, so a
-// fake clock yields byte-stable golden output.
+// The exporter for a finished event stream: the Chrome trace_event format,
+// loadable in chrome://tracing and Perfetto. The rendering is deterministic
+// for a deterministic event stream: fields marshal in struct order and no
+// wall clock is consulted — timestamps come from the events themselves, so
+// a fake clock yields byte-stable golden output.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 )
-
-// WriteJSON writes events as newline-delimited JSON objects.
-func WriteJSON(w io.Writer, events []Event) error {
-	for _, ev := range events {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // chromeEvent is one trace_event record. Field order is the export format;
 // encoding/json preserves it.
@@ -40,10 +25,9 @@ type chromeEvent struct {
 }
 
 type chromeArgs struct {
-	App   string `json:"app,omitempty"`
-	N     *int64 `json:"n,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Trace string `json:"trace,omitempty"`
+	App  string `json:"app,omitempty"`
+	N    *int64 `json:"n,omitempty"`
+	Name string `json:"name,omitempty"`
 }
 
 type chromeLog struct {
@@ -107,9 +91,6 @@ func Chrome(events []Event) ([]byte, error) {
 			ce.Args = &chromeArgs{App: ev.App, N: &n}
 		default:
 			return nil, fmt.Errorf("trace: unknown event kind %q", ev.Kind)
-		}
-		if ce.Args != nil {
-			ce.Args.Trace = ev.Trace
 		}
 		log.TraceEvents = append(log.TraceEvents, ce)
 	}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -126,5 +127,28 @@ func TestChromeShape(t *testing.T) {
 		if d != 0 {
 			t.Errorf("tid %d: %d unclosed phase spans", tid, d)
 		}
+	}
+}
+
+// TestChromeCacheProbe: the Chrome rendering accepts a parse-cache probe,
+// the one event kind the golden stream does not emit, as a thread-scoped
+// instant carrying the hit flag.
+func TestChromeCacheProbe(t *testing.T) {
+	sink := &Collect{}
+	sc := New(sink, WithClock(StepClock(time.Microsecond))).Scope("app", 0)
+	var log Log
+	sc.Stage(&log, StageParse, func() {
+		sc.CacheProbe("parse", true)
+		sc.CacheProbe("parse", false)
+	})
+	data, err := Chrome(sink.Events())
+	if err != nil {
+		t.Fatalf("Chrome export: %v", err)
+	}
+	if n := strings.Count(string(data), `"name": "cache parse"`); n != 2 {
+		t.Fatalf("Chrome export has %d cache probes, want 2:\n%s", n, data)
+	}
+	if !strings.Contains(string(data), `"ph": "i"`) || !strings.Contains(string(data), `"n": 1`) {
+		t.Fatalf("cache probe is not an instant with its hit flag:\n%s", data)
 	}
 }

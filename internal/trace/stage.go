@@ -85,5 +85,5 @@ func (s *Scope) phase(kind Kind, stage string) {
 	if s == nil {
 		return
 	}
-	s.emit(Event{Kind: kind, App: s.app, Worker: s.worker, Name: stage})
+	s.t.Emit(Event{Kind: kind, App: s.app, Worker: s.worker, Name: stage})
 }

@@ -1,9 +1,8 @@
 // Package trace is the pipeline's instrumentation layer: the stage
 // vocabulary and its timing hook (stage.go), typed events (phase
 // boundaries, solver rule firings, per-iteration worklist sizes,
-// dataflow-solver convergence) emitted through a Sink, with optional
-// aggregation into a metrics.Registry, and exporters for JSON lines and the
-// Chrome trace_event format (chrome.go).
+// dataflow-solver convergence) emitted through a Sink, and an exporter for
+// the Chrome trace_event format (chrome.go).
 //
 // Overhead contract (see DESIGN.md, "Observability"): tracing disabled
 // means a nil *Tracer or nil *Scope, and every method on them performs no
@@ -19,17 +18,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Registry aggregates counters and histogram observations alongside the
-// event stream. *metrics.Registry implements it; trace declares only the
-// interface so internal/metrics (which measures core results) can depend on
-// internal/core while core depends on trace.
-type Registry interface {
-	// Add increments the named counter.
-	Add(name string, n int64)
-	// Observe records one histogram observation.
-	Observe(name string, v int64)
-}
 
 // Kind classifies an Event. The values are part of the JSON export format;
 // do not renumber or rename.
@@ -55,7 +43,7 @@ const (
 	// KindCounter is a free-form counter sample.
 	KindCounter Kind = "counter"
 	// KindCache reports one content-addressed cache probe; Name is the
-	// cache ("parse", "result"), N is 1 for a hit and 0 for a miss.
+	// cache ("parse"), N is 1 for a hit and 0 for a miss.
 	KindCache Kind = "cache"
 )
 
@@ -74,10 +62,6 @@ type Event struct {
 	// TS is the monotonic timestamp, relative to the tracer's start.
 	// It marshals as integer nanoseconds.
 	TS time.Duration `json:"tsNs"`
-	// Trace is the W3C trace id of the request that drove this solve, when
-	// the run is request-scoped (gatord sets it from the incoming or
-	// generated traceparent). Empty for CLI and batch runs.
-	Trace string `json:"trace,omitempty"`
 }
 
 // Sink receives emitted events. Implementations need not be goroutine-safe:
@@ -107,7 +91,6 @@ type Tracer struct {
 	mu    sync.Mutex
 	sink  Sink
 	clock Clock
-	reg   Registry
 }
 
 // Option configures a Tracer.
@@ -115,11 +98,6 @@ type Option func(*Tracer)
 
 // WithClock replaces the wall clock (for tests).
 func WithClock(c Clock) Option { return func(t *Tracer) { t.clock = c } }
-
-// WithRegistry attaches a counter/histogram registry: rule firings,
-// worklist sizes, and dataflow iterations aggregate there in addition to
-// streaming through the sink.
-func WithRegistry(r Registry) Option { return func(t *Tracer) { t.reg = r } }
 
 // New creates a tracer writing to sink.
 func New(sink Sink, opts ...Option) *Tracer {
@@ -136,14 +114,6 @@ func New(sink Sink, opts ...Option) *Tracer {
 
 // Enabled reports whether events are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// Registry returns the attached registry (nil when absent or disabled).
-func (t *Tracer) Registry() Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
 
 // Emit stamps and records one event. Safe for concurrent use.
 func (t *Tracer) Emit(ev Event) {
@@ -166,55 +136,23 @@ func (t *Tracer) Scope(app string, worker int) *Scope {
 	return &Scope{t: t, app: app, worker: worker}
 }
 
-// RequestScope is Scope plus a trace id: every event the scope emits
-// carries the id, tying solver internals to the request that triggered
-// them (the id appears in exported JSON/Chrome traces and is what
-// gatord's /v1/debug/traces endpoint is keyed by).
-func (t *Tracer) RequestScope(app string, worker int, traceID string) *Scope {
-	if t == nil {
-		return nil
-	}
-	return &Scope{t: t, app: app, worker: worker, trace: traceID}
-}
-
-// Scope is a Tracer bound to one (app, worker) pair and, for
-// request-scoped runs, a trace id.
+// Scope is a Tracer bound to one (app, worker) pair.
 type Scope struct {
 	t      *Tracer
 	app    string
 	worker int
-	trace  string
 }
 
 // Enabled reports whether the scope records events. Instrumented code uses
 // it to skip argument preparation that would itself allocate.
 func (s *Scope) Enabled() bool { return s != nil }
 
-// TraceID returns the trace id the scope stamps on events ("" when the
-// scope is nil or not request-bound).
-func (s *Scope) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
-// emit stamps the scope's trace id and forwards to the tracer.
-func (s *Scope) emit(ev Event) {
-	ev.Trace = s.trace
-	s.t.Emit(ev)
-}
-
 // Iteration reports one outer fixpoint round with its entry worklist size.
 func (s *Scope) Iteration(round int, worklist int) {
 	if s == nil {
 		return
 	}
-	s.emit(Event{Kind: KindIteration, App: s.app, Worker: s.worker, Name: "worklist", N: int64(worklist)})
-	if s.t.reg != nil {
-		s.t.reg.Observe("solver/worklist", int64(worklist))
-		s.t.reg.Add("solver/iterations", 1)
-	}
+	s.t.Emit(Event{Kind: KindIteration, App: s.app, Worker: s.worker, Name: "worklist", N: int64(worklist)})
 }
 
 // Rule reports fired inference-rule instances for one operation kind.
@@ -222,10 +160,7 @@ func (s *Scope) Rule(rule string, fired int64) {
 	if s == nil || fired == 0 {
 		return
 	}
-	s.emit(Event{Kind: KindRule, App: s.app, Worker: s.worker, Name: rule, N: fired})
-	if s.t.reg != nil {
-		s.t.reg.Add("rule/"+rule, fired)
-	}
+	s.t.Emit(Event{Kind: KindRule, App: s.app, Worker: s.worker, Name: rule, N: fired})
 }
 
 // Dataflow reports one CFG dataflow solve and its block-visit count.
@@ -233,27 +168,18 @@ func (s *Scope) Dataflow(method string, visits int64) {
 	if s == nil {
 		return
 	}
-	s.emit(Event{Kind: KindDataflow, App: s.app, Worker: s.worker, Name: method, N: visits})
-	if s.t.reg != nil {
-		s.t.reg.Observe("dataflow/visits", visits)
-		s.t.reg.Add("dataflow/solves", 1)
-	}
+	s.t.Emit(Event{Kind: KindDataflow, App: s.app, Worker: s.worker, Name: method, N: visits})
 }
 
-// Count emits a free-form counter sample and aggregates it.
+// Count emits a free-form counter sample.
 func (s *Scope) Count(name string, n int64) {
 	if s == nil {
 		return
 	}
-	s.emit(Event{Kind: KindCounter, App: s.app, Worker: s.worker, Name: name, N: n})
-	if s.t.reg != nil {
-		s.t.reg.Add(name, n)
-	}
+	s.t.Emit(Event{Kind: KindCounter, App: s.app, Worker: s.worker, Name: name, N: n})
 }
 
-// CacheProbe reports one content-addressed cache lookup (incremental
-// re-analysis: parse cache, on-disk result store) and aggregates hit/miss
-// counters as "cache/<name>/hits" and "cache/<name>/misses".
+// CacheProbe reports one content-addressed parse-cache lookup.
 func (s *Scope) CacheProbe(name string, hit bool) {
 	if s == nil {
 		return
@@ -262,18 +188,11 @@ func (s *Scope) CacheProbe(name string, hit bool) {
 	if hit {
 		n = 1
 	}
-	s.emit(Event{Kind: KindCache, App: s.app, Worker: s.worker, Name: name, N: n})
-	if s.t.reg != nil {
-		if hit {
-			s.t.reg.Add("cache/"+name+"/hits", 1)
-		} else {
-			s.t.reg.Add("cache/"+name+"/misses", 1)
-		}
-	}
+	s.t.Emit(Event{Kind: KindCache, App: s.app, Worker: s.worker, Name: name, N: n})
 }
 
 // Collect is a Sink that buffers events in memory, for tests and for
-// exporting a finished run (WriteJSON, Chrome).
+// exporting a finished run (Chrome).
 type Collect struct {
 	mu     sync.Mutex
 	events []Event

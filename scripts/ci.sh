@@ -38,12 +38,11 @@
 #                      byte-compared against local analysis, then
 #                      exercises the telemetry surface —
 #                      scrapes /metrics, validates it as Prometheus text
-#                      with the in-repo parser, requires a
+#                      with the in-repo parser, and requires a
 #                      gatord_stage_duration_us series for every stage of
 #                      the one vocabulary (queue, parse, lower, build,
-#                      retract, rebuild, solve, render), runs a ?trace=1
-#                      request, and fetches the captured solver trace by its
-#                      trace id — then drains and shuts down cleanly
+#                      retract, rebuild, solve, render) — then drains and
+#                      shuts down cleanly
 #   9. benchmarks    — the zero-allocation guards: disabled tracing adds
 #                      no allocations to the solver
 #                      (TestTracingDisabledZeroAlloc, and
