@@ -251,7 +251,7 @@ func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 		dir    string // its directory
 		guards []string
 	}{
-		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc"}},
+		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc", "TestApplyOpsZeroAlloc"}},
 		{".", ".", []string{"TestLoadAllocationPerByte"}},
 		{"./internal/alite", "internal/alite", []string{"TestParseAllocationPerByte"}},
 		{"./internal/graph", "internal/graph", []string{"TestVarNodeAndFlowHitsZeroAlloc"}},

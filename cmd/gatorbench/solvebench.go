@@ -14,10 +14,17 @@ package main
 // ratio. Both speedups are floor-gated only: each divides two
 // independently measured times, so its run-to-run noise is the sum of both
 // sides' and a bound relative to the baseline would trip on runner noise
-// alone.
+// alone. opt_alloc_mb is the megabytes one default-schedule analysis of the
+// chain app allocates (graph build and solve, read from
+// runtime.MemStats.TotalAlloc around the call). Unlike the times it
+// repeats to within 0.1%, so it carries an absolute ceiling, 10% above
+// the value measured when the solver moved to dense int32 ids; a change
+// that brings back per-value interfaces, maps or filtered copies on the
+// solver's hot path crosses it.
 
 import (
 	"fmt"
+	"runtime"
 
 	"gator"
 	"gator/internal/corpus"
@@ -49,6 +56,24 @@ func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64,
 	return best, iters, nil
 }
 
+// optAllocCeilingMB is opt_alloc_mb's gate: 10% above the 38.0 MB the
+// dense-id solver allocated when the gate was set.
+const optAllocCeilingMB = 41.8
+
+// analysisAllocMB returns the megabytes one analysis of a freshly loaded
+// app allocates under opts.
+func analysisAllocMB(sources, layouts map[string]string, opts gator.Options) (float64, error) {
+	app, err := gator.Load(sources, layouts)
+	if err != nil {
+		return 0, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	app.Analyze(opts)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), nil
+}
+
 func measureSolver(int) (*metrics.Record, error) {
 	const nAct, depth, incActs = 250, 24, 250
 	sources, layouts := corpus.ModularChainApp(nAct, depth)
@@ -57,6 +82,10 @@ func measureSolver(int) (*metrics.Record, error) {
 		return nil, err
 	}
 	optMs, _, err := timeSolve(sources, layouts, gator.Options{})
+	if err != nil {
+		return nil, err
+	}
+	optAllocMB, err := analysisAllocMB(sources, layouts, gator.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -70,6 +99,7 @@ func measureSolver(int) (*metrics.Record, error) {
 			metric("inc_speedup", "x", "higher", float64(inc.cold)/float64(inc.warm), metrics.Floor(5)),
 			metric("ref_ms", "ms", "lower", refMs),
 			metric("opt_ms", "ms", "lower", optMs),
+			metric("opt_alloc_mb", "MB", "lower", optAllocMB, metrics.Ceiling(optAllocCeilingMB)),
 			metric("iterations", "count", "", float64(iters)),
 			metric("inc_cold_ms", "ms", "lower", ms(inc.cold)),
 			metric("inc_warm_ms", "ms", "lower", ms(inc.warm)),

@@ -420,7 +420,9 @@ func (r *Result) VarViews(class, method, varName string) ([]View, error) {
 		for _, v := range m.Locals {
 			if v.Name == varName {
 				var out []View
-				for _, val := range r.res.VarPointsTo(v) {
+				vals := r.res.VarPointsTo(v)
+				for k := range vals.Len() {
+					val := vals.At(k)
 					if graph.IsViewValue(val) {
 						out = append(out, r.viewInfo(val))
 					}
@@ -499,11 +501,15 @@ func (r *Result) EventTuples() []EventTuple {
 		if !ok {
 			continue
 		}
-		for _, view := range r.res.OpReceivers(op) {
+		views := r.res.OpReceivers(op)
+		for k := range views.Len() {
+			view := views.At(k)
 			if !graph.IsViewValue(view) {
 				continue
 			}
-			for _, lst := range r.res.OpArg(op, 0) {
+			lsts := r.res.OpArg(op, 0)
+			for j := range lsts.Len() {
+				lst := lsts.At(j)
 				lstClass := classOf(lst)
 				if lstClass == nil {
 					continue
@@ -766,7 +772,9 @@ func (r *Result) ExplainDerivation(class, method, varName string) ([]string, err
 			// carry the context component on cloned nodes.
 			var out []string
 			for _, node := range r.res.VarNodesOf(v) {
-				for _, val := range r.res.PointsTo(node) {
+				vals := r.res.PointsTo(node)
+				for k := range vals.Len() {
+					val := vals.At(k)
 					if f, ok := r.res.FlowFactOf(node, val); ok {
 						out = append(out, r.res.RenderDerivation(f))
 					}

@@ -1,6 +1,10 @@
 package alite
 
-import "gator/internal/slab"
+import (
+	"sync"
+
+	"gator/internal/slab"
+)
 
 // Recursive-descent parser for ALite.
 //
@@ -50,7 +54,9 @@ const MaxNesting = 1000
 // are carved from per-parser slabs, so their chunks live exactly as long as
 // the File. A list (a block's statements, a call's arguments, a method's
 // parameters, a class's members) collects on a reused stack and is copied
-// out once, at its exact length, into a slab of its own.
+// out once, at its exact length, into a slab of its own. The stacks outlive
+// the parse: Parse takes them from stackPool and puts them back, so a load
+// of many small files grows them once, not once per file.
 type Parser struct {
 	lx    *Lexer
 	la    [3]Token // la[0] is the current token, la[1:n] the peeked ones
@@ -105,6 +111,40 @@ func newParser(file, src string) *Parser {
 	return p
 }
 
+// stacks are the list stacks of one parse, kept between parses in
+// stackPool. Only the stacks are shared; every finished list moves into its
+// own file's slab.
+type stacks struct {
+	stmts   []Stmt
+	args    []Expr
+	params  []*Param
+	methods []*MethodDecl
+	fields  []*FieldDecl
+}
+
+var stackPool = sync.Pool{New: func() any { return new(stacks) }}
+
+// takeStacks gives p the pooled stacks.
+func (p *Parser) takeStacks() *stacks {
+	st := stackPool.Get().(*stacks)
+	p.stmts.stack, p.args.stack, p.params.stack = st.stmts, st.args, st.params
+	p.methods.stack, p.fields.stack = st.methods, st.fields
+	return st
+}
+
+// returnStacks pools p's stacks again, cleared to their capacity so the
+// pool pins no node of this file's AST.
+func (p *Parser) returnStacks(st *stacks) {
+	st.stmts, st.args, st.params = emptied(p.stmts.stack), emptied(p.args.stack), emptied(p.params.stack)
+	st.methods, st.fields = emptied(p.methods.stack), emptied(p.fields.stack)
+	stackPool.Put(st)
+}
+
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // list collects the elements of one kind of list on a stack, so lists of
 // that kind can nest (a call's arguments hold calls); a finished list moves
 // into the slab at its exact length.
@@ -134,8 +174,10 @@ type bailout struct{}
 // parse error or a bailout came first.
 func Parse(file, src string) (*File, error) {
 	p := newParser(file, src)
+	st := p.takeStacks()
 	p.la[0], p.n = p.lx.Next(), 1
 	f := p.parseFileBounded()
+	p.returnStacks(st)
 	// Finish lexing whatever the parser left unread: a lexical error past
 	// the point where parsing stopped still decides the result.
 	for p.lx.Next().Kind != EOF {

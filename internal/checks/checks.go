@@ -293,12 +293,12 @@ func checkDanglingFindView(res *core.Result) []Finding {
 		if op.Out == nil || len(op.Args) == 0 {
 			continue
 		}
-		recvReached := len(res.OpReceivers(op)) > 0
+		recvReached := res.OpReceivers(op).Len() > 0
 		ids := idNames(res.OpArg(op, 0))
 		if !recvReached || len(ids) == 0 {
 			continue // dead op; nothing to conclude
 		}
-		if len(res.OpResults(op)) == 0 {
+		if res.OpResults(op).Len() == 0 {
 			out = append(out, Finding{
 				Check:    "dangling-findview",
 				Severity: Warning,
@@ -319,7 +319,9 @@ func checkMissingContentView(res *core.Result) []Finding {
 		if op.Kind != platform.OpFindView2 {
 			continue
 		}
-		for _, owner := range res.OpReceivers(op) {
+		owners := res.OpReceivers(op)
+		for k := range owners.Len() {
+			owner := owners.At(k)
 			switch owner.(type) {
 			case *graph.ActivityNode, *graph.AllocNode:
 			default:
@@ -344,7 +346,9 @@ func checkUnusedViewID(res *core.Result) []Finding {
 	used := map[int]bool{}
 	for _, op := range res.Graph.Ops() {
 		for i := range op.Args {
-			for _, v := range res.OpArg(op, i) {
+			vs := res.OpArg(op, i)
+			for k := range vs.Len() {
+				v := vs.At(k)
 				if id, ok := v.(*graph.ViewIDNode); ok {
 					used[id.ID()] = true
 				}
@@ -384,7 +388,7 @@ func checkUnfiredHandler(res *core.Result) []Finding {
 				}
 				reached := false
 				for _, vi := range h.ViewParams {
-					if vi < len(m.Params) && len(res.VarPointsTo(m.Params[vi])) > 0 {
+					if vi < len(m.Params) && res.VarPointsTo(m.Params[vi]).Len() > 0 {
 						reached = true
 					}
 				}
@@ -555,9 +559,10 @@ func opPos(op *graph.OpNode) alite.Pos {
 	return alite.Pos{}
 }
 
-func idNames(vals []graph.Value) []string {
+func idNames(vals graph.Values) []string {
 	var out []string
-	for _, v := range vals {
+	for k := range vals.Len() {
+		v := vals.At(k)
 		if id, ok := v.(*graph.ViewIDNode); ok {
 			out = append(out, id.Name)
 		}

@@ -47,7 +47,7 @@ type Context struct {
 
 	// Program-point flowsTo machinery (flowsto.go).
 	reach         map[*ir.Method]*dataflow.ReachingDefs
-	allocsAt      map[*ir.New][]graph.Value
+	allocsAt      map[*ir.New][]int32
 	fieldNodes    map[*ir.Field]*graph.FieldNode
 	viewIDByRes   map[int]graph.Value
 	layoutIDByRes map[int]graph.Value
@@ -171,7 +171,7 @@ func (c *Context) emptyHelperCall(inv *ir.Invoke) bool {
 	if inv.Dst == nil || inv.Recv == nil || len(c.siteOps[inv]) > 0 {
 		return false
 	}
-	if len(c.Res.VarPointsTo(inv.Dst)) != 0 || len(c.Res.VarPointsTo(inv.Recv)) == 0 {
+	if c.Res.VarPointsTo(inv.Dst).Len() != 0 || c.Res.VarPointsTo(inv.Recv).Len() == 0 {
 		return false
 	}
 	return c.viewHelperCall(inv)
@@ -305,7 +305,7 @@ func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.Nu
 		default:
 			return dataflow.NullVal{}, false
 		}
-		if op.Out == nil || len(c.Res.OpReceivers(op)) == 0 {
+		if op.Out == nil || c.Res.OpReceivers(op).Len() == 0 {
 			// Dead op (receiver never materializes): no conclusion.
 			return dataflow.NullVal{}, false
 		}
@@ -314,7 +314,7 @@ func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.Nu
 				return dataflow.NullVal{}, false
 			}
 		}
-		if len(c.Res.OpResults(op)) != 0 {
+		if c.Res.OpResults(op).Len() != 0 {
 			return dataflow.NullVal{}, false
 		}
 		last = op
@@ -387,9 +387,9 @@ func (c *Context) OpsIn(m *ir.Method) []*graph.OpNode {
 // solution.
 func (c *Context) receiverIDs(op *graph.OpNode) []int {
 	vals := c.Res.OpReceivers(op)
-	out := make([]int, 0, len(vals))
-	for _, v := range vals {
-		out = append(out, v.ID())
+	out := make([]int, vals.Len())
+	for i := range out {
+		out[i] = vals.ID(i)
 	}
 	sort.Ints(out)
 	return out

@@ -37,7 +37,7 @@ func (c *Context) valueIndex() {
 		return
 	}
 	c.valIndexed = true
-	c.allocsAt = map[*ir.New][]graph.Value{}
+	c.allocsAt = map[*ir.New][]int32{}
 	c.fieldNodes = map[*ir.Field]*graph.FieldNode{}
 	c.viewIDByRes = map[int]graph.Value{}
 	c.layoutIDByRes = map[int]graph.Value{}
@@ -46,7 +46,7 @@ func (c *Context) valueIndex() {
 		switch n := n.(type) {
 		case *graph.AllocNode:
 			if n.Site != nil {
-				c.allocsAt[n.Site] = append(c.allocsAt[n.Site], n)
+				c.allocsAt[n.Site] = append(c.allocsAt[n.Site], int32(n.ID()))
 			}
 		case *graph.FieldNode:
 			c.fieldNodes[n.Field] = n
@@ -82,45 +82,47 @@ func (c *Context) defModeled(d ir.Stmt) bool {
 // or ok=false when the constraint graph does not model the definition
 // one-to-one (see defModeled): callers must then fall back to the
 // flow-insensitive solution to stay sound.
-func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
+func (c *Context) defValues(d ir.Stmt) (vals graph.Values, ok bool) {
 	if !c.defModeled(d) {
-		return nil, false
+		return graph.Values{}, false
 	}
+	g := c.Res.Graph
 	switch d := d.(type) {
 	case *ir.New:
-		return c.allocsAt[d], true
+		return g.Values(c.allocsAt[d]), true
 	case *ir.ConstRes:
 		byRes := c.viewIDByRes
 		if d.Layout {
 			byRes = c.layoutIDByRes
 		}
 		if n, found := byRes[d.ID]; found {
-			return []graph.Value{n}, true
+			return g.Values([]int32{int32(n.ID())}), true
 		}
-		return nil, true // id constant never interned: no op consumed it
+		return graph.Values{}, true // id constant never interned: no op consumed it
 	case *ir.ConstClass:
 		if n, found := c.classNodes[d.Class]; found {
-			return []graph.Value{n}, true
+			return g.Values([]int32{int32(n.ID())}), true
 		}
-		return nil, true
+		return graph.Values{}, true
 	case *ir.Copy:
 		return c.Res.VarPointsTo(d.Src), true
 	case *ir.Load:
 		return c.Res.PointsTo(c.fieldNodes[d.Field]), true
 	case *ir.Invoke:
-		var out []graph.Value
-		seen := map[graph.Value]bool{}
+		var out []int32
+		seen := map[int]bool{}
 		for _, op := range c.OpsAt(d) {
-			for _, v := range c.opProduces(op) {
-				if !seen[v] {
-					seen[v] = true
-					out = append(out, v)
+			vals := c.opProduces(op)
+			for i := range vals.Len() {
+				if id := vals.ID(i); !seen[id] {
+					seen[id] = true
+					out = append(out, int32(id))
 				}
 			}
 		}
-		return out, true
+		return g.Values(out), true
 	}
-	return nil, true // ConstNull, ConstInt: no object flows
+	return graph.Values{}, true // ConstNull, ConstInt: no object flows
 }
 
 // opProduces over-approximates the values one operation writes to its
@@ -130,9 +132,9 @@ func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
 // Every replayed candidate is intersected with pts(op.Out), so the answer
 // can only shrink the solution, never leave it. Other operation kinds fall
 // back to pts(op.Out).
-func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
+func (c *Context) opProduces(op *graph.OpNode) graph.Values {
 	if op.Out == nil {
-		return nil
+		return graph.Values{}
 	}
 	merged := c.Res.PointsTo(op.Out)
 	switch op.Kind {
@@ -141,7 +143,8 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 		return merged
 	}
 	inMerged := map[graph.Value]bool{}
-	for _, v := range merged {
+	for k := range merged.Len() {
+		v := merged.At(k)
 		inMerged[v] = true
 	}
 	// FindView1/2 take the queried id as the first argument; FindView3
@@ -149,14 +152,16 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 	var ids map[int]bool
 	if op.Kind != platform.OpFindView3 && len(op.Args) > 0 {
 		ids = map[int]bool{}
-		for _, v := range c.Res.OpArg(op, 0) {
+		vs := c.Res.OpArg(op, 0)
+		for k := range vs.Len() {
+			v := vs.At(k)
 			if id, ok := v.(*graph.ViewIDNode); ok {
 				ids[id.ID()] = true
 			}
 		}
 	}
 	g := c.Res.Graph
-	var out []graph.Value
+	var out []int32
 	seen := map[graph.Value]bool{}
 	consider := func(w graph.Value) {
 		if seen[w] || !inMerged[w] {
@@ -174,13 +179,15 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 			}
 		}
 		seen[w] = true
-		out = append(out, w)
+		out = append(out, int32(w.ID()))
 	}
 	// The search space unions the receiver's own hierarchy (view-rooted
 	// lookups) with the hierarchies rooted at the receiver's content views
 	// (activity/dialog lookups) — a superset of what either solver rule
 	// searches for this op.
-	for _, r := range c.Res.OpReceivers(op) {
+	rs := c.Res.OpReceivers(op)
+	for k := range rs.Len() {
+		r := rs.At(k)
 		for _, w := range c.walk.Descendants(g, r) {
 			consider(w)
 		}
@@ -190,7 +197,7 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 			}
 		}
 	}
-	return out
+	return g.Values(out)
 }
 
 // pointRecvIDs narrows an operation's receiver solution to the values that
@@ -204,8 +211,9 @@ func (c *Context) pointRecvIDs(m *ir.Method, op *graph.OpNode) []int {
 		return ids
 	}
 	at := map[int]bool{}
-	for _, v := range c.FlowsToAt(m, op.Site, op.Site.Recv) {
-		at[v.ID()] = true
+	vals := c.FlowsToAt(m, op.Site, op.Site.Recv)
+	for i := range vals.Len() {
+		at[vals.ID(i)] = true
 	}
 	out := ids[:0:0]
 	for _, id := range ids {
@@ -223,9 +231,9 @@ func (c *Context) pointRecvIDs(m *ir.Method, op *graph.OpNode) []int {
 // VarPointsTo(v) — never less — when a reaching definition is one the
 // graph does not model one-to-one, or when v reaches the point still
 // holding its entry (parameter) value.
-func (c *Context) FlowsToAt(m *ir.Method, at ir.Stmt, v *ir.Var) []graph.Value {
+func (c *Context) FlowsToAt(m *ir.Method, at ir.Stmt, v *ir.Var) graph.Values {
 	insens := c.Res.VarPointsTo(v)
-	if v == nil || v.Method != m || len(insens) == 0 {
+	if v == nil || v.Method != m || insens.Len() == 0 {
 		return insens
 	}
 	rd := c.Reaching(m)
@@ -241,19 +249,19 @@ func (c *Context) FlowsToAt(m *ir.Method, at ir.Stmt, v *ir.Var) []graph.Value {
 	if len(defs) == 0 {
 		return insens
 	}
-	var out []graph.Value
-	seen := map[graph.Value]bool{}
+	var out []int32
+	seen := map[int]bool{}
 	for _, d := range defs {
 		vals, ok := c.defValues(d)
 		if !ok {
 			return insens
 		}
-		for _, val := range vals {
-			if !seen[val] {
-				seen[val] = true
-				out = append(out, val)
+		for i := range vals.Len() {
+			if id := vals.ID(i); !seen[id] {
+				seen[id] = true
+				out = append(out, int32(id))
 			}
 		}
 	}
-	return out
+	return c.Res.Graph.Values(out)
 }

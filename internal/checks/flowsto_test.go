@@ -90,12 +90,12 @@ class A extends Activity {
 		t.Fatalf("found %d registration sites", len(regs))
 	}
 
-	merged := viewIDsOf(res, res.VarPointsTo(b))
+	merged := viewIDsOf(res, res.VarPointsTo(b).Slice())
 	if got := strings.Join(merged, ","); got != "one,two" {
 		t.Fatalf("flow-insensitive solution = %v, want both views", merged)
 	}
-	at1 := viewIDsOf(res, ctx.FlowsToAt(m, regs[0], b))
-	at2 := viewIDsOf(res, ctx.FlowsToAt(m, regs[1], b))
+	at1 := viewIDsOf(res, ctx.FlowsToAt(m, regs[0], b).Slice())
+	at2 := viewIDsOf(res, ctx.FlowsToAt(m, regs[1], b).Slice())
 	if strings.Join(at1, ",") != "one" || strings.Join(at2, ",") != "two" {
 		t.Errorf("point-specific flowsTo = %v / %v, want [one] / [two]", at1, at2)
 	}
@@ -169,11 +169,11 @@ class A extends Activity {
 	if reg == nil {
 		t.Fatal("registration site not found")
 	}
-	merged := viewIDsOf(res, res.VarPointsTo(reg.Recv))
+	merged := viewIDsOf(res, res.VarPointsTo(reg.Recv).Slice())
 	if got := strings.Join(merged, ","); got != "one,two" {
 		t.Fatalf("flow-insensitive solution = %v, want both views", merged)
 	}
-	at := viewIDsOf(res, ctx.FlowsToAt(m, reg, reg.Recv))
+	at := viewIDsOf(res, ctx.FlowsToAt(m, reg, reg.Recv).Slice())
 	if got := strings.Join(at, ","); got != "one,two" {
 		t.Errorf("point-specific flowsTo = %v, want both views (the entry value may reach)", at)
 	}

@@ -189,7 +189,7 @@ func checkListenerLeakOnPause(ctx *Context) []Finding {
 			for _, m := range ctx.reachableFrom(ctx.callbackBody(comp.Class, cb)) {
 				for _, op := range ctx.OpsIn(m) {
 					if op.Kind == platform.OpSetListener && len(op.Args) > 0 &&
-						len(ctx.Res.OpArg(op, 0)) == 0 {
+						ctx.Res.OpArg(op, 0).Len() == 0 {
 						clears = append(clears, clearing{op.Event, ctx.receiverIDs(op)})
 					}
 				}
@@ -200,7 +200,7 @@ func checkListenerLeakOnPause(ctx *Context) []Finding {
 				if op.Kind != platform.OpSetListener || len(op.Args) == 0 {
 					continue
 				}
-				if len(ctx.Res.OpArg(op, 0)) == 0 {
+				if ctx.Res.OpArg(op, 0).Len() == 0 {
 					continue // itself a clear
 				}
 				recv := ctx.receiverIDs(op)
@@ -270,7 +270,9 @@ func checkDialogMisuse(ctx *Context) []Finding {
 // operation, when the solution knows them.
 func dialogClassNames(ctx *Context, op *graph.OpNode) string {
 	names := map[string]bool{}
-	for _, v := range ctx.Res.OpReceivers(op) {
+	vs := ctx.Res.OpReceivers(op)
+	for k := range vs.Len() {
+		v := vs.At(k)
 		if a, ok := v.(*graph.AllocNode); ok {
 			names[a.Class.Name] = true
 		}

@@ -37,14 +37,14 @@ func TestSetAdapterPopulatesList(t *testing.T) {
 	}
 
 	// getView's receiver got the adapter allocation.
-	thisVals := r.VarPointsTo(localVar(t, r, "RowAdapter", "getView(I)", "this"))
+	thisVals := r.VarPointsTo(localVar(t, r, "RowAdapter", "getView(I)", "this")).Slice()
 	if len(thisVals) != 1 {
 		t.Errorf("pts(getView this) = %v", valueNames(thisVals))
 	}
 
 	// The row's button is findable through the activity hierarchy:
 	// activity -> root -> list -> row -> button.
-	btnVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "btn"))
+	btnVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "btn")).Slice()
 	if len(btnVals) != 1 {
 		t.Fatalf("pts(btn) = %v", valueNames(btnVals))
 	}

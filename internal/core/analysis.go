@@ -156,35 +156,36 @@ type Result struct {
 }
 
 // PointsTo returns the abstract values that may flow to a graph node
-// (variable or field node). The slice is shared; do not modify.
-func (r *Result) PointsTo(n graph.Node) []graph.Value {
-	if s := r.pts.of(n); s != nil {
-		return s.Values()
+// (variable or field node): a view of its points-to set that resolves each
+// value on access and allocates nothing.
+func (r *Result) PointsTo(n graph.Node) graph.Values {
+	if n == nil {
+		return graph.Values{}
 	}
-	return nil
+	return r.Graph.Values(r.pts.ids(n.ID()))
 }
 
 // VarPointsTo returns the abstract values of an IR variable, projected
 // across cloning contexts: the union, in first-encounter order, over every
 // context variant of the variable's node. Context-insensitive runs have a
 // single variant, so this is the plain lookup.
-func (r *Result) VarPointsTo(v *ir.Var) []graph.Value {
+func (r *Result) VarPointsTo(v *ir.Var) graph.Values {
 	if len(r.Graph.VarContextClones(v)) == 0 {
 		// Never cloned (always, context-insensitively): plain lookup, no
 		// projection slice to build.
 		return r.PointsTo(r.Graph.VarNode(v))
 	}
-	var out []graph.Value
-	seen := map[graph.Value]bool{}
+	var out []int32
+	seen := map[int32]bool{}
 	for _, n := range r.Graph.ContextVarNodes(v) {
-		for _, val := range r.PointsTo(n) {
-			if !seen[val] {
-				seen[val] = true
-				out = append(out, val)
+		for _, id := range r.pts.ids(n.ID()) {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
 			}
 		}
 	}
-	return out
+	return r.Graph.Values(out)
 }
 
 // VarNodesOf returns every context variant of v's node, base (context-0)
@@ -196,30 +197,30 @@ func (r *Result) VarNodesOf(v *ir.Var) []*graph.VarNode {
 
 // FieldPointsTo returns the abstract values of a field (field-based: one
 // summary per field signature).
-func (r *Result) FieldPointsTo(f *ir.Field) []graph.Value {
+func (r *Result) FieldPointsTo(f *ir.Field) graph.Values {
 	return r.PointsTo(r.Graph.FieldNode(f))
 }
 
 // OpReceivers returns the values reaching an operation's receiver.
-func (r *Result) OpReceivers(op *graph.OpNode) []graph.Value {
+func (r *Result) OpReceivers(op *graph.OpNode) graph.Values {
 	if op.Recv == nil {
-		return nil
+		return graph.Values{}
 	}
 	return r.PointsTo(op.Recv)
 }
 
 // OpArg returns the values reaching an operation's i-th argument.
-func (r *Result) OpArg(op *graph.OpNode, i int) []graph.Value {
+func (r *Result) OpArg(op *graph.OpNode, i int) graph.Values {
 	if i >= len(op.Args) || op.Args[i] == nil {
-		return nil
+		return graph.Values{}
 	}
 	return r.PointsTo(op.Args[i])
 }
 
 // OpResults returns the values flowing out of an operation.
-func (r *Result) OpResults(op *graph.OpNode) []graph.Value {
+func (r *Result) OpResults(op *graph.OpNode) graph.Values {
 	if op.Out == nil {
-		return nil
+		return graph.Values{}
 	}
 	return r.PointsTo(op.Out)
 }
@@ -245,7 +246,9 @@ func (r *Result) Transitions() []Transition {
 		if op.Kind != platform.OpStartActivity || len(op.Args) == 0 {
 			continue
 		}
-		for _, src := range r.OpReceivers(op) {
+		srcs := r.OpReceivers(op)
+		for k := range srcs.Len() {
+			src := srcs.At(k)
 			var srcClass *ir.Class
 			switch s := src.(type) {
 			case *graph.ActivityNode:
@@ -258,7 +261,9 @@ func (r *Result) Transitions() []Transition {
 			if srcClass == nil {
 				continue
 			}
-			for _, intent := range r.PointsTo(op.Args[0]) {
+			intents := r.PointsTo(op.Args[0])
+			for j := range intents.Len() {
+				intent := intents.At(j)
 				for _, target := range r.Graph.IntentTargets(intent) {
 					tr := Transition{Source: srcClass, Target: target.Class, Via: op.Method}
 					if !seen[tr] {

@@ -29,7 +29,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	xVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "x"))
+	xVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "x")).Slice()
 	// Field-based: x sees both buttons even though h1 only ever held b1.
 	if len(xVals) != 2 {
 		t.Errorf("pts(x) = %v, want 2 (field-based merging)", valueNames(xVals))
@@ -57,8 +57,8 @@ class B extends Activity {
 		"lb": `<LinearLayout><Button android:id="@+id/wb"/></LinearLayout>`,
 	}
 	r := analyzeSrc(t, src, layouts, Options{})
-	va := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "va"))
-	vb := r.VarPointsTo(localVar(t, r, "B", "onCreate()", "vb"))
+	va := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "va")).Slice()
+	vb := r.VarPointsTo(localVar(t, r, "B", "onCreate()", "vb")).Slice()
 	if len(va) != 1 || len(vb) != 1 {
 		t.Fatalf("pts(va)=%v pts(vb)=%v", valueNames(va), valueNames(vb))
 	}
@@ -90,7 +90,7 @@ class B extends Activity {
 		t.Errorf("inflation nodes = %d, want 4 (2 per site)", got)
 	}
 	for _, cls := range []string{"A", "B"} {
-		vals := r.VarPointsTo(localVar(t, r, cls, "onCreate()", "v"))
+		vals := r.VarPointsTo(localVar(t, r, cls, "onCreate()", "v")).Slice()
 		if len(vals) != 1 {
 			t.Errorf("%s pts(v) = %v, want its own button only", cls, valueNames(vals))
 		}
@@ -117,7 +117,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "found"))
+	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "found")).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(found) = %v", valueNames(vals))
 	}
@@ -140,7 +140,7 @@ class A extends Activity {
 }`
 	layouts := map[string]string{"main": `<LinearLayout><Button android:id="@+id/w"/></LinearLayout>`}
 	r := analyzeSrc(t, src, layouts, Options{})
-	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v"))
+	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v")).Slice()
 	if len(vals) != 0 {
 		t.Errorf("raw int constant tracked: %v", valueNames(vals))
 	}
@@ -166,7 +166,7 @@ class A extends Activity {
 }`
 	layouts := map[string]string{"main": `<LinearLayout><Button android:id="@+id/deep"/></LinearLayout>`}
 	r := analyzeSrc(t, src, layouts, Options{})
-	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v"))
+	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v")).Slice()
 	if len(vals) != 1 {
 		t.Errorf("pts(v) = %v, id lost through field/return", valueNames(vals))
 	}
@@ -186,7 +186,7 @@ class A extends Activity {
 }`
 	r := analyzeSrc(t, src, nil, Options{})
 	for _, op := range r.Graph.Ops() {
-		if len(r.OpReceivers(op)) != 0 || len(r.OpResults(op)) != 0 {
+		if len(r.OpReceivers(op).Slice()) != 0 || len(r.OpResults(op).Slice()) != 0 {
 			t.Errorf("dead op %s has a solution", op)
 		}
 	}
@@ -210,7 +210,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v"))
+	vals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v")).Slice()
 	if len(vals) != 1 {
 		t.Errorf("pts(v) = %v, want the removed button (sound over-approximation)", valueNames(vals))
 	}

@@ -21,11 +21,11 @@ type analysis struct {
 	// worklist holds (node, value) propagation frontier entries.
 	worklist []propItem
 
-	// edges labels the flow edges that carry more than their endpoints,
-	// keyed by edgeKey(src, dst): a dispatch guard, a cast filter, or the
-	// rule-site units the edge depends on (see edgeLabel). Propagation reads
-	// it once per edge visit; an unlabeled edge has no entry.
-	edges map[uint64]edgeLabel
+	// labels holds what the flow edges that carry more than their endpoints
+	// carry: a dispatch guard, a cast filter, or the rule-site units the
+	// edge depends on (see edgeLabel). Each edge holds its label's slot
+	// beside its destination in the graph; slot 0 is the empty label.
+	labels labelTable
 
 	// returnVars caches the reference-typed return variables per method.
 	returnVars map[*ir.Method][]*ir.Var
@@ -81,17 +81,22 @@ type analysis struct {
 	classUnits  map[*ir.Class]unitBits
 	curUnits    *unitBits
 
-	// Per-solve delta worklist state (see delta.go): the watcher index
-	// (watchStart, watchOps), opDirty, opAlways and opLastGen decide which
-	// operations a round re-applies. All nil under Options.ReferenceSolver,
-	// which applies every operation every round.
+	// Per-solve delta worklist state (see delta.go). All nil under
+	// Options.ReferenceSolver, which applies every operation every round.
+	deltaArrays
+
+	iterations int
+}
+
+// deltaArrays is the delta worklist's state: the watcher index
+// (watchStart, watchOps), opDirty, opAlways and opLastGen decide which
+// operations a round re-applies.
+type deltaArrays struct {
 	watchStart []int32
 	watchOps   []int32
 	opDirty    []bool
 	opAlways   []bool
 	opLastGen  []int
-
-	iterations int
 }
 
 type cloneSub struct {
@@ -113,9 +118,11 @@ func (a *analysis) varNode(v *ir.Var) *graph.VarNode {
 	return a.g.VarNode(v)
 }
 
+// propItem is one worklist entry: a value's node id that reached a node's
+// id. Two int32s hold no pointer, so the worklist is never scanned by the
+// garbage collector.
 type propItem struct {
-	node graph.Node
-	val  graph.Value
+	node, val int32
 }
 
 type chaKey struct {
@@ -151,6 +158,40 @@ func (l edgeLabel) merge(o edgeLabel) edgeLabel {
 	return l
 }
 
+// labelTable is the table flow-edge labels index. Slot 0 is the zero label
+// of every unlabeled edge; the slots of removed edges go on a free list and
+// are reused, so a long incremental session does not grow the table.
+type labelTable struct {
+	slots []edgeLabel
+	free  []int32
+}
+
+func newLabelTable() labelTable { return labelTable{slots: make([]edgeLabel, 1)} }
+
+// merge folds l into the label in slot, taking a slot for it when slot is
+// 0, and returns the slot that holds the result.
+func (t *labelTable) merge(slot int32, l edgeLabel) int32 {
+	if slot != 0 {
+		t.slots[slot] = t.slots[slot].merge(l)
+		return slot
+	}
+	if n := len(t.free); n > 0 {
+		slot, t.free = t.free[n-1], t.free[:n-1]
+		t.slots[slot] = l
+		return slot
+	}
+	t.slots = append(t.slots, l)
+	return int32(len(t.slots) - 1)
+}
+
+// release frees the slot of a removed edge.
+func (t *labelTable) release(slot int32) {
+	if slot != 0 {
+		t.slots[slot] = edgeLabel{}
+		t.free = append(t.free, slot)
+	}
+}
+
 // inflationKey identifies one materialized layout instantiation: the
 // inflating operation's id and the layout name. op stays 0 under
 // SharedInflation, where one instantiation serves every site.
@@ -175,7 +216,7 @@ func newAnalysis(p *ir.Program, opts Options) *analysis {
 		opts:           opts,
 		g:              graph.New(),
 		pts:            &ptsTable{},
-		edges:          map[uint64]edgeLabel{},
+		labels:         newLabelTable(),
 		returnVars:     map[*ir.Method][]*ir.Var{},
 		chaCache:       map[chaKey][]*ir.Method{},
 		inflations:     map[inflationKey]*inflation{},
@@ -238,11 +279,6 @@ func (a *analysis) addCastFlow(src, dst graph.Node, to *ir.Class, units unitBits
 	a.addEdge(src, dst, edgeLabel{cast: to, units: units})
 }
 
-// edgeKey packs a flow edge's node ids into one edges key. A uint64 key
-// takes the map's fast 64-bit path where a [2]int takes the generic hash;
-// node ids stay below 2^32.
-func edgeKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
 // addEdge records a flow edge and merges l into its label. A cast target
 // is kept only under FilterCasts, the one option that reads it; units are
 // zero unless Options.Incremental assigned units.
@@ -250,17 +286,21 @@ func (a *analysis) addEdge(src, dst graph.Node, l edgeLabel) {
 	if !a.opts.FilterCasts {
 		l.cast = nil
 	}
+	added := a.g.AddFlow(src, dst)
 	if !l.isZero() {
-		k := edgeKey(src.ID(), dst.ID())
-		a.edges[k] = a.edges[k].merge(l)
+		slot := a.g.FlowLabel(src, dst)
+		*slot = a.labels.merge(*slot, l)
 	}
-	if a.g.AddFlow(src, dst) {
+	if added {
 		// Replay already-known values across the new edge.
-		if s := a.pts.of(src); s != nil {
-			for _, v := range s.Values() {
-				a.worklist = append(a.worklist, propItem{src, v})
-			}
-		}
+		a.push(src.ID())
+	}
+}
+
+// push queues every value node id already holds, to propagate again.
+func (a *analysis) push(id int) {
+	for _, v := range a.pts.ids(id) {
+		a.worklist = append(a.worklist, propItem{int32(id), v})
 	}
 }
 
@@ -546,9 +586,8 @@ func (a *analysis) buildOp(m *ir.Method, s *ir.Invoke, api *platform.ApiSpec) {
 	// Adapter callback: the adapter argument flows to getView's receiver;
 	// the solver later attaches getView's results to the AdapterView.
 	if api.Kind == platform.OpSetAdapter && len(s.Args) > 0 && s.Args[0].TypeClass != nil {
-		key := ir.MethodKey("getView", []alite.Type{{Prim: alite.TypeInt}})
-		static := s.Args[0].TypeClass.LookupMethod(key)
-		for _, target := range a.callTargets(s.Args[0].TypeClass, key, static) {
+		static := s.Args[0].TypeClass.LookupMethod(getViewKey)
+		for _, target := range a.callTargets(s.Args[0].TypeClass, getViewKey, static) {
 			a.addDispatchFlow(a.varNode(s.Args[0]), target, mu)
 		}
 		return

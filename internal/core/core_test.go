@@ -78,7 +78,7 @@ func inflByPath(t *testing.T, r *Result, layoutName string, path int) *graph.Inf
 
 func singleView(t *testing.T, r *Result, v *ir.Var) graph.Value {
 	t.Helper()
-	vals := r.VarPointsTo(v)
+	vals := r.VarPointsTo(v).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(%s) = %v, want a single value", v, valueNames(vals))
 	}
@@ -208,7 +208,7 @@ func TestFigure1FlowSolution(t *testing.T) {
 
 	// g in onCreate: findViewById(R.id.button_esc) resolves to exactly the
 	// ImageView ("the analysis can conclude that ImageView flowsTo g").
-	gVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "onCreate()", "g"))
+	gVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "onCreate()", "g")).Slice()
 	if len(gVals) != 1 || gVals[0] != escBtn {
 		t.Errorf("pts(g) = %v, want the ImageView", valueNames(gVals))
 	}
@@ -216,7 +216,7 @@ func TestFigure1FlowSolution(t *testing.T) {
 	// e: findViewById(R.id.console_flip). The flipper matches; so does the
 	// TerminalView allocation (setId(console_flip)) once it is reachable
 	// under the activity root — the expected flow-insensitive result.
-	eVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "onCreate()", "e"))
+	eVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "onCreate()", "e")).Slice()
 	if !containsValue(eVals, flipper) {
 		t.Errorf("pts(e) = %v, missing the ViewFlipper", valueNames(eVals))
 	}
@@ -228,13 +228,13 @@ func TestFigure1FlowSolution(t *testing.T) {
 
 	// c in findCurrentView: getCurrentView is child-only, so exactly the
 	// RelativeLayout added by p.addView(n).
-	cVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "c"))
+	cVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "c")).Slice()
 	if len(cVals) != 1 || cVals[0] != itemRoot {
 		t.Errorf("pts(c) = %v, want only item_terminal root", valueNames(cVals))
 	}
 
 	// d: findViewById(console_flip) under the item root = the TerminalView.
-	dVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "d"))
+	dVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "d")).Slice()
 	if len(dVals) != 1 {
 		t.Fatalf("pts(d) = %v", valueNames(dVals))
 	}
@@ -244,17 +244,17 @@ func TestFigure1FlowSolution(t *testing.T) {
 
 	// Event handler callback: r (the onClick parameter) receives the
 	// ImageView; this receives the listener allocation.
-	rVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "r"))
+	rVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "r")).Slice()
 	if len(rVals) != 1 || rVals[0] != escBtn {
 		t.Errorf("pts(onClick r) = %v, want the ImageView", valueNames(rVals))
 	}
-	thisVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "this"))
+	thisVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "this")).Slice()
 	if len(thisVals) != 1 {
 		t.Fatalf("pts(onClick this) = %v", valueNames(thisVals))
 	}
 
 	// t in onClick: the interprocedural result of findCurrentView.
-	tVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "t"))
+	tVals := r.VarPointsTo(localVar(t, r, "EscapeButtonListener", "onClick(R)", "t")).Slice()
 	if len(tVals) != 1 {
 		t.Fatalf("pts(t) = %v", valueNames(tVals))
 	}
@@ -292,7 +292,7 @@ func TestFindView3RefinementAblation(t *testing.T) {
 	r := analyzeFigure1(t, Options{NoFindView3Refinement: true})
 	// Without the child-only refinement, getCurrentView returns any
 	// descendant of the flipper, including the flipper itself.
-	cVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "c"))
+	cVals := r.VarPointsTo(localVar(t, r, "ConsoleActivity", "findCurrentView(I)", "c")).Slice()
 	if len(cVals) < 2 {
 		t.Errorf("unrefined pts(c) = %v, want several descendants", valueNames(cVals))
 	}
@@ -302,8 +302,8 @@ func TestCastFilteringAblation(t *testing.T) {
 	base := analyzeFigure1(t, Options{})
 	filt := analyzeFigure1(t, Options{FilterCasts: true})
 	// pts(f) after (ViewFlipper) e: filtering drops the TerminalView.
-	fBase := base.VarPointsTo(localVar(t, base, "ConsoleActivity", "onCreate()", "f"))
-	fFilt := filt.VarPointsTo(localVar(t, filt, "ConsoleActivity", "onCreate()", "f"))
+	fBase := base.VarPointsTo(localVar(t, base, "ConsoleActivity", "onCreate()", "f")).Slice()
+	fFilt := filt.VarPointsTo(localVar(t, filt, "ConsoleActivity", "onCreate()", "f")).Slice()
 	if len(fFilt) > len(fBase) {
 		t.Errorf("filtering enlarged the solution: %v vs %v", valueNames(fFilt), valueNames(fBase))
 	}
@@ -332,8 +332,8 @@ class A extends Activity {
 		t.Errorf("shared inflation nodes = %d, want 2", got)
 	}
 	// Under sharing, both variables see the same root.
-	aVals := shared.VarPointsTo(localVar(t, shared, "A", "onCreate()", "a"))
-	bVals := shared.VarPointsTo(localVar(t, shared, "A", "onCreate()", "b"))
+	aVals := shared.VarPointsTo(localVar(t, shared, "A", "onCreate()", "a")).Slice()
+	bVals := shared.VarPointsTo(localVar(t, shared, "A", "onCreate()", "b")).Slice()
 	if len(aVals) != 1 || len(bVals) != 1 || aVals[0] != bVals[0] {
 		t.Errorf("shared roots differ: %v vs %v", valueNames(aVals), valueNames(bVals))
 	}
@@ -381,7 +381,7 @@ class A extends Activity {
 	layouts := map[string]string{"help": `<LinearLayout><TextView android:id="@+id/text"/></LinearLayout>`}
 	r := analyzeSrc(t, src, layouts, Options{})
 	text := inflByPath(t, r, "help", 1)
-	vVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v"))
+	vVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v")).Slice()
 	if len(vVals) != 1 || vVals[0] != text {
 		t.Errorf("dialog findViewById: pts(v) = %v, want the TextView", valueNames(vVals))
 	}
@@ -399,7 +399,7 @@ class A extends Activity {
 	layouts := map[string]string{"main": `<LinearLayout><Button android:id="@+id/go" android:onClick="sendMessage"/></LinearLayout>`}
 	r := analyzeSrc(t, src, layouts, Options{})
 	btn := inflByPath(t, r, "main", 1)
-	vVals := r.VarPointsTo(localVar(t, r, "A", "sendMessage(R)", "v"))
+	vVals := r.VarPointsTo(localVar(t, r, "A", "sendMessage(R)", "v")).Slice()
 	if len(vVals) != 1 || vVals[0] != btn {
 		t.Errorf("onClick param pts = %v, want the Button", valueNames(vVals))
 	}
@@ -433,7 +433,7 @@ class A extends Activity implements OnClickListener {
 	if _, ok := lsts[0].(*graph.ActivityNode); !ok {
 		t.Errorf("listener = %v, want the activity", lsts[0])
 	}
-	vVals := r.VarPointsTo(localVar(t, r, "A", "onClick(R)", "v"))
+	vVals := r.VarPointsTo(localVar(t, r, "A", "onClick(R)", "v")).Slice()
 	if len(vVals) != 1 || vVals[0] != btn {
 		t.Errorf("pts(onClick v) = %v", valueNames(vVals))
 	}
@@ -455,7 +455,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	fVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "f"))
+	fVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "f")).Slice()
 	if len(fVals) != 1 {
 		t.Errorf("pts(f) = %v", valueNames(fVals))
 	}
@@ -479,12 +479,12 @@ class A extends Activity {
 	cha := analyzeSrc(t, src, nil, Options{})
 	// CHA: both Base.pick and Derived.pick are targets; Base.pick returns
 	// its argument, so w flows to r.
-	rVals := cha.VarPointsTo(localVar(t, cha, "A", "onCreate()", "r"))
+	rVals := cha.VarPointsTo(localVar(t, cha, "A", "onCreate()", "r")).Slice()
 	if len(rVals) != 1 {
 		t.Errorf("CHA pts(r) = %v", valueNames(rVals))
 	}
 	decl := analyzeSrc(t, src, nil, Options{DeclaredDispatchOnly: true})
-	rVals2 := decl.VarPointsTo(localVar(t, decl, "A", "onCreate()", "r"))
+	rVals2 := decl.VarPointsTo(localVar(t, decl, "A", "onCreate()", "r")).Slice()
 	if len(rVals2) != 1 {
 		t.Errorf("declared-only pts(r) = %v", valueNames(rVals2))
 	}
@@ -515,11 +515,11 @@ class A extends Activity {
 	// Both listener classes' onClick receive the button: CHA over the
 	// declared interface type.
 	for _, cls := range []string{"L1", "L2"} {
-		vVals := r.VarPointsTo(localVar(t, r, cls, "onClick(R)", "v"))
+		vVals := r.VarPointsTo(localVar(t, r, cls, "onClick(R)", "v")).Slice()
 		if len(vVals) != 1 {
 			t.Errorf("pts(%s.onClick v) = %v", cls, valueNames(vVals))
 		}
-		thisVals := r.VarPointsTo(localVar(t, r, cls, "onClick(R)", "this"))
+		thisVals := r.VarPointsTo(localVar(t, r, cls, "onClick(R)", "this")).Slice()
 		if len(thisVals) != 1 {
 			t.Errorf("pts(%s.onClick this) = %v, want own allocation only", cls, valueNames(thisVals))
 		}
@@ -536,8 +536,8 @@ func TestIterationsAndDeterminism(t *testing.T) {
 		t.Errorf("iterations = %d, expected at least 2 (ops must re-fire)", r1.Iterations)
 	}
 	// Same solution for a representative variable, in the same order.
-	v1 := valueNames(r1.VarPointsTo(localVar(t, r1, "ConsoleActivity", "findCurrentView(I)", "d")))
-	v2 := valueNames(r2.VarPointsTo(localVar(t, r2, "ConsoleActivity", "findCurrentView(I)", "d")))
+	v1 := valueNames(r1.VarPointsTo(localVar(t, r1, "ConsoleActivity", "findCurrentView(I)", "d")).Slice())
+	v2 := valueNames(r2.VarPointsTo(localVar(t, r2, "ConsoleActivity", "findCurrentView(I)", "d")).Slice())
 	if len(v1) != len(v2) {
 		t.Fatalf("solutions differ: %v vs %v", v1, v2)
 	}
@@ -558,7 +558,7 @@ class A extends Activity {
 }`
 	layouts := map[string]string{"pieces": `<merge><TextView android:id="@+id/a"/><TextView android:id="@+id/b"/></merge>`}
 	r := analyzeSrc(t, src, layouts, Options{})
-	vVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v"))
+	vVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "v")).Slice()
 	if len(vVals) != 1 {
 		t.Fatalf("pts(v) = %v", valueNames(vVals))
 	}

@@ -80,7 +80,7 @@ func TestPolymorphicHelperGolden(t *testing.T) {
 				cls := fmt.Sprintf("PhAct%d", i)
 				w := findVar(t, p, cls, "onCreate", "w")
 				got := map[string]bool{}
-				for _, v := range r.VarPointsTo(w) {
+				for _, v := range r.VarPointsTo(w).Slice() {
 					infl, ok := v.(*graph.InflNode)
 					if !ok {
 						t.Fatalf("%s: w holds non-view %s", cls, v)

@@ -33,14 +33,16 @@ import (
 // The watcher index is flat: watchOps lists op indices grouped by watched
 // node, and node id's group is watchOps[watchStart[id]:watchStart[id+1]].
 // Two passes over the operations fill it, one counting and one placing, so
-// a solve makes two allocations for it whatever the node count.
+// a solve makes two allocations for it whatever the node count. A warm
+// incremental solve refills the previous solve's arrays where they are
+// long enough.
 func (a *analysis) initDelta() {
 	ops := a.g.Ops()
-	a.opDirty = make([]bool, len(ops))
-	a.opAlways = make([]bool, len(ops))
-	a.opLastGen = make([]int, len(ops))
+	a.opDirty = growTo(a.opDirty[:0], len(ops))
+	a.opAlways = growTo(a.opAlways[:0], len(ops))
+	a.opLastGen = growTo(a.opLastGen[:0], len(ops))
 	numNodes := len(a.g.Nodes())
-	start := make([]int32, numNodes+1)
+	start := growTo(a.watchStart[:0], numNodes+1)
 	for i, op := range ops {
 		a.opDirty[i] = true
 		a.opLastGen[i] = -1
@@ -55,7 +57,7 @@ func (a *analysis) initDelta() {
 	}
 	// Placing advances each group's start to its end, which is the next
 	// group's start; shifting by one restores the starts.
-	watchOps := make([]int32, start[numNodes])
+	watchOps := growTo(a.watchOps[:0], int(start[numNodes]))
 	for i, op := range ops {
 		forWatched(op, func(id int) {
 			watchOps[start[id]] = int32(i)

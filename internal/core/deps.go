@@ -22,6 +22,7 @@ package core
 // fact that still holds is simply re-derived.
 
 import (
+	"slices"
 	"sort"
 
 	"gator/internal/ir"
@@ -102,13 +103,40 @@ func (b unitBits) intersects(o unitBits) bool {
 // patched successor — agree on every bit. There is no cap on the unit
 // count: positions past 63 land in the paged overflow words.
 type unitTable struct {
-	index map[string]int
-	names []string
-	masks []unitBits // precomputed singleton per position; shared, immutable
+	index   map[string]int
+	layouts map[string]int // layout name (without "layout:") -> position
+	names   []string
+	masks   []unitBits // precomputed singleton per position; shared, immutable
 }
 
 // newUnitTable builds the unit table for p.
 func newUnitTable(p *ir.Program) *unitTable {
+	names := unitNames(p)
+	t := &unitTable{
+		index:   make(map[string]int, len(names)),
+		layouts: make(map[string]int, len(p.Layouts)),
+		names:   names,
+		masks:   make([]unitBits, len(names)),
+	}
+	for i, n := range names {
+		t.index[n] = i
+		if i < 64 {
+			t.masks[i] = unitBits{lo: 1 << uint(i)}
+		} else {
+			hi := make([]uint64, (i-64)/64+1)
+			hi[(i-64)/64] = 1 << uint((i-64)%64)
+			t.masks[i] = unitBits{hi: hi}
+		}
+	}
+	for name := range p.Layouts {
+		t.layouts[name] = t.index["layout:"+name]
+	}
+	return t
+}
+
+// unitNames returns p's compilation units in bit order: its source files,
+// then its layouts as "layout:<name>", each group sorted.
+func unitNames(p *ir.Program) []string {
 	seen := map[string]bool{}
 	var names []string
 	for _, f := range p.SourceFiles() {
@@ -123,23 +151,7 @@ func newUnitTable(p *ir.Program) *unitTable {
 	}
 	sort.Strings(names)
 	sort.Strings(layouts)
-	names = append(names, layouts...)
-	t := &unitTable{
-		index: make(map[string]int, len(names)),
-		names: names,
-		masks: make([]unitBits, len(names)),
-	}
-	for i, n := range names {
-		t.index[n] = i
-		if i < 64 {
-			t.masks[i] = unitBits{lo: 1 << uint(i)}
-		} else {
-			hi := make([]uint64, (i-64)/64+1)
-			hi[(i-64)/64] = 1 << uint((i-64)%64)
-			t.masks[i] = unitBits{hi: hi}
-		}
-	}
-	return t
+	return append(names, layouts...)
 }
 
 // bit returns the mask of the named unit, or the empty set for unknown
@@ -156,17 +168,10 @@ func (t *unitTable) bit(name string) unitBits {
 	return t.masks[i]
 }
 
-// equal reports whether two tables assign identical bits.
-func (t *unitTable) equal(o *unitTable) bool {
-	if t == nil || o == nil || len(t.names) != len(o.names) {
-		return false
-	}
-	for i, n := range t.names {
-		if o.names[i] != n {
-			return false
-		}
-	}
-	return true
+// assigns reports whether t assigns its bits to exactly names, in order:
+// whether a program whose units are names shares t's bits.
+func (t *unitTable) assigns(names []string) bool {
+	return t != nil && slices.Equal(t.names, names)
 }
 
 // unitOf returns the unit mask of the source file declaring m's class
@@ -178,49 +183,68 @@ func (a *analysis) unitOf(m *ir.Method) unitBits {
 	return a.units.bit(m.Class.Pos.File)
 }
 
-// layoutUnit returns the unit mask of a layout.
+// layoutUnit returns the unit mask of a layout. It looks the bare name up,
+// so re-applying an inflation rule builds no "layout:" string.
 func (a *analysis) layoutUnit(name string) unitBits {
 	if a.units == nil {
 		return unitBits{}
 	}
-	return a.units.bit("layout:" + name)
+	if i, ok := a.units.layouts[name]; ok {
+		return a.units.masks[i]
+	}
+	return unitBits{}
 }
 
 // depTracker records, per fact, the transitive unit-dependency mask of its
 // first derivation, in derivation order. masks mirrors order index-for-index
 // so the retraction scan reads straight arrays; bits is the dedup gate and
-// the premise-mask lookup.
+// the premise-mask lookup, one map per fact kind keyed by the operands'
+// packed ids (factKey), which hashes on the maps' 64-bit fast path.
 type depTracker struct {
-	bits  map[Fact]unitBits
+	bits  [len(factKindNames)]map[uint64]unitBits
 	order []Fact
 	masks []unitBits
 }
 
 func newDepTracker() *depTracker {
-	return &depTracker{bits: map[Fact]unitBits{}}
+	d := &depTracker{}
+	for k := range d.bits {
+		d.bits[k] = map[uint64]unitBits{}
+	}
+	return d
 }
+
+// factKey packs a fact's operand ids, which are below 2^32, into its key
+// within its kind's map.
+func factKey(f Fact) uint64 { return uint64(uint32(f.A))<<32 | uint64(uint32(f.B)) }
 
 // record tracks a newly derived fact: the rule-site units ORed with every
 // premise's tracked mask. First derivation wins, keeping the tracker
 // consistent with the provenance DAG's minimality contract.
 func (d *depTracker) record(f Fact, units unitBits, premises []Fact) {
-	if _, ok := d.bits[f]; ok {
+	bits, k := d.bits[f.Kind], factKey(f)
+	if _, ok := bits[k]; ok {
 		return
 	}
 	for _, p := range premises {
-		units = units.or(d.bits[p])
+		units = units.or(d.bits[p.Kind][factKey(p)])
 	}
-	d.bits[f] = units
+	bits[k] = units
 	d.order = append(d.order, f)
 	d.masks = append(d.masks, units)
 }
+
+// forget drops a retracted fact's mask.
+func (d *depTracker) forget(f Fact) { delete(d.bits[f.Kind], factKey(f)) }
 
 // renumber rewrites every tracked fact's operands to their new ids after a
 // graph compaction (graph.Compact's remap), keeping derivation order and
 // masks. Retraction already removed every fact on a retired node; one that
 // named one anyway would be dropped rather than renamed.
 func (d *depTracker) renumber(remap []int32) {
-	bits := make(map[Fact]unitBits, len(d.order))
+	for k, m := range d.bits {
+		d.bits[k] = make(map[uint64]unitBits, len(m))
+	}
 	kept, keptMasks := d.order[:0], d.masks[:0]
 	for i, f := range d.order {
 		na, nb := remap[f.A], remap[f.B]
@@ -230,11 +254,11 @@ func (d *depTracker) renumber(remap []int32) {
 		f.A, f.B = int(na), int(nb)
 		kept = append(kept, f)
 		keptMasks = append(keptMasks, d.masks[i])
-		bits[f] = d.masks[i]
+		d.bits[f.Kind][factKey(f)] = d.masks[i]
 	}
 	clear(d.order[len(kept):])
 	clear(d.masks[len(keptMasks):])
-	d.order, d.masks, d.bits = kept, keptMasks, bits
+	d.order, d.masks = kept, keptMasks
 }
 
 // record registers one derived fact with both trackers: the unit-dependency

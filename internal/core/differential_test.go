@@ -70,7 +70,7 @@ func solutionString(r *Result, ordered bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iterations %d\n", r.Iterations)
 	for _, n := range r.Graph.Nodes() {
-		vals := r.PointsTo(n)
+		vals := r.PointsTo(n).Slice()
 		if len(vals) == 0 {
 			continue
 		}

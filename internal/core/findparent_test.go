@@ -17,7 +17,7 @@ class A extends Activity {
 	}
 	r := analyzeSrc(t, src, layouts, Options{})
 	box := inflByPath(t, r, "main", 1)
-	pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "parent"))
+	pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "parent")).Slice()
 	if len(pVals) != 1 || pVals[0] != box {
 		t.Errorf("pts(parent) = %v, want the FrameLayout", valueNames(pVals))
 	}
@@ -45,7 +45,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "p"))
+	pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "p")).Slice()
 	if len(pVals) != 1 {
 		t.Fatalf("pts(p) = %v", valueNames(pVals))
 	}
@@ -60,7 +60,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	if pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "p")); len(pVals) != 0 {
+	if pVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "p")).Slice(); len(pVals) != 0 {
 		t.Errorf("pts(p) = %v, want empty", valueNames(pVals))
 	}
 }

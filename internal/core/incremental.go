@@ -34,11 +34,13 @@ type IncrementalStats struct {
 
 // warmState is the part of the solver's working state a Result carries so the
 // next AnalyzeIncremental call can resume in place instead of rebuilding and
-// re-deriving everything: the flow-edge labels, the inflation memos,
-// call-resolution caches, and the per-method/per-class build read sets. nil
-// when dependency tracking was off.
+// re-deriving everything: the flow-edge label table, the inflation memos,
+// call-resolution caches, the per-method/per-class build read sets, and the
+// delta worklist's arrays for the next solve to refill. nil when dependency
+// tracking was off.
 type warmState struct {
-	edges         map[uint64]edgeLabel
+	labels        labelTable
+	delta         deltaArrays
 	returnVars    map[*ir.Method][]*ir.Var
 	chaCache      map[chaKey][]*ir.Method
 	inflations    map[inflationKey]*inflation
@@ -53,7 +55,8 @@ func (a *analysis) warmState() *warmState {
 		return nil
 	}
 	return &warmState{
-		edges:         a.edges,
+		labels:        a.labels,
+		delta:         a.deltaArrays,
 		returnVars:    a.returnVars,
 		chaCache:      a.chaCache,
 		inflations:    a.inflations,
@@ -101,8 +104,10 @@ func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []st
 	if reason := warmBlocker(opts, prev); reason != "" {
 		return analyzeScratch(prog, opts, dirty, reason)
 	}
-	units := newUnitTable(prog)
-	if !units.equal(prev.units) {
+	// The unit table itself carries over; an edit that keeps the unit set
+	// needs only its names compared.
+	units := prev.units
+	if !units.assigns(unitNames(prog)) {
 		return analyzeScratch(prog, opts, dirty, "compilation unit set changed")
 	}
 	var dirtyBits unitBits
@@ -214,7 +219,7 @@ func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 		opts:           opts,
 		g:              prev.Graph,
 		pts:            prev.pts,
-		edges:          w.edges,
+		labels:         w.labels,
 		returnVars:     w.returnVars,
 		chaCache:       w.chaCache,
 		inflations:     w.inflations,
@@ -227,6 +232,11 @@ func adoptAnalysis(p *ir.Program, opts Options, prev *Result) *analysis {
 		methodUnits:    w.methodUnits,
 		classUnits:     w.classUnits,
 		tracking:       true,
+	}
+	if !opts.ReferenceSolver {
+		// The delta worklist's arrays, for initDelta to refill; they must
+		// stay nil under the apply-every-operation schedule.
+		a.deltaArrays = w.delta
 	}
 	return a
 }
@@ -331,7 +341,7 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	// Stale nodes lose their entire points-to sets up front, so the fact scan
 	// below does not pay a per-fact ordered removal for them.
 	for _, n := range staleNodes {
-		a.pts.drop(n)
+		a.pts.drop(n.ID())
 	}
 
 	// Fact scan, in derivation order: a fact survives when its recorded unit
@@ -351,12 +361,12 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 			continue
 		}
 		retracted++
-		delete(a.dep.bits, f)
+		a.dep.forget(f)
 		na, nb := nodes[f.A], nodes[f.B]
 		switch f.Kind {
 		case FactFlow:
-			if s := a.pts.of(na); s != nil {
-				s.Remove(nb.(graph.Value))
+			if s := a.pts.of(f.A); s != nil {
+				s.Remove(int32(f.B))
 			}
 			if !stale[f.A] && !stale[f.B] {
 				damaged[f.A] = true
@@ -375,9 +385,8 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 			g.RemoveMenuItem(na.(graph.Value), nb.(graph.Value))
 		}
 	}
-	for i := len(kept); i < len(order); i++ {
-		order[i] = Fact{}
-	}
+	clear(order[len(kept):])
+	clear(masks[len(keptMasks):])
 	a.dep.order = kept
 	a.dep.masks = keptMasks
 	retained = len(kept)
@@ -387,10 +396,9 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	// only ever added by rule sites within one method (edge endpoints
 	// include a method-local variable), so a dirty mask bit means every site
 	// that contributed the edge re-runs during rebuild.
-	g.FilterFlow(func(src, dst graph.Node) bool {
-		k := edgeKey(src.ID(), dst.ID())
-		if a.edges[k].units.intersects(dirty) || stale[src.ID()] || stale[dst.ID()] {
-			delete(a.edges, k)
+	g.FilterFlow(func(src graph.Node, e graph.FlowEdge) bool {
+		if a.labels.slots[e.Label].units.intersects(dirty) || stale[src.ID()] || stale[e.Dst] {
+			a.labels.release(e.Label)
 			return false
 		}
 		return true
@@ -414,9 +422,9 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 			} else {
 				kill = true
 				if len(op.Args) > 0 {
-					if s := a.pts.of(op.Args[0]); s != nil {
+					if s := a.pts.of(op.Args[0].ID()); s != nil {
 						if resID, found := a.prog.R.LayoutID(inf.root.LayoutName); found {
-							if s.Contains(a.g.LayoutIDNode(resID, inf.root.LayoutName)) {
+							if s.Contains(int32(a.g.LayoutIDNode(resID, inf.root.LayoutName).ID())) {
 								kill = false
 							}
 						}
@@ -458,9 +466,11 @@ func (a *analysis) sparse() bool {
 // compact renumbers the program's variables (ir.Program.CompactVars) and
 // then the graph's nodes (graph.Compact) densely, each in its current
 // relative order, and rewrites the solver state keyed by node id to
-// follow: the points-to sets, the fact records, the flow-edge labels, the
+// follow: the points-to sets and their contents, the fact records, the
 // inflation memos and retract's damaged set, which it returns re-keyed.
-// The dead nodes, and the replaced bodies' IR they pin, become garbage.
+// The flow-edge labels need nothing: each sits beside its edge in the
+// graph, which moves it. The dead nodes, and the replaced bodies' IR they
+// pin, become garbage.
 //
 // Order is what makes this invisible. Every id-ordered walk (VisitFlow in
 // repair, the points-to table, the fact scan) visits the live nodes in the
@@ -472,13 +482,6 @@ func (a *analysis) compact(damaged map[int]bool) map[int]bool {
 	remap := a.g.Compact()
 	a.pts.renumber(remap, len(a.g.Nodes()))
 	a.dep.renumber(remap)
-	edges := make(map[uint64]edgeLabel, len(a.edges))
-	for k, l := range a.edges {
-		if src, dst := remap[k>>32], remap[uint32(k)]; src >= 0 && dst >= 0 {
-			edges[edgeKey(int(src), int(dst))] = l
-		}
-	}
-	a.edges = edges
 	inflations := make(map[inflationKey]*inflation, len(a.inflations))
 	for k, inf := range a.inflations {
 		if !a.opts.SharedInflation {
@@ -531,20 +534,16 @@ func (a *analysis) repair(damaged map[int]bool) {
 	if len(damaged) == 0 {
 		return
 	}
-	var srcs []graph.Node
-	a.g.VisitFlow(func(src graph.Node, dsts []graph.Node) {
-		for _, d := range dsts {
-			if damaged[d.ID()] {
-				srcs = append(srcs, src)
+	var srcs []int
+	a.g.VisitFlow(func(src graph.Node, succs []graph.FlowEdge) {
+		for _, e := range succs {
+			if damaged[int(e.Dst)] {
+				srcs = append(srcs, src.ID())
 				return
 			}
 		}
 	})
-	for _, n := range srcs {
-		if s := a.pts.of(n); s != nil {
-			for _, v := range s.Values() {
-				a.worklist = append(a.worklist, propItem{n, v})
-			}
-		}
+	for _, id := range srcs {
+		a.push(id)
 	}
 }

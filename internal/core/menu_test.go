@@ -35,7 +35,7 @@ func TestMenuModel(t *testing.T) {
 	menuB := g.MenuNode(r.Prog.Class("B"))
 
 	// The menu parameter receives the activity's menu.
-	mVals := r.VarPointsTo(localVar(t, r, "A", "onCreateOptionsMenu(R)", "menu"))
+	mVals := r.VarPointsTo(localVar(t, r, "A", "onCreateOptionsMenu(R)", "menu")).Slice()
 	if len(mVals) != 1 || mVals[0] != menuA {
 		t.Errorf("pts(menu) = %v", valueNames(mVals))
 	}
@@ -57,11 +57,11 @@ func TestMenuModel(t *testing.T) {
 
 	// Items flow to the owning activity's selection callback — and only
 	// that activity's.
-	selA := r.VarPointsTo(localVar(t, r, "A", "onOptionsItemSelected(R)", "item"))
+	selA := r.VarPointsTo(localVar(t, r, "A", "onOptionsItemSelected(R)", "item")).Slice()
 	if len(selA) != 2 {
 		t.Errorf("pts(A.item) = %v", valueNames(selA))
 	}
-	selB := r.VarPointsTo(localVar(t, r, "B", "onOptionsItemSelected(R)", "item"))
+	selB := r.VarPointsTo(localVar(t, r, "B", "onOptionsItemSelected(R)", "item")).Slice()
 	if len(selB) != 1 {
 		t.Errorf("pts(B.item) = %v", valueNames(selB))
 	}
@@ -70,7 +70,7 @@ func TestMenuModel(t *testing.T) {
 	}
 
 	// The add result variable holds the item.
-	saveVals := r.VarPointsTo(localVar(t, r, "A", "onCreateOptionsMenu(R)", "save"))
+	saveVals := r.VarPointsTo(localVar(t, r, "A", "onCreateOptionsMenu(R)", "save")).Slice()
 	if len(saveVals) != 1 {
 		t.Fatalf("pts(save) = %v", valueNames(saveVals))
 	}
@@ -108,7 +108,7 @@ class B extends Activity {
 	// One shared add site: both menus get the same item abstraction, and
 	// both selection callbacks see it.
 	for _, cls := range []string{"A", "B"} {
-		sel := r.VarPointsTo(localVar(t, r, cls, "onOptionsItemSelected(R)", "item"))
+		sel := r.VarPointsTo(localVar(t, r, cls, "onOptionsItemSelected(R)", "item")).Slice()
 		if len(sel) != 1 {
 			t.Errorf("pts(%s.item) = %v", cls, valueNames(sel))
 		}

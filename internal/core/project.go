@@ -69,7 +69,7 @@ func opSite(op *graph.OpNode) string {
 // node per context; with contexts off every call has exactly one.
 type SourceOp struct {
 	Ops                      []*graph.OpNode
-	Receivers, Arg0, Results []graph.Value
+	Receivers, Arg0, Results graph.Values
 }
 
 // SourceOps projects the operation nodes onto source operations: the op
@@ -86,42 +86,43 @@ func (r *Result) SourceOps() []SourceOp {
 		index[op.Site] = len(out)
 		out = append(out, SourceOp{Ops: []*graph.OpNode{op}})
 	}
-	arg0 := func(op *graph.OpNode) []graph.Value { return r.OpArg(op, 0) }
+	arg0 := func(op *graph.OpNode) graph.Values { return r.OpArg(op, 0) }
 	for i := range out {
 		so := &out[i]
-		so.Receivers = unionOver(so.Ops, r.OpReceivers)
-		so.Arg0 = unionOver(so.Ops, arg0)
-		so.Results = unionOver(so.Ops, r.OpResults)
+		so.Receivers = r.unionOver(so.Ops, r.OpReceivers)
+		so.Arg0 = r.unionOver(so.Ops, arg0)
+		so.Results = r.unionOver(so.Ops, r.OpResults)
 	}
 	return out
 }
 
 // unionOver unions one solution set over op nodes in first-encounter
-// order. A single node's set is returned as is, so callers must not
-// modify the result.
-func unionOver(ops []*graph.OpNode, get func(*graph.OpNode) []graph.Value) []graph.Value {
+// order. A single node's set is returned as is.
+func (r *Result) unionOver(ops []*graph.OpNode, get func(*graph.OpNode) graph.Values) graph.Values {
 	if len(ops) == 1 {
 		return get(ops[0])
 	}
-	var out []graph.Value
-	seen := map[graph.Value]bool{}
+	var out []int32
+	seen := map[int]bool{}
 	for _, op := range ops {
-		for _, v := range get(op) {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+		vals := get(op)
+		for i := range vals.Len() {
+			if id := vals.ID(i); !seen[id] {
+				seen[id] = true
+				out = append(out, int32(id))
 			}
 		}
 	}
-	return out
+	return r.Graph.Values(out)
 }
 
 // CanonCount counts the distinct source identities (CanonValue) among the
 // values keep admits, so context clones of one allocation or inflation
 // site count once. A nil keep admits every value.
-func CanonCount(vals []graph.Value, keep func(graph.Value) bool) int {
+func CanonCount(vals graph.Values, keep func(graph.Value) bool) int {
 	seen := map[string]bool{}
-	for _, v := range vals {
+	for k := range vals.Len() {
+		v := vals.At(k)
 		if keep == nil || keep(v) {
 			seen[CanonValue(v)] = true
 		}
@@ -140,7 +141,7 @@ func (r *Result) ProjectedSolution() []string {
 	set := map[string]bool{}
 	for _, n := range r.Graph.Nodes() {
 		vals := r.PointsTo(n)
-		if len(vals) == 0 {
+		if vals.Len() == 0 {
 			continue
 		}
 		var ent string
@@ -152,7 +153,8 @@ func (r *Result) ProjectedSolution() []string {
 		default:
 			continue
 		}
-		for _, v := range vals {
+		for k := range vals.Len() {
+			v := vals.At(k)
 			set["pts "+ent+" = "+CanonValue(v)] = true
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // once a corpus app is solved, re-pushing every points-to value and
 // draining the worklist visits each flow edge out of a node that holds
 // values, with its label, derives nothing, and allocates nothing —
-// propagation reads the graph's successor lists and the label map in
-// place.
+// propagation reads the graph's successor lists, with their labels, and the
+// label table in place.
 func TestPropagateZeroAlloc(t *testing.T) {
 	spec, ok := corpus.SpecByName("XBMC")
 	if !ok {
@@ -33,16 +33,18 @@ func TestPropagateZeroAlloc(t *testing.T) {
 			a.solve()
 			var items []propItem
 			for _, n := range a.g.Nodes() {
-				for _, v := range a.ptsOf(n) {
-					items = append(items, propItem{n, v})
+				for _, v := range a.ptsIDs(n) {
+					items = append(items, propItem{int32(n.ID()), v})
 				}
 			}
 			guarded := 0
-			for _, l := range a.edges {
-				if l.callee != nil {
-					guarded++
+			a.g.VisitFlow(func(_ graph.Node, succs []graph.FlowEdge) {
+				for _, e := range succs {
+					if a.labels.slots[e.Label].callee != nil {
+						guarded++
+					}
 				}
-			}
+			})
 			if len(items) == 0 || a.g.NumFlowEdges() == 0 || guarded == 0 {
 				t.Fatalf("%d values, %d flow edges, %d dispatch-guarded: want all nonzero", len(items), a.g.NumFlowEdges(), guarded)
 			}
@@ -56,7 +58,7 @@ func TestPropagateZeroAlloc(t *testing.T) {
 			}
 			got := 0
 			for _, n := range a.g.Nodes() {
-				got += len(a.ptsOf(n))
+				got += len(a.ptsIDs(n))
 			}
 			if got != facts || len(a.worklist) != 0 {
 				t.Errorf("re-propagation changed the solution: %d facts and %d queued, had %d facts", got, len(a.worklist), facts)
@@ -98,34 +100,38 @@ func TestEdgeLabelMerge(t *testing.T) {
 	u1, u2 := unitBits{lo: 1}, unitBits{lo: 2}
 
 	a := newAnalysis(p, Options{Incremental: true, FilterCasts: true})
+	label := func(a *analysis, src, dst graph.Node) edgeLabel {
+		return a.labels.slots[*a.g.FlowLabel(src, dst)]
+	}
 	recv, this := a.g.VarNode(local), a.g.VarNode(callee.This)
-	key := edgeKey(recv.ID(), this.ID())
 	a.addDispatchFlow(recv, callee, u1)
 	a.addFlow(recv, this, u2)
 	a.addEdge(recv, this, edgeLabel{callee: &ir.Method{}})
-	if l := a.edges[key]; l.callee != callee || l.units.lo != 3 || l.units.hi != nil {
+	if l := label(a, recv, this); l.callee != callee || l.units.lo != 3 || l.units.hi != nil {
 		t.Errorf("dispatch edge re-added: label %+v, want callee %s and units 0b11", l, callee.Key)
 	}
 
 	src, dst := a.g.VarNode(callee.This), a.g.VarNode(local)
-	key = edgeKey(src.ID(), dst.ID())
 	a.addCastFlow(src, dst, button, u1)
 	a.addCastFlow(src, dst, view, u2)
 	a.addFlow(src, dst, u2)
-	if l := a.edges[key]; l.cast != button || l.callee != nil || l.units.lo != 3 || l.units.hi != nil {
+	if l := label(a, src, dst); l.cast != button || l.callee != nil || l.units.lo != 3 || l.units.hi != nil {
 		t.Errorf("cast edge re-added: label %+v, want cast Button and units 0b11", l)
 	}
 	if n := a.g.NumFlowEdges(); n != 2 {
 		t.Errorf("%d flow edges after re-adding two edges, want 2", n)
 	}
+	if n := len(a.labels.slots); n != 3 {
+		t.Errorf("%d label slots for two labeled edges, want 3 (slot 0 is the empty label)", n)
+	}
 
 	plain := newAnalysis(p, Options{})
 	src, dst = plain.g.VarNode(callee.This), plain.g.VarNode(local)
 	plain.addCastFlow(src, dst, button, plain.unitOf(callee))
-	if l, ok := plain.edges[edgeKey(src.ID(), dst.ID())]; ok {
-		t.Errorf("cast edge without FilterCasts or Incremental: label %+v, want none", l)
+	if got := plain.g.FlowSucc(src); len(got) != 1 || got[0] != (graph.FlowEdge{Dst: int32(dst.ID())}) {
+		t.Errorf("cast edge without FilterCasts or Incremental: successors %v, want one unlabeled edge to %v", got, dst)
 	}
-	if got := plain.g.FlowSucc(src); len(got) != 1 || got[0] != graph.Node(dst) {
-		t.Errorf("unlabeled cast edge: successors %v, want [%v]", got, dst)
+	if n := len(plain.labels.slots); n != 1 {
+		t.Errorf("%d label slots with no labeled edge, want 1", n)
 	}
 }

@@ -249,8 +249,8 @@ func (r *Result) RenderDerivation(f Fact) string {
 // Why/RenderDerivation. The boolean reports whether the fact holds in the
 // solution.
 func (r *Result) FlowFactOf(n graph.Node, v graph.Value) (Fact, bool) {
-	s := r.pts.of(n)
-	if s == nil || !s.Contains(v) {
+	s := r.pts.of(n.ID())
+	if s == nil || !s.Contains(int32(v.ID())) {
 		return Fact{}, false
 	}
 	return flowFact(n, v), true

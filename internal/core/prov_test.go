@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gator/internal/corpus"
-	"gator/internal/graph"
 	"gator/internal/ir"
 	"gator/internal/trace"
 )
@@ -19,7 +18,7 @@ func TestProvenanceFindView(t *testing.T) {
 		t.Fatal("provenance not recorded")
 	}
 	g := r.Graph.VarNode(localVar(t, r, "ConsoleActivity", "onCreate()", "g"))
-	vals := r.PointsTo(g)
+	vals := r.PointsTo(g).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(g) = %v", valueNames(vals))
 	}
@@ -85,7 +84,7 @@ class Main extends Activity {
 	}
 	r := analyzeSrc(t, src, layouts, Options{Provenance: true})
 	b := r.Graph.VarNode(localVar(t, r, "Main", "onCreate()", "b"))
-	vals := r.PointsTo(b)
+	vals := r.PointsTo(b).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(b) = %v", valueNames(vals))
 	}
@@ -130,13 +129,13 @@ func TestProvenanceWellFounded(t *testing.T) {
 // has a derivation — nothing enters the solution unexplained.
 func TestProvenanceCoversSolution(t *testing.T) {
 	r := analyzeFigure1(t, Options{Provenance: true})
-	r.pts.visit(r.Graph.Nodes(), func(n graph.Node, s *ValueSet) {
-		for _, v := range s.Values() {
+	for _, n := range r.Graph.Nodes() {
+		for _, v := range r.PointsTo(n).Slice() {
 			if _, ok := r.rec.deriv[flowFact(n, v)]; !ok {
 				t.Errorf("flowsTo(%s, %s) has no recorded derivation", n, v)
 			}
 		}
-	})
+	}
 }
 
 // TestProvenanceDeterministic: fact ids and rendered trees are identical
@@ -146,7 +145,7 @@ func TestProvenanceDeterministic(t *testing.T) {
 	render := func() (int, string) {
 		r := analyzeFigure1(t, Options{Provenance: true})
 		g := r.Graph.VarNode(localVar(t, r, "ConsoleActivity", "onCreate()", "g"))
-		vals := r.PointsTo(g)
+		vals := r.PointsTo(g).Slice()
 		if len(vals) != 1 {
 			t.Fatalf("pts(g) = %v", valueNames(vals))
 		}
@@ -174,7 +173,7 @@ func TestProvenanceDisabled(t *testing.T) {
 		t.Error("NumDerivations != 0 without provenance")
 	}
 	g := r.Graph.VarNode(localVar(t, r, "ConsoleActivity", "onCreate()", "g"))
-	vals := r.PointsTo(g)
+	vals := r.PointsTo(g).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(g) = %v", valueNames(vals))
 	}
@@ -198,15 +197,14 @@ func TestProvenanceSameSolution(t *testing.T) {
 	if plain.pts.size() != prov.pts.size() {
 		t.Fatalf("pts sizes differ: %d vs %d", plain.pts.size(), prov.pts.size())
 	}
-	plain.pts.visit(plain.Graph.Nodes(), func(n graph.Node, s *ValueSet) {
+	for _, n := range plain.Graph.Nodes() {
 		// Node identities differ across runs; compare by id through the
 		// other graph's node list.
 		other := prov.Graph.Nodes()[n.ID()]
-		ps := prov.pts.of(other)
-		if ps == nil || ps.Len() != s.Len() {
+		if plain.PointsTo(n).Len() != prov.PointsTo(other).Len() {
 			t.Errorf("pts(%s) differs with provenance enabled", n)
 		}
-	})
+	}
 	if plain.Iterations != prov.Iterations {
 		t.Errorf("iteration counts differ: %d vs %d", plain.Iterations, prov.Iterations)
 	}
@@ -353,7 +351,7 @@ class A extends Activity {
 }`
 	r := analyzeSrc(t, src, nil, Options{Provenance: true})
 	z := r.Graph.VarNode(localVar(t, r, "A", "later()", "z"))
-	vals := r.PointsTo(z)
+	vals := r.PointsTo(z).Slice()
 	if len(vals) != 1 {
 		t.Fatalf("pts(z) = %v", valueNames(vals))
 	}

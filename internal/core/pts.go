@@ -1,95 +1,92 @@
 package core
 
-import "gator/internal/graph"
-
-// ptsTable is the points-to store: one slot per graph-node id, indexed
-// directly by id instead of hashing node pointers. Graph ids are dense
-// creation-order integers, so the table is an array the solver's hot loops
-// walk with no map overhead; slots for nodes that never receive a value
-// stay nil. The table grows on demand — operation processing materializes
-// inflation and menu-item nodes mid-solve, and those can appear as lookup
-// subjects even though only build-created nodes ever hold sets.
+// ptsTable is the points-to store: one set per graph-node id, held by
+// value and indexed directly by id instead of hashing node pointers. Graph
+// ids are dense creation-order integers, so the table is an array the
+// solver's hot loops walk with no map overhead, and it holds no pointer
+// beyond its sets' arrays. Slots for nodes that never receive a value stay
+// empty. The table grows on demand, doubling: operation processing
+// materializes inflation and menu-item nodes mid-solve, and those can
+// appear as lookup subjects even though only build-created nodes ever hold
+// sets.
 type ptsTable struct {
-	sets []*ValueSet
+	sets []ValueSet
 }
 
-// of returns n's set, or nil when n has no values (or is nil).
-func (t *ptsTable) of(n graph.Node) *ValueSet {
-	if n == nil {
-		return nil
-	}
-	id := n.ID()
+// of returns node id's set, or nil when id has no slot. The pointer is
+// valid until the table next grows.
+func (t *ptsTable) of(id int) *ValueSet {
 	if id >= len(t.sets) {
 		return nil
 	}
-	return t.sets[id]
+	return &t.sets[id]
 }
 
-// ensure returns n's set, creating it when absent.
-func (t *ptsTable) ensure(n graph.Node) *ValueSet {
-	id := n.ID()
+// ids returns node id's values in insertion order, nil when it has none.
+func (t *ptsTable) ids(id int) []int32 {
 	if id >= len(t.sets) {
-		t.grow(id + 1)
+		return nil
 	}
-	s := t.sets[id]
-	if s == nil {
-		s = NewValueSet()
-		t.sets[id] = s
-	}
-	return s
+	return t.sets[id].ids
 }
 
-// grow sizes the table for at least n node ids, doubling to amortize.
-func (t *ptsTable) grow(n int) {
-	if n <= len(t.sets) {
-		return
-	}
-	if c := 2 * len(t.sets); n < c {
-		n = c
-	}
-	grown := make([]*ValueSet, n)
-	copy(grown, t.sets)
-	t.sets = grown
+// ensure returns node id's set, growing the table to hold it. The pointer
+// is valid until the table next grows.
+func (t *ptsTable) ensure(id int) *ValueSet {
+	t.sets = growTo(t.sets, id+1)
+	return &t.sets[id]
 }
 
-// drop discards n's set entirely (incremental retraction of stale nodes).
-func (t *ptsTable) drop(n graph.Node) {
-	if id := n.ID(); id < len(t.sets) {
-		t.sets[id] = nil
+// drop discards node id's set entirely (incremental retraction of stale
+// nodes).
+func (t *ptsTable) drop(id int) {
+	if id < len(t.sets) {
+		t.sets[id] = ValueSet{}
 	}
 }
 
 // renumber moves each live node's set to its new id after a graph
 // compaction (graph.Compact's remap; -1 for a retired node, whose set is
-// gone already) and re-keys the sets' indices by their values' new ids.
+// gone already) and rewrites the sets' ids to their values' new ids. remap
+// never raises an id, so the sets move down in place.
 func (t *ptsTable) renumber(remap []int32, numNodes int) {
-	sets := make([]*ValueSet, numNodes)
-	for old, s := range t.sets {
-		if s != nil && remap[old] >= 0 {
-			s.reindex()
-			sets[remap[old]] = s
+	for old := range t.sets {
+		s := t.sets[old]
+		t.sets[old] = ValueSet{}
+		if to := remap[old]; to >= 0 && len(s.ids) > 0 {
+			s.renumber(remap)
+			t.sets[to] = s
 		}
 	}
-	t.sets = sets
-}
-
-// visit calls f for every node with a non-empty set, in node-id order.
-// nodes is the graph's node array, used to recover the node for an id.
-func (t *ptsTable) visit(nodes []graph.Node, f func(n graph.Node, s *ValueSet)) {
-	for id, s := range t.sets {
-		if s != nil && s.Len() > 0 && id < len(nodes) {
-			f(nodes[id], s)
-		}
+	if len(t.sets) > numNodes {
+		t.sets = t.sets[:numNodes]
 	}
 }
 
 // size counts nodes with a non-empty set.
 func (t *ptsTable) size() int {
 	n := 0
-	for _, s := range t.sets {
-		if s != nil && s.Len() > 0 {
+	for i := range t.sets {
+		if len(t.sets[i].ids) > 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// growTo returns s extended with zero values to length n, doubling its
+// capacity when it must reallocate.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		grown := make([]T, len(s), max(n, 2*cap(s), 64))
+		copy(grown, s)
+		s = grown
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
 }

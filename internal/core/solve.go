@@ -50,11 +50,12 @@ func (a *analysis) solve() {
 // propagate drains the worklist, pushing each value across its node's flow
 // edges in the graph's insertion order and through each edge's label: a
 // dispatch guard or cast filter may stop it, and the edge's units go into
-// the derived fact's record. Operation rules never add flow edges, so the
-// successor lists are stable for the whole solve. Once the consumed prefix
-// is at least half the worklist, the pending tail moves to the front, so
-// the slice stays near the size of the live frontier instead of growing to
-// a whole round's pushes; the queue order is unchanged.
+// the derived fact's record. Only a guarded edge resolves the value's node.
+// Operation rules never add flow edges, so the successor lists are stable
+// for the whole solve. Once the consumed prefix is at least half the
+// worklist, the pending tail moves to the front, so the slice stays near
+// the size of the live frontier instead of growing to a whole round's
+// pushes; the queue order is unchanged.
 func (a *analysis) propagate() {
 	for head := 0; head < len(a.worklist); head++ {
 		if 2*head >= len(a.worklist) {
@@ -62,17 +63,20 @@ func (a *analysis) propagate() {
 			head = 0
 		}
 		it := a.worklist[head]
-		src := it.node.ID()
-		for _, succ := range a.g.FlowSucc(it.node) {
-			l := a.edges[edgeKey(src, succ.ID())]
-			if l.callee != nil && !dispatchAdmits(it.val, l.callee) {
-				continue
+		for _, e := range a.g.FlowSuccID(int(it.node)) {
+			var units unitBits
+			if e.Label != 0 {
+				l := &a.labels.slots[e.Label]
+				if l.callee != nil && !dispatchAdmits(a.g.Nodes()[it.val], l.callee) {
+					continue
+				}
+				if l.cast != nil && !castAdmits(a.g.Nodes()[it.val], l.cast) {
+					continue
+				}
+				units = l.units
 			}
-			if l.cast != nil && !castAdmits(it.val, l.cast) {
-				continue
-			}
-			if a.seedChecked(succ, it.val) && a.tracking {
-				a.record(flowFact(succ, it.val), "Flow", l.units, flowFact(it.node, it.val))
+			if a.seedID(e.Dst, it.val) && a.tracking {
+				a.record(Fact{FactFlow, int(e.Dst), int(it.val)}, "Flow", units, Fact{FactFlow, int(it.node), int(it.val)})
 			}
 		}
 	}
@@ -82,7 +86,7 @@ func (a *analysis) propagate() {
 // dispatchAdmits reports whether a receiver value actually dispatches the
 // call to the callee guarding the edge. Values without a dynamic class
 // (resource ids) are never receivers.
-func dispatchAdmits(v graph.Value, callee *ir.Method) bool {
+func dispatchAdmits(v graph.Node, callee *ir.Method) bool {
 	var vc *ir.Class
 	switch v := v.(type) {
 	case *graph.AllocNode:
@@ -99,7 +103,7 @@ func dispatchAdmits(v graph.Value, callee *ir.Method) bool {
 
 // castAdmits reports whether a value may pass a cast to cls. Values without
 // a class (resource ids) pass unfiltered.
-func castAdmits(v graph.Value, cls *ir.Class) bool {
+func castAdmits(v graph.Node, cls *ir.Class) bool {
 	var vc *ir.Class
 	switch v := v.(type) {
 	case *graph.AllocNode:
@@ -114,69 +118,56 @@ func castAdmits(v graph.Value, cls *ir.Class) bool {
 	return vc.SubtypeOf(cls)
 }
 
-// seedChecked is seed that reports whether the value was new.
-func (a *analysis) seedChecked(n graph.Node, v graph.Value) bool {
-	if a.pts.ensure(n).Add(v) {
+// seedID adds the value with node id v to node n's set and, when it is new,
+// queues it and marks n's watchers; it reports whether it was new.
+func (a *analysis) seedID(n, v int32) bool {
+	if a.pts.ensure(int(n)).Add(v) {
 		a.worklist = append(a.worklist, propItem{n, v})
-		a.markWatchers(n.ID())
+		a.markWatchers(int(n))
 		return true
 	}
 	return false
 }
 
-func (a *analysis) ptsOf(n graph.Node) []graph.Value {
-	if s := a.pts.of(n); s != nil {
-		return s.Values()
-	}
-	return nil
+// seedChecked is seed that reports whether the value was new.
+func (a *analysis) seedChecked(n graph.Node, v graph.Value) bool {
+	return a.seedID(int32(n.ID()), int32(v.ID()))
 }
 
-func viewsOf(vals []graph.Value) []graph.Value {
-	var out []graph.Value
-	for _, v := range vals {
-		if graph.IsViewValue(v) {
-			out = append(out, v)
-		}
+// ptsIDs returns the node ids of n's values in insertion order: the set's
+// own array, which the rules walk in place. A rule that grows the set while
+// walking it sees the values the walk started with, as the slice header
+// fixes the length and appends never rewrite a prefix.
+func (a *analysis) ptsIDs(n graph.Node) []int32 { return a.pts.ids(n.ID()) }
+
+// node resolves a node id.
+func (a *analysis) node(id int32) graph.Node { return a.g.Nodes()[id] }
+
+// viewOf returns the value with node id if it abstracts views.
+func (a *analysis) viewOf(id int32) (graph.Value, bool) {
+	switch v := a.node(id).(type) {
+	case *graph.InflNode:
+		return v, true
+	case *graph.AllocNode:
+		return v, v.IsView
 	}
-	return out
+	return nil, false
 }
 
-// ownersOf filters values that can own a content view: implicitly created
-// activities and explicitly allocated dialogs.
-func ownersOf(vals []graph.Value) []graph.Value {
-	var out []graph.Value
-	for _, v := range vals {
-		switch v := v.(type) {
-		case *graph.ActivityNode:
-			out = append(out, v)
-		case *graph.AllocNode:
-			if v.IsDialog {
-				out = append(out, v)
-			}
-		}
+// ownerOf returns the value with node id if it can own a content view: an
+// implicitly created activity or an explicitly allocated dialog.
+func (a *analysis) ownerOf(id int32) (graph.Value, bool) {
+	switch v := a.node(id).(type) {
+	case *graph.ActivityNode:
+		return v, true
+	case *graph.AllocNode:
+		return v, v.IsDialog
 	}
-	return out
+	return nil, false
 }
 
-func layoutIDsOf(vals []graph.Value) []*graph.LayoutIDNode {
-	var out []*graph.LayoutIDNode
-	for _, v := range vals {
-		if l, ok := v.(*graph.LayoutIDNode); ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-func viewIDsOf(vals []graph.Value) []*graph.ViewIDNode {
-	var out []*graph.ViewIDNode
-	for _, v := range vals {
-		if n, ok := v.(*graph.ViewIDNode); ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// getViewKey is the signature of an adapter's getView(int) callback.
+var getViewKey = ir.MethodKey("getView", []alite.Type{{Prim: alite.TypeInt}})
 
 // applyOp applies one operation node's inference rule against the current
 // solution; it reports whether anything changed.
@@ -222,30 +213,39 @@ func (a *analysis) applyOp(op *graph.OpNode) bool {
 func (a *analysis) applySetAdapter(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	key := ir.MethodKey("getView", []alite.Type{{Prim: alite.TypeInt}})
-	for _, adapter := range a.ptsOf(op.Args[0]) {
+	for _, aid := range a.ptsIDs(op.Args[0]) {
+		var adapter graph.Value
 		var cls *ir.Class
-		switch ad := adapter.(type) {
+		switch ad := a.node(aid).(type) {
 		case *graph.AllocNode:
-			cls = ad.Class
+			adapter, cls = ad, ad.Class
 		case *graph.ActivityNode:
-			cls = ad.Class
+			adapter, cls = ad, ad.Class
 		default:
 			continue
 		}
-		m := cls.Dispatch(key)
+		m := cls.Dispatch(getViewKey)
 		if m == nil || m.Body == nil {
 			continue
 		}
 		for _, rv := range a.methodReturnVars(m) {
-			for _, item := range viewsOf(a.ptsOf(a.g.VarNode(rv))) {
-				for _, parent := range viewsOf(a.ptsOf(op.Recv)) {
+			rvNode := a.g.VarNode(rv)
+			for _, iid := range a.ptsIDs(rvNode) {
+				item, ok := a.viewOf(iid)
+				if !ok {
+					continue
+				}
+				for _, pid := range a.ptsIDs(op.Recv) {
+					parent, ok := a.viewOf(pid)
+					if !ok {
+						continue
+					}
 					if a.g.AddChild(parent, item) {
 						changed = true
 						if a.tracking {
 							a.record(childFact(parent, item), op.Kind.String(), u.or(a.unitOf(m)),
 								flowFact(op.Recv, parent), flowFact(op.Args[0], adapter),
-								flowFact(a.g.VarNode(rv), item))
+								flowFact(rvNode, item))
 						}
 					}
 				}
@@ -261,8 +261,8 @@ func (a *analysis) applySetAdapter(op *graph.OpNode) bool {
 func (a *analysis) applyMenuAdd(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, v := range a.ptsOf(op.Recv) {
-		menu, ok := v.(*graph.MenuNode)
+	for _, vid := range a.ptsIDs(op.Recv) {
+		menu, ok := a.node(vid).(*graph.MenuNode)
 		if !ok {
 			continue
 		}
@@ -273,7 +273,11 @@ func (a *analysis) applyMenuAdd(op *graph.OpNode) bool {
 				a.record(menuItemFact(menu, item), op.Kind.String(), u, flowFact(op.Recv, menu))
 			}
 		}
-		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
+		for _, iid := range a.ptsIDs(op.Args[0]) {
+			id, ok := a.node(iid).(*graph.ViewIDNode)
+			if !ok {
+				continue
+			}
 			if a.g.AddViewID(item, id) {
 				changed = true
 				if a.tracking {
@@ -310,12 +314,16 @@ func (a *analysis) applyFindMenuItem(op *graph.OpNode) bool {
 	}
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, v := range a.ptsOf(op.Recv) {
-		menu, ok := v.(*graph.MenuNode)
+	for _, vid := range a.ptsIDs(op.Recv) {
+		menu, ok := a.node(vid).(*graph.MenuNode)
 		if !ok {
 			continue
 		}
-		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
+		for _, iid := range a.ptsIDs(op.Args[0]) {
+			id, ok := a.node(iid).(*graph.ViewIDNode)
+			if !ok {
+				continue
+			}
 			for _, item := range a.g.MenuItems(menu) {
 				if a.g.HasViewID(item, id) && a.seedChecked(op.Out, item) {
 					changed = true
@@ -339,7 +347,11 @@ func (a *analysis) applyFindParent(op *graph.OpNode) bool {
 	}
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		view, ok := a.viewOf(vid)
+		if !ok {
+			continue
+		}
 		for _, p := range a.g.Parents(view) {
 			if a.seedChecked(op.Out, p) {
 				changed = true
@@ -359,12 +371,13 @@ func (a *analysis) applyFindParent(op *graph.OpNode) bool {
 func (a *analysis) applySetIntentTarget(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, intent := range a.ptsOf(op.Recv) {
-		if _, ok := intent.(*graph.AllocNode); !ok {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		intent, ok := a.node(vid).(*graph.AllocNode)
+		if !ok {
 			continue
 		}
-		for _, v := range a.ptsOf(op.Args[0]) {
-			cls, ok := v.(*graph.ClassNode)
+		for _, cid := range a.ptsIDs(op.Args[0]) {
+			cls, ok := a.node(cid).(*graph.ClassNode)
 			if !ok {
 				continue
 			}
@@ -451,7 +464,11 @@ func (a *analysis) inflate(op *graph.OpNode, lid *graph.LayoutIDNode) (*inflatio
 
 func (a *analysis) applyInflate1(op *graph.OpNode) bool {
 	changed := false
-	for _, lid := range layoutIDsOf(a.ptsOf(op.Args[0])) {
+	for _, vid := range a.ptsIDs(op.Args[0]) {
+		lid, ok := a.node(vid).(*graph.LayoutIDNode)
+		if !ok {
+			continue
+		}
 		inf, c := a.inflate(op, lid)
 		if inf == nil {
 			continue
@@ -465,7 +482,11 @@ func (a *analysis) applyInflate1(op *graph.OpNode) bool {
 			}
 		}
 		if op.AttachParent && op.ParentArg < len(op.Args) {
-			for _, parent := range viewsOf(a.ptsOf(op.Args[op.ParentArg])) {
+			for _, pid := range a.ptsIDs(op.Args[op.ParentArg]) {
+				parent, ok := a.viewOf(pid)
+				if !ok {
+					continue
+				}
 				if a.g.AddChild(parent, inf.root) {
 					changed = true
 					if a.tracking {
@@ -481,14 +502,22 @@ func (a *analysis) applyInflate1(op *graph.OpNode) bool {
 
 func (a *analysis) applyInflate2(op *graph.OpNode) bool {
 	changed := false
-	for _, lid := range layoutIDsOf(a.ptsOf(op.Args[0])) {
+	for _, vid := range a.ptsIDs(op.Args[0]) {
+		lid, ok := a.node(vid).(*graph.LayoutIDNode)
+		if !ok {
+			continue
+		}
 		inf, c := a.inflate(op, lid)
 		if inf == nil {
 			continue
 		}
 		changed = changed || c
 		ul := a.unitOf(op.Method).or(a.layoutUnit(lid.Name))
-		for _, owner := range ownersOf(a.ptsOf(op.Recv)) {
+		for _, oid := range a.ptsIDs(op.Recv) {
+			owner, ok := a.ownerOf(oid)
+			if !ok {
+				continue
+			}
 			if a.g.AddRoot(owner, inf.root) {
 				changed = true
 				if a.tracking {
@@ -507,8 +536,16 @@ func (a *analysis) applyInflate2(op *graph.OpNode) bool {
 func (a *analysis) applyAddView1(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, owner := range ownersOf(a.ptsOf(op.Recv)) {
-		for _, view := range viewsOf(a.ptsOf(op.Args[0])) {
+	for _, oid := range a.ptsIDs(op.Recv) {
+		owner, ok := a.ownerOf(oid)
+		if !ok {
+			continue
+		}
+		for _, vid := range a.ptsIDs(op.Args[0]) {
+			view, ok := a.viewOf(vid)
+			if !ok {
+				continue
+			}
 			if a.g.AddRoot(owner, view) {
 				changed = true
 				if a.tracking {
@@ -529,8 +566,16 @@ func (a *analysis) applyAddView1(op *graph.OpNode) bool {
 func (a *analysis) applyAddView2(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, parent := range viewsOf(a.ptsOf(op.Recv)) {
-		for _, child := range viewsOf(a.ptsOf(op.Args[0])) {
+	for _, pid := range a.ptsIDs(op.Recv) {
+		parent, ok := a.viewOf(pid)
+		if !ok {
+			continue
+		}
+		for _, cid := range a.ptsIDs(op.Args[0]) {
+			child, ok := a.viewOf(cid)
+			if !ok {
+				continue
+			}
 			if a.g.AddChild(parent, child) {
 				changed = true
 				if a.tracking {
@@ -546,8 +591,16 @@ func (a *analysis) applyAddView2(op *graph.OpNode) bool {
 func (a *analysis) applySetID(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
-		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		view, ok := a.viewOf(vid)
+		if !ok {
+			continue
+		}
+		for _, iid := range a.ptsIDs(op.Args[0]) {
+			id, ok := a.node(iid).(*graph.ViewIDNode)
+			if !ok {
+				continue
+			}
 			if a.g.AddViewID(view, id) {
 				changed = true
 				if a.tracking {
@@ -563,13 +616,18 @@ func (a *analysis) applySetID(op *graph.OpNode) bool {
 func (a *analysis) applySetListener(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
-		for _, lst := range a.ptsOf(op.Args[0]) {
-			if _, isID := lst.(*graph.ViewIDNode); isID {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		view, ok := a.viewOf(vid)
+		if !ok {
+			continue
+		}
+		for _, lid := range a.ptsIDs(op.Args[0]) {
+			var lst graph.Value
+			switch l := a.node(lid).(type) {
+			case *graph.ViewIDNode, *graph.LayoutIDNode:
 				continue
-			}
-			if _, isLID := lst.(*graph.LayoutIDNode); isLID {
-				continue
+			default:
+				lst = l.(graph.Value)
 			}
 			if a.g.AddListener(view, lst) {
 				changed = true
@@ -589,8 +647,16 @@ func (a *analysis) applyFindView1(op *graph.OpNode) bool {
 	}
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
-		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		view, ok := a.viewOf(vid)
+		if !ok {
+			continue
+		}
+		for _, iid := range a.ptsIDs(op.Args[0]) {
+			id, ok := a.node(iid).(*graph.ViewIDNode)
+			if !ok {
+				continue
+			}
 			for _, w := range a.walk.Descendants(a.g, view) {
 				if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
 					changed = true
@@ -613,8 +679,16 @@ func (a *analysis) applyFindView2(op *graph.OpNode) bool {
 	}
 	changed := false
 	u := a.unitOf(op.Method)
-	for _, owner := range ownersOf(a.ptsOf(op.Recv)) {
-		for _, id := range viewIDsOf(a.ptsOf(op.Args[0])) {
+	for _, oid := range a.ptsIDs(op.Recv) {
+		owner, ok := a.ownerOf(oid)
+		if !ok {
+			continue
+		}
+		for _, iid := range a.ptsIDs(op.Args[0]) {
+			id, ok := a.node(iid).(*graph.ViewIDNode)
+			if !ok {
+				continue
+			}
 			for _, root := range a.g.Roots(owner) {
 				for _, w := range a.walk.Descendants(a.g, root) {
 					if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
@@ -641,7 +715,11 @@ func (a *analysis) applyFindView3(op *graph.OpNode) bool {
 	changed := false
 	u := a.unitOf(op.Method)
 	childOnly := op.Scope == platform.ScopeChildren && !a.opts.NoFindView3Refinement
-	for _, view := range viewsOf(a.ptsOf(op.Recv)) {
+	for _, vid := range a.ptsIDs(op.Recv) {
+		view, ok := a.viewOf(vid)
+		if !ok {
+			continue
+		}
 		var candidates []graph.Value
 		if childOnly {
 			candidates = a.g.Children(view)

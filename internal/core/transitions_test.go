@@ -160,7 +160,7 @@ class A extends Activity {
 	}
 }`
 	r := analyzeSrc(t, src, nil, Options{})
-	iVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "i"))
+	iVals := r.VarPointsTo(localVar(t, r, "A", "onCreate()", "i")).Slice()
 	if len(iVals) != 1 {
 		t.Fatalf("pts(i) = %v", valueNames(iVals))
 	}
@@ -206,7 +206,7 @@ class B extends Activity {
 	// Context-insensitive: the helper's receiver set merges both roots and
 	// its result (both children) flows back to both callers.
 	base := analyzeSrc(t, src, layouts, Options{})
-	xVals := base.VarPointsTo(localVar(t, base, "A", "onCreate()", "x"))
+	xVals := base.VarPointsTo(localVar(t, base, "A", "onCreate()", "x")).Slice()
 	if len(xVals) != 2 {
 		t.Errorf("insensitive pts(x) = %v, want 2 (merged)", valueNames(xVals))
 	}
@@ -214,14 +214,14 @@ class B extends Activity {
 	// 1-CFA: each call site gets its own clone; the spurious result is
 	// gone.
 	ctx := analyzeSrc(t, src, layouts, Options{ContextSensitivity: Ctx1CFA})
-	xVals = ctx.VarPointsTo(localVar(t, ctx, "A", "onCreate()", "x"))
+	xVals = ctx.VarPointsTo(localVar(t, ctx, "A", "onCreate()", "x")).Slice()
 	if len(xVals) != 1 {
 		t.Fatalf("context-sensitive pts(x) = %v, want 1", valueNames(xVals))
 	}
 	if infl, ok := xVals[0].(*graph.InflNode); !ok || infl.IDName != "childa" {
 		t.Errorf("pts(x) = %v, want childa", valueNames(xVals))
 	}
-	yVals := ctx.VarPointsTo(localVar(t, ctx, "B", "onCreate()", "y"))
+	yVals := ctx.VarPointsTo(localVar(t, ctx, "B", "onCreate()", "y")).Slice()
 	if len(yVals) != 1 {
 		t.Errorf("context-sensitive pts(y) = %v, want 1", valueNames(yVals))
 	}

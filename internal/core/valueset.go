@@ -3,114 +3,105 @@ package core
 import "gator/internal/graph"
 
 // smallSet is the size up to which a ValueSet answers membership by
-// scanning its order slice instead of keeping an index. Most points-to sets
-// stay this small: all but 45 of the 9,192 non-empty sets of the 20 corpus
+// scanning its ids instead of keeping an index. Most points-to sets stay
+// this small: all but 45 of the 9,192 non-empty sets of the 20 corpus
 // apps, and all but 1,701 of the 38,871 of the 9 chain apps, whose large
 // sets get an index.
 const smallSet = 8
 
-// ValueSet is an insertion-ordered set of abstract values. Insertion order
-// is deterministic given a deterministic construction order, which keeps
-// the whole analysis reproducible run to run.
+// ValueSet is an insertion-ordered set of abstract values, held as their
+// graph node ids. Insertion order is deterministic given a deterministic
+// construction order, which keeps the whole analysis reproducible run to
+// run. The zero value is the empty set, and a set owns no pointers: the
+// points-to table holds its sets by value, and the garbage collector never
+// scans their arrays.
 type ValueSet struct {
-	order []graph.Value
-	// index maps value ID -> position in order. It exists exactly while
-	// the set holds more than smallSet values. Values of one graph are
-	// equal exactly when their ids are, so a scan compares values directly.
-	index map[int]int32
+	ids []int32
+	// index holds the ids exactly while the set holds more than smallSet
+	// of them.
+	index graph.IDSet
 }
 
 // NewValueSet returns an empty set.
 func NewValueSet() *ValueSet { return &ValueSet{} }
 
-// find returns v's position in order, or -1.
-func (s *ValueSet) find(v graph.Value) int {
+// Contains reports whether the value with node id v is in the set.
+func (s *ValueSet) Contains(v int32) bool {
 	if s.index != nil {
-		if i, ok := s.index[v.ID()]; ok {
-			return int(i)
-		}
-		return -1
+		return s.index.Has(v)
 	}
-	for i, x := range s.order {
+	for _, x := range s.ids {
 		if x == v {
-			return i
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
-// Add inserts v, reporting whether it was new.
-func (s *ValueSet) Add(v graph.Value) bool {
-	if s.find(v) >= 0 {
+// Add inserts the value with node id v, reporting whether it was new.
+func (s *ValueSet) Add(v int32) bool {
+	if s.Contains(v) {
 		return false
 	}
-	s.order = append(s.order, v)
+	s.ids = append(s.ids, v)
+	switch n := len(s.ids); {
+	case n == smallSet+1:
+		s.reindex()
+	case n > smallSet+1:
+		s.index = s.index.Add(v, n)
+	}
+	return true
+}
+
+// Remove deletes the value with node id v, reporting whether it was
+// present. Removal preserves the insertion order of the remaining values,
+// keeping iteration deterministic after incremental retraction.
+func (s *ValueSet) Remove(v int32) bool {
+	if !s.Contains(v) {
+		return false
+	}
+	i := 0
+	for s.ids[i] != v {
+		i++
+	}
+	s.ids = append(s.ids[:i], s.ids[i+1:]...)
 	switch {
-	case s.index != nil:
-		s.index[v.ID()] = int32(len(s.order) - 1)
-	case len(s.order) > smallSet:
-		s.index = make(map[int]int32, len(s.order))
-		for i, x := range s.order {
-			s.index[x.ID()] = int32(i)
-		}
-	}
-	return true
-}
-
-// Remove deletes v, reporting whether it was present. Removal preserves the
-// insertion order of the remaining values, keeping iteration deterministic
-// after incremental retraction.
-func (s *ValueSet) Remove(v graph.Value) bool {
-	i := s.find(v)
-	if i < 0 {
-		return false
-	}
-	copy(s.order[i:], s.order[i+1:])
-	s.order[len(s.order)-1] = nil
-	s.order = s.order[:len(s.order)-1]
-	if s.index == nil {
-		return true
-	}
-	if len(s.order) <= smallSet {
+	case len(s.ids) == smallSet:
 		s.index = nil
-		return true
-	}
-	delete(s.index, v.ID())
-	for j := i; j < len(s.order); j++ {
-		s.index[s.order[j].ID()] = int32(j)
+	case s.index != nil:
+		s.index.Delete(v)
 	}
 	return true
 }
 
-// reindex rebuilds the index after the values' ids changed (a graph
-// compaction); the order, and so every position, stays.
+// reindex rebuilds the index from the ids: it drops the index of a set
+// down to smallSet values and refills it otherwise.
 func (s *ValueSet) reindex() {
-	if s.index == nil {
+	if len(s.ids) <= smallSet {
+		s.index = nil
 		return
 	}
 	clear(s.index)
-	for i, x := range s.order {
-		s.index[x.ID()] = int32(i)
+	for i, x := range s.ids {
+		s.index = s.index.Add(x, i+1)
 	}
 }
 
-// Contains reports membership.
-func (s *ValueSet) Contains(v graph.Value) bool { return s.find(v) >= 0 }
-
-// Len returns the number of values.
-func (s *ValueSet) Len() int { return len(s.order) }
-
-// Values returns the values in insertion order. The returned slice is the
-// set's backing store; callers must not modify it.
-func (s *ValueSet) Values() []graph.Value { return s.order }
-
-// Views returns the member values that abstract views.
-func (s *ValueSet) Views() []graph.Value {
-	var out []graph.Value
-	for _, v := range s.order {
-		if graph.IsViewValue(v) {
-			out = append(out, v)
+// renumber rewrites the ids by remap after a graph compaction
+// (graph.Compact's remap), keeping their order. Retraction has already
+// removed every retired value; one left anyway leaves the set.
+func (s *ValueSet) renumber(remap []int32) {
+	kept := s.ids[:0]
+	for _, x := range s.ids {
+		if y := remap[x]; y >= 0 {
+			kept = append(kept, y)
 		}
 	}
-	return out
+	s.ids = kept
+	if s.index != nil {
+		s.reindex()
+	}
 }
+
+// Len returns the number of values.
+func (s *ValueSet) Len() int { return len(s.ids) }

@@ -56,9 +56,10 @@ func Export(res *core.Result, opts Options) string {
 	}
 
 	if opts.Flow {
-		for _, n := range res.Graph.Nodes() {
-			for _, succ := range res.Graph.FlowSucc(n) {
-				fmt.Fprintf(&b, "\t%s -> %s;\n", declare(n), declare(succ))
+		nodes := res.Graph.Nodes()
+		for _, n := range nodes {
+			for _, e := range res.Graph.FlowSucc(n) {
+				fmt.Fprintf(&b, "\t%s -> %s;\n", declare(n), declare(nodes[e.Dst]))
 			}
 		}
 		// Operation connections: inputs and outputs.
@@ -108,7 +109,9 @@ func Export(res *core.Result, opts Options) string {
 			if !ok {
 				continue
 			}
-			for _, v := range res.PointsTo(vn) {
+			vs := res.PointsTo(vn)
+			for k := range vs.Len() {
+				v := vs.At(k)
 				fmt.Fprintf(&b, "\t%s -> %s [label=\"pts\" color=gray style=dotted];\n", declare(v), declare(vn))
 			}
 		}

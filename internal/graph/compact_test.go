@@ -13,9 +13,9 @@ import (
 // lists longer than relScan, retiring a random part of the inflated views
 // and operations and compacting leaves exactly the live nodes, numbered
 // densely in their old order, with every successor list and visit order
-// the old one minus the retired nodes, and the edge maps holding exactly
-// the edges of the long lists. A Walker that walked before the compaction
-// walks correctly after it.
+// the old one minus the retired nodes, and every list's id set holding
+// exactly its successors' new ids while it is longer than relScan. A
+// Walker that walked before the compaction walks correctly after it.
 func TestCompactRenumbersLiveNodes(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,7 +61,7 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 			if v, ok := n.(Value); ok {
 				wantChildren[n], wantParents[n] = keep(g.Children(v)), keep(g.Parents(v))
 			}
-			wantFlow[n] = slices.DeleteFunc(slices.Clone(g.FlowSucc(n)), func(d Node) bool { return dead[d] })
+			wantFlow[n] = slices.DeleteFunc(flowDsts(g, n), func(d Node) bool { return dead[d] })
 		}
 		var wantPairs [][2]Value
 		g.ChildPairs(func(p, c Value) {
@@ -90,7 +90,7 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 					t.Fatalf("seed %d: child lists of node %d changed", seed, id)
 				}
 			}
-			if !slices.Equal(g.FlowSucc(n), wantFlow[n]) {
+			if !slices.Equal(flowDsts(g, n), wantFlow[n]) {
 				t.Fatalf("seed %d: flow successors of node %d changed", seed, id)
 			}
 			flowEdges += len(wantFlow[n])
@@ -103,17 +103,29 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 		if !slices.Equal(gotPairs, wantPairs) {
 			t.Fatalf("seed %d: child visit order changed", seed)
 		}
-		checkLong(t, g.flowLong, func(visit func(sid int, succs []Node)) {
-			for sid, succs := range g.flow {
-				visit(sid, succs)
+		for sid, l := range g.flow {
+			ids := make([]int32, len(l.edges))
+			for i, e := range l.edges {
+				ids[i] = e.Dst
 			}
-		})
+			if !setMatches(l.set, ids) {
+				t.Fatalf("seed %d: the destination set of node %d's flow list is wrong", seed, sid)
+			}
+		}
 		for _, r := range g.relations() {
-			checkLong(t, r.long, func(visit func(sid int, succs []Value)) {
-				for sid, succs := range r.succ {
-					visit(sid, succs)
+			for i := range r.lists {
+				l := &r.lists[i]
+				ids := make([]int32, len(l.dsts))
+				for j, d := range l.dsts {
+					ids[j] = int32(d.ID())
 				}
-			})
+				if !setMatches(l.set, ids) {
+					t.Fatalf("seed %d: the successor set of %v in relation %d is wrong", seed, l.src, r.col)
+				}
+				if r.list(l.src) != l {
+					t.Fatalf("seed %d: the shared index does not lead to %v's list in relation %d", seed, l.src, r.col)
+				}
+			}
 		}
 		if got := w.Descendants(g, views[0]); !sameValues(got, referenceDescendants(g, views[0])) {
 			t.Fatalf("seed %d: a walker reused across Compact walks wrongly", seed)
@@ -121,23 +133,11 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 	}
 }
 
-// checkLong holds an edge map to its contract: it holds exactly the edges
-// of the successor lists longer than relScan.
-func checkLong[T succNode](t *testing.T, long map[edgeKey]struct{}, lists func(func(sid int, succs []T))) {
-	t.Helper()
-	want := 0
-	lists(func(sid int, succs []T) {
-		if len(succs) <= relScan {
-			return
-		}
-		for _, d := range succs {
-			if _, ok := long[edgeKey{sid, d.ID()}]; !ok {
-				t.Fatalf("edge %d -> %d of a long list is missing from the edge map", sid, d.ID())
-			}
-			want++
-		}
-	})
-	if len(long) != want {
-		t.Fatalf("edge map holds %d edges, want %d", len(long), want)
+// flowDsts returns n's flow successors as nodes.
+func flowDsts(g *Graph, n Node) []Node {
+	var out []Node
+	for _, e := range g.FlowSucc(n) {
+		out = append(out, g.Nodes()[e.Dst])
 	}
+	return out
 }

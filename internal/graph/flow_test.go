@@ -12,12 +12,12 @@ import (
 // edge in a set for deduplication. The graph's store must agree with it.
 type refFlow struct {
 	flowSucc map[Node][]Node
-	flowSet  map[edgeKey]bool
+	flowSet  map[[2]int]bool
 	numFlow  int
 }
 
 func (r *refFlow) AddFlow(src, dst Node) bool {
-	k := edgeKey{src.ID(), dst.ID()}
+	k := [2]int{src.ID(), dst.ID()}
 	if r.flowSet[k] {
 		return false
 	}
@@ -35,7 +35,7 @@ func (r *refFlow) FilterFlow(keep func(src, dst Node) bool) int {
 			if keep(src, dst) {
 				kept = append(kept, dst)
 			} else {
-				delete(r.flowSet, edgeKey{src.ID(), dst.ID()})
+				delete(r.flowSet, [2]int{src.ID(), dst.ID()})
 				removed++
 			}
 		}
@@ -53,9 +53,10 @@ func (r *refFlow) FilterFlow(keep func(src, dst Node) bool) int {
 // over a few sources and a universe larger than relScan, the graph agrees
 // with refFlow on every result, on FlowSucc for every node, on
 // NumFlowEdges, and on VisitFlow, which must visit each non-empty list once
-// in source id order; and flowLong holds exactly the edges of the lists
-// longer than relScan. Sequences alternate add-heavy and filter-heavy
-// phases, so successor lists cross relScan in both directions.
+// in source id order; and each list keeps its destination set exactly while
+// it is longer than relScan, holding exactly its destinations (setMatches).
+// Sequences alternate add-heavy and filter-heavy phases, so successor lists
+// cross relScan in both directions.
 func TestFlowQuickProperties(t *testing.T) {
 	g := New()
 	universe := make([]Node, 3*relScan)
@@ -66,15 +67,16 @@ func TestFlowQuickProperties(t *testing.T) {
 	crossedUp, crossedDown := false, false
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g.flow, g.flowLong, g.numFlow = nil, map[edgeKey]struct{}{}, 0
-		ref := &refFlow{flowSucc: map[Node][]Node{}, flowSet: map[edgeKey]bool{}}
+		g.flow, g.numFlow = nil, 0
+		ref := &refFlow{flowSucc: map[Node][]Node{}, flowSet: map[[2]int]bool{}}
 		wasLong := map[int]bool{}
 		for i := 0; i < 300; i++ {
 			if filterHeavy := i/100%2 == 1; rng.Intn(100) < 3 || filterHeavy && rng.Intn(100) < 15 {
 				salt := rng.Int()
 				drop := 2 + rng.Intn(3)
 				keep := func(src, dst Node) bool { return (src.ID()*7+dst.ID()*13+salt)%drop != 0 }
-				if g.FilterFlow(keep) != ref.FilterFlow(keep) {
+				graphKeep := func(src Node, e FlowEdge) bool { return keep(src, g.nodes[e.Dst]) }
+				if g.FilterFlow(graphKeep) != ref.FilterFlow(keep) {
 					return false
 				}
 			} else {
@@ -108,31 +110,24 @@ func flowAgrees(g *Graph, ref *refFlow, universe []Node) bool {
 	if g.NumFlowEdges() != ref.numFlow {
 		return false
 	}
-	long := 0
 	for _, n := range universe {
 		got, want := g.FlowSucc(n), ref.flowSucc[n]
 		if len(got) != len(want) {
 			return false
 		}
+		ids := make([]int32, len(got))
 		for i := range got {
-			if got[i] != want[i] {
+			if g.nodes[got[i].Dst] != want[i] || got[i].Label != 0 {
 				return false
 			}
+			ids[i] = got[i].Dst
 		}
-		if len(got) > relScan {
-			long += len(got)
-			for _, d := range got {
-				if _, ok := g.flowLong[edgeKey{n.ID(), d.ID()}]; !ok {
-					return false
-				}
-			}
+		if n.ID() < len(g.flow) && !setMatches(g.flow[n.ID()].set, ids) {
+			return false
 		}
-	}
-	if len(g.flowLong) != long {
-		return false
 	}
 	var visited, want []Node
-	g.VisitFlow(func(src Node, dsts []Node) {
+	g.VisitFlow(func(src Node, dsts []FlowEdge) {
 		if len(dsts) == 0 || len(dsts) != len(ref.flowSucc[src]) {
 			visited = append(visited, nil)
 		}
@@ -147,6 +142,30 @@ func flowAgrees(g *Graph, ref *refFlow, universe []Node) bool {
 	}
 	for i := range visited {
 		if visited[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// setMatches holds a successor list's IDSet to its contract: the set exists
+// exactly while the list is longer than relScan, is at most half full, and
+// holds exactly the list's ids.
+func setMatches(set IDSet, ids []int32) bool {
+	if len(ids) <= relScan {
+		return set == nil
+	}
+	n := 0
+	for _, x := range set {
+		if x != 0 {
+			n++
+		}
+	}
+	if n != len(ids) || 2*n > len(set) {
+		return false
+	}
+	for _, id := range ids {
+		if !set.Has(id) {
 			return false
 		}
 	}

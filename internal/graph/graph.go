@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"gator/internal/ir"
 	"gator/internal/platform"
@@ -222,7 +223,9 @@ type Graph struct {
 
 	// varNodes holds each variable's context-insensitive node, indexed by
 	// ir.Var.ID (nil until created); ctxNodes holds the cloned-context
-	// nodes. A graph holds the variables of one ir.Program.
+	// nodes. A graph holds the variables of one ir.Program. methodVars
+	// groups the variable nodes by method; it is nil until MethodVarNodes
+	// first asks, since only incremental retraction reads it.
 	varNodes   []*VarNode
 	ctxNodes   map[varKey]*VarNode
 	methodVars map[*ir.Method][]*VarNode
@@ -256,31 +259,28 @@ type Graph struct {
 	// built or last compacted: nodes no index holds any more.
 	retired int
 
-	// Flow edges. flow holds each source's successors in insertion order,
-	// indexed by source node id. A list deduplicates by scanning while it
-	// holds at most relScan successors; flowLong holds the edges of every
-	// longer list, and only those, as relation's long does.
-	flow     [][]Node
-	flowLong map[edgeKey]struct{}
-	numFlow  int
+	// Flow edges: flow holds each source's successor list, indexed by
+	// source node id, each edge with its label beside it.
+	flow    []flowList
+	numFlow int
 
-	// Relationship edges, grown during solving.
-	children  *relation // view ⇒ child view
-	parents   *relation // child view ⇒ parent view (inverse index)
-	viewIDRel *relation // view ⇒ ViewIDNode
-	listeners *relation // view ⇒ listener value
-	roots     *relation // activity/dialog value ⇒ root view
-	layoutOf  *relation // inflated root ⇒ LayoutIDNode
-	targets   *relation // intent allocation ⇒ ClassNode
-	menuRel   *relation // menu ⇒ menu item
+	// Relationship edges, grown during solving. rels is the source index
+	// the eight relations share.
+	rels      relIndex
+	children  relation // view ⇒ child view
+	parents   relation // child view ⇒ parent view (inverse index)
+	viewIDRel relation // view ⇒ ViewIDNode
+	listeners relation // view ⇒ listener value
+	roots     relation // activity/dialog value ⇒ root view
+	layoutOf  relation // inflated root ⇒ LayoutIDNode
+	targets   relation // intent allocation ⇒ ClassNode
+	menuRel   relation // menu ⇒ menu item
 
 	// gen increments whenever a relationship edge is added or removed. The
 	// solver's delta worklist (core's opLastGen) is its only reader: an
 	// operation whose stamp differs is re-applied.
 	gen int
 }
-
-type edgeKey struct{ src, dst int }
 
 type varKey struct {
 	v   *ir.Var
@@ -289,9 +289,8 @@ type varKey struct {
 
 // New creates an empty constraint graph.
 func New() *Graph {
-	return &Graph{
+	g := &Graph{
 		ctxNodes:   map[varKey]*VarNode{},
-		methodVars: map[*ir.Method][]*VarNode{},
 		fields:     map[*ir.Field]*FieldNode{},
 		activities: map[*ir.Class]*ActivityNode{},
 		layoutIDs:  map[int]*LayoutIDNode{},
@@ -303,23 +302,39 @@ func New() *Graph {
 		ctxLabels:  map[int]string{},
 		ctxIDs:     map[string]int{},
 		ctxVars:    map[*ir.Var][]*VarNode{},
-		flowLong:   map[edgeKey]struct{}{},
-		children:   newRelation(),
-		parents:    newRelation(),
-		viewIDRel:  newRelation(),
-		listeners:  newRelation(),
-		roots:      newRelation(),
-		layoutOf:   newRelation(),
-		targets:    newRelation(),
-		menuRel:    newRelation(),
 	}
+	for col, r := range g.relations() {
+		*r = relation{col: col, idx: &g.rels}
+	}
+	return g
 }
 
+// register appends n to the node array, doubling its capacity when full:
+// append grows a long slice by a quarter at a time, which allocates about
+// five times the final size on the way.
 func (g *Graph) register(n Node) {
+	if len(g.nodes) == cap(g.nodes) {
+		g.nodes = slices.Grow(g.nodes, max(len(g.nodes), 64))
+	}
 	g.nodes = append(g.nodes, n)
 }
 
 func (g *Graph) nextID() base { return base{id: len(g.nodes)} }
+
+// growTo returns s extended with zero values to length n, doubling its
+// capacity when it must reallocate.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*cap(s), 64)-len(s))
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
+}
 
 // Nodes returns all nodes in creation order.
 func (g *Graph) Nodes() []Node { return g.nodes }
@@ -339,16 +354,14 @@ func (g *Graph) VarNodeCtx(v *ir.Var, ctx int) *VarNode {
 	}
 	n := &VarNode{base: g.nextID(), Var: v, Ctx: ctx}
 	if ctx == 0 {
-		if v.ID >= len(g.varNodes) {
-			g.varNodes = append(g.varNodes, make([]*VarNode, v.ID+1-len(g.varNodes))...)
-		}
+		g.varNodes = growTo(g.varNodes, v.ID+1)
 		g.varNodes[v.ID] = n
 	} else {
 		n.CtxLabel = g.ctxLabels[ctx]
 		g.ctxNodes[varKey{v, ctx}] = n
 		g.ctxVars[v] = append(g.ctxVars[v], n)
 	}
-	if v.Method != nil {
+	if g.methodVars != nil && v.Method != nil {
 		g.methodVars[v.Method] = append(g.methodVars[v.Method], n)
 	}
 	g.register(n)
@@ -386,10 +399,31 @@ func (g *Graph) ContextVarNodes(v *ir.Var) []*VarNode {
 	return append(out, clones...)
 }
 
-// MethodVarNodes returns the variable nodes created for m's variables since
-// the index was last dropped. Incremental retraction uses it to find the
-// nodes a re-lowered body orphans without scanning every node ever created.
-func (g *Graph) MethodVarNodes(m *ir.Method) []*VarNode { return g.methodVars[m] }
+// MethodVarNodes returns the live variable nodes of m's variables created
+// since the index was last dropped, in creation order. Incremental
+// retraction uses it to find the nodes a re-lowered body orphans without
+// scanning every node on each edit. The index is built from the live
+// variable nodes on the first call, which cold solves never make, and kept
+// up to date from then on.
+func (g *Graph) MethodVarNodes(m *ir.Method) []*VarNode {
+	if g.methodVars == nil {
+		g.methodVars = map[*ir.Method][]*VarNode{}
+		for _, n := range g.nodes {
+			if vn, ok := n.(*VarNode); ok && vn.Var.Method != nil && g.liveVarNode(vn) {
+				g.methodVars[vn.Var.Method] = append(g.methodVars[vn.Var.Method], vn)
+			}
+		}
+	}
+	return g.methodVars[m]
+}
+
+// liveVarNode reports whether a variable index still holds n.
+func (g *Graph) liveVarNode(n *VarNode) bool {
+	if n.Ctx != 0 {
+		return g.ctxNodes[varKey{n.Var, n.Ctx}] == n
+	}
+	return n.Var.ID < len(g.varNodes) && g.varNodes[n.Var.ID] == n
+}
 
 // DropMethodVarNodes resets m's variable-node index. The still-live receiver
 // and parameter nodes simply leave the index — they are only ever looked up
@@ -579,73 +613,137 @@ func (g *Graph) ViewIDs() []*ViewIDNode {
 	return out
 }
 
-// AddFlow adds a value-flow edge; reports whether it is new.
-func (g *Graph) AddFlow(src, dst Node) bool {
-	sid := src.ID()
-	if sid >= len(g.flow) {
-		g.flow = append(g.flow, make([][]Node, sid+1-len(g.flow))...)
+// FlowEdge is one value-flow edge as its source's successor list holds
+// it: the destination's node id and the edge's label, an index into a table
+// the solver keeps (0 for an edge that carries nothing beyond its
+// endpoints). The graph stores labels and never reads them.
+type FlowEdge struct{ Dst, Label int32 }
+
+// flowList is one source's flow successors in insertion order. A list
+// deduplicates by scanning while it holds at most relScan edges; a longer
+// one also keeps its destinations in set.
+type flowList struct {
+	edges []FlowEdge
+	set   IDSet
+}
+
+func (l *flowList) has(dst int32) bool {
+	if len(l.edges) > relScan {
+		return l.set.Has(dst)
 	}
-	succs := g.flow[sid]
-	if hasSucc(g.flowLong, sid, succs, dst) {
+	for _, e := range l.edges {
+		if e.Dst == dst {
+			return true
+		}
+	}
+	return false
+}
+
+// add appends an unlabeled edge to dst, which has reported absent.
+func (l *flowList) add(dst int32) {
+	l.edges = append(l.edges, FlowEdge{Dst: dst})
+	switch n := len(l.edges); {
+	case n == relScan+1:
+		for i, e := range l.edges {
+			l.set = l.set.Add(e.Dst, i+1)
+		}
+	case n > relScan+1:
+		l.set = l.set.Add(dst, n)
+	}
+}
+
+// reindex rebuilds the destination set after edges left the list.
+func (l *flowList) reindex() {
+	if len(l.edges) <= relScan {
+		l.set = nil
+		return
+	}
+	clear(l.set)
+	for i, e := range l.edges {
+		l.set = l.set.Add(e.Dst, i+1)
+	}
+}
+
+// AddFlow adds an unlabeled value-flow edge; reports whether it is new.
+func (g *Graph) AddFlow(src, dst Node) bool {
+	sid, did := src.ID(), int32(dst.ID())
+	g.flow = growTo(g.flow, sid+1)
+	l := &g.flow[sid]
+	if l.has(did) {
 		return false
 	}
-	g.flow[sid] = appendSucc(g.flowLong, sid, succs, dst)
+	l.add(did)
 	g.numFlow++
 	return true
 }
 
-// FlowSucc returns the flow successors of n in insertion order.
-func (g *Graph) FlowSucc(n Node) []Node {
-	if id := n.ID(); id < len(g.flow) {
-		return g.flow[id]
+// FlowLabel returns the label of the edge src → dst, which must exist, for
+// the caller to read or set. The pointer is valid until the next change to
+// src's successors. A new edge is last in its list, so labeling the edge
+// AddFlow just added costs no scan.
+func (g *Graph) FlowLabel(src, dst Node) *int32 {
+	edges, did := g.flow[src.ID()].edges, int32(dst.ID())
+	if last := len(edges) - 1; edges[last].Dst == did {
+		return &edges[last].Label
+	}
+	for i := range edges {
+		if edges[i].Dst == did {
+			return &edges[i].Label
+		}
+	}
+	panic("graph: FlowLabel of a missing edge")
+}
+
+// FlowSucc returns the flow edges out of n in insertion order.
+func (g *Graph) FlowSucc(n Node) []FlowEdge { return g.FlowSuccID(n.ID()) }
+
+// FlowSuccID returns the flow edges out of the node with the given id. The
+// slice is the graph's backing store; callers must not modify it.
+func (g *Graph) FlowSuccID(id int) []FlowEdge {
+	if id < len(g.flow) {
+		return g.flow[id].edges
 	}
 	return nil
 }
 
-// VisitFlow calls visit once per flow source with its successor list, in
-// source id order. The slice is the graph's backing store; callers must
-// not modify it or the flow edges during the visit.
-func (g *Graph) VisitFlow(visit func(src Node, dsts []Node)) {
-	for id, dsts := range g.flow {
-		if len(dsts) > 0 {
-			visit(g.nodes[id], dsts)
+// VisitFlow calls visit once per flow source with its edges, in source id
+// order. The slice is the graph's backing store; callers must not modify it
+// or the flow edges during the visit.
+func (g *Graph) VisitFlow(visit func(src Node, succs []FlowEdge)) {
+	for id := range g.flow {
+		if succs := g.flow[id].edges; len(succs) > 0 {
+			visit(g.nodes[id], succs)
 		}
 	}
 }
 
 // FilterFlow removes every value-flow edge for which keep reports false,
 // preserving the insertion order of the surviving successors. It returns the
-// number of edges removed. Used by incremental retraction to drop edges
-// whose construction read an edited compilation unit.
-func (g *Graph) FilterFlow(keep func(src, dst Node) bool) int {
+// number of edges removed; the labels of removed edges are the caller's to
+// release. Used by incremental retraction to drop edges whose construction
+// read an edited compilation unit.
+func (g *Graph) FilterFlow(keep func(src Node, e FlowEdge) bool) int {
 	removed := 0
-	for sid, succs := range g.flow {
-		if len(succs) == 0 {
+	for sid := range g.flow {
+		l := &g.flow[sid]
+		if len(l.edges) == 0 {
 			continue
 		}
 		src := g.nodes[sid]
-		wasLong := len(succs) > relScan
-		kept := succs[:0]
-		for _, dst := range succs {
-			if keep(src, dst) {
-				kept = append(kept, dst)
-				continue
-			}
-			if wasLong {
-				delete(g.flowLong, edgeKey{sid, dst.ID()})
-			}
-			removed++
-		}
-		if wasLong && len(kept) <= relScan {
-			for _, d := range kept {
-				delete(g.flowLong, edgeKey{sid, d.ID()})
+		kept := l.edges[:0]
+		for _, e := range l.edges {
+			if keep(src, e) {
+				kept = append(kept, e)
 			}
 		}
-		clear(succs[len(kept):])
-		if len(kept) == 0 {
-			kept = nil
+		if n := len(l.edges) - len(kept); n > 0 {
+			removed += n
+			l.edges = kept
+			if len(kept) == 0 {
+				l.edges = nil
+			}
+			l.reindex()
 		}
-		g.flow[sid] = kept
 	}
 	g.numFlow -= removed
 	return removed
@@ -781,8 +879,9 @@ func (g *Graph) NumRetired() int { return g.retired }
 // Compact renumbers the live nodes 0..n-1 in their current relative order
 // and drops the retired ones, so Nodes holds exactly the live nodes. Every
 // table the graph keys or indexes by node id follows: the flow successor
-// lists and their edge map, the relations (a retired source leaves its
-// visit order too), and the variable-node index, rebuilt from each
+// lists (each edge keeps its label), the relations and their shared source
+// index (a retired source leaves its visit order too), and the
+// variable-node index, rebuilt from each
 // variable's current ir.Var.ID, so a caller that renumbers the program's
 // variables (ir.Program.CompactVars) must do so first. Keeping the relative
 // order keeps every id-ordered walk (VisitFlow, the solver's fact and set
@@ -806,21 +905,8 @@ func (g *Graph) Compact() []int32 {
 		}
 	}
 
-	flow := make([][]Node, len(nodes))
-	clear(g.flowLong)
-	g.numFlow = 0
-	for sid, succs := range g.flow {
-		if len(succs) == 0 || remap[sid] < 0 {
-			continue
-		}
-		nsid := int(remap[sid])
-		flow[nsid] = renumberSuccs(g.flowLong, nsid, succs, remap)
-		g.numFlow += len(flow[nsid])
-	}
-	g.flow = flow
-	for _, r := range g.relations() {
-		r.renumber(remap)
-	}
+	g.compactFlow(remap, len(nodes))
+	g.compactRelations(remap, len(nodes))
 
 	var varNodes []*VarNode
 	for _, n := range g.varNodes {
@@ -828,9 +914,7 @@ func (g *Graph) Compact() []int32 {
 			continue
 		}
 		id := n.Var.ID
-		if id >= len(varNodes) {
-			varNodes = append(varNodes, make([]*VarNode, id+1-len(varNodes))...)
-		}
+		varNodes = growTo(varNodes, id+1)
 		if varNodes[id] != nil {
 			panic("graph: Compact: two variable nodes share ir.Var.ID " + fmt.Sprint(id))
 		}
@@ -893,29 +977,69 @@ func (g *Graph) visitLive(f func(Node)) {
 	}
 }
 
-// renumberSuccs filters succs, the successor list of the source Compact
-// numbers sid, in place down to its live nodes, and enters the list's edges
-// into long under their new ids when it is longer than relScan. The nodes
-// still carry their old ids.
-func renumberSuccs[T succNode](long map[edgeKey]struct{}, sid int, succs []T, remap []int32) []T {
-	kept := succs[:0]
-	for _, d := range succs {
-		if remap[d.ID()] >= 0 {
-			kept = append(kept, d)
+// compactFlow moves each live source's successor list to the source's new
+// id and renumbers its destinations, dropping edges to retired nodes. The
+// labels stay with their edges. remap never raises an id, so the lists
+// move down in place.
+func (g *Graph) compactFlow(remap []int32, numNodes int) {
+	g.numFlow = 0
+	for sid := range g.flow {
+		l := g.flow[sid]
+		g.flow[sid] = flowList{}
+		if len(l.edges) == 0 || remap[sid] < 0 {
+			continue
 		}
-	}
-	clear(succs[len(kept):])
-	if len(kept) > relScan {
-		for _, d := range kept {
-			long[edgeKey{sid, int(remap[d.ID()])}] = struct{}{}
+		kept := l.edges[:0]
+		for _, e := range l.edges {
+			if d := remap[e.Dst]; d >= 0 {
+				kept = append(kept, FlowEdge{Dst: d, Label: e.Label})
+			}
 		}
+		l.edges = kept
+		l.reindex()
+		g.flow[remap[sid]] = l
+		g.numFlow += len(kept)
 	}
-	return kept
+	if len(g.flow) > numNodes {
+		g.flow = g.flow[:numNodes]
+	}
 }
 
-// relations lists the graph's relationship indices.
-func (g *Graph) relations() []*relation {
-	return []*relation{g.children, g.parents, g.viewIDRel, g.listeners, g.roots, g.layoutOf, g.targets, g.menuRel}
+// compactRelations renumbers every relation by remap while the values
+// still carry their old ids: retired sources leave the visit order, with
+// the empty lists remove leaves behind, retired successors leave their
+// lists, and the shared source index is rebuilt under the new ids.
+func (g *Graph) compactRelations(remap []int32, numNodes int) {
+	g.rels.row = make([]int32, numNodes)
+	g.rels.rows = g.rels.rows[:0]
+	for _, r := range g.relations() {
+		kept := r.lists[:0]
+		for _, l := range r.lists {
+			src := remap[l.src.ID()]
+			if src < 0 {
+				continue
+			}
+			dsts := l.dsts[:0]
+			for _, d := range l.dsts {
+				if remap[d.ID()] >= 0 {
+					dsts = append(dsts, d)
+				}
+			}
+			clear(l.dsts[len(dsts):])
+			l.dsts = dsts
+			l.reindex(func(d Value) int32 { return remap[d.ID()] })
+			kept = append(kept, l)
+			g.rels.set(int(src), r.col, len(kept))
+		}
+		clear(r.lists[len(kept):])
+		r.lists = kept
+	}
+}
+
+// relations lists the graph's relationship indices, in the order of their
+// columns in the shared source index.
+func (g *Graph) relations() [numRels]*relation {
+	return [numRels]*relation{&g.children, &g.parents, &g.viewIDRel, &g.listeners, &g.roots, &g.layoutOf, &g.targets, &g.menuRel}
 }
 
 // Parents returns the recorded parent views of child.
@@ -1150,61 +1274,58 @@ func (g *Graph) LayoutOf(root Value) []Value { return g.layoutOf.get(root) }
 // list is that short: 57 of the 6,092 non-empty lists over the 20 corpus
 // apps' relations are longer, and 540 of the 35,550 of the 9 chain apps,
 // up to 81 listeners on one view; of their flow lists, 32 of 35,836 and 9
-// of 13,875. A longer list also keeps its edges in an edge map.
+// of 13,875. A longer list also keeps its successors' ids in an IDSet.
 const relScan = 8
 
-// relation is an ordered, deduplicated binary relation over values. Values
+// numRels is the number of relations a graph keeps.
+const numRels = 8
+
+// relIndex is the source index the graph's relations share: one int32 per
+// node id for all of them, and one row of list positions per node that is
+// the source of any relation, so each relation pays for its own sources
+// only.
+type relIndex struct {
+	row  []int32          // node id -> 1 + its row, 0 when it is no relation's source
+	rows [][numRels]int32 // per row, 1 + the source's list position in each relation, 0 for none
+}
+
+// set records that the source with node id has its list at position pos-1
+// of relation col (pos 0: no list).
+func (x *relIndex) set(id, col, pos int) {
+	x.row = growTo(x.row, id+1)
+	r := x.row[id]
+	if r == 0 {
+		x.rows = append(x.rows, [numRels]int32{})
+		r = int32(len(x.rows))
+		x.row[id] = r
+	}
+	x.rows[r-1][col] = int32(pos)
+}
+
+// relation is an ordered, deduplicated binary relation over values: one
+// successor list per source, in the order the sources first appeared. Values
 // of one graph are equal exactly when their ids are, so a scan compares
 // values directly.
 type relation struct {
-	// succ holds each source's successors in insertion order, keyed by
-	// source id.
-	succ map[int][]Value
-	// long holds the edges of every source with more than relScan
-	// successors, and only those.
-	long map[edgeKey]struct{}
-	// srcs lists each source once, in first-insertion order.
-	srcs []Value
+	col   int       // the relation's column in the shared index
+	idx   *relIndex // the graph's shared source index
+	lists []relList
 }
 
-func newRelation() *relation {
-	return &relation{succ: map[int][]Value{}, long: map[edgeKey]struct{}{}}
+// relList is one source's successors in insertion order. A list
+// deduplicates by scanning while it holds at most relScan successors; a
+// longer one also keeps their ids in set.
+type relList struct {
+	src  Value
+	dsts []Value
+	set  IDSet
 }
 
-func (r *relation) contains(src, dst Value) bool {
-	sid := src.ID()
-	return hasSucc(r.long, sid, r.succ[sid], dst)
-}
-
-func (r *relation) add(src, dst Value) bool {
-	sid := src.ID()
-	succs, listed := r.succ[sid]
-	if hasSucc(r.long, sid, succs, dst) {
-		return false
+func (l *relList) has(dst Value) bool {
+	if len(l.dsts) > relScan {
+		return l.set.Has(int32(dst.ID()))
 	}
-	if !listed {
-		r.srcs = append(r.srcs, src)
-	}
-	r.succ[sid] = appendSucc(r.long, sid, succs, dst)
-	return true
-}
-
-// succNode is the element type of a successor list: Node or Value.
-type succNode interface {
-	comparable
-	ID() int
-}
-
-// hasSucc reports whether succs, the successor list of source sid, holds
-// dst: by scan up to relScan successors, and past that by long, which holds
-// the edges of every list longer than relScan and only those. Relations and
-// the flow edges share this policy.
-func hasSucc[T succNode](long map[edgeKey]struct{}, sid int, succs []T, dst T) bool {
-	if len(succs) > relScan {
-		_, ok := long[edgeKey{sid, dst.ID()}]
-		return ok
-	}
-	for _, d := range succs {
+	for _, d := range l.dsts {
 		if d == dst {
 			return true
 		}
@@ -1212,100 +1333,116 @@ func hasSucc[T succNode](long map[edgeKey]struct{}, sid int, succs []T, dst T) b
 	return false
 }
 
-// appendSucc appends dst, which hasSucc reported absent, to succs, the
-// successor list of source sid, and keeps long: the list that grows past
-// relScan enters it whole, and a longer list adds its new edge.
-func appendSucc[T succNode](long map[edgeKey]struct{}, sid int, succs []T, dst T) []T {
-	succs = append(succs, dst)
-	switch {
-	case len(succs) == relScan+1:
-		for _, d := range succs {
-			long[edgeKey{sid, d.ID()}] = struct{}{}
-		}
-	case len(succs) > relScan+1:
-		long[edgeKey{sid, dst.ID()}] = struct{}{}
+// reindex rebuilds the successor set after successors left the list or
+// changed ids; id gives a successor's current id.
+func (l *relList) reindex(id func(Value) int32) {
+	if len(l.dsts) <= relScan {
+		l.set = nil
+		return
 	}
-	return succs
+	clear(l.set)
+	for i, d := range l.dsts {
+		l.set = l.set.Add(id(d), i+1)
+	}
+}
+
+func valueID(v Value) int32 { return int32(v.ID()) }
+
+// list returns src's successor list, or nil when src has none. The pointer
+// is valid until the relation next gains a source.
+func (r *relation) list(src Value) *relList {
+	id := src.ID()
+	if id >= len(r.idx.row) {
+		return nil
+	}
+	row := r.idx.row[id]
+	if row == 0 {
+		return nil
+	}
+	if pos := r.idx.rows[row-1][r.col]; pos != 0 {
+		return &r.lists[pos-1]
+	}
+	return nil
+}
+
+func (r *relation) contains(src, dst Value) bool {
+	l := r.list(src)
+	return l != nil && l.has(dst)
+}
+
+func (r *relation) add(src, dst Value) bool {
+	l := r.list(src)
+	if l == nil {
+		r.lists = append(r.lists, relList{src: src})
+		r.idx.set(src.ID(), r.col, len(r.lists))
+		l = &r.lists[len(r.lists)-1]
+	} else if l.has(dst) {
+		return false
+	}
+	l.dsts = append(l.dsts, dst)
+	switch n := len(l.dsts); {
+	case n == relScan+1:
+		l.reindex(valueID)
+	case n > relScan+1:
+		l.set = l.set.Add(int32(dst.ID()), n)
+	}
+	return true
 }
 
 func (r *relation) remove(src, dst Value) bool {
-	sid := src.ID()
-	succs := r.succ[sid]
-	i := 0
-	for i < len(succs) && succs[i] != dst {
-		i++
-	}
-	if i == len(succs) {
+	l := r.list(src)
+	if l == nil {
 		return false
 	}
-	if len(succs) > relScan {
-		delete(r.long, edgeKey{sid, dst.ID()})
+	i := 0
+	for i < len(l.dsts) && l.dsts[i] != dst {
+		i++
 	}
-	copy(succs[i:], succs[i+1:])
-	succs[len(succs)-1] = nil
-	succs = succs[:len(succs)-1]
-	r.succ[sid] = succs
-	if len(succs) == relScan {
-		for _, d := range succs {
-			delete(r.long, edgeKey{sid, d.ID()})
-		}
+	if i == len(l.dsts) {
+		return false
 	}
-	// The (now possibly empty) succ entry and srcs slot stay: add() treats a
-	// present succ key as "already listed in srcs", so deleting it here would
-	// duplicate src in the visit order on a later re-add.
+	copy(l.dsts[i:], l.dsts[i+1:])
+	l.dsts[len(l.dsts)-1] = nil
+	l.dsts = l.dsts[:len(l.dsts)-1]
+	switch {
+	case len(l.dsts) == relScan:
+		l.set = nil
+	case l.set != nil:
+		l.set.Delete(int32(dst.ID()))
+	}
+	// The (now possibly empty) list keeps its place in the visit order: a
+	// later re-add appends to it instead of listing src twice.
 	return true
 }
 
 // dropSrcIf removes every pair whose source satisfies dead, including the
-// source's slot in the visit order (safe: a dead source can never be re-added).
+// source's place in the visit order (safe: a dead source can never be
+// re-added).
 func (r *relation) dropSrcIf(dead func(Value) bool) {
-	kept := r.srcs[:0]
-	for _, s := range r.srcs {
-		if dead(s) {
-			if succs := r.succ[s.ID()]; len(succs) > relScan {
-				for _, d := range succs {
-					delete(r.long, edgeKey{s.ID(), d.ID()})
-				}
-			}
-			delete(r.succ, s.ID())
+	kept := r.lists[:0]
+	for _, l := range r.lists {
+		if dead(l.src) {
+			r.idx.set(l.src.ID(), r.col, 0)
 			continue
 		}
-		kept = append(kept, s)
+		kept = append(kept, l)
+		r.idx.set(l.src.ID(), r.col, len(kept))
 	}
-	for i := len(kept); i < len(r.srcs); i++ {
-		r.srcs[i] = nil
-	}
-	r.srcs = kept
+	clear(r.lists[len(kept):])
+	r.lists = kept
 }
 
-// renumber rekeys the relation by the new ids of remap (see
-// Graph.Compact) while the values still carry their old ones. Retired
-// sources leave the visit order, with the empty lists remove leaves
-// behind, and retired successors leave their lists.
-func (r *relation) renumber(remap []int32) {
-	succ := make(map[int][]Value, len(r.succ))
-	clear(r.long)
-	kept := r.srcs[:0]
-	for _, s := range r.srcs {
-		old := s.ID()
-		if remap[old] < 0 {
-			continue
-		}
-		kept = append(kept, s)
-		sid := int(remap[old])
-		succ[sid] = renumberSuccs(r.long, sid, r.succ[old], remap)
+func (r *relation) get(src Value) []Value {
+	if l := r.list(src); l != nil {
+		return l.dsts
 	}
-	clear(r.srcs[len(kept):])
-	r.srcs = kept
-	r.succ = succ
+	return nil
 }
-
-func (r *relation) get(src Value) []Value { return r.succ[src.ID()] }
 
 func (r *relation) visit(f func(src, dst Value)) {
-	for _, s := range r.srcs {
-		for _, d := range r.succ[s.ID()] {
-			f(s, d)
+	for _, l := range r.lists {
+		for _, d := range l.dsts {
+			f(l.src, d)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestFlowEdgesDeduplicated(t *testing.T) {
 	if g.NumFlowEdges() != 1 {
 		t.Errorf("NumFlowEdges = %d", g.NumFlowEdges())
 	}
-	if len(g.FlowSucc(a)) != 1 || g.FlowSucc(a)[0] != b {
+	if len(g.FlowSucc(a)) != 1 || g.FlowSucc(a)[0] != (FlowEdge{Dst: int32(b.ID())}) {
 		t.Errorf("FlowSucc = %v", g.FlowSucc(a))
 	}
 }

@@ -197,8 +197,9 @@ func (m *relModel) dropSrcIf(dead func(Value) bool) {
 // TestRelationQuickProperties: for any seeded sequence of add, remove and
 // dropSrcIf over a few sources and a universe larger than relScan, the
 // relation agrees with relModel on every result, on get and contains for
-// every value, and on visit order; and its edge map holds exactly the edges
-// of the long lists. Each sequence alternates add-heavy and remove-heavy
+// every value, and on visit order; and each list keeps its successor set
+// exactly while it is longer than relScan, holding exactly its successors'
+// ids (setMatches). Each sequence alternates add-heavy and remove-heavy
 // phases, so successor lists cross relScan in both directions.
 func TestRelationQuickProperties(t *testing.T) {
 	universe := mkValues(3 * relScan)
@@ -206,7 +207,7 @@ func TestRelationQuickProperties(t *testing.T) {
 	crossedDown := false
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r, m := newRelation(), &relModel{succ: map[int][]Value{}}
+		r, m := &relation{idx: &relIndex{}}, &relModel{succ: map[int][]Value{}}
 		wasLong := map[int]bool{}
 		for i := 0; i < 400; i++ {
 			s := universe[rng.Intn(numSrcs)]
@@ -244,7 +245,6 @@ func TestRelationQuickProperties(t *testing.T) {
 }
 
 func relationAgrees(r *relation, m *relModel, universe []Value) bool {
-	long := 0
 	for _, v := range universe {
 		got, want := r.get(v), m.succ[v.ID()]
 		if !sameValues(got, want) {
@@ -255,17 +255,15 @@ func relationAgrees(r *relation, m *relModel, universe []Value) bool {
 				return false
 			}
 		}
-		if len(got) > relScan {
-			long += len(got)
-			for _, d := range got {
-				if _, ok := r.long[edgeKey{v.ID(), d.ID()}]; !ok {
-					return false
-				}
+		if l := r.list(v); l != nil {
+			ids := make([]int32, len(l.dsts))
+			for i, d := range l.dsts {
+				ids[i] = int32(d.ID())
+			}
+			if l.src != v || !setMatches(l.set, ids) {
+				return false
 			}
 		}
-	}
-	if len(r.long) != long {
-		return false
 	}
 	var visited, want []Value
 	r.visit(func(s, d Value) { visited = append(visited, s, d) })

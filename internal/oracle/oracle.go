@@ -250,7 +250,7 @@ func inflValues(ns []*graph.InflNode) []graph.Value {
 
 // checkSet verifies every observed tag is covered by the static set (some
 // candidate value is a member); returns false when a violation was recorded.
-func (m *mapper) checkSet(rep *Report, where string, observed map[interp.Tag]bool, static []graph.Value) bool {
+func (m *mapper) checkSet(rep *Report, where string, observed map[interp.Tag]bool, static graph.Values) bool {
 	ok := true
 	for _, t := range sortedTags(observed) {
 		cands, skip := m.valuesFor(t)
@@ -260,7 +260,7 @@ func (m *mapper) checkSet(rep *Report, where string, observed map[interp.Tag]boo
 		rep.CheckedValues++
 		covered := false
 		for _, v := range cands {
-			if containsVal(static, v) {
+			if containsValue(static, v) {
 				covered = true
 				break
 			}
@@ -319,7 +319,7 @@ func (m *mapper) checkPairs(rep *Report, what string, pairs map[[2]interp.Tag]bo
 
 // exactMatch reports whether every static value is explained by some
 // observed tag (i.e. the static solution adds nothing beyond what ran).
-func exactMatch(observed map[interp.Tag]bool, m *mapper, static []graph.Value) bool {
+func exactMatch(observed map[interp.Tag]bool, m *mapper, static graph.Values) bool {
 	want := map[int]bool{}
 	for t := range observed {
 		cands, skip := m.valuesFor(t)
@@ -330,12 +330,22 @@ func exactMatch(observed map[interp.Tag]bool, m *mapper, static []graph.Value) b
 			want[v.ID()] = true
 		}
 	}
-	for _, v := range static {
-		if !want[v.ID()] {
+	for i := range static.Len() {
+		if !want[static.ID(i)] {
 			return false
 		}
 	}
 	return true
+}
+
+// containsValue reports whether a solution set holds v.
+func containsValue(vals graph.Values, v graph.Value) bool {
+	for i := range vals.Len() {
+		if vals.ID(i) == v.ID() {
+			return true
+		}
+	}
+	return false
 }
 
 func containsVal(vals []graph.Value, v graph.Value) bool {

@@ -115,7 +115,7 @@ func TestPropertyDeterminism(t *testing.T) {
 			return false
 		}
 		for i := range opsA {
-			va, vb := a.OpResults(opsA[i]), b.OpResults(opsB[i])
+			va, vb := a.OpResults(opsA[i]).Slice(), b.OpResults(opsB[i]).Slice()
 			if len(va) != len(vb) {
 				return false
 			}
@@ -144,10 +144,10 @@ func TestPropertyMonotoneRefinement(t *testing.T) {
 			return false
 		}
 		for i := range opsB {
-			if len(filt.OpResults(opsF[i])) > len(base.OpResults(opsB[i])) {
+			if len(filt.OpResults(opsF[i]).Slice()) > len(base.OpResults(opsB[i]).Slice()) {
 				return false
 			}
-			if len(filt.OpReceivers(opsF[i])) > len(base.OpReceivers(opsB[i])) {
+			if len(filt.OpReceivers(opsF[i]).Slice()) > len(base.OpReceivers(opsB[i]).Slice()) {
 				return false
 			}
 		}

@@ -49,9 +49,13 @@
 #                      BenchmarkSolveTracingDisabled re-asserts it), and the
 #                      FindView rules' walk of a solved app's view
 #                      hierarchies allocates nothing once warm
-#                      (TestFindViewWalkZeroAlloc), and re-propagating a
+#                      (TestFindViewWalkZeroAlloc), re-propagating a
 #                      solved corpus app's values over its flow edges
-#                      allocates nothing (TestPropagateZeroAlloc); the
+#                      allocates nothing (TestPropagateZeroAlloc), and
+#                      re-applying every operation rule of a solved chain
+#                      app derives and allocates nothing, with and
+#                      without dependency tracking
+#                      (TestApplyOpsZeroAlloc); the
 #                      load path's guards: on the corpus apps, alite.Parse
 #                      and gator.Load stay under their bytes per source
 #                      byte and their allocations per KB of source, on the
@@ -143,8 +147,8 @@ go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp
 echo "== gatord server smoke (examples/buggyapp)"
 go run ./cmd/gatord -smoke examples/buggyapp
 
-echo "== zero-allocation guards (tracing disabled, FindView walk, propagation)"
-go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== zero-allocation guards (tracing disabled, FindView walk, propagation, rule re-application)"
+go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc|TestApplyOpsZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
 echo "== load-path guards (allocation per source byte, graph lookups)"
 go test -run '^TestLoadAllocationPerByte$' .
 go test -run '^TestParseAllocationPerByte$' ./internal/alite
