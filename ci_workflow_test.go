@@ -254,6 +254,7 @@ func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc", "TestApplyOpsZeroAlloc"}},
 		{".", ".", []string{"TestLoadAllocationPerByte"}},
 		{"./internal/alite", "internal/alite", []string{"TestParseAllocationPerByte"}},
+		{"./internal/layout", "internal/layout", []string{"TestLayoutParseAllocationPerByte"}},
 		{"./internal/graph", "internal/graph", []string{"TestVarNodeAndFlowHitsZeroAlloc"}},
 	} {
 		found := false

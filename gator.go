@@ -245,8 +245,15 @@ func loadApp(sources, layoutXML map[string]string, c *Cache, tr *trace.Scope) (*
 		if files, err = parseFiles(names, sources, c, tr); err != nil {
 			return
 		}
-		for name, xml := range layoutXML {
-			if layouts[name], err = layout.Parse(name, xml); err != nil {
+		// In name order, so an app with several bad layouts always
+		// reports the same one.
+		layoutNames := make([]string, 0, len(layoutXML))
+		for name := range layoutXML {
+			layoutNames = append(layoutNames, name)
+		}
+		sort.Strings(layoutNames)
+		for _, name := range layoutNames {
+			if layouts[name], err = layout.Parse(name, layoutXML[name]); err != nil {
 				return
 			}
 		}

@@ -615,6 +615,19 @@ func TestReadmeCheckerTable(t *testing.T) {
 	}
 }
 
+// TestLoadLayoutErrorDeterministic: with two bad layouts, Load reports the
+// first by name every time; map order used to pick either.
+func TestLoadLayoutErrorDeterministic(t *testing.T) {
+	sources := map[string]string{"x.alite": "class A { }"}
+	layouts := map[string]string{"alpha": `<A android:id="bad"/>`, "beta": `<B`}
+	for i := 0; i < 20; i++ {
+		_, err := Load(sources, layouts)
+		if err == nil || !strings.HasPrefix(err.Error(), "layout alpha: ") {
+			t.Fatalf("load %d: error %v, want alpha's", i, err)
+		}
+	}
+}
+
 // TestLoadDirDeterministicOrder: LoadDir pins the combined file order of the
 // app directory and its layout/ subdirectory by sorting full paths, so the
 // duplicate-name overwrite order (and with it the whole analysis, whose node

@@ -8,11 +8,22 @@
 // ("@+id/name" and "@id/name"), <include layout="@layout/name"/> splicing,
 // <merge> roots (transparent containers), and the android:onClick attribute
 // (declarative click handlers).
+//
+// Parse reads a document in one pass when it stays within the subset of
+// XML that the analyzed layouts use (see scan): ASCII names, double-quoted
+// attribute values without references, and only spaces, tabs and newlines
+// between tags. Every other document, and every document with an error,
+// goes through encoding/xml, which also serves as the reference the
+// scanner is tested against; the two give the same tree, and every error
+// comes from encoding/xml.
 package layout
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,43 +79,58 @@ type Layout struct {
 
 // IDNames returns the sorted set of view id names used in the layout.
 func (l *Layout) IDNames() []string {
-	seen := map[string]bool{}
+	return l.appendIDNames(nil)
+}
+
+// appendIDNames appends the layout's sorted, distinct view id names to dst.
+func (l *Layout) appendIDNames(dst []string) []string {
+	start := len(dst)
 	l.Root.Walk(func(n *Node) {
 		if n.ID != "" {
-			seen[n.ID] = true
+			dst = append(dst, n.ID)
 		}
 	})
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	ids := dst[start:]
+	slices.Sort(ids)
+	return dst[:start+len(slices.Compact(ids))]
 }
 
 // Parse reads one layout XML document. name is the layout name.
 func Parse(name, src string) (*Layout, error) {
+	if root := scan(src); root != nil && validate(name, root, true) == nil {
+		return &Layout{Name: name, Root: root}, nil
+	}
+	return parseXML(name, src)
+}
+
+// parseXML is Parse through encoding/xml: the path for every document scan
+// leaves alone, the only one that reports errors, and the reference scan
+// is tested against. An error raised at an element carries the element's
+// line and column.
+func parseXML(name, src string) (*Layout, error) {
 	dec := xml.NewDecoder(strings.NewReader(src))
 	var root *Node
 	var stack []*Node
 	for {
+		// Each token starts where the previous one ended.
+		line, col := dec.InputPos()
 		tok, err := dec.Token()
 		if err != nil {
-			if err.Error() == "EOF" {
+			if err == io.EOF {
 				break
 			}
 			return nil, fmt.Errorf("layout %s: %w", name, err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n, err := elementNode(name, t)
+			n, err := elementNode(t)
+			if err == nil && len(stack) == 0 && root != nil {
+				err = errors.New("multiple root elements")
+			}
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("layout %s: %d:%d: %w", name, line, col, err)
 			}
 			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("layout %s: multiple root elements", name)
-				}
 				root = n
 			} else {
 				parent := stack[len(stack)-1]
@@ -139,45 +165,76 @@ func MustParse(name, src string) *Layout {
 	return l
 }
 
-func elementNode(layout string, t xml.StartElement) (*Node, error) {
-	n := &Node{Class: localName(t.Name)}
-	switch n.Class {
+func elementNode(t xml.StartElement) (*Node, error) {
+	n := &Node{}
+	if err := n.start(localName(t.Name.Local)); err != nil {
+		return nil, err
+	}
+	for _, a := range t.Attr {
+		if err := n.attr(localName(a.Name.Local), a.Value); err != nil {
+			return nil, err
+		}
+	}
+	if err := n.end(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// includePending marks an <include> whose layout attribute has not been
+// seen; no valid reference equals it.
+const includePending = "?"
+
+// start, attr and end are the element checks both parsers apply: start at
+// the element's local name, attr at each attribute in document order, end
+// after the last attribute.
+func (n *Node) start(class string) error {
+	n.Class = class
+	switch class {
 	case "merge":
 		n.Merge = true
 	case "include":
-		n.Include = "?" // filled from the layout attribute below
+		n.Include = includePending
 	default:
-		if !validClassName(n.Class) {
-			return nil, fmt.Errorf("layout %s: bad view class name %q", layout, n.Class)
+		if !validClassName(class) {
+			return fmt.Errorf("bad view class name %q", class)
 		}
 	}
-	for _, a := range t.Attr {
-		switch localName(a.Name) {
-		case "id":
-			id, err := parseIDRef(a.Value)
-			if err != nil {
-				return nil, fmt.Errorf("layout %s: %w", layout, err)
+	return nil
+}
+
+// attr applies one attribute, by local name; attributes other than id,
+// onClick and an include's layout are ignored.
+func (n *Node) attr(local, value string) error {
+	switch local {
+	case "id":
+		id, err := parseIDRef(value)
+		if err != nil {
+			return err
+		}
+		n.ID = id
+	case "onClick":
+		if !validIdent(value) {
+			return fmt.Errorf("bad onClick handler name %q", value)
+		}
+		n.OnClick = value
+	case "layout":
+		if n.Include != "" {
+			ref, ok := strings.CutPrefix(value, "@layout/")
+			if !ok || !validIdent(ref) {
+				return fmt.Errorf("bad include reference %q", value)
 			}
-			n.ID = id
-		case "onClick":
-			if !validIdent(a.Value) {
-				return nil, fmt.Errorf("layout %s: bad onClick handler name %q", layout, a.Value)
-			}
-			n.OnClick = a.Value
-		case "layout":
-			if n.Include != "" {
-				ref, ok := strings.CutPrefix(a.Value, "@layout/")
-				if !ok {
-					return nil, fmt.Errorf("layout %s: bad include reference %q", layout, a.Value)
-				}
-				n.Include = ref
-			}
+			n.Include = ref
 		}
 	}
-	if n.Include == "?" {
-		return nil, fmt.Errorf("layout %s: <include> without layout attribute", layout)
+	return nil
+}
+
+func (n *Node) end() error {
+	if n.Include == includePending {
+		return errors.New("<include> without layout attribute")
 	}
-	return n, nil
+	return nil
 }
 
 func validate(layout string, n *Node, isRoot bool) error {
@@ -198,11 +255,12 @@ func validate(layout string, n *Node, isRoot bool) error {
 	return nil
 }
 
-func localName(n xml.Name) string {
-	if i := strings.LastIndex(n.Local, ":"); i >= 0 {
-		return n.Local[i+1:]
-	}
-	return n.Local
+// localName strips a name's namespace prefix. encoding/xml splits a name at
+// its one colon (it rejects names with more) and keeps a colon at either
+// end in Name.Local, so the local name is what follows the last colon of
+// the name as written.
+func localName(name string) string {
+	return name[strings.LastIndexByte(name, ':')+1:]
 }
 
 // parseIDRef parses "@+id/name" or "@id/name".
@@ -219,9 +277,9 @@ func parseIDRef(v string) (string, error) {
 }
 
 // validIdent reports whether s is a Java-style identifier — the form view
-// id names and onClick handler names take. Constraining names here keeps
-// every accepted layout renderable (Render ∘ Parse round-trips) and every
-// name usable as an R constant.
+// id names, onClick handler names and include references take.
+// Constraining names here keeps every accepted layout renderable (Render ∘
+// Parse round-trips) and every name usable as an R constant.
 func validIdent(s string) bool {
 	if s == "" {
 		return false
@@ -243,12 +301,16 @@ func validIdent(s string) bool {
 // validClassName is validIdent extended with interior dots, for qualified
 // view classes such as android.widget.Button.
 func validClassName(s string) bool {
-	for _, part := range strings.Split(s, ".") {
+	for {
+		part, rest, dotted := strings.Cut(s, ".")
 		if !validIdent(part) {
 			return false
 		}
+		if !dotted {
+			return true
+		}
+		s = rest
 	}
-	return true
 }
 
 // Link resolves <include> references across a set of layouts, splicing the

@@ -87,18 +87,25 @@ func TestParseOnClickAttr(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	cases := []string{
-		``,                                 // empty
-		`<A></A><B></B>`,                   // two roots
-		`<A><B></A></B>`,                   // bad nesting
-		`<A><include/></A>`,                // include without layout
-		`<A><include layout="main"/></A>`,  // bad include ref
-		`<include layout="@layout/main"/>`, // include as root
-		`<A><merge></merge></A>`,           // merge not at root
+		``,                                    // empty
+		`<A></A><B></B>`,                      // two roots
+		`<A><B></A></B>`,                      // bad nesting
+		`<A><include/></A>`,                   // include without layout
+		`<A><include layout="main"/></A>`,     // bad include ref
+		`<include layout="@layout/main"/>`,    // include as root
+		`<A><merge></merge></A>`,              // merge not at root
+		`<A><include layout="@layout/"/></A>`, // empty include ref
+		`<A><include layout="@layout/x&quot;y"/></A>`, // include ref not an identifier
 	}
 	for _, src := range cases {
 		if _, err := Parse("t", src); err == nil {
 			t.Errorf("Parse(%q): want error", src)
 		}
+	}
+	// An error raised at an element names the element's line and column.
+	_, err := Parse("main", "<A>\n  <B android:id=\"bad\"/>\n</A>")
+	if want := `layout main: 2:3: bad view id reference "bad" (want @+id/name)`; err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %s", err, want)
 	}
 }
 

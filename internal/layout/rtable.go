@@ -14,14 +14,16 @@ const (
 )
 
 // RTable maps layout and view id names to generated integer constants, the
-// moral equivalent of the generated R class.
+// moral equivalent of the generated R class. Constants are dense from their
+// base, so each id→name side is a slice indexed by id minus its base. An
+// RTable is only used by pointer, so no copy aliases its slices.
 type RTable struct {
 	layoutByName map[string]int
-	layoutByID   map[int]string
+	layoutByID   []string // indexed by id - LayoutIDBase
 	viewByName   map[string]int
-	viewByID     map[int]string
+	viewByID     []string // indexed by id - ViewIDBase
 	stringByName map[string]int
-	stringByID   map[int]string
+	stringByID   []string // indexed by id - StringIDBase
 }
 
 // NewRTable builds the R table for a set of linked layouts: one R.layout
@@ -29,26 +31,22 @@ type RTable struct {
 // Additional view id names (used only programmatically via setId) can be
 // registered with AddViewID.
 func NewRTable(layouts map[string]*Layout) *RTable {
-	t := &RTable{
-		layoutByName: map[string]int{},
-		layoutByID:   map[int]string{},
-		viewByName:   map[string]int{},
-		viewByID:     map[int]string{},
-		stringByName: map[string]int{},
-		stringByID:   map[int]string{},
-	}
 	names := make([]string, 0, len(layouts))
 	for name := range layouts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for i, name := range names {
-		id := LayoutIDBase + i
-		t.layoutByName[name] = id
-		t.layoutByID[id] = name
+	t := &RTable{
+		layoutByName: make(map[string]int, len(names)),
+		layoutByID:   names,
+		viewByName:   map[string]int{},
+		stringByName: map[string]int{},
 	}
-	for _, name := range names {
-		for _, vid := range layouts[name].IDNames() {
+	var ids []string
+	for i, name := range names {
+		t.layoutByName[name] = LayoutIDBase + i
+		ids = layouts[name].appendIDNames(ids[:0])
+		for _, vid := range ids {
 			t.AddViewID(vid)
 		}
 	}
@@ -60,9 +58,9 @@ func (t *RTable) AddViewID(name string) int {
 	if id, ok := t.viewByName[name]; ok {
 		return id
 	}
-	id := ViewIDBase + len(t.viewByName)
+	id := ViewIDBase + len(t.viewByID)
 	t.viewByName[name] = id
-	t.viewByID[id] = name
+	t.viewByID = append(t.viewByID, name)
 	return id
 }
 
@@ -73,9 +71,9 @@ func (t *RTable) AddStringID(name string) int {
 	if id, ok := t.stringByName[name]; ok {
 		return id
 	}
-	id := StringIDBase + len(t.stringByName)
+	id := StringIDBase + len(t.stringByID)
 	t.stringByName[name] = id
-	t.stringByID[id] = name
+	t.stringByID = append(t.stringByID, name)
 	return id
 }
 
@@ -87,21 +85,15 @@ func (t *RTable) StringID(name string) (int, bool) {
 
 // StringIDName returns the string resource name for an R.string constant.
 func (t *RTable) StringIDName(id int) (string, bool) {
-	name, ok := t.stringByID[id]
-	return name, ok
+	return nameOf(t.stringByID, StringIDBase, id)
 }
 
 // NumStringIDs returns the number of string resource constants.
-func (t *RTable) NumStringIDs() int { return len(t.stringByName) }
+func (t *RTable) NumStringIDs() int { return len(t.stringByID) }
 
 // StringIDNames returns the sorted string resource names.
 func (t *RTable) StringIDNames() []string {
-	names := make([]string, 0, len(t.stringByName))
-	for n := range t.stringByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedCopy(t.stringByID)
 }
 
 // LayoutID returns the R.layout constant for a layout name.
@@ -118,53 +110,56 @@ func (t *RTable) ViewID(name string) (int, bool) {
 
 // LayoutName returns the layout name for an R.layout constant.
 func (t *RTable) LayoutName(id int) (string, bool) {
-	name, ok := t.layoutByID[id]
-	return name, ok
+	return nameOf(t.layoutByID, LayoutIDBase, id)
 }
 
 // ViewIDName returns the view id name for an R.id constant.
 func (t *RTable) ViewIDName(id int) (string, bool) {
-	name, ok := t.viewByID[id]
-	return name, ok
+	return nameOf(t.viewByID, ViewIDBase, id)
 }
 
 // NumLayouts returns the number of layout constants.
-func (t *RTable) NumLayouts() int { return len(t.layoutByName) }
+func (t *RTable) NumLayouts() int { return len(t.layoutByID) }
 
 // NumViewIDs returns the number of view id constants.
-func (t *RTable) NumViewIDs() int { return len(t.viewByName) }
+func (t *RTable) NumViewIDs() int { return len(t.viewByID) }
 
 // LayoutNames returns the sorted layout names.
 func (t *RTable) LayoutNames() []string {
-	names := make([]string, 0, len(t.layoutByName))
-	for n := range t.layoutByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedCopy(t.layoutByID)
 }
 
 // ViewIDNames returns the sorted view id names.
 func (t *RTable) ViewIDNames() []string {
-	names := make([]string, 0, len(t.viewByName))
-	for n := range t.viewByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedCopy(t.viewByID)
 }
 
 // DescribeID renders a resource constant for diagnostics: the symbolic name
 // when known, hex otherwise.
 func (t *RTable) DescribeID(id int) string {
-	if name, ok := t.layoutByID[id]; ok {
+	if name, ok := t.LayoutName(id); ok {
 		return "R.layout." + name
 	}
-	if name, ok := t.viewByID[id]; ok {
+	if name, ok := t.ViewIDName(id); ok {
 		return "R.id." + name
 	}
-	if name, ok := t.stringByID[id]; ok {
+	if name, ok := t.StringIDName(id); ok {
 		return "R.string." + name
 	}
 	return fmt.Sprintf("0x%x", id)
+}
+
+// nameOf returns the name of constant id in byID, a slice indexed from base.
+func nameOf(byID []string, base, id int) (string, bool) {
+	if i := id - base; i >= 0 && i < len(byID) {
+		return byID[i], true
+	}
+	return "", false
+}
+
+// sortedCopy returns a sorted copy of names, never nil.
+func sortedCopy(names []string) []string {
+	out := append(make([]string, 0, len(names)), names...)
+	sort.Strings(out)
+	return out
 }

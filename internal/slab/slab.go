@@ -32,7 +32,8 @@ type Slab[T any] struct {
 
 // Paced returns a slab whose first chunk holds first values and whose
 // later chunks are paced by read, which reports how many units of the
-// input (bytes, statements) have been read and how many there are.
+// input (bytes, statements) have been read and how many there are. With a
+// nil read, every chunk holds first values.
 func Paced[T any](first int, read func() (done, total int)) Slab[T] {
 	return Slab[T]{first: first, read: read}
 }

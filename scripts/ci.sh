@@ -60,8 +60,12 @@
 #                      and gator.Load stay under their bytes per source
 #                      byte and their allocations per KB of source, on the
 #                      worst app and pooled (TestParseAllocationPerByte,
-#                      TestLoadAllocationPerByte), and a variable-node hit
-#                      or a duplicate flow edge allocates nothing
+#                      TestLoadAllocationPerByte), layout.Parse stays under
+#                      its bytes per XML byte and allocations per KB over
+#                      the corpus layouts and a chain app's
+#                      (TestLayoutParseAllocationPerByte), and a
+#                      variable-node hit or a duplicate flow edge
+#                      allocates nothing
 #                      (TestVarNodeAndFlowHitsZeroAlloc); one iteration of
 #                      BenchmarkChecks (every checker over the 9 chain apps
 #                      and Astrid, with allocations reported) keeps the
@@ -152,6 +156,7 @@ go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropaga
 echo "== load-path guards (allocation per source byte, graph lookups)"
 go test -run '^TestLoadAllocationPerByte$' .
 go test -run '^TestParseAllocationPerByte$' ./internal/alite
+go test -run '^TestLayoutParseAllocationPerByte$' ./internal/layout
 go test -run '^TestVarNodeAndFlowHitsZeroAlloc$' ./internal/graph
 echo "== checks-layer benchmark (one iteration)"
 go test -run '^$' -bench '^BenchmarkChecks$' -benchtime 1x .
