@@ -251,7 +251,7 @@ func TestCIScriptRunsZeroAllocGuards(t *testing.T) {
 		dir    string // its directory
 		guards []string
 	}{
-		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc", "TestApplyOpsZeroAlloc"}},
+		{"./internal/core", "internal/core", []string{"TestTracingDisabledZeroAlloc", "TestFindViewWalkZeroAlloc", "TestPropagateZeroAlloc", "TestApplyOpsZeroAlloc", "TestRelationViewsZeroAlloc"}},
 		{".", ".", []string{"TestLoadAllocationPerByte"}},
 		{"./internal/alite", "internal/alite", []string{"TestParseAllocationPerByte"}},
 		{"./internal/layout", "internal/layout", []string{"TestLayoutParseAllocationPerByte"}},

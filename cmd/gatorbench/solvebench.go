@@ -56,9 +56,9 @@ func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64,
 	return best, iters, nil
 }
 
-// optAllocCeilingMB is opt_alloc_mb's gate: 10% above the 38.0 MB the
-// dense-id solver allocated when the gate was set.
-const optAllocCeilingMB = 41.8
+// optAllocCeilingMB is opt_alloc_mb's gate: 10% above the 27.7 MB the
+// analysis allocated once the graph's per-node tables paid per entry.
+const optAllocCeilingMB = 30.5
 
 // analysisAllocMB returns the megabytes one analysis of a freshly loaded
 // app allocates under opts.

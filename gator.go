@@ -60,9 +60,11 @@ type App struct {
 	// incremental diffing; layout definitions are always re-parsed on
 	// rebuild because linking resolves them in place.
 	layouts map[string]string
-	// shapes fingerprints each source file's declarations
-	// (ir.ShapeSignature); an edit whose shape is unchanged touches method
-	// bodies only and is eligible for in-place re-lowering.
+	// shapes fingerprints the declarations (ir.ShapeSignature) of the
+	// files an incremental edit has patched; an edit whose shape is
+	// unchanged touches method bodies only and is eligible for in-place
+	// re-lowering. A load records none: a file without an entry has its
+	// shape computed from its source when an edit first needs it.
 	shapes map[string]string
 	// stages is the load's stage log: parse and lower (of the edited files
 	// only, for an app a warm incremental run patched).
@@ -237,7 +239,7 @@ func loadApp(sources, layoutXML map[string]string, c *Cache, tr *trace.Scope) (*
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	app := &App{Name: "app", shapes: make(map[string]string, len(names))}
+	app := &App{Name: "app"}
 	var files []*alite.File
 	layouts := make(map[string]*layout.Layout, len(layoutXML))
 	var err error
@@ -264,9 +266,6 @@ func loadApp(sources, layoutXML map[string]string, c *Cache, tr *trace.Scope) (*
 	tr.Stage(&app.stages, trace.StageLower, func() { app.prog, err = ir.Build(files, layouts) })
 	if err != nil {
 		return nil, err
-	}
-	for i, f := range files {
-		app.shapes[names[i]] = ir.ShapeSignature(f)
 	}
 	// Copy so later caller mutations of the maps cannot skew suppression
 	// scanning or incremental diffing.
@@ -372,16 +371,18 @@ func (r *Result) viewInfo(v graph.Value) View {
 		out.Class = v.Class.Name
 		out.Origin = fmt.Sprintf("new@%s", v.Site.Pos())
 	}
-	ids := r.res.Graph.ViewIDsOf(v)
-	if len(ids) > 0 {
-		names := make([]string, len(ids))
-		for i, id := range ids {
-			names[i] = id.Name
-		}
-		sort.Strings(names)
-		out.ID = strings.Join(names, ",")
-	}
+	out.ID = idNames(r.res.Graph.ViewIDValues(v))
 	return out
+}
+
+// idNames returns the names of view id values, sorted and comma-joined.
+func idNames(ids graph.Values) string {
+	names := make([]string, ids.Len())
+	for i := range names {
+		names[i] = ids.At(i).(*graph.ViewIDNode).Name
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 
 // viewLess orders views by content (origin, class, id) — not by internal
@@ -474,7 +475,9 @@ func (r *Result) EventTuples() []EventTuple {
 		default:
 			return
 		}
-		for _, w := range walk.Descendants(g, root) {
+		ws := walk.Descendants(g, root)
+		for k := range ws.Len() {
+			w := ws.At(k)
 			viewOwners[w] = append(viewOwners[w], ownerName)
 		}
 	})
@@ -536,8 +539,9 @@ func (r *Result) EventTuples() []EventTuple {
 		if n.OnClick == "" {
 			continue
 		}
-		for _, lst := range g.Listeners(n) {
-			c := classOf(lst)
+		lsts := g.Listeners(n)
+		for k := range lsts.Len() {
+			c := classOf(lsts.At(k))
 			if c == nil {
 				continue
 			}
@@ -849,16 +853,11 @@ func (r *Result) MenuEntries() []MenuEntry {
 		if h := menu.Activity.Dispatch(platform.MenuSelectCallback + "(R)"); h != nil && h.Body != nil {
 			handler = h.QualifiedName()
 		}
-		for _, item := range r.res.Graph.MenuItems(menu) {
-			ids := r.res.Graph.ViewIDsOf(item)
-			names := make([]string, len(ids))
-			for i, id := range ids {
-				names[i] = id.Name
-			}
-			sort.Strings(names)
+		items := r.res.Graph.MenuItems(menu)
+		for k := range items.Len() {
 			out = append(out, MenuEntry{
 				Activity: menu.Activity.Name,
-				ItemID:   strings.Join(names, ","),
+				ItemID:   idNames(r.res.Graph.ViewIDValues(items.At(k))),
 				Handler:  handler,
 			})
 		}

@@ -86,13 +86,19 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 	// body-confined edits may patch in place.
 	var stages trace.Log
 	var files []*alite.File
+	var oldShapes []string
 	var err error
-	opts.Trace.Stage(&stages, trace.StageParse, func() { files, err = parseFiles(dirty, sources, c, opts.Trace) })
+	opts.Trace.Stage(&stages, trace.StageParse, func() {
+		if files, err = parseFiles(dirty, sources, c, opts.Trace); err == nil {
+			oldShapes, err = app.shapesOf(dirty, c)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
+	shapes := make([]string, len(files))
 	for i, f := range files {
-		if ir.ShapeSignature(f) != app.shapes[dirty[i]] {
+		if shapes[i] = ir.ShapeSignature(f); shapes[i] != oldShapes[i] {
 			return analyzeFull(prev, sources, layouts, opts, c, "declaration shape changed: "+dirty[i])
 		}
 	}
@@ -115,8 +121,11 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 	res := core.AnalyzeIncremental(prog, opts.internal(), prev.res, dirty)
 
 	newShapes := maps.Clone(app.shapes)
+	if newShapes == nil {
+		newShapes = make(map[string]string, len(dirty))
+	}
 	for i, name := range dirty {
-		newShapes[name] = ir.ShapeSignature(files[i])
+		newShapes[name] = shapes[i]
 	}
 	newApp := &App{Name: app.Name, prog: prog, sources: maps.Clone(sources), layouts: app.layouts, shapes: newShapes, stages: stages}
 	return newApp.result(res, opts.Trace, res.Incr), nil
@@ -136,6 +145,25 @@ func analyzeFull(prev *Result, sources, layouts map[string]string, opts Options,
 	iopts := opts.internal()
 	iopts.Incremental = true
 	return app.result(core.Analyze(app.prog, iopts), opts.Trace, IncrementalStats{Mode: "scratch", Reason: reason}), nil
+}
+
+// shapesOf returns the declaration shapes of the named files before the
+// edit: the ones an earlier edit recorded, and for the other files the
+// shapes of their previous sources, parsed through c when it is set.
+func (app *App) shapesOf(names []string, c *Cache) ([]string, error) {
+	out := make([]string, len(names))
+	for i, name := range names {
+		sh, ok := app.shapes[name]
+		if !ok {
+			files, err := parseFiles(names[i:i+1], app.sources, c, nil)
+			if err != nil {
+				return nil, err
+			}
+			sh = ir.ShapeSignature(files[0])
+		}
+		out[i] = sh
+	}
+	return out, nil
 }
 
 func mapsEqual(a, b map[string]string) bool {

@@ -320,6 +320,62 @@ func TestIncrementalFallbackReasons(t *testing.T) {
 	}
 }
 
+// TestIncrementalFromLoadedApp: Load records no declaration shapes, so
+// AnalyzeIncremental takes a dirty file's previous shape from its previous
+// source, with and without a parse cache. From a Load(...).Analyze result a
+// body edit patches in place (the solver, finding no dependency tracking,
+// re-solves from scratch), equals a scratch analysis, and leaves a result
+// whose next body edit, to another file, solves warm; a declaration edit
+// falls back with "declaration shape changed".
+func TestIncrementalFromLoadedApp(t *testing.T) {
+	sources, layouts := corpus.ModularApp(4)
+	edits := editCorpus()
+	edited := func(base map[string]string, names ...string) map[string]string {
+		s, _ := copyInput(base, nil)
+		for _, e := range edits {
+			for _, name := range names {
+				if e.name == name {
+					e.apply(s, nil)
+				}
+			}
+		}
+		return s
+	}
+	for _, c := range []*Cache{nil, NewCache()} {
+		body := edited(sources, "body-stmt-add")
+		res, err := AnalyzeIncremental(mustAnalyze(t, sources, layouts, Options{}), body, layouts, Options{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Incremental(); st.Mode != "scratch" || st.Reason != "previous result has no dependency tracking" {
+			t.Fatalf("body edit of a loaded app: mode %q (reason %q), want the in-place patch re-solved from scratch", st.Mode, st.Reason)
+		}
+		if got, want := snapshot(t, res), snapshot(t, mustAnalyze(t, body, layouts, Options{})); got != want {
+			t.Fatal("body edit of a loaded app: solution differs from scratch")
+		}
+		both := edited(sources, "body-stmt-add", "swap-listener")
+		res, err = AnalyzeIncremental(res, both, layouts, Options{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Incremental(); st.Mode != "warm" {
+			t.Fatalf("second body edit: mode %q (reason %q), want warm", st.Mode, st.Reason)
+		}
+		if got, want := snapshot(t, res), snapshot(t, mustAnalyze(t, both, layouts, Options{})); got != want {
+			t.Fatal("second body edit: warm solution differs from scratch")
+		}
+
+		decl := edited(sources, "shape-add-method")
+		res, err = AnalyzeIncremental(mustAnalyze(t, sources, layouts, Options{}), decl, layouts, Options{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Incremental(); st.Mode != "scratch" || !strings.HasPrefix(st.Reason, "declaration shape changed") {
+			t.Fatalf("declaration edit of a loaded app: mode %q (reason %q), want scratch for a changed shape", st.Mode, st.Reason)
+		}
+	}
+}
+
 func mustAnalyze(t *testing.T, sources, layouts map[string]string, opts Options) *Result {
 	t.Helper()
 	app, err := Load(sources, layouts)

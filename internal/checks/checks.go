@@ -327,7 +327,7 @@ func checkMissingContentView(res *core.Result) []Finding {
 			default:
 				continue
 			}
-			if len(res.Graph.Roots(owner)) == 0 {
+			if res.Graph.Roots(owner).Len() == 0 {
 				out = append(out, Finding{
 					Check:    "missing-content-view",
 					Severity: Warning,
@@ -414,8 +414,9 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 	visible := map[int]bool{}
 	var walk graph.Walker
 	res.Graph.RootPairs(func(owner, root graph.Value) {
-		for _, w := range walk.Descendants(res.Graph, root) {
-			visible[w.ID()] = true
+		ws := walk.Descendants(res.Graph, root)
+		for k := range ws.Len() {
+			visible[ws.ID(k)] = true
 		}
 	})
 	var out []Finding
@@ -441,9 +442,12 @@ func checkDuplicateID(res *core.Result) []Finding {
 	var walk graph.Walker
 	res.Graph.RootPairs(func(owner, root graph.Value) {
 		byID := map[int][]graph.Value{}
-		for _, w := range walk.Descendants(res.Graph, root) {
-			for _, id := range res.Graph.ViewIDValues(w) {
-				byID[id.ID()] = append(byID[id.ID()], w)
+		ws := walk.Descendants(res.Graph, root)
+		for k := range ws.Len() {
+			w := ws.At(k)
+			ids := res.Graph.ViewIDValues(w)
+			for j := range ids.Len() {
+				byID[ids.ID(j)] = append(byID[ids.ID(j)], w)
 			}
 		}
 		ids := make([]int, 0, len(byID))
@@ -477,7 +481,7 @@ func checkDuplicateID(res *core.Result) []Finding {
 func checkUnhandledMenu(res *core.Result) []Finding {
 	var out []Finding
 	for _, menu := range res.Graph.Menus() {
-		if len(res.Graph.MenuItems(menu)) == 0 {
+		if res.Graph.MenuItems(menu).Len() == 0 {
 			continue
 		}
 		h := menu.Activity.Dispatch(platform.MenuSelectCallback + "(R)")
@@ -501,7 +505,9 @@ func checkBadIntentTarget(res *core.Result) []Finding {
 		if !ok {
 			continue
 		}
-		for _, target := range res.Graph.IntentTargets(alloc) {
+		targets := res.Graph.IntentTargets(alloc)
+		for k := range targets.Len() {
+			target := targets.At(k).(*graph.ClassNode)
 			if !res.Prog.IsActivityClass(target.Class) {
 				out = append(out, Finding{
 					Check:    "bad-intent-target",

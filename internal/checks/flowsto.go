@@ -169,8 +169,9 @@ func (c *Context) opProduces(op *graph.OpNode) graph.Values {
 		}
 		if ids != nil {
 			match := false
-			for _, id := range g.ViewIDValues(w) {
-				if ids[id.ID()] {
+			vids := g.ViewIDValues(w)
+			for k := range vids.Len() {
+				if ids[vids.ID(k)] {
 					match = true
 				}
 			}
@@ -188,12 +189,15 @@ func (c *Context) opProduces(op *graph.OpNode) graph.Values {
 	rs := c.Res.OpReceivers(op)
 	for k := range rs.Len() {
 		r := rs.At(k)
-		for _, w := range c.walk.Descendants(g, r) {
-			consider(w)
+		ws := c.walk.Descendants(g, r)
+		for j := range ws.Len() {
+			consider(ws.At(j))
 		}
-		for _, root := range g.Roots(r) {
-			for _, w := range c.walk.Descendants(g, root) {
-				consider(w)
+		roots := g.Roots(r)
+		for i := range roots.Len() {
+			ws := c.walk.Descendants(g, roots.At(i))
+			for j := range ws.Len() {
+				consider(ws.At(j))
 			}
 		}
 	}

@@ -45,8 +45,9 @@ func methodOf(t *testing.T, res *core.Result, qualified string) *ir.Method {
 func viewIDsOf(res *core.Result, vals []graph.Value) []string {
 	var out []string
 	for _, v := range vals {
-		for _, id := range res.Graph.ViewIDsOf(v) {
-			out = append(out, id.Name)
+		ids := res.Graph.ViewIDValues(v)
+		for k := range ids.Len() {
+			out = append(out, ids.At(k).(*graph.ViewIDNode).Name)
 		}
 	}
 	sort.Strings(out)

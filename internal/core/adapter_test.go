@@ -31,7 +31,7 @@ func TestSetAdapterPopulatesList(t *testing.T) {
 	list := inflByPath(t, r, "main", 1)
 
 	// The adapter's row becomes a child of the ListView.
-	kids := r.Graph.Children(list)
+	kids := r.Graph.Children(list).Slice()
 	if len(kids) != 1 {
 		t.Fatalf("children(list) = %v", valueNames(kids))
 	}

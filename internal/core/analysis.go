@@ -264,7 +264,9 @@ func (r *Result) Transitions() []Transition {
 			intents := r.PointsTo(op.Args[0])
 			for j := range intents.Len() {
 				intent := intents.At(j)
-				for _, target := range r.Graph.IntentTargets(intent) {
+				targets := r.Graph.IntentTargets(intent)
+				for t := range targets.Len() {
+					target := targets.At(t).(*graph.ClassNode)
 					tr := Transition{Source: srcClass, Target: target.Class, Via: op.Method}
 					if !seen[tr] {
 						seen[tr] = true

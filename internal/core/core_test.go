@@ -137,7 +137,7 @@ func TestFigure4ParentChild(t *testing.T) {
 
 	wantChild := func(parent, child graph.Value) {
 		t.Helper()
-		if !containsValue(g.Children(parent), child) {
+		if !containsValue(g.Children(parent).Slice(), child) {
 			t.Errorf("missing parent-child edge %s => %s", parent, child)
 		}
 	}
@@ -152,11 +152,11 @@ func TestFigure4ParentChild(t *testing.T) {
 
 	// Activity root association (Inflate2 rule).
 	act := g.ActivityNode(r.Prog.Class("ConsoleActivity"))
-	if !containsValue(g.Roots(act), actRoot) {
-		t.Errorf("activity => root edge missing; roots = %v", valueNames(g.Roots(act)))
+	if !containsValue(g.Roots(act).Slice(), actRoot) {
+		t.Errorf("activity => root edge missing; roots = %v", valueNames(g.Roots(act).Slice()))
 	}
 	// Layout provenance (root => layout id).
-	if lids := g.LayoutOf(actRoot); len(lids) != 1 || lids[0].(*graph.LayoutIDNode).Name != "act_console" {
+	if lids := g.LayoutOf(actRoot).Slice(); len(lids) != 1 || lids[0].(*graph.LayoutIDNode).Name != "act_console" {
 		t.Errorf("layoutOf(actRoot) = %v", valueNames(lids))
 	}
 }
@@ -170,8 +170,8 @@ func TestFigure4IdsAndListeners(t *testing.T) {
 	escBtn := inflByPath(t, r, "act_console", 3)
 
 	// ViewFlipper 9.2 => console_flip from the layout.
-	ids := g.ViewIDsOf(flipper)
-	if len(ids) != 1 || ids[0].Name != "console_flip" {
+	ids := g.ViewIDValues(flipper).Slice()
+	if len(ids) != 1 || ids[0].(*graph.ViewIDNode).Name != "console_flip" {
 		t.Errorf("ids(flipper) = %v", ids)
 	}
 
@@ -182,13 +182,13 @@ func TestFigure4IdsAndListeners(t *testing.T) {
 			tvAlloc = an
 		}
 	}
-	ids = g.ViewIDsOf(tvAlloc)
-	if len(ids) != 1 || ids[0].Name != "console_flip" {
+	ids = g.ViewIDValues(tvAlloc).Slice()
+	if len(ids) != 1 || ids[0].(*graph.ViewIDNode).Name != "console_flip" {
 		t.Errorf("ids(TerminalView) = %v", ids)
 	}
 
 	// SetListener: ImageView 9.4 => EscapeButtonListener allocation.
-	lsts := g.Listeners(escBtn)
+	lsts := g.Listeners(escBtn).Slice()
 	if len(lsts) != 1 {
 		t.Fatalf("listeners(escBtn) = %v", valueNames(lsts))
 	}
@@ -356,9 +356,9 @@ class A extends Activity {
 	r := analyzeSrc(t, src, layouts, Options{})
 	box := inflByPath(t, r, "main", 0)
 	row := inflByPath(t, r, "row", 0)
-	if !containsValue(r.Graph.Children(box), row) {
+	if !containsValue(r.Graph.Children(box).Slice(), row) {
 		t.Errorf("inflate-into-parent did not attach: children(box) = %v",
-			valueNames(r.Graph.Children(box)))
+			valueNames(r.Graph.Children(box).Slice()))
 	}
 	// And the attached row is now findable through the activity.
 	src2 := src[:len(src)-len("}\n}`")] // not used; separate check below
@@ -403,7 +403,7 @@ class A extends Activity {
 	if len(vVals) != 1 || vVals[0] != btn {
 		t.Errorf("onClick param pts = %v, want the Button", valueNames(vVals))
 	}
-	lsts := r.Graph.Listeners(btn)
+	lsts := r.Graph.Listeners(btn).Slice()
 	if len(lsts) != 1 {
 		t.Fatalf("listeners = %v", valueNames(lsts))
 	}
@@ -426,7 +426,7 @@ class A extends Activity implements OnClickListener {
 	layouts := map[string]string{"main": `<LinearLayout><Button android:id="@+id/go"/></LinearLayout>`}
 	r := analyzeSrc(t, src, layouts, Options{})
 	btn := inflByPath(t, r, "main", 1)
-	lsts := r.Graph.Listeners(btn)
+	lsts := r.Graph.Listeners(btn).Slice()
 	if len(lsts) != 1 {
 		t.Fatalf("listeners = %v", valueNames(lsts))
 	}
@@ -566,7 +566,7 @@ class A extends Activity {
 	if !ok || root.Class.Name != "ViewGroup" {
 		t.Errorf("merge root = %v, want synthetic ViewGroup", vVals[0])
 	}
-	if got := len(r.Graph.Children(root)); got != 2 {
+	if got := r.Graph.Children(root).Len(); got != 2 {
 		t.Errorf("merge children = %d, want 2", got)
 	}
 }

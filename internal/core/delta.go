@@ -23,6 +23,7 @@ package core
 import (
 	"gator/internal/graph"
 	"gator/internal/platform"
+	"gator/internal/slab"
 )
 
 // initDelta prepares the delta operation worklist: the watcher index
@@ -38,11 +39,11 @@ import (
 // long enough.
 func (a *analysis) initDelta() {
 	ops := a.g.Ops()
-	a.opDirty = growTo(a.opDirty[:0], len(ops))
-	a.opAlways = growTo(a.opAlways[:0], len(ops))
-	a.opLastGen = growTo(a.opLastGen[:0], len(ops))
+	a.opDirty = slab.GrowTo(a.opDirty[:0], len(ops))
+	a.opAlways = slab.GrowTo(a.opAlways[:0], len(ops))
+	a.opLastGen = slab.GrowTo(a.opLastGen[:0], len(ops))
 	numNodes := len(a.g.Nodes())
-	start := growTo(a.watchStart[:0], numNodes+1)
+	start := slab.GrowTo(a.watchStart[:0], numNodes+1)
 	for i, op := range ops {
 		a.opDirty[i] = true
 		a.opLastGen[i] = -1
@@ -57,7 +58,7 @@ func (a *analysis) initDelta() {
 	}
 	// Placing advances each group's start to its end, which is the next
 	// group's start; shifting by one restores the starts.
-	watchOps := growTo(a.watchOps[:0], int(start[numNodes]))
+	watchOps := slab.GrowTo(a.watchOps[:0], int(start[numNodes]))
 	for i, op := range ops {
 		forWatched(op, func(id int) {
 			watchOps[start[id]] = int32(i)

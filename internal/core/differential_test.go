@@ -95,13 +95,13 @@ func solutionString(r *Result, ordered bool) string {
 		if !ok {
 			continue
 		}
-		for _, id := range r.Graph.ViewIDsOf(v) {
+		for _, id := range r.Graph.ViewIDValues(v).Slice() {
 			rel = append(rel, "viewid "+v.String()+" -> "+id.String())
 		}
-		for _, tgt := range r.Graph.IntentTargets(v) {
+		for _, tgt := range r.Graph.IntentTargets(v).Slice() {
 			rel = append(rel, "intent "+v.String()+" -> "+tgt.String())
 		}
-		for _, l := range r.Graph.LayoutOf(v) {
+		for _, l := range r.Graph.LayoutOf(v).Slice() {
 			rel = append(rel, "layoutof "+v.String()+" -> "+l.String())
 		}
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"gator/internal/graph"
+)
 
 func TestFindParentOp(t *testing.T) {
 	src := `
@@ -22,10 +26,10 @@ class A extends Activity {
 		t.Errorf("pts(parent) = %v, want the FrameLayout", valueNames(pVals))
 	}
 	// SetId applied through the parent lands on the FrameLayout.
-	ids := r.Graph.ViewIDsOf(box)
+	ids := r.Graph.ViewIDValues(box).Slice()
 	found := false
 	for _, id := range ids {
-		if id.Name == "probe" {
+		if id.(*graph.ViewIDNode).Name == "probe" {
 			found = true
 		}
 	}

@@ -41,14 +41,14 @@ func TestMenuModel(t *testing.T) {
 	}
 
 	// Each add site yields one item, associated with its id.
-	itemsA := g.MenuItems(menuA)
+	itemsA := g.MenuItems(menuA).Slice()
 	if len(itemsA) != 2 {
 		t.Fatalf("items of A = %v", valueNames(itemsA))
 	}
 	idNames := map[string]bool{}
 	for _, it := range itemsA {
-		for _, id := range g.ViewIDsOf(it) {
-			idNames[id.Name] = true
+		for _, id := range g.ViewIDValues(it).Slice() {
+			idNames[id.(*graph.ViewIDNode).Name] = true
 		}
 	}
 	if !idNames["menu_save"] || !idNames["menu_quit"] {
@@ -65,8 +65,8 @@ func TestMenuModel(t *testing.T) {
 	if len(selB) != 1 {
 		t.Errorf("pts(B.item) = %v", valueNames(selB))
 	}
-	if len(g.MenuItems(menuB)) != 1 {
-		t.Errorf("items of B = %v", valueNames(g.MenuItems(menuB)))
+	if g.MenuItems(menuB).Len() != 1 {
+		t.Errorf("items of B = %v", valueNames(g.MenuItems(menuB).Slice()))
 	}
 
 	// The add result variable holds the item.

@@ -172,14 +172,17 @@ func (r *Result) ProjectedSolution() []string {
 		if !ok {
 			continue
 		}
-		for _, id := range r.Graph.ViewIDsOf(v) {
-			set["viewid "+CanonValue(v)+" -> "+CanonValue(id)] = true
+		ids := r.Graph.ViewIDValues(v)
+		for k := range ids.Len() {
+			set["viewid "+CanonValue(v)+" -> "+CanonValue(ids.At(k))] = true
 		}
-		for _, tgt := range r.Graph.IntentTargets(v) {
-			set["intent "+CanonValue(v)+" -> "+CanonValue(tgt)] = true
+		tgts := r.Graph.IntentTargets(v)
+		for k := range tgts.Len() {
+			set["intent "+CanonValue(v)+" -> "+CanonValue(tgts.At(k))] = true
 		}
-		for _, l := range r.Graph.LayoutOf(v) {
-			set["layoutof "+CanonValue(v)+" -> "+CanonValue(l)] = true
+		lids := r.Graph.LayoutOf(v)
+		for k := range lids.Len() {
+			set["layoutof "+CanonValue(v)+" -> "+CanonValue(lids.At(k))] = true
 		}
 	}
 	out := make([]string, 0, len(set))

@@ -138,7 +138,9 @@ func (a *analysis) childPath(anc, desc graph.Value) []Fact {
 			}
 			return out
 		}
-		for _, p := range a.g.Parents(v) {
+		parents := a.g.Parents(v)
+		for k := range parents.Len() {
+			p := parents.At(k)
 			if !seen[p.ID()] {
 				seen[p.ID()] = true
 				via[p.ID()] = v
@@ -272,10 +274,8 @@ func (r *Result) ViewIDFacts(name string) []Fact {
 	}
 	var out []Fact
 	add := func(v graph.Value) {
-		for _, id := range r.Graph.ViewIDsOf(v) {
-			if id == idNode {
-				out = append(out, viewIDFact(v, id))
-			}
+		if r.Graph.HasViewID(v, idNode) {
+			out = append(out, viewIDFact(v, idNode))
 		}
 	}
 	for _, n := range r.Graph.Infls() {
@@ -285,8 +285,9 @@ func (r *Result) ViewIDFacts(name string) []Fact {
 		add(n)
 	}
 	for _, m := range r.Graph.Menus() {
-		for _, item := range r.Graph.MenuItems(m) {
-			add(item)
+		items := r.Graph.MenuItems(m)
+		for k := range items.Len() {
+			add(items.At(k))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].A < out[j].A })

@@ -1,66 +1,84 @@
 package core
 
-// ptsTable is the points-to store: one set per graph-node id, held by
-// value and indexed directly by id instead of hashing node pointers. Graph
-// ids are dense creation-order integers, so the table is an array the
-// solver's hot loops walk with no map overhead, and it holds no pointer
-// beyond its sets' arrays. Slots for nodes that never receive a value stay
-// empty. The table grows on demand, doubling: operation processing
+import "gator/internal/slab"
+
+// ptsTable is the points-to store. at holds, per graph-node id, 1 + the
+// position of the node's set in sets (0: the node never received a
+// value), and sets holds the sets by value in the order their nodes first
+// received one (in node id order after a compaction). Graph ids are dense
+// creation-order integers, so a lookup is two array reads with no hashing,
+// and the table holds no pointer beyond its sets' arrays. About half of a
+// graph's nodes never hold a value, and they pay 4 bytes each, not a set
+// header. Both arrays double when they grow: operation processing
 // materializes inflation and menu-item nodes mid-solve, and those can
 // appear as lookup subjects even though only build-created nodes ever hold
 // sets.
 type ptsTable struct {
+	at   []int32
 	sets []ValueSet
 }
 
-// of returns node id's set, or nil when id has no slot. The pointer is
-// valid until the table next grows.
+// of returns node id's set, or nil when id never received a value. The
+// pointer is valid until a node receives its first value.
 func (t *ptsTable) of(id int) *ValueSet {
-	if id >= len(t.sets) {
-		return nil
+	if id < len(t.at) {
+		if at := t.at[id]; at != 0 {
+			return &t.sets[at-1]
+		}
 	}
-	return &t.sets[id]
+	return nil
 }
 
 // ids returns node id's values in insertion order, nil when it has none.
 func (t *ptsTable) ids(id int) []int32 {
-	if id >= len(t.sets) {
-		return nil
+	if s := t.of(id); s != nil {
+		return s.ids
 	}
-	return t.sets[id].ids
+	return nil
 }
 
-// ensure returns node id's set, growing the table to hold it. The pointer
-// is valid until the table next grows.
+// ensure returns node id's set, giving the node one when it has none. The
+// pointer is valid until a node receives its first value.
 func (t *ptsTable) ensure(id int) *ValueSet {
-	t.sets = growTo(t.sets, id+1)
-	return &t.sets[id]
+	if s := t.of(id); s != nil {
+		return s
+	}
+	t.at = slab.GrowTo(t.at, id+1)
+	t.sets = append(slab.Grow(t.sets, len(t.sets)+1, 64), ValueSet{})
+	t.at[id] = int32(len(t.sets))
+	return &t.sets[len(t.sets)-1]
 }
 
-// drop discards node id's set entirely (incremental retraction of stale
-// nodes).
+// drop discards node id's values (incremental retraction of stale nodes);
+// the node keeps its empty set.
 func (t *ptsTable) drop(id int) {
-	if id < len(t.sets) {
-		t.sets[id] = ValueSet{}
+	if s := t.of(id); s != nil {
+		*s = ValueSet{}
 	}
 }
 
 // renumber moves each live node's set to its new id after a graph
 // compaction (graph.Compact's remap; -1 for a retired node, whose set is
-// gone already) and rewrites the sets' ids to their values' new ids. remap
-// never raises an id, so the sets move down in place.
+// gone already) and rewrites the sets' ids to their values' new ids.
+// Empty sets and the sets of retired nodes leave the table, and the rest
+// are laid out in node id order. remap never raises an id, so the slots
+// move down in place.
 func (t *ptsTable) renumber(remap []int32, numNodes int) {
-	for old := range t.sets {
-		s := t.sets[old]
-		t.sets[old] = ValueSet{}
+	sets := make([]ValueSet, 0, len(t.sets))
+	for old, at := range t.at {
+		if at == 0 {
+			continue
+		}
+		t.at[old] = 0
+		s := t.sets[at-1]
 		if to := remap[old]; to >= 0 && len(s.ids) > 0 {
 			s.renumber(remap)
-			t.sets[to] = s
+			sets = append(sets, s)
+			t.at[to] = int32(len(sets))
 		}
 	}
-	if len(t.sets) > numNodes {
-		t.sets = t.sets[:numNodes]
-	}
+	t.sets = sets
+	t.at = t.at[:min(len(t.at), numNodes)]
 }
 
 // size counts nodes with a non-empty set.
@@ -72,21 +90,4 @@ func (t *ptsTable) size() int {
 		}
 	}
 	return n
-}
-
-// growTo returns s extended with zero values to length n, doubling its
-// capacity when it must reallocate.
-func growTo[T any](s []T, n int) []T {
-	if n <= len(s) {
-		return s
-	}
-	if n > cap(s) {
-		grown := make([]T, len(s), max(n, 2*cap(s), 64))
-		copy(grown, s)
-		s = grown
-	}
-	old := len(s)
-	s = s[:n]
-	clear(s[old:])
-	return s
 }

@@ -324,7 +324,9 @@ func (a *analysis) applyFindMenuItem(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			for _, item := range a.g.MenuItems(menu) {
+			items := a.g.MenuItems(menu)
+			for k := range items.Len() {
+				item := items.At(k)
 				if a.g.HasViewID(item, id) && a.seedChecked(op.Out, item) {
 					changed = true
 					if a.tracking {
@@ -352,7 +354,9 @@ func (a *analysis) applyFindParent(op *graph.OpNode) bool {
 		if !ok {
 			continue
 		}
-		for _, p := range a.g.Parents(view) {
+		parents := a.g.Parents(view)
+		for k := range parents.Len() {
+			p := parents.At(k)
 			if a.seedChecked(op.Out, p) {
 				changed = true
 				if a.tracking {
@@ -657,7 +661,9 @@ func (a *analysis) applyFindView1(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			for _, w := range a.walk.Descendants(a.g, view) {
+			ws := a.walk.Descendants(a.g, view)
+			for k := range ws.Len() {
+				w := ws.At(k)
 				if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
 					changed = true
 					if a.tracking {
@@ -689,8 +695,12 @@ func (a *analysis) applyFindView2(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			for _, root := range a.g.Roots(owner) {
-				for _, w := range a.walk.Descendants(a.g, root) {
+			roots := a.g.Roots(owner)
+			for r := range roots.Len() {
+				root := roots.At(r)
+				ws := a.walk.Descendants(a.g, root)
+				for k := range ws.Len() {
+					w := ws.At(k)
 					if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
 						changed = true
 						if a.tracking {
@@ -720,13 +730,14 @@ func (a *analysis) applyFindView3(op *graph.OpNode) bool {
 		if !ok {
 			continue
 		}
-		var candidates []graph.Value
+		var candidates graph.Values
 		if childOnly {
 			candidates = a.g.Children(view)
 		} else {
 			candidates = a.walk.Descendants(a.g, view)
 		}
-		for _, w := range candidates {
+		for k := range candidates.Len() {
+			w := candidates.At(k)
 			if a.seedChecked(op.Out, w) {
 				changed = true
 				if a.tracking {

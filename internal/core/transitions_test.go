@@ -168,8 +168,8 @@ class A extends Activity {
 	if !ok || alloc.Class.Name != "Intent" {
 		t.Fatalf("pts(i) = %v", valueNames(iVals))
 	}
-	targets := r.Graph.IntentTargets(alloc)
-	if len(targets) != 1 || targets[0].Class.Name != "B" {
+	targets := r.Graph.IntentTargets(alloc).Slice()
+	if len(targets) != 1 || targets[0].(*graph.ClassNode).Class.Name != "B" {
 		t.Errorf("targets = %v", targets)
 	}
 }

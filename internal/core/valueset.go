@@ -13,8 +13,8 @@ const smallSet = 8
 // graph node ids. Insertion order is deterministic given a deterministic
 // construction order, which keeps the whole analysis reproducible run to
 // run. The zero value is the empty set, and a set owns no pointers: the
-// points-to table holds its sets by value, and the garbage collector never
-// scans their arrays.
+// points-to table holds its sets by value, one for each node that ever
+// received a value, and the garbage collector never scans their arrays.
 type ValueSet struct {
 	ids []int32
 	// index holds the ids exactly while the set holds more than smallSet

@@ -25,7 +25,7 @@ func TestFindViewWalkZeroAlloc(t *testing.T) {
 	a.g.RootPairs(func(_, root graph.Value) { roots = append(roots, root) })
 	views := 0
 	for _, root := range roots {
-		views += len(a.walk.Descendants(a.g, root)) // warm-up
+		views += a.walk.Descendants(a.g, root).Len() // warm-up
 	}
 	if len(roots) == 0 || views <= len(roots) {
 		t.Fatalf("Figure 1 has %d content roots and %d views under them; want a hierarchy to walk", len(roots), views)

@@ -88,11 +88,13 @@ func Export(res *core.Result, opts Options) string {
 			if !ok {
 				continue
 			}
-			for _, id := range res.Graph.ViewIDsOf(v) {
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"id\" color=darkgreen];\n", declare(v), declare(id))
+			ids := res.Graph.ViewIDValues(v)
+			for k := range ids.Len() {
+				fmt.Fprintf(&b, "\t%s -> %s [label=\"id\" color=darkgreen];\n", declare(v), declare(ids.At(k)))
 			}
-			for _, lid := range res.Graph.LayoutOf(v) {
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"layout\" color=darkgreen];\n", declare(v), declare(lid))
+			lids := res.Graph.LayoutOf(v)
+			for k := range lids.Len() {
+				fmt.Fprintf(&b, "\t%s -> %s [label=\"layout\" color=darkgreen];\n", declare(v), declare(lids.At(k)))
 			}
 		}
 		res.Graph.ListenerPairs(func(view, lst graph.Value) {

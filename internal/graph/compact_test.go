@@ -13,9 +13,10 @@ import (
 // lists longer than relScan, retiring a random part of the inflated views
 // and operations and compacting leaves exactly the live nodes, numbered
 // densely in their old order, with every successor list and visit order
-// the old one minus the retired nodes, and every list's id set holding
-// exactly its successors' new ids while it is longer than relScan. A
-// Walker that walked before the compaction walks correctly after it.
+// the old one minus the retired nodes, and the flow table and every
+// relation keeping their invariant under the new ids (flowTableHolds,
+// relationTableHolds). A Walker that walked before the compaction walks
+// correctly after it.
 func TestCompactRenumbersLiveNodes(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -59,7 +60,7 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 		wantFlow := map[Node][]Node{}
 		for _, n := range live {
 			if v, ok := n.(Value); ok {
-				wantChildren[n], wantParents[n] = keep(g.Children(v)), keep(g.Parents(v))
+				wantChildren[n], wantParents[n] = keep(g.Children(v).Slice()), keep(g.Parents(v).Slice())
 			}
 			wantFlow[n] = slices.DeleteFunc(flowDsts(g, n), func(d Node) bool { return dead[d] })
 		}
@@ -86,7 +87,7 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 				t.Fatalf("seed %d: node %d has id %d", seed, id, n.ID())
 			}
 			if v, ok := n.(Value); ok {
-				if !slices.Equal(g.Children(v), wantChildren[n]) || !slices.Equal(g.Parents(v), wantParents[n]) {
+				if !slices.Equal(g.Children(v).Slice(), wantChildren[n]) || !slices.Equal(g.Parents(v).Slice(), wantParents[n]) {
 					t.Fatalf("seed %d: child lists of node %d changed", seed, id)
 				}
 			}
@@ -103,31 +104,15 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 		if !slices.Equal(gotPairs, wantPairs) {
 			t.Fatalf("seed %d: child visit order changed", seed)
 		}
-		for sid, l := range g.flow {
-			ids := make([]int32, len(l.edges))
-			for i, e := range l.edges {
-				ids[i] = e.Dst
-			}
-			if !setMatches(l.set, ids) {
-				t.Fatalf("seed %d: the destination set of node %d's flow list is wrong", seed, sid)
-			}
+		if !flowTableHolds(g) {
+			t.Fatalf("seed %d: the compacted flow table breaks its invariant", seed)
 		}
 		for _, r := range g.relations() {
-			for i := range r.lists {
-				l := &r.lists[i]
-				ids := make([]int32, len(l.dsts))
-				for j, d := range l.dsts {
-					ids[j] = int32(d.ID())
-				}
-				if !setMatches(l.set, ids) {
-					t.Fatalf("seed %d: the successor set of %v in relation %d is wrong", seed, l.src, r.col)
-				}
-				if r.list(l.src) != l {
-					t.Fatalf("seed %d: the shared index does not lead to %v's list in relation %d", seed, l.src, r.col)
-				}
+			if !relationTableHolds(r) {
+				t.Fatalf("seed %d: compacted relation %d breaks its invariant", seed, r.col)
 			}
 		}
-		if got := w.Descendants(g, views[0]); !sameValues(got, referenceDescendants(g, views[0])) {
+		if got := w.Descendants(g, views[0]).Slice(); !sameValues(got, referenceDescendants(g, views[0])) {
 			t.Fatalf("seed %d: a walker reused across Compact walks wrongly", seed)
 		}
 	}

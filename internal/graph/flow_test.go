@@ -53,10 +53,9 @@ func (r *refFlow) FilterFlow(keep func(src, dst Node) bool) int {
 // over a few sources and a universe larger than relScan, the graph agrees
 // with refFlow on every result, on FlowSucc for every node, on
 // NumFlowEdges, and on VisitFlow, which must visit each non-empty list once
-// in source id order; and each list keeps its destination set exactly while
-// it is longer than relScan, holding exactly its destinations (setMatches).
-// Sequences alternate add-heavy and filter-heavy phases, so successor lists
-// cross relScan in both directions.
+// in source id order; and the flow table keeps its invariant after every
+// step (flowTableHolds). Sequences alternate add-heavy and filter-heavy
+// phases, so successor lists cross relScan in both directions.
 func TestFlowQuickProperties(t *testing.T) {
 	g := New()
 	universe := make([]Node, 3*relScan)
@@ -67,7 +66,7 @@ func TestFlowQuickProperties(t *testing.T) {
 	crossedUp, crossedDown := false, false
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g.flow, g.numFlow = nil, 0
+		g.flowAt, g.flows, g.numFlow = nil, nil, 0
 		ref := &refFlow{flowSucc: map[Node][]Node{}, flowSet: map[[2]int]bool{}}
 		wasLong := map[int]bool{}
 		for i := 0; i < 300; i++ {
@@ -115,16 +114,14 @@ func flowAgrees(g *Graph, ref *refFlow, universe []Node) bool {
 		if len(got) != len(want) {
 			return false
 		}
-		ids := make([]int32, len(got))
 		for i := range got {
 			if g.nodes[got[i].Dst] != want[i] || got[i].Label != 0 {
 				return false
 			}
-			ids[i] = got[i].Dst
 		}
-		if n.ID() < len(g.flow) && !setMatches(g.flow[n.ID()].set, ids) {
-			return false
-		}
+	}
+	if !flowTableHolds(g) {
+		return false
 	}
 	var visited, want []Node
 	g.VisitFlow(func(src Node, dsts []FlowEdge) {
@@ -142,6 +139,33 @@ func flowAgrees(g *Graph, ref *refFlow, universe []Node) bool {
 	}
 	for i := range visited {
 		if visited[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// flowTableHolds checks the flow table's invariant: each slot of flowAt is
+// 0 or names a list of flows whose src is that node, every list is named by
+// exactly one slot, and each list's IDSet holds exactly its destinations
+// while the list is longer than relScan (setMatches).
+func flowTableHolds(g *Graph) bool {
+	named := make([]bool, len(g.flows))
+	for id, at := range g.flowAt {
+		if at == 0 {
+			continue
+		}
+		if int(at) > len(g.flows) || named[at-1] || g.flows[at-1].src != int32(id) {
+			return false
+		}
+		named[at-1] = true
+	}
+	for i, l := range g.flows {
+		ids := make([]int32, len(l.edges))
+		for j, e := range l.edges {
+			ids[j] = e.Dst
+		}
+		if !named[i] || !setMatches(l.set, ids) {
 			return false
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"gator/internal/ir"
 	"gator/internal/platform"
+	"gator/internal/slab"
 )
 
 // Node is any constraint graph node.
@@ -259,9 +260,13 @@ type Graph struct {
 	// built or last compacted: nodes no index holds any more.
 	retired int
 
-	// Flow edges: flow holds each source's successor list, indexed by
-	// source node id, each edge with its label beside it.
-	flow    []flowList
+	// Flow edges: flowAt holds, per node id, 1 + the position of the
+	// node's successor list in flows (0: the node never had a successor),
+	// and flows holds the lists in the order their sources gained a first
+	// edge, each edge with its label beside it. Most nodes are no flow
+	// source, so they pay 4 bytes each, not a list header.
+	flowAt  []int32
+	flows   []flowList
 	numFlow int
 
 	// Relationship edges, grown during solving. rels is the source index
@@ -309,32 +314,10 @@ func New() *Graph {
 	return g
 }
 
-// register appends n to the node array, doubling its capacity when full:
-// append grows a long slice by a quarter at a time, which allocates about
-// five times the final size on the way.
-func (g *Graph) register(n Node) {
-	if len(g.nodes) == cap(g.nodes) {
-		g.nodes = slices.Grow(g.nodes, max(len(g.nodes), 64))
-	}
-	g.nodes = append(g.nodes, n)
-}
+// register appends n to the node array, doubling its capacity when full.
+func (g *Graph) register(n Node) { g.nodes = append(slab.Grow(g.nodes, len(g.nodes)+1, 64), n) }
 
 func (g *Graph) nextID() base { return base{id: len(g.nodes)} }
-
-// growTo returns s extended with zero values to length n, doubling its
-// capacity when it must reallocate.
-func growTo[T any](s []T, n int) []T {
-	if n <= len(s) {
-		return s
-	}
-	if n > cap(s) {
-		s = slices.Grow(s, max(n, 2*cap(s), 64)-len(s))
-	}
-	old := len(s)
-	s = s[:n]
-	clear(s[old:])
-	return s
-}
 
 // Nodes returns all nodes in creation order.
 func (g *Graph) Nodes() []Node { return g.nodes }
@@ -354,7 +337,7 @@ func (g *Graph) VarNodeCtx(v *ir.Var, ctx int) *VarNode {
 	}
 	n := &VarNode{base: g.nextID(), Var: v, Ctx: ctx}
 	if ctx == 0 {
-		g.varNodes = growTo(g.varNodes, v.ID+1)
+		g.varNodes = slab.GrowTo(g.varNodes, v.ID+1)
 		g.varNodes[v.ID] = n
 	} else {
 		n.CtxLabel = g.ctxLabels[ctx]
@@ -619,10 +602,11 @@ func (g *Graph) ViewIDs() []*ViewIDNode {
 // endpoints). The graph stores labels and never reads them.
 type FlowEdge struct{ Dst, Label int32 }
 
-// flowList is one source's flow successors in insertion order. A list
+// flowList is the flow successors of node src in insertion order. A list
 // deduplicates by scanning while it holds at most relScan edges; a longer
 // one also keeps its destinations in set.
 type flowList struct {
+	src   int32
 	edges []FlowEdge
 	set   IDSet
 }
@@ -664,12 +648,28 @@ func (l *flowList) reindex() {
 	}
 }
 
+// flowOf returns the successor list of the node with id, nil when the node
+// never had a successor. The pointer is valid until a node gains its first
+// successor.
+func (g *Graph) flowOf(id int) *flowList {
+	if id < len(g.flowAt) {
+		if at := g.flowAt[id]; at != 0 {
+			return &g.flows[at-1]
+		}
+	}
+	return nil
+}
+
 // AddFlow adds an unlabeled value-flow edge; reports whether it is new.
 func (g *Graph) AddFlow(src, dst Node) bool {
 	sid, did := src.ID(), int32(dst.ID())
-	g.flow = growTo(g.flow, sid+1)
-	l := &g.flow[sid]
-	if l.has(did) {
+	l := g.flowOf(sid)
+	if l == nil {
+		g.flowAt = slab.GrowTo(g.flowAt, sid+1)
+		g.flows = slab.Push(g.flows, flowList{src: int32(sid)})
+		g.flowAt[sid] = int32(len(g.flows))
+		l = &g.flows[len(g.flows)-1]
+	} else if l.has(did) {
 		return false
 	}
 	l.add(did)
@@ -682,7 +682,7 @@ func (g *Graph) AddFlow(src, dst Node) bool {
 // src's successors. A new edge is last in its list, so labeling the edge
 // AddFlow just added costs no scan.
 func (g *Graph) FlowLabel(src, dst Node) *int32 {
-	edges, did := g.flow[src.ID()].edges, int32(dst.ID())
+	edges, did := g.flowOf(src.ID()).edges, int32(dst.ID())
 	if last := len(edges) - 1; edges[last].Dst == did {
 		return &edges[last].Label
 	}
@@ -700,8 +700,8 @@ func (g *Graph) FlowSucc(n Node) []FlowEdge { return g.FlowSuccID(n.ID()) }
 // FlowSuccID returns the flow edges out of the node with the given id. The
 // slice is the graph's backing store; callers must not modify it.
 func (g *Graph) FlowSuccID(id int) []FlowEdge {
-	if id < len(g.flow) {
-		return g.flow[id].edges
+	if l := g.flowOf(id); l != nil {
+		return l.edges
 	}
 	return nil
 }
@@ -710,8 +710,11 @@ func (g *Graph) FlowSuccID(id int) []FlowEdge {
 // order. The slice is the graph's backing store; callers must not modify it
 // or the flow edges during the visit.
 func (g *Graph) VisitFlow(visit func(src Node, succs []FlowEdge)) {
-	for id := range g.flow {
-		if succs := g.flow[id].edges; len(succs) > 0 {
+	for id, at := range g.flowAt {
+		if at == 0 {
+			continue
+		}
+		if succs := g.flows[at-1].edges; len(succs) > 0 {
 			visit(g.nodes[id], succs)
 		}
 	}
@@ -724,8 +727,11 @@ func (g *Graph) VisitFlow(visit func(src Node, succs []FlowEdge)) {
 // read an edited compilation unit.
 func (g *Graph) FilterFlow(keep func(src Node, e FlowEdge) bool) int {
 	removed := 0
-	for sid := range g.flow {
-		l := &g.flow[sid]
+	for sid, at := range g.flowAt {
+		if at == 0 {
+			continue
+		}
+		l := &g.flows[at-1]
 		if len(l.edges) == 0 {
 			continue
 		}
@@ -760,8 +766,8 @@ func (g *Graph) Gen() int { return g.gen }
 
 // AddChild records a parent-child edge between views.
 func (g *Graph) AddChild(parent, child Value) bool {
-	if g.children.add(parent, child) {
-		g.parents.add(child, parent)
+	if p, c := nodeID(parent), nodeID(child); g.children.add(p, c) {
+		g.parents.add(c, p)
 		g.gen++
 		return true
 	}
@@ -771,8 +777,8 @@ func (g *Graph) AddChild(parent, child Value) bool {
 // RemoveChild deletes a parent-child edge (both directions of the index);
 // reports whether it existed.
 func (g *Graph) RemoveChild(parent, child Value) bool {
-	if g.children.remove(parent, child) {
-		g.parents.remove(child, parent)
+	if p, c := nodeID(parent), nodeID(child); g.children.remove(p, c) {
+		g.parents.remove(c, p)
 		g.gen++
 		return true
 	}
@@ -781,7 +787,7 @@ func (g *Graph) RemoveChild(parent, child Value) bool {
 
 // RemoveViewID deletes a view ⇒ view-id association.
 func (g *Graph) RemoveViewID(view, id Value) bool {
-	if g.viewIDRel.remove(view, id) {
+	if g.viewIDRel.remove(nodeID(view), nodeID(id)) {
 		g.gen++
 		return true
 	}
@@ -790,7 +796,7 @@ func (g *Graph) RemoveViewID(view, id Value) bool {
 
 // RemoveListener deletes a view ⇒ listener association.
 func (g *Graph) RemoveListener(view, lst Value) bool {
-	if g.listeners.remove(view, lst) {
+	if g.listeners.remove(nodeID(view), nodeID(lst)) {
 		g.gen++
 		return true
 	}
@@ -799,7 +805,7 @@ func (g *Graph) RemoveListener(view, lst Value) bool {
 
 // RemoveRoot deletes an activity/dialog ⇒ content-root association.
 func (g *Graph) RemoveRoot(owner, view Value) bool {
-	if g.roots.remove(owner, view) {
+	if g.roots.remove(nodeID(owner), nodeID(view)) {
 		g.gen++
 		return true
 	}
@@ -808,7 +814,7 @@ func (g *Graph) RemoveRoot(owner, view Value) bool {
 
 // RemoveIntentTarget deletes an intent ⇒ target-class association.
 func (g *Graph) RemoveIntentTarget(intent, target Value) bool {
-	if g.targets.remove(intent, target) {
+	if g.targets.remove(nodeID(intent), nodeID(target)) {
 		g.gen++
 		return true
 	}
@@ -817,7 +823,7 @@ func (g *Graph) RemoveIntentTarget(intent, target Value) bool {
 
 // RemoveMenuItem deletes a menu ⇒ item association.
 func (g *Graph) RemoveMenuItem(menu, item Value) bool {
-	if g.menuRel.remove(menu, item) {
+	if g.menuRel.remove(nodeID(menu), nodeID(item)) {
 		g.gen++
 		return true
 	}
@@ -853,7 +859,7 @@ func (g *Graph) Retire(dead func(Node) bool) {
 			g.retired++
 		}
 	}
-	g.layoutOf.dropSrcIf(func(v Value) bool { return dead(v) })
+	g.layoutOf.dropSrcIf(func(id int32) bool { return dead(g.nodes[id]) })
 	g.gen++
 }
 
@@ -914,7 +920,7 @@ func (g *Graph) Compact() []int32 {
 			continue
 		}
 		id := n.Var.ID
-		varNodes = growTo(varNodes, id+1)
+		varNodes = slab.GrowTo(varNodes, id+1)
 		if varNodes[id] != nil {
 			panic("graph: Compact: two variable nodes share ir.Var.ID " + fmt.Sprint(id))
 		}
@@ -977,59 +983,63 @@ func (g *Graph) visitLive(f func(Node)) {
 	}
 }
 
-// compactFlow moves each live source's successor list to the source's new
-// id and renumbers its destinations, dropping edges to retired nodes. The
-// labels stay with their edges. remap never raises an id, so the lists
-// move down in place.
+// compactFlow renumbers each live source's successor list and its
+// destinations, dropping edges to retired nodes and lists left empty. The
+// labels stay with their edges, and the lists keep their order in flows.
+// remap never raises an id, so the slots move down in place.
 func (g *Graph) compactFlow(remap []int32, numNodes int) {
 	g.numFlow = 0
-	for sid := range g.flow {
-		l := g.flow[sid]
-		g.flow[sid] = flowList{}
-		if len(l.edges) == 0 || remap[sid] < 0 {
+	clear(g.flowAt)
+	g.flowAt = g.flowAt[:min(len(g.flowAt), numNodes)]
+	kept := g.flows[:0]
+	for _, l := range g.flows {
+		if remap[l.src] < 0 {
 			continue
 		}
-		kept := l.edges[:0]
+		edges := l.edges[:0]
 		for _, e := range l.edges {
 			if d := remap[e.Dst]; d >= 0 {
-				kept = append(kept, FlowEdge{Dst: d, Label: e.Label})
+				edges = append(edges, FlowEdge{Dst: d, Label: e.Label})
 			}
 		}
-		l.edges = kept
+		if len(edges) == 0 {
+			continue
+		}
+		l.src, l.edges = remap[l.src], edges
 		l.reindex()
-		g.flow[remap[sid]] = l
-		g.numFlow += len(kept)
+		kept = append(kept, l)
+		g.flowAt[l.src] = int32(len(kept))
+		g.numFlow += len(edges)
 	}
-	if len(g.flow) > numNodes {
-		g.flow = g.flow[:numNodes]
-	}
+	clear(g.flows[len(kept):])
+	g.flows = kept
 }
 
-// compactRelations renumbers every relation by remap while the values
-// still carry their old ids: retired sources leave the visit order, with
-// the empty lists remove leaves behind, retired successors leave their
-// lists, and the shared source index is rebuilt under the new ids.
+// compactRelations renumbers every relation by remap: retired sources
+// leave the visit order, with the empty lists remove leaves behind,
+// retired successors leave their lists, and the shared source index is
+// rebuilt under the new ids.
 func (g *Graph) compactRelations(remap []int32, numNodes int) {
-	g.rels.row = make([]int32, numNodes)
+	clear(g.rels.row)
+	g.rels.row = g.rels.row[:min(len(g.rels.row), numNodes)]
 	g.rels.rows = g.rels.rows[:0]
 	for _, r := range g.relations() {
 		kept := r.lists[:0]
 		for _, l := range r.lists {
-			src := remap[l.src.ID()]
+			src := remap[l.src]
 			if src < 0 {
 				continue
 			}
 			dsts := l.dsts[:0]
 			for _, d := range l.dsts {
-				if remap[d.ID()] >= 0 {
+				if d := remap[d]; d >= 0 {
 					dsts = append(dsts, d)
 				}
 			}
-			clear(l.dsts[len(dsts):])
-			l.dsts = dsts
-			l.reindex(func(d Value) int32 { return remap[d.ID()] })
+			l.src, l.dsts = src, dsts
+			l.reindex()
 			kept = append(kept, l)
-			g.rels.set(int(src), r.col, len(kept))
+			g.rels.set(src, r.col, len(kept))
 		}
 		clear(r.lists[len(kept):])
 		r.lists = kept
@@ -1042,11 +1052,34 @@ func (g *Graph) relations() [numRels]*relation {
 	return [numRels]*relation{&g.children, &g.parents, &g.viewIDRel, &g.listeners, &g.roots, &g.layoutOf, &g.targets, &g.menuRel}
 }
 
+// nodeID returns n's id as the relations and the flow lists store it.
+func nodeID(n Node) int32 { return int32(n.ID()) }
+
+// successors returns the view of src's successors in r.
+func (g *Graph) successors(r *relation, src Value) Values {
+	return g.Values(r.get(nodeID(src)))
+}
+
+// pairs calls visit with every (source, successor) pair of r, sources in
+// the order they were first added, each source's successors in insertion
+// order.
+func (g *Graph) pairs(r *relation, visit func(src, dst Value)) {
+	for _, l := range r.lists {
+		if len(l.dsts) == 0 {
+			continue
+		}
+		src := g.nodes[l.src].(Value)
+		for _, d := range l.dsts {
+			visit(src, g.nodes[d].(Value))
+		}
+	}
+}
+
 // Parents returns the recorded parent views of child.
-func (g *Graph) Parents(child Value) []Value { return g.parents.get(child) }
+func (g *Graph) Parents(child Value) Values { return g.successors(&g.parents, child) }
 
 // Children returns the recorded child views of parent.
-func (g *Graph) Children(parent Value) []Value { return g.children.get(parent) }
+func (g *Graph) Children(parent Value) Values { return g.successors(&g.children, parent) }
 
 // walkScan is the walk length up to which a Walker deduplicates by scanning
 // its buffer. View hierarchies are small (the largest content hierarchy of
@@ -1059,55 +1092,53 @@ const walkScan = 32
 // transitive children (the paper's ancestorOf relation read downward,
 // reflexively), breadth-first with the root first and each value once.
 //
-// A Walker reuses one buffer across walks. A walk of up to walkScan values
-// deduplicates by scanning that buffer; a longer one marks each node it
-// queues with the walk's epoch in a node-indexed array, so a repeat walk
-// clears nothing. The array is cleared only when the epoch counter wraps.
-// The Walker lives outside the Graph: each reader owns one for the length
-// of a loop, so concurrent readers of a solved graph share no state. The
-// zero value is ready to use.
+// A Walker reuses one buffer of node ids across walks. A walk of up to
+// walkScan values deduplicates by scanning that buffer; a longer one marks
+// each node it queues with the walk's epoch in a node-indexed array, so a
+// repeat walk clears nothing. The array is cleared only when the epoch
+// counter wraps. The Walker lives outside the Graph: each reader owns one
+// for the length of a loop, so concurrent readers of a solved graph share
+// no state. The zero value is ready to use.
 type Walker struct {
-	buf   []Value
+	buf   []int32
 	mark  []uint32 // node id -> epoch of the last marking walk that queued it
 	epoch uint32
 }
 
-// Descendants walks the hierarchy under root in g. The result is the
-// walker's buffer: it stays valid until the walker's next walk, and callers
-// must not modify it.
-func (w *Walker) Descendants(g *Graph, root Value) []Value {
-	w.buf = append(w.buf[:0], root)
+// Descendants walks the hierarchy under root in g. The result is a view of
+// the walker's buffer: it stays valid until the walker's next walk.
+func (w *Walker) Descendants(g *Graph, root Value) Values {
+	w.buf = append(w.buf[:0], nodeID(root))
 	for i := 0; i < len(w.buf); i++ {
 		for _, c := range g.children.get(w.buf[i]) {
-			if !w.queued(g, c) {
+			if !w.queued(len(g.nodes), c) {
 				w.buf = append(w.buf, c)
 			}
 		}
 	}
-	return w.buf
+	return g.Values(w.buf)
 }
 
-// queued reports whether the current walk already holds v. A walk scans
-// while its buffer holds at most walkScan values; the first new value past
-// that switches it to marks, and from then on queued marks each new v,
-// which the caller then queues. Marking a node when it is queued yields the
-// same order as marking it when it is dequeued: a node enters the buffer
-// once, at its first discovery, either way.
-func (w *Walker) queued(g *Graph, v Value) bool {
+// queued reports whether the current walk already holds node id. A walk
+// scans while its buffer holds at most walkScan values; the first new value
+// past that switches it to marks, and from then on queued marks each new
+// id, which the caller then queues. Marking a node when it is queued
+// yields the same order as marking it when it is dequeued: a node enters
+// the buffer once, at its first discovery, either way.
+func (w *Walker) queued(numNodes int, id int32) bool {
 	if len(w.buf) <= walkScan {
 		for _, x := range w.buf {
-			if x == v {
+			if x == id {
 				return true
 			}
 		}
 		if len(w.buf) < walkScan {
 			return false
 		}
-		w.startMarking(len(g.nodes))
+		w.startMarking(numNodes)
 	}
-	id := v.ID()
-	if id >= len(w.mark) {
-		w.growMarks(len(g.nodes))
+	if int(id) >= len(w.mark) {
+		w.growMarks(numNodes)
 	}
 	if w.mark[id] == w.epoch {
 		return true
@@ -1126,8 +1157,8 @@ func (w *Walker) startMarking(numNodes int) {
 		w.epoch = 1
 	}
 	w.growMarks(numNodes)
-	for _, v := range w.buf {
-		w.mark[v.ID()] = w.epoch
+	for _, id := range w.buf {
+		w.mark[id] = w.epoch
 	}
 }
 
@@ -1148,36 +1179,25 @@ func (w *Walker) growMarks(numNodes int) {
 
 // AddViewID records a view ⇒ view-id association.
 func (g *Graph) AddViewID(view Value, id *ViewIDNode) bool {
-	if g.viewIDRel.add(view, id) {
+	if g.viewIDRel.add(nodeID(view), nodeID(id)) {
 		g.gen++
 		return true
 	}
 	return false
 }
 
-// HasViewID reports whether view carries id. Unlike ViewIDsOf it copies
-// nothing.
+// HasViewID reports whether view carries id.
 func (g *Graph) HasViewID(view Value, id *ViewIDNode) bool {
-	return g.viewIDRel.contains(view, id)
+	return g.viewIDRel.contains(nodeID(view), nodeID(id))
 }
 
-// ViewIDValues returns the id nodes associated with view without copying:
-// the slice is the graph's backing store, and callers must not modify it.
-func (g *Graph) ViewIDValues(view Value) []Value { return g.viewIDRel.get(view) }
-
-// ViewIDsOf returns a copy of the id nodes associated with view.
-func (g *Graph) ViewIDsOf(view Value) []*ViewIDNode {
-	vals := g.viewIDRel.get(view)
-	out := make([]*ViewIDNode, len(vals))
-	for i, v := range vals {
-		out[i] = v.(*ViewIDNode)
-	}
-	return out
-}
+// ViewIDValues returns the id nodes associated with view; each value is a
+// *ViewIDNode.
+func (g *Graph) ViewIDValues(view Value) Values { return g.successors(&g.viewIDRel, view) }
 
 // AddListener records a view ⇒ listener association.
 func (g *Graph) AddListener(view, lst Value) bool {
-	if g.listeners.add(view, lst) {
+	if g.listeners.add(nodeID(view), nodeID(lst)) {
 		g.gen++
 		return true
 	}
@@ -1185,21 +1205,17 @@ func (g *Graph) AddListener(view, lst Value) bool {
 }
 
 // Listeners returns the listener values associated with view.
-func (g *Graph) Listeners(view Value) []Value { return g.listeners.get(view) }
+func (g *Graph) Listeners(view Value) Values { return g.successors(&g.listeners, view) }
 
 // ListenerPairs visits every (view, listener) association.
-func (g *Graph) ListenerPairs(visit func(view, lst Value)) {
-	g.listeners.visit(visit)
-}
+func (g *Graph) ListenerPairs(visit func(view, lst Value)) { g.pairs(&g.listeners, visit) }
 
 // ChildPairs visits every (parent, child) association.
-func (g *Graph) ChildPairs(visit func(parent, child Value)) {
-	g.children.visit(visit)
-}
+func (g *Graph) ChildPairs(visit func(parent, child Value)) { g.pairs(&g.children, visit) }
 
 // AddRoot records an activity/dialog ⇒ content-root association.
 func (g *Graph) AddRoot(owner, view Value) bool {
-	if g.roots.add(owner, view) {
+	if g.roots.add(nodeID(owner), nodeID(view)) {
 		g.gen++
 		return true
 	}
@@ -1207,33 +1223,27 @@ func (g *Graph) AddRoot(owner, view Value) bool {
 }
 
 // Roots returns the content roots of an activity or dialog value.
-func (g *Graph) Roots(owner Value) []Value { return g.roots.get(owner) }
+func (g *Graph) Roots(owner Value) Values { return g.successors(&g.roots, owner) }
 
 // RootPairs visits every (owner, root) association.
-func (g *Graph) RootPairs(visit func(owner, root Value)) { g.roots.visit(visit) }
+func (g *Graph) RootPairs(visit func(owner, root Value)) { g.pairs(&g.roots, visit) }
 
 // AddIntentTarget records an intent ⇒ target-class association.
 func (g *Graph) AddIntentTarget(intent Value, target *ClassNode) bool {
-	if g.targets.add(intent, target) {
+	if g.targets.add(nodeID(intent), nodeID(target)) {
 		g.gen++
 		return true
 	}
 	return false
 }
 
-// IntentTargets returns the target classes associated with an intent value.
-func (g *Graph) IntentTargets(intent Value) []*ClassNode {
-	vals := g.targets.get(intent)
-	out := make([]*ClassNode, len(vals))
-	for i, v := range vals {
-		out[i] = v.(*ClassNode)
-	}
-	return out
-}
+// IntentTargets returns the target classes associated with an intent
+// value; each value is a *ClassNode.
+func (g *Graph) IntentTargets(intent Value) Values { return g.successors(&g.targets, intent) }
 
 // AddMenuItem records a menu ⇒ item association.
 func (g *Graph) AddMenuItem(menu *MenuNode, item *MenuItemNode) bool {
-	if g.menuRel.add(menu, item) {
+	if g.menuRel.add(nodeID(menu), nodeID(item)) {
 		g.gen++
 		return true
 	}
@@ -1241,10 +1251,10 @@ func (g *Graph) AddMenuItem(menu *MenuNode, item *MenuItemNode) bool {
 }
 
 // MenuItems returns the items recorded for a menu.
-func (g *Graph) MenuItems(menu *MenuNode) []Value { return g.menuRel.get(menu) }
+func (g *Graph) MenuItems(menu *MenuNode) Values { return g.successors(&g.menuRel, menu) }
 
 // MenuPairs visits every (menu, item) association.
-func (g *Graph) MenuPairs(visit func(menu, item Value)) { g.menuRel.visit(visit) }
+func (g *Graph) MenuPairs(visit func(menu, item Value)) { g.pairs(&g.menuRel, visit) }
 
 // Menus returns all menu nodes in creation order.
 func (g *Graph) Menus() []*MenuNode {
@@ -1259,7 +1269,7 @@ func (g *Graph) Menus() []*MenuNode {
 
 // AddLayoutOf records inflated-root ⇒ layout-id provenance.
 func (g *Graph) AddLayoutOf(root Value, id *LayoutIDNode) bool {
-	if g.layoutOf.add(root, id) {
+	if g.layoutOf.add(nodeID(root), nodeID(id)) {
 		g.gen++
 		return true
 	}
@@ -1267,14 +1277,15 @@ func (g *Graph) AddLayoutOf(root Value, id *LayoutIDNode) bool {
 }
 
 // LayoutOf returns the layout ids a root was inflated from.
-func (g *Graph) LayoutOf(root Value) []Value { return g.layoutOf.get(root) }
+func (g *Graph) LayoutOf(root Value) Values { return g.successors(&g.layoutOf, root) }
 
 // relScan is the successor-list length up to which a relation, or a node's
-// flow successors, deduplicates an edge by scanning the list. Nearly every
-// list is that short: 57 of the 6,092 non-empty lists over the 20 corpus
-// apps' relations are longer, and 540 of the 35,550 of the 9 chain apps,
-// up to 81 listeners on one view; of their flow lists, 32 of 35,836 and 9
-// of 13,875. A longer list also keeps its successors' ids in an IDSet.
+// flow successors, deduplicates an edge by scanning the list of int32 ids.
+// Nearly every list is that short: 57 of the 6,092 non-empty lists over
+// the 20 corpus apps' relations are longer, and 540 of the 35,550 of the 9
+// chain apps, up to 81 listeners on one view; of their flow lists, 32 of
+// 35,836 and 9 of 13,875. A longer list also keeps its successors' ids in
+// an IDSet.
 const relScan = 8
 
 // numRels is the number of relations a graph keeps.
@@ -1291,21 +1302,20 @@ type relIndex struct {
 
 // set records that the source with node id has its list at position pos-1
 // of relation col (pos 0: no list).
-func (x *relIndex) set(id, col, pos int) {
-	x.row = growTo(x.row, id+1)
+func (x *relIndex) set(id int32, col, pos int) {
+	x.row = slab.GrowTo(x.row, int(id)+1)
 	r := x.row[id]
 	if r == 0 {
-		x.rows = append(x.rows, [numRels]int32{})
+		x.rows = slab.Push(x.rows, [numRels]int32{})
 		r = int32(len(x.rows))
 		x.row[id] = r
 	}
 	x.rows[r-1][col] = int32(pos)
 }
 
-// relation is an ordered, deduplicated binary relation over values: one
-// successor list per source, in the order the sources first appeared. Values
-// of one graph are equal exactly when their ids are, so a scan compares
-// values directly.
+// relation is an ordered, deduplicated binary relation over the node ids
+// of one graph's values: one successor list per source, in the order the
+// sources first appeared.
 type relation struct {
 	col   int       // the relation's column in the shared index
 	idx   *relIndex // the graph's shared source index
@@ -1314,16 +1324,16 @@ type relation struct {
 
 // relList is one source's successors in insertion order. A list
 // deduplicates by scanning while it holds at most relScan successors; a
-// longer one also keeps their ids in set.
+// longer one also keeps them in set.
 type relList struct {
-	src  Value
-	dsts []Value
+	src  int32
+	dsts []int32
 	set  IDSet
 }
 
-func (l *relList) has(dst Value) bool {
+func (l *relList) has(dst int32) bool {
 	if len(l.dsts) > relScan {
-		return l.set.Has(int32(dst.ID()))
+		return l.set.Has(dst)
 	}
 	for _, d := range l.dsts {
 		if d == dst {
@@ -1334,28 +1344,25 @@ func (l *relList) has(dst Value) bool {
 }
 
 // reindex rebuilds the successor set after successors left the list or
-// changed ids; id gives a successor's current id.
-func (l *relList) reindex(id func(Value) int32) {
+// changed ids.
+func (l *relList) reindex() {
 	if len(l.dsts) <= relScan {
 		l.set = nil
 		return
 	}
 	clear(l.set)
 	for i, d := range l.dsts {
-		l.set = l.set.Add(id(d), i+1)
+		l.set = l.set.Add(d, i+1)
 	}
 }
 
-func valueID(v Value) int32 { return int32(v.ID()) }
-
 // list returns src's successor list, or nil when src has none. The pointer
 // is valid until the relation next gains a source.
-func (r *relation) list(src Value) *relList {
-	id := src.ID()
-	if id >= len(r.idx.row) {
+func (r *relation) list(src int32) *relList {
+	if int(src) >= len(r.idx.row) {
 		return nil
 	}
-	row := r.idx.row[id]
+	row := r.idx.row[src]
 	if row == 0 {
 		return nil
 	}
@@ -1365,16 +1372,16 @@ func (r *relation) list(src Value) *relList {
 	return nil
 }
 
-func (r *relation) contains(src, dst Value) bool {
+func (r *relation) contains(src, dst int32) bool {
 	l := r.list(src)
 	return l != nil && l.has(dst)
 }
 
-func (r *relation) add(src, dst Value) bool {
+func (r *relation) add(src, dst int32) bool {
 	l := r.list(src)
 	if l == nil {
-		r.lists = append(r.lists, relList{src: src})
-		r.idx.set(src.ID(), r.col, len(r.lists))
+		r.lists = slab.Push(r.lists, relList{src: src})
+		r.idx.set(src, r.col, len(r.lists))
 		l = &r.lists[len(r.lists)-1]
 	} else if l.has(dst) {
 		return false
@@ -1382,33 +1389,28 @@ func (r *relation) add(src, dst Value) bool {
 	l.dsts = append(l.dsts, dst)
 	switch n := len(l.dsts); {
 	case n == relScan+1:
-		l.reindex(valueID)
+		l.reindex()
 	case n > relScan+1:
-		l.set = l.set.Add(int32(dst.ID()), n)
+		l.set = l.set.Add(dst, n)
 	}
 	return true
 }
 
-func (r *relation) remove(src, dst Value) bool {
+func (r *relation) remove(src, dst int32) bool {
 	l := r.list(src)
 	if l == nil {
 		return false
 	}
-	i := 0
-	for i < len(l.dsts) && l.dsts[i] != dst {
-		i++
-	}
-	if i == len(l.dsts) {
+	i := slices.Index(l.dsts, dst)
+	if i < 0 {
 		return false
 	}
-	copy(l.dsts[i:], l.dsts[i+1:])
-	l.dsts[len(l.dsts)-1] = nil
-	l.dsts = l.dsts[:len(l.dsts)-1]
+	l.dsts = slices.Delete(l.dsts, i, i+1)
 	switch {
 	case len(l.dsts) == relScan:
 		l.set = nil
 	case l.set != nil:
-		l.set.Delete(int32(dst.ID()))
+		l.set.Delete(dst)
 	}
 	// The (now possibly empty) list keeps its place in the visit order: a
 	// later re-add appends to it instead of listing src twice.
@@ -1418,33 +1420,26 @@ func (r *relation) remove(src, dst Value) bool {
 // dropSrcIf removes every pair whose source satisfies dead, including the
 // source's place in the visit order (safe: a dead source can never be
 // re-added).
-func (r *relation) dropSrcIf(dead func(Value) bool) {
+func (r *relation) dropSrcIf(dead func(src int32) bool) {
 	kept := r.lists[:0]
 	for _, l := range r.lists {
 		if dead(l.src) {
-			r.idx.set(l.src.ID(), r.col, 0)
+			r.idx.set(l.src, r.col, 0)
 			continue
 		}
 		kept = append(kept, l)
-		r.idx.set(l.src.ID(), r.col, len(kept))
+		r.idx.set(l.src, r.col, len(kept))
 	}
 	clear(r.lists[len(kept):])
 	r.lists = kept
 }
 
-func (r *relation) get(src Value) []Value {
+// get returns src's successors; the slice is the relation's backing store.
+func (r *relation) get(src int32) []int32 {
 	if l := r.list(src); l != nil {
 		return l.dsts
 	}
 	return nil
-}
-
-func (r *relation) visit(f func(src, dst Value)) {
-	for _, l := range r.lists {
-		for _, d := range l.dsts {
-			f(l.src, d)
-		}
-	}
 }
 
 // IsViewValue reports whether v abstracts view objects.

@@ -105,8 +105,8 @@ func TestRelationsAndGen(t *testing.T) {
 	if g.Gen() != gen {
 		t.Error("Gen advanced on duplicate")
 	}
-	if len(g.Children(v1)) != 1 {
-		t.Errorf("Children = %v", g.Children(v1))
+	if g.Children(v1).Len() != 1 {
+		t.Errorf("Children = %v", g.Children(v1).Slice())
 	}
 	var pairs int
 	g.ChildPairs(func(p, c Value) { pairs++ })
@@ -124,8 +124,8 @@ func TestRelationsAndGen(t *testing.T) {
 	if !g.AddLayoutOf(v1, lid) {
 		t.Error("AddLayoutOf new = false")
 	}
-	if len(g.LayoutOf(v1)) != 1 {
-		t.Errorf("LayoutOf = %v", g.LayoutOf(v1))
+	if g.LayoutOf(v1).Len() != 1 {
+		t.Errorf("LayoutOf = %v", g.LayoutOf(v1).Slice())
 	}
 }
 
@@ -226,8 +226,8 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	if !g.AddMenuItem(menu, item) || g.AddMenuItem(menu, item) {
 		t.Error("AddMenuItem dedup broken")
 	}
-	if len(g.MenuItems(menu)) != 1 {
-		t.Errorf("MenuItems = %v", g.MenuItems(menu))
+	if g.MenuItems(menu).Len() != 1 {
+		t.Errorf("MenuItems = %v", g.MenuItems(menu).Slice())
 	}
 	pairs := 0
 	g.MenuPairs(func(m, i Value) { pairs++ })
@@ -250,14 +250,14 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	if !g.AddIntentTarget(intent, cn) || g.AddIntentTarget(intent, cn) {
 		t.Error("AddIntentTarget dedup broken")
 	}
-	if got := g.IntentTargets(intent); len(got) != 1 || got[0] != cn {
+	if got := g.IntentTargets(intent).Slice(); len(got) != 1 || got[0] != Value(cn) {
 		t.Errorf("IntentTargets = %v", got)
 	}
 
 	// Parents inverse index.
 	v1, v2 := g.ViewIDNode(1, "a"), g.ViewIDNode(2, "b")
 	g.AddChild(v1, v2)
-	if got := g.Parents(v2); len(got) != 1 || got[0] != v1 {
+	if got := g.Parents(v2).Slice(); len(got) != 1 || got[0] != Value(v1) {
 		t.Errorf("Parents = %v", got)
 	}
 
@@ -272,12 +272,12 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	if !g.AddViewID(v1, g.ViewIDNode(3, "c")) {
 		t.Error("AddViewID new = false")
 	}
-	if len(g.ViewIDsOf(v1)) != 1 {
-		t.Errorf("ViewIDsOf = %v", g.ViewIDsOf(v1))
+	if g.ViewIDValues(v1).Len() != 1 {
+		t.Errorf("ViewIDValues = %v", g.ViewIDValues(v1).Slice())
 	}
 	g.AddListener(v1, v2)
-	if len(g.Listeners(v1)) != 1 {
-		t.Errorf("Listeners = %v", g.Listeners(v1))
+	if g.Listeners(v1).Len() != 1 {
+		t.Errorf("Listeners = %v", g.Listeners(v1).Slice())
 	}
 	lp := 0
 	g.ListenerPairs(func(a, b Value) { lp++ })
@@ -285,8 +285,8 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 		t.Errorf("ListenerPairs = %d", lp)
 	}
 	g.AddRoot(v1, v2)
-	if len(g.Roots(v1)) != 1 {
-		t.Errorf("Roots = %v", g.Roots(v1))
+	if g.Roots(v1).Len() != 1 {
+		t.Errorf("Roots = %v", g.Roots(v1).Slice())
 	}
 	rp := 0
 	g.RootPairs(func(a, b Value) { rp++ })
@@ -295,8 +295,8 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	}
 	lid := g.LayoutIDNode(10, "main")
 	g.AddLayoutOf(v1, lid)
-	if len(g.LayoutOf(v1)) != 1 {
-		t.Errorf("LayoutOf = %v", g.LayoutOf(v1))
+	if g.LayoutOf(v1).Len() != 1 {
+		t.Errorf("LayoutOf = %v", g.LayoutOf(v1).Slice())
 	}
 
 	// Value marker strings for all value kinds.

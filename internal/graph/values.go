@@ -1,11 +1,13 @@
 package graph
 
 // Values is a read-only view of a list of value node ids of one graph,
-// such as a points-to set: it resolves an id to its node only when asked,
-// so handing one out copies and allocates nothing, and concurrent readers
-// share no state. A view holds the list it was made from and must not
-// outlive it: a points-to set's view is valid until the solution changes
-// (the next incremental run that adopts it). Walk one by index:
+// such as a points-to set, a relation's successors or a walk: it resolves
+// an id to its node only when asked, so handing one out copies and
+// allocates nothing, and concurrent readers share no state. A view holds
+// the list it was made from and must not outlive it: a points-to set's or
+// a relation's view is valid until the solution changes (the next
+// incremental run that adopts it), a walk's until its walker walks again.
+// Walk one by index:
 //
 //	for i := range vals.Len() {
 //		v := vals.At(i)

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +23,7 @@ func referenceDescendants(g *Graph, root Value) []Value {
 		}
 		seen[v.ID()] = true
 		out = append(out, v)
-		queue = append(queue, g.Children(v)...)
+		queue = append(queue, g.Children(v).Slice()...)
 	}
 	return out
 }
@@ -89,7 +90,7 @@ func TestWalkerMatchesReference(t *testing.T) {
 			t.Helper()
 			for _, root := range vals {
 				want := referenceDescendants(g, root)
-				if got := w.Descendants(g, root); !sameValues(got, want) {
+				if got := w.Descendants(g, root).Slice(); !sameValues(got, want) {
 					t.Fatalf("trial %d %s: root %d: walk %v, reference %v", trial, stage, root.ID(), got, want)
 				}
 				marked = marked || len(want) > walkScan
@@ -129,7 +130,7 @@ func TestWalkerEpochWrap(t *testing.T) {
 	w.Descendants(g, root) // marks every value of the walk with epoch 1
 	w.epoch = math.MaxUint32
 	for i := 0; i < 3; i++ {
-		if got := w.Descendants(g, root); !sameValues(got, want) {
+		if got := w.Descendants(g, root).Slice(); !sameValues(got, want) {
 			t.Fatalf("walk %d after the wrap: %d values, want %d", i, len(got), len(want))
 		}
 	}
@@ -143,7 +144,7 @@ func TestWalkerEpochWrap(t *testing.T) {
 func TestWalkerMarkingZeroAlloc(t *testing.T) {
 	g, vals := treeGraph(4 * walkScan)
 	var w Walker
-	if len(w.Descendants(g, vals[0])) != len(vals) {
+	if w.Descendants(g, vals[0]).Len() != len(vals) {
 		t.Fatal("walk missed values of the tree")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { w.Descendants(g, vals[0]) }); allocs != 0 {
@@ -197,10 +198,11 @@ func (m *relModel) dropSrcIf(dead func(Value) bool) {
 // TestRelationQuickProperties: for any seeded sequence of add, remove and
 // dropSrcIf over a few sources and a universe larger than relScan, the
 // relation agrees with relModel on every result, on get and contains for
-// every value, and on visit order; and each list keeps its successor set
-// exactly while it is longer than relScan, holding exactly its successors'
-// ids (setMatches). Each sequence alternates add-heavy and remove-heavy
-// phases, so successor lists cross relScan in both directions.
+// every value, and on visit order; and the relation's lists and its column
+// of the source index keep their invariant after every step
+// (relationTableHolds). Each sequence alternates add-heavy and
+// remove-heavy phases, so successor lists cross relScan in both
+// directions.
 func TestRelationQuickProperties(t *testing.T) {
 	universe := mkValues(3 * relScan)
 	const numSrcs = 3
@@ -212,25 +214,25 @@ func TestRelationQuickProperties(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			s := universe[rng.Intn(numSrcs)]
 			d := universe[rng.Intn(len(universe))]
+			sid, did := nodeID(s), nodeID(d)
 			removeHeavy := i/100%2 == 1
 			switch p := rng.Intn(100); {
 			case p < 2:
-				dead := func(v Value) bool { return v == s }
-				r.dropSrcIf(dead)
-				m.dropSrcIf(dead)
+				r.dropSrcIf(func(id int32) bool { return id == sid })
+				m.dropSrcIf(func(v Value) bool { return v == s })
 			case p < 30 || removeHeavy && p < 80:
-				if r.remove(s, d) != m.remove(s, d) {
+				if r.remove(sid, did) != m.remove(s, d) {
 					return false
 				}
 			default:
-				if r.add(s, d) != m.add(s, d) {
+				if r.add(sid, did) != m.add(s, d) {
 					return false
 				}
 			}
 			if !relationAgrees(r, m, universe) {
 				return false
 			}
-			n := len(r.get(s))
+			n := len(r.get(sid))
 			crossedDown = crossedDown || wasLong[s.ID()] && n <= relScan
 			wasLong[s.ID()] = n > relScan
 		}
@@ -246,33 +248,70 @@ func TestRelationQuickProperties(t *testing.T) {
 
 func relationAgrees(r *relation, m *relModel, universe []Value) bool {
 	for _, v := range universe {
-		got, want := r.get(v), m.succ[v.ID()]
-		if !sameValues(got, want) {
+		got, want := r.get(nodeID(v)), m.succ[v.ID()]
+		if !slices.Equal(got, ids(want)) {
 			return false
 		}
 		for _, d := range universe {
-			if r.contains(v, d) != containsValue(want, d) {
-				return false
-			}
-		}
-		if l := r.list(v); l != nil {
-			ids := make([]int32, len(l.dsts))
-			for i, d := range l.dsts {
-				ids[i] = int32(d.ID())
-			}
-			if l.src != v || !setMatches(l.set, ids) {
+			if r.contains(nodeID(v), nodeID(d)) != containsValue(want, d) {
 				return false
 			}
 		}
 	}
-	var visited, want []Value
-	r.visit(func(s, d Value) { visited = append(visited, s, d) })
+	var visited, want []int32
+	for _, l := range r.lists {
+		for _, d := range l.dsts {
+			visited = append(visited, l.src, d)
+		}
+	}
 	for _, s := range m.srcs {
 		for _, d := range m.succ[s.ID()] {
-			want = append(want, s, d)
+			want = append(want, nodeID(s), nodeID(d))
 		}
 	}
-	return sameValues(visited, want)
+	return slices.Equal(visited, want) && relationTableHolds(r)
+}
+
+// relationTableHolds checks a relation's share of the source index: no two
+// nodes share a row, each node's slot in the relation's column is 0 or
+// names a list whose src is that node, every list is named by exactly one
+// slot, and each list's IDSet holds exactly its successors while the list
+// is longer than relScan (setMatches).
+func relationTableHolds(r *relation) bool {
+	rowUsed := make([]bool, len(r.idx.rows))
+	named := make([]bool, len(r.lists))
+	for id, row := range r.idx.row {
+		if row == 0 {
+			continue
+		}
+		if int(row) > len(r.idx.rows) || rowUsed[row-1] {
+			return false
+		}
+		rowUsed[row-1] = true
+		pos := r.idx.rows[row-1][r.col]
+		if pos == 0 {
+			continue
+		}
+		if int(pos) > len(r.lists) || named[pos-1] || r.lists[pos-1].src != int32(id) {
+			return false
+		}
+		named[pos-1] = true
+	}
+	for i, l := range r.lists {
+		if !named[i] || !setMatches(l.set, l.dsts) {
+			return false
+		}
+	}
+	return true
+}
+
+// ids returns the node ids of vals.
+func ids(vals []Value) []int32 {
+	out := make([]int32, len(vals))
+	for i, v := range vals {
+		out[i] = nodeID(v)
+	}
+	return out
 }
 
 func containsValue(vals []Value, v Value) bool {

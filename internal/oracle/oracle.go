@@ -106,13 +106,13 @@ func Compare(res *core.Result, obs *interp.Observations) *Report {
 
 	// Structural relations.
 	m.checkPairs(rep, "listener", obs.ListenerPairs, func(v, l graph.Value) bool {
-		return containsVal(res.Graph.Listeners(v), l)
+		return containsValue(res.Graph.Listeners(v), l)
 	})
 	m.checkPairs(rep, "parent-child", obs.ChildPairs, func(p, c graph.Value) bool {
-		return containsVal(res.Graph.Children(p), c)
+		return containsValue(res.Graph.Children(p), c)
 	})
 	m.checkPairs(rep, "content-root", obs.RootPairs, func(o, r graph.Value) bool {
-		return containsVal(res.Graph.Roots(o), r)
+		return containsValue(res.Graph.Roots(o), r)
 	})
 
 	// Inter-component transitions.
@@ -342,15 +342,6 @@ func exactMatch(observed map[interp.Tag]bool, m *mapper, static graph.Values) bo
 func containsValue(vals graph.Values, v graph.Value) bool {
 	for i := range vals.Len() {
 		if vals.ID(i) == v.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func containsVal(vals []graph.Value, v graph.Value) bool {
-	for _, x := range vals {
-		if x == v {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 // Package slab allocates many small values of one type in a few chunks, so
 // a front end that builds thousands of nodes pays for a handful of
-// allocations instead of one per node.
+// allocations instead of one per node, and grows per-node tables by exact
+// doubling (grow.go).
 package slab
 
 // Chunk lengths are clamped to [minChunk, maxChunk] values. The floor keeps

@@ -55,7 +55,10 @@
 #                      re-applying every operation rule of a solved chain
 #                      app derives and allocates nothing, with and
 #                      without dependency tracking
-#                      (TestApplyOpsZeroAlloc); the
+#                      (TestApplyOpsZeroAlloc), and reading every
+#                      relation view, walking every content hierarchy and
+#                      visiting every relation pair of a solved chain app
+#                      allocates nothing (TestRelationViewsZeroAlloc); the
 #                      load path's guards: on the corpus apps, alite.Parse
 #                      and gator.Load stay under their bytes per source
 #                      byte and their allocations per KB of source, on the
@@ -151,8 +154,8 @@ go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp
 echo "== gatord server smoke (examples/buggyapp)"
 go run ./cmd/gatord -smoke examples/buggyapp
 
-echo "== zero-allocation guards (tracing disabled, FindView walk, propagation, rule re-application)"
-go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc|TestApplyOpsZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
+echo "== zero-allocation guards (tracing disabled, FindView walk, propagation, rule re-application, relation views)"
+go test -run 'TestTracingDisabledZeroAlloc|TestFindViewWalkZeroAlloc|TestPropagateZeroAlloc|TestApplyOpsZeroAlloc|TestRelationViewsZeroAlloc' -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
 echo "== load-path guards (allocation per source byte, graph lookups)"
 go test -run '^TestLoadAllocationPerByte$' .
 go test -run '^TestParseAllocationPerByte$' ./internal/alite
