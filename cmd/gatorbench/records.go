@@ -90,12 +90,15 @@ type benchApp struct {
 // measureCorpus is BENCH_2: the corpus analyzed as one batch. Per-app
 // findings and warnings must match the baseline exactly (a drift there is
 // a behavior change, not noise); total analysis work is the corpus cost.
+// batch_speedup_j2 is what batch parallelism (-j) buys.
 func measureCorpus(workers int) (*metrics.Record, error) {
-	batch := gator.AnalyzeBatch(corpusInputs(""), gator.BatchOptions{Workers: workers})
+	inputs := corpusInputs("")
+	batch := gator.AnalyzeBatch(inputs, gator.BatchOptions{Workers: workers})
 	rec := &metrics.Record{Metrics: []metrics.Metric{
 		metric("total_work_ms", "ms", "lower", ms(batch.Stats.TotalWork()), metrics.Relative(0.15)),
 		metric("batch_wall_ms", "ms", "lower", ms(batch.Stats.Wall)),
 		metric("batch_speedup", "x", "higher", batch.Stats.Speedup()),
+		metric("batch_speedup_j2", "x", "higher", batchSpeedupJ2(inputs), metrics.Floor(1.15)),
 	}}
 	var apps []benchApp
 	for _, rep := range batch.Apps {
@@ -115,6 +118,28 @@ func measureCorpus(workers int) (*metrics.Record, error) {
 	}
 	rec.Detail = map[string]any{"workers": workers, "apps": apps}
 	return rec, nil
+}
+
+// batchPairs is the number of one-worker/two-worker pairs of corpus
+// batches behind batch_speedup_j2. Single pairs on a 2-core box read
+// 0.8x to 2.0x; the median of 11 read 1.10x to 1.49x in 13 runs.
+const batchPairs = 11
+
+// batchSpeedupJ2 is the wall time of the corpus batch at one worker over
+// its wall time at two, whatever -j says: the median over batchPairs
+// pairs, each run back to back with the two widths taking turns to go
+// first, so the box's speed drift over the run cancels within a pair.
+func batchSpeedupJ2(inputs []gator.BatchInput) float64 {
+	ratios := make([]float64, batchPairs)
+	for i := range ratios {
+		var wall [2]time.Duration // by width - 1
+		for k := range wall {
+			w := (i + k) % 2
+			wall[w] = gator.AnalyzeBatch(inputs, gator.BatchOptions{Workers: w + 1}).Stats.Wall
+		}
+		ratios[i] = float64(wall[0]) / float64(wall[1])
+	}
+	return median(ratios)
 }
 
 // measureIncremental is BENCH_4: one body edit on a 62-unit modular app,

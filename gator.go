@@ -371,7 +371,7 @@ func (r *Result) viewInfo(v graph.Value) View {
 		out.Class = v.Class.Name
 		out.Origin = fmt.Sprintf("new@%s", v.Site.Pos())
 	}
-	out.ID = idNames(r.res.Graph.ViewIDValues(v))
+	out.ID = idNames(r.res.Graph.Succ(graph.RelViewID, v))
 	return out
 }
 
@@ -465,7 +465,7 @@ func (r *Result) EventTuples() []EventTuple {
 	// Map each view to the activities whose content trees contain it.
 	viewOwners := map[graph.Value][]string{}
 	var walk graph.Walker
-	g.RootPairs(func(owner, root graph.Value) {
+	g.Pairs(graph.RelRoot, func(owner, root graph.Value) {
 		var ownerName string
 		switch o := owner.(type) {
 		case *graph.ActivityNode:
@@ -539,7 +539,7 @@ func (r *Result) EventTuples() []EventTuple {
 		if n.OnClick == "" {
 			continue
 		}
-		lsts := g.Listeners(n)
+		lsts := g.Succ(graph.RelListener, n)
 		for k := range lsts.Len() {
 			c := classOf(lsts.At(k))
 			if c == nil {
@@ -585,7 +585,7 @@ type HierarchyEdge struct{ Parent, Child View }
 // Hierarchy returns all parent-child view associations, in content order.
 func (r *Result) Hierarchy() []HierarchyEdge {
 	var out []HierarchyEdge
-	r.res.Graph.ChildPairs(func(p, c graph.Value) {
+	r.res.Graph.Pairs(graph.RelChild, func(p, c graph.Value) {
 		out = append(out, HierarchyEdge{r.viewInfo(p), r.viewInfo(c)})
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -611,7 +611,7 @@ type ActivityContent struct {
 func (r *Result) Activities() []ActivityContent {
 	byName := map[string]*ActivityContent{}
 	var order []string
-	r.res.Graph.RootPairs(func(owner, root graph.Value) {
+	r.res.Graph.Pairs(graph.RelRoot, func(owner, root graph.Value) {
 		c := classOf(owner)
 		if c == nil {
 			return
@@ -853,11 +853,11 @@ func (r *Result) MenuEntries() []MenuEntry {
 		if h := menu.Activity.Dispatch(platform.MenuSelectCallback + "(R)"); h != nil && h.Body != nil {
 			handler = h.QualifiedName()
 		}
-		items := r.res.Graph.MenuItems(menu)
+		items := r.res.Graph.Succ(graph.RelMenuItem, menu)
 		for k := range items.Len() {
 			out = append(out, MenuEntry{
 				Activity: menu.Activity.Name,
-				ItemID:   idNames(r.res.Graph.ViewIDValues(items.At(k))),
+				ItemID:   idNames(r.res.Graph.Succ(graph.RelViewID, items.At(k))),
 				Handler:  handler,
 			})
 		}

@@ -11,11 +11,9 @@
 package cache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
-	"sync"
 
 	"gator/internal/alite"
 )
@@ -60,17 +58,7 @@ func AppFingerprint(optionsTag string, sources, layouts map[string]string) strin
 // values are shared, which is sound because ir.Build treats ASTs as
 // read-only.
 type ParseCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element // unit hash → lru element
-	lru     *list.List               // front = most recent; value = *parseEntry
-	hits    int64
-	misses  int64
-}
-
-type parseEntry struct {
-	key  string
-	file *alite.File
+	lru *lru[*alite.File] // each file costs 1
 }
 
 // DefaultParseEntries bounds the parse cache when the caller passes a
@@ -84,11 +72,7 @@ func NewParseCache(max int) *ParseCache {
 	if max <= 0 {
 		max = DefaultParseEntries
 	}
-	return &ParseCache{
-		max:     max,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
-	}
+	return &ParseCache{lru: newLRU[*alite.File](int64(max))}
 }
 
 // Parse returns the parsed form of one source file, parsing on miss, and
@@ -98,51 +82,21 @@ func NewParseCache(max int) *ParseCache {
 // content under a different file name does not.
 func (c *ParseCache) Parse(name, src string) (*alite.File, bool, error) {
 	key := Hash("source", name, src)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		f := el.Value.(*parseEntry).file
-		c.mu.Unlock()
+	if f, ok := c.lru.get(key); ok {
 		return f, true, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-
 	// Parse outside the lock: distinct files parse concurrently. A racing
-	// duplicate parse of the same content is wasted work, not an error —
-	// last writer wins and both ASTs are valid.
+	// duplicate parse of the same content is wasted work, not an error:
+	// the first AST stored is the one both callers get.
 	f, err := alite.Parse(name, src)
 	if err != nil {
 		return nil, false, err
 	}
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		f = el.Value.(*parseEntry).file
-	} else {
-		c.entries[key] = c.lru.PushFront(&parseEntry{key: key, file: f})
-		for c.lru.Len() > c.max {
-			last := c.lru.Back()
-			c.lru.Remove(last)
-			delete(c.entries, last.Value.(*parseEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	return f, false, nil
+	return c.lru.put(key, f, 1), false, nil
 }
 
 // Stats returns the cumulative hit and miss counts.
-func (c *ParseCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
+func (c *ParseCache) Stats() (hits, misses int64) { return c.lru.stats() }
 
 // Len returns the number of cached files.
-func (c *ParseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *ParseCache) Len() int { return c.lru.len() }

@@ -327,7 +327,7 @@ func checkMissingContentView(res *core.Result) []Finding {
 			default:
 				continue
 			}
-			if res.Graph.Roots(owner).Len() == 0 {
+			if res.Graph.Succ(graph.RelRoot, owner).Len() == 0 {
 				out = append(out, Finding{
 					Check:    "missing-content-view",
 					Severity: Warning,
@@ -413,14 +413,14 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 	// Collect everything reachable from some owner's content roots.
 	visible := map[int]bool{}
 	var walk graph.Walker
-	res.Graph.RootPairs(func(owner, root graph.Value) {
+	res.Graph.Pairs(graph.RelRoot, func(owner, root graph.Value) {
 		ws := walk.Descendants(res.Graph, root)
 		for k := range ws.Len() {
 			visible[ws.ID(k)] = true
 		}
 	})
 	var out []Finding
-	res.Graph.ListenerPairs(func(view, lst graph.Value) {
+	res.Graph.Pairs(graph.RelListener, func(view, lst graph.Value) {
 		an, ok := view.(*graph.AllocNode)
 		if !ok || visible[view.ID()] {
 			return
@@ -440,12 +440,12 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 func checkDuplicateID(res *core.Result) []Finding {
 	var out []Finding
 	var walk graph.Walker
-	res.Graph.RootPairs(func(owner, root graph.Value) {
+	res.Graph.Pairs(graph.RelRoot, func(owner, root graph.Value) {
 		byID := map[int][]graph.Value{}
 		ws := walk.Descendants(res.Graph, root)
 		for k := range ws.Len() {
 			w := ws.At(k)
-			ids := res.Graph.ViewIDValues(w)
+			ids := res.Graph.Succ(graph.RelViewID, w)
 			for j := range ids.Len() {
 				byID[ids.ID(j)] = append(byID[ids.ID(j)], w)
 			}
@@ -481,7 +481,7 @@ func checkDuplicateID(res *core.Result) []Finding {
 func checkUnhandledMenu(res *core.Result) []Finding {
 	var out []Finding
 	for _, menu := range res.Graph.Menus() {
-		if res.Graph.MenuItems(menu).Len() == 0 {
+		if res.Graph.Succ(graph.RelMenuItem, menu).Len() == 0 {
 			continue
 		}
 		h := menu.Activity.Dispatch(platform.MenuSelectCallback + "(R)")
@@ -505,7 +505,7 @@ func checkBadIntentTarget(res *core.Result) []Finding {
 		if !ok {
 			continue
 		}
-		targets := res.Graph.IntentTargets(alloc)
+		targets := res.Graph.Succ(graph.RelIntent, alloc)
 		for k := range targets.Len() {
 			target := targets.At(k).(*graph.ClassNode)
 			if !res.Prog.IsActivityClass(target.Class) {

@@ -169,7 +169,7 @@ func (c *Context) opProduces(op *graph.OpNode) graph.Values {
 		}
 		if ids != nil {
 			match := false
-			vids := g.ViewIDValues(w)
+			vids := g.Succ(graph.RelViewID, w)
 			for k := range vids.Len() {
 				if ids[vids.ID(k)] {
 					match = true
@@ -193,7 +193,7 @@ func (c *Context) opProduces(op *graph.OpNode) graph.Values {
 		for j := range ws.Len() {
 			consider(ws.At(j))
 		}
-		roots := g.Roots(r)
+		roots := g.Succ(graph.RelRoot, r)
 		for i := range roots.Len() {
 			ws := c.walk.Descendants(g, roots.At(i))
 			for j := range ws.Len() {

@@ -45,7 +45,7 @@ func methodOf(t *testing.T, res *core.Result, qualified string) *ir.Method {
 func viewIDsOf(res *core.Result, vals []graph.Value) []string {
 	var out []string
 	for _, v := range vals {
-		ids := res.Graph.ViewIDValues(v)
+		ids := res.Graph.Succ(graph.RelViewID, v)
 		for k := range ids.Len() {
 			out = append(out, ids.At(k).(*graph.ViewIDNode).Name)
 		}

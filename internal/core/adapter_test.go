@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"gator/internal/graph"
+)
 
 const adapterApp = `
 class RowAdapter implements Adapter {
@@ -31,7 +35,7 @@ func TestSetAdapterPopulatesList(t *testing.T) {
 	list := inflByPath(t, r, "main", 1)
 
 	// The adapter's row becomes a child of the ListView.
-	kids := r.Graph.Children(list).Slice()
+	kids := r.Graph.Succ(graph.RelChild, list).Slice()
 	if len(kids) != 1 {
 		t.Fatalf("children(list) = %v", valueNames(kids))
 	}

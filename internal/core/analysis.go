@@ -195,12 +195,6 @@ func (r *Result) VarNodesOf(v *ir.Var) []*graph.VarNode {
 	return r.Graph.ContextVarNodes(v)
 }
 
-// FieldPointsTo returns the abstract values of a field (field-based: one
-// summary per field signature).
-func (r *Result) FieldPointsTo(f *ir.Field) graph.Values {
-	return r.PointsTo(r.Graph.FieldNode(f))
-}
-
 // OpReceivers returns the values reaching an operation's receiver.
 func (r *Result) OpReceivers(op *graph.OpNode) graph.Values {
 	if op.Recv == nil {
@@ -264,7 +258,7 @@ func (r *Result) Transitions() []Transition {
 			intents := r.PointsTo(op.Args[0])
 			for j := range intents.Len() {
 				intent := intents.At(j)
-				targets := r.Graph.IntentTargets(intent)
+				targets := r.Graph.Succ(graph.RelIntent, intent)
 				for t := range targets.Len() {
 					target := targets.At(t).(*graph.ClassNode)
 					tr := Transition{Source: srcClass, Target: target.Class, Via: op.Method}

@@ -86,22 +86,22 @@ func solutionString(r *Result, ordered bool) string {
 			rel = append(rel, kind+" "+a.String()+" -> "+b.String())
 		}
 	}
-	r.Graph.ChildPairs(pair("child"))
-	r.Graph.ListenerPairs(pair("listener"))
-	r.Graph.RootPairs(pair("root"))
-	r.Graph.MenuPairs(pair("menuitem"))
+	r.Graph.Pairs(graph.RelChild, pair("child"))
+	r.Graph.Pairs(graph.RelListener, pair("listener"))
+	r.Graph.Pairs(graph.RelRoot, pair("root"))
+	r.Graph.Pairs(graph.RelMenuItem, pair("menuitem"))
 	for _, n := range r.Graph.Nodes() {
 		v, ok := n.(graph.Value)
 		if !ok {
 			continue
 		}
-		for _, id := range r.Graph.ViewIDValues(v).Slice() {
+		for _, id := range r.Graph.Succ(graph.RelViewID, v).Slice() {
 			rel = append(rel, "viewid "+v.String()+" -> "+id.String())
 		}
-		for _, tgt := range r.Graph.IntentTargets(v).Slice() {
+		for _, tgt := range r.Graph.Succ(graph.RelIntent, v).Slice() {
 			rel = append(rel, "intent "+v.String()+" -> "+tgt.String())
 		}
-		for _, l := range r.Graph.LayoutOf(v).Slice() {
+		for _, l := range r.Graph.Succ(graph.RelLayoutOf, v).Slice() {
 			rel = append(rel, "layoutof "+v.String()+" -> "+l.String())
 		}
 	}

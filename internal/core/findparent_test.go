@@ -26,7 +26,7 @@ class A extends Activity {
 		t.Errorf("pts(parent) = %v, want the FrameLayout", valueNames(pVals))
 	}
 	// SetId applied through the parent lands on the FrameLayout.
-	ids := r.Graph.ViewIDValues(box).Slice()
+	ids := r.Graph.Succ(graph.RelViewID, box).Slice()
 	found := false
 	for _, id := range ids {
 		if id.(*graph.ViewIDNode).Name == "probe" {

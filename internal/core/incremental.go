@@ -362,27 +362,15 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 		}
 		retracted++
 		a.dep.forget(f)
-		na, nb := nodes[f.A], nodes[f.B]
-		switch f.Kind {
-		case FactFlow:
-			if s := a.pts.of(f.A); s != nil {
-				s.Remove(int32(f.B))
-			}
-			if !stale[f.A] && !stale[f.B] {
-				damaged[f.A] = true
-			}
-		case FactChild:
-			g.RemoveChild(na.(graph.Value), nb.(graph.Value))
-		case FactViewID:
-			g.RemoveViewID(na.(graph.Value), nb.(graph.Value))
-		case FactListener:
-			g.RemoveListener(na.(graph.Value), nb.(graph.Value))
-		case FactRoot:
-			g.RemoveRoot(na.(graph.Value), nb.(graph.Value))
-		case FactIntent:
-			g.RemoveIntentTarget(na.(graph.Value), nb.(graph.Value))
-		case FactMenuItem:
-			g.RemoveMenuItem(na.(graph.Value), nb.(graph.Value))
+		if f.Kind != FactFlow {
+			g.Remove(graph.Rel(f.Kind), nodes[f.A].(graph.Value), nodes[f.B].(graph.Value))
+			continue
+		}
+		if s := a.pts.of(f.A); s != nil {
+			s.Remove(int32(f.B))
+		}
+		if !stale[f.A] && !stale[f.B] {
+			damaged[f.A] = true
 		}
 	}
 	clear(order[len(kept):])
@@ -396,9 +384,9 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 	// only ever added by rule sites within one method (edge endpoints
 	// include a method-local variable), so a dirty mask bit means every site
 	// that contributed the edge re-runs during rebuild.
-	g.FilterFlow(func(src graph.Node, e graph.FlowEdge) bool {
-		if a.labels.slots[e.Label].units.intersects(dirty) || stale[src.ID()] || stale[e.Dst] {
-			a.labels.release(e.Label)
+	g.FilterFlow(func(src graph.Node, dst, label int32) bool {
+		if a.labels.slots[label].units.intersects(dirty) || stale[src.ID()] || stale[dst] {
+			a.labels.release(label)
 			return false
 		}
 		return true
@@ -424,7 +412,7 @@ func (a *analysis) retract(dirty unitBits) (retained, retracted int, damaged map
 				if len(op.Args) > 0 {
 					if s := a.pts.of(op.Args[0].ID()); s != nil {
 						if resID, found := a.prog.R.LayoutID(inf.root.LayoutName); found {
-							if s.Contains(int32(a.g.LayoutIDNode(resID, inf.root.LayoutName).ID())) {
+							if s.Has(int32(a.g.LayoutIDNode(resID, inf.root.LayoutName).ID())) {
 								kill = false
 							}
 						}
@@ -535,9 +523,9 @@ func (a *analysis) repair(damaged map[int]bool) {
 		return
 	}
 	var srcs []int
-	a.g.VisitFlow(func(src graph.Node, succs []graph.FlowEdge) {
-		for _, e := range succs {
-			if damaged[int(e.Dst)] {
+	a.g.VisitFlow(func(src graph.Node, dsts, _ []int32) {
+		for _, d := range dsts {
+			if damaged[int(d)] {
 				srcs = append(srcs, src.ID())
 				return
 			}

@@ -41,13 +41,13 @@ func TestMenuModel(t *testing.T) {
 	}
 
 	// Each add site yields one item, associated with its id.
-	itemsA := g.MenuItems(menuA).Slice()
+	itemsA := g.Succ(graph.RelMenuItem, menuA).Slice()
 	if len(itemsA) != 2 {
 		t.Fatalf("items of A = %v", valueNames(itemsA))
 	}
 	idNames := map[string]bool{}
 	for _, it := range itemsA {
-		for _, id := range g.ViewIDValues(it).Slice() {
+		for _, id := range g.Succ(graph.RelViewID, it).Slice() {
 			idNames[id.(*graph.ViewIDNode).Name] = true
 		}
 	}
@@ -65,8 +65,8 @@ func TestMenuModel(t *testing.T) {
 	if len(selB) != 1 {
 		t.Errorf("pts(B.item) = %v", valueNames(selB))
 	}
-	if g.MenuItems(menuB).Len() != 1 {
-		t.Errorf("items of B = %v", valueNames(g.MenuItems(menuB).Slice()))
+	if g.Succ(graph.RelMenuItem, menuB).Len() != 1 {
+		t.Errorf("items of B = %v", valueNames(g.Succ(graph.RelMenuItem, menuB).Slice()))
 	}
 
 	// The add result variable holds the item.

@@ -158,32 +158,17 @@ func (r *Result) ProjectedSolution() []string {
 			set["pts "+ent+" = "+CanonValue(v)] = true
 		}
 	}
-	pair := func(kind string) func(a, b graph.Value) {
-		return func(a, b graph.Value) {
-			set[kind+" "+CanonValue(a)+" -> "+CanonValue(b)] = true
-		}
-	}
-	r.Graph.ChildPairs(pair("child"))
-	r.Graph.ListenerPairs(pair("listener"))
-	r.Graph.RootPairs(pair("root"))
-	r.Graph.MenuPairs(pair("menuitem"))
-	for _, n := range r.Graph.Nodes() {
-		v, ok := n.(graph.Value)
-		if !ok {
-			continue
-		}
-		ids := r.Graph.ViewIDValues(v)
-		for k := range ids.Len() {
-			set["viewid "+CanonValue(v)+" -> "+CanonValue(ids.At(k))] = true
-		}
-		tgts := r.Graph.IntentTargets(v)
-		for k := range tgts.Len() {
-			set["intent "+CanonValue(v)+" -> "+CanonValue(tgts.At(k))] = true
-		}
-		lids := r.Graph.LayoutOf(v)
-		for k := range lids.Len() {
-			set["layoutof "+CanonValue(v)+" -> "+CanonValue(lids.At(k))] = true
-		}
+	for _, rel := range []struct {
+		rel  graph.Rel
+		kind string
+	}{
+		{graph.RelChild, "child"}, {graph.RelListener, "listener"}, {graph.RelRoot, "root"},
+		{graph.RelMenuItem, "menuitem"}, {graph.RelViewID, "viewid"}, {graph.RelIntent, "intent"},
+		{graph.RelLayoutOf, "layoutof"},
+	} {
+		r.Graph.Pairs(rel.rel, func(a, b graph.Value) {
+			set[rel.kind+" "+CanonValue(a)+" -> "+CanonValue(b)] = true
+		})
 	}
 	out := make([]string, 0, len(set))
 	for line := range set {

@@ -38,9 +38,9 @@ func TestPropagateZeroAlloc(t *testing.T) {
 				}
 			}
 			guarded := 0
-			a.g.VisitFlow(func(_ graph.Node, succs []graph.FlowEdge) {
-				for _, e := range succs {
-					if a.labels.slots[e.Label].callee != nil {
+			a.g.VisitFlow(func(_ graph.Node, _, labels []int32) {
+				for _, l := range labels {
+					if a.labels.slots[l].callee != nil {
 						guarded++
 					}
 				}
@@ -128,8 +128,8 @@ func TestEdgeLabelMerge(t *testing.T) {
 	plain := newAnalysis(p, Options{})
 	src, dst = plain.g.VarNode(callee.This), plain.g.VarNode(local)
 	plain.addCastFlow(src, dst, button, plain.unitOf(callee))
-	if got := plain.g.FlowSucc(src); len(got) != 1 || got[0] != (graph.FlowEdge{Dst: int32(dst.ID())}) {
-		t.Errorf("cast edge without FilterCasts or Incremental: successors %v, want one unlabeled edge to %v", got, dst)
+	if dsts, labels := plain.g.FlowSucc(src); len(dsts) != 1 || dsts[0] != int32(dst.ID()) || labels != nil {
+		t.Errorf("cast edge without FilterCasts or Incremental: successors %v labeled %v, want one unlabeled edge to %v", dsts, labels, dst)
 	}
 	if n := len(plain.labels.slots); n != 1 {
 		t.Errorf("%d label slots with no labeled edge, want 1", n)

@@ -28,27 +28,28 @@ import (
 	"gator/internal/graph"
 )
 
-// FactKind classifies a derived fact.
+// FactKind classifies a derived fact: FactFlow, or the graph.Rel of a
+// relationship fact, which is never 0.
 type FactKind uint8
 
 const (
 	// FactFlow is flowsTo(node, value): the value reaches the variable,
 	// field, or operation-output node.
-	FactFlow FactKind = iota
+	FactFlow FactKind = 0
 	// FactChild is one direct parent-child view edge — an instance of the
 	// paper's ancestorOf relation.
-	FactChild
+	FactChild = FactKind(graph.RelChild)
 	// FactViewID is hasId(view, id).
-	FactViewID
+	FactViewID = FactKind(graph.RelViewID)
 	// FactListener is hasListener(view, listener).
-	FactListener
+	FactListener = FactKind(graph.RelListener)
 	// FactRoot is rootView(owner, view): the view is a content root of the
 	// activity or dialog.
-	FactRoot
+	FactRoot = FactKind(graph.RelRoot)
 	// FactIntent is intentTarget(intent, class).
-	FactIntent
+	FactIntent = FactKind(graph.RelIntent)
 	// FactMenuItem is menuItem(menu, item).
-	FactMenuItem
+	FactMenuItem = FactKind(graph.RelMenuItem)
 )
 
 var factKindNames = [...]string{
@@ -101,15 +102,13 @@ func (rec *recorder) record(f Fact, rule string, premises ...Fact) {
 	rec.deriv[f] = Derivation{Rule: rule, Premises: append([]Fact(nil), premises...)}
 }
 
-// Fact constructors.
-
+// flowFact returns flowsTo(n, v).
 func flowFact(n graph.Node, v graph.Value) Fact { return Fact{FactFlow, n.ID(), v.ID()} }
-func childFact(parent, child graph.Value) Fact  { return Fact{FactChild, parent.ID(), child.ID()} }
-func viewIDFact(view, id graph.Value) Fact      { return Fact{FactViewID, view.ID(), id.ID()} }
-func listenerFact(view, lst graph.Value) Fact   { return Fact{FactListener, view.ID(), lst.ID()} }
-func rootFact(owner, view graph.Value) Fact     { return Fact{FactRoot, owner.ID(), view.ID()} }
-func intentFact(intent, cls graph.Value) Fact   { return Fact{FactIntent, intent.ID(), cls.ID()} }
-func menuItemFact(menu, item graph.Value) Fact  { return Fact{FactMenuItem, menu.ID(), item.ID()} }
+
+// relFact returns the fact that rel holds src ⇒ dst.
+func relFact(rel graph.Rel, src, dst graph.Value) Fact {
+	return Fact{FactKind(rel), src.ID(), dst.ID()}
+}
 
 // childPath returns the chain of direct child facts along one recorded path
 // from ancestor anc down to descendant desc (nil when anc == desc). The
@@ -133,7 +132,7 @@ func (a *analysis) childPath(anc, desc graph.Value) []Fact {
 			var out []Fact
 			for cur := v; cur.ID() != desc.ID(); {
 				child := via[cur.ID()]
-				out = append(out, childFact(cur, child))
+				out = append(out, relFact(graph.RelChild, cur, child))
 				cur = child
 			}
 			return out
@@ -252,7 +251,7 @@ func (r *Result) RenderDerivation(f Fact) string {
 // solution.
 func (r *Result) FlowFactOf(n graph.Node, v graph.Value) (Fact, bool) {
 	s := r.pts.of(n.ID())
-	if s == nil || !s.Contains(int32(v.ID())) {
+	if s == nil || !s.Has(int32(v.ID())) {
 		return Fact{}, false
 	}
 	return flowFact(n, v), true
@@ -274,8 +273,8 @@ func (r *Result) ViewIDFacts(name string) []Fact {
 	}
 	var out []Fact
 	add := func(v graph.Value) {
-		if r.Graph.HasViewID(v, idNode) {
-			out = append(out, viewIDFact(v, idNode))
+		if r.Graph.Has(graph.RelViewID, v, idNode) {
+			out = append(out, relFact(graph.RelViewID, v, idNode))
 		}
 	}
 	for _, n := range r.Graph.Infls() {
@@ -285,7 +284,7 @@ func (r *Result) ViewIDFacts(name string) []Fact {
 		add(n)
 	}
 	for _, m := range r.Graph.Menus() {
-		items := r.Graph.MenuItems(m)
+		items := r.Graph.Succ(graph.RelMenuItem, m)
 		for k := range items.Len() {
 			add(items.At(k))
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gator/internal/corpus"
+	"gator/internal/graph"
 	"gator/internal/ir"
 	"gator/internal/trace"
 )
@@ -364,5 +365,27 @@ class A extends Activity {
 	// seed.
 	if strings.Count(text, "[Flow]") < 3 {
 		t.Errorf("expected >=3 Flow steps:\n%s", text)
+	}
+}
+
+// TestFactKindNames pins the name of every fact kind: derivation trees
+// print them, and a relationship kind is its graph.Rel.
+func TestFactKindNames(t *testing.T) {
+	for _, c := range []struct {
+		kind FactKind
+		rel  graph.Rel
+		want string
+	}{
+		{FactFlow, 0, "flowsTo"},
+		{FactChild, graph.RelChild, "ancestorOf"},
+		{FactViewID, graph.RelViewID, "hasId"},
+		{FactListener, graph.RelListener, "hasListener"},
+		{FactRoot, graph.RelRoot, "rootView"},
+		{FactIntent, graph.RelIntent, "intentTarget"},
+		{FactMenuItem, graph.RelMenuItem, "menuItem"},
+	} {
+		if got := c.kind.String(); got != c.want || FactKind(c.rel) != c.kind {
+			t.Errorf("kind %d (rel %d) is named %q, want %q", c.kind, c.rel, got, c.want)
+		}
 	}
 }

@@ -63,10 +63,11 @@ func (a *analysis) propagate() {
 			head = 0
 		}
 		it := a.worklist[head]
-		for _, e := range a.g.FlowSuccID(int(it.node)) {
+		dsts, labels := a.g.FlowSuccID(int(it.node))
+		for i, dst := range dsts {
 			var units unitBits
-			if e.Label != 0 {
-				l := &a.labels.slots[e.Label]
+			if labels != nil && labels[i] != 0 {
+				l := &a.labels.slots[labels[i]]
 				if l.callee != nil && !dispatchAdmits(a.g.Nodes()[it.val], l.callee) {
 					continue
 				}
@@ -75,8 +76,8 @@ func (a *analysis) propagate() {
 				}
 				units = l.units
 			}
-			if a.seedID(e.Dst, it.val) && a.tracking {
-				a.record(Fact{FactFlow, int(e.Dst), int(it.val)}, "Flow", units, Fact{FactFlow, int(it.node), int(it.val)})
+			if a.seedID(dst, it.val) && a.tracking {
+				a.record(Fact{FactFlow, int(dst), int(it.val)}, "Flow", units, Fact{FactFlow, int(it.node), int(it.val)})
 			}
 		}
 	}
@@ -240,10 +241,10 @@ func (a *analysis) applySetAdapter(op *graph.OpNode) bool {
 					if !ok {
 						continue
 					}
-					if a.g.AddChild(parent, item) {
+					if a.g.Add(graph.RelChild, parent, item) {
 						changed = true
 						if a.tracking {
-							a.record(childFact(parent, item), op.Kind.String(), u.or(a.unitOf(m)),
+							a.record(relFact(graph.RelChild, parent, item), op.Kind.String(), u.or(a.unitOf(m)),
 								flowFact(op.Recv, parent), flowFact(op.Args[0], adapter),
 								flowFact(rvNode, item))
 						}
@@ -267,10 +268,10 @@ func (a *analysis) applyMenuAdd(op *graph.OpNode) bool {
 			continue
 		}
 		item := a.g.MenuItemNode(op)
-		if a.g.AddMenuItem(menu, item) {
+		if a.g.Add(graph.RelMenuItem, menu, item) {
 			changed = true
 			if a.tracking {
-				a.record(menuItemFact(menu, item), op.Kind.String(), u, flowFact(op.Recv, menu))
+				a.record(relFact(graph.RelMenuItem, menu, item), op.Kind.String(), u, flowFact(op.Recv, menu))
 			}
 		}
 		for _, iid := range a.ptsIDs(op.Args[0]) {
@@ -278,10 +279,10 @@ func (a *analysis) applyMenuAdd(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddViewID(item, id) {
+			if a.g.Add(graph.RelViewID, item, id) {
 				changed = true
 				if a.tracking {
-					a.record(viewIDFact(item, id), op.Kind.String(), u,
+					a.record(relFact(graph.RelViewID, item, id), op.Kind.String(), u,
 						flowFact(op.Recv, menu), flowFact(op.Args[0], id))
 				}
 			}
@@ -297,7 +298,7 @@ func (a *analysis) applyMenuAdd(op *graph.OpNode) bool {
 				changed = true
 				if a.tracking {
 					a.record(flowFact(a.g.VarNode(h.Params[0]), item), op.Kind.String(),
-						u.or(a.unitOf(h)), menuItemFact(menu, item))
+						u.or(a.unitOf(h)), relFact(graph.RelMenuItem, menu, item))
 				}
 			}
 		}
@@ -324,15 +325,15 @@ func (a *analysis) applyFindMenuItem(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			items := a.g.MenuItems(menu)
+			items := a.g.Succ(graph.RelMenuItem, menu)
 			for k := range items.Len() {
 				item := items.At(k)
-				if a.g.HasViewID(item, id) && a.seedChecked(op.Out, item) {
+				if a.g.Has(graph.RelViewID, item, id) && a.seedChecked(op.Out, item) {
 					changed = true
 					if a.tracking {
 						a.record(flowFact(op.Out, item), op.Kind.String(), u,
 							flowFact(op.Recv, menu), flowFact(op.Args[0], id),
-							menuItemFact(menu, item), viewIDFact(item, id))
+							relFact(graph.RelMenuItem, menu, item), relFact(graph.RelViewID, item, id))
 					}
 				}
 			}
@@ -361,7 +362,7 @@ func (a *analysis) applyFindParent(op *graph.OpNode) bool {
 				changed = true
 				if a.tracking {
 					a.record(flowFact(op.Out, p), op.Kind.String(), u,
-						flowFact(op.Recv, view), childFact(p, view))
+						flowFact(op.Recv, view), relFact(graph.RelChild, p, view))
 				}
 			}
 		}
@@ -385,10 +386,10 @@ func (a *analysis) applySetIntentTarget(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddIntentTarget(intent, cls) {
+			if a.g.Add(graph.RelIntent, intent, cls) {
 				changed = true
 				if a.tracking {
-					a.record(intentFact(intent, cls), op.Kind.String(), u,
+					a.record(relFact(graph.RelIntent, intent, cls), op.Kind.String(), u,
 						flowFact(op.Recv, intent), flowFact(op.Args[0], cls))
 				}
 			}
@@ -440,18 +441,18 @@ func (a *analysis) inflate(op *graph.OpNode, lid *graph.LayoutIDNode) (*inflatio
 		if parent == nil {
 			inf.root = node
 		} else {
-			a.g.AddChild(parent, node)
+			a.g.Add(graph.RelChild, parent, node)
 			if a.tracking {
-				a.record(childFact(parent, node), op.Kind.String(), ul, flowFact(op.Args[0], lid))
+				a.record(relFact(graph.RelChild, parent, node), op.Kind.String(), ul, flowFact(op.Args[0], lid))
 			}
 		}
 		inf.all = append(inf.all, node)
 		if n.ID != "" {
 			if resID, ok := a.prog.R.ViewID(n.ID); ok {
 				id := a.g.ViewIDNode(resID, n.ID)
-				a.g.AddViewID(node, id)
+				a.g.Add(graph.RelViewID, node, id)
 				if a.tracking {
-					a.record(viewIDFact(node, id), op.Kind.String(), ul, flowFact(op.Args[0], lid))
+					a.record(relFact(graph.RelViewID, node, id), op.Kind.String(), ul, flowFact(op.Args[0], lid))
 				}
 			}
 		}
@@ -460,7 +461,7 @@ func (a *analysis) inflate(op *graph.OpNode, lid *graph.LayoutIDNode) (*inflatio
 		}
 	}
 	build(l.Root, nil)
-	a.g.AddLayoutOf(inf.root, lid)
+	a.g.Add(graph.RelLayoutOf, inf.root, lid)
 	a.inflations[key] = inf
 	a.rootInflation[inf.root] = inf
 	return inf, true
@@ -491,10 +492,10 @@ func (a *analysis) applyInflate1(op *graph.OpNode) bool {
 				if !ok {
 					continue
 				}
-				if a.g.AddChild(parent, inf.root) {
+				if a.g.Add(graph.RelChild, parent, inf.root) {
 					changed = true
 					if a.tracking {
-						a.record(childFact(parent, inf.root), op.Kind.String(), ul,
+						a.record(relFact(graph.RelChild, parent, inf.root), op.Kind.String(), ul,
 							flowFact(op.Args[0], lid), flowFact(op.Args[op.ParentArg], parent))
 					}
 				}
@@ -522,10 +523,10 @@ func (a *analysis) applyInflate2(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddRoot(owner, inf.root) {
+			if a.g.Add(graph.RelRoot, owner, inf.root) {
 				changed = true
 				if a.tracking {
-					a.record(rootFact(owner, inf.root), op.Kind.String(), ul,
+					a.record(relFact(graph.RelRoot, owner, inf.root), op.Kind.String(), ul,
 						flowFact(op.Recv, owner), flowFact(op.Args[0], lid))
 				}
 			}
@@ -550,10 +551,10 @@ func (a *analysis) applyAddView1(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddRoot(owner, view) {
+			if a.g.Add(graph.RelRoot, owner, view) {
 				changed = true
 				if a.tracking {
-					a.record(rootFact(owner, view), op.Kind.String(), u,
+					a.record(relFact(graph.RelRoot, owner, view), op.Kind.String(), u,
 						flowFact(op.Recv, owner), flowFact(op.Args[0], view))
 				}
 			}
@@ -580,10 +581,10 @@ func (a *analysis) applyAddView2(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddChild(parent, child) {
+			if a.g.Add(graph.RelChild, parent, child) {
 				changed = true
 				if a.tracking {
-					a.record(childFact(parent, child), op.Kind.String(), u,
+					a.record(relFact(graph.RelChild, parent, child), op.Kind.String(), u,
 						flowFact(op.Recv, parent), flowFact(op.Args[0], child))
 				}
 			}
@@ -605,10 +606,10 @@ func (a *analysis) applySetID(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			if a.g.AddViewID(view, id) {
+			if a.g.Add(graph.RelViewID, view, id) {
 				changed = true
 				if a.tracking {
-					a.record(viewIDFact(view, id), op.Kind.String(), u,
+					a.record(relFact(graph.RelViewID, view, id), op.Kind.String(), u,
 						flowFact(op.Recv, view), flowFact(op.Args[0], id))
 				}
 			}
@@ -633,10 +634,10 @@ func (a *analysis) applySetListener(op *graph.OpNode) bool {
 			default:
 				lst = l.(graph.Value)
 			}
-			if a.g.AddListener(view, lst) {
+			if a.g.Add(graph.RelListener, view, lst) {
 				changed = true
 				if a.tracking {
-					a.record(listenerFact(view, lst), op.Kind.String(), u,
+					a.record(relFact(graph.RelListener, view, lst), op.Kind.String(), u,
 						flowFact(op.Recv, view), flowFact(op.Args[0], lst))
 				}
 			}
@@ -664,12 +665,12 @@ func (a *analysis) applyFindView1(op *graph.OpNode) bool {
 			ws := a.walk.Descendants(a.g, view)
 			for k := range ws.Len() {
 				w := ws.At(k)
-				if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
+				if a.g.Has(graph.RelViewID, w, id) && a.seedChecked(op.Out, w) {
 					changed = true
 					if a.tracking {
 						prem := []Fact{flowFact(op.Recv, view), flowFact(op.Args[0], id)}
 						prem = append(prem, a.childPath(view, w)...)
-						prem = append(prem, viewIDFact(w, id))
+						prem = append(prem, relFact(graph.RelViewID, w, id))
 						a.record(flowFact(op.Out, w), op.Kind.String(), u, prem...)
 					}
 				}
@@ -695,19 +696,19 @@ func (a *analysis) applyFindView2(op *graph.OpNode) bool {
 			if !ok {
 				continue
 			}
-			roots := a.g.Roots(owner)
+			roots := a.g.Succ(graph.RelRoot, owner)
 			for r := range roots.Len() {
 				root := roots.At(r)
 				ws := a.walk.Descendants(a.g, root)
 				for k := range ws.Len() {
 					w := ws.At(k)
-					if a.g.HasViewID(w, id) && a.seedChecked(op.Out, w) {
+					if a.g.Has(graph.RelViewID, w, id) && a.seedChecked(op.Out, w) {
 						changed = true
 						if a.tracking {
 							prem := []Fact{flowFact(op.Recv, owner), flowFact(op.Args[0], id),
-								rootFact(owner, root)}
+								relFact(graph.RelRoot, owner, root)}
 							prem = append(prem, a.childPath(root, w)...)
-							prem = append(prem, viewIDFact(w, id))
+							prem = append(prem, relFact(graph.RelViewID, w, id))
 							a.record(flowFact(op.Out, w), op.Kind.String(), u, prem...)
 						}
 					}
@@ -732,7 +733,7 @@ func (a *analysis) applyFindView3(op *graph.OpNode) bool {
 		}
 		var candidates graph.Values
 		if childOnly {
-			candidates = a.g.Children(view)
+			candidates = a.g.Succ(graph.RelChild, view)
 		} else {
 			candidates = a.walk.Descendants(a.g, view)
 		}
@@ -788,7 +789,7 @@ func (a *analysis) bindOnClick(owner graph.Value, inf *inflation) bool {
 			changed = true
 			if a.tracking {
 				a.record(flowFact(a.g.VarNode(m.Params[0]), n), "OnClick", hu,
-					rootFact(owner, inf.root))
+					relFact(graph.RelRoot, owner, inf.root))
 			}
 		}
 		// The handler runs on the owner: the callback is owner.m(view).
@@ -796,13 +797,13 @@ func (a *analysis) bindOnClick(owner graph.Value, inf *inflation) bool {
 			changed = true
 			if a.tracking {
 				a.record(flowFact(a.g.VarNode(m.This), owner), "OnClick", hu,
-					rootFact(owner, inf.root))
+					relFact(graph.RelRoot, owner, inf.root))
 			}
 		}
-		if a.g.AddListener(n, owner) {
+		if a.g.Add(graph.RelListener, n, owner) {
 			changed = true
 			if a.tracking {
-				a.record(listenerFact(n, owner), "OnClick", hu, rootFact(owner, inf.root))
+				a.record(relFact(graph.RelListener, n, owner), "OnClick", hu, relFact(graph.RelRoot, owner, inf.root))
 			}
 		}
 	}

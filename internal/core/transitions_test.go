@@ -168,7 +168,7 @@ class A extends Activity {
 	if !ok || alloc.Class.Name != "Intent" {
 		t.Fatalf("pts(i) = %v", valueNames(iVals))
 	}
-	targets := r.Graph.IntentTargets(alloc).Slice()
+	targets := r.Graph.Succ(graph.RelIntent, alloc).Slice()
 	if len(targets) != 1 || targets[0].(*graph.ClassNode).Class.Name != "B" {
 		t.Errorf("targets = %v", targets)
 	}

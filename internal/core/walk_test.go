@@ -22,7 +22,7 @@ func TestFindViewWalkZeroAlloc(t *testing.T) {
 	a.buildGraph()
 	a.solve()
 	var roots []graph.Value
-	a.g.RootPairs(func(_, root graph.Value) { roots = append(roots, root) })
+	a.g.Pairs(graph.RelRoot, func(_, root graph.Value) { roots = append(roots, root) })
 	views := 0
 	for _, root := range roots {
 		views += a.walk.Descendants(a.g, root).Len() // warm-up

@@ -67,17 +67,6 @@ func NewReachingDefs(g *cfg.Graph) *ReachingDefs {
 // Result exposes the solved block-boundary facts.
 func (rd *ReachingDefs) Result() *Result[Bits] { return rd.res }
 
-// DefsAt returns the definitions of v that reach the point immediately
-// before target, in source order. ok is false when target is not part of
-// the solved graph.
-func (rd *ReachingDefs) DefsAt(target ir.Stmt, v *ir.Var) (defs []ir.Stmt, ok bool) {
-	fact, ok := rd.res.At(target)
-	if !ok {
-		return nil, false
-	}
-	return rd.Defs(fact, v), true
-}
-
 // Defs decodes a fact into the statements it contains, restricted to
 // definitions of v (pass nil for all variables), in source order.
 // Synthetic entry definitions are skipped; see EntryReaches.

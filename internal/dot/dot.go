@@ -58,8 +58,9 @@ func Export(res *core.Result, opts Options) string {
 	if opts.Flow {
 		nodes := res.Graph.Nodes()
 		for _, n := range nodes {
-			for _, e := range res.Graph.FlowSucc(n) {
-				fmt.Fprintf(&b, "\t%s -> %s;\n", declare(n), declare(nodes[e.Dst]))
+			dsts, _ := res.Graph.FlowSucc(n)
+			for _, d := range dsts {
+				fmt.Fprintf(&b, "\t%s -> %s;\n", declare(n), declare(nodes[d]))
 			}
 		}
 		// Operation connections: inputs and outputs.
@@ -80,7 +81,7 @@ func Export(res *core.Result, opts Options) string {
 	}
 
 	if opts.Relations {
-		res.Graph.ChildPairs(func(p, c graph.Value) {
+		res.Graph.Pairs(graph.RelChild, func(p, c graph.Value) {
 			fmt.Fprintf(&b, "\t%s -> %s [label=\"child\" color=blue];\n", declare(p), declare(c))
 		})
 		for _, n := range res.Graph.Nodes() {
@@ -88,19 +89,19 @@ func Export(res *core.Result, opts Options) string {
 			if !ok {
 				continue
 			}
-			ids := res.Graph.ViewIDValues(v)
+			ids := res.Graph.Succ(graph.RelViewID, v)
 			for k := range ids.Len() {
 				fmt.Fprintf(&b, "\t%s -> %s [label=\"id\" color=darkgreen];\n", declare(v), declare(ids.At(k)))
 			}
-			lids := res.Graph.LayoutOf(v)
+			lids := res.Graph.Succ(graph.RelLayoutOf, v)
 			for k := range lids.Len() {
 				fmt.Fprintf(&b, "\t%s -> %s [label=\"layout\" color=darkgreen];\n", declare(v), declare(lids.At(k)))
 			}
 		}
-		res.Graph.ListenerPairs(func(view, lst graph.Value) {
+		res.Graph.Pairs(graph.RelListener, func(view, lst graph.Value) {
 			fmt.Fprintf(&b, "\t%s -> %s [label=\"listener\" color=red];\n", declare(view), declare(lst))
 		})
-		res.Graph.RootPairs(func(owner, root graph.Value) {
+		res.Graph.Pairs(graph.RelRoot, func(owner, root graph.Value) {
 			fmt.Fprintf(&b, "\t%s -> %s [label=\"root\" color=purple];\n", declare(owner), declare(root))
 		})
 	}

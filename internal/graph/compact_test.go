@@ -10,7 +10,7 @@ import (
 
 // TestCompactRenumbersLiveNodes: on seeded random graphs whose views carry
 // child, id and listener edges and whose operations carry flow edges, some
-// lists longer than relScan, retiring a random part of the inflated views
+// lists longer than listScan, retiring a random part of the inflated views
 // and operations and compacting leaves exactly the live nodes, numbered
 // densely in their old order, with every successor list and visit order
 // the old one minus the retired nodes, and the flow table and every
@@ -32,14 +32,14 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 			}
 		}
 		for _, v := range views {
-			for k := rng.Intn(2 * relScan); k > 0; k-- {
-				g.AddChild(v, views[rng.Intn(len(views))])
+			for k := rng.Intn(2 * listScan); k > 0; k-- {
+				g.Add(RelChild, v, views[rng.Intn(len(views))])
 			}
-			g.AddViewID(v, ids[rng.Intn(2)])
-			g.AddListener(v, views[rng.Intn(len(views))])
+			g.Add(RelViewID, v, ids[rng.Intn(2)])
+			g.Add(RelListener, v, views[rng.Intn(len(views))])
 		}
 		for _, op := range ops {
-			for k := rng.Intn(2 * relScan); k > 0; k-- {
+			for k := rng.Intn(2 * listScan); k > 0; k-- {
 				g.AddFlow(op, ops[rng.Intn(len(ops))])
 			}
 		}
@@ -60,12 +60,12 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 		wantFlow := map[Node][]Node{}
 		for _, n := range live {
 			if v, ok := n.(Value); ok {
-				wantChildren[n], wantParents[n] = keep(g.Children(v).Slice()), keep(g.Parents(v).Slice())
+				wantChildren[n], wantParents[n] = keep(g.Succ(RelChild, v).Slice()), keep(g.Parents(v).Slice())
 			}
 			wantFlow[n] = slices.DeleteFunc(flowDsts(g, n), func(d Node) bool { return dead[d] })
 		}
 		var wantPairs [][2]Value
-		g.ChildPairs(func(p, c Value) {
+		g.Pairs(RelChild, func(p, c Value) {
 			if !dead[p] && !dead[c] {
 				wantPairs = append(wantPairs, [2]Value{p, c})
 			}
@@ -87,7 +87,7 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 				t.Fatalf("seed %d: node %d has id %d", seed, id, n.ID())
 			}
 			if v, ok := n.(Value); ok {
-				if !slices.Equal(g.Children(v).Slice(), wantChildren[n]) || !slices.Equal(g.Parents(v).Slice(), wantParents[n]) {
+				if !slices.Equal(g.Succ(RelChild, v).Slice(), wantChildren[n]) || !slices.Equal(g.Parents(v).Slice(), wantParents[n]) {
 					t.Fatalf("seed %d: child lists of node %d changed", seed, id)
 				}
 			}
@@ -100,17 +100,15 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 			t.Fatalf("seed %d: NumFlowEdges %d, want %d", seed, g.NumFlowEdges(), flowEdges)
 		}
 		var gotPairs [][2]Value
-		g.ChildPairs(func(p, c Value) { gotPairs = append(gotPairs, [2]Value{p, c}) })
+		g.Pairs(RelChild, func(p, c Value) { gotPairs = append(gotPairs, [2]Value{p, c}) })
 		if !slices.Equal(gotPairs, wantPairs) {
 			t.Fatalf("seed %d: child visit order changed", seed)
 		}
 		if !flowTableHolds(g) {
 			t.Fatalf("seed %d: the compacted flow table breaks its invariant", seed)
 		}
-		for _, r := range g.relations() {
-			if !relationTableHolds(r) {
-				t.Fatalf("seed %d: compacted relation %d breaks its invariant", seed, r.col)
-			}
+		if !relationTableHolds(g) {
+			t.Fatalf("seed %d: the compacted relations break their invariant", seed)
 		}
 		if got := w.Descendants(g, views[0]).Slice(); !sameValues(got, referenceDescendants(g, views[0])) {
 			t.Fatalf("seed %d: a walker reused across Compact walks wrongly", seed)
@@ -121,8 +119,9 @@ func TestCompactRenumbersLiveNodes(t *testing.T) {
 // flowDsts returns n's flow successors as nodes.
 func flowDsts(g *Graph, n Node) []Node {
 	var out []Node
-	for _, e := range g.FlowSucc(n) {
-		out = append(out, g.Nodes()[e.Dst])
+	dsts, _ := g.FlowSucc(n)
+	for _, d := range dsts {
+		out = append(out, g.Nodes()[d])
 	}
 	return out
 }

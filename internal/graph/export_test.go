@@ -6,4 +6,4 @@ func FlowTableSize(g *Graph) (lists, slots int) { return len(g.flows), cap(g.flo
 
 // RelIndexSlots returns the capacity of the slot array of g's relation
 // source index.
-func RelIndexSlots(g *Graph) int { return cap(g.rels.row) }
+func RelIndexSlots(g *Graph) int { return cap(g.relIdx.row) }

@@ -8,7 +8,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"gator/internal/ir"
 	"gator/internal/platform"
@@ -263,23 +262,16 @@ type Graph struct {
 	// Flow edges: flowAt holds, per node id, 1 + the position of the
 	// node's successor list in flows (0: the node never had a successor),
 	// and flows holds the lists in the order their sources gained a first
-	// edge, each edge with its label beside it. Most nodes are no flow
+	// edge (in source id order after a compaction). Most nodes are no flow
 	// source, so they pay 4 bytes each, not a list header.
 	flowAt  []int32
 	flows   []flowList
 	numFlow int
 
-	// Relationship edges, grown during solving. rels is the source index
-	// the eight relations share.
-	rels      relIndex
-	children  relation // view ⇒ child view
-	parents   relation // child view ⇒ parent view (inverse index)
-	viewIDRel relation // view ⇒ ViewIDNode
-	listeners relation // view ⇒ listener value
-	roots     relation // activity/dialog value ⇒ root view
-	layoutOf  relation // inflated root ⇒ LayoutIDNode
-	targets   relation // intent allocation ⇒ ClassNode
-	menuRel   relation // menu ⇒ menu item
+	// Relationship edges, grown during solving: one table per Rel, and
+	// the source index they share.
+	rels   [numRels][]relList
+	relIdx relIndex
 
 	// gen increments whenever a relationship edge is added or removed. The
 	// solver's delta worklist (core's opLastGen) is its only reader: an
@@ -294,7 +286,7 @@ type varKey struct {
 
 // New creates an empty constraint graph.
 func New() *Graph {
-	g := &Graph{
+	return &Graph{
 		ctxNodes:   map[varKey]*VarNode{},
 		fields:     map[*ir.Field]*FieldNode{},
 		activities: map[*ir.Class]*ActivityNode{},
@@ -308,10 +300,6 @@ func New() *Graph {
 		ctxIDs:     map[string]int{},
 		ctxVars:    map[*ir.Var][]*VarNode{},
 	}
-	for col, r := range g.relations() {
-		*r = relation{col: col, idx: &g.rels}
-	}
-	return g
 }
 
 // register appends n to the node array, doubling its capacity when full.
@@ -596,56 +584,39 @@ func (g *Graph) ViewIDs() []*ViewIDNode {
 	return out
 }
 
-// FlowEdge is one value-flow edge as its source's successor list holds
-// it: the destination's node id and the edge's label, an index into a table
-// the solver keeps (0 for an edge that carries nothing beyond its
-// endpoints). The graph stores labels and never reads them.
-type FlowEdge struct{ Dst, Label int32 }
-
-// flowList is the flow successors of node src in insertion order. A list
-// deduplicates by scanning while it holds at most relScan edges; a longer
-// one also keeps its destinations in set.
+// flowList is the flow edges out of one node: their destinations in
+// insertion order, and in labels[i] the label of the edge to the i-th
+// destination, an index into a table the solver keeps (0 for an edge that
+// carries nothing beyond its endpoints). labels stays nil until an edge of
+// the list gets a label: without Options.Incremental most lists never do.
+// The graph stores labels and never reads them.
 type flowList struct {
-	src   int32
-	edges []FlowEdge
-	set   IDSet
+	dsts   IDList
+	labels []int32
 }
 
-func (l *flowList) has(dst int32) bool {
-	if len(l.edges) > relScan {
-		return l.set.Has(dst)
-	}
-	for _, e := range l.edges {
-		if e.Dst == dst {
-			return true
+// filter rewrites the list by IDList.filter, each label moving with its
+// edge: f gets an edge's destination and label and returns the destination
+// to keep, or false to drop the edge.
+func (l *flowList) filter(f func(dst, label int32) (int32, bool)) int {
+	n := 0
+	dropped := l.dsts.filter(func(at int, dst int32) (int32, bool) {
+		var label int32
+		if l.labels != nil {
+			label = l.labels[at]
 		}
-	}
-	return false
-}
-
-// add appends an unlabeled edge to dst, which has reported absent.
-func (l *flowList) add(dst int32) {
-	l.edges = append(l.edges, FlowEdge{Dst: dst})
-	switch n := len(l.edges); {
-	case n == relScan+1:
-		for i, e := range l.edges {
-			l.set = l.set.Add(e.Dst, i+1)
+		to, ok := f(dst, label)
+		if ok && l.labels != nil {
+			l.labels[n] = label
+			n++
 		}
-	case n > relScan+1:
-		l.set = l.set.Add(dst, n)
+		return to, ok
+	})
+	l.labels = l.labels[:n]
+	if n == 0 {
+		l.labels = nil
 	}
-}
-
-// reindex rebuilds the destination set after edges left the list.
-func (l *flowList) reindex() {
-	if len(l.edges) <= relScan {
-		l.set = nil
-		return
-	}
-	clear(l.set)
-	for i, e := range l.edges {
-		l.set = l.set.Add(e.Dst, i+1)
-	}
+	return dropped
 }
 
 // flowOf returns the successor list of the node with id, nil when the node
@@ -662,60 +633,68 @@ func (g *Graph) flowOf(id int) *flowList {
 
 // AddFlow adds an unlabeled value-flow edge; reports whether it is new.
 func (g *Graph) AddFlow(src, dst Node) bool {
-	sid, did := src.ID(), int32(dst.ID())
+	sid := src.ID()
 	l := g.flowOf(sid)
 	if l == nil {
 		g.flowAt = slab.GrowTo(g.flowAt, sid+1)
-		g.flows = slab.Push(g.flows, flowList{src: int32(sid)})
+		g.flows = slab.Push(g.flows, flowList{})
 		g.flowAt[sid] = int32(len(g.flows))
 		l = &g.flows[len(g.flows)-1]
-	} else if l.has(did) {
+	}
+	if !l.dsts.Add(nodeID(dst)) {
 		return false
 	}
-	l.add(did)
+	if l.labels != nil {
+		l.labels = append(l.labels, 0)
+	}
 	g.numFlow++
 	return true
 }
 
 // FlowLabel returns the label of the edge src → dst, which must exist, for
 // the caller to read or set. The pointer is valid until the next change to
-// src's successors. A new edge is last in its list, so labeling the edge
-// AddFlow just added costs no scan.
+// src's successors. The search runs from the newest edge, so labeling the
+// edge AddFlow just added costs no scan.
 func (g *Graph) FlowLabel(src, dst Node) *int32 {
-	edges, did := g.flowOf(src.ID()).edges, int32(dst.ID())
-	if last := len(edges) - 1; edges[last].Dst == did {
-		return &edges[last].Label
+	l := g.flowOf(src.ID())
+	dsts, did := l.dsts.IDs(), nodeID(dst)
+	i := len(dsts) - 1
+	for i >= 0 && dsts[i] != did {
+		i--
 	}
-	for i := range edges {
-		if edges[i].Dst == did {
-			return &edges[i].Label
-		}
+	if i < 0 {
+		panic("graph: FlowLabel of a missing edge")
 	}
-	panic("graph: FlowLabel of a missing edge")
+	if l.labels == nil {
+		l.labels = make([]int32, len(dsts))
+	}
+	return &l.labels[i]
 }
 
-// FlowSucc returns the flow edges out of n in insertion order.
-func (g *Graph) FlowSucc(n Node) []FlowEdge { return g.FlowSuccID(n.ID()) }
+// FlowSucc returns the flow edges out of n, as FlowSuccID does.
+func (g *Graph) FlowSucc(n Node) (dsts, labels []int32) { return g.FlowSuccID(n.ID()) }
 
-// FlowSuccID returns the flow edges out of the node with the given id. The
-// slice is the graph's backing store; callers must not modify it.
-func (g *Graph) FlowSuccID(id int) []FlowEdge {
+// FlowSuccID returns the flow edges out of the node with the given id: the
+// destinations' node ids in insertion order and, in labels[i], the label of
+// the edge to dsts[i]. labels is nil when no edge of the list has a label.
+// The slices are the graph's backing store; callers must not modify them.
+func (g *Graph) FlowSuccID(id int) (dsts, labels []int32) {
 	if l := g.flowOf(id); l != nil {
-		return l.edges
+		return l.dsts.IDs(), l.labels
 	}
-	return nil
+	return nil, nil
 }
 
-// VisitFlow calls visit once per flow source with its edges, in source id
-// order. The slice is the graph's backing store; callers must not modify it
-// or the flow edges during the visit.
-func (g *Graph) VisitFlow(visit func(src Node, succs []FlowEdge)) {
+// VisitFlow calls visit once per flow source with its edges, as FlowSuccID
+// returns them, in source id order. Callers must not modify the slices or
+// the flow edges during the visit.
+func (g *Graph) VisitFlow(visit func(src Node, dsts, labels []int32)) {
 	for id, at := range g.flowAt {
 		if at == 0 {
 			continue
 		}
-		if succs := g.flows[at-1].edges; len(succs) > 0 {
-			visit(g.nodes[id], succs)
+		if l := &g.flows[at-1]; l.dsts.Len() > 0 {
+			visit(g.nodes[id], l.dsts.IDs(), l.labels)
 		}
 	}
 }
@@ -725,31 +704,18 @@ func (g *Graph) VisitFlow(visit func(src Node, succs []FlowEdge)) {
 // number of edges removed; the labels of removed edges are the caller's to
 // release. Used by incremental retraction to drop edges whose construction
 // read an edited compilation unit.
-func (g *Graph) FilterFlow(keep func(src Node, e FlowEdge) bool) int {
+func (g *Graph) FilterFlow(keep func(src Node, dst, label int32) bool) int {
 	removed := 0
 	for sid, at := range g.flowAt {
 		if at == 0 {
 			continue
 		}
 		l := &g.flows[at-1]
-		if len(l.edges) == 0 {
+		if l.dsts.Len() == 0 {
 			continue
 		}
 		src := g.nodes[sid]
-		kept := l.edges[:0]
-		for _, e := range l.edges {
-			if keep(src, e) {
-				kept = append(kept, e)
-			}
-		}
-		if n := len(l.edges) - len(kept); n > 0 {
-			removed += n
-			l.edges = kept
-			if len(kept) == 0 {
-				l.edges = nil
-			}
-			l.reindex()
-		}
+		removed += l.filter(func(dst, label int32) (int32, bool) { return dst, keep(src, dst, label) })
 	}
 	g.numFlow -= removed
 	return removed
@@ -757,78 +723,6 @@ func (g *Graph) FilterFlow(keep func(src Node, e FlowEdge) bool) int {
 
 // NumFlowEdges returns the number of value-flow edges.
 func (g *Graph) NumFlowEdges() int { return g.numFlow }
-
-// Gen returns the relationship-edge generation counter; it changes whenever
-// a relationship edge is added or removed. The solver's delta worklist reads
-// it to re-apply operations after any relationship changed; nothing memoizes
-// reachability against it.
-func (g *Graph) Gen() int { return g.gen }
-
-// AddChild records a parent-child edge between views.
-func (g *Graph) AddChild(parent, child Value) bool {
-	if p, c := nodeID(parent), nodeID(child); g.children.add(p, c) {
-		g.parents.add(c, p)
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveChild deletes a parent-child edge (both directions of the index);
-// reports whether it existed.
-func (g *Graph) RemoveChild(parent, child Value) bool {
-	if p, c := nodeID(parent), nodeID(child); g.children.remove(p, c) {
-		g.parents.remove(c, p)
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveViewID deletes a view ⇒ view-id association.
-func (g *Graph) RemoveViewID(view, id Value) bool {
-	if g.viewIDRel.remove(nodeID(view), nodeID(id)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveListener deletes a view ⇒ listener association.
-func (g *Graph) RemoveListener(view, lst Value) bool {
-	if g.listeners.remove(nodeID(view), nodeID(lst)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveRoot deletes an activity/dialog ⇒ content-root association.
-func (g *Graph) RemoveRoot(owner, view Value) bool {
-	if g.roots.remove(nodeID(owner), nodeID(view)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveIntentTarget deletes an intent ⇒ target-class association.
-func (g *Graph) RemoveIntentTarget(intent, target Value) bool {
-	if g.targets.remove(nodeID(intent), nodeID(target)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// RemoveMenuItem deletes a menu ⇒ item association.
-func (g *Graph) RemoveMenuItem(menu, item Value) bool {
-	if g.menuRel.remove(nodeID(menu), nodeID(item)) {
-		g.gen++
-		return true
-	}
-	return false
-}
 
 // Retire removes dead nodes from the allocation, inflation, operation,
 // menu-item and variable indices and drops layout-provenance entries rooted
@@ -859,7 +753,7 @@ func (g *Graph) Retire(dead func(Node) bool) {
 			g.retired++
 		}
 	}
-	g.layoutOf.dropSrcIf(func(id int32) bool { return dead(g.nodes[id]) })
+	g.dropSrcIf(RelLayoutOf, func(id int32) bool { return dead(g.nodes[id]) })
 	g.gen++
 }
 
@@ -983,103 +877,35 @@ func (g *Graph) visitLive(f func(Node)) {
 	}
 }
 
-// compactFlow renumbers each live source's successor list and its
-// destinations, dropping edges to retired nodes and lists left empty. The
-// labels stay with their edges, and the lists keep their order in flows.
-// remap never raises an id, so the slots move down in place.
+// compactFlow moves each live source's successor list to the source's new
+// id and renumbers its destinations, dropping edges to retired nodes and
+// lists left empty; the labels stay with their edges. The kept lists are
+// laid out in source id order, as the points-to table's sets are. remap
+// never raises an id, so the slots move down in place.
 func (g *Graph) compactFlow(remap []int32, numNodes int) {
+	flows := make([]flowList, 0, len(g.flows))
 	g.numFlow = 0
-	clear(g.flowAt)
+	for old, at := range g.flowAt {
+		if at == 0 {
+			continue
+		}
+		g.flowAt[old] = 0
+		if to := remap[old]; to >= 0 {
+			l := g.flows[at-1]
+			l.filter(func(dst, _ int32) (int32, bool) { return remap[dst], remap[dst] >= 0 })
+			if l.dsts.Len() > 0 {
+				flows = append(flows, l)
+				g.flowAt[to] = int32(len(flows))
+				g.numFlow += l.dsts.Len()
+			}
+		}
+	}
+	g.flows = flows
 	g.flowAt = g.flowAt[:min(len(g.flowAt), numNodes)]
-	kept := g.flows[:0]
-	for _, l := range g.flows {
-		if remap[l.src] < 0 {
-			continue
-		}
-		edges := l.edges[:0]
-		for _, e := range l.edges {
-			if d := remap[e.Dst]; d >= 0 {
-				edges = append(edges, FlowEdge{Dst: d, Label: e.Label})
-			}
-		}
-		if len(edges) == 0 {
-			continue
-		}
-		l.src, l.edges = remap[l.src], edges
-		l.reindex()
-		kept = append(kept, l)
-		g.flowAt[l.src] = int32(len(kept))
-		g.numFlow += len(edges)
-	}
-	clear(g.flows[len(kept):])
-	g.flows = kept
-}
-
-// compactRelations renumbers every relation by remap: retired sources
-// leave the visit order, with the empty lists remove leaves behind,
-// retired successors leave their lists, and the shared source index is
-// rebuilt under the new ids.
-func (g *Graph) compactRelations(remap []int32, numNodes int) {
-	clear(g.rels.row)
-	g.rels.row = g.rels.row[:min(len(g.rels.row), numNodes)]
-	g.rels.rows = g.rels.rows[:0]
-	for _, r := range g.relations() {
-		kept := r.lists[:0]
-		for _, l := range r.lists {
-			src := remap[l.src]
-			if src < 0 {
-				continue
-			}
-			dsts := l.dsts[:0]
-			for _, d := range l.dsts {
-				if d := remap[d]; d >= 0 {
-					dsts = append(dsts, d)
-				}
-			}
-			l.src, l.dsts = src, dsts
-			l.reindex()
-			kept = append(kept, l)
-			g.rels.set(src, r.col, len(kept))
-		}
-		clear(r.lists[len(kept):])
-		r.lists = kept
-	}
-}
-
-// relations lists the graph's relationship indices, in the order of their
-// columns in the shared source index.
-func (g *Graph) relations() [numRels]*relation {
-	return [numRels]*relation{&g.children, &g.parents, &g.viewIDRel, &g.listeners, &g.roots, &g.layoutOf, &g.targets, &g.menuRel}
 }
 
 // nodeID returns n's id as the relations and the flow lists store it.
 func nodeID(n Node) int32 { return int32(n.ID()) }
-
-// successors returns the view of src's successors in r.
-func (g *Graph) successors(r *relation, src Value) Values {
-	return g.Values(r.get(nodeID(src)))
-}
-
-// pairs calls visit with every (source, successor) pair of r, sources in
-// the order they were first added, each source's successors in insertion
-// order.
-func (g *Graph) pairs(r *relation, visit func(src, dst Value)) {
-	for _, l := range r.lists {
-		if len(l.dsts) == 0 {
-			continue
-		}
-		src := g.nodes[l.src].(Value)
-		for _, d := range l.dsts {
-			visit(src, g.nodes[d].(Value))
-		}
-	}
-}
-
-// Parents returns the recorded parent views of child.
-func (g *Graph) Parents(child Value) Values { return g.successors(&g.parents, child) }
-
-// Children returns the recorded child views of parent.
-func (g *Graph) Children(parent Value) Values { return g.successors(&g.children, parent) }
 
 // walkScan is the walk length up to which a Walker deduplicates by scanning
 // its buffer. View hierarchies are small (the largest content hierarchy of
@@ -1110,7 +936,7 @@ type Walker struct {
 func (w *Walker) Descendants(g *Graph, root Value) Values {
 	w.buf = append(w.buf[:0], nodeID(root))
 	for i := 0; i < len(w.buf); i++ {
-		for _, c := range g.children.get(w.buf[i]) {
+		for _, c := range g.succIDs(RelChild, w.buf[i]) {
 			if !w.queued(len(g.nodes), c) {
 				w.buf = append(w.buf, c)
 			}
@@ -1177,85 +1003,6 @@ func (w *Walker) growMarks(numNodes int) {
 	w.mark = grown
 }
 
-// AddViewID records a view ⇒ view-id association.
-func (g *Graph) AddViewID(view Value, id *ViewIDNode) bool {
-	if g.viewIDRel.add(nodeID(view), nodeID(id)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// HasViewID reports whether view carries id.
-func (g *Graph) HasViewID(view Value, id *ViewIDNode) bool {
-	return g.viewIDRel.contains(nodeID(view), nodeID(id))
-}
-
-// ViewIDValues returns the id nodes associated with view; each value is a
-// *ViewIDNode.
-func (g *Graph) ViewIDValues(view Value) Values { return g.successors(&g.viewIDRel, view) }
-
-// AddListener records a view ⇒ listener association.
-func (g *Graph) AddListener(view, lst Value) bool {
-	if g.listeners.add(nodeID(view), nodeID(lst)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// Listeners returns the listener values associated with view.
-func (g *Graph) Listeners(view Value) Values { return g.successors(&g.listeners, view) }
-
-// ListenerPairs visits every (view, listener) association.
-func (g *Graph) ListenerPairs(visit func(view, lst Value)) { g.pairs(&g.listeners, visit) }
-
-// ChildPairs visits every (parent, child) association.
-func (g *Graph) ChildPairs(visit func(parent, child Value)) { g.pairs(&g.children, visit) }
-
-// AddRoot records an activity/dialog ⇒ content-root association.
-func (g *Graph) AddRoot(owner, view Value) bool {
-	if g.roots.add(nodeID(owner), nodeID(view)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// Roots returns the content roots of an activity or dialog value.
-func (g *Graph) Roots(owner Value) Values { return g.successors(&g.roots, owner) }
-
-// RootPairs visits every (owner, root) association.
-func (g *Graph) RootPairs(visit func(owner, root Value)) { g.pairs(&g.roots, visit) }
-
-// AddIntentTarget records an intent ⇒ target-class association.
-func (g *Graph) AddIntentTarget(intent Value, target *ClassNode) bool {
-	if g.targets.add(nodeID(intent), nodeID(target)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// IntentTargets returns the target classes associated with an intent
-// value; each value is a *ClassNode.
-func (g *Graph) IntentTargets(intent Value) Values { return g.successors(&g.targets, intent) }
-
-// AddMenuItem records a menu ⇒ item association.
-func (g *Graph) AddMenuItem(menu *MenuNode, item *MenuItemNode) bool {
-	if g.menuRel.add(nodeID(menu), nodeID(item)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// MenuItems returns the items recorded for a menu.
-func (g *Graph) MenuItems(menu *MenuNode) Values { return g.successors(&g.menuRel, menu) }
-
-// MenuPairs visits every (menu, item) association.
-func (g *Graph) MenuPairs(visit func(menu, item Value)) { g.pairs(&g.menuRel, visit) }
-
 // Menus returns all menu nodes in creation order.
 func (g *Graph) Menus() []*MenuNode {
 	var out []*MenuNode
@@ -1265,181 +1012,6 @@ func (g *Graph) Menus() []*MenuNode {
 		}
 	}
 	return out
-}
-
-// AddLayoutOf records inflated-root ⇒ layout-id provenance.
-func (g *Graph) AddLayoutOf(root Value, id *LayoutIDNode) bool {
-	if g.layoutOf.add(nodeID(root), nodeID(id)) {
-		g.gen++
-		return true
-	}
-	return false
-}
-
-// LayoutOf returns the layout ids a root was inflated from.
-func (g *Graph) LayoutOf(root Value) Values { return g.successors(&g.layoutOf, root) }
-
-// relScan is the successor-list length up to which a relation, or a node's
-// flow successors, deduplicates an edge by scanning the list of int32 ids.
-// Nearly every list is that short: 57 of the 6,092 non-empty lists over
-// the 20 corpus apps' relations are longer, and 540 of the 35,550 of the 9
-// chain apps, up to 81 listeners on one view; of their flow lists, 32 of
-// 35,836 and 9 of 13,875. A longer list also keeps its successors' ids in
-// an IDSet.
-const relScan = 8
-
-// numRels is the number of relations a graph keeps.
-const numRels = 8
-
-// relIndex is the source index the graph's relations share: one int32 per
-// node id for all of them, and one row of list positions per node that is
-// the source of any relation, so each relation pays for its own sources
-// only.
-type relIndex struct {
-	row  []int32          // node id -> 1 + its row, 0 when it is no relation's source
-	rows [][numRels]int32 // per row, 1 + the source's list position in each relation, 0 for none
-}
-
-// set records that the source with node id has its list at position pos-1
-// of relation col (pos 0: no list).
-func (x *relIndex) set(id int32, col, pos int) {
-	x.row = slab.GrowTo(x.row, int(id)+1)
-	r := x.row[id]
-	if r == 0 {
-		x.rows = slab.Push(x.rows, [numRels]int32{})
-		r = int32(len(x.rows))
-		x.row[id] = r
-	}
-	x.rows[r-1][col] = int32(pos)
-}
-
-// relation is an ordered, deduplicated binary relation over the node ids
-// of one graph's values: one successor list per source, in the order the
-// sources first appeared.
-type relation struct {
-	col   int       // the relation's column in the shared index
-	idx   *relIndex // the graph's shared source index
-	lists []relList
-}
-
-// relList is one source's successors in insertion order. A list
-// deduplicates by scanning while it holds at most relScan successors; a
-// longer one also keeps them in set.
-type relList struct {
-	src  int32
-	dsts []int32
-	set  IDSet
-}
-
-func (l *relList) has(dst int32) bool {
-	if len(l.dsts) > relScan {
-		return l.set.Has(dst)
-	}
-	for _, d := range l.dsts {
-		if d == dst {
-			return true
-		}
-	}
-	return false
-}
-
-// reindex rebuilds the successor set after successors left the list or
-// changed ids.
-func (l *relList) reindex() {
-	if len(l.dsts) <= relScan {
-		l.set = nil
-		return
-	}
-	clear(l.set)
-	for i, d := range l.dsts {
-		l.set = l.set.Add(d, i+1)
-	}
-}
-
-// list returns src's successor list, or nil when src has none. The pointer
-// is valid until the relation next gains a source.
-func (r *relation) list(src int32) *relList {
-	if int(src) >= len(r.idx.row) {
-		return nil
-	}
-	row := r.idx.row[src]
-	if row == 0 {
-		return nil
-	}
-	if pos := r.idx.rows[row-1][r.col]; pos != 0 {
-		return &r.lists[pos-1]
-	}
-	return nil
-}
-
-func (r *relation) contains(src, dst int32) bool {
-	l := r.list(src)
-	return l != nil && l.has(dst)
-}
-
-func (r *relation) add(src, dst int32) bool {
-	l := r.list(src)
-	if l == nil {
-		r.lists = slab.Push(r.lists, relList{src: src})
-		r.idx.set(src, r.col, len(r.lists))
-		l = &r.lists[len(r.lists)-1]
-	} else if l.has(dst) {
-		return false
-	}
-	l.dsts = append(l.dsts, dst)
-	switch n := len(l.dsts); {
-	case n == relScan+1:
-		l.reindex()
-	case n > relScan+1:
-		l.set = l.set.Add(dst, n)
-	}
-	return true
-}
-
-func (r *relation) remove(src, dst int32) bool {
-	l := r.list(src)
-	if l == nil {
-		return false
-	}
-	i := slices.Index(l.dsts, dst)
-	if i < 0 {
-		return false
-	}
-	l.dsts = slices.Delete(l.dsts, i, i+1)
-	switch {
-	case len(l.dsts) == relScan:
-		l.set = nil
-	case l.set != nil:
-		l.set.Delete(dst)
-	}
-	// The (now possibly empty) list keeps its place in the visit order: a
-	// later re-add appends to it instead of listing src twice.
-	return true
-}
-
-// dropSrcIf removes every pair whose source satisfies dead, including the
-// source's place in the visit order (safe: a dead source can never be
-// re-added).
-func (r *relation) dropSrcIf(dead func(src int32) bool) {
-	kept := r.lists[:0]
-	for _, l := range r.lists {
-		if dead(l.src) {
-			r.idx.set(l.src, r.col, 0)
-			continue
-		}
-		kept = append(kept, l)
-		r.idx.set(l.src, r.col, len(kept))
-	}
-	clear(r.lists[len(kept):])
-	r.lists = kept
-}
-
-// get returns src's successors; the slice is the relation's backing store.
-func (r *relation) get(src int32) []int32 {
-	if l := r.list(src); l != nil {
-		return l.dsts
-	}
-	return nil
 }
 
 // IsViewValue reports whether v abstracts view objects.

@@ -82,8 +82,8 @@ func TestFlowEdgesDeduplicated(t *testing.T) {
 	if g.NumFlowEdges() != 1 {
 		t.Errorf("NumFlowEdges = %d", g.NumFlowEdges())
 	}
-	if len(g.FlowSucc(a)) != 1 || g.FlowSucc(a)[0] != (FlowEdge{Dst: int32(b.ID())}) {
-		t.Errorf("FlowSucc = %v", g.FlowSucc(a))
+	if dsts, labels := g.FlowSucc(a); len(dsts) != 1 || dsts[0] != int32(b.ID()) || labels != nil {
+		t.Errorf("FlowSucc = %v, %v", dsts, labels)
 	}
 }
 
@@ -92,40 +92,40 @@ func TestRelationsAndGen(t *testing.T) {
 	v1 := g.ViewIDNode(1, "a") // stand-in values
 	v2 := g.ViewIDNode(2, "b")
 	gen := g.Gen()
-	if !g.AddChild(v1, v2) {
-		t.Error("AddChild new = false")
+	if !g.Add(RelChild, v1, v2) {
+		t.Error("Add new = false")
 	}
 	if g.Gen() == gen {
 		t.Error("Gen did not advance")
 	}
 	gen = g.Gen()
-	if g.AddChild(v1, v2) {
-		t.Error("duplicate AddChild = true")
+	if g.Add(RelChild, v1, v2) {
+		t.Error("duplicate Add = true")
 	}
 	if g.Gen() != gen {
 		t.Error("Gen advanced on duplicate")
 	}
-	if g.Children(v1).Len() != 1 {
-		t.Errorf("Children = %v", g.Children(v1).Slice())
+	if g.Succ(RelChild, v1).Len() != 1 {
+		t.Errorf("children = %v", g.Succ(RelChild, v1).Slice())
 	}
 	var pairs int
-	g.ChildPairs(func(p, c Value) { pairs++ })
+	g.Pairs(RelChild, func(p, c Value) { pairs++ })
 	if pairs != 1 {
 		t.Errorf("pairs = %d", pairs)
 	}
 
-	if !g.AddListener(v1, v2) || g.AddListener(v1, v2) {
+	if !g.Add(RelListener, v1, v2) || g.Add(RelListener, v1, v2) {
 		t.Error("listener relation dedup broken")
 	}
-	if !g.AddRoot(v1, v2) || g.AddRoot(v1, v2) {
+	if !g.Add(RelRoot, v1, v2) || g.Add(RelRoot, v1, v2) {
 		t.Error("root relation dedup broken")
 	}
 	lid := g.LayoutIDNode(3, "main")
-	if !g.AddLayoutOf(v1, lid) {
-		t.Error("AddLayoutOf new = false")
+	if !g.Add(RelLayoutOf, v1, lid) {
+		t.Error("Add layoutOf new = false")
 	}
-	if g.LayoutOf(v1).Len() != 1 {
-		t.Errorf("LayoutOf = %v", g.LayoutOf(v1).Slice())
+	if g.Succ(RelLayoutOf, v1).Len() != 1 {
+		t.Errorf("layoutOf = %v", g.Succ(RelLayoutOf, v1).Slice())
 	}
 }
 
@@ -223,16 +223,16 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	if g.MenuItemNode(op) != item {
 		t.Error("MenuItemNode not idempotent")
 	}
-	if !g.AddMenuItem(menu, item) || g.AddMenuItem(menu, item) {
-		t.Error("AddMenuItem dedup broken")
+	if !g.Add(RelMenuItem, menu, item) || g.Add(RelMenuItem, menu, item) {
+		t.Error("menu item dedup broken")
 	}
-	if g.MenuItems(menu).Len() != 1 {
-		t.Errorf("MenuItems = %v", g.MenuItems(menu).Slice())
+	if g.Succ(RelMenuItem, menu).Len() != 1 {
+		t.Errorf("menu items = %v", g.Succ(RelMenuItem, menu).Slice())
 	}
 	pairs := 0
-	g.MenuPairs(func(m, i Value) { pairs++ })
+	g.Pairs(RelMenuItem, func(m, i Value) { pairs++ })
 	if pairs != 1 {
-		t.Errorf("MenuPairs = %d", pairs)
+		t.Errorf("menu pairs = %d", pairs)
 	}
 	if len(g.Menus()) != 1 {
 		t.Errorf("Menus = %v", g.Menus())
@@ -247,16 +247,16 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 		t.Errorf("ClassNode = %v", cn)
 	}
 	intent := g.ViewIDNode(99, "standin") // any value works structurally
-	if !g.AddIntentTarget(intent, cn) || g.AddIntentTarget(intent, cn) {
-		t.Error("AddIntentTarget dedup broken")
+	if !g.Add(RelIntent, intent, cn) || g.Add(RelIntent, intent, cn) {
+		t.Error("intent target dedup broken")
 	}
-	if got := g.IntentTargets(intent).Slice(); len(got) != 1 || got[0] != Value(cn) {
-		t.Errorf("IntentTargets = %v", got)
+	if got := g.Succ(RelIntent, intent).Slice(); len(got) != 1 || got[0] != Value(cn) {
+		t.Errorf("intent targets = %v", got)
 	}
 
 	// Parents inverse index.
 	v1, v2 := g.ViewIDNode(1, "a"), g.ViewIDNode(2, "b")
-	g.AddChild(v1, v2)
+	g.Add(RelChild, v1, v2)
 	if got := g.Parents(v2).Slice(); len(got) != 1 || got[0] != Value(v1) {
 		t.Errorf("Parents = %v", got)
 	}
@@ -269,34 +269,35 @@ func TestExtensionNodesAndRelations(t *testing.T) {
 	}
 
 	// Remaining relation accessors.
-	if !g.AddViewID(v1, g.ViewIDNode(3, "c")) {
-		t.Error("AddViewID new = false")
+	id := g.ViewIDNode(3, "c")
+	if !g.Add(RelViewID, v1, id) || !g.Has(RelViewID, v1, id) || g.Has(RelViewID, v2, id) {
+		t.Error("view id relation broken")
 	}
-	if g.ViewIDValues(v1).Len() != 1 {
-		t.Errorf("ViewIDValues = %v", g.ViewIDValues(v1).Slice())
+	if g.Succ(RelViewID, v1).Len() != 1 {
+		t.Errorf("view ids = %v", g.Succ(RelViewID, v1).Slice())
 	}
-	g.AddListener(v1, v2)
-	if g.Listeners(v1).Len() != 1 {
-		t.Errorf("Listeners = %v", g.Listeners(v1).Slice())
+	g.Add(RelListener, v1, v2)
+	if g.Succ(RelListener, v1).Len() != 1 {
+		t.Errorf("listeners = %v", g.Succ(RelListener, v1).Slice())
 	}
 	lp := 0
-	g.ListenerPairs(func(a, b Value) { lp++ })
+	g.Pairs(RelListener, func(a, b Value) { lp++ })
 	if lp != 1 {
-		t.Errorf("ListenerPairs = %d", lp)
+		t.Errorf("listener pairs = %d", lp)
 	}
-	g.AddRoot(v1, v2)
-	if g.Roots(v1).Len() != 1 {
-		t.Errorf("Roots = %v", g.Roots(v1).Slice())
+	g.Add(RelRoot, v1, v2)
+	if g.Succ(RelRoot, v1).Len() != 1 {
+		t.Errorf("roots = %v", g.Succ(RelRoot, v1).Slice())
 	}
 	rp := 0
-	g.RootPairs(func(a, b Value) { rp++ })
+	g.Pairs(RelRoot, func(a, b Value) { rp++ })
 	if rp != 1 {
-		t.Errorf("RootPairs = %d", rp)
+		t.Errorf("root pairs = %d", rp)
 	}
 	lid := g.LayoutIDNode(10, "main")
-	g.AddLayoutOf(v1, lid)
-	if g.LayoutOf(v1).Len() != 1 {
-		t.Errorf("LayoutOf = %v", g.LayoutOf(v1).Slice())
+	g.Add(RelLayoutOf, v1, lid)
+	if g.Succ(RelLayoutOf, v1).Len() != 1 {
+		t.Errorf("layoutOf = %v", g.Succ(RelLayoutOf, v1).Slice())
 	}
 
 	// Value marker strings for all value kinds.

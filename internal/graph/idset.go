@@ -1,11 +1,10 @@
 package graph
 
 // IDSet is an open-addressed hash set of node ids, the membership index of
-// a list too long to scan: a points-to set past its scan limit, or a flow
-// or relation successor list past relScan. A slot holds id+1, and 0 marks
-// an empty one. The table has no pointers, so the garbage collector never
-// scans it, and its length is zero or a power of two kept at least twice
-// the number of ids. The zero value is the empty set.
+// an IDList longer than listScan. A slot holds id+1, and 0 marks an empty
+// one. The table has no pointers, so the garbage collector never scans it,
+// and its length is zero or a power of two kept at least twice the number
+// of ids. The zero value is the empty set.
 //
 // Probing is linear, so Delete needs no tombstones: it shifts the entries
 // that follow the deleted one back toward their home slots.

@@ -47,7 +47,7 @@ func TestFlowTablePaysPerEntry(t *testing.T) {
 
 	nodes, withSucc := len(g.Nodes()), 0
 	for _, n := range g.Nodes() {
-		if len(g.FlowSucc(n)) > 0 {
+		if dsts, _ := g.FlowSucc(n); len(dsts) > 0 {
 			withSucc++
 		}
 	}

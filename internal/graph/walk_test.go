@@ -23,7 +23,7 @@ func referenceDescendants(g *Graph, root Value) []Value {
 		}
 		seen[v.ID()] = true
 		out = append(out, v)
-		queue = append(queue, g.Children(v).Slice()...)
+		queue = append(queue, g.Succ(RelChild, v).Slice()...)
 	}
 	return out
 }
@@ -51,7 +51,7 @@ func randomChildGraph(rng *rand.Rand, n, maxKids int) (*Graph, []Value) {
 	}
 	for _, p := range vals {
 		for k := rng.Intn(maxKids + 1); k > 0; k-- {
-			g.AddChild(p, vals[rng.Intn(n)])
+			g.Add(RelChild, p, vals[rng.Intn(n)])
 		}
 	}
 	return g, vals
@@ -68,10 +68,10 @@ func treeGraph(n int) (*Graph, []Value) {
 		vals[i] = g.ViewIDNode(i, "v")
 	}
 	for i := 1; i < n; i++ {
-		g.AddChild(vals[(i-1)/2], vals[i])
+		g.Add(RelChild, vals[(i-1)/2], vals[i])
 	}
-	g.AddChild(vals[2], vals[3])
-	g.AddChild(vals[n-1], vals[0])
+	g.Add(RelChild, vals[2], vals[3])
+	g.Add(RelChild, vals[n-1], vals[0])
 	return g, vals
 }
 
@@ -101,12 +101,12 @@ func TestWalkerMatchesReference(t *testing.T) {
 		// after the mark array was sized.
 		for k := 0; k < n/4+1; k++ {
 			vals = append(vals, g.ViewIDNode(n+k, "late"))
-			g.AddChild(vals[rng.Intn(len(vals))], vals[len(vals)-1])
+			g.Add(RelChild, vals[rng.Intn(len(vals))], vals[len(vals)-1])
 			p, c := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
 			if rng.Intn(2) == 0 {
-				g.RemoveChild(p, c)
+				g.Remove(RelChild, p, c)
 			} else {
-				g.AddChild(p, c)
+				g.Add(RelChild, p, c)
 			}
 		}
 		check("edited")
@@ -195,46 +195,67 @@ func (m *relModel) dropSrcIf(dead func(Value) bool) {
 	m.srcs = kept
 }
 
-// TestRelationQuickProperties: for any seeded sequence of add, remove and
-// dropSrcIf over a few sources and a universe larger than relScan, the
-// relation agrees with relModel on every result, on get and contains for
-// every value, and on visit order; and the relation's lists and its column
-// of the source index keep their invariant after every step
-// (relationTableHolds). Each sequence alternates add-heavy and
-// remove-heavy phases, so successor lists cross relScan in both
-// directions.
+// TestRelationQuickProperties: for any seeded sequence of Add, Remove and
+// Retire over every relation, a few sources and a universe larger than
+// listScan, the graph agrees with one relModel per relation on every
+// result, on Succ and Has for every pair of values, on Parents (the model
+// of RelChild read backward), and on the order Pairs visits; Gen moves
+// exactly when a call reports a change; and the relations' lists and their
+// shared source index keep their invariant after every step
+// (relationTableHolds). Retire drops a source's pairs from RelLayoutOf
+// only. Each sequence alternates add-heavy and remove-heavy phases, so
+// successor lists cross listScan in both directions.
 func TestRelationQuickProperties(t *testing.T) {
-	universe := mkValues(3 * relScan)
+	rels := []Rel{RelChild, RelViewID, RelListener, RelRoot, RelIntent, RelMenuItem, RelLayoutOf}
 	const numSrcs = 3
 	crossedDown := false
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r, m := &relation{idx: &relIndex{}}, &relModel{succ: map[int][]Value{}}
-		wasLong := map[int]bool{}
+		g := New()
+		universe := make([]Value, 3*listScan)
+		for i := range universe {
+			universe[i] = g.ViewIDNode(i, "v")
+		}
+		models := map[Rel]*relModel{relParent: {succ: map[int][]Value{}}}
+		for _, rel := range rels {
+			models[rel] = &relModel{succ: map[int][]Value{}}
+		}
+		wasLong := map[[2]int]bool{}
 		for i := 0; i < 400; i++ {
+			rel := rels[rng.Intn(len(rels))]
 			s := universe[rng.Intn(numSrcs)]
 			d := universe[rng.Intn(len(universe))]
-			sid, did := nodeID(s), nodeID(d)
+			gen := g.Gen()
+			changed := false
 			removeHeavy := i/100%2 == 1
 			switch p := rng.Intn(100); {
 			case p < 2:
-				r.dropSrcIf(func(id int32) bool { return id == sid })
-				m.dropSrcIf(func(v Value) bool { return v == s })
+				g.Retire(func(n Node) bool { return n == s })
+				models[RelLayoutOf].dropSrcIf(func(v Value) bool { return v == s })
+				changed = true
 			case p < 30 || removeHeavy && p < 80:
-				if r.remove(sid, did) != m.remove(s, d) {
+				changed = models[rel].remove(s, d)
+				if g.Remove(rel, s, d) != changed {
 					return false
+				}
+				if changed && rel == RelChild {
+					models[relParent].remove(d, s)
 				}
 			default:
-				if r.add(sid, did) != m.add(s, d) {
+				changed = models[rel].add(s, d)
+				if g.Add(rel, s, d) != changed {
 					return false
 				}
+				if changed && rel == RelChild {
+					models[relParent].add(d, s)
+				}
 			}
-			if !relationAgrees(r, m, universe) {
+			if (g.Gen() != gen) != changed || !relationsAgree(g, models, universe) {
 				return false
 			}
-			n := len(r.get(sid))
-			crossedDown = crossedDown || wasLong[s.ID()] && n <= relScan
-			wasLong[s.ID()] = n > relScan
+			n, key := g.Succ(rel, s).Len(), [2]int{int(rel), s.ID()}
+			crossedDown = crossedDown || wasLong[key] && n <= listScan
+			wasLong[key] = n > listScan
 		}
 		return true
 	}
@@ -242,76 +263,81 @@ func TestRelationQuickProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !crossedDown {
-		t.Fatal("no successor list shrank back to relScan; the test lost its coverage")
+		t.Fatal("no successor list shrank back to listScan; the test lost its coverage")
 	}
 }
 
-func relationAgrees(r *relation, m *relModel, universe []Value) bool {
-	for _, v := range universe {
-		got, want := r.get(nodeID(v)), m.succ[v.ID()]
-		if !slices.Equal(got, ids(want)) {
+func relationsAgree(g *Graph, models map[Rel]*relModel, universe []Value) bool {
+	for rel, m := range models {
+		for _, v := range universe {
+			want := m.succ[v.ID()]
+			if !sameValues(g.Succ(rel, v).Slice(), want) {
+				return false
+			}
+			for _, d := range universe {
+				if g.Has(rel, v, d) != containsValue(want, d) {
+					return false
+				}
+			}
+		}
+		var visited, want []int32
+		g.Pairs(rel, func(s, d Value) { visited = append(visited, nodeID(s), nodeID(d)) })
+		for _, s := range m.srcs {
+			for _, d := range m.succ[s.ID()] {
+				want = append(want, nodeID(s), nodeID(d))
+			}
+		}
+		if !slices.Equal(visited, want) {
 			return false
 		}
-		for _, d := range universe {
-			if r.contains(nodeID(v), nodeID(d)) != containsValue(want, d) {
+	}
+	for _, v := range universe {
+		if !sameValues(g.Parents(v).Slice(), models[relParent].succ[v.ID()]) {
+			return false
+		}
+	}
+	return relationTableHolds(g)
+}
+
+// relationTableHolds checks the relations' lists and their shared source
+// index: no two nodes share a row, each node's slot in a relation's column
+// is 0 or names a list of that relation whose src is that node, every list
+// is named by exactly one slot, and each list's index holds exactly its
+// successors while the list is longer than listScan (indexMatches).
+func relationTableHolds(g *Graph) bool {
+	x := &g.relIdx
+	rowUsed := make([]bool, len(x.rows))
+	var named [numRels][]bool
+	for rel := range named {
+		named[rel] = make([]bool, len(g.rels[rel]))
+	}
+	for id, row := range x.row {
+		if row == 0 {
+			continue
+		}
+		if int(row) > len(x.rows) || rowUsed[row-1] {
+			return false
+		}
+		rowUsed[row-1] = true
+		for rel, pos := range x.rows[row-1] {
+			if pos == 0 {
+				continue
+			}
+			lists := g.rels[rel]
+			if int(pos) > len(lists) || named[rel][pos-1] || lists[pos-1].src != int32(id) {
+				return false
+			}
+			named[rel][pos-1] = true
+		}
+	}
+	for rel, lists := range g.rels {
+		for i := range lists {
+			if !named[rel][i] || !indexMatches(&lists[i].dsts) {
 				return false
 			}
 		}
 	}
-	var visited, want []int32
-	for _, l := range r.lists {
-		for _, d := range l.dsts {
-			visited = append(visited, l.src, d)
-		}
-	}
-	for _, s := range m.srcs {
-		for _, d := range m.succ[s.ID()] {
-			want = append(want, nodeID(s), nodeID(d))
-		}
-	}
-	return slices.Equal(visited, want) && relationTableHolds(r)
-}
-
-// relationTableHolds checks a relation's share of the source index: no two
-// nodes share a row, each node's slot in the relation's column is 0 or
-// names a list whose src is that node, every list is named by exactly one
-// slot, and each list's IDSet holds exactly its successors while the list
-// is longer than relScan (setMatches).
-func relationTableHolds(r *relation) bool {
-	rowUsed := make([]bool, len(r.idx.rows))
-	named := make([]bool, len(r.lists))
-	for id, row := range r.idx.row {
-		if row == 0 {
-			continue
-		}
-		if int(row) > len(r.idx.rows) || rowUsed[row-1] {
-			return false
-		}
-		rowUsed[row-1] = true
-		pos := r.idx.rows[row-1][r.col]
-		if pos == 0 {
-			continue
-		}
-		if int(pos) > len(r.lists) || named[pos-1] || r.lists[pos-1].src != int32(id) {
-			return false
-		}
-		named[pos-1] = true
-	}
-	for i, l := range r.lists {
-		if !named[i] || !setMatches(l.set, l.dsts) {
-			return false
-		}
-	}
 	return true
-}
-
-// ids returns the node ids of vals.
-func ids(vals []Value) []int32 {
-	out := make([]int32, len(vals))
-	for i, v := range vals {
-		out[i] = nodeID(v)
-	}
-	return out
 }
 
 func containsValue(vals []Value, v Value) bool {
@@ -321,14 +347,4 @@ func containsValue(vals []Value, v Value) bool {
 		}
 	}
 	return false
-}
-
-// mkValues builds n distinct stand-in values of one graph.
-func mkValues(n int) []Value {
-	g := New()
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = g.ViewIDNode(i, "v")
-	}
-	return out
 }

@@ -77,23 +77,9 @@ func (t *RTable) AddStringID(name string) int {
 	return id
 }
 
-// StringID returns the R.string constant for a string resource name.
-func (t *RTable) StringID(name string) (int, bool) {
-	id, ok := t.stringByName[name]
-	return id, ok
-}
-
 // StringIDName returns the string resource name for an R.string constant.
 func (t *RTable) StringIDName(id int) (string, bool) {
 	return nameOf(t.stringByID, StringIDBase, id)
-}
-
-// NumStringIDs returns the number of string resource constants.
-func (t *RTable) NumStringIDs() int { return len(t.stringByID) }
-
-// StringIDNames returns the sorted string resource names.
-func (t *RTable) StringIDNames() []string {
-	return sortedCopy(t.stringByID)
 }
 
 // LayoutID returns the R.layout constant for a layout name.

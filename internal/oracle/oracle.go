@@ -106,13 +106,13 @@ func Compare(res *core.Result, obs *interp.Observations) *Report {
 
 	// Structural relations.
 	m.checkPairs(rep, "listener", obs.ListenerPairs, func(v, l graph.Value) bool {
-		return containsValue(res.Graph.Listeners(v), l)
+		return containsValue(res.Graph.Succ(graph.RelListener, v), l)
 	})
 	m.checkPairs(rep, "parent-child", obs.ChildPairs, func(p, c graph.Value) bool {
-		return containsValue(res.Graph.Children(p), c)
+		return containsValue(res.Graph.Succ(graph.RelChild, p), c)
 	})
 	m.checkPairs(rep, "content-root", obs.RootPairs, func(o, r graph.Value) bool {
-		return containsValue(res.Graph.Roots(o), r)
+		return containsValue(res.Graph.Succ(graph.RelRoot, o), r)
 	})
 
 	// Inter-component transitions.

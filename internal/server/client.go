@@ -135,31 +135,21 @@ func (c *Client) Healthz() error { return c.do("GET", "/healthz", nil, nil) }
 // Readyz checks readiness (a draining daemon fails this but not Healthz).
 func (c *Client) Readyz() error { return c.do("GET", "/readyz", nil, nil) }
 
-// Metrics fetches the daemon's metrics registry as deterministic JSON.
-// /metrics itself defaults to Prometheus text exposition; the JSON
-// rendering lives at /metrics.json (or /metrics with Accept:
-// application/json).
+// Metrics fetches the daemon's metrics registry as deterministic JSON,
+// from /metrics.json; /metrics itself serves Prometheus text exposition.
 func (c *Client) Metrics() ([]byte, error) {
-	return c.getRaw("/metrics.json", "")
+	return c.getRaw("/metrics.json")
 }
 
 // MetricsProm fetches the Prometheus text exposition of the daemon's
 // metrics (what a scraper sees at /metrics).
 func (c *Client) MetricsProm() ([]byte, error) {
-	return c.getRaw("/metrics", "")
+	return c.getRaw("/metrics")
 }
 
-// getRaw fetches one endpoint's raw body (optionally with an Accept
-// header), mapping non-200s to StatusError.
-func (c *Client) getRaw(path, accept string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := c.http.Do(req)
+// getRaw fetches one endpoint's raw body, mapping non-200s to StatusError.
+func (c *Client) getRaw(path string) ([]byte, error) {
+	resp, err := c.http.Get(c.base + path)
 	if err != nil {
 		return nil, err
 	}

@@ -417,14 +417,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleMetrics serves Prometheus text exposition by default; an Accept
-// header asking for application/json gets the legacy JSON rendering
-// (also always available at /metrics.json).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.handleMetricsJSON(w, r)
-		return
-	}
+// handleMetrics serves Prometheus text exposition; the JSON rendering is
+// at /metrics.json.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
 	if err := metrics.WritePrometheus(&buf, s.reg.Snapshot(), "gatord"); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)

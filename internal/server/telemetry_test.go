@@ -90,8 +90,8 @@ func TestRequestLogLine(t *testing.T) {
 }
 
 // TestMetricsContentNegotiation pins the /metrics surface: Prometheus text
-// by default, JSON via Accept or /metrics.json, and Client.Metrics()
-// returning the JSON rendering.
+// at /metrics, JSON at /metrics.json, and Client.Metrics() returning the
+// JSON rendering.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, c, _ := newTelemetryServer(t, Config{})
 	sources, layouts := figure1Maps()
@@ -99,7 +99,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prom, err := c.getRaw("/metrics", "")
+	prom, err := c.getRaw("/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,24 +107,16 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatalf("/metrics is not valid Prometheus text: %v\n%s", err, prom)
 	}
 	if bytes.HasPrefix(bytes.TrimSpace(prom), []byte("{")) {
-		t.Fatal("/metrics served JSON without Accept")
-	}
-
-	viaAccept, err := c.getRaw("/metrics", "application/json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(viaAccept, &snap); err != nil {
-		t.Fatalf("/metrics with Accept: application/json is not JSON: %v", err)
+		t.Fatal("/metrics served JSON")
 	}
 
 	viaPath, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(viaAccept, viaPath) {
-		t.Fatal("Accept negotiation and /metrics.json disagree")
+	var snap map[string]any
+	if err := json.Unmarshal(viaPath, &snap); err != nil {
+		t.Fatalf("/metrics.json is not JSON: %v", err)
 	}
 	if !strings.Contains(string(viaPath), "server.jobs.admitted") {
 		t.Fatal("JSON rendering lost the registry counters")
