@@ -27,13 +27,11 @@ func corpusInputs(apps []*corpus.App) []BatchInput {
 
 // canonical renders a solution deterministically: the full serialized GUI
 // model (views, hierarchy = ancestorOf projection, event tuples = flowsTo
-// projection, menus, transitions, findings, Table 1 stats) with wall-clock
-// stripped, plus the Table 2 precision averages.
+// projection, menus, transitions, findings, Table 1 stats), plus the Table 2
+// precision averages.
 func canonical(t *testing.T, res *Result) []byte {
 	t.Helper()
-	m := res.Model()
-	m.Elapsed = "" // the only run-to-run varying field
-	data, err := m.JSON()
+	data, err := res.Model().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // Cache is shared analysis state that survives across loads and apps: a
 // content-addressed parse cache (identical source files parse once, even
 // across different applications in a batch). Create one with NewCache and
-// pass it to LoadCached, LoadDirCached, AnalyzeIncremental, or
+// pass it to LoadCached, AnalyzeIncremental, or
 // BatchOptions.Cache. Safe for concurrent use.
 type Cache struct {
 	parse *cache.ParseCache

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gator/internal/flagdoc"
+	"gator/internal/report"
 	"gator/internal/server"
 )
 
@@ -57,8 +58,9 @@ func runCLIStdout(t *testing.T, bin string, args ...string) (string, int) {
 
 // TestCLIRemoteMatchesLocal: the CLI builds one report request and one
 // option set from its flags and hands the same pair to the local render
-// and to gatord, so -remote prints the local bytes and exits alike —
-// check selections and order: explains included.
+// and to gatord, so -remote prints the local bytes and exits alike, on its
+// first request and on a cache replay — every report kind, check
+// selections and explains included.
 func TestCLIRemoteMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
@@ -74,24 +76,35 @@ func TestCLIRemoteMatchesLocal(t *testing.T) {
 		ts.Close()
 	})
 	buggy := filepath.Join("..", "..", "examples", "buggyapp")
+	notepad := filepath.Join("..", "..", "testdata", "notepad")
 
-	for _, args := range [][]string{
-		{"-report", "views"},
-		{"-report", "tuples"},
-		{"-report", "checks"},
-		{"-report", "sarif"},
-		{"-report", "checks", "-only", "unused-view-id"},
-		{"-report", "sarif", "-only", "dangling-findview"},
-		{"-explain", "order:Main.onDestroy.onResume"},
-	} {
-		local, localCode := runCLIStdout(t, bin, append(args[:len(args):len(args)], buggy)...)
-		remote, remoteCode := runCLIStdout(t, bin, append(append([]string{"-remote", ts.URL}, args...), buggy)...)
+	type run struct {
+		args []string
+		dir  string
+	}
+	runs := []run{
+		{[]string{"-report", "checks"}, buggy},
+		{[]string{"-report", "sarif"}, buggy},
+		{[]string{"-report", "checks", "-only", "unused-view-id"}, buggy},
+		{[]string{"-report", "sarif", "-only", "dangling-findview"}, buggy},
+		{[]string{"-explain", "order:Main.onDestroy.onResume"}, buggy},
+		{[]string{"-explain", "Main.onCreate.btn"}, buggy},
+	}
+	// The notepad app prints something under every kind.
+	for _, kind := range report.Kinds() {
+		runs = append(runs, run{[]string{"-report", kind}, notepad})
+	}
+	for _, r := range runs {
+		local, localCode := runCLIStdout(t, bin, append(r.args[:len(r.args):len(r.args)], r.dir)...)
 		if local == "" {
-			t.Errorf("%v: no local output", args)
+			t.Errorf("%v: no local output", r.args)
 		}
-		if remote != local || remoteCode != localCode {
-			t.Errorf("%v: -remote differs from local\n--- remote (exit %d) ---\n%s--- local (exit %d) ---\n%s",
-				args, remoteCode, remote, localCode, local)
+		for _, round := range []string{"first", "replayed"} {
+			remote, remoteCode := runCLIStdout(t, bin, append(append([]string{"-remote", ts.URL}, r.args...), r.dir)...)
+			if remote != local || remoteCode != localCode {
+				t.Errorf("%v %s: %s -remote differs from local\n--- remote (exit %d) ---\n%s--- local (exit %d) ---\n%s",
+					r.args, r.dir, round, remoteCode, remote, localCode, local)
+			}
 		}
 	}
 }
@@ -197,8 +210,9 @@ func TestCLIBatch(t *testing.T) {
 
 // TestCLIExplainDeterministic: the acceptance contract of the provenance
 // layer — `-explain` prints byte-identical derivation trees whether the
-// batch runs on one worker or eight. Two copies of the app make the batch
-// genuinely parallel under -j 8.
+// batch runs on one worker or eight, and the buggy example's trees are the
+// checked-in expected_explain.txt (which scripts/ci.sh diffs against too).
+// Two copies of the app make the batch genuinely parallel under -j 8.
 func TestCLIExplainDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI exec test skipped in -short mode")
@@ -218,7 +232,14 @@ func TestCLIExplainDeterministic(t *testing.T) {
 	}
 
 	// The tree names the paper's rule and bottoms out in seeds.
-	out, _ := runCLI(t, bin, "-explain", "Main.onCreate.btn", buggy)
+	out, code := runCLI(t, bin, "-explain", "Main.onCreate.btn", buggy)
+	want, err := os.ReadFile(filepath.Join(buggy, "expected_explain.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || out != string(want) {
+		t.Errorf("-explain Main.onCreate.btn (exit %d) differs from expected_explain.txt\n--- got ---\n%s--- want ---\n%s", code, out, want)
+	}
 	for _, w := range []string{"[FindView2]", "[Seed]", "rootView(", "ancestorOf(", "hasId("} {
 		if !strings.Contains(out, w) {
 			t.Errorf("-explain tree missing %q\n%s", w, out)

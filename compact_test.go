@@ -2,9 +2,6 @@ package gator_test
 
 import (
 	"bytes"
-	"regexp"
-	"slices"
-	"strings"
 	"testing"
 
 	"gator"
@@ -12,70 +9,64 @@ import (
 	"gator/internal/report"
 )
 
-// deterministicKinds lists the report kinds that render the same bytes on
-// every run of the same input: the ones a result cache may replay.
-func deterministicKinds(t *testing.T) []string {
-	t.Helper()
-	var kinds []string
-	for _, k := range report.Kinds() {
-		if (report.Request{Report: k}).Replayable() {
-			kinds = append(kinds, k)
-		}
-	}
-	if len(kinds) != 13 {
-		t.Fatalf("%d deterministic report kinds %v, want 13", len(kinds), kinds)
-	}
-	return kinds
-}
-
-// render returns one report of res with its exit code and diagnostics. The
-// dot report names nodes by graph id and labels views and allocations by
-// operation id and allocation ordinal, which only a cold run fixes, so its
-// lines are compared with every node named by its label, those numbers
-// dropped, and the lines sorted.
+// render returns one report of res with its exit code and diagnostics.
 func render(res *gator.Result, kind string) string {
 	var out, errs bytes.Buffer
 	code := report.Render(&out, &errs, "app", res, report.Request{Report: kind})
-	text := out.String()
-	if kind == "dot" {
-		text = canonicalDot(text)
-	}
-	return string(rune('0'+code)) + text + errs.String()
+	return string(rune('0'+code)) + out.String() + errs.String()
 }
 
-var (
-	dotDecl    = regexp.MustCompile(`^\t(n\d+) \[label="(.*?)" shape=`)
-	dotEdge    = regexp.MustCompile(`^\t(n\d+) -> (n\d+)(.*)$`)
-	dotOrdinal = regexp.MustCompile(`#(op)?\d+`)
-)
-
-func canonicalDot(dot string) string {
-	lines := strings.Split(dot, "\n")
-	labels := map[string]string{}
-	for _, l := range lines {
-		if m := dotDecl.FindStringSubmatch(l); m != nil {
-			labels[m[1]] = dotOrdinal.ReplaceAllString(m[2], "#$1")
+// TestWarmReportsMatchCold: a body-only edit of the file that allocates a
+// detached view with a click listener takes the warm path, and every report
+// kind of the warm result is byte-identical to a cold run of the edited
+// input. The re-lowered body builds new allocation and operation nodes
+// with fresh ids, so a report that named a value by id or by creation
+// order, or that printed a time, would differ here.
+func TestWarmReportsMatchCold(t *testing.T) {
+	sources := map[string]string{"app.alite": `class H implements OnClickListener {
+	void onClick(View v) { }
+}
+class Main extends Activity {
+	void onCreate() {
+		this.setContentView(R.layout.main);
+		Button detached = new Button();
+		H h = new H();
+		detached.setOnClickListener(h);
+	}
+}
+`}
+	layouts := map[string]string{"main": `<LinearLayout android:id="@+id/root"/>`}
+	prev, err := gator.AnalyzeIncremental(nil, sources, layouts, gator.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources["app.alite"] += "// edited\n"
+	warm, err := gator.AnalyzeIncremental(prev, sources, layouts, gator.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Incremental(); st.Mode != "warm" {
+		t.Fatalf("mode %q (%s), want warm", st.Mode, st.Reason)
+	}
+	app, err := gator.Load(sources, layouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := app.Analyze(gator.Options{})
+	for _, k := range report.Kinds() {
+		if got, want := render(warm, k), render(cold, k); got != want {
+			t.Errorf("report %s: warm differs from cold\nwarm:\n%s\ncold:\n%s", k, got, want)
 		}
 	}
-	for i, l := range lines {
-		if m := dotEdge.FindStringSubmatch(l); m != nil {
-			lines[i] = labels[m[1]] + " -> " + labels[m[2]] + m[3]
-		} else if m := dotDecl.FindStringSubmatch(l); m != nil {
-			lines[i] = labels[m[1]] + l[len(m[0]):]
-		}
-	}
-	slices.Sort(lines)
-	return strings.Join(lines, "\n")
 }
 
 // TestCompactionChainMatchesScratch chains alternating body edits through a
 // small app, where an edit retires a fifth of the graph, so warm re-solves
 // compact every few edits, and compares every edit with a from-scratch
 // analysis of the edited input: the snapshot of the incremental tests and
-// every deterministic report kind, byte for byte, so the edits just before
-// and just after each compaction are covered.
+// every report kind, byte for byte, so the edits just before and just after
+// each compaction are covered.
 func TestCompactionChainMatchesScratch(t *testing.T) {
-	kinds := deterministicKinds(t)
 	for _, opts := range []gator.Options{{}, {FilterCasts: true}} {
 		sources, layouts := corpus.ModularApp(3)
 		edits := corpus.ModularEdits(sources)
@@ -106,7 +97,7 @@ func TestCompactionChainMatchesScratch(t *testing.T) {
 			if gator.Snapshot(t, res) != gator.Snapshot(t, scratch) {
 				t.Fatalf("FilterCasts=%v edit %d (compacted %v): warm solution differs from scratch", opts.FilterCasts, i, st.Compacted)
 			}
-			for _, k := range kinds {
+			for _, k := range report.Kinds() {
 				if got, want := render(res, k), render(scratch, k); got != want {
 					t.Fatalf("FilterCasts=%v edit %d (compacted %v): report %s differs from scratch\nwarm:\n%s\nscratch:\n%s",
 						opts.FilterCasts, i, st.Compacted, k, got, want)

@@ -142,14 +142,10 @@ func (o Options) internal() core.Options {
 // LoadDir loads an application from a directory containing *.alite sources
 // and *.xml layout files (optionally under a layout/ subdirectory).
 // Extensions are matched case-insensitively (MAIN.XML is a layout).
-func LoadDir(dir string) (*App, error) {
-	return LoadDirCached(dir, nil)
-}
+func LoadDir(dir string) (*App, error) { return loadDir(dir, nil, nil) }
 
-// LoadDirCached is LoadDir with a shared parse cache (see LoadCached).
-func LoadDirCached(dir string, c *Cache) (*App, error) { return loadDir(dir, c, nil) }
-
-// loadDir is LoadDirCached with the load's stages traced on tr.
+// loadDir is LoadDir with a shared parse cache (see LoadCached) and the
+// load's stages traced on tr.
 func loadDir(dir string, c *Cache, tr *trace.Scope) (*App, error) {
 	sources, layouts, err := ReadAppDir(dir)
 	if err != nil {
@@ -909,7 +905,7 @@ func (r *Result) Transitions() []Transition {
 // Dot renders the solved constraint graph in Graphviz format (the
 // structure of Figures 3 and 4 of the paper).
 func (r *Result) Dot() string {
-	return dot.Export(r.res, dot.Options{Flow: true, Relations: true})
+	return dot.Export(r.res)
 }
 
 // ProjectedFacts renders the solution as sorted per-fact lines with cloning

@@ -660,10 +660,7 @@ func TestLoadDirDeterministicOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := app.Analyze(Options{})
-		m := res.Model()
-		m.Elapsed = ""
-		data, err := m.JSON()
+		data, err := app.Analyze(Options{}).Model().JSON()
 		if err != nil {
 			t.Fatal(err)
 		}

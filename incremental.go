@@ -55,7 +55,7 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 		return nil, ErrStaleResult
 	}
 	app := prev.app
-	if !mapsEqual(app.layouts, layouts) {
+	if !maps.Equal(app.layouts, layouts) {
 		// Layout linking resolves parsed layouts in place during ir.Build, so
 		// there is no patched middle ground for layout edits.
 		return analyzeFull(prev, sources, layouts, opts, c, "layouts changed")
@@ -164,16 +164,4 @@ func (app *App) shapesOf(names []string, c *Cache) ([]string, error) {
 		out[i] = sh
 	}
 	return out, nil
-}
-
-func mapsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }

@@ -3,16 +3,17 @@ package gator
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
 	"gator/internal/corpus"
 )
 
-// snapshot renders every cross-run-stable output of a result into one
+// snapshot renders a result's solution queries and findings into one
 // string, for byte-identity comparison between incremental and from-scratch
-// analyses. Timing fields (summary, Model.Elapsed) and node-numbered outputs
-// (Dot) are excluded by design; see DESIGN.md, "Incremental solving".
+// analyses. The external tests (compact_test.go), which can import
+// internal/report, compare every report kind as well.
 func snapshot(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -485,7 +486,7 @@ func TestIncrementalChain(t *testing.T) {
 		next, nextLayouts := copyInput(sources, layouts)
 		e.apply(next, nextLayouts)
 		// Edits target ModularApp(4) units; skip ones that touched nothing.
-		if mapsEqual(next, sources) && mapsEqual(nextLayouts, layouts) {
+		if maps.Equal(next, sources) && maps.Equal(nextLayouts, layouts) {
 			continue
 		}
 		res, err = AnalyzeIncremental(res, next, nextLayouts, Options{}, c)

@@ -1,68 +1,22 @@
 package core
 
-// Context projection: rendering the solution with cloning contexts and
-// clone identities erased. Context-sensitive runs give one allocation or
-// inflation site several graph nodes (one per context), each with its own
-// ordinal or op id, so the raw node names of two modes are incomparable.
-// ProjectedSolution names every abstract value by its *source identity* —
-// class plus source position — so clones of one site collapse to one name
-// and "mode A refines mode B" becomes plain set inclusion over rendered
-// fact lines. The precision-monotonicity harness (ctx_test.go) and the
-// BENCH_7 strictness probe are built on this rendering. SourceOps and
-// CanonCount project operations the same way, so Table 2 and the oracle
-// average over the paper's operation set, one entry per source call.
+// Context projection: rendering the solution with cloning contexts erased.
+// Context-sensitive runs give one allocation or inflation site several
+// graph nodes (one per context). Node names (graph.Node's String) name a
+// value by its source identity, class plus source site, so clones of one
+// site share a name, and "mode A refines mode B" becomes plain set
+// inclusion over rendered fact lines. The precision-monotonicity harness
+// (ctx_test.go) and the BENCH_7 strictness probe are built on this
+// rendering. SourceOps and CanonCount project operations the same way, so
+// Table 2 and the oracle average over the paper's operation set, one entry
+// per source call.
 
 import (
-	"fmt"
 	"sort"
 
 	"gator/internal/graph"
 	"gator/internal/ir"
 )
-
-// CanonValue names an abstract value by source identity, independent of
-// which cloning context materialized its node.
-func CanonValue(v graph.Value) string {
-	switch v := v.(type) {
-	case *graph.AllocNode:
-		return "new " + v.Class.Name + "@" + allocSite(v)
-	case *graph.ActivityNode:
-		return "activity " + v.Class.Name
-	case *graph.InflNode:
-		return fmt.Sprintf("infl %s@%s:%d^%s", v.Class.Name, v.LayoutName, v.Path, opSite(v.Op))
-	case *graph.LayoutIDNode:
-		return "layout " + v.Name
-	case *graph.ViewIDNode:
-		return "id " + v.Name
-	case *graph.StringIDNode:
-		return "string " + v.Name
-	case *graph.ClassNode:
-		return "class " + v.Class.Name
-	case *graph.MenuNode:
-		return "menu " + v.Activity.Name
-	case *graph.MenuItemNode:
-		return "menuitem@" + opSite(v.Op)
-	default:
-		return v.String()
-	}
-}
-
-func allocSite(n *graph.AllocNode) string {
-	if n.Site != nil && n.Site.Pos().IsValid() {
-		return n.Site.Pos().String()
-	}
-	if n.Method != nil {
-		return n.Method.QualifiedName()
-	}
-	return "?"
-}
-
-func opSite(op *graph.OpNode) string {
-	if op == nil {
-		return "?"
-	}
-	return op.String()
-}
 
 // SourceOp is one source operation, a call site, with the solutions of its
 // op nodes unioned. Under Ctx1CFA a call inside a cloned callee has one op
@@ -116,7 +70,7 @@ func (r *Result) unionOver(ops []*graph.OpNode, get func(*graph.OpNode) graph.Va
 	return r.Graph.Values(out)
 }
 
-// CanonCount counts the distinct source identities (CanonValue) among the
+// CanonCount counts the distinct source identities (node names) among the
 // values keep admits, so context clones of one allocation or inflation
 // site count once. A nil keep admits every value.
 func CanonCount(vals graph.Values, keep func(graph.Value) bool) int {
@@ -124,7 +78,7 @@ func CanonCount(vals graph.Values, keep func(graph.Value) bool) int {
 	for k := range vals.Len() {
 		v := vals.At(k)
 		if keep == nil || keep(v) {
-			seen[CanonValue(v)] = true
+			seen[v.String()] = true
 		}
 	}
 	return len(seen)
@@ -132,7 +86,7 @@ func CanonCount(vals graph.Values, keep func(graph.Value) bool) int {
 
 // ProjectedSolution renders the full solution as sorted, deduplicated
 // per-fact lines with contexts projected away: one "pts" line per
-// (variable-or-field, canonical value) pair — context variants of one
+// (variable-or-field, value name) pair — context variants of one
 // variable union into one entity — plus one line per derived relation
 // pair. Because every line is a single fact, refinement between two modes
 // is set inclusion over the returned slices, and the slice length is the
@@ -154,8 +108,7 @@ func (r *Result) ProjectedSolution() []string {
 			continue
 		}
 		for k := range vals.Len() {
-			v := vals.At(k)
-			set["pts "+ent+" = "+CanonValue(v)] = true
+			set["pts "+ent+" = "+vals.At(k).String()] = true
 		}
 	}
 	for _, rel := range []struct {
@@ -167,7 +120,7 @@ func (r *Result) ProjectedSolution() []string {
 		{graph.RelLayoutOf, "layoutof"},
 	} {
 		r.Graph.Pairs(rel.rel, func(a, b graph.Value) {
-			set[rel.kind+" "+CanonValue(a)+" -> "+CanonValue(b)] = true
+			set[rel.kind+" "+a.String()+" -> "+b.String()] = true
 		})
 	}
 	out := make([]string, 0, len(set))

@@ -7,39 +7,103 @@ package dot
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"gator/internal/core"
 	"gator/internal/graph"
 )
 
-// Options select which parts of the graph to render.
-type Options struct {
-	// Flow includes value-flow edges (Figure 3).
-	Flow bool
-	// Relations includes inferred relationship edges (Figure 4).
-	Relations bool
-	// PointsTo annotates variable nodes with their solutions.
-	PointsTo bool
+// edge is one rendered edge: its endpoints and its attribute list.
+type edge struct {
+	src, dst graph.Node
+	attrs    string
 }
 
-// Export renders the result's constraint graph.
-func Export(res *core.Result, opts Options) string {
+// Export renders the result's constraint graph: the value-flow edges and
+// operation connections (Figure 3) and the inferred relationship edges
+// (Figure 4). Nodes are numbered at render time in the order of their
+// names, and edges are sorted by the numbers of their endpoints, so the
+// bytes do not depend on the graph ids that produced them: a warm
+// incremental result renders as a cold run does. The graph id breaks a tie
+// between equal names, which only context clones, the variables of
+// overloaded methods and a method's synthesized operations can have.
+func Export(res *core.Result) string {
+	g := res.Graph
+	nodes := g.Nodes()
+	var edges []edge
+	g.VisitFlow(func(src graph.Node, dsts, _ []int32) {
+		for _, d := range dsts {
+			edges = append(edges, edge{src, nodes[d], ""})
+		}
+	})
+	for _, op := range g.Ops() {
+		if op.Recv != nil {
+			edges = append(edges, edge{op.Recv, op, ` [label="recv" style=dashed]`})
+		}
+		for i, a := range op.Args {
+			if a != nil {
+				edges = append(edges, edge{a, op, fmt.Sprintf(` [label="arg%d" style=dashed]`, i)})
+			}
+		}
+		if op.Out != nil {
+			edges = append(edges, edge{op, op.Out, ` [style=dashed]`})
+		}
+	}
+	for _, r := range []struct {
+		rel   graph.Rel
+		attrs string
+	}{
+		{graph.RelChild, ` [label="child" color=blue]`},
+		{graph.RelViewID, ` [label="id" color=darkgreen]`},
+		{graph.RelLayoutOf, ` [label="layout" color=darkgreen]`},
+		{graph.RelListener, ` [label="listener" color=red]`},
+		{graph.RelRoot, ` [label="root" color=purple]`},
+	} {
+		g.Pairs(r.rel, func(src, dst graph.Value) { edges = append(edges, edge{src, dst, r.attrs}) })
+	}
+
+	// num maps a graph id to 1 + the node's rank by name (0: not drawn).
+	num := make([]int, len(nodes))
+	type named struct {
+		n    graph.Node
+		name string
+	}
+	var drawn []named
+	for _, e := range edges {
+		for _, n := range [2]graph.Node{e.src, e.dst} {
+			if num[n.ID()] == 0 {
+				num[n.ID()] = 1
+				drawn = append(drawn, named{n, n.String()})
+			}
+		}
+	}
+	sort.Slice(drawn, func(i, j int) bool {
+		if drawn[i].name != drawn[j].name {
+			return drawn[i].name < drawn[j].name
+		}
+		return drawn[i].n.ID() < drawn[j].n.ID()
+	})
+	for rank, d := range drawn {
+		num[d.n.ID()] = rank + 1
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		if as, bs := num[a.src.ID()], num[b.src.ID()]; as != bs {
+			return as < bs
+		}
+		if ad, bd := num[a.dst.ID()], num[b.dst.ID()]; ad != bd {
+			return ad < bd
+		}
+		return a.attrs < b.attrs
+	})
+
 	var b strings.Builder
 	b.WriteString("digraph gator {\n")
 	b.WriteString("\trankdir=LR;\n\tnode [fontsize=10];\n")
-
-	used := map[int]bool{}
-	nodeID := func(n graph.Node) string { return fmt.Sprintf("n%d", n.ID()) }
-	declare := func(n graph.Node) string {
-		id := nodeID(n)
-		if used[n.ID()] {
-			return id
-		}
-		used[n.ID()] = true
-		label := escape(n.String())
+	for rank, d := range drawn {
 		shape, style := "ellipse", ""
-		switch n.(type) {
+		switch d.n.(type) {
 		case *graph.OpNode:
 			shape = "box"
 			style = ` style=rounded`
@@ -51,75 +115,11 @@ func Export(res *core.Result, opts Options) string {
 		case *graph.LayoutIDNode, *graph.ViewIDNode, *graph.StringIDNode:
 			shape = "diamond"
 		}
-		fmt.Fprintf(&b, "\t%s [label=%q shape=%s%s];\n", id, label, shape, style)
-		return id
+		fmt.Fprintf(&b, "\tn%d [label=%q shape=%s%s];\n", rank, escape(d.name), shape, style)
 	}
-
-	if opts.Flow {
-		nodes := res.Graph.Nodes()
-		for _, n := range nodes {
-			dsts, _ := res.Graph.FlowSucc(n)
-			for _, d := range dsts {
-				fmt.Fprintf(&b, "\t%s -> %s;\n", declare(n), declare(nodes[d]))
-			}
-		}
-		// Operation connections: inputs and outputs.
-		for _, op := range res.Graph.Ops() {
-			opID := declare(op)
-			if op.Recv != nil {
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"recv\" style=dashed];\n", declare(op.Recv), opID)
-			}
-			for i, a := range op.Args {
-				if a != nil {
-					fmt.Fprintf(&b, "\t%s -> %s [label=\"arg%d\" style=dashed];\n", declare(a), opID, i)
-				}
-			}
-			if op.Out != nil {
-				fmt.Fprintf(&b, "\t%s -> %s [style=dashed];\n", opID, declare(op.Out))
-			}
-		}
+	for _, e := range edges {
+		fmt.Fprintf(&b, "\tn%d -> n%d%s;\n", num[e.src.ID()]-1, num[e.dst.ID()]-1, e.attrs)
 	}
-
-	if opts.Relations {
-		res.Graph.Pairs(graph.RelChild, func(p, c graph.Value) {
-			fmt.Fprintf(&b, "\t%s -> %s [label=\"child\" color=blue];\n", declare(p), declare(c))
-		})
-		for _, n := range res.Graph.Nodes() {
-			v, ok := n.(graph.Value)
-			if !ok {
-				continue
-			}
-			ids := res.Graph.Succ(graph.RelViewID, v)
-			for k := range ids.Len() {
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"id\" color=darkgreen];\n", declare(v), declare(ids.At(k)))
-			}
-			lids := res.Graph.Succ(graph.RelLayoutOf, v)
-			for k := range lids.Len() {
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"layout\" color=darkgreen];\n", declare(v), declare(lids.At(k)))
-			}
-		}
-		res.Graph.Pairs(graph.RelListener, func(view, lst graph.Value) {
-			fmt.Fprintf(&b, "\t%s -> %s [label=\"listener\" color=red];\n", declare(view), declare(lst))
-		})
-		res.Graph.Pairs(graph.RelRoot, func(owner, root graph.Value) {
-			fmt.Fprintf(&b, "\t%s -> %s [label=\"root\" color=purple];\n", declare(owner), declare(root))
-		})
-	}
-
-	if opts.PointsTo {
-		for _, n := range res.Graph.Nodes() {
-			vn, ok := n.(*graph.VarNode)
-			if !ok {
-				continue
-			}
-			vs := res.PointsTo(vn)
-			for k := range vs.Len() {
-				v := vs.At(k)
-				fmt.Fprintf(&b, "\t%s -> %s [label=\"pts\" color=gray style=dotted];\n", declare(v), declare(vn))
-			}
-		}
-	}
-
 	b.WriteString("}\n")
 	return b.String()
 }

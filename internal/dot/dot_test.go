@@ -1,6 +1,8 @@
 package dot
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func figure1Result(t *testing.T) *core.Result {
 
 func TestExportStructure(t *testing.T) {
 	res := figure1Result(t)
-	out := Export(res, Options{Flow: true, Relations: true, PointsTo: true})
+	out := Export(res)
 	if !strings.HasPrefix(out, "digraph gator {") || !strings.HasSuffix(out, "}\n") {
 		t.Fatalf("not a digraph:\n%.80s...", out)
 	}
@@ -62,17 +64,39 @@ func TestExportStructure(t *testing.T) {
 	}
 }
 
-func TestExportSelectivity(t *testing.T) {
-	res := figure1Result(t)
-	flowOnly := Export(res, Options{Flow: true})
-	if strings.Contains(flowOnly, `label="child"`) {
-		t.Error("flow-only export contains relation edges")
+// TestExportNumbersByName: nodes are declared n0, n1, ... in the order of
+// their labels, and edges follow in the order of their endpoints' numbers,
+// so nothing in the output depends on graph ids.
+func TestExportNumbersByName(t *testing.T) {
+	out := Export(figure1Result(t))
+	var labels []string
+	var edges [][2]int
+	for _, line := range strings.Split(out, "\n") {
+		var a, b int
+		if n, _ := fmt.Sscanf(line, "\tn%d -> n%d", &a, &b); n == 2 {
+			edges = append(edges, [2]int{a, b})
+			continue
+		}
+		var label string
+		if n, _ := fmt.Sscanf(line, "\tn%d [label=%q", &a, &label); n == 2 {
+			if a != len(labels) {
+				t.Fatalf("node n%d declared at position %d", a, len(labels))
+			}
+			labels = append(labels, label)
+		}
 	}
-	relOnly := Export(res, Options{Relations: true})
-	if strings.Contains(relOnly, `label="recv"`) {
-		t.Error("relations-only export contains op connections")
+	if len(labels) == 0 || len(edges) == 0 {
+		t.Fatalf("no nodes or edges:\n%s", out)
 	}
-	if !strings.Contains(relOnly, `label="child"`) {
-		t.Error("relations-only export missing child edges")
+	if !slices.IsSorted(labels) {
+		t.Errorf("node labels are not sorted: %q", labels)
+	}
+	if !slices.IsSortedFunc(edges, func(x, y [2]int) int {
+		if x[0] != y[0] {
+			return x[0] - y[0]
+		}
+		return x[1] - y[1]
+	}) {
+		t.Errorf("edges are not in endpoint order: %v", edges)
 	}
 }

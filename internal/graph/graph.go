@@ -9,12 +9,19 @@ package graph
 import (
 	"fmt"
 
+	"gator/internal/alite"
 	"gator/internal/ir"
 	"gator/internal/platform"
 	"gator/internal/slab"
 )
 
-// Node is any constraint graph node.
+// Node is any constraint graph node. String names a node by its source
+// identity, never by its id or its order of creation, so the name is a
+// function of the input: an allocation by its new site, an inflated view by
+// its layout node and the site of the operation that inflated it, a menu
+// item by its add site, an operation by its call site (by its method when
+// it has none). Context clones of one site share a name, as do the
+// variables of overloaded methods.
 type Node interface {
 	ID() int
 	String() string
@@ -73,13 +80,11 @@ type AllocNode struct {
 	IsListener bool
 	// IsDialog marks application dialog classes (content-view owners).
 	IsDialog bool
-	// Ordinal numbers allocation sites within the program, for stable names.
-	Ordinal int
 }
 
 func (n *AllocNode) valueMarker() {}
 func (n *AllocNode) String() string {
-	return fmt.Sprintf("Alloc[new %s #%d]", n.Class.Name, n.Ordinal)
+	return "Alloc[new " + n.Class.Name + siteName(n.Site.Pos(), n.Method) + "]"
 }
 
 // ActivityNode represents the platform-created instances of one application
@@ -122,10 +127,8 @@ type MenuItemNode struct {
 	Op *OpNode
 }
 
-func (n *MenuItemNode) valueMarker() {}
-func (n *MenuItemNode) String() string {
-	return fmt.Sprintf("MenuItem[#op%d]", n.Op.ID())
-}
+func (n *MenuItemNode) valueMarker()   {}
+func (n *MenuItemNode) String() string { return "MenuItem[" + n.Op.String() + "]" }
 
 // ClassNode represents one class-literal constant (C.class), used to target
 // intents in the inter-component extension.
@@ -180,10 +183,11 @@ type InflNode struct {
 
 func (n *InflNode) valueMarker() {}
 func (n *InflNode) String() string {
+	id := ""
 	if n.IDName != "" {
-		return fmt.Sprintf("Infl[%s@%s:%d id=%s #op%d]", n.Class.Name, n.LayoutName, n.Path, n.IDName, n.Op.ID())
+		id = " id=" + n.IDName
 	}
-	return fmt.Sprintf("Infl[%s@%s:%d #op%d]", n.Class.Name, n.LayoutName, n.Path, n.Op.ID())
+	return fmt.Sprintf("Infl[%s@%s:%d%s by %s]", n.Class.Name, n.LayoutName, n.Path, id, n.Op)
 }
 
 // OpNode represents one Android operation site.
@@ -208,13 +212,23 @@ type OpNode struct {
 }
 
 func (n *OpNode) String() string {
-	where := ""
-	if n.Site != nil && n.Site.Pos().IsValid() {
-		where = "@" + n.Site.Pos().String()
-	} else if n.Method != nil {
-		where = "@" + n.Method.QualifiedName()
+	var pos alite.Pos
+	if n.Site != nil {
+		pos = n.Site.Pos()
 	}
-	return fmt.Sprintf("%s%s", n.Kind, where)
+	return n.Kind.String() + siteName(pos, n.Method)
+}
+
+// siteName names a source site in node names: "@" and its position, or "@"
+// and its method when the site has no position ("" when it has neither).
+func siteName(pos alite.Pos, m *ir.Method) string {
+	if pos.IsValid() {
+		return "@" + pos.String()
+	}
+	if m != nil {
+		return "@" + m.QualifiedName()
+	}
+	return ""
 }
 
 // Graph is the constraint graph.
@@ -250,10 +264,6 @@ type Graph struct {
 	ctxLabels map[int]string
 	ctxIDs    map[string]int
 	ctxVars   map[*ir.Var][]*VarNode
-
-	// allocSeq numbers allocation nodes ever created; unlike len(allocs) it
-	// never shrinks, so ordinals stay unique after Retire.
-	allocSeq int
 
 	// retired counts the node slots Retire has emptied since the graph was
 	// built or last compacted: nodes no index holds any more.
@@ -510,9 +520,7 @@ func (g *Graph) NewAllocNode(site *ir.New, m *ir.Method, isView, isListener, isD
 		IsView:     isView,
 		IsListener: isListener,
 		IsDialog:   isDialog,
-		Ordinal:    g.allocSeq,
 	}
-	g.allocSeq++
 	g.allocs = append(g.allocs, n)
 	g.register(n)
 	return n

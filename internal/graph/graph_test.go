@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"gator/internal/alite"
@@ -178,11 +177,21 @@ func TestValueClassification(t *testing.T) {
 	}
 }
 
+// TestNodeStrings: every node is named by its source identity. The nodes
+// are built in a graph whose ids start past 100, so a name that carried its
+// graph id would show a three-digit number, which none of the names have.
 func TestNodeStrings(t *testing.T) {
 	p := testProgram(t)
 	g := New()
+	for range 100 {
+		g.NewOpNode(platform.OpNone, nil, nil)
+	}
 	m := p.Class("A").Methods["onCreate()"]
+	site := alite.Pos{File: "t", Line: 9, Col: 3}
 
+	call := g.NewOpNode(platform.OpSetListener, &ir.Invoke{At: site}, m)
+	synth := g.NewOpNode(platform.OpInflate1, nil, m)
+	add := g.NewOpNode(platform.OpMenuAdd, &ir.Invoke{At: alite.Pos{File: "t", Line: 10, Col: 5}}, m)
 	cases := []struct {
 		node Node
 		want string
@@ -192,19 +201,21 @@ func TestNodeStrings(t *testing.T) {
 		{g.ActivityNode(p.Class("A")), "Activity[A]"},
 		{g.LayoutIDNode(0x7f030000, "main"), "LayoutId[main]"},
 		{g.ViewIDNode(0x7f080000, "go"), "ViewId[go]"},
+		{call, "SetListener@t:9:3"},
+		{synth, "Inflate1@A.onCreate"},
+		{g.NewAllocNode(&ir.New{Class: p.Class("Button"), At: site}, m, true, false, false), "Alloc[new Button@t:9:3]"},
+		{g.NewAllocNode(&ir.New{Class: p.Class("L")}, m, false, true, false), "Alloc[new L@A.onCreate]"},
+		{g.NewInflNode(synth, "main", 2, p.Class("Button"), "go", ""), "Infl[Button@main:2 id=go by Inflate1@A.onCreate]"},
+		{g.NewInflNode(call, "main", 0, p.Class("LinearLayout"), "", ""), "Infl[LinearLayout@main:0 by SetListener@t:9:3]"},
+		{g.MenuItemNode(add), "MenuItem[MenuAdd@t:10:5]"},
 	}
 	for _, c := range cases {
+		if c.node.ID() < 100 {
+			t.Fatalf("%v has id %d", c.node, c.node.ID())
+		}
 		if got := c.node.String(); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
 		}
-	}
-	op := g.NewOpNode(platform.OpSetListener, nil, m)
-	if !strings.Contains(op.String(), "SetListener") {
-		t.Errorf("op string = %q", op.String())
-	}
-	infl := g.NewInflNode(op, "main", 2, p.Class("Button"), "go", "")
-	if !strings.Contains(infl.String(), "main:2") || !strings.Contains(infl.String(), "go") {
-		t.Errorf("infl string = %q", infl.String())
 	}
 }
 

@@ -41,7 +41,7 @@ type Report struct {
 	PerfectSites int
 	// StaticFacts and ObservedFacts measure precision at the executed
 	// operation sites: the static solution's distinct source-identity
-	// values (clones of one site collapse to one — see core.CanonValue)
+	// values (clones of one site collapse to one: they share a node name)
 	// versus the distinct in-scope observed values, summed per site over
 	// receivers, arguments, and results. Their ratio is the paper-style
 	// precision metric BENCH_7.json records.

@@ -69,18 +69,6 @@ func Known(kind string) bool {
 	return false
 }
 
-// Replayable reports whether the request renders byte-identically across
-// repeated runs of the same input, so a result cache may replay it. Explain
-// queries are not (their target is not part of CacheKey), nor are reports
-// that carry wall-clock measurements.
-func (r Request) Replayable() bool {
-	switch r.Kind() {
-	case "summary", "table2", "json": // Model JSON embeds analysisTime
-		return false
-	}
-	return r.Explain == ""
-}
-
 // seed is the effective interpreter seed.
 func (r Request) seed() int64 {
 	if r.Seed == 0 {
@@ -90,16 +78,14 @@ func (r Request) seed() int64 {
 }
 
 // CacheKey fingerprints one rendering of an application for gatord's
-// content-addressed result cache: the application's name (the checks,
-// check and table1 reports print it), the options' CacheTag, the report
-// kind, seed and check selection, and every source and layout. It is ""
-// when the request is not Replayable.
+// content-addressed result cache: the application's name (the summary,
+// checks, check and table1 reports print it), the options' CacheTag, the
+// report kind, explain target, seed and check selection, and every source
+// and layout. Every report's bytes are a function of these, so every
+// request has a key.
 func (r Request) CacheKey(name string, opts gator.Options, sources, layouts map[string]string) string {
-	if !r.Replayable() {
-		return ""
-	}
-	tag := fmt.Sprintf("name=%q|%s|report=%s|seed=%d|checks=%s",
-		name, opts.CacheTag(), r.Kind(), r.seed(), strings.Join(r.Checks, ","))
+	tag := fmt.Sprintf("name=%q|%s|report=%s|explain=%q|seed=%d|checks=%s",
+		name, opts.CacheTag(), r.Kind(), r.Explain, r.seed(), strings.Join(r.Checks, ","))
 	return cache.AppFingerprint(tag, sources, layouts)
 }
 
@@ -174,7 +160,7 @@ func Render(w, errw io.Writer, name string, res *gator.Result, req Request) int 
 			t1.ViewsInflated, t1.ViewsAllocated, t1.Listeners)
 		fmt.Fprintf(w, "ops: %d inflate, %d find-view, %d add-view, %d set-listener, %d set-id\n",
 			t1.InflateOps, t1.FindViewOps, t1.AddViewOps, t1.SetListenerOps, t1.SetIdOps)
-		fmt.Fprintf(w, "analysis: %v, %d fixpoint rounds\n", res.Elapsed(), res.Iterations())
+		fmt.Fprintf(w, "analysis: %d fixpoint rounds\n", res.Iterations())
 	case "views":
 		for _, v := range res.Views() {
 			id := v.ID
@@ -207,8 +193,8 @@ func Render(w, errw io.Writer, name string, res *gator.Result, req Request) int 
 		fmt.Fprintf(w, "%+v\n", res.Table1())
 	case "table2":
 		r := res.Table2()
-		fmt.Fprintf(w, "time=%v receivers=%.2f results=%.2f listeners=%.2f\n",
-			r.Time, r.AvgReceivers, r.AvgResults, r.AvgListeners)
+		fmt.Fprintf(w, "receivers=%.2f results=%.2f listeners=%.2f\n",
+			r.AvgReceivers, r.AvgResults, r.AvgListeners)
 	case "check":
 		fs := res.Check()
 		warnings := 0

@@ -7,9 +7,8 @@ import (
 )
 
 // TestCacheKey: everything that changes a rendering changes its key — the
-// options, the report kind, the seed and the check selection — while an
-// omitted seed and seed 1 render alike and share one; requests whose
-// output is not replayable have no key.
+// options, the report kind, the explain target, the seed and the check
+// selection — while an omitted seed and seed 1 render alike and share one.
 func TestCacheKey(t *testing.T) {
 	sources := map[string]string{"a.alite": "class A {}"}
 	base := Request{Report: "checks", Checks: []string{"dangling-findview"}}
@@ -24,10 +23,11 @@ func TestCacheKey(t *testing.T) {
 	}
 
 	for name, r := range map[string]Request{
-		"checks": {Report: "checks", Checks: []string{"unused-view-id"}},
-		"all":    {Report: "checks"},
-		"kind":   {Report: "sarif", Checks: base.Checks},
-		"seed":   {Report: "checks", Checks: base.Checks, Seed: 2},
+		"checks":  {Report: "checks", Checks: []string{"unused-view-id"}},
+		"all":     {Report: "checks"},
+		"kind":    {Report: "sarif", Checks: base.Checks},
+		"seed":    {Report: "checks", Checks: base.Checks, Seed: 2},
+		"explain": {Report: "checks", Checks: base.Checks, Explain: "id:go"},
 	} {
 		if r.CacheKey("app", gator.Options{}, sources, nil) == key {
 			t.Errorf("%s: same key as %+v", name, base)
@@ -44,10 +44,9 @@ func TestCacheKey(t *testing.T) {
 		t.Error("provenance, which changes no report, changes the key")
 	}
 
-	for _, r := range []Request{{}, {Report: "table2"}, {Report: "json"}, {Report: "views", Explain: "id:x"}} {
-		if r.Replayable() || r.CacheKey("app", gator.Options{}, sources, nil) != "" {
-			t.Errorf("%+v is replayable", r)
-		}
+	byID := Request{Explain: "id:go"}.CacheKey("app", gator.Options{}, sources, nil)
+	if (Request{Explain: "id:stop"}).CacheKey("app", gator.Options{}, sources, nil) == byID {
+		t.Error("two explain targets share a key")
 	}
 }
 

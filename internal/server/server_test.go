@@ -72,14 +72,38 @@ func figure1Maps() (sources, layouts map[string]string) {
 		}
 }
 
+// localKinds renders every report kind of one local analysis, as localRender
+// does one.
+func localKinds(t *testing.T, name string, sources, layouts map[string]string) map[string]AnalyzeResponse {
+	t.Helper()
+	app, err := gator.Load(sources, layouts)
+	if err != nil {
+		t.Errorf("local load: %v", err)
+		return nil
+	}
+	app.Name = name
+	res := app.Analyze(gator.Options{})
+	out := map[string]AnalyzeResponse{}
+	for _, kind := range report.Kinds() {
+		var outBuf, errBuf bytes.Buffer
+		code := report.Render(&outBuf, &errBuf, name, res, report.Request{Report: kind, Seed: 1})
+		out[kind] = AnalyzeResponse{ExitCode: code, Output: outBuf.String(), Stderr: errBuf.String()}
+	}
+	return out
+}
+
+// sameRender reports whether a remote response carries the local bytes.
+func sameRender(got *AnalyzeResponse, want AnalyzeResponse) bool {
+	return got.Output == want.Output && got.ExitCode == want.ExitCode && got.Stderr == want.Stderr
+}
+
 // TestRemoteMatchesLocalConcurrent is the main differential test: several
 // concurrent clients drive cold submissions, cache-replayed repeats, and
-// warm session edit sequences, and every single response is byte-compared
-// to the local pipeline.
+// warm session edit sequences over every report kind, and every single
+// response is byte-compared to the local pipeline, with nothing masked.
 func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 
-	kinds := []string{"views", "tuples", "hierarchy", "activities", "table1", "checks", "dot"}
 	fig1Src, fig1Lay := figure1Maps()
 	apps := []struct {
 		name             string
@@ -102,16 +126,14 @@ func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 		go func(ci int) {
 			defer wg.Done()
 			app := apps[ci%len(apps)]
-			for _, kind := range kinds {
+			want := localKinds(t, app.name, app.sources, app.layouts)
+			for _, kind := range report.Kinds() {
 				req := AnalyzeRequest{
 					Name:       app.name,
 					Sources:    app.sources,
 					Layouts:    app.layouts,
 					ReportSpec: ReportSpec{Report: kind},
 				}
-				wantCode, wantOut, wantErr := localRender(t, app.name, app.sources, app.layouts,
-					gator.Options{}, report.Request{Report: kind, Seed: 1})
-
 				// Cold (or concurrently cache-warmed — either way the bytes
 				// must match), then a repeat that may be served from cache.
 				for round := 0; round < 2; round++ {
@@ -120,29 +142,47 @@ func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 						t.Errorf("client %d %s/%s round %d: %v", ci, app.name, kind, round, err)
 						return
 					}
-					if resp.Output != wantOut || resp.ExitCode != wantCode || resp.Stderr != wantErr {
+					if !sameRender(resp, want[kind]) {
 						t.Errorf("client %d %s/%s round %d: remote report differs from local\nremote (exit %d):\n%s\nlocal (exit %d):\n%s",
-							ci, app.name, kind, round, resp.ExitCode, resp.Output, wantCode, wantOut)
+							ci, app.name, kind, round, resp.ExitCode, resp.Output, want[kind].ExitCode, want[kind].Output)
 						return
 					}
 				}
 			}
 
-			// Session flow: open, then a sequence of edits; each response
-			// must match a local scratch analysis of the patched input.
+			// Session flow: open, then a sequence of edits. After each, every
+			// report kind the session renders (the first with the edit, the
+			// rest from unchanged patches) must match a local scratch
+			// analysis of the patched input.
+			kinds := report.Kinds()
 			sources := copyMap(app.sources)
 			open, err := c.OpenSession(AnalyzeRequest{
 				Name: app.name, Sources: sources, Layouts: app.layouts,
-				ReportSpec: ReportSpec{Report: "views"},
+				ReportSpec: ReportSpec{Report: kinds[0]},
 			})
 			if err != nil {
 				t.Errorf("client %d open session: %v", ci, err)
 				return
 			}
-			_, wantOut, _ := localRender(t, app.name, sources, app.layouts,
-				gator.Options{}, report.Request{Report: "views", Seed: 1})
-			if open.Output != wantOut {
-				t.Errorf("client %d session create: remote differs from local", ci)
+			sessionMatches := func(label string, first *AnalyzeResponse) bool {
+				want := localKinds(t, app.name, sources, app.layouts)
+				for i, kind := range kinds {
+					resp := first
+					if i > 0 {
+						if resp, err = c.PatchSession(open.SessionID, PatchRequest{ReportSpec: ReportSpec{Report: kind}}); err != nil {
+							t.Errorf("client %d %s, report %s: %v", ci, label, kind, err)
+							return false
+						}
+					}
+					if !sameRender(resp, want[kind]) {
+						t.Errorf("client %d %s: session report %s differs from local scratch\nremote:\n%s\nlocal:\n%s",
+							ci, label, kind, resp.Output, want[kind].Output)
+						return false
+					}
+				}
+				return true
+			}
+			if !sessionMatches("session create", open) {
 				return
 			}
 			var names []string
@@ -154,7 +194,7 @@ func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 				sources[edited] += fmt.Sprintf("\n// edit %d by client %d\n", round, ci)
 				resp, err := c.PatchSession(open.SessionID, PatchRequest{
 					Sources:    map[string]string{edited: sources[edited]},
-					ReportSpec: ReportSpec{Report: "views"},
+					ReportSpec: ReportSpec{Report: kinds[0]},
 				})
 				if err != nil {
 					t.Errorf("client %d patch %d: %v", ci, round, err)
@@ -164,11 +204,7 @@ func TestRemoteMatchesLocalConcurrent(t *testing.T) {
 					t.Errorf("client %d patch %d: no incremental stats", ci, round)
 					return
 				}
-				_, wantOut, _ := localRender(t, app.name, sources, app.layouts,
-					gator.Options{}, report.Request{Report: "views", Seed: 1})
-				if resp.Output != wantOut {
-					t.Errorf("client %d patch %d (%s): warm remote report differs from local scratch\nremote:\n%s\nlocal:\n%s",
-						ci, round, resp.Incremental.Mode, resp.Output, wantOut)
+				if !sessionMatches(fmt.Sprintf("patch %d (%s)", round, resp.Incremental.Mode), resp) {
 					return
 				}
 			}
@@ -403,7 +439,24 @@ func TestExplainRemote(t *testing.T) {
 			resp.ExitCode, resp.Output, wantCode, want)
 	}
 	if resp.Cached {
-		t.Fatal("explain responses must never be cache replays")
+		t.Fatal("first explain request reported Cached")
+	}
+	// The target is part of the cache key: a repeat replays the tree, and
+	// another target is rendered afresh.
+	again, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts, ReportSpec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Output != want {
+		t.Fatalf("repeat explain: cached %v, output\n%s", again.Cached, again.Output)
+	}
+	other, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts,
+		ReportSpec: ReportSpec{Explain: "id:button_esc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Cached || other.Output == want {
+		t.Fatalf("another explain target replayed the first one's tree:\n%s", other.Output)
 	}
 }
 

@@ -19,7 +19,6 @@ type Model struct {
 	Transit    []Transition      `json:"transitions,omitempty"`
 	Findings   []CheckFinding    `json:"findings,omitempty"`
 	Stats      map[string]int    `json:"stats"`
-	Elapsed    string            `json:"analysisTime"`
 	Options    map[string]bool   `json:"options,omitempty"`
 	Variables  map[string]string `json:"-"`
 }
@@ -50,7 +49,6 @@ func (r *Result) Model() *Model {
 		Tuples:  r.EventTuples(),
 		Menus:   r.MenuEntries(),
 		Transit: r.Transitions(),
-		Elapsed: r.Elapsed().String(),
 		Stats:   map[string]int{},
 	}
 	for _, v := range r.Views() {

@@ -28,8 +28,13 @@
 #                      ordering checkers get the same treatment over
 #                      examples/lifecycleapp via `-only "lifecycle-*"` (the
 #                      glob also keeps driver pattern selection wired)
-#   7. trace smoke   — `gator -trace -explain` over examples/buggyapp must
-#                      exit 0: tracing and provenance stay wired end-to-end
+#   7. trace + explain self-check — `gator -trace -explain` over
+#                      examples/buggyapp must exit 0 and byte-match the
+#                      checked-in derivation trees
+#                      (examples/buggyapp/expected_explain.txt): tracing and
+#                      provenance stay wired end-to-end, and the trees,
+#                      which name values by source site, pin the
+#                      derivation renderer
 #   8. server smoke  — `gatord -smoke` boots the daemon on a loopback
 #                      port, runs one cold request and a session's
 #                      patches — a body edit, an `order:` explain for an
@@ -148,8 +153,9 @@ diff -u examples/lifecycleapp/expected_checks.txt "$CHECKS_OUT"
 echo "== ordering explain smoke (examples/lifecycleapp)"
 go run ./cmd/gator -explain order:Main.onDestroy.onResume examples/lifecycleapp > /dev/null
 
-echo "== trace + explain smoke (examples/buggyapp)"
-go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp > /dev/null
+echo "== trace + explain self-check (examples/buggyapp)"
+go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp > "$CHECKS_OUT"
+diff -u examples/buggyapp/expected_explain.txt "$CHECKS_OUT"
 
 echo "== gatord server smoke (examples/buggyapp)"
 go run ./cmd/gatord -smoke examples/buggyapp
